@@ -4,9 +4,10 @@
 //! deterministic to the byte), this harness records *wall-clock* throughput
 //! of the retrieval hot paths of §V — name parsing, shared-prefix
 //! similarity, FIB longest-prefix match, content-store insert/evict and
-//! approximate substitution, `BTreeMap<Name, _>` point lookup, and
-//! end-to-end queries per second — so future PRs have a perf trajectory to
-//! regress against.
+//! approximate substitution, `BTreeMap<Name, _>` point lookup, cloning a
+//! paper-shaped decision structure, flooding it over the paper's 30-node
+//! network, and end-to-end queries per second — so future PRs have a perf
+//! trajectory to regress against.
 //!
 //! Usage: `cargo run -p dde-bench --bin perf --release`
 //!
@@ -21,16 +22,20 @@
 
 use dde_bench::write_bench_json;
 use dde_bench::{run_point, HarnessConfig};
-use dde_core::prelude::{run_scenario_sharded, RunOptions};
+use dde_core::prelude::{run_scenario_sharded, GroundTruthAnnotator, RunOptions};
 use dde_core::strategy::Strategy;
+use dde_core::{build_nodes, build_shared_world, Annotator, AthenaEvent};
+use dde_logic::dnf::{Dnf, Term};
 use dde_naming::fib::Fib;
 use dde_naming::name::Name;
 use dde_naming::store::ContentStore;
+use dde_netsim::Simulator;
 use dde_obs::JsonValue;
-use dde_workload::scenario::ScenarioConfig;
+use dde_workload::scenario::{Scenario, ScenarioConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dde_logic::time::{SimDuration, SimTime};
@@ -223,7 +228,49 @@ fn main() {
         push("btreemap_get", r, ops);
     }
 
-    // 7. End-to-end: queries per wall-clock second on the small scenario.
+    // 7. Cloning a decision structure of the paper's shape (5 routes of 10
+    //    segments): what every announce copy costs.
+    {
+        let expr = Dnf::from_terms(
+            (0..5)
+                .map(|r| Term::all_of((0..10).map(|s| format!("viable/r{r}/s{s}"))))
+                .collect(),
+        );
+        const OPS: u64 = 200_000;
+        let r = best_of(cfg.reps, OPS, || {
+            for _ in 0..OPS {
+                std::hint::black_box(std::hint::black_box(&expr).clone());
+            }
+        });
+        push("dnf_clone", r, OPS);
+    }
+
+    // 8. The announce flood alone (§VI Query_Init/Query_Recv): every query
+    //    of the paper's 30-node scenario announced, none issued. One op is
+    //    one announce handed to a link.
+    {
+        let scenario = Scenario::build(ScenarioConfig::default().with_seed(cfg.seed));
+        let options = RunOptions::new(Strategy::LvfLabelShare);
+        let annotator: Arc<dyn Annotator + Send + Sync> = Arc::new(GroundTruthAnnotator);
+        let mut best = f64::INFINITY;
+        let mut announces = 0u64;
+        for _ in 0..cfg.reps.max(1) {
+            let shared = build_shared_world(&scenario, &options);
+            let nodes = build_nodes(&scenario, &shared, &annotator);
+            let mut sim = Simulator::new(scenario.topology.clone(), nodes, options.seed);
+            for q in &scenario.queries {
+                sim.schedule_external(q.issue_at, q.origin, AthenaEvent::AnnounceOnly(q.clone()));
+            }
+            let start = Instant::now();
+            sim.run();
+            best = best.min(start.elapsed().as_secs_f64());
+            announces = sim.metrics().kind("announce").count;
+        }
+        let r = (best * 1e9 / announces as f64, announces as f64 / best);
+        push("announce_relay_30", r, announces);
+    }
+
+    // 9. End-to-end: queries per wall-clock second on the small scenario.
     {
         let base = ScenarioConfig::small();
         // One warm-up + timed reps; each rep is a full deterministic run.
@@ -240,12 +287,12 @@ fn main() {
         push("e2e_queries", (ns, ops_s), queries);
     }
 
-    // 8. City-scale sharded simulation: events per wall-clock second at 1
+    // 10. City-scale sharded simulation: events per wall-clock second at 1
     //    and 4 worker threads. Wall-clock figures are host-dependent —
     //    `host_cpus` is recorded at the top level so flat scaling on a
     //    single-core runner reads as what it is.
     {
-        let scenario = dde_workload::scenario::Scenario::build(
+        let scenario = Scenario::build(
             ScenarioConfig::city()
                 .with_seed(cfg.seed)
                 .with_fast_ratio(0.4),

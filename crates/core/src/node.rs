@@ -20,6 +20,7 @@ use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
 use crate::query::{Outstanding, QueryOutcome, QueryState, QueryStatus};
 use crate::strategy::{Priors, Strategy};
+use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
 use dde_logic::time::{SimDuration, SimTime};
@@ -423,11 +424,7 @@ impl AthenaNode {
     /// in bytes (§III-A), so the cost ledger can report predicted vs
     /// actual. Only called when the trace sink is enabled — this allocates
     /// freely.
-    fn plan_rationale(
-        &self,
-        expr: &dde_logic::dnf::Dnf,
-        ctx: &Context<'_, AthenaMsg>,
-    ) -> (String, u64) {
+    fn plan_rationale(&self, expr: &Dnf, ctx: &Context<'_, AthenaMsg>) -> (String, u64) {
         let meta = self.plan_meta(expr, ctx.node(), ctx.topology());
         let plan = plan_dnf(expr, &meta);
         let predicted = summarize_dnf_plan(&plan).expected_bytes_rounded();
@@ -439,7 +436,7 @@ impl AthenaNode {
     /// validity, and the short-circuit probability — learned per
     /// (name-prefix, condition) when adaptive planning is on, the run's
     /// static prior otherwise.
-    fn plan_meta(&self, expr: &dde_logic::dnf::Dnf, me: NodeId, topology: &Topology) -> MetaTable {
+    fn plan_meta(&self, expr: &Dnf, me: NodeId, topology: &Topology) -> MetaTable {
         expr.labels()
             .into_iter()
             .map(|l| {
@@ -479,12 +476,7 @@ impl AthenaNode {
     /// [`AthenaNode::plan_rationale`] this must also run on unobserved
     /// runs — admission decisions cannot depend on whether a sink is
     /// attached.
-    fn predicted_plan_bytes(
-        &self,
-        expr: &dde_logic::dnf::Dnf,
-        me: NodeId,
-        topology: &Topology,
-    ) -> u64 {
+    fn predicted_plan_bytes(&self, expr: &Dnf, me: NodeId, topology: &Topology) -> u64 {
         let meta = self.plan_meta(expr, me, topology);
         summarize_dnf_plan(&plan_dnf(expr, &meta)).expected_bytes_rounded()
     }
@@ -859,6 +851,9 @@ impl AthenaNode {
         let channel = self.channel();
         let prior = self.shared.config.prob_true_prior;
         let retry = self.shared.config.retry_timeout;
+        // A handle of our own, so catalog entries can stay borrowed across
+        // the `&mut self` calls below.
+        let shared = Arc::clone(&self.shared);
         let qids: Vec<QueryId> = self.queries.keys().copied().collect();
 
         for qid in qids {
@@ -939,7 +934,7 @@ impl AthenaNode {
                         }
                     }
                 }
-                let spec = self.catalog().get(chosen).clone();
+                let spec = shared.catalog.get(chosen);
                 // Bookkeeping: chasing a label whose previous value expired.
                 {
                     let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
@@ -983,7 +978,7 @@ impl AthenaNode {
                 if spec.source == me {
                     let object = self.sample_object(chosen, now);
                     self.content.insert(
-                        &object.name.clone(),
+                        &object.name,
                         object.clone(),
                         object.size,
                         object.sampled_at,
@@ -1146,18 +1141,7 @@ impl AthenaNode {
                         rationale,
                     });
                 }
-                let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin: me,
-                            expr: expr.clone(),
-                            deadline_at,
-                        },
-                    );
-                }
+                flood_announce(ctx, qid, me, &expr, deadline_at, None);
                 true
             }
             AdmissionVerdict::Defer => {
@@ -1430,7 +1414,7 @@ impl AthenaNode {
                 .expect("own object is indexed"); // lint: allow(panic) — the catalog indexes every object it assigned to this node
             let object = self.sample_object(idx, now);
             self.content.insert(
-                &object.name.clone(),
+                &object.name,
                 object.clone(),
                 object.size,
                 object.sampled_at,
@@ -1507,7 +1491,7 @@ impl AthenaNode {
     ) {
         let me = ctx.node();
         self.content.insert(
-            &object.name.clone(),
+            &object.name,
             object.clone(),
             object.size,
             object.sampled_at,
@@ -1814,7 +1798,7 @@ impl AthenaNode {
             }
             let object = self.sample_object(task.object_idx, now);
             self.content.insert(
-                &object.name.clone(),
+                &object.name,
                 object.clone(),
                 object.size,
                 object.sampled_at,
@@ -1858,14 +1842,29 @@ impl AthenaNode {
             return;
         }
         let deadline_at = inst.issue_at + inst.deadline;
-        let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-        for nb in neighbors {
+        flood_announce(ctx, qid, me, &inst.expr, deadline_at, None);
+    }
+}
+
+/// Floods the decision structure of query `qid` (issued at `origin`) to
+/// every neighbor of this node but `except` — the one the announce came
+/// from, when relaying. Each copy shares `expr`'s terms.
+fn flood_announce(
+    ctx: &mut Context<'_, AthenaMsg>,
+    qid: QueryId,
+    origin: NodeId,
+    expr: &Dnf,
+    deadline_at: SimTime,
+    except: Option<NodeId>,
+) {
+    for nb in ctx.topology().neighbors(ctx.node()) {
+        if Some(nb) != except {
             ctx.send(
                 nb,
                 AthenaMsg::QueryAnnounce {
                     qid,
-                    origin: me,
-                    expr: inst.expr.clone(),
+                    origin,
+                    expr: expr.clone(),
                     deadline_at,
                 },
             );
@@ -1963,18 +1962,7 @@ impl Protocol for AthenaNode {
             }
             _ => {
                 // Flood the decision structure so the network can prefetch.
-                let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin: me,
-                            expr: inst.expr.clone(),
-                            deadline_at,
-                        },
-                    );
-                }
+                flood_announce(ctx, qid, me, &inst.expr, deadline_at, None);
             }
         }
         // Deadline timer: tag = qid + 1 (0 is the tick).
@@ -1995,22 +1983,7 @@ impl Protocol for AthenaNode {
                 }
                 self.stats.announces_relayed += 1;
                 let me = ctx.node();
-                let neighbors: Vec<NodeId> = ctx
-                    .topology()
-                    .neighbors(me)
-                    .filter(|n| *n != from)
-                    .collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin,
-                            expr: expr.clone(),
-                            deadline_at,
-                        },
-                    );
-                }
+                flood_announce(ctx, qid, origin, &expr, deadline_at, Some(from));
                 if self.shared.config.prefetch_enabled() && ctx.now() < deadline_at {
                     let labels = expr.labels();
                     let candidates = self.shared.config.strategy.candidates(
@@ -2086,7 +2059,6 @@ impl Protocol for AthenaNode {
             self.content = ContentStore::new(self.shared.config.cache_capacity);
             self.labels.clear();
         }
-        let mut reopen: Vec<(QueryId, dde_logic::dnf::Dnf, SimTime)> = Vec::new();
         for (qid, q) in self.queries.iter_mut() {
             if q.check(now).is_final() {
                 continue;
@@ -2102,22 +2074,8 @@ impl Protocol for AthenaNode {
             {
                 continue;
             }
-            reopen.push((*qid, q.expr.clone(), q.deadline_at));
-        }
-        let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-        for (qid, expr, deadline_at) in reopen {
-            for nb in &neighbors {
-                ctx.send(
-                    *nb,
-                    AthenaMsg::QueryAnnounce {
-                        qid,
-                        origin: me,
-                        expr: expr.clone(),
-                        deadline_at,
-                    },
-                );
-            }
-            ctx.set_timer_at(deadline_at, qid.0 + 1);
+            flood_announce(ctx, *qid, me, &q.expr, q.deadline_at, None);
+            ctx.set_timer_at(q.deadline_at, qid.0 + 1);
         }
         self.advance_queries(ctx);
     }

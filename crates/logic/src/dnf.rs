@@ -12,6 +12,7 @@ use crate::time::SimTime;
 use crate::truth::Truth;
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A possibly-negated reference to a label.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -257,9 +258,13 @@ impl Resolution {
 /// assert_eq!(q.terms().len(), 2);
 /// assert_eq!(q.labels().len(), 6);
 /// ```
+///
+/// A query is immutable once built and its terms are shared: `clone` bumps
+/// a reference count, so flooding the decision structure to a whole network
+/// (§VI `Query_Init`/`Query_Recv`) copies no term.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Dnf {
-    terms: Vec<Term>,
+    terms: Arc<[Term]>,
 }
 
 impl Dnf {
@@ -279,7 +284,7 @@ impl Dnf {
 
     /// The constant-false query (no alternatives).
     pub fn unsatisfiable() -> Dnf {
-        Dnf { terms: Vec::new() }
+        Dnf::default()
     }
 
     /// The alternative courses of action.
@@ -299,20 +304,20 @@ impl Dnf {
     #[must_use]
     pub fn absorbed(&self) -> Dnf {
         let mut kept: Vec<Term> = Vec::new();
-        for t in &self.terms {
+        for t in self.terms.iter() {
             if kept.iter().any(|k| k.subsumes(t)) {
                 continue;
             }
             kept.retain(|k| !t.subsumes(k));
             kept.push(t.clone());
         }
-        Dnf { terms: kept }
+        Dnf { terms: kept.into() }
     }
 
     /// Kleene evaluation under `asg` at `now`.
     pub fn eval_at(&self, asg: &Assignment, now: SimTime) -> Truth {
         let mut acc = Truth::False;
-        for t in &self.terms {
+        for t in self.terms.iter() {
             acc = acc.or(t.eval_at(asg, now));
             if acc == Truth::True {
                 break;
@@ -345,7 +350,7 @@ impl Dnf {
     /// once some term is fully true nothing else matters at all.
     pub fn relevant_labels(&self, asg: &Assignment, now: SimTime) -> BTreeSet<Label> {
         let mut out = BTreeSet::new();
-        for t in &self.terms {
+        for t in self.terms.iter() {
             match t.eval_at(asg, now) {
                 Truth::True => return BTreeSet::new(),
                 Truth::False => {}
@@ -572,6 +577,39 @@ mod tests {
         assert_eq!(q.live_terms(&asg, SimTime::ZERO), vec![0, 1]);
         set(&mut asg, "b", false);
         assert_eq!(q.live_terms(&asg, SimTime::ZERO), vec![1]);
+    }
+
+    #[test]
+    fn clone_shares_terms_and_behaves_like_the_original() {
+        let q = Dnf::from_terms(vec![
+            Term::all_of(["a", "b"]),
+            Term::all_of(["a"]),
+            Term::all_of(["a", "b"]),
+            Term::all_of(["c"]),
+        ]);
+        let copy = q.clone();
+        assert!(
+            std::ptr::eq(q.terms().as_ptr(), copy.terms().as_ptr()),
+            "a clone must share the term storage, not copy it"
+        );
+        assert_eq!(copy, q);
+        assert_eq!(copy.to_string(), "(a & b) | (a) | (c)");
+        assert_eq!(copy.labels(), q.labels());
+        assert_eq!(
+            copy.labels().iter().map(Label::as_str).collect::<Vec<_>>(),
+            vec!["a", "b", "c"]
+        );
+        // Derived queries own fresh storage and leave the source untouched.
+        let abs = copy.absorbed();
+        assert_eq!(abs.to_string(), "(a) | (c)");
+        assert_eq!(q.terms().len(), 3);
+        // Equality is by value, not by storage.
+        let rebuilt: Dnf = q.terms().iter().cloned().collect();
+        assert!(!std::ptr::eq(q.terms().as_ptr(), rebuilt.terms().as_ptr()));
+        assert_eq!(rebuilt, q);
+        assert_ne!(abs, q);
+        assert_eq!(Dnf::default(), Dnf::unsatisfiable());
+        assert!(Dnf::unsatisfiable().terms().is_empty());
     }
 
     #[test]

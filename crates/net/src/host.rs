@@ -430,7 +430,10 @@ impl NodeHost {
                             },
                         });
                     }
-                    metrics.record_send(self.id, to, bytes, msg.kind());
+                    // `Context::try_send` only queues sends to neighbors.
+                    if let Some((slot, _)) = self.topology.link_slot(self.id, to) {
+                        metrics.record_send(slot, self.id, to, bytes, msg.kind());
+                    }
                     // Wall-clock send latency, measured as a virtual-time
                     // delta divided back by the scale — the host loop's
                     // only sanctioned clock is the VirtualClock.

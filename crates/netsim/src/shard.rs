@@ -44,13 +44,13 @@
 use crate::fault::{FaultEvent, FaultSchedule};
 use crate::metrics::Metrics;
 use crate::partition::Partition;
-use crate::sim::{Command, Context, LinkState, MediumMode, Protocol, WireMessage};
+use crate::sim::{Command, Context, Hop, LinkState, MediumMode, Protocol, WireMessage};
 use crate::topology::{NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_obs::merge::{MergeKey, ShardMerger};
 use dde_obs::{EventKind, NullSink, Sink, TraceRecord};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -214,10 +214,7 @@ enum REvent<P: Protocol> {
         node: NodeId,
         ext: P::Ext,
     },
-    LinkFree {
-        from: NodeId,
-        to: NodeId,
-    },
+    LinkFree(Hop),
 }
 
 struct RScheduled<P: Protocol> {
@@ -322,10 +319,15 @@ struct Region<P: Protocol> {
     /// Indexed by global node id; `Some` only for nodes this region owns.
     nodes: Vec<Option<P>>,
     heap: BinaryHeap<RScheduled<P>>,
-    links: BTreeMap<(NodeId, NodeId), LinkState<P::Msg>>,
+    /// Transmitters, by `Topology::link_slot`; only this region's nodes'
+    /// outgoing links are ever touched.
+    links: Vec<LinkState<P::Msg>>,
+    /// Handler outbox, emptied after every dispatch and reused by the next.
+    commands: Vec<Command<P::Msg>>,
     node_tx_busy: Vec<u32>,
     timer_seq: Vec<u64>,
-    tx_seq: BTreeMap<(NodeId, NodeId), u64>,
+    /// Transmissions started per link, by slot.
+    tx_seq: Vec<u64>,
     metrics: Metrics,
     sink: KeyedSink,
     outbox: Vec<CrossDeliver<P::Msg>>,
@@ -403,21 +405,7 @@ impl<P: Protocol> Region<P> {
             }
             FaultAction::Recover { idx, node } => {
                 self.sink.begin(at, EventKey::fault_recover(idx, node));
-                let mut commands = Vec::new();
-                {
-                    let mut ctx = Context::new(
-                        self.now,
-                        node,
-                        &self.topology,
-                        &mut commands,
-                        &mut self.sink,
-                    );
-                    self.nodes[node.index()]
-                        .as_mut()
-                        .expect("recover action routed to the owning region") // lint: allow(panic) — coordinator routes by region_of
-                        .on_recover(&mut ctx);
-                }
-                self.process_commands(node, commands);
+                self.dispatch(node, |p, ctx| p.on_recover(ctx));
             }
         }
     }
@@ -429,8 +417,8 @@ impl<P: Protocol> Region<P> {
         self.events += 1;
         self.sink.begin(at, key);
 
-        if let REvent::LinkFree { from, to } = event {
-            self.link_freed(from, to);
+        if let REvent::LinkFree(hop) = event {
+            self.link_freed(hop);
             return;
         }
         let node_id = match &event {
@@ -438,7 +426,7 @@ impl<P: Protocol> Region<P> {
                 *node
             }
             REvent::Deliver { to, .. } => *to,
-            REvent::LinkFree { .. } => unreachable!("handled above"),
+            REvent::LinkFree(_) => unreachable!("handled above"),
         };
         if let REvent::Deliver { from, to, .. } = &event {
             // The link went down (by fault) while the message was in
@@ -477,6 +465,7 @@ impl<P: Protocol> Region<P> {
             return;
         }
         if let REvent::Deliver { from, to, msg } = &event {
+            self.metrics.messages_delivered += 1;
             let kind = msg.kind();
             let (from, to) = (*from, *to);
             self.emit(
@@ -490,7 +479,24 @@ impl<P: Protocol> Region<P> {
             );
         }
 
-        let mut commands = Vec::new();
+        self.dispatch(node_id, |node, ctx| match event {
+            REvent::Start { .. } => node.on_start(ctx),
+            REvent::Deliver { from, msg, .. } => node.on_message(ctx, from, msg),
+            REvent::Timer { tag, .. } => node.on_timer(ctx, tag),
+            REvent::External { ext, .. } => node.on_external(ctx, ext),
+            REvent::LinkFree(_) => unreachable!("handled above"),
+        });
+    }
+
+    /// Runs one handler of `node_id` and realizes what it queued, in order.
+    /// The outbox is the region's one reused buffer; it is taken and handed
+    /// back only here, so no early return of [`Region::step`] can strand it.
+    fn dispatch(
+        &mut self,
+        node_id: NodeId,
+        handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) {
+        let mut commands = std::mem::take(&mut self.commands);
         {
             let mut ctx = Context::new(
                 self.now,
@@ -501,23 +507,10 @@ impl<P: Protocol> Region<P> {
             );
             let node = self.nodes[node_id.index()]
                 .as_mut()
-                .expect("event dispatched to a node this region owns"); // lint: allow(panic) — scheduling routes by region_of
-            match event {
-                REvent::Start { .. } => node.on_start(&mut ctx),
-                REvent::Deliver { from, msg, .. } => {
-                    self.metrics.messages_delivered += 1;
-                    node.on_message(&mut ctx, from, msg)
-                }
-                REvent::Timer { tag, .. } => node.on_timer(&mut ctx, tag),
-                REvent::External { ext, .. } => node.on_external(&mut ctx, ext),
-                REvent::LinkFree { .. } => unreachable!("handled above"),
-            }
+                .expect("event dispatched to a node this region owns"); // lint: allow(panic) — scheduling and the coordinator route by region_of
+            handler(node, &mut ctx);
         }
-        self.process_commands(node_id, commands);
-    }
-
-    fn process_commands(&mut self, node_id: NodeId, commands: Vec<Command<P::Msg>>) {
-        for cmd in commands {
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Send { to, msg } => self.transmit(node_id, to, msg),
                 Command::Timer { at, tag } => {
@@ -531,25 +524,11 @@ impl<P: Protocol> Region<P> {
                 }
             }
         }
+        self.commands = commands;
     }
 
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let node_blocked =
-            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
-        let link = self.links.entry((from, to)).or_default();
-        if link.busy || node_blocked {
-            if msg.background() {
-                link.background.push_back(msg);
-            } else {
-                link.foreground.push_back(msg);
-            }
-        } else {
-            self.start_transmission(from, to, msg);
-        }
-    }
-
-    fn start_transmission(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let Some(spec) = self.topology.link(from, to) else {
+        let Some(hop) = Hop::resolve(&self.topology, from, to) else {
             // Context::try_send checks adjacency, so this is unreachable
             // from well-formed command streams; degrade to a counted drop
             // rather than a panic (same policy as the sequential engine).
@@ -565,11 +544,27 @@ impl<P: Protocol> Region<P> {
             );
             return;
         };
+        let node_blocked =
+            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
+        let link = &mut self.links[hop.slot];
+        if link.busy || node_blocked {
+            if msg.background() {
+                link.background.push_back(msg);
+            } else {
+                link.foreground.push_back(msg);
+            }
+        } else {
+            self.start_transmission(hop, msg);
+        }
+    }
+
+    fn start_transmission(&mut self, hop: Hop, msg: P::Msg) {
+        let (from, to, slot, spec) = (hop.from, hop.to, hop.slot, hop.spec);
         let bytes = msg.wire_size();
         let depart = self.now + spec.transmission_time(bytes);
-        self.links.entry((from, to)).or_default().busy = true;
+        self.links[slot].busy = true;
         self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(from, to, bytes, msg.kind());
+        self.metrics.record_send(slot, from, to, bytes, msg.kind());
         self.emit(
             from,
             EventKind::Transmit {
@@ -581,12 +576,8 @@ impl<P: Protocol> Region<P> {
                 query: msg.attribution(),
             },
         );
-        let txn = {
-            let counter = self.tx_seq.entry((from, to)).or_insert(0);
-            let txn = *counter;
-            *counter += 1;
-            txn
-        };
+        let txn = self.tx_seq[slot];
+        self.tx_seq[slot] += 1;
         let lost = spec.loss > 0.0 && loss_unit(self.seed, from, to, txn) < spec.loss;
         if !lost {
             let arrival = depart + spec.latency;
@@ -624,22 +615,23 @@ impl<P: Protocol> Region<P> {
         self.heap.push(RScheduled {
             at: depart,
             key: EventKey::link_free(from, to, txn),
-            event: REvent::LinkFree { from, to },
+            event: REvent::LinkFree(hop),
         });
     }
 
-    fn link_freed(&mut self, from: NodeId, to: NodeId) {
-        self.links.entry((from, to)).or_default().busy = false;
+    fn link_freed(&mut self, hop: Hop) {
+        let from = hop.from;
+        let link = &mut self.links[hop.slot];
+        link.busy = false;
         self.node_tx_busy[from.index()] = self.node_tx_busy[from.index()].saturating_sub(1);
         match self.medium {
             MediumMode::FullDuplex => {
-                let link = self.links.entry((from, to)).or_default();
                 let next = link
                     .foreground
                     .pop_front()
                     .or_else(|| link.background.pop_front());
                 if let Some(msg) = next {
-                    self.start_transmission(from, to, msg);
+                    self.start_transmission(hop, msg);
                 }
             }
             MediumMode::HalfDuplexTx => {
@@ -650,9 +642,10 @@ impl<P: Protocol> Region<P> {
                 // Foreground from any link first, then background.
                 for foreground in [true, false] {
                     for &nb in &neighbors {
-                        let Some(link) = self.links.get_mut(&(from, nb)) else {
+                        let Some(hop) = Hop::resolve(&self.topology, from, nb) else {
                             continue;
                         };
+                        let link = &mut self.links[hop.slot];
                         if link.busy {
                             continue;
                         }
@@ -662,7 +655,7 @@ impl<P: Protocol> Region<P> {
                             link.background.pop_front()
                         };
                         if let Some(msg) = next {
-                            self.start_transmission(from, nb, msg);
+                            self.start_transmission(hop, msg);
                             return;
                         }
                     }
@@ -672,7 +665,8 @@ impl<P: Protocol> Region<P> {
     }
 
     fn purge_link_queues(&mut self, from: NodeId, to: NodeId) {
-        if let Some(link) = self.links.get_mut(&(from, to)) {
+        if let Some((slot, _)) = self.topology.link_slot(from, to) {
+            let link = &mut self.links[slot];
             let purged = (link.foreground.len() + link.background.len()) as u64;
             link.foreground.clear();
             link.background.clear();
@@ -773,10 +767,11 @@ impl<P: Protocol> ShardedSimulator<P> {
                 region_of: Arc::clone(&region_of),
                 nodes: owned,
                 heap,
-                links: BTreeMap::new(),
+                links: LinkState::table(&topology),
+                commands: Vec::new(),
                 node_tx_busy: vec![0; n],
                 timer_seq: vec![0; n],
-                tx_seq: BTreeMap::new(),
+                tx_seq: vec![0; topology.directed_link_count()],
                 metrics: Metrics::new(),
                 sink: KeyedSink::default(),
                 outbox: Vec::new(),

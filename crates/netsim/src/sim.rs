@@ -8,13 +8,13 @@
 
 use crate::fault::{FaultEvent, FaultSchedule};
 use crate::metrics::Metrics;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{LinkSpec, NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_obs::{EventKind, MemorySink, NullSink, SharedSink, Sink, TraceRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A message that can be clocked onto a link.
 pub trait WireMessage {
@@ -158,7 +158,9 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The (immutable) network topology, for neighbor and routing queries.
-    pub fn topology(&self) -> &Topology {
+    /// The borrow outlives this call, so a handler can walk its neighbors
+    /// while sending to them.
+    pub fn topology(&self) -> &'a Topology {
         self.topology
     }
 
@@ -289,10 +291,7 @@ enum Event<P: Protocol> {
         ext: P::Ext,
     },
     /// A link finished clocking out its current message; start the next.
-    LinkFree {
-        from: NodeId,
-        to: NodeId,
-    },
+    LinkFree(Hop),
     /// A scheduled fault transition fires.
     Fault(FaultEvent),
 }
@@ -350,6 +349,28 @@ pub struct TraceEvent {
     pub background: bool,
 }
 
+/// A directed link as an engine transmits on it: endpoints, dense index
+/// and spec, resolved by one [`Topology::link_slot`] scan per message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hop {
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) slot: usize,
+    pub(crate) spec: LinkSpec,
+}
+
+impl Hop {
+    pub(crate) fn resolve(topology: &Topology, from: NodeId, to: NodeId) -> Option<Hop> {
+        let (slot, spec) = topology.link_slot(from, to)?;
+        Some(Hop {
+            from,
+            to,
+            slot,
+            spec,
+        })
+    }
+}
+
 /// Transmitter state of one directed link: whether it is currently
 /// clocking a message out, plus foreground and background wait queues.
 pub(crate) struct LinkState<M> {
@@ -365,6 +386,16 @@ impl<M> Default for LinkState<M> {
             foreground: std::collections::VecDeque::new(),
             background: std::collections::VecDeque::new(),
         }
+    }
+}
+
+impl<M> LinkState<M> {
+    /// One idle transmitter per directed link of `topology`, indexed by
+    /// [`Topology::link_slot`].
+    pub(crate) fn table(topology: &Topology) -> Vec<LinkState<M>> {
+        std::iter::repeat_with(LinkState::default)
+            .take(topology.directed_link_count())
+            .collect()
     }
 }
 
@@ -414,8 +445,11 @@ pub struct Simulator<P: Protocol> {
     heap: BinaryHeap<Scheduled<P>>,
     now: SimTime,
     seq: u64,
-    // per directed link: transmitter state and waiting messages
-    links: BTreeMap<(NodeId, NodeId), LinkState<P::Msg>>,
+    // per directed link, by `Topology::link_slot`: transmitter state and
+    // waiting messages
+    links: Vec<LinkState<P::Msg>>,
+    // handler outbox, emptied after every dispatch and reused by the next
+    commands: Vec<Command<P::Msg>>,
     metrics: Metrics,
     rng: SmallRng,
     events_processed: u64,
@@ -456,6 +490,7 @@ impl<P: Protocol> Simulator<P> {
         );
         topology.ensure_routes();
         let n = nodes.len();
+        let links = LinkState::table(&topology);
         let mut sim = Simulator {
             topology,
             nodes,
@@ -463,7 +498,8 @@ impl<P: Protocol> Simulator<P> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            links: BTreeMap::new(),
+            links,
+            commands: Vec::new(),
             metrics: Metrics::new(),
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
@@ -580,23 +616,7 @@ impl<P: Protocol> Simulator<P> {
                 self.node_up[n.index()] = true;
                 self.topology.set_node_enabled(n, true);
                 self.topology.rebuild_routes();
-                let mut commands = Vec::new();
-                {
-                    let mut ctx = Context {
-                        now: self.now,
-                        node: n,
-                        topology: &self.topology,
-                        commands: &mut commands,
-                        sink: &mut *self.sink,
-                    };
-                    self.nodes[n.index()].on_recover(&mut ctx);
-                }
-                for cmd in commands {
-                    match cmd {
-                        Command::Send { to, msg } => self.transmit(n, to, msg),
-                        Command::Timer { at, tag } => self.push(at, Event::Timer { node: n, tag }),
-                    }
-                }
+                self.dispatch(n, |node, ctx| node.on_recover(ctx));
             }
             FaultEvent::LinkDown(a, b) => {
                 if self.topology.set_link_enabled(a, b, false) {
@@ -632,7 +652,8 @@ impl<P: Protocol> Simulator<P> {
     /// Discards everything waiting (never sent) on the directed link
     /// `from → to`, counting the purge in the metrics.
     fn purge_link_queues(&mut self, from: NodeId, to: NodeId) {
-        if let Some(link) = self.links.get_mut(&(from, to)) {
+        if let Some((slot, _)) = self.topology.link_slot(from, to) {
+            let link = &mut self.links[slot];
             let purged = (link.foreground.len() + link.background.len()) as u64;
             link.foreground.clear();
             link.background.clear();
@@ -788,21 +809,20 @@ impl<P: Protocol> Simulator<P> {
         self.now = at;
         self.events_processed += 1;
 
-        if let Event::LinkFree { from, to } = event {
-            self.link_freed(from, to);
+        if let Event::LinkFree(hop) = event {
+            self.link_freed(hop);
             return true;
         }
         if let Event::Fault(fault) = event {
             self.apply_fault(fault);
             return true;
         }
-        let mut commands = Vec::new();
         let node_id = match &event {
             Event::Start { node } | Event::Timer { node, .. } | Event::External { node, .. } => {
                 *node
             }
             Event::Deliver { to, .. } => *to,
-            Event::LinkFree { .. } | Event::Fault(_) => unreachable!("handled above"),
+            Event::LinkFree(_) | Event::Fault(_) => unreachable!("handled above"),
         };
         if let Event::Deliver { from, to, .. } = &event {
             // The link went down (by fault) while the message was in flight:
@@ -843,6 +863,7 @@ impl<P: Protocol> Simulator<P> {
             return true;
         }
         if let Event::Deliver { from, to, msg } = &event {
+            self.metrics.messages_delivered += 1;
             let kind = msg.kind();
             let (from, to) = (*from, *to);
             self.emit(
@@ -856,6 +877,26 @@ impl<P: Protocol> Simulator<P> {
             );
         }
 
+        self.dispatch(node_id, |node, ctx| match event {
+            Event::Start { .. } => node.on_start(ctx),
+            Event::Deliver { from, msg, .. } => node.on_message(ctx, from, msg),
+            Event::Timer { tag, .. } => node.on_timer(ctx, tag),
+            Event::External { ext, .. } => node.on_external(ctx, ext),
+            Event::LinkFree(_) | Event::Fault(_) => unreachable!("handled above"),
+        });
+        true
+    }
+
+    /// Runs one handler of `node_id` and realizes what it queued, in order:
+    /// sends onto links, timers into the heap. The outbox is the engine's
+    /// one reused buffer; it is taken and handed back only here, so no early
+    /// return of [`Simulator::step`] can strand it.
+    fn dispatch(
+        &mut self,
+        node_id: NodeId,
+        handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) {
+        let mut commands = std::mem::take(&mut self.commands);
         {
             let mut ctx = Context {
                 now: self.now,
@@ -864,46 +905,19 @@ impl<P: Protocol> Simulator<P> {
                 commands: &mut commands,
                 sink: &mut *self.sink,
             };
-            let node = &mut self.nodes[node_id.index()];
-            match event {
-                Event::Start { .. } => node.on_start(&mut ctx),
-                Event::Deliver { from, msg, .. } => {
-                    self.metrics.messages_delivered += 1;
-                    node.on_message(&mut ctx, from, msg)
-                }
-                Event::Timer { tag, .. } => node.on_timer(&mut ctx, tag),
-                Event::External { ext, .. } => node.on_external(&mut ctx, ext),
-                Event::LinkFree { .. } | Event::Fault(_) => unreachable!("handled above"),
-            }
+            handler(&mut self.nodes[node_id.index()], &mut ctx);
         }
-
-        for cmd in commands {
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Send { to, msg } => self.transmit(node_id, to, msg),
                 Command::Timer { at, tag } => self.push(at, Event::Timer { node: node_id, tag }),
             }
         }
-        true
+        self.commands = commands;
     }
 
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let node_blocked =
-            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
-        let link = self.links.entry((from, to)).or_default();
-        if link.busy || node_blocked {
-            if msg.background() {
-                link.background.push_back(msg);
-            } else {
-                link.foreground.push_back(msg);
-            }
-        } else {
-            self.start_transmission(from, to, msg);
-        }
-    }
-
-    /// Begins clocking `msg` onto the (idle) link `from → to`.
-    fn start_transmission(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let Some(spec) = self.topology.link(from, to) else {
+        let Some(hop) = Hop::resolve(&self.topology, from, to) else {
             // Context::try_send checks adjacency, so this is unreachable
             // from well-formed command streams; degrade to a counted drop
             // rather than a panic (same policy as the send path).
@@ -919,11 +933,28 @@ impl<P: Protocol> Simulator<P> {
             );
             return;
         };
+        let node_blocked =
+            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
+        let link = &mut self.links[hop.slot];
+        if link.busy || node_blocked {
+            if msg.background() {
+                link.background.push_back(msg);
+            } else {
+                link.foreground.push_back(msg);
+            }
+        } else {
+            self.start_transmission(hop, msg);
+        }
+    }
+
+    /// Begins clocking `msg` onto the (idle) link `from → to`.
+    fn start_transmission(&mut self, hop: Hop, msg: P::Msg) {
+        let (from, to, slot, spec) = (hop.from, hop.to, hop.slot, hop.spec);
         let bytes = msg.wire_size();
         let depart = self.now + spec.transmission_time(bytes);
-        self.links.entry((from, to)).or_default().busy = true;
+        self.links[slot].busy = true;
         self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(from, to, bytes, msg.kind());
+        self.metrics.record_send(slot, from, to, bytes, msg.kind());
         self.emit(
             from,
             EventKind::Transmit {
@@ -952,7 +983,7 @@ impl<P: Protocol> Simulator<P> {
                 },
             );
         }
-        self.push(depart, Event::LinkFree { from, to });
+        self.push(depart, Event::LinkFree(hop));
     }
 
     /// The link finished a transmission: start the next waiting message —
@@ -960,18 +991,19 @@ impl<P: Protocol> Simulator<P> {
     /// the freed *radio* may serve any of the node's outgoing links
     /// (foreground anywhere beats background anywhere; ties go to the
     /// lowest-numbered neighbor for determinism).
-    fn link_freed(&mut self, from: NodeId, to: NodeId) {
-        self.links.entry((from, to)).or_default().busy = false;
+    fn link_freed(&mut self, hop: Hop) {
+        let from = hop.from;
+        let link = &mut self.links[hop.slot];
+        link.busy = false;
         self.node_tx_busy[from.index()] = self.node_tx_busy[from.index()].saturating_sub(1);
         match self.medium {
             MediumMode::FullDuplex => {
-                let link = self.links.entry((from, to)).or_default();
                 let next = link
                     .foreground
                     .pop_front()
                     .or_else(|| link.background.pop_front());
                 if let Some(msg) = next {
-                    self.start_transmission(from, to, msg);
+                    self.start_transmission(hop, msg);
                 }
             }
             MediumMode::HalfDuplexTx => {
@@ -982,9 +1014,10 @@ impl<P: Protocol> Simulator<P> {
                 // Foreground from any link first, then background.
                 for foreground in [true, false] {
                     for &nb in &neighbors {
-                        let Some(link) = self.links.get_mut(&(from, nb)) else {
+                        let Some(hop) = Hop::resolve(&self.topology, from, nb) else {
                             continue;
                         };
+                        let link = &mut self.links[hop.slot];
                         if link.busy {
                             continue;
                         }
@@ -994,7 +1027,7 @@ impl<P: Protocol> Simulator<P> {
                             link.background.pop_front()
                         };
                         if let Some(msg) = next {
-                            self.start_transmission(from, nb, msg);
+                            self.start_transmission(hop, msg);
                             return;
                         }
                     }

@@ -121,6 +121,10 @@ pub struct Topology {
     next_hop: Vec<Vec<usize>>,
     // dist[u][v] in hops (usize::MAX = unreachable)
     dist: Vec<Vec<usize>>,
+    // link_base[u] = slot of u's first outgoing link; u's i-th adjacency
+    // entry has slot link_base[u] + i. Built with the routes and emptied by
+    // add_link, the only operation that moves a slot.
+    link_base: Vec<usize>,
     routes_dirty: bool,
     // Fault state: crashed nodes and downed links are *physically* still
     // present (adjacency is unchanged) but excluded from routing. BTreeSet
@@ -137,6 +141,7 @@ impl Topology {
             adjacency: vec![Vec::new(); n],
             next_hop: Vec::new(),
             dist: Vec::new(),
+            link_base: Vec::new(),
             routes_dirty: true,
             disabled_nodes: std::collections::BTreeSet::new(),
             disabled_links: std::collections::BTreeSet::new(),
@@ -180,6 +185,7 @@ impl Topology {
         assert!(!self.has_link(a, b), "link {a}-{b} already exists");
         self.adjacency[a.0].push((b, spec));
         self.adjacency[b.0].push((a, spec));
+        self.link_base.clear();
         self.routes_dirty = true;
     }
 
@@ -197,6 +203,23 @@ impl Topology {
             .iter()
             .find(|(v, _)| *v == b)
             .map(|(_, s)| *s)
+    }
+
+    /// The dense index of the directed link `a → b` in
+    /// `0..directed_link_count()`, with its spec: one adjacency scan buys an
+    /// engine O(1) access to everything it keeps per link. Slots follow
+    /// adjacency order, are assigned when routes are built, and survive
+    /// fault transitions (which never touch adjacency). `None` when the
+    /// nodes are not adjacent or routes have not been built since the last
+    /// [`Topology::add_link`].
+    pub fn link_slot(&self, a: NodeId, b: NodeId) -> Option<(usize, LinkSpec)> {
+        let base = *self.link_base.get(a.0)?;
+        self.adjacency
+            .get(a.0)?
+            .iter()
+            .enumerate()
+            .find(|(_, (v, _))| *v == b)
+            .map(|(i, (_, spec))| (base + i, *spec))
     }
 
     /// Neighbors of `node`.
@@ -318,6 +341,15 @@ impl Topology {
         }
         self.next_hop = next_hop;
         self.dist = dist;
+        self.link_base = self
+            .adjacency
+            .iter()
+            .scan(0, |next, adj| {
+                let base = *next;
+                *next += adj.len();
+                Some(base)
+            })
+            .collect();
         self.routes_dirty = false;
     }
 
@@ -580,6 +612,44 @@ mod tests {
         );
         assert!(t.link(NodeId(1), NodeId(1)).is_none());
         assert_eq!(t.directed_link_count(), 2);
+    }
+
+    #[test]
+    fn link_slots_are_dense_in_adjacency_order() {
+        // Node 3 has no links; node 1 has three.
+        let mut t = Topology::new(5);
+        t.add_link(NodeId(1), NodeId(0), LinkSpec::mbps1());
+        t.add_link(NodeId(1), NodeId(4), LinkSpec::with_bandwidth(2_000_000));
+        t.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
+        assert_eq!(t.link_slot(NodeId(1), NodeId(0)), None, "no routes yet");
+        t.rebuild_routes();
+        let mut seen = vec![false; t.directed_link_count()];
+        let mut expected = 0;
+        for a in t.nodes() {
+            for b in t.neighbors(a) {
+                let (slot, spec) = t.link_slot(a, b).unwrap();
+                assert_eq!(slot, expected, "{a}->{b}");
+                assert_eq!(Some(spec), t.link(a, b));
+                assert!(!std::mem::replace(&mut seen[slot], true));
+                expected += 1;
+            }
+        }
+        assert_eq!(expected, 6);
+        assert_eq!(t.link_slot(NodeId(3), NodeId(1)), None);
+        assert_eq!(t.link_slot(NodeId(0), NodeId(4)), None);
+        assert_eq!(t.link_slot(NodeId(9), NodeId(0)), None);
+        // Fault state leaves every slot where it was.
+        let before = t.link_slot(NodeId(2), NodeId(1));
+        t.set_node_enabled(NodeId(1), false);
+        t.set_link_enabled(NodeId(1), NodeId(4), false);
+        t.rebuild_routes();
+        assert_eq!(t.link_slot(NodeId(2), NodeId(1)), before);
+        // A new link moves slots: none is served until routes are rebuilt.
+        t.add_link(NodeId(3), NodeId(0), LinkSpec::mbps1());
+        assert_eq!(t.link_slot(NodeId(2), NodeId(1)), None);
+        t.rebuild_routes();
+        assert_eq!(t.directed_link_count(), 8);
+        assert!(t.link_slot(NodeId(3), NodeId(0)).is_some());
     }
 
     #[test]
