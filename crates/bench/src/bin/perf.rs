@@ -6,8 +6,9 @@
 //! similarity, FIB longest-prefix match, content-store insert/evict and
 //! approximate substitution, `BTreeMap<Name, _>` point lookup, cloning a
 //! paper-shaped decision structure, flooding it over the paper's 30-node
-//! network, and end-to-end queries per second — so future PRs have a perf
-//! trajectory to regress against.
+//! network, a housekeeping tick and a PIT sweep with nothing due, and
+//! end-to-end queries per second — so future PRs have a perf trajectory to
+//! regress against.
 //!
 //! Usage: `cargo run -p dde-bench --bin perf --release`
 //!
@@ -24,14 +25,18 @@ use dde_bench::write_bench_json;
 use dde_bench::{run_point, HarnessConfig};
 use dde_core::prelude::{run_scenario_sharded, GroundTruthAnnotator, RunOptions};
 use dde_core::strategy::Strategy;
-use dde_core::{build_nodes, build_shared_world, Annotator, AthenaEvent};
+use dde_core::{
+    build_nodes, build_shared_world, Annotator, AthenaEvent, AthenaNode, NodeConfig, SharedWorld,
+};
 use dde_logic::dnf::{Dnf, Term};
-use dde_naming::fib::Fib;
+use dde_naming::fib::{Fib, Pit};
 use dde_naming::name::Name;
 use dde_naming::store::ContentStore;
-use dde_netsim::Simulator;
+use dde_netsim::{LinkSpec, NodeId, Simulator, Topology};
 use dde_obs::JsonValue;
-use dde_workload::scenario::{Scenario, ScenarioConfig};
+use dde_workload::catalog::{Catalog, ObjectSpec};
+use dde_workload::scenario::{QueryInstance, Scenario, ScenarioConfig};
+use dde_workload::world::{DynamicsClass, WorldModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -56,6 +61,15 @@ fn name_universe(seed: u64, count: usize) -> Vec<String> {
             format!("/city/r{region}/d{district}/{t}/{kind}{id}")
         })
         .collect()
+}
+
+/// A decision structure of the paper's shape: 5 routes of 10 segments.
+fn paper_shaped_dnf() -> Dnf {
+    Dnf::from_terms(
+        (0..5)
+            .map(|r| Term::all_of((0..10).map(|s| format!("viable/r{r}/s{s}"))))
+            .collect(),
+    )
 }
 
 /// Times `work` (which performs `ops` operations per call) `reps` times and
@@ -231,11 +245,7 @@ fn main() {
     // 7. Cloning a decision structure of the paper's shape (5 routes of 10
     //    segments): what every announce copy costs.
     {
-        let expr = Dnf::from_terms(
-            (0..5)
-                .map(|r| Term::all_of((0..10).map(|s| format!("viable/r{r}/s{s}"))))
-                .collect(),
-        );
+        let expr = paper_shaped_dnf();
         const OPS: u64 = 200_000;
         let r = best_of(cfg.reps, OPS, || {
             for _ in 0..OPS {
@@ -270,7 +280,84 @@ fn main() {
         push("announce_relay_30", r, announces);
     }
 
-    // 9. End-to-end: queries per wall-clock second on the small scenario.
+    // 9. A housekeeping tick with nothing due: one query of the paper's
+    //    shape (5 routes of 10 segments) at node 0, its first fetch in
+    //    flight on a link slower than the run is long, so every 250 ms tick
+    //    finds the same verdict, the same outstanding fetch and one pending
+    //    interest that has not lapsed. One op is one simulator event — a
+    //    tick, but for the issue, the request and the deadline.
+    {
+        const TICKS: u64 = 20_000;
+        let mut config = NodeConfig::new(Strategy::Comprehensive);
+        let horizon = config.tick * TICKS;
+        config.retry_timeout = horizon * 4;
+        config.interest_lifetime = horizon * 4;
+        let link = LinkSpec::mbps1().latency(horizon * 4);
+        let expr = paper_shaped_dnf();
+        let mut world = WorldModel::new(cfg.seed);
+        let mut catalog = Catalog::new();
+        for label in expr.labels() {
+            world.register(label.clone(), DynamicsClass::Slow, horizon * 4, 1.0);
+            catalog.add(ObjectSpec {
+                name: format!("/city/{label}/cam").parse().expect("valid name"),
+                covers: vec![label],
+                size: 100_000,
+                source: NodeId(1),
+                class: DynamicsClass::Slow,
+                validity: horizon * 4,
+            });
+        }
+        let shared = Arc::new(SharedWorld {
+            catalog,
+            world,
+            config,
+        });
+        let inst = QueryInstance {
+            id: 0,
+            origin: NodeId(0),
+            expr,
+            deadline: horizon,
+            issue_at: SimTime::ZERO,
+        };
+        let mut best = f64::INFINITY;
+        let mut events = 0u64;
+        for _ in 0..cfg.reps.max(1) {
+            let nodes = (0..2)
+                .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
+                .collect();
+            let mut sim = Simulator::new(Topology::line(2, link), nodes, cfg.seed);
+            sim.schedule_external(SimTime::ZERO, NodeId(0), inst.clone().into());
+            let start = Instant::now();
+            events = sim.run_until(SimTime::ZERO + horizon);
+            best = best.min(start.elapsed().as_secs_f64());
+            assert!(
+                events >= TICKS,
+                "the node ticked {events} times, not {TICKS}"
+            );
+        }
+        let r = (best * 1e9 / events as f64, events as f64 / best);
+        push("tick_idle", r, events);
+    }
+
+    // 10. `Pit::expire` with 64 names pending and none of them lapsed: what
+    //    a tick pays for the sweep when there is nothing to drop.
+    {
+        let mut pit: Pit<u32, u64> = Pit::new();
+        for (i, name) in names.iter().take(64).enumerate() {
+            pit.register(name, i as u32, i as u64, SimTime::from_secs(3_600));
+        }
+        const OPS: u64 = 200_000;
+        let r = best_of(cfg.reps, OPS, || {
+            let mut dropped = 0usize;
+            for i in 0..OPS {
+                dropped += std::hint::black_box(&mut pit).expire(SimTime::from_millis(i));
+            }
+            assert_eq!(std::hint::black_box(dropped), 0);
+        });
+        push("pit_expire_idle", r, OPS);
+    }
+
+    // 11. End-to-end: queries per wall-clock second on the small scenario.
     {
         let base = ScenarioConfig::small();
         // One warm-up + timed reps; each rep is a full deterministic run.
@@ -287,7 +374,7 @@ fn main() {
         push("e2e_queries", (ns, ops_s), queries);
     }
 
-    // 10. City-scale sharded simulation: events per wall-clock second at 1
+    // 12. City-scale sharded simulation: events per wall-clock second at 1
     //    and 4 worker threads. Wall-clock figures are host-dependent —
     //    `host_cpus` is recorded at the top level so flat scaling on a
     //    single-core runner reads as what it is.

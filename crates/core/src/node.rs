@@ -280,6 +280,10 @@ pub struct AthenaNode {
     annotator: Arc<dyn Annotator + Send + Sync>,
     /// Locally originated queries.
     queries: BTreeMap<QueryId, QueryState>,
+    /// Ascending ids of the local queries that have not been retired: every
+    /// non-final query, plus — within a handler only — those that turned
+    /// final since [`AthenaNode::retire_finished`] last ran.
+    open: Vec<QueryId>,
     /// Candidate object indices + label set per local query.
     plans: BTreeMap<QueryId, (Vec<usize>, BTreeSet<Label>)>,
     /// Announcements already seen (flood dedup).
@@ -305,9 +309,6 @@ pub struct AthenaNode {
     reliability: BTreeMap<NodeId, (u64, u64)>,
     /// Whether a tick timer is armed.
     tick_armed: bool,
-    /// Local queries whose terminal trace event has been emitted (so
-    /// resolve/miss events fire exactly once per query).
-    emitted_final: BTreeSet<QueryId>,
     /// Online estimator state (`None` = static planning). Built from
     /// [`NodeConfig::adaptive`]; updated only at trace-visible events so
     /// observed, unobserved, and sharded runs evolve identically.
@@ -318,9 +319,6 @@ pub struct AthenaNode {
     /// Evidence bytes delivered to this node per local query — the
     /// actual-cost signal the load estimator folds at decision time.
     ingress_bytes: BTreeMap<QueryId, u64>,
-    /// Local queries whose actual bytes have been folded into the load
-    /// estimator (each decision counts once).
-    load_folded: BTreeSet<QueryId>,
     /// Counters.
     pub stats: NodeStats,
 }
@@ -340,6 +338,7 @@ impl AthenaNode {
             shared,
             annotator,
             queries: BTreeMap::new(),
+            open: Vec::new(),
             plans: BTreeMap::new(),
             seen_announces: BTreeSet::new(),
             content: ContentStore::new(cache_capacity),
@@ -351,11 +350,9 @@ impl AthenaNode {
             votes: BTreeMap::new(),
             reliability: BTreeMap::new(),
             tick_armed: false,
-            emitted_final: BTreeSet::new(),
             adaptive,
             admission: BTreeMap::new(),
             ingress_bytes: BTreeMap::new(),
-            load_folded: BTreeSet::new(),
             stats: NodeStats::default(),
         }
     }
@@ -496,34 +493,41 @@ impl AthenaNode {
         (None, None)
     }
 
-    /// Emits a terminal trace event (`query-resolved` / `query-missed`) for
-    /// every local query that reached a final status since the last call.
-    /// Idempotent per query.
-    fn emit_query_outcomes(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
-        if !ctx.obs_enabled() {
-            return;
-        }
-        let newly: Vec<(QueryId, QueryStatus, SimTime)> = self
-            .queries
-            .iter()
-            .filter(|(qid, q)| q.status.is_final() && !self.emitted_final.contains(qid))
-            .map(|(qid, q)| (*qid, q.status, q.issued_at))
-            .collect();
-        for (qid, status, issued_at) in newly {
-            self.emitted_final.insert(qid);
-            match status {
-                QueryStatus::Decided { outcome, at } => ctx.emit(EventKind::QueryResolved {
-                    query: qid.0,
-                    outcome: match outcome {
-                        QueryOutcome::Viable(_) => "viable",
-                        QueryOutcome::Infeasible => "infeasible",
-                    },
-                    latency_us: at.saturating_since(issued_at).as_micros(),
-                }),
-                QueryStatus::Missed => ctx.emit(EventKind::QueryMissed { query: qid.0 }),
-                QueryStatus::Pending => {}
+    /// Retires every open query that has reached a final status — the one
+    /// place a query leaves [`AthenaNode::open`], so each of these happens
+    /// once per query: its actual bytes are folded into the load estimator
+    /// (adaptive mode; sink or no sink, so observed and unobserved runs
+    /// evolve identically) and its terminal trace event (`query-resolved` /
+    /// `query-missed`) is emitted. Runs at the end of every handler that can
+    /// change a status, after the handler's other trace events.
+    fn retire_finished(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
+        let (queries, ingress_bytes, adaptive) =
+            (&self.queries, &self.ingress_bytes, &mut self.adaptive);
+        self.open.retain(|qid| {
+            let q = &queries[qid];
+            if !q.status.is_final() {
+                return true;
             }
-        }
+            if let Some(st) = adaptive.as_mut() {
+                st.load
+                    .observe_decision(ingress_bytes.get(qid).copied().unwrap_or(0));
+            }
+            if ctx.obs_enabled() {
+                match q.status {
+                    QueryStatus::Decided { outcome, at } => ctx.emit(EventKind::QueryResolved {
+                        query: qid.0,
+                        outcome: match outcome {
+                            QueryOutcome::Viable(_) => "viable",
+                            QueryOutcome::Infeasible => "infeasible",
+                        },
+                        latency_us: at.saturating_since(q.issued_at).as_micros(),
+                    }),
+                    QueryStatus::Missed => ctx.emit(EventKind::QueryMissed { query: qid.0 }),
+                    QueryStatus::Pending => {}
+                }
+            }
+            false
+        });
     }
 
     fn arm_tick(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
@@ -533,10 +537,11 @@ impl AthenaNode {
         }
     }
 
+    /// Whether another tick is needed. Only called once
+    /// [`AthenaNode::retire_finished`] has run, when `open` holds exactly
+    /// the non-final queries.
     fn has_pending_work(&self, now: SimTime) -> bool {
-        let queries_pending = self.queries.values().any(|q| !q.status.is_final());
-        let prefetch_pending = self.prefetch_queue.iter().any(|t| t.deadline_at > now);
-        queries_pending || prefetch_pending
+        !self.open.is_empty() || self.prefetch_queue.iter().any(|t| t.deadline_at > now)
     }
 
     /// Samples a fresh instance of catalog object `idx`, with per-label
@@ -570,7 +575,7 @@ impl AthenaNode {
             }
             let (_, label_set) = &self.plans[qid];
             for l in &object.covers {
-                if label_set.contains(l) && !q.assignment.value_at(l, now).is_known() {
+                if label_set.contains(l) && !q.assignment().value_at(l, now).is_known() {
                     wanted.push((*qid, l.clone()));
                 }
             }
@@ -732,7 +737,7 @@ impl AthenaNode {
                 continue;
             }
             if self.plans[other_qid].1.contains(label)
-                && (!q.assignment.value_at(label, ctx.now()).is_known() || *other_qid == qid)
+                && (!q.assignment().value_at(label, ctx.now()).is_known() || *other_qid == qid)
             {
                 q.record_label(label, value, sampled_at, validity);
                 q.counters.labels_from_data += 1;
@@ -808,7 +813,8 @@ impl AthenaNode {
             if q.status.is_final() {
                 continue;
             }
-            if self.plans[qid].1.contains(label) && !q.assignment.value_at(label, now).is_known() {
+            if self.plans[qid].1.contains(label) && !q.assignment().value_at(label, now).is_known()
+            {
                 q.record_label(label, value, sampled_at, validity);
                 q.counters.labels_from_shares += 1;
             }
@@ -854,20 +860,23 @@ impl AthenaNode {
         // A handle of our own, so catalog entries can stay borrowed across
         // the `&mut self` calls below.
         let shared = Arc::clone(&self.shared);
-        let qids: Vec<QueryId> = self.queries.keys().copied().collect();
 
-        for qid in qids {
+        // Retired queries are final for good and have nothing to advance.
+        // `open` only changes when a query is issued or retired, neither of
+        // which happens inside this loop.
+        for at in 0..self.open.len() {
+            let qid = self.open[at];
             // Admission gate (adaptive mode): shed queries never plan;
             // deferred ones wait out their re-evaluation time, then face
             // the gate again. The deadline check still runs below so a
             // gated query turns `Missed` on time.
             if !self.admission_allows(ctx, qid, now) {
-                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                 q.check(now);
                 continue;
             }
             loop {
-                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                 if q.check(now).is_final() {
                     break;
                 }
@@ -904,7 +913,7 @@ impl AthenaNode {
                     None => Priors::Fixed(prior),
                 };
                 let Some((idx, label)) = strategy.next_request(
-                    self.queries.get(&qid).expect("query exists"), // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                    self.queries.get(&qid).expect("query exists"), // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                     candidates,
                     self.catalog(),
                     me,
@@ -937,12 +946,12 @@ impl AthenaNode {
                 let spec = shared.catalog.get(chosen);
                 // Bookkeeping: chasing a label whose previous value expired.
                 {
-                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
-                    if q.assignment.get(&label).is_some()
-                        && !q.assignment.value_at(&label, now).is_known()
+                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
+                    if q.assignment().get(&label).is_some()
+                        && !q.assignment().value_at(&label, now).is_known()
                     {
                         q.counters.label_expiries += 1;
-                        q.assignment.clear(&label);
+                        q.forget_label(&label);
                     }
                 }
 
@@ -953,7 +962,7 @@ impl AthenaNode {
                             && self.shared.config.trust.accepts(c.annotator)
                         {
                             let (value, sampled_at, validity) = (c.value, c.sampled_at, c.validity);
-                            let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                            let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                             q.record_label(&label, value, sampled_at, validity);
                             q.counters.labels_from_shares += 1;
                             continue;
@@ -964,8 +973,8 @@ impl AthenaNode {
                 if let Some(stored) = self.content.get_fresh(&spec.name, now) {
                     let object = stored.value.clone();
                     self.annotate_object(ctx, &object);
-                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
-                    if !q.assignment.value_at(&label, now).is_known() && k == 1 {
+                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
+                    if !q.assignment().value_at(&label, now).is_known() && k == 1 {
                         // Annotation failed to resolve the label (cannot
                         // happen with covering objects); avoid spinning.
                         break;
@@ -997,7 +1006,7 @@ impl AthenaNode {
                             query: Some(qid.0),
                         });
                     }
-                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                    let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                     q.counters.labels_from_local += 1;
                     self.annotate_object(ctx, &object);
                     continue;
@@ -1006,11 +1015,11 @@ impl AthenaNode {
                 // still-unknown label this object can resolve, so that an
                 // intermediate node may answer with labels only if it can
                 // supply all of them.
-                let q_ref = self.queries.get(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                let q_ref = self.queries.get(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                 let mut wanted: Vec<Label> = spec
                     .covers
                     .iter()
-                    .filter(|l| !q_ref.assignment.value_at(l, now).is_known())
+                    .filter(|l| !q_ref.assignment().value_at(l, now).is_known())
                     .filter(|l| self.plans[&qid].1.contains(*l))
                     .cloned()
                     .collect();
@@ -1031,7 +1040,7 @@ impl AthenaNode {
                     (qid, wanted.clone()),
                     now + self.shared.config.interest_lifetime,
                 );
-                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+                let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
                 q.outstanding = Some(Outstanding {
                     name: spec.name.clone(),
                     wanted: wanted.clone(),
@@ -1063,11 +1072,10 @@ impl AthenaNode {
                 break;
             }
             // Final check after the burst of local progress.
-            let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
+            let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
             q.check(now);
         }
-        self.fold_finished_into_load();
-        self.emit_query_outcomes(ctx);
+        self.retire_finished(ctx);
         if self.has_pending_work(now) {
             self.arm_tick(ctx);
         }
@@ -1176,39 +1184,16 @@ impl AthenaNode {
     /// `active` input of [`AdmissionPolicy::verdict`]. Deferred and shed
     /// queries consume no retrieval resources, so they do not count.
     fn active_admitted(&self) -> usize {
-        self.queries
+        self.open
             .iter()
-            .filter(|(qid, q)| {
-                !q.status.is_final()
+            .filter(|qid| {
+                !self.queries[*qid].status.is_final()
                     && self
                         .admission
-                        .get(qid)
+                        .get(*qid)
                         .is_none_or(|r| matches!(r.state, AdmissionState::Admitted))
             })
             .count()
-    }
-
-    /// Folds the accumulated actual bytes of freshly finalized local
-    /// queries into the load estimator, once per query. Runs whether or
-    /// not a sink is attached — observed and unobserved adaptive runs
-    /// must evolve identically.
-    fn fold_finished_into_load(&mut self) {
-        if self.adaptive.is_none() {
-            return;
-        }
-        let newly: Vec<QueryId> = self
-            .queries
-            .iter()
-            .filter(|(qid, q)| q.status.is_final() && !self.load_folded.contains(qid))
-            .map(|(qid, _)| *qid)
-            .collect();
-        for qid in newly {
-            self.load_folded.insert(qid);
-            let bytes = self.ingress_bytes.get(&qid).copied().unwrap_or(0);
-            if let Some(st) = self.adaptive.as_mut() {
-                st.load.observe_decision(bytes);
-            }
-        }
     }
 
     /// §V-B triage: whether a background push of `name` toward `hop` is
@@ -1762,10 +1747,11 @@ impl AthenaNode {
     fn process_prefetch(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
         let now = ctx.now();
         let me = ctx.node();
+        // Runs after `advance_queries`, so every open query is non-final.
         let foreground_busy = self
-            .queries
-            .values()
-            .any(|q| !q.status.is_final() && q.outstanding.is_some());
+            .open
+            .iter()
+            .any(|qid| self.queries[qid].outstanding.is_some());
         if foreground_busy {
             return;
         }
@@ -1934,6 +1920,9 @@ impl Protocol for AthenaNode {
             }
         }
         self.queries.insert(qid, state);
+        if let Err(at) = self.open.binary_search(&qid) {
+            self.open.insert(at, qid);
+        }
         self.plans.insert(qid, (candidates, labels));
         self.seen_announces.insert(qid);
         match gate {
@@ -2059,7 +2048,8 @@ impl Protocol for AthenaNode {
             self.content = ContentStore::new(self.shared.config.cache_capacity);
             self.labels.clear();
         }
-        for (qid, q) in self.queries.iter_mut() {
+        for qid in &self.open {
+            let q = self.queries.get_mut(qid).expect("query exists"); // lint: allow(panic) — qid drawn from `open`; local queries are never removed
             if q.check(now).is_final() {
                 continue;
             }
@@ -2095,8 +2085,7 @@ impl Protocol for AthenaNode {
             if let Some(q) = self.queries.get_mut(&qid) {
                 q.check(ctx.now());
             }
-            self.fold_finished_into_load();
-            self.emit_query_outcomes(ctx);
+            self.retire_finished(ctx);
         }
     }
 }
@@ -2321,6 +2310,44 @@ mod tests {
         let q = sim.node(NodeId(0)).queries().next().unwrap();
         assert_eq!(q.status, crate::query::QueryStatus::Missed);
         assert_eq!(sim.metrics().kind("data").count, 0);
+    }
+
+    /// DEFECT, pinned not fixed: `pit.expire` runs only on housekeeping
+    /// ticks, and a node ticks only while it has local queries or prefetch
+    /// work. A pure forwarder therefore never drops a lapsed interest, and a
+    /// later request for the same name aggregates onto the dead entry
+    /// instead of being forwarded — the requester starves to its deadline.
+    /// Sweeping on request arrival would fix it, and would move
+    /// `resolution_ratio` and `mb_per_decision` under loss (ROADMAP,
+    /// hot-paths item).
+    #[test]
+    fn forwarder_keeps_a_lapsed_interest_and_aggregates_onto_it() {
+        let (mut sim, shared) = harness(NodeConfig::new(Strategy::Lvf));
+        // Leaf 0 asks; the reply (2 s on the wire, 3→1) dies with the link.
+        sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
+        let mut faults = dde_netsim::FaultSchedule::new();
+        faults.link_down_at(SimTime::from_secs(1), NodeId(1), NodeId(3));
+        faults.link_up_at(SimTime::from_secs(5), NodeId(1), NodeId(3));
+        sim.install_faults(&faults);
+        // Leaf 2 asks long after the hub's interest for leaf 0 lapsed.
+        let lapsed_by = SimTime::from_secs(5) + shared.config.interest_lifetime;
+        let later = SimTime::from_secs(100);
+        assert!(later > lapsed_by);
+        let mut second = query(1, 2, &["x"]);
+        second.issue_at = later;
+        sim.schedule_external(later, NodeId(2), second.into());
+        sim.run();
+
+        let hub = sim.node(NodeId(1));
+        assert_eq!(hub.queries().count(), 0, "the hub is a pure forwarder");
+        assert_eq!(hub.pit.len(), 2, "the lapsed interest is still there");
+        assert_eq!(hub.stats.requests_forwarded, 1, "only the first request");
+        // 0→1 and 1→3 for the first query, 2→1 for the second. (Leaf 0's
+        // retry after 30 s sends nothing either: its own first interest is
+        // still pending, so the re-registration is not "first".)
+        assert_eq!(sim.metrics().kind("request").count, 3);
+        let starved = sim.node(NodeId(2)).queries().next().unwrap();
+        assert_eq!(starved.status, QueryStatus::Missed);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::msg::QueryId;
 use dde_logic::dnf::{Dnf, Resolution};
-use dde_logic::label::{Assignment, Label};
+use dde_logic::label::{Assignment, Label, LabelValue};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_logic::truth::Truth;
 use dde_naming::name::Name;
@@ -78,20 +78,31 @@ pub struct QueryCounters {
 pub struct QueryState {
     /// Query id.
     pub id: QueryId,
-    /// The decision logic.
+    /// The decision logic. Fixed for the query's life: the verdict memo in
+    /// [`QueryState::check`] is keyed on the evidence and the clock only.
     pub expr: Dnf,
     /// When the query was issued.
     pub issued_at: SimTime,
     /// Absolute deadline.
     pub deadline_at: SimTime,
-    /// Current (partial, freshness-aware) evidence.
-    pub assignment: Assignment,
+    /// Current (partial, freshness-aware) evidence. Private so that every
+    /// write passes through [`QueryState::record_label`] or
+    /// [`QueryState::forget_label`], which drop the verdict memo.
+    assignment: Assignment,
     /// Lifecycle status.
     pub status: QueryStatus,
     /// At most one in-flight fetch at a time (sequential retrieval, §III-A).
     pub outstanding: Option<Outstanding>,
     /// Accumulated counters.
     pub counters: QueryCounters,
+    /// `Some((since, through))`: the last evaluation, at `since`, found the
+    /// decision undecided, and no recorded label lapses before `through`
+    /// (inclusive, as in [`LabelValue::is_fresh_at`]). Every label reads the
+    /// same at any instant in between, so the verdict stands until the
+    /// evidence is touched.
+    ///
+    /// [`LabelValue::is_fresh_at`]: dde_logic::label::LabelValue::is_fresh_at
+    undecided: Option<(SimTime, SimTime)>,
 }
 
 impl QueryState {
@@ -107,7 +118,13 @@ impl QueryState {
             status: QueryStatus::Pending,
             outstanding: None,
             counters: QueryCounters::default(),
+            undecided: None,
         }
+    }
+
+    /// The evidence gathered so far (fresh or lapsed).
+    pub fn assignment(&self) -> &Assignment {
+        &self.assignment
     }
 
     /// Records a resolved label value and clears the outstanding fetch if it
@@ -122,6 +139,7 @@ impl QueryState {
     ) {
         self.assignment
             .set(label.clone(), Truth::from(value), sampled_at, validity);
+        self.undecided = None;
         if let Some(o) = &mut self.outstanding {
             o.wanted.retain(|l| l != label);
             if o.wanted.is_empty() {
@@ -130,13 +148,33 @@ impl QueryState {
         }
     }
 
+    /// Drops the recorded value of `label`, returning it if present — the
+    /// bookkeeping step before a lapsed label is fetched again.
+    pub fn forget_label(&mut self, label: &Label) -> Option<LabelValue> {
+        self.undecided = None;
+        self.assignment.clear(label)
+    }
+
     /// Re-evaluates the decision at `now`, transitioning to `Decided` or (at
     /// or past the deadline) `Missed`. Terminal states are sticky.
+    ///
+    /// An undecided verdict is remembered with the instant through which it
+    /// holds (§III-A: a decision can only change when evidence arrives or a
+    /// label's validity interval ends), so polling in between costs a few
+    /// comparisons rather than a walk of the expression.
     pub fn check(&mut self, now: SimTime) -> QueryStatus {
         if self.status.is_final() {
             return self.status;
         }
-        match self.expr.resolution(&self.assignment, now) {
+        let memo_holds = self
+            .undecided
+            .is_some_and(|(since, through)| since <= now && now <= through);
+        let resolution = if memo_holds {
+            Resolution::Undecided
+        } else {
+            self.expr.resolution(&self.assignment, now)
+        };
+        match resolution {
             Resolution::Viable(i) if now <= self.deadline_at => {
                 self.status = QueryStatus::Decided {
                     outcome: QueryOutcome::Viable(i),
@@ -151,6 +189,10 @@ impl QueryState {
             }
             _ if now >= self.deadline_at => {
                 self.status = QueryStatus::Missed;
+            }
+            Resolution::Undecided if !memo_holds => {
+                let through = self.assignment.earliest_expiry(now).unwrap_or(SimTime::MAX);
+                self.undecided = Some((now, through));
             }
             _ => {}
         }

@@ -316,11 +316,11 @@ impl Strategy {
         // (object index, first covered label, planning item).
         type TermEntry = (usize, Label, RetrievalItem);
         let mut best_term: Option<(f64, usize, Vec<TermEntry>)> = None;
-        for ti in query.expr.live_terms(&query.assignment, now) {
+        for ti in query.expr.live_terms(query.assignment(), now) {
             let term = &query.expr.terms()[ti];
             let unknowns: Vec<Label> = term
                 .labels()
-                .filter(|l| !query.assignment.value_at(l, now).is_known())
+                .filter(|l| !query.assignment().value_at(l, now).is_known())
                 .cloned()
                 .collect();
             if unknowns.is_empty() {
