@@ -32,7 +32,7 @@ use dde_logic::dnf::{Dnf, Term};
 use dde_naming::fib::{Fib, Pit};
 use dde_naming::name::Name;
 use dde_naming::store::ContentStore;
-use dde_netsim::{LinkSpec, NodeId, Simulator, Topology};
+use dde_netsim::{LinkSpec, NodeId, ShardedSimulator, Topology};
 use dde_obs::JsonValue;
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::{QueryInstance, Scenario, ScenarioConfig};
@@ -267,7 +267,7 @@ fn main() {
         for _ in 0..cfg.reps.max(1) {
             let shared = build_shared_world(&scenario, &options);
             let nodes = build_nodes(&scenario, &shared, &annotator);
-            let mut sim = Simulator::new(scenario.topology.clone(), nodes, options.seed);
+            let mut sim = ShardedSimulator::new(scenario.topology.clone(), nodes, options.seed, 1);
             for q in &scenario.queries {
                 sim.schedule_external(q.issue_at, q.origin, AthenaEvent::AnnounceOnly(q.clone()));
             }
@@ -325,7 +325,7 @@ fn main() {
             let nodes = (0..2)
                 .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
                 .collect();
-            let mut sim = Simulator::new(Topology::line(2, link), nodes, cfg.seed);
+            let mut sim = ShardedSimulator::new(Topology::line(2, link), nodes, cfg.seed, 1);
             sim.schedule_external(SimTime::ZERO, NodeId(0), inst.clone().into());
             let start = Instant::now();
             events = sim.run_until(SimTime::ZERO + horizon);

@@ -1,10 +1,10 @@
 //! The experiment engine: scenario + strategy → one measured run (§VII).
 //!
-//! Builds a [`Simulator`] of [`AthenaNode`]s over the scenario topology,
-//! injects the decision queries at their issue times, runs to quiescence,
-//! and collects the two quantities the paper's figures report — the query
-//! resolution ratio (Fig. 2) and total network bandwidth (Fig. 3) — plus a
-//! breakdown useful for the ablations.
+//! Builds a [`ShardedSimulator`] of [`AthenaNode`]s over the scenario
+//! topology, injects the decision queries at their issue times, runs to
+//! quiescence, and collects the two quantities the paper's figures report —
+//! the query resolution ratio (Fig. 2) and total network bandwidth (Fig. 3)
+//! — plus a breakdown useful for the ablations.
 
 use crate::annotate::{Annotator, GroundTruthAnnotator, TrustPolicy};
 use crate::node::{AthenaNode, NodeConfig, SharedWorld};
@@ -13,7 +13,6 @@ use crate::strategy::Strategy;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::fault::FaultSchedule;
 use dde_netsim::shard::ShardedSimulator;
-use dde_netsim::sim::Simulator;
 use dde_netsim::Metrics;
 use dde_obs::{CostLedger, Histogram, LedgerSink, SharedSink, Sink, TeeSink};
 use dde_workload::scenario::Scenario;
@@ -223,7 +222,7 @@ impl RunReport {
 
 /// Runs `scenario` under `options` with ground-truth annotators.
 pub fn run_scenario(scenario: &Scenario, options: RunOptions) -> RunReport {
-    run_scenario_with_annotator(scenario, options, Arc::new(GroundTruthAnnotator))
+    run(scenario, options, Arc::new(GroundTruthAnnotator), 1, None)
 }
 
 /// Runs `scenario` with a trace sink observing the full event lifecycle:
@@ -235,10 +234,11 @@ pub fn run_scenario_observed(
     options: RunOptions,
     sink: Box<dyn Sink>,
 ) -> RunReport {
-    run_scenario_inner(
+    run(
         scenario,
         options,
         Arc::new(GroundTruthAnnotator),
+        1,
         Some(sink),
     )
 }
@@ -249,52 +249,67 @@ pub fn run_scenario_with_annotator(
     options: RunOptions,
     annotator: Arc<dyn Annotator + Send + Sync>,
 ) -> RunReport {
-    run_scenario_inner(scenario, options, annotator, None)
+    run(scenario, options, annotator, 1, None)
 }
 
-/// Runs `scenario` on the sharded conservative-parallel engine
-/// ([`ShardedSimulator`]) with up to `threads` worker regions.
+/// Runs `scenario` with up to `threads` worker regions
+/// ([`ShardedSimulator`]'s conservative-parallel mode).
 ///
 /// A given `(scenario, options)` produces the same report at any thread
 /// count — including the event count and, for
-/// [`run_scenario_sharded_observed`], a byte-identical trace. Note the
-/// sharded engine is seed-stable across *its own* thread counts, not
-/// byte-compatible with [`run_scenario`]'s classic engine (different
-/// tie-break and fault-batching rules; see `dde_netsim::shard`).
+/// [`run_scenario_sharded_observed`], a byte-identical trace.
 pub fn run_scenario_sharded(scenario: &Scenario, options: RunOptions, threads: usize) -> RunReport {
-    run_scenario_sharded_inner(scenario, options, threads, None)
+    run(
+        scenario,
+        options,
+        Arc::new(GroundTruthAnnotator),
+        threads,
+        None,
+    )
 }
 
 /// Observed variant of [`run_scenario_sharded`]: per-shard trace streams
 /// are merged into one deterministically ordered stream feeding `sink`,
-/// with the live cost ledger teed in exactly as in
-/// [`run_scenario_observed`].
+/// with the live cost ledger teed in.
 pub fn run_scenario_sharded_observed(
     scenario: &Scenario,
     options: RunOptions,
     threads: usize,
     sink: Box<dyn Sink>,
 ) -> RunReport {
-    run_scenario_sharded_inner(scenario, options, threads, Some(sink))
+    run(
+        scenario,
+        options,
+        Arc::new(GroundTruthAnnotator),
+        threads,
+        Some(sink),
+    )
 }
 
-fn run_scenario_sharded_inner(
+/// The one run body behind every `run_scenario*` entry point.
+fn run(
     scenario: &Scenario,
     options: RunOptions,
+    annotator: Arc<dyn Annotator + Send + Sync>,
     threads: usize,
     sink: Option<Box<dyn Sink>>,
 ) -> RunReport {
-    let annotator: Arc<dyn Annotator + Send + Sync> = Arc::new(GroundTruthAnnotator);
     let shared = build_shared_world(scenario, &options);
     let nodes = build_nodes(scenario, &shared, &annotator);
     let mut sim = ShardedSimulator::new(scenario.topology.clone(), nodes, options.seed, threads);
     sim.set_medium(options.medium);
+    // Observed runs tee the event stream into a live cost ledger alongside
+    // the caller's sink, so every observed run gets per-decision
+    // attribution for free; unobserved runs skip the machinery entirely.
     let ledger_handle = sink.map(|user| {
         let shared = SharedSink::new(LedgerSink::new());
         sim.set_sink(Box::new(TeeSink::new(user, Box::new(shared.clone()))));
         shared
     });
 
+    // Faults: whatever the scenario schedules (churn config) plus whatever
+    // the caller adds on top (partitions, targeted crashes). Installing an
+    // empty schedule is a strict no-op.
     let mut faults = scenario.faults.clone();
     faults.merge(&options.faults);
     sim.install_faults(&faults);
@@ -314,6 +329,9 @@ fn run_scenario_sharded_inner(
     let horizon = last_deadline + options.drain;
     sim.run_until(horizon);
 
+    // Flushing here (rather than leaving it to the caller) guarantees
+    // streaming sinks have written the complete trace before the report is
+    // in hand; a flush failure must not invalidate the run itself.
     let _ = sim.sink_mut().flush();
     let metrics = sim.metrics();
     let nodes: Vec<&AthenaNode> = sim.nodes().collect();
@@ -326,7 +344,6 @@ fn run_scenario_sharded_inner(
         options.strategy,
         faults.len(),
     );
-    drop(nodes);
     report.ledger = ledger_handle.map(|h| h.with(|l| l.take_ledger()));
     report
 }
@@ -366,76 +383,8 @@ pub fn build_nodes(
         .collect()
 }
 
-fn run_scenario_inner(
-    scenario: &Scenario,
-    options: RunOptions,
-    annotator: Arc<dyn Annotator + Send + Sync>,
-    sink: Option<Box<dyn Sink>>,
-) -> RunReport {
-    let shared = build_shared_world(scenario, &options);
-    let nodes = build_nodes(scenario, &shared, &annotator);
-    let mut sim = Simulator::new(scenario.topology.clone(), nodes, options.seed);
-    sim.set_medium(options.medium);
-    // Observed runs tee the event stream into a live cost ledger alongside
-    // the caller's sink, so every observed run gets per-decision
-    // attribution for free; unobserved runs skip the machinery entirely.
-    let ledger_handle = sink.map(|user| {
-        let shared = SharedSink::new(LedgerSink::new());
-        sim.set_sink(Box::new(TeeSink::new(user, Box::new(shared.clone()))));
-        shared
-    });
-
-    // Faults: whatever the scenario schedules (churn config) plus whatever
-    // the caller adds on top (partitions, targeted crashes). Installing an
-    // empty schedule is a strict no-op.
-    let mut faults = scenario.faults.clone();
-    faults.merge(&options.faults);
-    sim.install_faults(&faults);
-
-    let mut last_deadline = SimTime::ZERO;
-    for q in &scenario.queries {
-        if let Some(lead) = options.announce_lead {
-            sim.schedule_external(
-                q.issue_at - lead,
-                q.origin,
-                crate::node::AthenaEvent::AnnounceOnly(q.clone()),
-            );
-        }
-        sim.schedule_external(q.issue_at, q.origin, q.clone().into());
-        last_deadline = last_deadline.max(q.issue_at + q.deadline);
-    }
-    let horizon = last_deadline + options.drain;
-    sim.run_until(horizon);
-
-    // Flushing here (rather than leaving it to the caller) guarantees
-    // streaming sinks have written the complete trace before the report is
-    // in hand; a flush failure must not invalidate the run itself.
-    let _ = sim.sink_mut().flush();
-    let mut report = collect_report(&sim, scenario, options.strategy, faults.len());
-    report.ledger = ledger_handle.map(|h| h.with(|l| l.take_ledger()));
-    report
-}
-
-fn collect_report(
-    sim: &Simulator<AthenaNode>,
-    scenario: &Scenario,
-    strategy: Strategy,
-    fault_events: usize,
-) -> RunReport {
-    let nodes: Vec<&AthenaNode> = sim.nodes().collect();
-    collect_report_parts(
-        sim.metrics(),
-        sim.now(),
-        sim.events_processed(),
-        &nodes,
-        scenario,
-        strategy,
-        fault_events,
-    )
-}
-
-/// Engine-agnostic report assembly: the classic and sharded simulators —
-/// and the `dde-net` live-transport host — all reduce to the same
+/// Backend-agnostic report assembly: the simulator and the `dde-net`
+/// live-transport host both reduce to the same
 /// `(metrics, clock, event count, node states)` observables.
 pub fn collect_report_parts(
     metrics: &Metrics,

@@ -2095,8 +2095,8 @@ mod tests {
     use super::*;
     use crate::annotate::GroundTruthAnnotator;
     use dde_logic::dnf::{Dnf, Term};
-    use dde_netsim::sim::Simulator;
     use dde_netsim::topology::{LinkSpec, Topology};
+    use dde_netsim::ShardedSimulator;
     use dde_workload::catalog::ObjectSpec;
     use dde_workload::scenario::QueryInstance;
     use dde_workload::world::DynamicsClass;
@@ -2105,7 +2105,7 @@ mod tests {
     /// labels: `x` covered by a cheap camera and a wide shot (both hosted
     /// at node 3); `y` covered only by the wide shot. Requests from either
     /// leaf transit the hub, which is where caching/label effects show.
-    fn harness(config: NodeConfig) -> (Simulator<AthenaNode>, Arc<SharedWorld>) {
+    fn harness(config: NodeConfig) -> (ShardedSimulator<AthenaNode>, Arc<SharedWorld>) {
         let mut topology = Topology::new(4);
         topology.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1());
         topology.add_link(NodeId(1), NodeId(2), LinkSpec::mbps1());
@@ -2140,7 +2140,7 @@ mod tests {
         let nodes: Vec<AthenaNode> = (0..4)
             .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
             .collect();
-        (Simulator::new(topology, nodes, 1), shared)
+        (ShardedSimulator::new(topology, nodes, 1, 1), shared)
     }
 
     fn query(id: u64, origin: usize, labels: &[&str]) -> QueryInstance {

@@ -11,7 +11,7 @@ use dde_core::AthenaEvent;
 use dde_logic::dnf::{Dnf, Term};
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
-use dde_netsim::{FaultSchedule, LinkSpec, NodeId, Simulator, Topology, WireMessage};
+use dde_netsim::{FaultSchedule, LinkSpec, NodeId, ShardedSimulator, Topology, WireMessage};
 use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
@@ -30,7 +30,7 @@ fn topologies() -> Vec<(&'static str, Topology)> {
 /// Labels `x` and `y` are each covered by one small object hosted at the
 /// last node; label `ghost` has no provider, so a query over it stays
 /// pending to its deadline without sending a single request.
-fn simulator(topology: &Topology, config: NodeConfig) -> Simulator<AthenaNode> {
+fn simulator(topology: &Topology, config: NodeConfig) -> ShardedSimulator<AthenaNode> {
     let n = topology.len();
     let validity = SimDuration::from_secs(600);
     let mut world = WorldModel::new(4);
@@ -54,7 +54,7 @@ fn simulator(topology: &Topology, config: NodeConfig) -> Simulator<AthenaNode> {
     let nodes = (0..n)
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
-    Simulator::new(topology.clone(), nodes, 1)
+    ShardedSimulator::new(topology.clone(), nodes, 1, 1)
 }
 
 fn query(id: u64, label: &str) -> QueryInstance {
@@ -85,7 +85,7 @@ fn degree_sum(topology: &Topology) -> u64 {
 /// plus `extra_sends` further announces that every receiver dropped.
 fn assert_flood_shape(
     what: &str,
-    sim: &Simulator<AthenaNode>,
+    sim: &ShardedSimulator<AthenaNode>,
     floods: u64,
     extra_sends: u64,
     bytes_per_announce: u64,

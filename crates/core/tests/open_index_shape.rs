@@ -11,7 +11,7 @@ use dde_core::prelude::*;
 use dde_logic::dnf::{Dnf, Term};
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
-use dde_netsim::{LinkSpec, NodeId, Simulator, Topology};
+use dde_netsim::{LinkSpec, NodeId, ShardedSimulator, Topology};
 use dde_obs::{EventKind, MemorySink, SharedSink};
 use dde_sched::adaptive::AdaptiveConfig;
 use dde_workload::catalog::{Catalog, ObjectSpec};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// Labels `x` and `y` are true and `n` is false, each covered by one
 /// 20 kB object (0.16 s a hop at 1 Mb/s, so fetches span several ticks);
 /// `ghost` has no provider.
-fn simulator(config: NodeConfig) -> Simulator<AthenaNode> {
+fn simulator(config: NodeConfig) -> ShardedSimulator<AthenaNode> {
     let topology = Topology::ring(6, LinkSpec::mbps1());
     let validity = SimDuration::from_secs(600);
     let mut world = WorldModel::new(4);
@@ -47,7 +47,7 @@ fn simulator(config: NodeConfig) -> Simulator<AthenaNode> {
     let nodes = (0..topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
-    Simulator::new(topology, nodes, 1)
+    ShardedSimulator::new(topology, nodes, 1, 1)
 }
 
 /// `(id, origin, issue time in ms, terms)`, in scheduling order — ids are
@@ -84,7 +84,7 @@ const ENDINGS: [Ending; 8] = [
 
 /// Runs [`QUERIES`] to quiescence under `config`; returns the terminal
 /// events in trace order and the simulator.
-fn run(config: NodeConfig) -> (Vec<Ending>, Simulator<AthenaNode>) {
+fn run(config: NodeConfig) -> (Vec<Ending>, ShardedSimulator<AthenaNode>) {
     let mut sim = simulator(config);
     let sink = SharedSink::new(MemorySink::new());
     sim.set_sink(Box::new(sink.clone()));

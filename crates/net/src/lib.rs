@@ -14,10 +14,9 @@
 //!   [`dde_core::AthenaMsg`], including the observational attribution
 //!   keys; decoding rejects truncated, oversized, and malformed frames
 //!   with typed errors, never a panic;
-//! - [`des`] — [`DesTransport`], the deterministic test double: it
-//!   delegates to the existing `run_scenario*` entry points, so every
-//!   byte of the committed traces, reports, and determinism suites is
-//!   pinned by construction (the DES remains the oracle);
+//! - [`des`] — [`DesTransport`], the deterministic test double: the
+//!   `run_scenario*` entry points behind the scenario-in, report-out shape
+//!   of the live backend (the DES remains the oracle);
 //! - [`tcp`] — [`TcpTransport`], a production backend on `std::net`
 //!   (threaded accept/reader loops, length-prefixed frames, connect
 //!   retry with capped backoff — no external async runtime);

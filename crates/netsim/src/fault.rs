@@ -1,8 +1,9 @@
 //! Deterministic fault injection: node churn and link outages.
 //!
 //! A [`FaultSchedule`] is a seeded, replayable timeline of
-//! [`FaultEvent`]s that the [`Simulator`](crate::sim::Simulator) applies
-//! at exact simulated instants. Because the schedule is plain data built
+//! [`FaultEvent`]s that the
+//! [`ShardedSimulator`](crate::shard::ShardedSimulator) applies at exact
+//! simulated instants. Because the schedule is plain data built
 //! ahead of a run (optionally from a seeded generator such as
 //! [`FaultSchedule::uniform_churn`]), the same schedule plus the same
 //! simulation seed reproduces the same run bit-for-bit — faults included.

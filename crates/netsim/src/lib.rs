@@ -8,19 +8,20 @@
 //! - [`topology`] — nodes, duplex links with bandwidth / propagation latency
 //!   / loss, topology builders (line, ring, star, grid, random-connected),
 //!   and all-pairs shortest-path next-hop routing;
-//! - [`sim`] — the event-heap engine: [`Protocol`] handlers per node,
-//!   FIFO links that serialize transmissions, timers, external stimuli,
-//!   node up/down fault injection; identical seeds give identical runs;
+//! - [`sim`] — the seam protocols are written against: [`Protocol`]
+//!   handlers per node, the [`Context`] they see, the [`Command`]s (sends
+//!   to neighbors, timers) they queue;
 //! - [`metrics`] — per-link and per-message-kind traffic accounting, the
 //!   instrument behind the paper's Fig. 3 bandwidth comparison;
 //! - [`fault`] — seeded, replayable fault timelines (node churn, link
 //!   outages, partitions) the simulator applies at exact instants;
 //! - [`partition`] — deterministic balanced region partitioning with
 //!   conservative lookahead derived from boundary-link latency;
-//! - [`shard`] — the conservative parallel engine: regions pinned to
-//!   worker threads, barrier windows sized by the lookahead, stable
-//!   partition-independent event keys, so one seed yields a byte-identical
-//!   trace at any thread count.
+//! - [`shard`] — the event loop: FIFO links that serialize transmissions,
+//!   timers, external stimuli, scheduled faults. One region runs inline;
+//!   several are pinned to worker threads and advance in barrier windows
+//!   sized by the lookahead. Stable partition-independent event keys make
+//!   one seed yield a byte-identical trace at any thread count.
 
 #![deny(missing_docs)]
 // Determinism guardrails (see clippy.toml and dde-lint): hashed collections
@@ -38,9 +39,7 @@ pub use fault::{FaultEvent, FaultSchedule, TimedFault};
 pub use metrics::{KindCounters, Metrics};
 pub use partition::Partition;
 pub use shard::{EventKey, ShardedSimulator};
-pub use sim::{
-    Command, Context, MediumMode, Protocol, SendError, Simulator, TraceEvent, WireMessage,
-};
+pub use sim::{Command, Context, MediumMode, Protocol, SendError, Simulator, WireMessage};
 pub use topology::{LinkSpec, NodeId, Topology};
 
 /// Convenient glob-import of the crate's primary types.

@@ -1,20 +1,18 @@
-//! The discrete-event simulation engine.
+//! The seam between protocol logic and whatever drives it.
 //!
 //! This replaces the paper's EMANE-based emulation (§VII): each node runs a
-//! [`Protocol`] implementation; messages traverse links with finite
-//! bandwidth, propagation latency, and optional loss; everything is driven by
-//! a deterministic event heap keyed on `(time, sequence)` so identical seeds
-//! produce identical runs.
+//! [`Protocol`] implementation whose handlers see the world through a
+//! [`Context`] and queue [`Command`]s (sends to neighbors, timers). The
+//! event loop that realizes those commands — links with finite bandwidth,
+//! propagation latency and optional loss, a deterministic `(time, key)`
+//! event order — is [`crate::shard`]; a live host (`dde-net`) realizes the
+//! same commands against sockets and a timer wheel.
 
-use crate::fault::{FaultEvent, FaultSchedule};
 use crate::metrics::Metrics;
+use crate::shard::ShardedSimulator;
 use crate::topology::{LinkSpec, NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
-use dde_obs::{EventKind, MemorySink, NullSink, SharedSink, Sink, TraceRecord};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use dde_obs::{EventKind, Sink, TraceRecord};
 
 /// A message that can be clocked onto a link.
 pub trait WireMessage {
@@ -71,15 +69,15 @@ pub trait Protocol {
     }
 
     /// Called when an external stimulus scheduled through
-    /// [`Simulator::schedule_external`] arrives.
+    /// [`ShardedSimulator::schedule_external`] arrives.
     fn on_external(&mut self, ctx: &mut Context<'_, Self::Msg>, ext: Self::Ext) {
         let _ = (ctx, ext);
     }
 
     /// Called when this node comes back up after a scheduled
-    /// [`FaultEvent::NodeRecover`]. Protocols use this to rebuild any
-    /// state lost in the crash (re-announce queries, re-arm timers).
-    /// Default: do nothing.
+    /// [`FaultEvent::NodeRecover`](crate::fault::FaultEvent::NodeRecover).
+    /// Protocols use this to rebuild any state lost in the crash
+    /// (re-announce queries, re-arm timers). Default: do nothing.
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         let _ = ctx;
     }
@@ -105,12 +103,12 @@ impl<M> std::fmt::Debug for Context<'_, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Assembles a handler context. The sharded engine (`crate::shard`)
-    /// builds the same view per dispatched event, and external hosts (a
-    /// live transport runtime such as `dde-net`) use this to drive a
-    /// [`Protocol`] outside any simulator: dispatch one handler, then
-    /// drain the `commands` vec and realize each [`Command`] against the
-    /// real network and a real timer wheel.
+    /// Assembles a handler context. The engine (`crate::shard`) builds one
+    /// per dispatched event, and external hosts (a live transport runtime
+    /// such as `dde-net`) use this to drive a [`Protocol`] outside any
+    /// simulator: dispatch one handler, then drain the `commands` vec and
+    /// realize each [`Command`] against the real network and a real timer
+    /// wheel.
     pub fn new(
         now: SimTime,
         node: NodeId,
@@ -251,10 +249,9 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// An action queued by a protocol handler, drained by whatever engine is
-/// driving the node: the event-heap [`Simulator`], the sharded engine, or
-/// an external host realizing sends against a live transport and timers
-/// against a wall-clock timer wheel.
+/// An action queued by a protocol handler, drained by whatever is driving
+/// the node: the simulator, or an external host realizing sends against a
+/// live transport and timers against a wall-clock timer wheel.
 #[derive(Debug)]
 pub enum Command<M> {
     /// Transmit `msg` to the adjacent node `to`.
@@ -273,53 +270,6 @@ pub enum Command<M> {
     },
 }
 
-enum Event<P: Protocol> {
-    Start {
-        node: NodeId,
-    },
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: P::Msg,
-    },
-    Timer {
-        node: NodeId,
-        tag: u64,
-    },
-    External {
-        node: NodeId,
-        ext: P::Ext,
-    },
-    /// A link finished clocking out its current message; start the next.
-    LinkFree(Hop),
-    /// A scheduled fault transition fires.
-    Fault(FaultEvent),
-}
-
-struct Scheduled<P: Protocol> {
-    at: SimTime,
-    seq: u64,
-    event: Event<P>,
-}
-
-impl<P: Protocol> PartialEq for Scheduled<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<P: Protocol> Eq for Scheduled<P> {}
-impl<P: Protocol> PartialOrd for Scheduled<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P: Protocol> Ord for Scheduled<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// How node transmitters share the medium.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediumMode {
@@ -330,23 +280,6 @@ pub enum MediumMode {
     /// as in the paper's wireless EMANE setting. Receptions are unlimited
     /// (no interference model).
     HalfDuplexTx,
-}
-
-/// One recorded transmission, when tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When the message started clocking onto the link.
-    pub at: SimTime,
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// The message's kind tag.
-    pub kind: &'static str,
-    /// Wire size in bytes.
-    pub bytes: u64,
-    /// Whether it rode in the background priority class.
-    pub background: bool,
 }
 
 /// A directed link as an engine transmits on it: endpoints, dense index
@@ -399,7 +332,13 @@ impl<M> LinkState<M> {
     }
 }
 
-/// The discrete-event simulator.
+/// The engine at one region, under the name and constructor it had before
+/// there were regions.
+///
+/// A logic-free wrapper: [`ShardedSimulator::new`] with `threads == 1`
+/// (everything runs inline on the calling thread), every method by
+/// `Deref`, except that [`metrics`](Simulator::metrics) borrows the one
+/// region's counters instead of folding a copy.
 ///
 /// # Examples
 ///
@@ -438,637 +377,40 @@ impl<M> LinkState<M> {
 /// // The ball bounces until each side has seen it 3 times: 5 deliveries.
 /// assert_eq!(sim.metrics().messages_delivered, 5);
 /// ```
-pub struct Simulator<P: Protocol> {
-    topology: Topology,
-    nodes: Vec<P>,
-    node_up: Vec<bool>,
-    heap: BinaryHeap<Scheduled<P>>,
-    now: SimTime,
-    seq: u64,
-    // per directed link, by `Topology::link_slot`: transmitter state and
-    // waiting messages
-    links: Vec<LinkState<P::Msg>>,
-    // handler outbox, emptied after every dispatch and reused by the next
-    commands: Vec<Command<P::Msg>>,
-    metrics: Metrics,
-    rng: SmallRng,
-    events_processed: u64,
-    sink: Box<dyn Sink>,
-    // Shim for the deprecated enable_trace/take_trace path: a handle to the
-    // MemorySink installed as `sink`, so take_trace can read it back.
-    legacy_trace: Option<SharedSink<MemorySink>>,
-    trace_cap: usize,
-    medium: MediumMode,
-    // number of in-flight transmissions per node (HalfDuplexTx: 0 or 1)
-    node_tx_busy: Vec<u32>,
-}
-
-impl<P: Protocol> std::fmt::Debug for Simulator<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("nodes", &self.nodes.len())
-            .field("now", &self.now)
-            .field("pending_events", &self.heap.len())
-            .field("events_processed", &self.events_processed)
-            .finish()
-    }
-}
+pub struct Simulator<P: Protocol>(ShardedSimulator<P>);
 
 impl<P: Protocol> Simulator<P> {
-    /// Creates a simulator over `topology` with one protocol instance per
-    /// node. `seed` drives link-loss sampling.
+    /// Creates a one-region simulator over `topology` with one protocol
+    /// instance per node. `seed` drives link-loss sampling.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != topology.len()` or if routing tables are
-    /// stale.
-    pub fn new(mut topology: Topology, nodes: Vec<P>, seed: u64) -> Simulator<P> {
-        assert_eq!(
-            nodes.len(),
-            topology.len(),
-            "need exactly one protocol instance per topology node"
-        );
-        topology.ensure_routes();
-        let n = nodes.len();
-        let links = LinkState::table(&topology);
-        let mut sim = Simulator {
-            topology,
-            nodes,
-            node_up: vec![true; n],
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            links,
-            commands: Vec::new(),
-            metrics: Metrics::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            events_processed: 0,
-            sink: Box::new(NullSink),
-            legacy_trace: None,
-            trace_cap: 0,
-            medium: MediumMode::FullDuplex,
-            node_tx_busy: vec![0; n],
-        };
-        for i in 0..n {
-            sim.push(SimTime::ZERO, Event::Start { node: NodeId(i) });
-        }
-        sim
-    }
-
-    fn push(&mut self, at: SimTime, event: Event<P>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Records a simulator-level trace event attributed to `node`, stamped
-    /// with the current simulated time. No-op when the sink is disabled.
-    fn emit(&mut self, node: NodeId, kind: EventKind) {
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord {
-                at: self.now,
-                node: node.index() as u32,
-                kind,
-            });
-        }
-    }
-
-    /// Schedules an external stimulus (e.g. a user query) for `node` at
-    /// absolute time `at`.
-    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, ext: P::Ext) {
-        assert!(node.index() < self.nodes.len(), "node out of range");
-        self.push(at.max(self.now), Event::External { node, ext });
-    }
-
-    /// Installs every event of a [`FaultSchedule`] into the event heap.
-    ///
-    /// Faults fire at their exact scheduled instants; at equal timestamps,
-    /// faults installed here precede protocol events scheduled later (the
-    /// heap breaks ties by insertion sequence). Installing an **empty**
-    /// schedule is a strict no-op: no events, no RNG draws, no state
-    /// changes — the run is bit-identical to one without this call.
-    ///
-    /// May be called multiple times; schedules merge in the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event is scheduled before the current simulated time
-    /// or names a node outside the topology.
-    pub fn install_faults(&mut self, schedule: &FaultSchedule) {
-        for f in schedule.events() {
-            assert!(f.at >= self.now, "fault scheduled in the past: {f:?}");
-            let valid = |n: NodeId| n.index() < self.nodes.len();
-            match f.event {
-                FaultEvent::NodeCrash(n) | FaultEvent::NodeRecover(n) => {
-                    assert!(valid(n), "fault names unknown node {n}");
-                }
-                FaultEvent::LinkDown(a, b) | FaultEvent::LinkUp(a, b) => {
-                    assert!(valid(a) && valid(b), "fault names unknown link {a}-{b}");
-                    assert!(
-                        self.topology.has_link(a, b),
-                        "fault names non-existent link {a}-{b}"
-                    );
-                }
-            }
-            self.push(f.at, Event::Fault(f.event));
-        }
-    }
-
-    /// Applies a single fault transition at the current instant.
-    fn apply_fault(&mut self, fault: FaultEvent) {
-        match fault {
-            FaultEvent::NodeCrash(n) => {
-                if !self.node_up[n.index()] {
-                    return; // already down: idempotent
-                }
-                self.emit(
-                    n,
-                    EventKind::Fault {
-                        fault: "node-crash",
-                        node: n.index() as u32,
-                        peer: None,
-                    },
-                );
-                self.node_up[n.index()] = false;
-                self.topology.set_node_enabled(n, false);
-                self.topology.rebuild_routes();
-                // The crashed transmitter's queued (never-sent) traffic
-                // vanishes with it. In-flight transmissions already
-                // radiated their tail and complete normally — delivery
-                // *to* the crashed node is dropped at arrival.
-                let neighbors: Vec<NodeId> = self.topology.neighbors(n).collect();
-                for nb in neighbors {
-                    self.purge_link_queues(n, nb);
-                }
-            }
-            FaultEvent::NodeRecover(n) => {
-                if self.node_up[n.index()] {
-                    return; // already up: idempotent
-                }
-                self.emit(
-                    n,
-                    EventKind::Fault {
-                        fault: "node-recover",
-                        node: n.index() as u32,
-                        peer: None,
-                    },
-                );
-                self.node_up[n.index()] = true;
-                self.topology.set_node_enabled(n, true);
-                self.topology.rebuild_routes();
-                self.dispatch(n, |node, ctx| node.on_recover(ctx));
-            }
-            FaultEvent::LinkDown(a, b) => {
-                if self.topology.set_link_enabled(a, b, false) {
-                    self.emit(
-                        a,
-                        EventKind::Fault {
-                            fault: "link-down",
-                            node: a.index() as u32,
-                            peer: Some(b.index() as u32),
-                        },
-                    );
-                    self.topology.rebuild_routes();
-                    self.purge_link_queues(a, b);
-                    self.purge_link_queues(b, a);
-                }
-            }
-            FaultEvent::LinkUp(a, b) => {
-                if self.topology.set_link_enabled(a, b, true) {
-                    self.emit(
-                        a,
-                        EventKind::Fault {
-                            fault: "link-up",
-                            node: a.index() as u32,
-                            peer: Some(b.index() as u32),
-                        },
-                    );
-                    self.topology.rebuild_routes();
-                }
-            }
-        }
-    }
-
-    /// Discards everything waiting (never sent) on the directed link
-    /// `from → to`, counting the purge in the metrics.
-    fn purge_link_queues(&mut self, from: NodeId, to: NodeId) {
-        if let Some((slot, _)) = self.topology.link_slot(from, to) {
-            let link = &mut self.links[slot];
-            let purged = (link.foreground.len() + link.background.len()) as u64;
-            link.foreground.clear();
-            link.background.clear();
-            self.metrics.messages_purged_by_fault += purged;
-            if purged > 0 {
-                self.emit(
-                    from,
-                    EventKind::Purge {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        count: purged,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Marks a node up or down. Messages to/from a down node are dropped;
-    /// its timers and externals are swallowed.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        self.node_up[node.index()] = up;
-    }
-
-    /// Whether `node` is currently up.
-    pub fn is_node_up(&self, node: NodeId) -> bool {
-        self.node_up[node.index()]
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
+    /// Panics if `nodes.len() != topology.len()`.
+    pub fn new(topology: Topology, nodes: Vec<P>, seed: u64) -> Simulator<P> {
+        Simulator(ShardedSimulator::new(topology, nodes, seed, 1))
     }
 
     /// Traffic counters.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Selects how node transmitters share the medium. Must be called
-    /// before any traffic flows.
-    pub fn set_medium(&mut self, medium: MediumMode) {
-        debug_assert_eq!(self.metrics.messages_sent, 0, "set_medium before traffic");
-        self.medium = medium;
-    }
-
-    /// Installs a trace sink; every subsequent simulator and protocol event
-    /// is recorded into it. The default is [`dde_obs::NullSink`], whose
-    /// cost is one `enabled()` branch per instrumentation site.
-    pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
-        self.legacy_trace = None;
-        self.sink = sink;
-    }
-
-    /// The active trace sink (e.g. to flush it mid-run).
-    pub fn sink_mut(&mut self) -> &mut dyn Sink {
-        &mut *self.sink
-    }
-
-    /// Removes and returns the active sink, restoring the null sink.
-    pub fn take_sink(&mut self) -> Box<dyn Sink> {
-        self.legacy_trace = None;
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
-    }
-
-    /// Starts recording transmissions (up to `cap` events) for
-    /// message-flow inspection; see [`Simulator::take_trace`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulator::set_sink with a dde-obs sink; transmissions are EventKind::Transmit records"
-    )]
-    pub fn enable_trace(&mut self, cap: usize) {
-        let shared = SharedSink::new(MemorySink::new());
-        self.legacy_trace = Some(shared.clone());
-        self.trace_cap = cap;
-        self.sink = Box::new(shared);
-    }
-
-    /// Returns and clears the recorded trace (empty if tracing was never
-    /// enabled), uninstalling the sink that
-    /// [`enable_trace`](Simulator::enable_trace) set up.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulator::set_sink with a dde-obs sink; transmissions are EventKind::Transmit records"
-    )]
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let Some(shared) = self.legacy_trace.take() else {
-            return Vec::new();
-        };
-        self.sink = Box::new(NullSink);
-        shared
-            .with(|s| s.take())
-            .into_iter()
-            .filter_map(|rec| match rec.kind {
-                EventKind::Transmit {
-                    from,
-                    to,
-                    msg,
-                    bytes,
-                    background,
-                    ..
-                } => Some(TraceEvent {
-                    at: rec.at,
-                    from: NodeId(from as usize),
-                    to: NodeId(to as usize),
-                    kind: msg,
-                    bytes,
-                    background,
-                }),
-                _ => None,
-            })
-            .take(self.trace_cap)
-            .collect()
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Shared access to a node's protocol state.
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
-    }
-
-    /// Exclusive access to a node's protocol state (for post-run inspection
-    /// or fault injection between runs).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Iterates over all protocol instances.
-    pub fn nodes(&self) -> impl Iterator<Item = &P> {
-        self.nodes.iter()
+        self.0.region_metrics(0)
     }
 
     /// Consumes the simulator, returning the protocol instances.
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        self.0.into_nodes()
     }
+}
 
-    /// Processes a single event. Returns `false` when the event queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        let Some(Scheduled { at, event, .. }) = self.heap.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.events_processed += 1;
-
-        if let Event::LinkFree(hop) = event {
-            self.link_freed(hop);
-            return true;
-        }
-        if let Event::Fault(fault) = event {
-            self.apply_fault(fault);
-            return true;
-        }
-        let node_id = match &event {
-            Event::Start { node } | Event::Timer { node, .. } | Event::External { node, .. } => {
-                *node
-            }
-            Event::Deliver { to, .. } => *to,
-            Event::LinkFree(_) | Event::Fault(_) => unreachable!("handled above"),
-        };
-        if let Event::Deliver { from, to, .. } = &event {
-            // The link went down (by fault) while the message was in flight:
-            // it never arrives.
-            if !self.topology.is_link_enabled(*from, *to) {
-                self.metrics.messages_dropped += 1;
-                self.metrics.messages_dropped_by_fault += 1;
-                let (from, to) = (*from, *to);
-                self.emit(
-                    to,
-                    EventKind::Drop {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        reason: "link-down",
-                    },
-                );
-                return true;
-            }
-        }
-        if !self.node_up[node_id.index()] {
-            if let Event::Deliver { from, to, .. } = &event {
-                self.metrics.messages_dropped += 1;
-                // A destination downed by the fault schedule (rather than by
-                // a manual `set_node_up`) is visible in the topology state.
-                if !self.topology.is_node_enabled(node_id) {
-                    self.metrics.messages_dropped_by_fault += 1;
-                }
-                let (from, to) = (*from, *to);
-                self.emit(
-                    to,
-                    EventKind::Drop {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        reason: "node-down",
-                    },
-                );
-            }
-            return true;
-        }
-        if let Event::Deliver { from, to, msg } = &event {
-            self.metrics.messages_delivered += 1;
-            let kind = msg.kind();
-            let (from, to) = (*from, *to);
-            self.emit(
-                to,
-                EventKind::Deliver {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: kind,
-                    query: msg.attribution(),
-                },
-            );
-        }
-
-        self.dispatch(node_id, |node, ctx| match event {
-            Event::Start { .. } => node.on_start(ctx),
-            Event::Deliver { from, msg, .. } => node.on_message(ctx, from, msg),
-            Event::Timer { tag, .. } => node.on_timer(ctx, tag),
-            Event::External { ext, .. } => node.on_external(ctx, ext),
-            Event::LinkFree(_) | Event::Fault(_) => unreachable!("handled above"),
-        });
-        true
+impl<P: Protocol> std::ops::Deref for Simulator<P> {
+    type Target = ShardedSimulator<P>;
+    fn deref(&self) -> &ShardedSimulator<P> {
+        &self.0
     }
+}
 
-    /// Runs one handler of `node_id` and realizes what it queued, in order:
-    /// sends onto links, timers into the heap. The outbox is the engine's
-    /// one reused buffer; it is taken and handed back only here, so no early
-    /// return of [`Simulator::step`] can strand it.
-    fn dispatch(
-        &mut self,
-        node_id: NodeId,
-        handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-    ) {
-        let mut commands = std::mem::take(&mut self.commands);
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node: node_id,
-                topology: &self.topology,
-                commands: &mut commands,
-                sink: &mut *self.sink,
-            };
-            handler(&mut self.nodes[node_id.index()], &mut ctx);
-        }
-        for cmd in commands.drain(..) {
-            match cmd {
-                Command::Send { to, msg } => self.transmit(node_id, to, msg),
-                Command::Timer { at, tag } => self.push(at, Event::Timer { node: node_id, tag }),
-            }
-        }
-        self.commands = commands;
-    }
-
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let Some(hop) = Hop::resolve(&self.topology, from, to) else {
-            // Context::try_send checks adjacency, so this is unreachable
-            // from well-formed command streams; degrade to a counted drop
-            // rather than a panic (same policy as the send path).
-            debug_assert!(false, "transmission on non-existent link {from}->{to}");
-            self.metrics.messages_lost += 1;
-            self.emit(
-                from,
-                EventKind::Drop {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    reason: "not-neighbor",
-                },
-            );
-            return;
-        };
-        let node_blocked =
-            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
-        let link = &mut self.links[hop.slot];
-        if link.busy || node_blocked {
-            if msg.background() {
-                link.background.push_back(msg);
-            } else {
-                link.foreground.push_back(msg);
-            }
-        } else {
-            self.start_transmission(hop, msg);
-        }
-    }
-
-    /// Begins clocking `msg` onto the (idle) link `from → to`.
-    fn start_transmission(&mut self, hop: Hop, msg: P::Msg) {
-        let (from, to, slot, spec) = (hop.from, hop.to, hop.slot, hop.spec);
-        let bytes = msg.wire_size();
-        let depart = self.now + spec.transmission_time(bytes);
-        self.links[slot].busy = true;
-        self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(slot, from, to, bytes, msg.kind());
-        self.emit(
-            from,
-            EventKind::Transmit {
-                from: from.index() as u32,
-                to: to.index() as u32,
-                msg: msg.kind(),
-                bytes,
-                background: msg.background(),
-                query: msg.attribution(),
-            },
-        );
-        let lost = spec.loss > 0.0 && self.rng.gen::<f64>() < spec.loss;
-        if !lost {
-            let arrival = depart + spec.latency;
-            self.push(arrival, Event::Deliver { to, from, msg });
-        } else {
-            self.metrics.messages_lost += 1;
-            self.emit(
-                from,
-                EventKind::Loss {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: msg.kind(),
-                    bytes,
-                    query: msg.attribution(),
-                },
-            );
-        }
-        self.push(depart, Event::LinkFree(hop));
-    }
-
-    /// The link finished a transmission: start the next waiting message —
-    /// foreground strictly before background. Under [`MediumMode::HalfDuplexTx`]
-    /// the freed *radio* may serve any of the node's outgoing links
-    /// (foreground anywhere beats background anywhere; ties go to the
-    /// lowest-numbered neighbor for determinism).
-    fn link_freed(&mut self, hop: Hop) {
-        let from = hop.from;
-        let link = &mut self.links[hop.slot];
-        link.busy = false;
-        self.node_tx_busy[from.index()] = self.node_tx_busy[from.index()].saturating_sub(1);
-        match self.medium {
-            MediumMode::FullDuplex => {
-                let next = link
-                    .foreground
-                    .pop_front()
-                    .or_else(|| link.background.pop_front());
-                if let Some(msg) = next {
-                    self.start_transmission(hop, msg);
-                }
-            }
-            MediumMode::HalfDuplexTx => {
-                if self.node_tx_busy[from.index()] > 0 {
-                    return; // radio already claimed again
-                }
-                let neighbors: Vec<NodeId> = self.topology.neighbors(from).collect();
-                // Foreground from any link first, then background.
-                for foreground in [true, false] {
-                    for &nb in &neighbors {
-                        let Some(hop) = Hop::resolve(&self.topology, from, nb) else {
-                            continue;
-                        };
-                        let link = &mut self.links[hop.slot];
-                        if link.busy {
-                            continue;
-                        }
-                        let next = if foreground {
-                            link.foreground.pop_front()
-                        } else {
-                            link.background.pop_front()
-                        };
-                        if let Some(msg) = next {
-                            self.start_transmission(hop, msg);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs until the event queue drains. Returns the number of events
-    /// processed by this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 100 million events as a runaway-protocol backstop; use
-    /// [`Simulator::run_until`] for open-ended workloads.
-    pub fn run(&mut self) -> u64 {
-        let before = self.events_processed;
-        while self.step() {
-            assert!(
-                self.events_processed < 100_000_000,
-                "runaway simulation: 1e8 events processed"
-            );
-        }
-        self.events_processed - before
-    }
-
-    /// Runs until simulated time would exceed `deadline` (events at exactly
-    /// `deadline` are processed) or the queue drains. Returns the number of
-    /// events processed by this call.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.events_processed;
-        while let Some(head) = self.heap.peek() {
-            if head.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.events_processed - before
+impl<P: Protocol> std::ops::DerefMut for Simulator<P> {
+    fn deref_mut(&mut self) -> &mut ShardedSimulator<P> {
+        &mut self.0
     }
 }
 
@@ -1079,7 +421,7 @@ mod tests {
     #![allow(clippy::disallowed_types)]
 
     use super::*;
-    use crate::topology::LinkSpec;
+    use crate::fault::FaultSchedule;
 
     #[derive(Debug, Clone)]
     struct Packet(u64);
@@ -1132,7 +474,7 @@ mod tests {
     #[test]
     fn transfer_time_includes_tx_and_latency() {
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
         sim.run();
         let rx = &sim.node(NodeId(1)).received_at;
         assert_eq!(rx.len(), 1);
@@ -1165,7 +507,7 @@ mod tests {
         }
         ARRIVALS.with(|a| a.borrow_mut().clear());
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst, Burst], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Burst, Burst], 1, 1);
         sim.run();
         ARRIVALS.with(|a| {
             let arr = a.borrow();
@@ -1179,7 +521,8 @@ mod tests {
     #[test]
     fn external_events_are_delivered() {
         let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(false), echo(false), echo(false)], 1);
+        let mut sim =
+            ShardedSimulator::new(topo, vec![echo(false), echo(false), echo(false)], 1, 1);
         // Node 2 receives an external packet and forwards toward node 0.
         sim.schedule_external(SimTime::from_secs(1), NodeId(2), Packet(1000));
         sim.run();
@@ -1190,8 +533,10 @@ mod tests {
     #[test]
     fn down_node_drops_messages() {
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.set_node_up(NodeId(1), false);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
+        let mut faults = FaultSchedule::new();
+        faults.crash_at(SimTime::ZERO, NodeId(1));
+        sim.install_faults(&faults);
         sim.run();
         assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
         assert_eq!(sim.metrics().messages_dropped, 1);
@@ -1217,7 +562,7 @@ mod tests {
         let mut topo = Topology::new(2);
         topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.5));
         topo.rebuild_routes();
-        let mut sim = Simulator::new(topo, vec![Spam, Spam], 42);
+        let mut sim = ShardedSimulator::new(topo, vec![Spam, Spam], 42, 1);
         sim.run();
         let m = sim.metrics();
         assert_eq!(m.messages_sent, 100);
@@ -1236,7 +581,7 @@ mod tests {
             let mut topo = Topology::new(2);
             topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.3));
             topo.rebuild_routes();
-            let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], seed);
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], seed, 1);
             sim.run();
             (sim.metrics().messages_lost, sim.events_processed())
         };
@@ -1258,13 +603,13 @@ mod tests {
             }
         }
         let topo = Topology::line(1, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![TimerChain], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![TimerChain], 1, 1);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
         // start + timers at 1..=5.
         assert_eq!(sim.events_processed(), 6);
         // Queue still holds the timer at t=6.
-        assert!(sim.step());
+        assert_eq!(sim.run_until(SimTime::from_secs(6)), 1);
     }
 
     #[test]
@@ -1283,7 +628,7 @@ mod tests {
             }
         }
         let topo = Topology::line(1, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Tags(Vec::new())], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Tags(Vec::new())], 1, 1);
         sim.run();
         assert_eq!(sim.node(NodeId(0)).0, vec![3, 7]);
     }
@@ -1306,7 +651,7 @@ mod tests {
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
         let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Bad, Bad, Bad], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Bad, Bad, Bad], 1, 1);
         sim.run();
     }
 
@@ -1329,7 +674,7 @@ mod tests {
         }
         let topo = Topology::line(3, LinkSpec::mbps1());
         let nodes = (0..3).map(|_| Probe { err: None }).collect();
-        let mut sim = Simulator::new(topo, nodes, 1);
+        let mut sim = ShardedSimulator::new(topo, nodes, 1, 1);
         sim.run();
         assert_eq!(
             sim.node(NodeId(0)).err,
@@ -1375,7 +720,7 @@ mod tests {
         }
         MIXER_LOG.with(|l| l.borrow_mut().clear());
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Mixer, Mixer], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Mixer, Mixer], 1, 1);
         sim.run();
         MIXER_LOG.with(|l| {
             let log = l.borrow();
@@ -1410,7 +755,7 @@ mod tests {
         }
         MIXER2_LOG.with(|l| l.borrow_mut().clear());
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Mixer2, Mixer2], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Mixer2, Mixer2], 1, 1);
         sim.run();
         MIXER2_LOG.with(|l| {
             let log = l.borrow();
@@ -1447,7 +792,7 @@ mod tests {
         let run = |medium: MediumMode| -> Vec<(NodeId, SimTime)> {
             FANOUT_LOG.with(|l| l.borrow_mut().clear());
             let topo = Topology::star(3, LinkSpec::mbps1());
-            let mut sim = Simulator::new(topo, vec![Fanout, Fanout, Fanout], 1);
+            let mut sim = ShardedSimulator::new(topo, vec![Fanout, Fanout, Fanout], 1, 1);
             sim.set_medium(medium);
             sim.run();
             FANOUT_LOG.with(|l| l.borrow().clone())
@@ -1465,51 +810,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn trace_records_transmissions() {
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.enable_trace(16);
-        sim.run();
-        let trace = sim.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].from, NodeId(0));
-        assert_eq!(trace[0].to, NodeId(1));
-        assert_eq!(trace[0].bytes, 125_000);
-        assert_eq!(trace[0].kind, "packet");
-        assert!(!trace[0].background);
-        // Taking the trace clears it.
-        assert!(sim.take_trace().is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn trace_respects_cap() {
-        struct Burst2;
-        impl Protocol for Burst2 {
-            type Msg = Packet;
-            type Ext = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
-                if ctx.node() == NodeId(0) {
-                    for _ in 0..10 {
-                        ctx.send(NodeId(1), Packet(10));
-                    }
-                }
-            }
-            fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
-        }
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst2, Burst2], 1);
-        sim.enable_trace(3);
-        sim.run();
-        assert_eq!(sim.take_trace().len(), 3);
-    }
-
-    #[test]
     fn sink_records_link_layer_lifecycle() {
         use dde_obs::{MemorySink, SharedSink};
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
         let shared = SharedSink::new(MemorySink::new());
         sim.set_sink(Box::new(shared.clone()));
         sim.run();
@@ -1526,7 +830,7 @@ mod tests {
     fn sink_records_fault_lifecycle() {
         use dde_obs::{MemorySink, SharedSink};
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
         let mut faults = FaultSchedule::new();
         faults.crash_at(SimTime::from_millis(500), NodeId(1));
         faults.recover_at(SimTime::from_secs(5), NodeId(1));
@@ -1563,8 +867,10 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
-        let mut sim = Simulator::new(topo, vec![Chatter, Chatter, Chatter], 11);
-        sim.set_node_up(NodeId(2), false);
+        let mut sim = ShardedSimulator::new(topo, vec![Chatter, Chatter, Chatter], 11, 1);
+        let mut faults = FaultSchedule::new();
+        faults.crash_at(SimTime::ZERO, NodeId(2));
+        sim.install_faults(&faults);
         sim.run();
         let m = sim.metrics();
         assert_eq!(
@@ -1577,7 +883,7 @@ mod tests {
     #[test]
     fn into_nodes_returns_state() {
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
         sim.run();
         let nodes = sim.into_nodes();
         assert_eq!(nodes.len(), 2);
@@ -1590,7 +896,7 @@ mod tests {
             let mut topo = Topology::new(2);
             topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.3));
             topo.rebuild_routes();
-            let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 9);
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 9, 1);
             if install {
                 sim.install_faults(&FaultSchedule::new());
             }
@@ -1610,7 +916,7 @@ mod tests {
         // Node 0 starts a 1 s transfer at t=0; node 1 crashes at t=0.5 s,
         // so the message (arriving at 1.001 s) is dropped as a fault.
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, 1);
         let mut faults = FaultSchedule::new();
         faults.crash_at(SimTime::from_millis(500), NodeId(1));
         sim.install_faults(&faults);
@@ -1642,7 +948,7 @@ mod tests {
             }
         }
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst3, Burst3], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Burst3, Burst3], 1, 1);
         let mut faults = FaultSchedule::new();
         // Sender crashes mid-first-transmission, recovers later.
         faults.crash_at(SimTime::from_millis(500), NodeId(0));
@@ -1670,7 +976,7 @@ mod tests {
         topo.add_link(NodeId(0), NodeId(2), LinkSpec::mbps1());
         topo.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
         topo.rebuild_routes();
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false), echo(false)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false), echo(false)], 1, 1);
         let mut faults = FaultSchedule::new();
         faults.link_down_at(SimTime::from_millis(500), NodeId(0), NodeId(1));
         sim.install_faults(&faults);
@@ -1688,7 +994,8 @@ mod tests {
     #[test]
     fn link_up_restores_routes() {
         let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(false), echo(false), echo(false)], 1);
+        let mut sim =
+            ShardedSimulator::new(topo, vec![echo(false), echo(false), echo(false)], 1, 1);
         let mut faults = FaultSchedule::new();
         faults.link_down_at(SimTime::from_secs(1), NodeId(1), NodeId(2));
         faults.link_up_at(SimTime::from_secs(2), NodeId(1), NodeId(2));
@@ -1716,7 +1023,7 @@ mod tests {
             }
         }
         let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Recover(0), Recover(0)], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Recover(0), Recover(0)], 1, 1);
         let mut faults = FaultSchedule::new();
         faults.crash_at(SimTime::from_secs(1), NodeId(0));
         faults.recover_at(SimTime::from_secs(2), NodeId(0));

@@ -5,8 +5,9 @@
 
 use dde_netsim::fault::{FaultEvent, FaultSchedule};
 use dde_netsim::prelude::{SimDuration, SimTime};
-use dde_netsim::sim::{Context, Protocol, Simulator, WireMessage};
+use dde_netsim::sim::{Context, Protocol, WireMessage};
 use dde_netsim::topology::{LinkSpec, NodeId, Topology};
+use dde_netsim::ShardedSimulator;
 use proptest::prelude::*;
 
 const N: usize = 6;
@@ -96,7 +97,7 @@ proptest! {
     fn schedules_terminate_and_conserve_messages(raw in raw_faults()) {
         let schedule = schedule_from(&raw);
         let nodes = (0..N).map(|_| Chatter).collect();
-        let mut sim = Simulator::new(Topology::ring(N, LinkSpec::mbps1()), nodes, 42);
+        let mut sim = ShardedSimulator::new(Topology::ring(N, LinkSpec::mbps1()), nodes, 42, 1);
         sim.install_faults(&schedule);
         sim.run_until(SimTime::from_millis(HORIZON_MS * 2));
         let m = sim.metrics();

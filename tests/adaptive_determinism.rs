@@ -101,25 +101,3 @@ fn admission_gated_run_is_thread_count_invariant_on_the_overload_band() {
     );
     assert_equivalent_across_threads("adaptive admission", &scenario, &opts);
 }
-
-#[test]
-fn classic_and_sharded_adaptive_runs_agree() {
-    // The single-threaded engine and the sharded engine must tell the
-    // same story for an adaptive run: equal `RunReport`s, including the
-    // estimator-driven plan outcomes and every admission counter. (Trace
-    // *bytes* are compared across thread counts above, not across
-    // engines — the sharded engine merge-orders its stream.)
-    let seed = 19;
-    let scenario = Scenario::build(
-        ScenarioConfig::small()
-            .with_seed(seed)
-            .with_fast_ratio(0.4)
-            .with_churn(0.3),
-    );
-    let opts = options(seed, AdaptiveConfig::default());
-    let classic = run_scenario(&scenario, opts.clone());
-    for threads in THREADS {
-        let sharded = run_scenario_sharded(&scenario, opts.clone(), threads);
-        assert_eq!(classic, sharded, "reports differ at {threads} threads");
-    }
-}

@@ -217,7 +217,7 @@ fn reliability_profiles_learn_bad_sources() {
     // Run manually to keep the simulator (run_scenario consumes it), using
     // the engine's building blocks.
     use dde_core::node::{AthenaNode, NodeConfig, SharedWorld};
-    use dde_netsim::sim::Simulator;
+    use dde_netsim::ShardedSimulator;
     let mut config = NodeConfig::new(Strategy::Lvf);
     config.corroboration = 3;
     config.prob_true_prior = s.config.prob_viable;
@@ -230,7 +230,7 @@ fn reliability_profiles_learn_bad_sources() {
     let nodes: Vec<AthenaNode> = (0..s.topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), annotator.clone()))
         .collect();
-    let mut sim = Simulator::new(s.topology.clone(), nodes, 3);
+    let mut sim = ShardedSimulator::new(s.topology.clone(), nodes, 3, 1);
     for q in &s.queries {
         sim.schedule_external(q.issue_at, q.origin, q.clone().into());
     }
