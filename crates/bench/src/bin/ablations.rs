@@ -25,8 +25,6 @@
 //! Usage: `cargo run -p dde-bench --bin ablations --release`
 //! Knobs: `DDE_REPS` (default 5), `DDE_SCALE`, `DDE_SEED`.
 
-// Bench binary: env knobs and wall-clock timing are out-of-simulation.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 use dde_bench::{stat, HarnessConfig};
 use dde_core::annotate::TrustPolicy;
 use dde_core::engine::{run_scenario, RunOptions, RunReport};
@@ -42,10 +40,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let mut cfg = HarnessConfig::from_env();
-    if std::env::var("DDE_REPS").is_err() {
-        cfg.reps = 5;
-    }
+    let cfg = HarnessConfig::from_env(5);
     prefetch_ablation(&cfg);
     trust_ablation(&cfg);
     panorama_ablation(&cfg);

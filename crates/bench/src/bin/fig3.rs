@@ -4,13 +4,13 @@
 //! Usage: `cargo run -p dde-bench --bin fig3 --release`
 //! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
-// Bench binary: env knobs and wall-clock timing are out-of-simulation.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-use dde_bench::HarnessConfig;
-use dde_bench::{bench_json, print_table, rows_from_reports, sweep_reports, write_bench_json};
+use dde_bench::{
+    bench_json, print_table, rows_from_reports, sweep_reports, write_bench_json, HarnessConfig,
+    PAPER_REPS,
+};
 
-fn main() {
-    let cfg = HarnessConfig::from_env();
+fn main() -> std::io::Result<()> {
+    let cfg = HarnessConfig::from_env(PAPER_REPS);
     eprintln!(
         "fig3: {} reps, 40% fast-changing objects, metric = total MB on all links",
         cfg.reps
@@ -22,5 +22,5 @@ fn main() {
     write_bench_json(
         "BENCH_fig3.json",
         &bench_json("fig3", &cfg, "fast_ratio", &ratios, &all),
-    );
+    )
 }

@@ -8,11 +8,12 @@
 //! seeded and replayable: the same seed produces the same crashes.
 //!
 //! Usage: `cargo run -p dde-bench --bin resilience --release`
-//! Knobs: `DDE_REPS` (default 5), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
+//! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
-// Bench binary: env knobs and wall-clock timing are out-of-simulation.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-use dde_bench::{bench_json, stat, write_bench_json, HarnessConfig, Stat};
+// The churn sweep fans out over a Mutex-slotted worker pool, outside the
+// replayed simulation.
+#![allow(clippy::disallowed_types)]
+use dde_bench::{bench_json, stat, write_bench_json, HarnessConfig, Stat, PAPER_REPS};
 use dde_core::engine::{run_scenario, RunOptions, RunReport};
 use dde_core::strategy::Strategy;
 use dde_logic::time::SimDuration;
@@ -107,8 +108,8 @@ fn print_metric_table(
     println!();
 }
 
-fn main() {
-    let cfg = HarnessConfig::from_env();
+fn main() -> std::io::Result<()> {
+    let cfg = HarnessConfig::from_env(PAPER_REPS);
     println!(
         "== resilience: node churn sweep ({} reps, seed {}, downtime 45 s) ==\n",
         cfg.reps, cfg.seed
@@ -148,5 +149,5 @@ fn main() {
     write_bench_json(
         "BENCH_resilience.json",
         &bench_json("resilience", &cfg, "churn", &CHURN_RATES, &all),
-    );
+    )
 }

@@ -7,8 +7,6 @@
 //! Usage: `cargo run -p dde-bench --bin trace_smoke --release`
 //! Knobs: `DDE_SEED` (default 1).
 
-// Bench binary: env knobs and wall-clock timing are out-of-simulation.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -33,10 +31,7 @@ fn run_once(path: &str, seed: u64) -> std::io::Result<()> {
 }
 
 fn main() -> ExitCode {
-    let seed = std::env::var("DDE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let seed = dde_bench::env_seed();
     for path in ["trace_a.jsonl", "trace_b.jsonl"] {
         if let Err(e) = run_once(path, seed) {
             eprintln!("trace_smoke: failed to write {path}: {e}");

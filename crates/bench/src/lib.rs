@@ -1,27 +1,38 @@
 //! # dde-bench — figure regeneration and ablation harnesses
 //!
 //! One binary per paper figure (`fig2`, `fig3`), an `ablations` binary for
-//! the design-choice sweeps called out in DESIGN.md, and Criterion
-//! micro-benches for the core algorithms.
+//! the design-choice sweeps called out in DESIGN.md, and the `city` /
+//! `live` / `adaptive` / `resilience` gates. Every `BENCH_*.json` written
+//! here is a deterministic function of the seed: nothing in this crate
+//! reads a wall clock (that is `benchmark/`'s job), and
+//! `tests/baselines.rs` holds each document to `baselines/` byte for byte.
 //!
 //! The experiment runner lives here so binaries and integration tests share
 //! one implementation.
 
 #![warn(missing_docs)]
 // The bench harness runs outside the replayed simulation: it reads env
-// knobs and may time wall-clock (see clippy.toml).
+// knobs and fans sweeps out over a Mutex-slotted worker pool (see
+// clippy.toml).
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 use dde_core::engine::{run_scenario_observed, RunOptions, RunReport};
 use dde_core::strategy::Strategy;
 use dde_obs::{Histogram, JsonValue, NullSink, PathBreakdown};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
 
+/// Repetitions per data point in the paper's figures.
+pub const PAPER_REPS: u64 = 10;
+
 /// Shared command-line-ish knobs for the figure binaries, read from
 /// environment variables so `cargo run --bin fig2` works with no plumbing:
 ///
-/// - `DDE_REPS` — repetitions per data point (default 10, the paper's count);
+/// - `DDE_REPS` — repetitions per data point (default per binary;
+///   [`PAPER_REPS`] for the figures);
 /// - `DDE_SCALE` — `paper` (default) or `small` (quick smoke run);
 /// - `DDE_SEED` — base seed (default 1).
+///
+/// A variable that is set but malformed is an error, never a silent
+/// fallback: `DDE_SCALE=smal` must not start the minutes-long paper sweep.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Repetitions per data point.
@@ -35,25 +46,61 @@ pub struct HarnessConfig {
     pub scale: &'static str,
 }
 
+/// Parses the unsigned-integer knob `name`: `None` (unset) is `default`,
+/// anything else must parse or the error names the variable.
+fn parse_count(name: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?}: expected an unsigned integer")),
+    }
+}
+
+/// Parses the `DDE_SCALE` knob into a base configuration and its label.
+fn parse_scale(raw: Option<&str>) -> Result<(ScenarioConfig, &'static str), String> {
+    match raw {
+        None | Some("paper") => Ok((ScenarioConfig::default(), "paper")),
+        Some("small") => Ok((ScenarioConfig::small(), "small")),
+        Some(v) => Err(format!("DDE_SCALE={v:?}: expected `paper` or `small`")),
+    }
+}
+
+/// Reads the environment variable `name` and parses it with `parse`
+/// (`None` when unset); a malformed value is reported on stderr and ends
+/// the process with exit code 2.
+fn env_knob<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let raw = match std::env::var(name) {
+        Ok(v) => Ok(Some(v)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?}: not valid Unicode")),
+    };
+    raw.and_then(|v| parse(v.as_deref())).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// `DDE_REPS` from the environment, `default` when unset.
+pub fn env_reps(default: u64) -> u64 {
+    env_knob("DDE_REPS", |v| parse_count("DDE_REPS", v, default))
+}
+
+/// `DDE_SEED` from the environment, 1 when unset.
+pub fn env_seed() -> u64 {
+    env_knob("DDE_SEED", |v| parse_count("DDE_SEED", v, 1))
+}
+
 impl HarnessConfig {
-    /// Reads the harness configuration from the environment.
-    pub fn from_env() -> HarnessConfig {
-        let reps = std::env::var("DDE_REPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        let (base, scale) = match std::env::var("DDE_SCALE").as_deref() {
-            Ok("small") => (ScenarioConfig::small(), "small"),
-            _ => (ScenarioConfig::default(), "paper"),
-        };
-        let seed = std::env::var("DDE_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+    /// Reads the harness configuration from the environment, running
+    /// `default_reps` repetitions when `DDE_REPS` is unset. Exits with
+    /// code 2 on a malformed variable.
+    pub fn from_env(default_reps: u64) -> HarnessConfig {
+        let (base, scale) = env_knob("DDE_SCALE", parse_scale);
         HarnessConfig {
-            reps,
+            reps: env_reps(default_reps),
             base,
-            seed,
+            seed: env_seed(),
             scale,
         }
     }
@@ -350,12 +397,12 @@ pub fn bench_json(
     ])
 }
 
-/// Writes `value` pretty-printed to `path`, reporting on stderr.
-pub fn write_bench_json(path: &str, value: &JsonValue) {
-    match std::fs::write(path, value.to_pretty_string()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+/// Writes `value` pretty-printed to `path`; the error names the path.
+pub fn write_bench_json(path: &str, value: &JsonValue) -> std::io::Result<()> {
+    std::fs::write(path, value.to_pretty_string())
+        .map_err(|e| std::io::Error::new(e.kind(), format!("failed to write {path}: {e}")))?;
+    eprintln!("wrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -369,6 +416,32 @@ mod tests {
         assert!((s.stddev - 1.0).abs() < 1e-12);
         assert_eq!(stat(&[]).mean, 0.0);
         assert_eq!(stat(&[5.0]).stddev, 0.0);
+    }
+
+    #[test]
+    fn reps_knob_rejects_malformed_input() {
+        assert_eq!(parse_count("DDE_REPS", None, 10), Ok(10));
+        assert_eq!(parse_count("DDE_REPS", Some("2"), 10), Ok(2));
+        let err = parse_count("DDE_REPS", Some("2x"), 10).unwrap_err();
+        assert!(err.contains("DDE_REPS") && err.contains("unsigned integer"));
+    }
+
+    #[test]
+    fn seed_knob_rejects_malformed_input() {
+        assert_eq!(parse_count("DDE_SEED", None, 1), Ok(1));
+        assert_eq!(parse_count("DDE_SEED", Some("7"), 1), Ok(7));
+        let err = parse_count("DDE_SEED", Some("abc"), 1).unwrap_err();
+        assert!(err.contains("DDE_SEED") && err.contains("unsigned integer"));
+        assert!(parse_count("DDE_SEED", Some("-1"), 1).is_err());
+    }
+
+    #[test]
+    fn scale_knob_rejects_unknown_scales() {
+        assert_eq!(parse_scale(None).unwrap().1, "paper");
+        assert_eq!(parse_scale(Some("paper")).unwrap().1, "paper");
+        assert_eq!(parse_scale(Some("small")).unwrap().1, "small");
+        let err = parse_scale(Some("smal")).unwrap_err();
+        assert!(err.contains("DDE_SCALE") && err.contains("`paper` or `small`"));
     }
 
     #[test]

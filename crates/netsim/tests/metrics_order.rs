@@ -158,7 +158,7 @@ fn check(engine: &str, metrics: &Metrics, strays: &[SendError], sink: &SharedSin
 }
 
 #[test]
-fn classic_and_sharded_report_links_and_kinds_in_key_order() {
+fn every_thread_count_reports_links_and_kinds_in_key_order() {
     let mut reference: Option<(Links, Kinds)> = None;
     for threads in [1, 2, 4] {
         let sink = SharedSink::new(MemorySink::new());

@@ -6,7 +6,6 @@
 //! dde-trace chrome A.jsonl              # Chrome trace-event JSON on stdout
 //! dde-trace attribute A.jsonl [--json]  # per-decision cost ledger
 //! dde-trace critical-path A.jsonl [--json]  # latency breakdown per query
-//! dde-trace bench-diff BASE.json FRESH.json [bench.toml]  # regression gate
 //! dde-trace metrics SNAP.json [OTHER.json]  # pretty-print or diff snapshots
 //! ```
 
@@ -14,7 +13,7 @@
 // determinism rules target simulation code, not operator tooling.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
-use dde_obs::json::{parse, JsonValue};
+use dde_obs::json::parse;
 use dde_obs::{
     chrome_trace_from_jsonl, diff_jsonl, parse_snapshot_document, CostLedger, MetricsSnapshot,
 };
@@ -41,9 +40,6 @@ const USAGE: &str = "usage:
                                               conservation check
   dde-trace critical-path <trace.jsonl> [--json]
                                               per-query latency breakdown
-  dde-trace bench-diff <baseline.json> <fresh.json> [<bench.toml>]
-                                              compare BENCH_* documents within
-                                              tolerance; exit 1 on regression
   dde-trace metrics <snapshot.json>           pretty-print a metrics snapshot
                                               (bare or per-node collection);
                                               exit 1 on malformed input
@@ -153,178 +149,6 @@ fn cmd_critical_path(path: &str, json: bool) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Relative tolerances for [`cmd_bench_diff`], keyed by metric name (the
-/// JSON key whose value is a `{mean, stddev}` stat object, or
-/// `latency_us` for the percentile block), with a `default` fallback.
-#[derive(Debug)]
-struct Tolerances {
-    default: f64,
-    per_metric: BTreeMap<String, f64>,
-}
-
-impl Tolerances {
-    fn of(&self, metric: &str) -> f64 {
-        *self.per_metric.get(metric).unwrap_or(&self.default)
-    }
-
-    /// Parses the `bench.toml` subset: `key = value` lines with `#`
-    /// comments; section headers (`[...]`) are ignored so the file can be
-    /// organized freely. Values are relative tolerances (0.1 = ±10%).
-    fn parse(text: &str) -> Result<Tolerances, String> {
-        let mut tol = Tolerances {
-            default: 0.25,
-            per_metric: BTreeMap::new(),
-        };
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() || (line.starts_with('[') && line.ends_with(']')) {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("bench.toml line {}: expected key = value", idx + 1));
-            };
-            let key = key.trim();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("bench.toml line {}: bad number", idx + 1))?;
-            if key == "default" {
-                tol.default = value;
-            } else {
-                tol.per_metric.insert(key.to_string(), value);
-            }
-        }
-        Ok(tol)
-    }
-}
-
-/// Recursively compares two BENCH_* JSON documents. Stat objects
-/// (`{mean, stddev}`) and `latency_us` percentile blocks are compared on
-/// their central value within the metric's relative tolerance; everything
-/// else must match exactly (a shape or metadata change should come with
-/// regenerated baselines).
-fn bench_compare(
-    path: &str,
-    metric: &str,
-    fuzzy: bool,
-    base: &JsonValue,
-    fresh: &JsonValue,
-    tol: &Tolerances,
-    failures: &mut Vec<String>,
-) {
-    match (base, fresh) {
-        (JsonValue::Object(bo), JsonValue::Object(fo)) => {
-            let bkeys: Vec<&String> = bo.iter().map(|(k, _)| k).collect();
-            let fkeys: Vec<&String> = fo.iter().map(|(k, _)| k).collect();
-            if bkeys != fkeys {
-                failures.push(format!("{path}: key set changed: {bkeys:?} -> {fkeys:?}"));
-                return;
-            }
-            let is_stat = bo.iter().any(|(k, _)| k == "mean");
-            for ((key, bv), (_, fv)) in bo.iter().zip(fo.iter()) {
-                if is_stat && key != "mean" {
-                    continue; // stddev may drift freely
-                }
-                let child_metric = if is_stat || fuzzy { metric } else { key };
-                let child_fuzzy = fuzzy || (is_stat && key == "mean") || key == "latency_us";
-                bench_compare(
-                    &format!("{path}.{key}"),
-                    child_metric,
-                    child_fuzzy,
-                    bv,
-                    fv,
-                    tol,
-                    failures,
-                );
-            }
-        }
-        (JsonValue::Array(ba), JsonValue::Array(fa)) => {
-            if ba.len() != fa.len() {
-                failures.push(format!(
-                    "{path}: length changed: {} -> {}",
-                    ba.len(),
-                    fa.len()
-                ));
-                return;
-            }
-            for (i, (bv, fv)) in ba.iter().zip(fa.iter()).enumerate() {
-                bench_compare(
-                    &format!("{path}[{i}]"),
-                    metric,
-                    fuzzy,
-                    bv,
-                    fv,
-                    tol,
-                    failures,
-                );
-            }
-        }
-        _ => {
-            let numeric = |v: &JsonValue| -> Option<f64> {
-                match v {
-                    JsonValue::Int(i) => Some(*i as f64),
-                    JsonValue::Float(f) => Some(*f),
-                    _ => None,
-                }
-            };
-            if fuzzy {
-                if let (Some(a), Some(b)) = (numeric(base), numeric(fresh)) {
-                    let rel = if a == b {
-                        0.0
-                    } else {
-                        (a - b).abs() / a.abs().max(1e-9)
-                    };
-                    if rel > tol.of(metric) {
-                        failures.push(format!(
-                            "{path}: {a} -> {b} (drift {:.1}% > {:.1}% for `{metric}`)",
-                            rel * 100.0,
-                            tol.of(metric) * 100.0
-                        ));
-                    }
-                    return;
-                }
-            }
-            if base != fresh {
-                failures.push(format!("{path}: value changed"));
-            }
-        }
-    }
-}
-
-fn cmd_bench_diff(baseline: &str, fresh: &str, tol_path: Option<&str>) -> Result<ExitCode, String> {
-    let tol = match tol_path {
-        Some(p) => Tolerances::parse(&read(p)?)?,
-        None => Tolerances {
-            default: 0.25,
-            per_metric: BTreeMap::new(),
-        },
-    };
-    let base = parse(&read(baseline)?)
-        .map_err(|e| format!("dde-trace: {baseline}: invalid JSON: {e:?}"))?;
-    let new =
-        parse(&read(fresh)?).map_err(|e| format!("dde-trace: {fresh}: invalid JSON: {e:?}"))?;
-    let mut failures = Vec::new();
-    bench_compare("$", "", false, &base, &new, &tol, &mut failures);
-    let mut out = String::new();
-    if failures.is_empty() {
-        out.push_str(&format!(
-            "bench-diff: {fresh} within tolerance of {baseline}\n"
-        ));
-        write_stdout(&out)?;
-        Ok(ExitCode::SUCCESS)
-    } else {
-        out.push_str(&format!(
-            "bench-diff: {} regression(s) vs {baseline}:\n",
-            failures.len()
-        ));
-        for f in &failures {
-            out.push_str(&format!("  {f}\n"));
-        }
-        write_stdout(&out)?;
-        Ok(ExitCode::FAILURE)
-    }
-}
-
 /// Loads a metrics document: either one bare snapshot or the cluster
 /// demo's `{"nodes":[{"node":N,"metrics":{...}}]}` collection. Malformed
 /// input is a *gate failure* (printed, exit 1), not a usage error.
@@ -402,8 +226,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         [cmd, a, flag] if cmd == "attribute" && flag == "--json" => cmd_attribute(a, true),
         [cmd, a] if cmd == "critical-path" => cmd_critical_path(a, false),
         [cmd, a, flag] if cmd == "critical-path" && flag == "--json" => cmd_critical_path(a, true),
-        [cmd, a, b] if cmd == "bench-diff" => cmd_bench_diff(a, b, None),
-        [cmd, a, b, t] if cmd == "bench-diff" => cmd_bench_diff(a, b, Some(t)),
         [cmd, a] if cmd == "metrics" => cmd_metrics(a),
         [cmd, a, b] if cmd == "metrics" => cmd_metrics_diff(a, b),
         _ => Err(USAGE.to_string()),
@@ -425,64 +247,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tolerance_parser_accepts_the_bench_toml_subset() {
-        let tol =
-            Tolerances::parse("# comment\n[tolerances]\ndefault = 0.1\nmegabytes = 0.05 # tight\n")
-                .unwrap();
-        assert_eq!(tol.of("megabytes"), 0.05);
-        assert_eq!(tol.of("resolution_ratio"), 0.1);
-        assert!(Tolerances::parse("nonsense\n").is_err());
-    }
-
-    fn doc(mb: f64, p50: i64) -> JsonValue {
-        parse(&format!(
-            r#"{{"figure":"fig2","points":[{{"schemes":{{"lvf":{{"megabytes":{{"mean":{mb},"stddev":0.5}},"latency_us":{{"p50":{p50}}}}}}}}}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn bench_compare_passes_within_tolerance_and_fails_outside() {
-        let tol = Tolerances::parse("default = 0.1\n").unwrap();
-        let mut failures = Vec::new();
-        bench_compare(
-            "$",
-            "",
-            false,
-            &doc(100.0, 1000),
-            &doc(105.0, 1050),
-            &tol,
-            &mut failures,
-        );
-        assert!(failures.is_empty(), "{failures:?}");
-        bench_compare(
-            "$",
-            "",
-            false,
-            &doc(100.0, 1000),
-            &doc(120.0, 1000),
-            &tol,
-            &mut failures,
-        );
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("megabytes"), "{failures:?}");
-    }
-
-    #[test]
-    fn bench_compare_rejects_shape_and_metadata_changes() {
-        let tol = Tolerances::parse("default = 0.5\n").unwrap();
-        let a = parse(r#"{"figure":"fig2","reps":10}"#).unwrap();
-        let b = parse(r#"{"figure":"fig2","reps":5}"#).unwrap();
-        let mut failures = Vec::new();
-        bench_compare("$", "", false, &a, &b, &tol, &mut failures);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        let c = parse(r#"{"figure":"fig3","reps":10}"#).unwrap();
-        failures.clear();
-        bench_compare("$", "", false, &a, &c, &tol, &mut failures);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-    }
 
     #[test]
     fn metrics_command_prints_diffs_and_rejects_malformed_input() {
