@@ -427,7 +427,10 @@ pub fn collect_report_parts(
 
     let mut latency_sum = SimDuration::ZERO;
     let mut latency_count = 0u64;
-    for node in nodes {
+    for (index, node) in nodes.iter().enumerate() {
+        // `nodes` is indexed by node id, and a query lives only where it
+        // was issued.
+        let origin = dde_netsim::NodeId(index);
         report.cache_hits += node.stats.cache_hits;
         report.label_hits += node.stats.label_hits;
         report.local_samples += node.stats.local_samples;
@@ -437,14 +440,17 @@ pub fn collect_report_parts(
         report.admission_shed += node.stats.admission_shed;
         report.admission_deferred += node.stats.admission_deferred;
         for q in node.queries() {
-            report.queries.push(QueryRecord {
-                id: q.id,
-                origin: scenario
+            debug_assert!(
+                scenario
                     .queries
                     .iter()
-                    .find(|inst| inst.id == q.id.0)
-                    .map(|inst| inst.origin)
-                    .unwrap_or(dde_netsim::NodeId(0)),
+                    .any(|inst| inst.id == q.id.0 && inst.origin == origin),
+                "query {} is held by {origin}, which the scenario does not name as its origin",
+                q.id.0
+            );
+            report.queries.push(QueryRecord {
+                id: q.id,
+                origin,
                 status: q.status,
                 latency: q.resolution_latency(),
                 counters: q.counters,

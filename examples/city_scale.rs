@@ -1,20 +1,23 @@
 //! Runs the city-scale evaluation scenario — 12×12 Manhattan grid, 60
 //! Athena nodes, 120 route-finding queries — as a thread sweep over the
-//! sharded parallel simulator, printing an events/sec figure per thread
-//! count and the full run report for a chosen strategy.
+//! sharded parallel simulator, printing how each thread count cuts the
+//! topology (regions, share of links that cross a region boundary) and the
+//! full run report for a chosen strategy.
 //!
 //! Run with:
 //! `cargo run -p dde-examples --bin city_scale --release [strategy] [threads...]`
 //! where `strategy` is one of `cmp`, `slt`, `lcf`, `lvf`, `lvfl`
 //! (default `lvfl`) and `threads...` is the sweep (default `1 2 4`).
 //! Reports must be identical at every thread count; the sweep checks this.
+//! How *fast* each thread count runs is `benchmark/`'s `city_sharded`
+//! workload, the repository's only wall clock.
 
-// CLI argument parsing and wall-clock throughput measurement read the
-// environment; the simulated runs themselves use a fixed seed.
+// CLI argument parsing reads the environment; the simulated runs
+// themselves use a fixed seed.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 use dde_core::prelude::*;
+use dde_netsim::Partition;
 use dde_workload::prelude::*;
-use std::time::Instant;
 
 fn main() {
     // lint: allow(nondeterminism) — CLI selection only; the run itself uses a fixed seed
@@ -53,34 +56,36 @@ fn main() {
     );
 
     // --- Thread sweep ---------------------------------------------------
+    let options = RunOptions::new(strategy);
     let mut baseline: Option<RunReport> = None;
-    let mut report = None;
     println!(
-        "{:>7}  {:>12}  {:>12}  {:>8}",
-        "threads", "events", "wall s", "ev/s"
+        "{:>7}  {:>12}  {:>7}  {:>19}",
+        "threads", "events", "regions", "boundary-link share"
     );
     for &t in &threads {
-        // lint: allow(nondeterminism) — wall-clock throughput only; simulated time is seeded
-        let started = Instant::now();
-        let r = run_scenario_sharded(&scenario, RunOptions::new(strategy), t);
-        let wall = started.elapsed().as_secs_f64();
-        println!(
-            "{t:>7}  {:>12}  {wall:>12.3}  {:>8.0}",
-            r.events,
-            r.events as f64 / wall.max(1e-9)
-        );
-        if let Some(base) = &baseline {
-            assert_eq!(
-                (base.events, base.resolved, base.total_bytes, base.viable),
-                (r.events, r.resolved, r.total_bytes, r.viable),
-                "sharded run diverged at {t} threads"
-            );
-        } else {
-            baseline = Some(r.clone());
+        let r = run_scenario_sharded(&scenario, options.clone(), t);
+        // The cut the engine made: same topology, region count and seed.
+        let partition = Partition::build(&scenario.topology, t.max(1), options.seed);
+        let (mut links, mut crossing) = (0u64, 0u64);
+        for a in scenario.topology.nodes() {
+            for b in scenario.topology.neighbors(a) {
+                links += 1;
+                crossing += u64::from(partition.region_of(a) != partition.region_of(b));
+            }
         }
-        report = Some(r);
+        println!(
+            "{t:>7}  {:>12}  {:>7}  {:>19.3}",
+            r.events,
+            partition.count(),
+            crossing as f64 / links.max(1) as f64
+        );
+        match &baseline {
+            Some(base) => assert_eq!(base, &r, "sharded run diverged at {t} threads"),
+            None => baseline = Some(r),
+        }
     }
-    let report = report.expect("at least one thread count");
+    println!("reports identical across thread counts: true");
+    let report = baseline.expect("at least one thread count");
 
     println!();
     println!("strategy              : {}", report.strategy);
