@@ -6,8 +6,9 @@
 //! [`LedgerView`] here, so the two paths cannot drift apart: charging rules
 //! are written once, against the view.
 
-use crate::event::{EventKind, TraceRecord};
+use crate::event::{wire_u64, EventKind, TraceRecord};
 use crate::json::JsonValue;
+use std::borrow::Cow;
 
 /// Predicate coordinates inside a DNF decision query: which OR-term and
 /// which condition within it caused a fetch or annotation.
@@ -24,8 +25,9 @@ pub struct PredKey {
 pub enum ViewKind {
     /// Bytes clocked onto a link (bandwidth consumed even if later lost).
     Transmit {
-        /// Message kind tag (`announce`, `request`, `data`, `label`, …).
-        msg: String,
+        /// Message kind tag (`announce`, `request`, `data`, `label`, …):
+        /// borrowed from a typed record, owned when read back from JSON.
+        msg: Cow<'static, str>,
         /// Wire size in bytes.
         bytes: u64,
         /// Background priority class (prefetch/continuation pushes).
@@ -34,7 +36,7 @@ pub enum ViewKind {
     /// A message finished transit and was handled.
     Deliver {
         /// Message kind tag.
-        msg: String,
+        msg: Cow<'static, str>,
     },
     /// A transmission lost to link noise.
     Loss {
@@ -108,7 +110,9 @@ fn pred_from(term: &Option<u32>, cond: &Option<u32>) -> Option<PredKey> {
 }
 
 impl LedgerView {
-    /// Lower a typed record into its ledger view.
+    /// Lower a typed record into its ledger view. Numbers pass through
+    /// the same saturation the encoder applies, so the view of a record is
+    /// the view of its JSONL line.
     pub fn from_record(rec: &TraceRecord) -> Self {
         let (kind, query, pred) = match &rec.kind {
             EventKind::Transmit {
@@ -119,8 +123,8 @@ impl LedgerView {
                 ..
             } => (
                 ViewKind::Transmit {
-                    msg: (*msg).to_string(),
-                    bytes: *bytes,
+                    msg: Cow::Borrowed(msg),
+                    bytes: wire_u64(*bytes),
                     background: *background,
                 },
                 *query,
@@ -128,14 +132,18 @@ impl LedgerView {
             ),
             EventKind::Deliver { msg, query, .. } => (
                 ViewKind::Deliver {
-                    msg: (*msg).to_string(),
+                    msg: Cow::Borrowed(msg),
                 },
                 *query,
                 None,
             ),
-            EventKind::Loss { bytes, query, .. } => {
-                (ViewKind::Loss { bytes: *bytes }, *query, None)
-            }
+            EventKind::Loss { bytes, query, .. } => (
+                ViewKind::Loss {
+                    bytes: wire_u64(*bytes),
+                },
+                *query,
+                None,
+            ),
             EventKind::QueryInit { query, .. } => (ViewKind::QueryInit, Some(*query), None),
             EventKind::Plan {
                 query,
@@ -143,7 +151,7 @@ impl LedgerView {
                 ..
             } => (
                 ViewKind::Plan {
-                    expected_bytes: *expected_bytes,
+                    expected_bytes: wire_u64(*expected_bytes),
                 },
                 Some(*query),
                 None,
@@ -171,7 +179,7 @@ impl LedgerView {
                 ..
             } => (
                 ViewKind::CacheStore {
-                    byte_us: bytes.saturating_mul(*validity_us),
+                    byte_us: wire_u64(*bytes).saturating_mul(wire_u64(*validity_us)),
                 },
                 *query,
                 None,
@@ -186,7 +194,7 @@ impl LedgerView {
             } => (
                 ViewKind::QueryResolved {
                     outcome: (*outcome).to_string(),
-                    latency_us: *latency_us,
+                    latency_us: wire_u64(*latency_us),
                 },
                 Some(*query),
                 None,
@@ -208,10 +216,10 @@ impl LedgerView {
             | EventKind::TriageDrop { .. } => (ViewKind::Other, None, None),
         };
         LedgerView {
-            t_us: rec.at.as_micros(),
+            t_us: wire_u64(rec.at.as_micros()),
             node: rec.node,
             kind,
-            query,
+            query: query.map(wire_u64),
             pred,
         }
     }
@@ -242,12 +250,12 @@ impl LedgerView {
         };
         let kind = match kind_tag {
             "transmit" => ViewKind::Transmit {
-                msg: v.get("msg")?.as_str()?.to_string(),
+                msg: Cow::Owned(v.get("msg")?.as_str()?.to_string()),
                 bytes: get_u64("bytes")?,
                 background: matches!(v.get("bg"), Some(JsonValue::Bool(true))),
             },
             "deliver" => ViewKind::Deliver {
-                msg: v.get("msg")?.as_str()?.to_string(),
+                msg: Cow::Owned(v.get("msg")?.as_str()?.to_string()),
             },
             "loss" => ViewKind::Loss {
                 bytes: get_u64("bytes")?,
@@ -361,6 +369,63 @@ mod tests {
             ViewKind::CacheStore {
                 byte_us: 2_000_000_000
             }
+        ));
+    }
+
+    #[test]
+    fn values_above_i64_max_saturate_the_same_way_live_and_offline() {
+        // "Never expires" is `SimDuration::MAX`, and the trace carries
+        // `i64`: both folds must see the saturated value, not one of them
+        // a negative number it then rejects.
+        let cap = i64::MAX as u64;
+        let (typed, json) = roundtrip(EventKind::CacheStore {
+            name: "/city/a".into(),
+            bytes: u64::MAX,
+            validity_us: u64::MAX,
+            query: Some(u64::MAX),
+        });
+        assert_eq!(typed, json);
+        assert_eq!(typed.query, Some(cap));
+        assert_eq!(typed.kind, ViewKind::CacheStore { byte_us: u64::MAX });
+
+        let (typed, json) = roundtrip(EventKind::Transmit {
+            from: 1,
+            to: 2,
+            msg: "data",
+            bytes: u64::MAX,
+            background: true,
+            query: Some(4),
+        });
+        assert_eq!(typed, json);
+        assert!(matches!(typed.kind, ViewKind::Transmit { bytes, .. } if bytes == cap));
+
+        let (typed, json) = roundtrip(EventKind::Loss {
+            from: 1,
+            to: 2,
+            msg: "data",
+            bytes: u64::MAX,
+            query: None,
+        });
+        assert_eq!(typed, json);
+
+        let (typed, json) = roundtrip(EventKind::Plan {
+            query: 4,
+            strategy: "lvf",
+            candidates: u64::MAX,
+            expected_bytes: u64::MAX,
+            rationale: String::new(),
+        });
+        assert_eq!(typed, json);
+
+        let (typed, json) = roundtrip(EventKind::QueryResolved {
+            query: 4,
+            outcome: "viable",
+            latency_us: u64::MAX,
+        });
+        assert_eq!(typed, json);
+        assert!(matches!(
+            typed.kind,
+            ViewKind::QueryResolved { latency_us, .. } if latency_us == cap
         ));
     }
 }

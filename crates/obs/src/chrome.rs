@@ -120,7 +120,8 @@ mod tests {
                 query: None,
             },
         };
-        let jsonl = format!("{}\n", rec.to_jsonl_line());
+        let mut jsonl = String::new();
+        rec.write_jsonl(&mut jsonl);
         assert_eq!(
             chrome_trace_from_jsonl(&jsonl),
             chrome_trace_from_records(std::slice::from_ref(&rec))

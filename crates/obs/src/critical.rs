@@ -211,11 +211,11 @@ mod tests {
         }
     }
 
-    fn tx(t_us: u64, msg: &str, background: bool) -> LedgerView {
+    fn tx(t_us: u64, msg: &'static str, background: bool) -> LedgerView {
         view(
             t_us,
             ViewKind::Transmit {
-                msg: msg.to_string(),
+                msg: msg.into(),
                 bytes: 100,
                 background,
             },

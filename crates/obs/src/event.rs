@@ -18,7 +18,7 @@
 //! occurred and the node reporting it. Node identity is a plain `u32`
 //! (`NodeId` lives upstream in `dde-netsim`, which depends on this crate).
 
-use crate::json::JsonValue;
+use crate::json::{write_json_int, write_json_string, JsonValue};
 use dde_logic::time::SimTime;
 
 /// One trace event: what happened, where, at which simulated instant.
@@ -273,6 +273,35 @@ pub enum EventKind {
     },
 }
 
+/// One payload value of an event, borrowed from the record that holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldVal<'a> {
+    /// A count, size, id or microsecond figure.
+    Int(i64),
+    /// A name, tag or rationale.
+    Str(&'a str),
+    /// A flag.
+    Bool(bool),
+    /// An absent value whose key is still written (`forwarded_to`).
+    Null,
+}
+
+/// A `u64` as the trace can carry it. JSON integers here are `i64`, so a
+/// larger value ("never expires" validities) saturates instead of wrapping
+/// negative; the live ledger view applies the same function, which keeps
+/// the live fold equal to the offline one for every input.
+pub(crate) fn wire_u64(v: u64) -> u64 {
+    v.min(i64::MAX as u64)
+}
+
+fn n(v: u64) -> FieldVal<'static> {
+    FieldVal::Int(wire_u64(v) as i64)
+}
+
+fn u(v: u32) -> FieldVal<'static> {
+    FieldVal::Int(i64::from(v))
+}
+
 impl EventKind {
     /// The stable kind tag used in JSONL traces and per-kind diff deltas.
     pub fn kind_name(&self) -> &'static str {
@@ -303,32 +332,30 @@ impl EventKind {
         }
     }
 
-    /// The variant's payload fields as ordered JSON pairs (without the
-    /// common `t`/`node`/`kind` envelope).
-    pub fn fields(&self) -> Vec<(String, JsonValue)> {
-        fn u(v: u32) -> JsonValue {
-            JsonValue::Int(v as i64)
-        }
-        fn n(v: u64) -> JsonValue {
-            JsonValue::Int(v as i64)
-        }
-        fn s(v: &str) -> JsonValue {
-            JsonValue::Str(v.to_string())
-        }
-        /// Appends `"query": q` only when the attribution is present, so
+    /// The variant's payload fields in wire order (without the common
+    /// `t`/`node`/`kind` envelope), borrowed from the record. This is the
+    /// one field table: the JSONL encoder and [`fields`](Self::fields) both
+    /// read it, so a key is named and ordered in exactly one place.
+    pub fn visit_fields<'a>(&'a self, f: &mut impl FnMut(&'static str, FieldVal<'a>)) {
+        use FieldVal::{Bool, Null, Str};
+        /// `"query": q` only when the attribution is present, so
         /// unattributable events keep their pre-attribution wire shape.
-        fn push_query(pairs: &mut Vec<(String, JsonValue)>, query: &Option<u64>) {
+        fn query<'a>(f: &mut impl FnMut(&'static str, FieldVal<'a>), query: &Option<u64>) {
             if let Some(q) = query {
-                pairs.push(("query".into(), JsonValue::Int(*q as i64)));
+                f("query", n(*q));
             }
         }
-        /// Appends `"term"`/`"cond"` predicate coordinates when present.
-        fn push_pred(pairs: &mut Vec<(String, JsonValue)>, term: &Option<u32>, cond: &Option<u32>) {
+        /// `"term"`/`"cond"` predicate coordinates when present.
+        fn pred<'a>(
+            f: &mut impl FnMut(&'static str, FieldVal<'a>),
+            term: &Option<u32>,
+            cond: &Option<u32>,
+        ) {
             if let Some(t) = term {
-                pairs.push(("term".into(), JsonValue::Int(*t as i64)));
+                f("term", u(*t));
             }
             if let Some(c) = cond {
-                pairs.push(("cond".into(), JsonValue::Int(*c as i64)));
+                f("cond", u(*c));
             }
         }
         match self {
@@ -338,67 +365,59 @@ impl EventKind {
                 msg,
                 bytes,
                 background,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("from".into(), u(*from)),
-                    ("to".into(), u(*to)),
-                    ("msg".into(), s(msg)),
-                    ("bytes".into(), n(*bytes)),
-                    ("bg".into(), JsonValue::Bool(*background)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("from", u(*from));
+                f("to", u(*to));
+                f("msg", Str(msg));
+                f("bytes", n(*bytes));
+                f("bg", Bool(*background));
+                query(f, q);
             }
             EventKind::Deliver {
                 from,
                 to,
                 msg,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("from".into(), u(*from)),
-                    ("to".into(), u(*to)),
-                    ("msg".into(), s(msg)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("from", u(*from));
+                f("to", u(*to));
+                f("msg", Str(msg));
+                query(f, q);
             }
             EventKind::Loss {
                 from,
                 to,
                 msg,
                 bytes,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("from".into(), u(*from)),
-                    ("to".into(), u(*to)),
-                    ("msg".into(), s(msg)),
-                    ("bytes".into(), n(*bytes)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("from", u(*from));
+                f("to", u(*to));
+                f("msg", Str(msg));
+                f("bytes", n(*bytes));
+                query(f, q);
             }
-            EventKind::Drop { from, to, reason } => vec![
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("reason".into(), s(reason)),
-            ],
-            EventKind::Purge { from, to, count } => vec![
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("count".into(), n(*count)),
-            ],
+            EventKind::Drop { from, to, reason } => {
+                f("from", u(*from));
+                f("to", u(*to));
+                f("reason", Str(reason));
+            }
+            EventKind::Purge { from, to, count } => {
+                f("from", u(*from));
+                f("to", u(*to));
+                f("count", n(*count));
+            }
             EventKind::Fault { fault, node, peer } => {
-                let mut pairs = vec![("fault".into(), s(fault)), ("a".into(), u(*node))];
+                f("fault", Str(fault));
+                f("a", u(*node));
                 if let Some(p) = peer {
-                    pairs.push(("b".into(), u(*p)));
+                    f("b", u(*p));
                 }
-                pairs
             }
             EventKind::QueryInit { query, origin } => {
-                vec![("query".into(), n(*query)), ("origin".into(), u(*origin))]
+                f("query", n(*query));
+                f("origin", u(*origin));
             }
             EventKind::Plan {
                 query,
@@ -406,13 +425,13 @@ impl EventKind {
                 candidates,
                 expected_bytes,
                 rationale,
-            } => vec![
-                ("query".into(), n(*query)),
-                ("strategy".into(), s(strategy)),
-                ("candidates".into(), n(*candidates)),
-                ("expected_bytes".into(), n(*expected_bytes)),
-                ("rationale".into(), s(rationale)),
-            ],
+            } => {
+                f("query", n(*query));
+                f("strategy", Str(strategy));
+                f("candidates", n(*candidates));
+                f("expected_bytes", n(*expected_bytes));
+                f("rationale", Str(rationale));
+            }
             EventKind::RequestSend {
                 query,
                 name,
@@ -420,83 +439,61 @@ impl EventKind {
                 term,
                 cond,
             } => {
-                let mut pairs = vec![
-                    ("query".into(), n(*query)),
-                    ("name".into(), s(name)),
-                    ("hop".into(), u(*hop)),
-                ];
-                push_pred(&mut pairs, term, cond);
-                pairs
+                f("query", n(*query));
+                f("name", Str(name));
+                f("hop", u(*hop));
+                pred(f, term, cond);
             }
             EventKind::CacheHit {
                 name,
                 requester,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("name".into(), s(name)),
-                    ("requester".into(), u(*requester)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("name", Str(name));
+                f("requester", u(*requester));
+                query(f, q);
             }
             EventKind::CacheMiss {
                 name,
                 forwarded_to,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("name".into(), s(name)),
-                    (
-                        "forwarded_to".into(),
-                        forwarded_to.map(u).unwrap_or(JsonValue::Null),
-                    ),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("name", Str(name));
+                f("forwarded_to", forwarded_to.map_or(Null, u));
+                query(f, q);
             }
             EventKind::LabelHit {
                 requester,
                 labels,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("requester".into(), u(*requester)),
-                    ("labels".into(), n(*labels)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("requester", u(*requester));
+                f("labels", n(*labels));
+                query(f, q);
             }
             EventKind::ApproxHit {
                 name,
                 substitute,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("name".into(), s(name)),
-                    ("substitute".into(), s(substitute)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("name", Str(name));
+                f("substitute", Str(substitute));
+                query(f, q);
             }
-            EventKind::LocalSample { name, query } => {
-                let mut pairs = vec![("name".into(), s(name))];
-                push_query(&mut pairs, query);
-                pairs
+            EventKind::LocalSample { name, query: q } => {
+                f("name", Str(name));
+                query(f, q);
             }
             EventKind::CacheStore {
                 name,
                 bytes,
                 validity_us,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("name".into(), s(name)),
-                    ("bytes".into(), n(*bytes)),
-                    ("validity_us".into(), n(*validity_us)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("name", Str(name));
+                f("bytes", n(*bytes));
+                f("validity_us", n(*validity_us));
+                query(f, q);
             }
             EventKind::Annotate {
                 query,
@@ -505,92 +502,115 @@ impl EventKind {
                 term,
                 cond,
             } => {
-                let mut pairs = vec![
-                    ("query".into(), n(*query)),
-                    ("label".into(), s(label)),
-                    ("value".into(), JsonValue::Bool(*value)),
-                ];
-                push_pred(&mut pairs, term, cond);
-                pairs
+                f("query", n(*query));
+                f("label", Str(label));
+                f("value", Bool(*value));
+                pred(f, term, cond);
             }
             EventKind::LabelShare {
                 label,
                 value,
                 toward,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![
-                    ("label".into(), s(label)),
-                    ("value".into(), JsonValue::Bool(*value)),
-                    ("toward".into(), u(*toward)),
-                ];
-                push_query(&mut pairs, query);
-                pairs
+                f("label", Str(label));
+                f("value", Bool(*value));
+                f("toward", u(*toward));
+                query(f, q);
             }
             EventKind::PrefetchPush {
                 name,
                 toward,
-                query,
+                query: q,
             } => {
-                let mut pairs = vec![("name".into(), s(name)), ("toward".into(), u(*toward))];
-                push_query(&mut pairs, query);
-                pairs
+                f("name", Str(name));
+                f("toward", u(*toward));
+                query(f, q);
             }
             EventKind::TriageDrop { name, hop } => {
-                vec![("name".into(), s(name)), ("hop".into(), u(*hop))]
+                f("name", Str(name));
+                f("hop", u(*hop));
             }
             EventKind::QueryResolved {
                 query,
                 outcome,
                 latency_us,
-            } => vec![
-                ("query".into(), n(*query)),
-                ("outcome".into(), s(outcome)),
-                ("latency_us".into(), n(*latency_us)),
-            ],
-            EventKind::QueryMissed { query } => vec![("query".into(), n(*query))],
+            } => {
+                f("query", n(*query));
+                f("outcome", Str(outcome));
+                f("latency_us", n(*latency_us));
+            }
+            EventKind::QueryMissed { query } => f("query", n(*query)),
             EventKind::FetchTimeout {
                 query,
                 name,
                 source,
-            } => vec![
-                ("query".into(), n(*query)),
-                ("name".into(), s(name)),
-                ("source".into(), u(*source)),
-            ],
+            } => {
+                f("query", n(*query));
+                f("name", Str(name));
+                f("source", u(*source));
+            }
             EventKind::Admission {
                 query,
                 verdict,
                 predicted_bytes,
-            } => vec![
-                ("query".into(), n(*query)),
-                ("verdict".into(), s(verdict)),
-                ("predicted_bytes".into(), n(*predicted_bytes)),
-            ],
+            } => {
+                f("query", n(*query));
+                f("verdict", Str(verdict));
+                f("predicted_bytes", n(*predicted_bytes));
+            }
         }
+    }
+
+    /// The payload fields as an owned JSON tree, for consumers that nest
+    /// them in a larger document (the Chrome export's `args`).
+    pub fn fields(&self) -> Vec<(String, JsonValue)> {
+        let mut pairs = Vec::new();
+        self.visit_fields(&mut |key, val| {
+            let val = match val {
+                FieldVal::Int(i) => JsonValue::Int(i),
+                FieldVal::Str(s) => JsonValue::Str(s.to_string()),
+                FieldVal::Bool(b) => JsonValue::Bool(b),
+                FieldVal::Null => JsonValue::Null,
+            };
+            pairs.push((key.to_string(), val));
+        });
+        pairs
     }
 }
 
 impl TraceRecord {
-    /// The record as a JSON object with a fixed key order:
-    /// `t` (microseconds of simulated time), `node`, `kind`, then the
-    /// variant's payload fields.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("t".into(), JsonValue::Int(self.at.as_micros() as i64)),
-            ("node".into(), JsonValue::Int(self.node as i64)),
-            (
-                "kind".into(),
-                JsonValue::Str(self.kind.kind_name().to_string()),
-            ),
-        ];
-        pairs.extend(self.kind.fields());
-        JsonValue::Object(pairs)
+    /// Appends the record to `out` as one JSON object (no trailing
+    /// newline) with a fixed key order: `t` (microseconds of simulated
+    /// time), `node`, `kind`, then the variant's payload fields. Nothing is
+    /// built on the way: keys are literals and values are written from the
+    /// record's own fields, so encoding allocates only if `out` must grow.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        write_json_int(out, wire_u64(self.at.as_micros()) as i64);
+        out.push_str(",\"node\":");
+        write_json_int(out, i64::from(self.node));
+        out.push_str(",\"kind\":");
+        write_json_string(out, self.kind.kind_name());
+        self.kind.visit_fields(&mut |key, val| {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":");
+            match val {
+                FieldVal::Int(i) => write_json_int(out, i),
+                FieldVal::Str(s) => write_json_string(out, s),
+                FieldVal::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                FieldVal::Null => out.push_str("null"),
+            }
+        });
+        out.push('}');
     }
 
     /// The record as one JSONL line (no trailing newline).
     pub fn to_jsonl_line(&self) -> String {
-        self.to_json_value().to_compact_string()
+        let mut out = String::new();
+        self.write_jsonl(&mut out);
+        out
     }
 }
 
@@ -639,34 +659,52 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_variant_serializes_and_parses() {
-        let kinds = vec![
+    /// Strings that exercise every escape, the empty case and multi-byte text.
+    const HOSTILE: [&str; 10] = [
+        "",
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{1}",
+        "héllo → wörld 🚀",
+        "a\"b\\c\nd\u{1f}e\u{7f}",
+        "/city/x",
+    ];
+
+    /// Every variant once, with string fields set to `s` and `Option` fields
+    /// `Some` or `None` as `a` (first optional) and `b` (second) say.
+    fn every_variant(s: &'static str, a: bool, b: bool) -> Vec<EventKind> {
+        let q = a.then_some(7u64);
+        let term = a.then_some(1u32);
+        let cond = b.then_some(2u32);
+        vec![
             EventKind::Transmit {
                 from: 0,
                 to: 1,
-                msg: "request",
+                msg: s,
                 bytes: 64,
-                background: true,
-                query: Some(7),
+                background: b,
+                query: q,
             },
             EventKind::Deliver {
                 from: 0,
                 to: 1,
-                msg: "data",
-                query: None,
+                msg: s,
+                query: q,
             },
             EventKind::Loss {
                 from: 0,
                 to: 1,
-                msg: "label",
+                msg: s,
                 bytes: 9,
-                query: Some(3),
+                query: q,
             },
             EventKind::Drop {
                 from: 0,
                 to: 1,
-                reason: "link-down",
+                reason: s,
             },
             EventKind::Purge {
                 from: 0,
@@ -674,14 +712,9 @@ mod tests {
                 count: 3,
             },
             EventKind::Fault {
-                fault: "link-down",
-                node: 0,
-                peer: Some(1),
-            },
-            EventKind::Fault {
-                fault: "node-crash",
+                fault: s,
                 node: 5,
-                peer: None,
+                peer: a.then_some(1),
             },
             EventKind::QueryInit {
                 query: 7,
@@ -689,100 +722,155 @@ mod tests {
             },
             EventKind::Plan {
                 query: 7,
-                strategy: "lvf",
+                strategy: s,
                 candidates: 4,
                 expected_bytes: 120_000,
-                rationale: "1. course of action #0\n".into(),
+                rationale: s.to_string(),
             },
             EventKind::RequestSend {
                 query: 7,
-                name: "/city/x".into(),
+                name: s.to_string(),
                 hop: 1,
-                term: Some(0),
-                cond: Some(2),
+                term,
+                cond,
             },
             EventKind::CacheHit {
-                name: "/city/x".into(),
+                name: s.to_string(),
                 requester: 0,
-                query: Some(7),
+                query: q,
             },
             EventKind::CacheMiss {
-                name: "/city/x".into(),
-                forwarded_to: None,
-                query: None,
+                name: s.to_string(),
+                forwarded_to: b.then_some(3),
+                query: q,
             },
             EventKind::LabelHit {
                 requester: 0,
                 labels: 2,
-                query: Some(7),
+                query: q,
             },
             EventKind::ApproxHit {
-                name: "/city/x/a".into(),
-                substitute: "/city/x/b".into(),
-                query: Some(7),
+                name: s.to_string(),
+                substitute: s.to_string(),
+                query: q,
             },
             EventKind::LocalSample {
-                name: "/city/x".into(),
-                query: Some(7),
+                name: s.to_string(),
+                query: q,
             },
             EventKind::CacheStore {
-                name: "/city/x".into(),
+                name: s.to_string(),
                 bytes: 450_000,
                 validity_us: 60_000_000,
-                query: Some(7),
+                query: q,
             },
             EventKind::Annotate {
                 query: 7,
-                label: "cond".into(),
-                value: true,
-                term: Some(1),
-                cond: Some(0),
+                label: s.to_string(),
+                value: b,
+                term,
+                cond,
             },
             EventKind::LabelShare {
-                label: "cond".into(),
-                value: false,
+                label: s.to_string(),
+                value: b,
                 toward: 3,
-                query: Some(7),
+                query: q,
             },
             EventKind::PrefetchPush {
-                name: "/city/x".into(),
+                name: s.to_string(),
                 toward: 3,
-                query: Some(7),
+                query: q,
             },
             EventKind::TriageDrop {
-                name: "/city/x".into(),
+                name: s.to_string(),
                 hop: 3,
             },
             EventKind::QueryResolved {
                 query: 7,
-                outcome: "viable",
+                outcome: s,
                 latency_us: 1_200_000,
             },
             EventKind::QueryMissed { query: 8 },
             EventKind::FetchTimeout {
                 query: 7,
-                name: "/city/x".into(),
+                name: s.to_string(),
                 source: 3,
             },
             EventKind::Admission {
                 query: 9,
-                verdict: "defer",
+                verdict: s,
                 predicted_bytes: 450_000,
             },
-        ];
-        for kind in kinds {
-            let rec = TraceRecord {
-                at: SimTime::from_micros(9),
-                node: 0,
-                kind,
-            };
-            let line = rec.to_jsonl_line();
-            let v = parse(&line).expect(&line);
-            assert_eq!(
-                v.get("kind").and_then(|k| k.as_str()),
-                Some(rec.kind.kind_name())
-            );
-            assert_eq!(v.get("t").and_then(|t| t.as_int()), Some(9));
+        ]
+    }
+
+    /// A variant's position in [`every_variant`]. No wildcard arm: a new
+    /// variant fails to compile here until the list above covers it.
+    fn variant_index(kind: &EventKind) -> usize {
+        match kind {
+            EventKind::Transmit { .. } => 0,
+            EventKind::Deliver { .. } => 1,
+            EventKind::Loss { .. } => 2,
+            EventKind::Drop { .. } => 3,
+            EventKind::Purge { .. } => 4,
+            EventKind::Fault { .. } => 5,
+            EventKind::QueryInit { .. } => 6,
+            EventKind::Plan { .. } => 7,
+            EventKind::RequestSend { .. } => 8,
+            EventKind::CacheHit { .. } => 9,
+            EventKind::CacheMiss { .. } => 10,
+            EventKind::LabelHit { .. } => 11,
+            EventKind::ApproxHit { .. } => 12,
+            EventKind::LocalSample { .. } => 13,
+            EventKind::CacheStore { .. } => 14,
+            EventKind::Annotate { .. } => 15,
+            EventKind::LabelShare { .. } => 16,
+            EventKind::PrefetchPush { .. } => 17,
+            EventKind::TriageDrop { .. } => 18,
+            EventKind::QueryResolved { .. } => 19,
+            EventKind::QueryMissed { .. } => 20,
+            EventKind::FetchTimeout { .. } => 21,
+            EventKind::Admission { .. } => 22,
+        }
+    }
+
+    /// Every variant × every `Option` shape × strings needing every escape:
+    /// the directly written line is the compact form of the tree built from
+    /// the envelope and `fields()`, and parses back to it, key order
+    /// included.
+    #[test]
+    fn every_variant_serializes_and_parses() {
+        for s in HOSTILE {
+            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+                let kinds = every_variant(s, a, b);
+                for (i, kind) in kinds.iter().enumerate() {
+                    assert_eq!(variant_index(kind), i, "list covers every variant");
+                }
+                for kind in kinds {
+                    let rec = TraceRecord {
+                        at: SimTime::from_micros(1_234_567),
+                        node: 42,
+                        kind,
+                    };
+                    let mut pairs = vec![
+                        ("t".to_string(), JsonValue::Int(1_234_567)),
+                        ("node".to_string(), JsonValue::Int(42)),
+                        (
+                            "kind".to_string(),
+                            JsonValue::Str(rec.kind.kind_name().to_string()),
+                        ),
+                    ];
+                    pairs.extend(rec.kind.fields());
+                    let tree = JsonValue::Object(pairs);
+                    let mut line = String::from("kept:");
+                    rec.write_jsonl(&mut line);
+                    let line = line.strip_prefix("kept:").expect("write_jsonl appends");
+                    assert_eq!(line, tree.to_compact_string(), "{rec:?}");
+                    assert_eq!(line, rec.to_jsonl_line());
+                    assert_eq!(parse(line).expect(line), tree, "{rec:?}");
+                }
+            }
         }
     }
 }

@@ -374,7 +374,7 @@ mod tests {
                 ),
             ] {
                 typed.record(&r);
-                lines.push_str(&r.to_jsonl_line());
+                r.write_jsonl(&mut lines);
                 lines.push('\n');
             }
         }

@@ -60,7 +60,7 @@ impl FlightRecorder {
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         for rec in &self.ring {
-            out.push_str(&rec.to_jsonl_line());
+            rec.write_jsonl(&mut out);
             out.push('\n');
         }
         out

@@ -82,9 +82,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            JsonValue::Int(i) => write_json_int(out, *i),
             JsonValue::Float(f) => write_float(out, *f),
             JsonValue::Str(s) => write_json_string(out, s),
             JsonValue::Array(items) => {
@@ -169,22 +167,55 @@ fn write_float(out: &mut String, f: f64) {
     }
 }
 
-/// Writes `s` as a JSON string literal with the mandatory escapes.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `i` in decimal. Digits are produced into a stack buffer and
+/// appended in one go: no formatter, no lookup table, no allocation beyond
+/// `out`'s own growth.
+pub fn write_json_int(out: &mut String, i: i64) {
+    // '-' plus the 19 digits of `i64::MIN`'s magnitude.
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        pos -= 1;
+        buf[pos] = b'-';
+    }
+    out.extend(buf[pos..].iter().map(|&b| b as char));
+}
+
+/// Writes `s` as a JSON string literal with the mandatory escapes.
+///
+/// Every byte that needs escaping is ASCII, so the text between two of
+/// them is copied as one slice; a string with none (every name, tag and
+/// label the protocol emits) is a single `push_str`.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
@@ -420,6 +451,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_compact() {
@@ -477,5 +509,88 @@ mod tests {
     fn unicode_survives() {
         let v = JsonValue::Str("héllo → wörld".into());
         assert_eq!(parse(&v.to_compact_string()).unwrap(), v);
+    }
+
+    /// A one-`char`-at-a-time escaper: the reference the slice-copying
+    /// writer is held to.
+    fn reference_json_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn written_string(s: &str) -> String {
+        let mut out = String::new();
+        write_json_string(&mut out, s);
+        out
+    }
+
+    fn written_int(i: i64) -> String {
+        let mut out = String::new();
+        write_json_int(&mut out, i);
+        out
+    }
+
+    #[test]
+    fn string_writer_escapes_what_it_must_and_copies_the_rest() {
+        assert_eq!(written_string("/city/x"), "\"/city/x\"");
+        assert_eq!(written_string(""), "\"\"");
+        assert_eq!(written_string("a\u{1}\"\n"), "\"a\\u0001\\\"\\n\"");
+        for s in ["\"", "\\", "\n\r\t", "\u{1f}x\u{7f}", "héllo → wörld 🚀"] {
+            assert_eq!(written_string(s), reference_json_string(s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_format_at_the_edges() {
+        for i in [0, 1, -1, 9, 10, -10, 99, 100, i64::MIN, i64::MAX] {
+            assert_eq!(written_int(i), format!("{i}"));
+        }
+    }
+
+    /// Code points weighted toward the bytes that need escaping, plus two-,
+    /// three- and four-byte UTF-8 (the ranges skip the surrogates).
+    fn text() -> impl Strategy<Value = String> {
+        let code_point = prop_oneof![
+            0u32..0x20,
+            0x20u32..0x80,
+            Just(0x22u32),
+            Just(0x5cu32),
+            0x80u32..0x800,
+            0x800u32..0xd800,
+            0x1f300u32..0x1f700,
+        ];
+        prop::collection::vec(code_point, 0..40)
+            .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn string_writer_matches_the_reference(s in text()) {
+            let written = written_string(&s);
+            prop_assert_eq!(&written, &reference_json_string(&s));
+            prop_assert_eq!(parse(&written).expect("valid JSON string"), JsonValue::Str(s));
+        }
+
+        #[test]
+        fn integer_writer_matches_format(i in any::<i64>(), small in -100_000i64..100_000) {
+            prop_assert_eq!(written_int(i), format!("{i}"));
+            prop_assert_eq!(written_int(small), format!("{small}"));
+        }
     }
 }

@@ -127,8 +127,14 @@ impl CostLedger {
             };
             bucket.bytes = bucket.bytes.saturating_add(*bytes);
             bucket.messages = bucket.messages.saturating_add(1);
-            let by_msg = bucket.bytes_by_msg.entry(msg.clone()).or_default();
-            *by_msg = by_msg.saturating_add(*bytes);
+            // Look up by `&str` first: only the first transmit of a message
+            // kind in a bucket pays for an owned key.
+            match bucket.bytes_by_msg.get_mut(msg.as_ref()) {
+                Some(by_msg) => *by_msg = by_msg.saturating_add(*bytes),
+                None => {
+                    bucket.bytes_by_msg.insert(msg.to_string(), *bytes);
+                }
+            }
         }
         let Some(q) = view.query else {
             if let ViewKind::Loss { bytes } = &view.kind {
@@ -741,14 +747,11 @@ mod tests {
     fn typed_fold_equals_jsonl_fold() {
         let records = sample_records();
         let typed = CostLedger::from_records(&records);
-        let jsonl: String = records
-            .iter()
-            .map(|r| {
-                let mut line = r.to_jsonl_line();
-                line.push('\n');
-                line
-            })
-            .collect();
+        let mut jsonl = String::new();
+        for r in &records {
+            r.write_jsonl(&mut jsonl);
+            jsonl.push('\n');
+        }
         let folded = CostLedger::from_jsonl(&jsonl).expect("valid trace");
         assert_eq!(typed, folded);
     }

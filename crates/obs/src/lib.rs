@@ -57,7 +57,7 @@ pub use attrib::{LedgerView, PredKey, ViewKind};
 pub use chrome::{chrome_trace_from_jsonl, chrome_trace_from_records};
 pub use critical::{PathBreakdown, PathWalk};
 pub use diff::{diff_jsonl, Divergence, TraceDiff};
-pub use event::{EventKind, TraceRecord};
+pub use event::{EventKind, FieldVal, TraceRecord};
 pub use feedback::{EpochStats, FeedbackSink};
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, BUCKET_BOUNDS_US, BUCKET_COUNT};

@@ -97,6 +97,9 @@ impl Sink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// The line being encoded; reused, so a record costs no allocation
+    /// once it has grown to the longest line seen.
+    line: String,
     error: Option<std::io::Error>,
 }
 
@@ -106,6 +109,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
+            line: String::new(),
             error: None,
         }
     }
@@ -127,9 +131,10 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = rec.to_jsonl_line();
-        line.push('\n');
-        if let Err(e) = self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        rec.write_jsonl(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
     }
