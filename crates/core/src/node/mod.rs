@@ -31,7 +31,7 @@ use crate::annotate::{Annotator, TrustPolicy};
 use crate::msg::{AthenaMsg, QueryId};
 use crate::object::EvidenceObject;
 use crate::query::{QueryOutcome, QueryState, QueryStatus};
-use crate::strategy::Strategy;
+use crate::strategy::{PlanTable, Strategy};
 use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
@@ -296,10 +296,9 @@ enum AdmissionState {
 struct LocalQuery {
     /// Lifecycle, evidence and counters — what reports read.
     state: QueryState,
-    /// Candidate object indices, chosen at issue time.
-    candidates: Vec<usize>,
-    /// The labels of the expression.
-    labels: BTreeSet<Label>,
+    /// The candidate objects chosen at issue time and the expression,
+    /// laid out for the planner.
+    plan: PlanTable,
     /// The admission gate's latest ruling.
     gate: AdmissionState,
     /// Evidence bytes delivered to this node for this query — the
@@ -314,7 +313,7 @@ struct LocalQuery {
 impl LocalQuery {
     /// Whether the query is still open and its expression mentions `label`.
     fn tracks(&self, label: &Label) -> bool {
-        !self.state.status.is_final() && self.labels.contains(label)
+        !self.state.status.is_final() && self.plan.mentions(label)
     }
 
     /// Whether a value for `label` would be news at `now`: the query

@@ -10,7 +10,6 @@ use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
 use crate::query::{Outstanding, QueryCounters, QueryState};
 use crate::strategy::{Priors, Strategy};
-use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
 use dde_logic::time::{SimDuration, SimTime};
@@ -34,12 +33,10 @@ impl AthenaNode {
         let me = ctx.node();
         debug_assert_eq!(inst.origin, me, "query delivered to wrong node");
         let qid = QueryId(inst.id);
+        let strategy = self.shared.config.strategy;
         let labels = inst.expr.labels();
-        let candidates =
-            self.shared
-                .config
-                .strategy
-                .candidates(&labels, self.catalog(), me, ctx.topology());
+        let candidates = strategy.candidates(&labels, self.catalog(), me, ctx.topology());
+        let plan = strategy.plan(&inst.expr, labels, candidates, self.catalog());
         let state = QueryState::new(qid, inst.expr, ctx.now(), inst.deadline);
         let deadline_at = state.deadline_at;
         if ctx.obs_enabled() {
@@ -52,8 +49,7 @@ impl AthenaNode {
             qid,
             LocalQuery {
                 state,
-                candidates,
-                labels,
+                plan,
                 gate: AdmissionState::Admitted,
                 ingress_bytes: 0,
                 votes: BTreeMap::new(),
@@ -96,8 +92,9 @@ impl AthenaNode {
             return true;
         };
         let now = ctx.now();
-        let q = &self.queries[&qid].state;
-        let predicted = summarize_dnf_plan(&self.plan(&q.expr, ctx)).expected_bytes_rounded();
+        let lq = &self.queries[&qid];
+        let q = &lq.state;
+        let predicted = summarize_dnf_plan(&self.plan(lq, ctx)).expected_bytes_rounded();
         // Deferred and shed queries consume no retrieval resources, so
         // they do not count as active; neither does the one being ruled on.
         let active = self
@@ -141,11 +138,11 @@ impl AthenaNode {
         let me = ctx.node();
         let lq = &self.queries[&qid];
         if ctx.obs_enabled() {
-            let plan = self.plan(&lq.state.expr, ctx);
+            let plan = self.plan(lq, ctx);
             ctx.emit(EventKind::Plan {
                 query: qid.0,
                 strategy: self.shared.config.strategy.code(),
-                candidates: lq.candidates.len() as u64,
+                candidates: lq.plan.candidates().len() as u64,
                 expected_bytes: summarize_dnf_plan(&plan).expected_bytes_rounded(),
                 rationale: explain_dnf_plan(&plan),
             });
@@ -175,20 +172,22 @@ impl AthenaNode {
         }
     }
 
-    /// The §III-A short-circuit plan for `expr` as seen from this node.
+    /// The §III-A short-circuit plan for `lq`'s expression as seen from this
+    /// node, over the labels its plan table already lists.
     /// Each condition enters with its cheapest-provider retrieval cost, its
     /// most conservative provider validity, and its short-circuit
     /// probability — learned per (name-prefix, condition) when adaptive
     /// planning is on, the run's static prior otherwise. The admission gate
     /// reads the plan's expected cost, so this must not depend on whether a
     /// sink is attached; the rendered rationale is for the trace alone.
-    fn plan(&self, expr: &Dnf, ctx: &Context<'_, AthenaMsg>) -> DnfPlan {
+    fn plan(&self, lq: &LocalQuery, ctx: &Context<'_, AthenaMsg>) -> DnfPlan {
         let (me, topology) = (ctx.node(), ctx.topology());
-        let meta: MetaTable = expr
+        let meta: MetaTable = lq
+            .plan
             .labels()
-            .into_iter()
+            .iter()
             .map(|l| {
-                let providers = self.catalog().providers_of(&l);
+                let providers = self.catalog().providers_of(l);
                 let cost = providers
                     .iter()
                     .map(|&i| Strategy::effective_cost(i, self.catalog(), me, topology))
@@ -208,16 +207,16 @@ impl AthenaNode {
                         .min_by_key(|&&i| {
                             (Strategy::effective_cost(i, self.catalog(), me, topology), i)
                         })
-                        .map(|&i| state.prob_for(&self.catalog().get(i).name.to_string(), &l))
+                        .map(|&i| state.prob_for(self.catalog().rendered_name(i).as_str(), l))
                         .unwrap_or_else(|| state.truth.prior()),
                     None => self.shared.config.prob_true_prior,
                 };
                 let meta = ConditionMeta::new(Cost::from_bytes(cost), validity)
                     .with_prob(Probability::clamped(prob));
-                (l, meta)
+                (l.clone(), meta)
             })
             .collect();
-        plan_dnf(expr, &meta)
+        plan_dnf(&lq.state.expr, &meta)
     }
 
     /// The first (OR-term, condition) coordinates of `label` in `qid`'s
@@ -291,9 +290,9 @@ impl AthenaNode {
                     None => Priors::Fixed(shared.config.prob_true_prior),
                 };
                 let lq = &self.queries[&qid];
-                let Some((idx, label)) = strategy.next_request(
+                let Some((idx, label)) = strategy.next_from_plan(
                     &lq.state,
-                    &lq.candidates,
+                    &lq.plan,
                     &shared.catalog,
                     me,
                     ctx.topology(),

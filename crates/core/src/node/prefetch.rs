@@ -32,12 +32,22 @@ impl AthenaNode {
         flood_announce(ctx, qid, origin, &expr, deadline_at, Some(from));
         if self.shared.config.prefetch_enabled() && ctx.now() < deadline_at {
             let labels = expr.labels();
-            let candidates = self.shared.config.strategy.candidates(
-                &labels,
-                self.catalog(),
-                origin,
-                ctx.topology(),
-            );
+            // Only candidates this node sources are queued, and a
+            // candidate provides some label of the expression: a node
+            // hosting no such sensor — most receivers of a flood — has
+            // nothing to find in the cover and skips computing it.
+            let sources_any = labels.iter().any(|l| {
+                let providers = self.catalog().providers_of(l);
+                providers
+                    .iter()
+                    .any(|&i| self.catalog().get(i).source == me)
+            });
+            let candidates = if sources_any {
+                let strategy = self.shared.config.strategy;
+                strategy.candidates(&labels, self.catalog(), origin, ctx.topology())
+            } else {
+                Vec::new()
+            };
             for idx in candidates {
                 if self.catalog().get(idx).source == me {
                     self.prefetch_queue.push_back(PushTask {

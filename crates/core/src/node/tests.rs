@@ -520,3 +520,56 @@ fn data_under_another_provider_name_serves_a_neighbor_once() {
     assert!(matches!(sent[0].1, AthenaMsg::Data { .. }));
     assert_eq!(sent.len(), 2);
 }
+
+/// A prefetching node of the star hears leaf 0's query for `x ∧ y`
+/// announced by `from`; returns the node and how many source-selection
+/// covers the announcement made it compute.
+fn announced_to(me: NodeId, from: NodeId) -> (AthenaNode, u64) {
+    let mut config = NodeConfig::new(Strategy::LvfLabelShare);
+    config.prefetch = Some(true);
+    let (topology, shared) = star(config);
+    let mut node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
+    let (mut commands, mut sink) = (Vec::new(), dde_obs::NullSink);
+    let mut ctx = Context::new(
+        SimTime::from_secs(1),
+        me,
+        &topology,
+        &mut commands,
+        &mut sink,
+    );
+    let announce = AthenaMsg::QueryAnnounce {
+        qid: QueryId(5),
+        origin: NodeId(0),
+        expr: query(5, 0, &["x", "y"]).expr,
+        deadline_at: SimTime::from_secs(61),
+    };
+    let covers_before = crate::strategy::COVERS_RUN.get();
+    node.on_message(&mut ctx, from, announce);
+    (node, crate::strategy::COVERS_RUN.get() - covers_before)
+}
+
+#[test]
+fn announce_reaches_a_relay_that_sources_nothing_queues_nothing_and_runs_no_cover() {
+    let (hub, covers) = announced_to(HUB, NodeId(0));
+    assert_eq!(hub.stats.announces_relayed, 1);
+    assert!(hub.prefetch_queue.is_empty());
+    assert_eq!(covers, 0, "nothing it could queue: no cover to compute");
+}
+
+#[test]
+fn announce_reaches_a_source_which_queues_its_share_of_the_cover() {
+    let (source, covers) = announced_to(SOURCE, HUB);
+    assert_eq!(covers, 1);
+    // The cover of {x, y} is the wide shot alone — nothing else resolves
+    // `y`, and it brings `x` along — and node 3 hosts it: what it queued
+    // before the relay shortcut.
+    let queued: Vec<_> = source
+        .prefetch_queue
+        .iter()
+        .map(|t| (t.object_idx, t.origin, t.qid, t.deadline_at))
+        .collect();
+    assert_eq!(
+        queued,
+        vec![(1, NodeId(0), QueryId(5), SimTime::from_secs(61))]
+    );
+}

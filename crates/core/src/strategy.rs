@@ -14,14 +14,15 @@
 //! ref \[3] ([`dde_sched::hybrid`]).
 
 use crate::query::QueryState;
-use dde_coverage::setcover::{greedy_cover, Source};
+use dde_coverage::setcover::MaskSources;
+use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::meta::{Cost, Probability};
 use dde_logic::time::SimTime;
-
+use dde_logic::truth::Truth;
 use dde_netsim::topology::{NodeId, Topology};
 use dde_sched::adaptive::AdaptiveState;
-use dde_sched::hybrid::greedy_validity_shortcircuit;
+use dde_sched::hybrid::first_pick;
 use dde_sched::item::{Channel, RetrievalItem};
 use dde_sched::shortcircuit::{and_truth_prob, expected_and_cost};
 use dde_workload::catalog::Catalog;
@@ -45,22 +46,16 @@ pub enum Priors<'a> {
 }
 
 impl Priors<'_> {
-    /// Probability that a single fetch of the object named `name` leaves
-    /// every label in `labels` true (i.e. does *not* short-circuit the
-    /// term).
-    fn group_prob(&self, name: &dde_naming::name::Name, labels: &[Label]) -> f64 {
+    /// Probability that a single fetch of the object whose rendered name
+    /// is `name` leaves every label in `labels` true (i.e. does *not*
+    /// short-circuit the term).
+    fn group_prob<'l>(&self, name: &str, labels: impl ExactSizeIterator<Item = &'l Label>) -> f64 {
         match self {
             // Keep `.powi()`: a left-fold product associates differently
             // in floating point and would silently shift committed
             // artifacts.
             Priors::Fixed(p) => p.powi(labels.len() as i32),
-            Priors::Learned(state) => {
-                let rendered = name.to_string();
-                labels
-                    .iter()
-                    .map(|l| state.prob_for(&rendered, l))
-                    .product()
-            }
+            Priors::Learned(state) => labels.map(|l| state.prob_for(name, l)).product(),
         }
     }
 
@@ -72,6 +67,55 @@ impl Priors<'_> {
             Priors::Learned(state) => state.reliability.score(source.0 as u32),
         }
     }
+}
+
+/// What the planner needs to know about one query that cannot change
+/// while the query lives, computed once at issue time by
+/// [`Strategy::plan`]: the candidate set and the expression, re-expressed
+/// in dense indices so that [`Strategy::next_from_plan`] compares integers
+/// where it would otherwise walk string-keyed trees.
+///
+/// It holds nothing read from the topology, the clock, the evidence
+/// gathered so far or a node's learned estimates. Hop distances,
+/// reachability, label values and priors are looked up on every call, so a
+/// crash, a partition, an expiry or a new observation takes effect on the
+/// next request with no invalidation rule.
+#[derive(Debug, Clone)]
+pub struct PlanTable {
+    /// The candidate objects, as [`Strategy::candidates`] chose them.
+    candidates: Vec<usize>,
+    /// The expression's labels, sorted; a label's position is its id.
+    labels: Vec<Label>,
+    /// Each term's literals as `(label id, negated)`, ascending by id.
+    /// Empty for the baselines, which never look at the expression's shape.
+    terms: Vec<Vec<(usize, bool)>>,
+    /// Per label id, the candidates whose evidence resolves it, in
+    /// candidate order. Empty for the baselines likewise.
+    covering: Vec<Vec<usize>>,
+}
+
+impl PlanTable {
+    /// The candidate objects (catalog indices).
+    pub fn candidates(&self) -> &[usize] {
+        &self.candidates
+    }
+
+    /// The expression's labels, sorted.
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
+    /// Whether the expression mentions `label`.
+    pub fn mentions(&self, label: &Label) -> bool {
+        self.labels.binary_search(label).is_ok()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Source-selection covers computed on this thread, so a test can pin
+    /// that a path computes none.
+    pub(crate) static COVERS_RUN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A retrieval strategy.
@@ -177,24 +221,74 @@ impl Strategy {
             }
             return out.into_iter().collect();
         }
-        // slt/lcf/lvf/lvfl: greedy min-cost cover of the labels.
-        let sources: Vec<Source<usize>> = catalog
-            .objects()
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.covers.iter().any(|l| labels.contains(l)))
-            .map(|(i, o)| {
-                Source::new(
-                    i,
-                    o.covers.iter().filter(|l| labels.contains(*l)).cloned(),
-                    Cost::from_bytes(Self::effective_cost(i, catalog, origin, topology)),
-                )
-            })
-            .collect();
-        let cover = greedy_cover(labels, &sources);
-        let mut chosen: Vec<usize> = cover.chosen.iter().map(|&k| sources[k].id).collect();
+        // slt/lcf/lvf/lvfl: greedy min-cost cover of the labels by the
+        // objects the catalog lists as their providers — one mask row per
+        // object, rows in catalog order.
+        let mut provides: Vec<(usize, usize)> = Vec::new(); // (object, label id)
+        for (id, l) in labels.iter().enumerate() {
+            provides.extend(catalog.providers_of(l).iter().map(|&idx| (idx, id)));
+        }
+        provides.sort_unstable();
+        let mut objects: Vec<usize> = Vec::new();
+        let mut sources = MaskSources::new(labels.len());
+        for group in provides.chunk_by(|a, b| a.0 == b.0) {
+            let idx = group[0].0;
+            objects.push(idx);
+            sources.push(
+                Cost::from_bytes(Self::effective_cost(idx, catalog, origin, topology)),
+                group.iter().map(|&(_, id)| id),
+            );
+        }
+        #[cfg(test)]
+        COVERS_RUN.with(|n| n.set(n.get() + 1));
+        let cover = sources.greedy();
+        let mut chosen: Vec<usize> = cover.chosen.iter().map(|&row| objects[row]).collect();
         chosen.sort_unstable();
         chosen
+    }
+
+    /// The table [`Strategy::next_from_plan`] reads for a query over `expr`:
+    /// `labels` must be `expr.labels()` and `candidates` what
+    /// [`Strategy::candidates`] chose for them (indices into `catalog`).
+    ///
+    /// The baselines walk their candidates in a fixed order and read
+    /// nothing else, so only the decision-driven strategies pay for the
+    /// term and provider indices — `cmp`, with every provider of every
+    /// label as a candidate, would pay the most for what it never uses.
+    pub fn plan(
+        self,
+        expr: &Dnf,
+        labels: BTreeSet<Label>,
+        candidates: Vec<usize>,
+        catalog: &Catalog,
+    ) -> PlanTable {
+        let labels: Vec<Label> = labels.into_iter().collect();
+        let mut terms = Vec::new();
+        let mut covering = Vec::new();
+        if self.is_decision_driven() {
+            let id_of = |l: &Label| labels.binary_search(l).ok();
+            // `labels` holds every label of these very terms: every
+            // literal has an id, and `filter_map` drops nothing.
+            terms.extend(expr.terms().iter().map(|t| {
+                t.literals()
+                    .filter_map(|lit| Some((id_of(lit.label())?, lit.is_negated())))
+                    .collect()
+            }));
+            covering.resize(labels.len(), Vec::new());
+            for &idx in &candidates {
+                for id in catalog.get(idx).covers.iter().filter_map(id_of) {
+                    if covering[id].last() != Some(&idx) {
+                        covering[id].push(idx);
+                    }
+                }
+            }
+        }
+        PlanTable {
+            candidates,
+            labels,
+            terms,
+            covering,
+        }
     }
 
     /// The next `(catalog object index, label)` this strategy would fetch
@@ -205,6 +299,10 @@ impl Strategy {
     /// short-circuit probabilities (static or learned) used in the
     /// §III-A ratios; `channel` models the bottleneck for
     /// validity-feasibility ordering.
+    ///
+    /// Builds the query's [`PlanTable`] on the spot; a caller that asks
+    /// more than once per query keeps [`Strategy::plan`]'s table and calls
+    /// [`Strategy::next_from_plan`].
     #[allow(clippy::too_many_arguments)]
     pub fn next_request(
         self,
@@ -217,12 +315,36 @@ impl Strategy {
         channel: Channel,
         priors: &Priors<'_>,
     ) -> Option<(usize, Label)> {
+        let plan = self.plan(
+            &query.expr,
+            query.expr.labels(),
+            candidates.to_vec(),
+            catalog,
+        );
+        self.next_from_plan(
+            query, &plan, catalog, origin, topology, now, channel, priors,
+        )
+    }
+
+    /// [`Strategy::next_request`] for a query whose `plan` this strategy's
+    /// [`Strategy::plan`] built from `query.expr`, its candidate set and
+    /// `catalog`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn next_from_plan(
+        self,
+        query: &QueryState,
+        plan: &PlanTable,
+        catalog: &Catalog,
+        origin: NodeId,
+        topology: &Topology,
+        now: SimTime,
+        channel: Channel,
+        priors: &Priors<'_>,
+    ) -> Option<(usize, Label)> {
         if self.is_decision_driven() {
-            self.next_decision_driven(
-                query, candidates, catalog, origin, topology, now, channel, priors,
-            )
+            self.next_decision_driven(query, plan, catalog, origin, topology, now, channel, priors)
         } else {
-            self.next_baseline(query, candidates, catalog, origin, topology, now)
+            self.next_baseline(query, &plan.candidates, catalog, origin, topology, now)
         }
     }
 
@@ -255,11 +377,37 @@ impl Strategy {
         None
     }
 
+    /// The cheapest (by network cost) object in `pool`. Under learned
+    /// priors the cost is divided by the source's reliability score — the
+    /// expected bytes including retries — so flaky providers lose ties
+    /// they would otherwise win; with fixed priors every score is 1.0 and
+    /// the original integer ordering is preserved exactly.
+    fn cheapest(
+        pool: impl Iterator<Item = usize>,
+        catalog: &Catalog,
+        origin: NodeId,
+        topology: &Topology,
+        priors: &Priors<'_>,
+    ) -> Option<usize> {
+        match priors {
+            Priors::Fixed(_) => {
+                pool.min_by_key(|&i| (Self::effective_cost(i, catalog, origin, topology), i))
+            }
+            Priors::Learned(_) => pool.min_by(|&a, &b| {
+                let weighted = |i: usize| {
+                    Self::effective_cost(i, catalog, origin, topology) as f64
+                        / priors.reliability(catalog.get(i).source).max(0.05)
+                };
+                weighted(a).total_cmp(&weighted(b)).then(a.cmp(&b))
+            }),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn next_decision_driven(
         self,
         query: &QueryState,
-        candidates: &[usize],
+        plan: &PlanTable,
         catalog: &Catalog,
         origin: NodeId,
         topology: &Topology,
@@ -267,125 +415,130 @@ impl Strategy {
         channel: Channel,
         priors: &Priors<'_>,
     ) -> Option<(usize, Label)> {
-        let relevant = query.relevant_labels(now);
-        if relevant.is_empty() {
+        debug_assert_eq!(plan.terms.len(), query.expr.terms().len());
+        // The evidence is read once per label; the rest is by label id.
+        let value: Vec<Truth> = plan
+            .labels
+            .iter()
+            .map(|l| query.assignment().value_at(l, now))
+            .collect();
+        let eval = |term: &[(usize, bool)]| {
+            term.iter().fold(Truth::True, |acc, &(id, negated)| {
+                acc.and(if negated {
+                    value[id].negate()
+                } else {
+                    value[id]
+                })
+            })
+        };
+        // Short-circuit pruning (§II-A): once some term is true nothing
+        // matters any more, and a false term's conditions need not be
+        // examined — no label is relevant unless a term is still open.
+        let mut open = false;
+        for term in &plan.terms {
+            match eval(term) {
+                Truth::True => return None,
+                Truth::Unknown => open = true,
+                Truth::False => {}
+            }
+        }
+        if !open {
             return None;
         }
-        // Cheapest (by network cost) candidate provider per relevant label,
-        // preferring sources that are currently reachable: when a fault has
-        // cut off a provider, an alternate (reachable) source is selected
-        // instead; only when *no* provider is reachable does the original
-        // choice stand (the fetch then stalls until routes heal or the
-        // deadline passes). Under learned priors the cost is divided by
-        // the source's reliability score — the expected bytes including
-        // retries — so flaky providers lose ties they would otherwise win;
-        // with fixed priors every score is 1.0 and the original integer
-        // ordering is preserved exactly.
-        let pick_cheapest = |pool: &[usize]| -> Option<usize> {
-            match priors {
-                Priors::Fixed(_) => pool
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| (Self::effective_cost(i, catalog, origin, topology), i)),
-                Priors::Learned(_) => pool.iter().copied().min_by(|&a, &b| {
-                    let weighted = |i: usize| {
-                        Self::effective_cost(i, catalog, origin, topology) as f64
-                            / priors.reliability(catalog.get(i).source).max(0.05)
-                    };
-                    weighted(a).total_cmp(&weighted(b)).then(a.cmp(&b))
-                }),
-            }
-        };
-        let provider = |label: &Label| -> Option<usize> {
-            let covering: Vec<usize> = candidates
-                .iter()
-                .copied()
-                .filter(|&i| catalog.get(i).covers.iter().any(|l| l == label))
-                .collect();
-            let reachable: Vec<usize> = covering
-                .iter()
-                .copied()
-                .filter(|&i| Self::is_reachable(i, catalog, origin, topology))
-                .collect();
-            pick_cheapest(&reachable).or_else(|| pick_cheapest(&covering))
+
+        // Cheapest candidate provider of a label, preferring sources that
+        // are currently reachable: when a fault has cut off a provider, an
+        // alternate (reachable) source is selected instead; only when *no*
+        // provider is reachable does the original choice stand (the fetch
+        // then stalls until routes heal or the deadline passes). Terms
+        // share labels, so the answer is kept for the rest of this call.
+        let mut provider: Vec<Option<Option<usize>>> = vec![None; plan.labels.len()];
+        let mut provider_of = |id: usize| {
+            *provider[id].get_or_insert_with(|| {
+                let covering = || plan.covering[id].iter().copied();
+                let reachable =
+                    covering().filter(|&i| Self::is_reachable(i, catalog, origin, topology));
+                Self::cheapest(reachable, catalog, origin, topology, priors)
+                    .or_else(|| Self::cheapest(covering(), catalog, origin, topology, priors))
+            })
         };
 
-        // Rank live terms by expected truth per expected cost over their
+        // Rank open terms by expected truth per expected cost over their
         // *remaining* unknown labels, costed at object granularity: one
-        // fetch of a panorama resolves every label it covers. Entries are
-        // (object index, first covered label, planning item).
-        type TermEntry = (usize, Label, RetrievalItem);
-        let mut best_term: Option<(f64, usize, Vec<TermEntry>)> = None;
-        for ti in query.expr.live_terms(query.assignment(), now) {
-            let term = &query.expr.terms()[ti];
-            let unknowns: Vec<Label> = term
-                .labels()
-                .filter(|l| !query.assignment().value_at(l, now).is_known())
-                .cloned()
-                .collect();
-            if unknowns.is_empty() {
+        // fetch of a panorama resolves every label it covers. A term's
+        // plan is one item per distinct object plus, beside it, that
+        // object's index and the first label it is fetched for. Every
+        // buffer is sized for the widest possible term up front, so a call
+        // allocates the same few blocks whatever the expression holds.
+        let width = plan.labels.len();
+        let mut picks: Vec<(usize, usize)> = Vec::with_capacity(width); // (object, label id)
+        let mut items: Vec<RetrievalItem> = Vec::with_capacity(width);
+        let mut heads: Vec<(usize, usize)> = Vec::with_capacity(width);
+        let mut best_items: Vec<RetrievalItem> = Vec::with_capacity(width);
+        let mut best_heads: Vec<(usize, usize)> = Vec::with_capacity(width);
+        let mut best: Option<(f64, usize)> = None;
+        for (ti, term) in plan.terms.iter().enumerate() {
+            if eval(term) != Truth::Unknown {
                 continue;
             }
-            // Group unknown labels by their chosen provider object.
-            let mut by_object: std::collections::BTreeMap<usize, Vec<Label>> =
-                std::collections::BTreeMap::new();
-            let mut unprovided = false;
-            for l in &unknowns {
-                match provider(l) {
-                    Some(idx) => by_object.entry(idx).or_default().push(l.clone()),
+            // Group the term's unknown labels by their chosen provider.
+            picks.clear();
+            for &(id, _) in term.iter().filter(|&&(id, _)| !value[id].is_known()) {
+                match provider_of(id) {
+                    Some(idx) => picks.push((idx, id)),
                     None => {
-                        unprovided = true;
+                        // Some label has no provider among candidates: the
+                        // term can never complete; deprioritize it entirely.
+                        picks.clear();
                         break;
                     }
                 }
             }
-            if unprovided {
-                // Some label has no provider among candidates: the term can
-                // never complete; deprioritize it entirely.
+            if picks.is_empty() {
                 continue;
             }
-            let entries: Vec<TermEntry> = by_object
-                .into_iter()
-                .map(|(idx, labels)| {
-                    let spec = catalog.get(idx);
-                    // One fetch decides all grouped labels; the fetch
-                    // "succeeds" (does not short-circuit the term) only if
-                    // all of them come back true. Cost is the bytes the
-                    // fetch puts on the network (size × hops).
-                    let p = priors.group_prob(&spec.name, &labels);
-                    let item = RetrievalItem::new(
-                        spec.name.to_string(),
+            picks.sort_unstable();
+            items.clear();
+            heads.clear();
+            for group in picks.chunk_by(|a, b| a.0 == b.0) {
+                let (idx, first) = group[0];
+                let name = catalog.rendered_name(idx);
+                // One fetch decides all grouped labels; the fetch
+                // "succeeds" (does not short-circuit the term) only if
+                // all of them come back true. Cost is the bytes the
+                // fetch puts on the network (size × hops).
+                let p =
+                    priors.group_prob(name.as_str(), group.iter().map(|&(_, id)| &plan.labels[id]));
+                items.push(
+                    RetrievalItem::new(
+                        name.clone(),
                         Cost::from_bytes(Self::effective_cost(idx, catalog, origin, topology)),
-                        spec.validity,
+                        catalog.get(idx).validity,
                     )
-                    .with_prob(Probability::clamped(p));
-                    (idx, labels[0].clone(), item)
-                })
-                .collect();
-            let items: Vec<RetrievalItem> = entries.iter().map(|(_, _, it)| it.clone()).collect();
+                    .with_prob(Probability::clamped(p)),
+                );
+                heads.push((idx, first));
+            }
             let p = and_truth_prob(&items);
             let e = expected_and_cost(&items).max(1.0);
             let ratio = p / e;
-            let better = match &best_term {
+            let better = match best {
                 None => true,
-                Some((r, bi, _)) => ratio > *r + 1e-15 || (ratio >= *r - 1e-15 && ti < *bi),
+                Some((r, bi)) => ratio > r + 1e-15 || (ratio >= r - 1e-15 && ti < bi),
             };
             if better {
-                best_term = Some((ratio, ti, entries));
+                best = Some((ratio, ti));
+                std::mem::swap(&mut best_items, &mut items);
+                std::mem::swap(&mut best_heads, &mut heads);
             }
         }
-        let (_, _, entries) = best_term?;
+        best?;
 
         // Within the term: validity-feasible short-circuit greedy (ref [3])
-        // over the distinct objects.
-        let items: Vec<RetrievalItem> = entries.iter().map(|(_, _, it)| it.clone()).collect();
+        // over the distinct objects, of which only the first is fetched.
         let budget = query.deadline_at.saturating_since(now);
-        let ordered = greedy_validity_shortcircuit(&items, channel, now, budget);
-        let first = ordered.first()?;
-        entries
-            .iter()
-            .find(|(_, _, it)| it.label == first.label)
-            .map(|(idx, label, _)| (*idx, label.clone()))
+        let (idx, id) = best_heads[first_pick(&best_items, channel, now, budget)?];
+        Some((idx, plan.labels[id].clone()))
     }
 
     /// Whether a strategy performs short-circuit pruning: used by tests.
@@ -415,6 +568,9 @@ impl core::str::FromStr for Strategy {
         }
     }
 }
+
+#[cfg(test)]
+mod equiv;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,10 @@
 //! covers the subset of predicates its evidence can resolve — a single
 //! picture may cover several nearby road segments — at a retrieval cost.
 //!
-//! [`greedy_cover`] is the classic `H_n`-approximate greedy; [`exact_cover`]
-//! is a branch-and-bound solver for validation on small instances.
+//! [`MaskSources::greedy`] is the classic `H_n`-approximate greedy, run on
+//! label bitmasks; [`greedy_cover`] is the same loop behind [`Label`]-keyed
+//! [`Source`]s. [`exact_cover`] is a branch-and-bound solver for validation
+//! on small instances.
 
 use dde_logic::label::Label;
 use dde_logic::meta::Cost;
@@ -57,59 +59,144 @@ impl Cover {
     }
 }
 
-/// Greedy weighted set cover: repeatedly picks the source with the lowest
-/// cost per newly-covered label. Achieves the classic `H_n ≈ ln n`
-/// approximation ratio; ties break by source index for determinism.
+/// Sources as label bitmasks: the form the greedy works on.
+///
+/// A query's labels are numbered densely — by position in its sorted
+/// label set — and each source is one row of `ceil(L/64)` words with bit
+/// `i` set when it resolves label `i`. [`greedy_cover`] builds the rows
+/// from [`Source`]s; a caller that already knows who provides each label
+/// (a catalog's provider index) pushes rows directly and never
+/// materialises a label set per source.
+#[derive(Debug, Clone)]
+pub struct MaskSources {
+    n_labels: usize,
+    // Words per row; at least one, so an empty label set still has rows.
+    words: usize,
+    // Row-major: source `i` is `masks[i * words..(i + 1) * words]`.
+    masks: Vec<u64>,
+    costs: Vec<Cost>,
+}
+
+/// The outcome of [`MaskSources::greedy`], in dense ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MaskCover {
+    /// Chosen sources (row numbers), in selection order.
+    pub chosen: Vec<usize>,
+    /// Total cost of the chosen sources.
+    pub cost: Cost,
+    /// Label ids that no source covers, ascending.
+    pub uncovered: Vec<usize>,
+}
+
+impl MaskSources {
+    /// An empty source list over labels `0..n_labels`.
+    pub fn new(n_labels: usize) -> MaskSources {
+        MaskSources {
+            n_labels,
+            words: n_labels.div_ceil(64).max(1),
+            masks: Vec::new(),
+            costs: Vec::new(),
+        }
+    }
+
+    /// Appends a source resolving `label_ids` at `cost`; returns its row
+    /// number. Repeated ids are harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is not below the `n_labels` given to
+    /// [`MaskSources::new`].
+    pub fn push(&mut self, cost: Cost, label_ids: impl IntoIterator<Item = usize>) -> usize {
+        let row = self.costs.len();
+        self.masks.resize(self.masks.len() + self.words, 0);
+        let mask = &mut self.masks[row * self.words..];
+        for id in label_ids {
+            assert!(id < self.n_labels, "label id {id} out of range");
+            mask[id / 64] |= 1 << (id % 64);
+        }
+        self.costs.push(cost);
+        row
+    }
+
+    /// Greedy weighted set cover: repeatedly picks the source with the
+    /// lowest cost per newly-covered label. Achieves the classic
+    /// `H_n ≈ ln n` approximation ratio; ties break by row number for
+    /// determinism.
+    pub fn greedy(&self) -> MaskCover {
+        let rows = || self.masks.chunks_exact(self.words);
+        let mut remaining = vec![0u64; self.words];
+        for row in rows() {
+            for (r, m) in remaining.iter_mut().zip(row) {
+                *r |= m;
+            }
+        }
+        let uncovered = (0..self.n_labels)
+            .filter(|&id| remaining[id / 64] >> (id % 64) & 1 == 0)
+            .collect();
+
+        let mut chosen = Vec::new();
+        let mut total = Cost::ZERO;
+        while remaining.iter().any(|&r| r != 0) {
+            let mut best: Option<(usize, f64)> = None; // (row, cost-per-gain)
+            for (i, row) in rows().enumerate() {
+                let gain: u32 = row
+                    .iter()
+                    .zip(&remaining)
+                    .map(|(m, r)| (m & r).count_ones())
+                    .sum();
+                if gain == 0 {
+                    continue;
+                }
+                let ratio = self.costs[i].as_f64() / gain as f64;
+                let better = match best {
+                    None => true,
+                    Some((_, best_ratio)) => ratio < best_ratio - 1e-12,
+                };
+                if better {
+                    best = Some((i, ratio));
+                }
+            }
+            let Some((i, _)) = best else { break };
+            chosen.push(i);
+            total = total.saturating_add(self.costs[i]);
+            let picked = &self.masks[i * self.words..(i + 1) * self.words];
+            for (r, m) in remaining.iter_mut().zip(picked) {
+                *r &= !m;
+            }
+        }
+
+        MaskCover {
+            chosen,
+            cost: total,
+            uncovered,
+        }
+    }
+}
+
+/// Greedy weighted set cover over labelled sources: [`MaskSources::greedy`]
+/// with `needed` numbered in its sorted order.
 ///
 /// Labels in `needed` that no source covers are reported in
 /// [`Cover::uncovered`] rather than failing the whole computation — a
 /// decision query may still resolve without them via short-circuiting.
 pub fn greedy_cover<Id>(needed: &BTreeSet<Label>, sources: &[Source<Id>]) -> Cover {
-    let coverable: BTreeSet<Label> = sources
-        .iter()
-        .flat_map(|s| s.covers.iter())
-        .filter(|l| needed.contains(*l))
-        .cloned()
-        .collect();
-    let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).cloned().collect();
-
-    let mut remaining: BTreeSet<Label> = coverable;
-    let mut chosen = Vec::new();
-    let mut used = vec![false; sources.len()];
-    let mut total = Cost::ZERO;
-
-    while !remaining.is_empty() {
-        let mut best: Option<(usize, usize, f64)> = None; // (idx, gain, cost-per-gain)
-        for (i, s) in sources.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let gain = s.covers.intersection(&remaining).count();
-            if gain == 0 {
-                continue;
-            }
-            let ratio = s.cost.as_f64() / gain as f64;
-            let better = match best {
-                None => true,
-                Some((_, _, best_ratio)) => ratio < best_ratio - 1e-12,
-            };
-            if better {
-                best = Some((i, gain, ratio));
-            }
-        }
-        let Some((i, _, _)) = best else { break };
-        used[i] = true;
-        chosen.push(i);
-        total = total.saturating_add(sources[i].cost);
-        for l in &sources[i].covers {
-            remaining.remove(l);
-        }
+    let order: Vec<&Label> = needed.iter().collect();
+    let mut masks = MaskSources::new(order.len());
+    for s in sources {
+        masks.push(
+            s.cost,
+            s.covers.iter().filter_map(|l| order.binary_search(&l).ok()),
+        );
     }
-
+    let cover = masks.greedy();
     Cover {
-        chosen,
-        cost: total,
-        uncovered: uncovered_forever,
+        chosen: cover.chosen,
+        cost: cover.cost,
+        uncovered: cover
+            .uncovered
+            .iter()
+            .map(|&id| order[id].clone())
+            .collect(),
     }
 }
 
@@ -246,6 +333,57 @@ mod tests {
         Source::new(id, covers.iter().copied(), Cost::from_bytes(cost))
     }
 
+    /// The greedy as it stood on `BTreeSet<Label>` before the mask core,
+    /// kept verbatim as the reference the masks are held to.
+    fn set_greedy<Id>(needed: &BTreeSet<Label>, sources: &[Source<Id>]) -> Cover {
+        let coverable: BTreeSet<Label> = sources
+            .iter()
+            .flat_map(|s| s.covers.iter())
+            .filter(|l| needed.contains(*l))
+            .cloned()
+            .collect();
+        let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).cloned().collect();
+
+        let mut remaining: BTreeSet<Label> = coverable;
+        let mut chosen = Vec::new();
+        let mut used = vec![false; sources.len()];
+        let mut total = Cost::ZERO;
+
+        while !remaining.is_empty() {
+            let mut best: Option<(usize, usize, f64)> = None; // (idx, gain, cost-per-gain)
+            for (i, s) in sources.iter().enumerate() {
+                if used[i] {
+                    continue;
+                }
+                let gain = s.covers.intersection(&remaining).count();
+                if gain == 0 {
+                    continue;
+                }
+                let ratio = s.cost.as_f64() / gain as f64;
+                let better = match best {
+                    None => true,
+                    Some((_, _, best_ratio)) => ratio < best_ratio - 1e-12,
+                };
+                if better {
+                    best = Some((i, gain, ratio));
+                }
+            }
+            let Some((i, _, _)) = best else { break };
+            used[i] = true;
+            chosen.push(i);
+            total = total.saturating_add(sources[i].cost);
+            for l in &sources[i].covers {
+                remaining.remove(l);
+            }
+        }
+
+        Cover {
+            chosen,
+            cost: total,
+            uncovered: uncovered_forever,
+        }
+    }
+
     #[test]
     fn single_source_covers_all() {
         let needed = labels(["a", "b"]);
@@ -338,6 +476,88 @@ mod tests {
         assert!(!c.is_complete());
         assert_eq!(c.uncovered, labels(["a"]));
         assert!(c.chosen.is_empty());
+    }
+
+    /// `n` labels named so that sorted order is numeric order.
+    fn numbered(n: usize) -> Vec<Label> {
+        (0..n).map(|i| Label::new(format!("l{i:03}"))).collect()
+    }
+
+    #[test]
+    fn masks_match_sets_across_the_word_boundary() {
+        for n in [1, 63, 64, 65, 130] {
+            let all = numbered(n);
+            let needed: BTreeSet<Label> = all.iter().cloned().collect();
+            // Overlapping windows of three labels, one source holding the
+            // last label alone, one source outside `needed` entirely.
+            let mut sources: Vec<Source<usize>> = (0..n)
+                .map(|i| {
+                    let covers = (i..(i + 3).min(n)).map(|j| all[j].clone());
+                    Source::new(i, covers, Cost::from_bytes(10 + (i as u64 * 7) % 13))
+                })
+                .collect();
+            sources.push(Source::new(n, [all[n - 1].clone()], Cost::from_bytes(1)));
+            sources.push(Source::new(n + 1, ["elsewhere"], Cost::ZERO));
+            assert_eq!(
+                greedy_cover(&needed, &sources),
+                set_greedy(&needed, &sources),
+                "{n} labels"
+            );
+        }
+    }
+
+    #[test]
+    fn mask_rows_span_words() {
+        let mut m = MaskSources::new(130);
+        assert_eq!(m.push(Cost::from_bytes(9), [0, 64, 129, 129]), 0);
+        assert_eq!(m.push(Cost::from_bytes(1), [64]), 1);
+        let c = m.greedy();
+        // Row 1 is cheaper per label (1/1 against 9/3); row 0 then brings
+        // the other two.
+        assert_eq!(c.chosen, vec![1, 0]);
+        assert_eq!(c.cost, Cost::from_bytes(10));
+        assert_eq!(c.uncovered.len(), 127);
+        assert!(!c.uncovered.contains(&64) && c.uncovered.contains(&63));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn mask_rejects_foreign_label_id() {
+        MaskSources::new(3).push(Cost::ZERO, [3]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The mask core picks what the `BTreeSet` greedy picked: the same
+        /// sources in the same order, the same cost, the same uncovered
+        /// labels — with uncoverable labels, labels outside `needed`,
+        /// zero-cost sources and equal ratios (small costs over few
+        /// labels collide constantly) in the mix.
+        #[test]
+        fn masks_match_sets(
+            universe in prop_oneof![Just(6usize), Just(12), Just(70), Just(130)],
+            windows in prop::collection::vec((0usize..140, 0usize..40, 1usize..4, 0u64..6), 0..14),
+            skip in 2usize..6,
+        ) {
+            // Labels `0..=universe + 1`. Label 0 is needed but never
+            // provided; the last is provided but never needed. `needed`
+            // takes most of the rest, so its ids span every mask word, and
+            // sources are overlapping strided windows, so gains contend.
+            let all = numbered(universe + 2);
+            let needed: BTreeSet<Label> = (0..=universe)
+                .filter(|i| i % skip != 1)
+                .map(|i| all[i].clone())
+                .collect();
+            let sources: Vec<Source<usize>> = windows.iter().enumerate()
+                .map(|(i, &(start, len, step, cost))| Source::new(
+                    i,
+                    (0..len).map(|t| all[1 + (start + t * step) % (universe + 1)].clone()),
+                    Cost::from_bytes(cost),
+                ))
+                .collect();
+            prop_assert_eq!(greedy_cover(&needed, &sources), set_greedy(&needed, &sources));
+        }
     }
 
     proptest! {

@@ -140,6 +140,27 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
+    /// Time to clock `bytes` bytes onto a medium of `bits_per_sec`:
+    /// `bytes · 8 · 10⁶ / bits_per_sec` microseconds, rounded down,
+    /// clamped at [`SimDuration::MAX`]. The one formula behind every link
+    /// and planning channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits_per_sec` is zero.
+    pub fn of_transmission(bytes: u64, bits_per_sec: u64) -> SimDuration {
+        // Any real object fits the 64-bit path (up to 2.3 TB); the wide
+        // divide is a library call, kept for what does not.
+        let micros = match bytes.checked_mul(8_000_000) {
+            Some(bit_micros) => bit_micros / bits_per_sec,
+            None => {
+                let wide = bytes as u128 * 8_000_000 / bits_per_sec as u128;
+                wide.min(u64::MAX as u128) as u64
+            }
+        };
+        SimDuration(micros)
+    }
+
     /// Checked addition; `None` on overflow.
     pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
         self.0.checked_add(other.0).map(SimDuration)
@@ -252,6 +273,7 @@ impl From<core::time::Duration> for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_round_trips() {
@@ -314,6 +336,70 @@ mod tests {
         assert_eq!(SimDuration::from_millis(250).to_string(), "0.250000s");
         assert_eq!(SimTime::MAX.to_string(), "t=∞");
         assert_eq!(SimDuration::MAX.to_string(), "∞");
+    }
+
+    /// The formula as links and channels each spelled it before it moved
+    /// here: all in 128 bits.
+    fn wide_transmission(bytes: u64, bps: u64) -> SimDuration {
+        let micros = (bytes as u128 * 8 * 1_000_000) / bps as u128;
+        SimDuration::from_micros(micros.min(u64::MAX as u128) as u64)
+    }
+
+    #[test]
+    fn transmission_time_examples() {
+        assert_eq!(
+            SimDuration::of_transmission(125_000, 1_000_000),
+            SimDuration::from_secs(1)
+        );
+        assert_eq!(SimDuration::of_transmission(0, 1), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::of_transmission(u64::MAX, 1),
+            SimDuration::MAX,
+            "saturates"
+        );
+        assert_eq!(
+            SimDuration::of_transmission(u64::MAX, u64::MAX),
+            SimDuration::from_micros(8_000_000)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "divide by zero")]
+    fn transmission_over_a_zero_rate_medium_panics() {
+        let _ = SimDuration::of_transmission(1, 0);
+    }
+
+    proptest! {
+        /// Both arithmetic paths agree with the all-128-bit expression:
+        /// around the point where `bytes · 8·10⁶` leaves 64 bits, at the
+        /// ends of the byte range, and at the rates that matter.
+        #[test]
+        fn transmission_matches_the_wide_formula(
+            near in 0u64..4_000_000,
+            anywhere in any::<u64>(),
+            odd_rate in 1u64..u64::MAX,
+        ) {
+            let boundary = u64::MAX / 8_000_000;
+            let sizes = [
+                0,
+                1,
+                boundary.saturating_sub(near),
+                boundary,
+                boundary + 1,
+                boundary.saturating_add(near),
+                anywhere,
+                u64::MAX,
+            ];
+            for bytes in sizes {
+                for bps in [1, 1_000_000, u64::MAX, odd_rate] {
+                    prop_assert_eq!(
+                        SimDuration::of_transmission(bytes, bps),
+                        wide_transmission(bytes, bps),
+                        "{} bytes at {} bps", bytes, bps
+                    );
+                }
+            }
+        }
     }
 
     #[test]

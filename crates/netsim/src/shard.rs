@@ -655,14 +655,13 @@ impl<P: Protocol> Region<P> {
                 if self.node_tx_busy[from.index()] > 0 {
                     return; // radio already claimed again
                 }
-                let neighbors: Vec<NodeId> = self.topology.neighbors(from).collect();
+                // A handle of our own, so the walk over `from`'s links can
+                // stay borrowed while their queues are popped.
+                let topology = Arc::clone(&self.topology);
                 // Foreground from any link first, then background.
                 for foreground in [true, false] {
-                    for &nb in &neighbors {
-                        let Some(hop) = Hop::resolve(&self.topology, from, nb) else {
-                            continue;
-                        };
-                        let link = &mut self.links[hop.slot];
+                    for (to, slot, spec) in topology.links_from(from) {
+                        let link = &mut self.links[slot];
                         if link.busy {
                             continue;
                         }
@@ -672,6 +671,12 @@ impl<P: Protocol> Region<P> {
                             link.background.pop_front()
                         };
                         if let Some(msg) = next {
+                            let hop = Hop {
+                                from,
+                                to,
+                                slot,
+                                spec,
+                            };
                             self.start_transmission(hop, msg);
                             return;
                         }

@@ -88,9 +88,7 @@ impl LinkSpec {
 
     /// Time to clock `bytes` bytes onto the medium.
     pub fn transmission_time(&self, bytes: u64) -> SimDuration {
-        // micros = bytes * 8 * 1e6 / bps, computed in u128 to avoid overflow.
-        let micros = (bytes as u128 * 8 * 1_000_000) / self.bandwidth_bps as u128;
-        SimDuration::from_micros(micros.min(u64::MAX as u128) as u64)
+        SimDuration::of_transmission(bytes, self.bandwidth_bps)
     }
 }
 
@@ -220,6 +218,17 @@ impl Topology {
             .enumerate()
             .find(|(_, (v, _))| *v == b)
             .map(|(i, (_, spec))| (base + i, *spec))
+    }
+
+    /// Every directed link out of `a` as `(neighbor, slot, spec)`, in
+    /// adjacency order: [`Topology::link_slot`] for all of `a`'s neighbors
+    /// in one walk. Empty where `link_slot` would answer `None`.
+    pub fn links_from(&self, a: NodeId) -> impl Iterator<Item = (NodeId, usize, LinkSpec)> + '_ {
+        let base = self.link_base.get(a.0).copied();
+        self.adjacency[a.0]
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, &(to, spec))| Some((to, base? + i, spec)))
     }
 
     /// Neighbors of `node`.
@@ -622,6 +631,7 @@ mod tests {
         t.add_link(NodeId(1), NodeId(4), LinkSpec::with_bandwidth(2_000_000));
         t.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
         assert_eq!(t.link_slot(NodeId(1), NodeId(0)), None, "no routes yet");
+        assert_eq!(t.links_from(NodeId(1)).count(), 0, "no routes yet");
         t.rebuild_routes();
         let mut seen = vec![false; t.directed_link_count()];
         let mut expected = 0;
@@ -633,6 +643,17 @@ mod tests {
                 assert!(!std::mem::replace(&mut seen[slot], true));
                 expected += 1;
             }
+            // The one-walk form agrees, neighbor for neighbor.
+            let walked: Vec<_> = t.links_from(a).collect();
+            let looked_up: Vec<_> = t
+                .neighbors(a)
+                .map(|b| {
+                    t.link_slot(a, b)
+                        .map(|(slot, spec)| (b, slot, spec))
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(walked, looked_up, "{a}");
         }
         assert_eq!(expected, 6);
         assert_eq!(t.link_slot(NodeId(3), NodeId(1)), None);
@@ -647,6 +668,7 @@ mod tests {
         // A new link moves slots: none is served until routes are rebuilt.
         t.add_link(NodeId(3), NodeId(0), LinkSpec::mbps1());
         assert_eq!(t.link_slot(NodeId(2), NodeId(1)), None);
+        assert_eq!(t.links_from(NodeId(2)).count(), 0);
         t.rebuild_routes();
         assert_eq!(t.directed_link_count(), 8);
         assert!(t.link_slot(NodeId(3), NodeId(0)).is_some());

@@ -77,8 +77,7 @@ impl Channel {
 
     /// Time to move `cost` over this channel.
     pub fn transmission_time(&self, cost: Cost) -> SimDuration {
-        let micros = (cost.as_bytes() as u128 * 8 * 1_000_000) / self.bandwidth_bps as u128;
-        SimDuration::from_micros(micros.min(u64::MAX as u128) as u64)
+        SimDuration::of_transmission(cost.as_bytes(), self.bandwidth_bps)
     }
 
     /// Total time to move a sequence of items.

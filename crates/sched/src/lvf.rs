@@ -20,13 +20,16 @@ pub fn lvf_order(items: &[RetrievalItem]) -> Vec<RetrievalItem> {
     out
 }
 
+/// Least-Volatile-First order: longest validity first, ties by label.
+pub(crate) fn cmp_lvf(a: &RetrievalItem, b: &RetrievalItem) -> core::cmp::Ordering {
+    b.validity
+        .cmp(&a.validity)
+        .then_with(|| a.label.cmp(&b.label))
+}
+
 /// Sorts `items` in place Least-Volatile-First.
 pub fn sort_lvf(items: &mut [RetrievalItem]) {
-    items.sort_by(|a, b| {
-        b.validity
-            .cmp(&a.validity)
-            .then_with(|| a.label.cmp(&b.label))
-    });
+    items.sort_by(cmp_lvf);
 }
 
 /// Schedules a single query with LVF and analyzes the result.

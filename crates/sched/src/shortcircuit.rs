@@ -52,15 +52,19 @@ pub fn expected_or_cost(items: &[RetrievalItem]) -> f64 {
     total
 }
 
+/// The cost-optimal order of a conjunction: descending `(1 − p)/C`, ties
+/// by label.
+pub(crate) fn cmp_and_ratio(a: &RetrievalItem, b: &RetrievalItem) -> core::cmp::Ordering {
+    b.and_shortcircuit_ratio()
+        .total_cmp(&a.and_shortcircuit_ratio())
+        .then_with(|| a.label.cmp(&b.label))
+}
+
 /// Reorders a conjunction for minimum expected cost: descending
 /// `(1 − p)/C`. Ties break by label.
 pub fn optimal_and_order(items: &[RetrievalItem]) -> Vec<RetrievalItem> {
     let mut out = items.to_vec();
-    out.sort_by(|a, b| {
-        b.and_shortcircuit_ratio()
-            .total_cmp(&a.and_shortcircuit_ratio())
-            .then_with(|| a.label.cmp(&b.label))
-    });
+    out.sort_by(cmp_and_ratio);
     out
 }
 

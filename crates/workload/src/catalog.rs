@@ -34,6 +34,9 @@ pub struct ObjectSpec {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     objects: Vec<ObjectSpec>,
+    // names[i] is objects[i].name rendered once, in the form planners key
+    // retrieval items and learned estimates by.
+    names: Vec<Label>,
     by_label: BTreeMap<Label, Vec<usize>>,
     by_name: BTreeMap<Name, usize>,
 }
@@ -56,6 +59,7 @@ impl Catalog {
         for l in &spec.covers {
             self.by_label.entry(l.clone()).or_default().push(idx);
         }
+        self.names.push(Label::new(spec.name.to_string()));
         self.objects.push(spec);
         idx
     }
@@ -68,6 +72,13 @@ impl Catalog {
     /// The object with index `idx`.
     pub fn get(&self, idx: usize) -> &ObjectSpec {
         &self.objects[idx]
+    }
+
+    /// Object `idx`'s name as rendered text, shared: cloning it is a
+    /// reference-count bump, where `get(idx).name.to_string()` formats and
+    /// allocates.
+    pub fn rendered_name(&self, idx: usize) -> &Label {
+        &self.names[idx]
     }
 
     /// The object with the given name.
@@ -131,6 +142,9 @@ mod tests {
         assert_eq!(c.providers_of(&Label::new("segA")), &[0]);
         assert!(c.providers_of(&Label::new("ghost")).is_empty());
         assert_eq!(c.by_name(&"/cam/1".parse().unwrap()).unwrap().size, 200);
+        for (i, o) in c.objects().iter().enumerate() {
+            assert_eq!(c.rendered_name(i).as_str(), o.name.to_string());
+        }
         assert!(c.by_name(&"/cam/9".parse().unwrap()).is_none());
     }
 
