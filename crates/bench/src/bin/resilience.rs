@@ -10,9 +10,6 @@
 //! Usage: `cargo run -p dde-bench --bin resilience --release`
 //! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
-// The churn sweep fans out over a Mutex-slotted worker pool, outside the
-// replayed simulation.
-#![allow(clippy::disallowed_types)]
 use dde_bench::{bench_json, stat, write_bench_json, HarnessConfig, Stat, PAPER_REPS};
 use dde_core::engine::{run_scenario, RunOptions, RunReport};
 use dde_core::strategy::Strategy;

@@ -125,7 +125,7 @@ fn adaptive_reproduces_its_baseline() {
 }
 
 #[test]
-#[ignore = "seconds of CPU: three city-scale runs; CI runs it with --include-ignored"]
+#[ignore = "seconds of CPU: one city-scale run; CI runs it with --include-ignored"]
 fn city_reproduces_its_baseline_with_no_stat_objects() {
     let doc = assert_matches_baseline("city", env!("CARGO_BIN_EXE_city"));
     assert_no_stat_objects("city", &doc);

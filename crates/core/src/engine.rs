@@ -222,7 +222,7 @@ impl RunReport {
 
 /// Runs `scenario` under `options` with ground-truth annotators.
 pub fn run_scenario(scenario: &Scenario, options: RunOptions) -> RunReport {
-    run(scenario, options, Arc::new(GroundTruthAnnotator), 1, None)
+    run(scenario, options, Arc::new(GroundTruthAnnotator), None)
 }
 
 /// Runs `scenario` with a trace sink observing the full event lifecycle:
@@ -238,7 +238,6 @@ pub fn run_scenario_observed(
         scenario,
         options,
         Arc::new(GroundTruthAnnotator),
-        1,
         Some(sink),
     )
 }
@@ -249,41 +248,18 @@ pub fn run_scenario_with_annotator(
     options: RunOptions,
     annotator: Arc<dyn Annotator + Send + Sync>,
 ) -> RunReport {
-    run(scenario, options, annotator, 1, None)
+    run(scenario, options, annotator, None)
 }
 
-/// Runs `scenario` with up to `threads` worker regions
-/// ([`ShardedSimulator`]'s conservative-parallel mode).
-///
-/// A given `(scenario, options)` produces the same report at any thread
-/// count — including the event count and, for
-/// [`run_scenario_sharded_observed`], a byte-identical trace.
-pub fn run_scenario_sharded(scenario: &Scenario, options: RunOptions, threads: usize) -> RunReport {
-    run(
-        scenario,
-        options,
-        Arc::new(GroundTruthAnnotator),
-        threads,
-        None,
-    )
-}
-
-/// Observed variant of [`run_scenario_sharded`]: per-shard trace streams
-/// are merged into one deterministically ordered stream feeding `sink`,
-/// with the live cost ledger teed in.
-pub fn run_scenario_sharded_observed(
+/// [`run_scenario`]; the last argument is ignored. There is one event loop
+/// and it runs on the calling thread. The name stays because the frozen
+/// `benchmark/` calls it.
+pub fn run_scenario_sharded(
     scenario: &Scenario,
     options: RunOptions,
-    threads: usize,
-    sink: Box<dyn Sink>,
+    _threads: usize,
 ) -> RunReport {
-    run(
-        scenario,
-        options,
-        Arc::new(GroundTruthAnnotator),
-        threads,
-        Some(sink),
-    )
+    run_scenario(scenario, options)
 }
 
 /// The one run body behind every `run_scenario*` entry point.
@@ -291,12 +267,11 @@ fn run(
     scenario: &Scenario,
     options: RunOptions,
     annotator: Arc<dyn Annotator + Send + Sync>,
-    threads: usize,
     sink: Option<Box<dyn Sink>>,
 ) -> RunReport {
     let shared = build_shared_world(scenario, &options);
     let nodes = build_nodes(scenario, &shared, &annotator);
-    let mut sim = ShardedSimulator::new(scenario.topology.clone(), nodes, options.seed, threads);
+    let mut sim = ShardedSimulator::new(scenario.topology.clone(), nodes, options.seed, 1);
     sim.set_medium(options.medium);
     // Observed runs tee the event stream into a live cost ledger alongside
     // the caller's sink, so every observed run gets per-decision
@@ -333,10 +308,9 @@ fn run(
     // streaming sinks have written the complete trace before the report is
     // in hand; a flush failure must not invalidate the run itself.
     let _ = sim.sink_mut().flush();
-    let metrics = sim.metrics();
     let nodes: Vec<&AthenaNode> = sim.nodes().collect();
     let mut report = collect_report_parts(
-        &metrics,
+        sim.metrics(),
         sim.now(),
         sim.events_processed(),
         &nodes,

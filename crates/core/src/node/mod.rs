@@ -355,7 +355,7 @@ pub struct AthenaNode {
     tick_armed: bool,
     /// Online estimator state (`None` = static planning). Built from
     /// [`NodeConfig::adaptive`]; updated only at trace-visible events so
-    /// observed, unobserved, and sharded runs evolve identically.
+    /// observed and unobserved runs evolve identically.
     adaptive: Option<AdaptiveState>,
     /// Counters.
     pub stats: NodeStats,

@@ -202,9 +202,6 @@ pub struct Config {
     pub test_crates: Vec<String>,
     /// Crates whose non-test code must be panic-free (R4).
     pub library_crates: Vec<String>,
-    /// Region-pinned shard-state crates: no shared-mutable-state
-    /// primitives outside the coordinator allowlist (R5).
-    pub shard_state_crates: Vec<String>,
     /// Crates whose `Transmit`/`Deliver`/`Loss` constructions must thread
     /// an attribution key (R6).
     pub emit_crates: Vec<String>,
@@ -213,10 +210,10 @@ pub struct Config {
     /// The stable-key type names R7 protects (struct literals outside the
     /// type's own `impl` are flagged).
     pub event_key_types: Vec<String>,
-    /// Crates whose cross-shard result collections must be sorted before
+    /// Crates whose worker-pool result collections must be sorted before
     /// iteration (R8).
     pub merge_crates: Vec<String>,
-    /// Field/binding names treated as cross-shard result collections (R8).
+    /// Field/binding names treated as worker-pool result collections (R8).
     pub merge_collections: Vec<String>,
     /// Per-rule path allowlists: `path-suffix` or `path-suffix:line`.
     pub allow: BTreeMap<RuleId, Vec<String>>,
@@ -248,18 +245,11 @@ impl Default for Config {
             ]
             .map(String::from)
             .to_vec(),
-            shard_state_crates: ["dde-netsim", "dde-core", "dde-sched", "dde-workload"]
-                .map(String::from)
-                .to_vec(),
             emit_crates: ["dde-netsim", "dde-core"].map(String::from).to_vec(),
             event_key_crates: vec!["dde-netsim".into()],
             event_key_types: vec!["EventKey".into()],
-            merge_crates: ["dde-netsim", "dde-obs", "dde-bench"]
-                .map(String::from)
-                .to_vec(),
-            merge_collections: ["pending", "outbox", "inbox", "results"]
-                .map(String::from)
-                .to_vec(),
+            merge_crates: vec!["dde-bench".into()],
+            merge_collections: vec!["results".into()],
             allow: BTreeMap::new(),
         }
     }
@@ -286,9 +276,6 @@ impl Config {
         if let Some(v) = doc.list_value("rules.no-panic", "library_crates") {
             cfg.library_crates = v.to_vec();
         }
-        if let Some(v) = doc.list_value("rules.shard-shared-state", "crates") {
-            cfg.shard_state_crates = v.to_vec();
-        }
         if let Some(v) = doc.list_value("rules.attribution-key", "emit_crates") {
             cfg.emit_crates = v.to_vec();
         }
@@ -309,15 +296,6 @@ impl Config {
             if let Some(v) = doc.list_value(&table, "allow") {
                 cfg.allow.insert(rule, v.to_vec());
             }
-        }
-        // The coordinator allowlist is R5's named escape hatch: entries are
-        // ordinary `path-suffix[:line]` allows, kept in their own key so the
-        // config reads as "coordinator-owned shared state", not "ignore".
-        if let Some(v) = doc.list_value("rules.shard-shared-state", "coordinator_allow") {
-            cfg.allow
-                .entry(RuleId::ShardSharedState)
-                .or_default()
-                .extend(v.to_vec());
         }
         Ok(cfg)
     }
@@ -396,26 +374,21 @@ allow = [
     }
 
     #[test]
-    fn shard_rule_keys_and_coordinator_allow() {
+    fn structural_rule_keys_override_the_defaults() {
         let cfg = Config::from_toml_str(
-            "[rules.shard-shared-state]\ncrates = [\"dde-netsim\"]\n\
-             coordinator_allow = [\"src/shard.rs:10\"]\nallow = [\"src/other.rs\"]\n\
-             [rules.merge-order]\ncollections = [\"outbox\"]\n\
-             [rules.stable-event-key]\nkey_types = [\"EventKey\", \"MergeKey\"]\n",
+            "[rules.merge-order]\ncrates = [\"dde-net\"]\ncollections = [\"outbox\"]\n\
+             allow = [\"src/pool.rs:10\"]\n\
+             [rules.stable-event-key]\nkey_types = [\"EventKey\", \"TimerKey\"]\n",
         )
         .unwrap();
-        assert_eq!(cfg.shard_state_crates, vec!["dde-netsim"]);
+        assert_eq!(cfg.merge_crates, vec!["dde-net"]);
         assert_eq!(cfg.merge_collections, vec!["outbox"]);
-        assert_eq!(cfg.event_key_types, vec!["EventKey", "MergeKey"]);
-        // `coordinator_allow` entries merge after plain `allow` entries.
+        assert_eq!(cfg.event_key_types, vec!["EventKey", "TimerKey"]);
         assert!(cfg
-            .allows(RuleId::ShardSharedState, "crates/netsim/src/shard.rs", 10)
+            .allows(RuleId::MergeOrder, "crates/net/src/pool.rs", 10)
             .is_some());
         assert!(cfg
-            .allows(RuleId::ShardSharedState, "crates/netsim/src/other.rs", 3)
-            .is_some());
-        assert!(cfg
-            .allows(RuleId::ShardSharedState, "crates/netsim/src/shard.rs", 11)
+            .allows(RuleId::MergeOrder, "crates/net/src/pool.rs", 11)
             .is_none());
     }
 

@@ -305,7 +305,7 @@ pub struct LintReport {
     /// Allows (inline markers and `lint.toml` entries) that matched no
     /// finding, in sorted order. Gated on like violations.
     pub stale_allows: Vec<StaleAllow>,
-    /// Per-rule footer stats, in R1..R8 order.
+    /// Per-rule footer stats, in rule-code order.
     pub stats: Vec<(RuleId, RuleStats)>,
 }
 

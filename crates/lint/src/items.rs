@@ -2,11 +2,11 @@
 //! resolution, `fn`/`impl` spans, and a per-file symbol table.
 //!
 //! The vendored `syn` stand-in lexes faithfully but stops at tokens; the
-//! R1–R4 passes only ever needed pattern scans. The shard-safety passes
-//! (R5–R8) need more: *"is this `EventKey { .. }` literal inside
-//! `impl EventKey`?"*, *"does `Lock` here actually name
-//! `std::sync::Mutex`?"*, *"is there a `.sort*` on this collection earlier
-//! in the same function?"*. This module reconstructs exactly that much
+//! R1–R4 passes only ever needed pattern scans. The structural passes
+//! (R6–R8) need more: *"is this `EventKey { .. }` literal inside
+//! `impl EventKey`?"*, *"does `Deliver` here actually name
+//! `dde_obs::EventKind::Deliver`?"*, *"is there a `.sort*` on this collection
+//! earlier in the same function?"*. This module reconstructs exactly that much
 //! structure — item spans and name bindings — without attempting a full
 //! expression AST.
 //!

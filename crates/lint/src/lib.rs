@@ -1,4 +1,4 @@
-//! # dde-lint — workspace determinism & shard-safety analyzer
+//! # dde-lint — workspace determinism analyzer
 //!
 //! The whole evaluation story of this reproduction rests on bit-identical
 //! replay: the same seed must produce a byte-identical `RunReport`, or the
@@ -23,25 +23,20 @@
 //!   non-test code, unless annotated `// lint: allow(panic) — <reason>`.
 //!   Annotated sites surface in the machine-readable allowlist report.
 //!
-//! The shard-safety passes (R5–R8) guard the parallel simulator's
-//! byte-identical-at-any-thread-count contract. They run over the
-//! [`items`] structural index (module tree, `use` resolution, `fn`/`impl`
-//! spans) built on the same token stream:
+//! The structural passes (R6–R8) run over the [`items`] index (module
+//! tree, `use` resolution, `fn`/`impl` spans) built on the same token
+//! stream. (R5, shared mutable state in worker-pinned simulation code,
+//! retired with the simulator's worker pool.)
 //!
-//! - **R5 `shard-shared-state`** — no `Mutex`/`RwLock`/`Atomic*`/`Rc`/
-//!   `RefCell`/`static mut`/`thread_local!` in region-pinned shard-state
-//!   crates (`netsim`, `core`, `sched`, `workload`); cross-shard mutation
-//!   flows through coordinator fault batches. Coordinator-owned exchange
-//!   state is allowlisted explicitly (`coordinator_allow`).
 //! - **R6 `attribution-key`** — every constructed wire-level
 //!   `EventKind::{Transmit, Deliver, Loss}` record must thread a `query`
 //!   attribution key (`WireMessage::attribution()`), so no new emit site
 //!   can bypass the per-decision ledger-conservation invariant.
-//! - **R7 `stable-event-key`** — event enqueues in sharded code go through
-//!   the stable `EventKey` constructors; raw key literals outside
-//!   `impl EventKey` and raw timestamp-tuple heap pushes are flagged.
-//! - **R8 `merge-order`** — iterating a cross-shard result collection
-//!   (`pending`, `outbox`, `inbox`, `results`) without a preceding
+//! - **R7 `stable-event-key`** — event enqueues go through the stable
+//!   `EventKey` constructors; raw key literals outside `impl EventKey` and
+//!   raw timestamp-tuple heap pushes are flagged.
+//! - **R8 `merge-order`** — iterating a worker pool's result collection
+//!   (`results` in `dde-bench`'s sweep pool) without a preceding
 //!   deterministic sort in the same function is flagged.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` fns, `tests/`, `benches/`)

@@ -1,4 +1,4 @@
-//! `dde-lint` — the workspace determinism & shard-safety gate.
+//! `dde-lint` — the workspace determinism gate.
 //!
 //! ```text
 //! dde-lint [--root DIR] [--config FILE] [--format text|json] [--quiet] [--no-timing]
@@ -30,10 +30,9 @@ struct Args {
 const USAGE: &str =
     "usage: dde-lint [--root DIR] [--config FILE] [--format text|json] [--quiet] [--no-timing]
 
-Parses every workspace source file and enforces the determinism,
-panic-safety, and shard-safety rules (R1 no-hash-state,
-R2 no-ambient-nondeterminism, R3 float-order, R4 no-panic,
-R5 shard-shared-state, R6 attribution-key, R7 stable-event-key,
+Parses every workspace source file and enforces the determinism and
+panic-safety rules (R1 no-hash-state, R2 no-ambient-nondeterminism,
+R3 float-order, R4 no-panic, R6 attribution-key, R7 stable-event-key,
 R8 merge-order). Configuration and per-rule allowlists are read from
 lint.toml at the workspace root. Allowlist entries and inline markers
 that no longer match any finding are reported as stale and gate the

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// One of the eight enforced rules.
+/// One of the enforced rules. `R5` (shared mutable state in worker-pinned
+/// code) retired with the worker pool; the other codes keep their numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// R1: no `HashMap`/`HashSet` state in simulator-state crates.
@@ -13,40 +14,35 @@ pub enum RuleId {
     FloatOrder,
     /// R4: no `unwrap`/`expect` in library non-test code without a marker.
     Panic,
-    /// R5: no shared-mutable-state primitives in region-pinned shard code.
-    ShardSharedState,
     /// R6: `Transmit`/`Deliver`/`Loss` records must thread an attribution
     /// key.
     AttributionKey,
-    /// R7: event enqueues in sharded code go through the stable `EventKey`
-    /// constructors.
+    /// R7: event enqueues go through the stable `EventKey` constructors.
     StableEventKey,
-    /// R8: no iteration over cross-shard result collections without a
+    /// R8: no iteration over a worker pool's result collection without a
     /// preceding deterministic sort.
     MergeOrder,
 }
 
 impl RuleId {
-    /// All rules, in R1..R8 order.
-    pub const ALL: [RuleId; 8] = [
+    /// All rules, in code order.
+    pub const ALL: [RuleId; 7] = [
         RuleId::HashState,
         RuleId::AmbientNondeterminism,
         RuleId::FloatOrder,
         RuleId::Panic,
-        RuleId::ShardSharedState,
         RuleId::AttributionKey,
         RuleId::StableEventKey,
         RuleId::MergeOrder,
     ];
 
-    /// Short code, `R1`..`R8`.
+    /// Short code, `R1`..`R8` (no `R5`).
     pub fn code(self) -> &'static str {
         match self {
             RuleId::HashState => "R1",
             RuleId::AmbientNondeterminism => "R2",
             RuleId::FloatOrder => "R3",
             RuleId::Panic => "R4",
-            RuleId::ShardSharedState => "R5",
             RuleId::AttributionKey => "R6",
             RuleId::StableEventKey => "R7",
             RuleId::MergeOrder => "R8",
@@ -61,7 +57,6 @@ impl RuleId {
             RuleId::AmbientNondeterminism => "no-ambient-nondeterminism",
             RuleId::FloatOrder => "float-order",
             RuleId::Panic => "no-panic",
-            RuleId::ShardSharedState => "shard-shared-state",
             RuleId::AttributionKey => "attribution-key",
             RuleId::StableEventKey => "stable-event-key",
             RuleId::MergeOrder => "merge-order",
@@ -75,7 +70,6 @@ impl RuleId {
             RuleId::AmbientNondeterminism => "nondeterminism",
             RuleId::FloatOrder => "float-order",
             RuleId::Panic => "panic",
-            RuleId::ShardSharedState => "shared-state",
             RuleId::AttributionKey => "attribution",
             RuleId::StableEventKey => "event-key",
             RuleId::MergeOrder => "merge-order",

@@ -1,9 +1,9 @@
-//! The rule passes (R1–R8) over a parsed [`SourceFile`].
+//! The rule passes (R1–R4, R6–R8) over a parsed [`SourceFile`].
 //!
-//! R1–R4 are pure token-pattern scans. The shard-safety passes R5–R8 also
+//! R1–R4 are pure token-pattern scans. The structural passes R6–R8 also
 //! consult the file's [`ItemIndex`] — `use` resolution, `impl` spans, and
-//! enclosing-`fn` lookup — so they can tell a renamed `Mutex` import from an
-//! innocent identifier, a key constructor inside `impl EventKey` from a raw
+//! enclosing-`fn` lookup — so they can tell an imported `EventKind` variant
+//! from another enum's, a key constructor inside `impl EventKey` from a raw
 //! literal outside it, and a sorted merge from an unsorted one.
 
 use crate::config::Config;
@@ -94,7 +94,6 @@ pub fn check_file(
         });
     }
     let structural = [
-        cfg.shard_state_crates.contains(&file.crate_name),
         cfg.emit_crates.contains(&file.crate_name),
         cfg.event_key_crates.contains(&file.crate_name),
         cfg.merge_crates.contains(&file.crate_name),
@@ -102,21 +101,16 @@ pub fn check_file(
     if structural.iter().any(|&b| b) {
         let index = ItemIndex::build(file.tokens());
         if structural[0] {
-            timed(RuleId::ShardSharedState, stats, &mut findings, |out| {
-                rule_shard_shared_state(file, &index, out)
-            });
-        }
-        if structural[1] {
             timed(RuleId::AttributionKey, stats, &mut findings, |out| {
                 rule_attribution_key(file, &index, out)
             });
         }
-        if structural[2] {
+        if structural[1] {
             timed(RuleId::StableEventKey, stats, &mut findings, |out| {
                 rule_stable_event_key(file, cfg, &index, out)
             });
         }
-        if structural[3] {
+        if structural[2] {
             timed(RuleId::MergeOrder, stats, &mut findings, |out| {
                 rule_merge_order(file, cfg, &index, out)
             });
@@ -285,77 +279,6 @@ fn rule_panic(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Whether a type name is one of R5's shared-mutable-state primitives.
-fn is_shared_state_name(name: &str) -> bool {
-    matches!(name, "Mutex" | "RwLock" | "Rc" | "RefCell") || name.starts_with("Atomic")
-}
-
-/// R5: shared-mutable-state primitives (`Mutex`/`RwLock`/`Atomic*`/`Rc`/
-/// `RefCell`/`static mut`/`thread_local!`) in region-pinned shard-state
-/// crates. Like R1, the *name* is flagged (imports included) — and the
-/// item index unmasks renamed imports (`use std::sync::Mutex as Lock`).
-/// Coordinator-owned exchange state goes in `coordinator_allow`.
-fn rule_shard_shared_state(file: &SourceFile, index: &ItemIndex, out: &mut Vec<Finding>) {
-    let toks = file.tokens();
-    let sig = significant(toks);
-    for (s, &i) in sig.iter().enumerate() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident || file.in_test(i) {
-            continue;
-        }
-        if t.text == "thread_local" && sig.get(s + 1).is_some_and(|&j| toks[j].is_punct("!")) {
-            out.push(Finding {
-                rule: RuleId::ShardSharedState,
-                tok_idx: i,
-                snippet: "thread_local!".to_string(),
-                message: "per-thread state in a region-pinned crate varies with \
-                          the worker a shard lands on; keep state inside the \
-                          shard struct so placement cannot leak into results"
-                    .to_string(),
-            });
-            continue;
-        }
-        if t.text == "static" && sig.get(s + 1).is_some_and(|&j| toks[j].is_ident("mut")) {
-            out.push(Finding {
-                rule: RuleId::ShardSharedState,
-                tok_idx: i,
-                snippet: "static mut".to_string(),
-                message: "`static mut` is process-global mutable state; shard \
-                          crates must confine mutation to per-shard structs or \
-                          coordinator fault batches"
-                    .to_string(),
-            });
-            continue;
-        }
-        let resolved = if is_shared_state_name(&t.text) {
-            Some(t.text.as_str())
-        } else {
-            index
-                .resolve(&t.text)
-                .and_then(|p| p.rsplit("::").next())
-                .filter(|last| is_shared_state_name(last))
-        };
-        if let Some(underlying) = resolved {
-            let snippet = if underlying == t.text {
-                t.text.clone()
-            } else {
-                format!("{} (= {})", t.text, underlying)
-            };
-            out.push(Finding {
-                rule: RuleId::ShardSharedState,
-                tok_idx: i,
-                snippet,
-                message: format!(
-                    "{underlying} is a shared-mutable-state primitive; \
-                     region-pinned shard code must route cross-shard mutation \
-                     through the coordinator's fault batches (coordinator-owned \
-                     sites go in rules.shard-shared-state.coordinator_allow)"
-                ),
-            });
-        }
-    }
-}
-
 /// The wire-level record variants whose constructions R6 audits.
 const WIRE_VARIANTS: &[&str] = &["Transmit", "Deliver", "Loss"];
 
@@ -491,11 +414,11 @@ fn rule_attribution_key(file: &SourceFile, index: &ItemIndex, out: &mut Vec<Find
     }
 }
 
-/// R7: in sharded code, event identity must come from the stable `EventKey`
-/// constructors. Flags (a) raw `EventKey { .. }` struct literals outside
-/// `impl EventKey` (the constructors' home — declarations and `..`-rest
-/// patterns are skipped), and (b) raw tuple pushes into an event heap,
-/// which reintroduce partition-dependent ordering.
+/// R7: event identity must come from the stable `EventKey` constructors.
+/// Flags (a) raw `EventKey { .. }` struct literals outside `impl EventKey`
+/// (the constructors' home — declarations and `..`-rest patterns are
+/// skipped), and (b) raw tuple pushes into an event heap, which order
+/// same-instant events by whatever the tuple happens to hold.
 fn rule_stable_event_key(
     file: &SourceFile,
     cfg: &Config,
@@ -527,9 +450,9 @@ fn rule_stable_event_key(
                     snippet: format!("{} {{ .. }}", t.text),
                     message: format!(
                         "raw `{} {{ .. }}` literal outside `impl {}`; use the \
-                         stable constructors so event identity stays \
-                         partition-independent (a hand-rolled key is one typo \
-                         away from a thread-count-dependent trace)",
+                         stable constructors so event identity derives from \
+                         simulation state (a hand-rolled key is one typo away \
+                         from an insertion-order-dependent trace)",
                         t.text, t.text
                     ),
                 });
@@ -550,19 +473,18 @@ fn rule_stable_event_key(
                 tok_idx: i,
                 snippet: format!("{}.push((..))", t.text),
                 message: "raw timestamp-tuple push into an event heap orders \
-                          ties by tuple position, which is partition-dependent; \
-                          push an entry keyed by a stable `EventKey`"
+                          ties by tuple position, not by event identity; push \
+                          an entry keyed by a stable `EventKey`"
                     .to_string(),
             });
         }
     }
 }
 
-/// R8: iteration over a cross-shard result collection (`pending`,
-/// `outbox`, `inbox`, `results` by default) with no preceding `.sort*` on
-/// the same collection in the same function. Shard batches arrive in
-/// thread-completion order; draining them unsorted bakes that order into
-/// the merged output.
+/// R8: iteration over a worker pool's result collection (`results` in
+/// `dde-bench`'s sweep pool by default) with no preceding `.sort*` on the
+/// same collection in the same function. Workers finish in any order;
+/// draining their results unsorted bakes that order into the output.
 fn rule_merge_order(file: &SourceFile, cfg: &Config, index: &ItemIndex, out: &mut Vec<Finding>) {
     let toks = file.tokens();
     let sig = significant(toks);
@@ -642,10 +564,10 @@ fn rule_merge_order(file: &SourceFile, cfg: &Config, index: &ItemIndex, out: &mu
                 tok_idx: i,
                 snippet: format!("{name} iterated unsorted"),
                 message: format!(
-                    "cross-shard collection `{name}` is iterated without a \
-                     preceding deterministic sort in {}; shard batches arrive \
-                     in thread-completion order, so sort by a stable key (or \
-                     mark the site if order is provably position-deterministic)",
+                    "worker-result collection `{name}` is iterated without a \
+                     preceding deterministic sort in {}; workers finish in \
+                     any order, so sort by a stable key (or mark the site if \
+                     order is provably position-deterministic)",
                     index
                         .enclosing_fn(i)
                         .map(|f| format!("`fn {}`", f.name))
@@ -818,57 +740,6 @@ mod tests {
         assert_eq!(violations(&diags, RuleId::Panic), 0);
     }
 
-    // R5 ---------------------------------------------------------------
-
-    #[test]
-    fn r5_fires_on_shared_state_primitives_in_shard_crates() {
-        let diags = check(
-            "dde-netsim",
-            "use std::sync::Mutex;\nstruct S { m: Mutex<u32>, c: AtomicU64 }\n",
-        );
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 3);
-        let diags = check("dde-core", "static mut COUNTER: u64 = 0;\n");
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 1);
-        let diags = check("dde-sched", "thread_local! { static CACHE: u32 = 0; }\n");
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 1);
-    }
-
-    #[test]
-    fn r5_sees_through_renamed_imports() {
-        let diags = check(
-            "dde-netsim",
-            "use std::sync::Mutex as Lock;\nstruct S { m: Lock<u32> }\n",
-        );
-        // The import's `Mutex` ident plus both `Lock` occurrences.
-        let v: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == RuleId::ShardSharedState && d.is_violation())
-            .collect();
-        assert_eq!(v.len(), 3);
-        assert!(v.iter().any(|d| d.snippet == "Lock (= Mutex)"));
-    }
-
-    #[test]
-    fn r5_negative_cases() {
-        // Arc and mpsc are coordinator exchange, not shared mutation.
-        let diags = check(
-            "dde-netsim",
-            "use std::sync::{mpsc, Arc};\nstruct S { t: Arc<u32> }\n",
-        );
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 0);
-        // Out-of-scope crates (obs owns SharedSink deliberately).
-        let diags = check("dde-obs", "use std::sync::Mutex;\n");
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 0);
-        // `static` without `mut` is fine; test code is exempt.
-        let diags = check("dde-core", "static N: u64 = 0;\n");
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 0);
-        let diags = check(
-            "dde-netsim",
-            "#[cfg(test)]\nmod tests { use std::sync::Mutex; }\n",
-        );
-        assert_eq!(violations(&diags, RuleId::ShardSharedState), 0);
-    }
-
     // R6 ---------------------------------------------------------------
 
     #[test]
@@ -974,13 +845,13 @@ mod tests {
     #[test]
     fn r8_fires_on_unsorted_iteration_of_merge_collections() {
         let diags = check(
-            "dde-obs",
-            "fn f(pending: Vec<u32>, s: &mut Sink) { for p in pending { s.put(p); } }\n",
+            "dde-bench",
+            "fn f(results: Vec<R>, s: &mut Sink) { for r in results { s.put(r); } }\n",
         );
         assert_eq!(violations(&diags, RuleId::MergeOrder), 1);
         let diags = check(
-            "dde-netsim",
-            "fn f(&mut self) { for cd in self.outbox.drain(..) { route(cd); } }\n",
+            "dde-bench",
+            "fn f(&mut self) { for r in self.results.drain(..) { route(r); } }\n",
         );
         assert_eq!(violations(&diags, RuleId::MergeOrder), 1);
         let diags = check(
@@ -993,19 +864,19 @@ mod tests {
     #[test]
     fn r8_sorted_iteration_passes() {
         let diags = check(
-            "dde-obs",
-            "fn f(&mut self, s: &mut Sink) {\n    self.pending.sort_unstable_by_key(|e| e.0);\n    for (_, r) in self.pending.drain(..) { s.record(r); }\n}\n",
+            "dde-bench",
+            "fn f(&mut self, s: &mut Sink) {\n    self.results.sort_unstable_by_key(|e| e.0);\n    for (_, r) in self.results.drain(..) { s.record(r); }\n}\n",
         );
         assert_eq!(violations(&diags, RuleId::MergeOrder), 0);
         // A sort in a *different* fn does not cover the iteration.
         let diags = check(
-            "dde-obs",
-            "fn a(&mut self) { self.pending.sort(); }\nfn b(&mut self) { for p in self.pending.iter() { use_(p); } }\n",
+            "dde-bench",
+            "fn a(&mut self) { self.results.sort(); }\nfn b(&mut self) { for r in self.results.iter() { use_(r); } }\n",
         );
         assert_eq!(violations(&diags, RuleId::MergeOrder), 1);
         // Unrelated collection names and out-of-scope crates pass.
         let diags = check(
-            "dde-obs",
+            "dde-bench",
             "fn f(items: Vec<u32>) { for i in items { use_(i); } }\n",
         );
         assert_eq!(violations(&diags, RuleId::MergeOrder), 0);
@@ -1023,7 +894,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "dde-netsim",
             false,
-            "// lint: allow(shared-state) — coordinator-owned exchange cell\nuse std::sync::Mutex;\n",
+            "// lint: allow(event-key) — a scratch heap, not the event queue\nfn f(heap: &mut Heap, at: u64) { heap.push((at, 7)); }\n",
         )
         .unwrap();
         let mut stats = BTreeMap::new();
@@ -1032,9 +903,9 @@ mod tests {
         assert!(checked
             .diagnostics
             .iter()
-            .all(|d| d.rule != RuleId::ShardSharedState || !d.is_violation()));
-        assert_eq!(stats[&RuleId::ShardSharedState].files_checked, 1);
-        assert_eq!(stats[&RuleId::MergeOrder].files_checked, 1);
+            .all(|d| d.rule != RuleId::StableEventKey || !d.is_violation()));
+        assert_eq!(stats[&RuleId::StableEventKey].files_checked, 1);
+        assert_eq!(stats[&RuleId::AttributionKey].files_checked, 1);
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! R8 positive fixture: cross-shard collections drained or iterated with
-//! no preceding sort in the same function.
+//! R8 positive fixture: a worker pool's result collection drained or
+//! iterated with no preceding sort in the same function.
 
-pub fn flush(pending: &mut Vec<(u64, Record)>, sink: &mut Sink) {
-    for (_, rec) in pending.drain(..) {
-        sink.record(&rec);
+pub fn flush(results: &mut Vec<(u64, Report)>, sink: &mut Sink) {
+    for (_, report) in results.drain(..) {
+        sink.record(&report);
     }
 }
 
-pub struct Coordinator {
-    outbox: Vec<Delivery>,
+pub struct Pool {
+    results: Vec<Report>,
 }
 
-impl Coordinator {
-    pub fn route(&mut self) {
-        for cd in self.outbox.iter() {
-            deliver(cd);
+impl Pool {
+    pub fn publish(&mut self) {
+        for report in self.results.iter() {
+            publish(report);
         }
     }
 }

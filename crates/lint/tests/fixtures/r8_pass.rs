@@ -1,22 +1,22 @@
 //! R8 negative fixture: the same merge points with a deterministic sort
 //! before iteration, plus an unrelated collection name.
 
-pub fn flush(pending: &mut Vec<(u64, Record)>, sink: &mut Sink) {
-    pending.sort_unstable_by_key(|entry| entry.0);
-    for (_, rec) in pending.drain(..) {
-        sink.record(&rec);
+pub fn flush(results: &mut Vec<(u64, Report)>, sink: &mut Sink) {
+    results.sort_unstable_by_key(|entry| entry.0);
+    for (_, report) in results.drain(..) {
+        sink.record(&report);
     }
 }
 
-pub struct Coordinator {
-    outbox: Vec<Delivery>,
+pub struct Pool {
+    results: Vec<Report>,
 }
 
-impl Coordinator {
-    pub fn route(&mut self) {
-        self.outbox.sort_by_key(|cd| (cd.at, cd.from, cd.to));
-        for cd in self.outbox.iter() {
-            deliver(cd);
+impl Pool {
+    pub fn publish(&mut self) {
+        self.results.sort_by_key(|report| report.cell);
+        for report in self.results.iter() {
+            publish(report);
         }
     }
 }

@@ -1,4 +1,5 @@
-//! Fixture-based coverage for the structural passes R5–R8.
+//! Fixture-based coverage for the structural passes R6–R8 (the file keeps
+//! the name it had when R5 existed).
 //!
 //! Each rule is exercised with one failing and one passing fixture under
 //! `tests/fixtures/`. The fixtures are real Rust source (they must lex
@@ -39,38 +40,6 @@ fn assert_only_rule(diags: &[dde_lint::Diagnostic], rule: RuleId, fixture: &str)
 }
 
 #[test]
-fn r5_fail_fixture_flags_every_primitive() {
-    let diags = check_fixture("r5_fail.rs", "dde-netsim");
-    assert_only_rule(&diags, RuleId::ShardSharedState, "r5_fail.rs");
-    let lines = lines_for(&diags, RuleId::ShardSharedState);
-    // static mut, thread_local!, Rc, RefCell, AtomicU64, plus both the
-    // use-decl and use-site idents for the renamed Mutex and for RwLock
-    // (import lines count: banning the import is the point).
-    assert_eq!(lines.len(), 10, "r5_fail.rs findings: {diags:?}");
-    let rendered = format!("{diags:?}");
-    for needle in [
-        "static mut",
-        "thread_local!",
-        "Lock (= Mutex)",
-        "RwLock",
-        "Rc",
-        "RefCell",
-        "AtomicU64",
-    ] {
-        assert!(
-            rendered.contains(needle),
-            "missing `{needle}` in {rendered}"
-        );
-    }
-}
-
-#[test]
-fn r5_pass_fixture_is_clean() {
-    let diags = check_fixture("r5_pass.rs", "dde-netsim");
-    assert!(diags.is_empty(), "r5_pass.rs should be clean: {diags:?}");
-}
-
-#[test]
 fn r6_fail_fixture_flags_unattributed_emits() {
     let diags = check_fixture("r6_fail.rs", "dde-netsim");
     assert_only_rule(&diags, RuleId::AttributionKey, "r6_fail.rs");
@@ -103,16 +72,16 @@ fn r7_pass_fixture_is_clean() {
 
 #[test]
 fn r8_fail_fixture_flags_unsorted_merge_points() {
-    let diags = check_fixture("r8_fail.rs", "dde-netsim");
+    let diags = check_fixture("r8_fail.rs", "dde-bench");
     assert_only_rule(&diags, RuleId::MergeOrder, "r8_fail.rs");
     let lines = lines_for(&diags, RuleId::MergeOrder);
-    // `pending.drain`, `self.outbox.iter`, `results.into_iter`.
+    // `results.drain`, `self.results.iter`, `results.into_iter`.
     assert_eq!(lines.len(), 3, "r8_fail.rs findings: {diags:?}");
 }
 
 #[test]
 fn r8_pass_fixture_is_clean() {
-    let diags = check_fixture("r8_pass.rs", "dde-netsim");
+    let diags = check_fixture("r8_pass.rs", "dde-bench");
     assert!(diags.is_empty(), "r8_pass.rs should be clean: {diags:?}");
 }
 
@@ -120,7 +89,7 @@ fn r8_pass_fixture_is_clean() {
 fn structural_rules_respect_crate_scoping() {
     // The same sources checked under a crate outside every structural
     // scope must produce nothing at all.
-    for fixture in ["r5_fail.rs", "r6_fail.rs", "r7_fail.rs", "r8_fail.rs"] {
+    for fixture in ["r6_fail.rs", "r7_fail.rs", "r8_fail.rs"] {
         let diags = check_fixture(fixture, "dde-cli");
         assert!(
             diags.is_empty(),

@@ -54,13 +54,10 @@ fn workspace_has_no_unallowed_violations() {
     );
     assert!(report.is_clean(), "report must be clean end to end");
 
-    // Structural passes R5-R8 actually ran over their scoped crates.
+    // Structural passes R6-R8 actually ran over their scoped crates.
     for (rule, stats) in &report.stats {
         use dde_lint::RuleId::*;
-        if matches!(
-            rule,
-            ShardSharedState | AttributionKey | StableEventKey | MergeOrder
-        ) {
+        if matches!(rule, AttributionKey | StableEventKey | MergeOrder) {
             assert!(
                 stats.files_checked > 0,
                 "{rule:?} checked no files; structural scoping is broken"

@@ -22,12 +22,11 @@
 //! resolved components lexicographically, exactly as the pre-interning
 //! representation did.
 
-// This module is the one sanctioned home for lock/interior-mutability
-// primitives in a state crate: the global interner is append-only (ids are
-// handed out under the write lock in interning order, strings are 'static
-// once published) and the thread-local snapshot can only lag, never
-// diverge, so no observable order depends on thread timing.
-#![allow(clippy::disallowed_types)]
+// The one home for lock/interior-mutability primitives in a state crate:
+// the global interner is append-only (ids are handed out under the write
+// lock in interning order, strings are 'static once published) and the
+// thread-local snapshot can only lag, never diverge, so no observable order
+// depends on thread timing.
 
 use core::cmp::Ordering;
 use std::cell::RefCell;

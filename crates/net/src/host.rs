@@ -20,10 +20,9 @@
 //! backend (fault injection is the DES's job); requesting one is a typed
 //! error, not a silent ignore.
 //!
-//! This file is a sanctioned coordinator site (lint.toml R5
-//! `coordinator_allow`): it owns threads, channels, and the virtual
-//! clock. The wall-clock reads are confined to [`VirtualClock`] and
-//! carry explicit lint markers.
+//! This file owns threads, channels, and the virtual clock. The
+//! wall-clock reads are confined to [`VirtualClock`] and carry explicit
+//! lint markers.
 
 use crate::error::NetError;
 use crate::health::{probe_health, HealthReport, HealthState};

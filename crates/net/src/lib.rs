@@ -45,9 +45,7 @@
 #![deny(missing_docs)]
 // Determinism guardrails (see clippy.toml and dde-lint): the protocol-facing
 // surface of this crate must stay as strict as the simulator's. The TCP and
-// host modules are sanctioned coordinator sites (lint.toml R5
-// `coordinator_allow`) and carry explicit allow markers where they touch the
-// wall clock.
+// host modules carry explicit allow markers where they touch the wall clock.
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod des;

@@ -16,15 +16,10 @@
 //! closes that connection with a typed error recorded — never a panic,
 //! whatever bytes the peer sends.
 //!
-//! This file is a sanctioned coordinator site (lint.toml R5
-//! `coordinator_allow`): threads, `Mutex`es, and the stop flag live
-//! here, *below* the protocol seam. Protocol code above [`Transport`]
-//! stays in the region-pinned deny scope.
-
-// Mirrors the R5 coordinator sanction for clippy's disallowed-types
-// list: the connection table, inbound queue, and reader registry are
-// genuinely shared with this transport's own accept/reader threads.
-#![allow(clippy::disallowed_types)]
+//! Threads, `Mutex`es, and the stop flag live here, *below* the protocol
+//! seam: the connection table, inbound queue, and reader registry are
+//! shared with this transport's own accept/reader threads. Protocol code
+//! above [`Transport`] holds no shared mutable state.
 
 use crate::error::NetError;
 use crate::frame::{self, ControlMsg, WireFrame};

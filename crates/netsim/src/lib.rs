@@ -15,13 +15,13 @@
 //!   instrument behind the paper's Fig. 3 bandwidth comparison;
 //! - [`fault`] — seeded, replayable fault timelines (node churn, link
 //!   outages, partitions) the simulator applies at exact instants;
-//! - [`partition`] — deterministic balanced region partitioning with
-//!   conservative lookahead derived from boundary-link latency;
 //! - [`shard`] — the event loop: FIFO links that serialize transmissions,
-//!   timers, external stimuli, scheduled faults. One region runs inline;
-//!   several are pinned to worker threads and advance in barrier windows
-//!   sized by the lookahead. Stable partition-independent event keys make
-//!   one seed yield a byte-identical trace at any thread count.
+//!   timers, external stimuli, scheduled faults, all on one heap and one
+//!   thread. Stable event keys and a counter-hash loss draw make one seed
+//!   yield a byte-identical trace;
+//! - [`partition`] — deterministic balanced region partitioning of a
+//!   topology. Nothing executes the cut any more; it stays because the
+//!   frozen `benchmark/` reports its shape.
 
 #![deny(missing_docs)]
 // Determinism guardrails (see clippy.toml and dde-lint): hashed collections

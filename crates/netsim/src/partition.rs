@@ -1,19 +1,19 @@
-//! Deterministic topology partitioning for the sharded simulator.
+//! Deterministic topology partitioning — a cut nobody executes.
 //!
-//! The conservative parallel engine ([`crate::shard`]) pins each region of
-//! the topology to one worker thread and synchronizes regions with barrier
-//! windows whose width is the **lookahead**: the minimum latency over any
-//! link that crosses a region boundary. A message that leaves its region
-//! at time `t` cannot arrive before `t + lookahead`, so every region may
-//! safely process all events strictly before the window end without
-//! hearing from its peers.
+//! A conservative parallel engine would pin each region of the topology to
+//! one worker and synchronize regions with barrier windows whose width is
+//! the **lookahead**: the minimum latency over any link that crosses a
+//! region boundary. A message that leaves its region at time `t` cannot
+//! arrive before `t + lookahead`, so every region could process all events
+//! strictly before the window end without hearing from its peers.
+//! [`crate::shard`] had such a mode and it never beat its own sequential
+//! loop (EXPERIMENTS.md, "Threads: the verdict"); the engine no longer
+//! reads a partition. This module stays because the frozen `benchmark/`
+//! reports the cut's shape (`netsim.shard_regions`,
+//! `netsim.shard_boundary_link_share`, `netsim.shard_lookahead_us`).
 //!
-//! The partition itself is a pure function of `(topology, region count,
-//! seed)` — it never reads thread state — so a given configuration always
-//! produces the same regions. Determinism of the *simulation results*
-//! does not depend on the partition shape at all (the engine orders events
-//! by partition-independent keys); the partition only determines how much
-//! parallelism and lookahead a run gets.
+//! The partition is a pure function of `(topology, region count, seed)`,
+//! so a given configuration always produces the same regions.
 
 use crate::topology::{NodeId, Topology};
 use dde_logic::time::SimDuration;

@@ -1,94 +1,63 @@
-//! The event loop: conservative parallel discrete-event simulation over
-//! topology regions, which at one region is a plain sequential loop.
+//! The event loop: one heap, one thread.
 //!
-//! [`ShardedSimulator`] partitions the topology into regions
-//! ([`crate::partition`]), pins each region to a worker thread, and
-//! advances the whole simulation in **barrier windows**: every window
-//! `[start, end)` starts at the globally earliest pending event and ends
-//! at `start + lookahead` (clamped by the next scheduled fault and the
-//! caller's deadline), where the lookahead is the minimum latency over any
-//! boundary link. A message crossing a region boundary departs no earlier
-//! than `start` and spends at least the lookahead in flight, so it cannot
-//! arrive inside the window that produced it — each region can process its
-//! window independently and boundary deliveries are exchanged at the
-//! barrier.
+//! [`ShardedSimulator`] owns every node, every link transmitter, the
+//! topology and one [`BinaryHeap`] of pending events, and dispatches them
+//! one at a time on the calling thread. The name, the region count
+//! [`ShardedSimulator::new`] takes and [`ShardedSimulator::partition`] are
+//! left from a conservative-parallel mode that never ran faster than this
+//! loop (EXPERIMENTS.md, "Threads: the verdict"); they are inert, kept
+//! because the frozen `benchmark/` names them.
 //!
-//! # Why a given seed is byte-identical for any thread count
+//! # Event order
 //!
-//! Thread interleaving influences nothing observable:
+//! A run is a pure function of its inputs because nothing in it depends on
+//! the order in which code happened to push events:
 //!
-//! - **Event order.** Each region's heap orders events by
-//!   `(time, `[`EventKey`]`)`, where the key is derived from simulation
-//!   state only (event class, owning node/link, a per-owner occurrence
-//!   counter) — never from a global insertion sequence. Restricting the
-//!   global `(time, key)` order to one region's events yields the same
-//!   relative order under any partitioning, and handlers only touch their
-//!   own node's state and their own node's outgoing links, so cross-node
-//!   order within a window is immaterial.
-//! - **Trace order.** Records are tagged with a [`MergeKey`] (timestamp,
-//!   event key, per-event emission index) and sorted per window by
-//!   [`ShardMerger`] before reaching the caller's sink. Windows partition
-//!   simulated time, so the stream does not depend on where they are cut —
-//!   which lets a lone region cut its own early (every few hundred
-//!   records, at the end of an instant) and stream a trace it would
-//!   otherwise hold in full until its one window ends.
-//! - **Loss sampling.** Instead of a shared RNG (whose draw order would
-//!   depend on the partition), loss is a counter-based hash of
-//!   `(seed, link, transmission index)` — stateless and
-//!   partition-independent.
-//! - **Faults.** The coordinator owns the master topology and applies all
-//!   faults scheduled for an instant atomically at a barrier, before any
-//!   same-instant protocol event, then ships purge/recover side effects to
-//!   the owning regions.
-//! - **Metrics.** Per-region counters are pure sums, folded with
-//!   [`Metrics::absorb`].
+//! - Same-instant events dispatch in [`EventKey`] order, and a key is
+//!   derived from simulation state only (event class, owning node or link,
+//!   a per-owner occurrence counter) — never from an insertion sequence.
+//! - All faults scheduled for an instant apply as one batch ahead of every
+//!   event of that instant (the start events at `t = 0` included): first
+//!   the whole batch lands on the topology and the routes are rebuilt once,
+//!   then purges and recoveries run against that final state.
+//! - Link loss is a counter-based hash of `(seed, link, transmission
+//!   index)`, not a draw from a shared generator.
+//! - A trace record goes to the caller's sink the moment it is born, so
+//!   trace order is dispatch order and nothing is buffered.
 
-use crate::fault::{FaultEvent, FaultSchedule};
+use crate::fault::{FaultEvent, FaultSchedule, TimedFault};
 use crate::metrics::Metrics;
 use crate::partition::Partition;
 use crate::sim::{Command, Context, Hop, LinkState, MediumMode, Protocol, WireMessage};
 use crate::topology::{NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
-use dde_obs::merge::{MergeKey, ShardMerger};
 use dde_obs::{EventKind, NullSink, Sink, TraceRecord};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
-use std::sync::Arc;
-
-/// How many buffered trace records make a lone region end its window at the
-/// current instant, so the coordinator flushes them to the caller's sink.
-/// Small enough that the buffer stays a small allocation: at 1 024 the
-/// observed paper workload's peak RSS grew with run length (47.2 MB after
-/// 15 s against 45.1 MB unbuffered), at 256 it does not.
-const TRACE_BATCH: usize = 256;
 
 /// Event class ranks: at equal timestamps, classes dispatch in this order.
 const CLASS_START: u64 = 0;
-const CLASS_FAULT: u64 = 1;
-const CLASS_EXTERNAL: u64 = 2;
-const CLASS_TIMER: u64 = 3;
-const CLASS_LINK_FREE: u64 = 4;
-const CLASS_DELIVER: u64 = 5;
+const CLASS_EXTERNAL: u64 = 1;
+const CLASS_TIMER: u64 = 2;
+const CLASS_LINK_FREE: u64 = 3;
+const CLASS_DELIVER: u64 = 4;
 
-/// A stable, partition-independent identity for a scheduled event.
+/// A stable identity for a scheduled event.
 ///
 /// Same-timestamp events order by this key instead of a heap insertion
 /// sequence, so the dispatch order is a property of the *simulation*, not
-/// of which thread inserted what first. Identity components per class:
+/// of which code path inserted what first. Identity components per class:
 ///
 /// | class       | `a`          | `b`            | `c`                  |
 /// |-------------|--------------|----------------|----------------------|
 /// | start       | node         | 0              | 0                    |
-/// | fault       | install idx  | purge from + 1 | purge to / node + 1  |
 /// | external    | install idx  | 0              | 0                    |
 /// | timer       | node         | per-node seq   | 0                    |
 /// | link-free   | from         | to             | per-link tx seq      |
 /// | deliver     | from         | to             | per-link tx seq      |
 ///
-/// Every counter involved (timer seq, tx seq, install idx) is owned by a
-/// single node, link, or the coordinator, so its values do not depend on
-/// the partitioning.
+/// Faults are not keyed: a fault batch is applied ahead of every event of
+/// its instant, in install order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Event class rank (see the table above).
@@ -102,10 +71,6 @@ pub struct EventKey {
 }
 
 impl EventKey {
-    fn merge_key(&self, at: SimTime, emit: u64) -> MergeKey {
-        [at.as_micros(), self.class, self.a, self.b, self.c, emit]
-    }
-
     /// Key for a node's start event.
     pub fn start(node: NodeId) -> EventKey {
         EventKey {
@@ -113,37 +78,6 @@ impl EventKey {
             a: node.index() as u64,
             b: 0,
             c: 0,
-        }
-    }
-
-    /// Key for a coordinator-side fault record, identified by install
-    /// index alone.
-    pub fn fault_global(idx: u64) -> EventKey {
-        EventKey {
-            class: CLASS_FAULT,
-            a: idx,
-            b: 0,
-            c: 0,
-        }
-    }
-
-    /// Key for a delegated link-purge fault action.
-    pub fn fault_purge(idx: u64, from: NodeId, to: NodeId) -> EventKey {
-        EventKey {
-            class: CLASS_FAULT,
-            a: idx,
-            b: from.index() as u64 + 1,
-            c: to.index() as u64 + 1,
-        }
-    }
-
-    /// Key for a delegated node-recovery fault action.
-    pub fn fault_recover(idx: u64, node: NodeId) -> EventKey {
-        EventKey {
-            class: CLASS_FAULT,
-            a: idx,
-            b: 0,
-            c: node.index() as u64 + 1,
         }
     }
 
@@ -205,8 +139,7 @@ fn loss_unit(seed: u64, from: NodeId, to: NodeId, txn: u64) -> f64 {
     h = mix(h ^ txn);
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
-
-enum REvent<P: Protocol> {
+enum Event<P: Protocol> {
     Start {
         node: NodeId,
     },
@@ -226,110 +159,43 @@ enum REvent<P: Protocol> {
     LinkFree(Hop),
 }
 
-struct RScheduled<P: Protocol> {
+struct Scheduled<P: Protocol> {
     at: SimTime,
     key: EventKey,
-    event: REvent<P>,
+    event: Event<P>,
 }
 
-impl<P: Protocol> PartialEq for RScheduled<P> {
+impl<P: Protocol> PartialEq for Scheduled<P> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.key == other.key
     }
 }
-impl<P: Protocol> Eq for RScheduled<P> {}
-impl<P: Protocol> PartialOrd for RScheduled<P> {
+impl<P: Protocol> Eq for Scheduled<P> {}
+impl<P: Protocol> PartialOrd for Scheduled<P> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<P: Protocol> Ord for RScheduled<P> {
+impl<P: Protocol> Ord for Scheduled<P> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.at, other.key).cmp(&(self.at, self.key))
     }
 }
 
-/// A region-local sink that tags every record with the merge key of the
-/// event being dispatched, buffering for the barrier merge.
-#[derive(Default)]
-struct KeyedSink {
-    enabled: bool,
-    at: SimTime,
-    key: EventKey,
-    emit: u64,
-    out: Vec<(MergeKey, TraceRecord)>,
-}
-
-impl KeyedSink {
-    fn begin(&mut self, at: SimTime, key: EventKey) {
-        self.at = at;
-        self.key = key;
-        self.emit = 0;
-    }
-}
-
-impl Sink for KeyedSink {
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn record(&mut self, rec: &TraceRecord) {
-        let key = self.key.merge_key(self.at, self.emit);
-        self.emit += 1;
-        self.out.push((key, rec.clone()));
-    }
-}
-
-/// A boundary delivery in flight between regions.
-struct CrossDeliver<M> {
-    at: SimTime,
-    from: NodeId,
-    to: NodeId,
-    txn: u64,
-    msg: M,
-}
-
-/// A fault side effect the coordinator delegates to the owning region.
-enum FaultAction {
-    /// Clear the never-sent queues of the directed link `from → to`.
-    Purge { idx: u64, from: NodeId, to: NodeId },
-    /// Run [`Protocol::on_recover`] on `node`.
-    Recover { idx: u64, node: NodeId },
-}
-
-/// One barrier window's worth of work for a region.
-struct WindowCmd<P: Protocol> {
-    start: SimTime,
-    /// Exclusive upper bound on event timestamps this window.
-    end: SimTime,
-    topology: Arc<Topology>,
-    node_up: Arc<Vec<bool>>,
-    actions: Vec<FaultAction>,
-    inbox: Vec<CrossDeliver<P::Msg>>,
-}
-
-/// A region's results for one window.
-struct WindowOut<M> {
-    region: u32,
-    outbox: Vec<CrossDeliver<M>>,
-    trace: Vec<(MergeKey, TraceRecord)>,
-    next_at: Option<SimTime>,
-    events: u64,
-}
-
-/// One topology region: the nodes it owns, their outgoing link
-/// transmitters, and a stable-key event heap.
-struct Region<P: Protocol> {
-    id: u32,
-    topology: Arc<Topology>,
-    node_up: Arc<Vec<bool>>,
-    region_of: Arc<Vec<u32>>,
-    /// Indexed by global node id; `Some` only for nodes this region owns.
-    nodes: Vec<Option<P>>,
-    heap: BinaryHeap<RScheduled<P>>,
-    /// Transmitters, by `Topology::link_slot`; only this region's nodes'
-    /// outgoing links are ever touched.
+/// The discrete-event simulator.
+///
+/// For pre-scheduled workloads: construct, `set_medium`/`set_sink`,
+/// `install_faults`, `schedule_external`, then
+/// [`run_until`](ShardedSimulator::run_until). Everything runs on the
+/// calling thread.
+pub struct ShardedSimulator<P: Protocol> {
+    topology: Topology,
+    node_up: Vec<bool>,
+    partition: Partition,
+    nodes: Vec<P>,
+    heap: BinaryHeap<Scheduled<P>>,
+    /// Transmitters, by `Topology::link_slot`.
     links: Vec<LinkState<P::Msg>>,
     /// Handler outbox, emptied after every dispatch and reused by the next.
     commands: Vec<Command<P::Msg>>,
@@ -338,22 +204,234 @@ struct Region<P: Protocol> {
     /// Transmissions started per link, by slot.
     tx_seq: Vec<u64>,
     metrics: Metrics,
-    sink: KeyedSink,
-    /// Buffered trace records at which the region closes its window early,
-    /// after the instant it is in. `usize::MAX` when there are several
-    /// regions: they must all stop at the same window end.
-    trace_batch: usize,
-    outbox: Vec<CrossDeliver<P::Msg>>,
+    /// Installed faults, time-sorted, install order within an instant.
+    faults: Vec<TimedFault>,
+    fault_cursor: usize,
+    ext_seq: u64,
     now: SimTime,
-    window_end: SimTime,
-    events: u64,
+    events_processed: u64,
+    sink: Box<dyn Sink>,
+    /// `sink.enabled()`, read once per run so the engine's own emit sites
+    /// cost a field test when nothing is listening.
+    tracing: bool,
     medium: MediumMode,
     seed: u64,
 }
 
-impl<P: Protocol> Region<P> {
+impl<P: Protocol> std::fmt::Debug for ShardedSimulator<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedSimulator")
+            .field("now", &self.now)
+            .field("events_processed", &self.events_processed)
+            .finish()
+    }
+}
+
+impl<P: Protocol> ShardedSimulator<P> {
+    /// Creates a simulator over `topology` with one protocol instance per
+    /// node. `seed` drives link-loss sampling. `regions` only shapes the
+    /// [`Partition`] that [`partition`](ShardedSimulator::partition)
+    /// reports; the run is the same for every value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len() != topology.len()`, on an empty topology, or
+    /// if `regions > 1` and a link the partition cuts has zero latency.
+    pub fn new(mut topology: Topology, nodes: Vec<P>, seed: u64, regions: usize) -> Self {
+        assert_eq!(
+            nodes.len(),
+            topology.len(),
+            "need exactly one protocol instance per topology node"
+        );
+        topology.ensure_routes();
+        let partition = Partition::build(&topology, regions.max(1), seed);
+        let n = nodes.len();
+        let heap = (0..n)
+            .map(|i| Scheduled {
+                at: SimTime::ZERO,
+                key: EventKey::start(NodeId(i)),
+                event: Event::Start { node: NodeId(i) },
+            })
+            .collect();
+        ShardedSimulator {
+            node_up: vec![true; n],
+            partition,
+            nodes,
+            heap,
+            links: LinkState::table(&topology),
+            commands: Vec::new(),
+            node_tx_busy: vec![0; n],
+            timer_seq: vec![0; n],
+            tx_seq: vec![0; topology.directed_link_count()],
+            topology,
+            metrics: Metrics::new(),
+            faults: Vec::new(),
+            fault_cursor: 0,
+            ext_seq: 0,
+            now: SimTime::ZERO,
+            events_processed: 0,
+            sink: Box::new(NullSink),
+            tracing: false,
+            medium: MediumMode::FullDuplex,
+            seed,
+        }
+    }
+
+    /// How [`Partition::build`] would cut the topology into the region
+    /// count given to [`new`](ShardedSimulator::new). Nothing executes the
+    /// cut.
+    pub fn partition(&self) -> &Partition {
+        &self.partition
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Number of events processed so far (dispatched events plus one per
+    /// installed fault transition).
+    pub fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+
+    /// Traffic counters.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// The topology the simulation runs over.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Selects how node transmitters share the medium. Must be called
+    /// before any traffic flows.
+    pub fn set_medium(&mut self, medium: MediumMode) {
+        debug_assert!(self.metrics.messages_sent == 0, "set_medium before traffic");
+        self.medium = medium;
+    }
+
+    /// Installs a trace sink. Each record reaches it as the event that
+    /// produced it is dispatched, so it sees the trace in dispatch order.
+    pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
+        self.sink = sink;
+    }
+
+    /// The active trace sink (e.g. to flush it after a run).
+    pub fn sink_mut(&mut self) -> &mut dyn Sink {
+        &mut *self.sink
+    }
+
+    /// Removes and returns the active sink, restoring the null sink.
+    pub fn take_sink(&mut self) -> Box<dyn Sink> {
+        std::mem::replace(&mut self.sink, Box::new(NullSink))
+    }
+
+    /// Schedules an external stimulus (e.g. a user query) for `node` at
+    /// absolute time `at`. Externals dispatch in install order at equal
+    /// timestamps.
+    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, ext: P::Ext) {
+        assert!(node.index() < self.nodes.len(), "node out of range");
+        let idx = self.ext_seq;
+        self.ext_seq += 1;
+        self.heap.push(Scheduled {
+            at: at.max(self.now),
+            key: EventKey::external(idx),
+            event: Event::External { node, ext },
+        });
+    }
+
+    /// Installs every event of a [`FaultSchedule`]. All faults scheduled
+    /// for one instant are applied as one batch, in install order, before
+    /// any same-instant protocol event runs.
+    ///
+    /// May be called multiple times **before** the run; schedules merge in
+    /// `(time, install order)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after the run started, if any event is scheduled
+    /// in the past, or if one names an unknown node or link.
+    pub fn install_faults(&mut self, schedule: &FaultSchedule) {
+        assert_eq!(
+            self.fault_cursor, 0,
+            "install_faults before running the simulator"
+        );
+        for f in schedule.events() {
+            assert!(f.at >= self.now, "fault scheduled in the past: {f:?}");
+            let valid = |n: NodeId| n.index() < self.nodes.len();
+            match f.event {
+                FaultEvent::NodeCrash(n) | FaultEvent::NodeRecover(n) => {
+                    assert!(valid(n), "fault names unknown node {n}");
+                }
+                FaultEvent::LinkDown(a, b) | FaultEvent::LinkUp(a, b) => {
+                    assert!(valid(a) && valid(b), "fault names unknown link {a}-{b}");
+                    assert!(
+                        self.topology.has_link(a, b),
+                        "fault names non-existent link {a}-{b}"
+                    );
+                }
+            }
+            self.faults.push(*f);
+        }
+        // Stable by time, so install order breaks ties.
+        self.faults.sort_by_key(|f| f.at);
+    }
+
+    /// Runs until the event queue drains. Returns the number of events
+    /// processed by this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics after 100 million events as a runaway-protocol backstop; use
+    /// [`run_until`](ShardedSimulator::run_until) for open-ended
+    /// workloads.
+    pub fn run(&mut self) -> u64 {
+        self.run_until_opt(None)
+    }
+
+    /// Runs until simulated time would exceed `deadline` (events at
+    /// exactly `deadline` are processed) or the queue drains. Returns the
+    /// number of events processed by this call.
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        self.run_until_opt(Some(deadline))
+    }
+
+    fn run_until_opt(&mut self, deadline: Option<SimTime>) -> u64 {
+        let before = self.events_processed;
+        self.tracing = self.sink.enabled();
+        // Events at exactly `deadline` run, so the bound is one tick past it.
+        let horizon = deadline.map_or(SimTime::MAX, |d| {
+            d.saturating_add(SimDuration::from_micros(1))
+        });
+        loop {
+            // A fault batch precedes its instant's events, so events run up
+            // to the next fault instant exclusive, then the batch.
+            let next_fault = self.faults.get(self.fault_cursor).map(|f| f.at);
+            let next_fault = next_fault.filter(|&at| at < horizon);
+            let until = next_fault.unwrap_or(horizon);
+            while self.heap.peek().is_some_and(|head| head.at < until) {
+                let scheduled = self.heap.pop().expect("peeked entry exists"); // lint: allow(panic) — peek above guarantees an entry
+                self.step(scheduled);
+                assert!(
+                    self.events_processed < 100_000_000,
+                    "runaway simulation: 1e8 events processed"
+                );
+            }
+            match next_fault {
+                Some(at) => self.apply_fault_batch(at),
+                None => break,
+            }
+        }
+        if let Some(d) = deadline {
+            self.now = self.now.max(d);
+        }
+        self.events_processed - before
+    }
+
     fn emit(&mut self, node: NodeId, kind: EventKind) {
-        if self.sink.enabled {
+        if self.tracing {
             self.sink.record(&TraceRecord {
                 at: self.now,
                 node: node.index() as u32,
@@ -362,90 +440,92 @@ impl<P: Protocol> Region<P> {
         }
     }
 
-    fn run_window(&mut self, mut cmd: WindowCmd<P>) -> WindowOut<P::Msg> {
-        self.topology = cmd.topology;
-        self.node_up = cmd.node_up;
-        self.window_end = cmd.end;
-        self.events = 0;
-        if self.now < cmd.start {
-            self.now = cmd.start;
-        }
-        for action in cmd.actions {
-            self.apply_action(cmd.start, action);
-        }
-        // Inbox batches are concatenated in region order by the
-        // coordinator; re-sorting by the stable identity makes the heap's
-        // input independent of that assembly order (R8). Dispatch order is
-        // already fixed by the heap's `(at, key)` ordering either way.
-        cmd.inbox
-            .sort_by_key(|m| (m.at, m.from.index(), m.to.index(), m.txn));
-        for inc in cmd.inbox {
-            debug_assert!(inc.at >= cmd.start, "boundary delivery arrived late");
-            self.heap.push(RScheduled {
-                at: inc.at,
-                key: EventKey::deliver(inc.from, inc.to, inc.txn),
-                event: REvent::Deliver {
-                    to: inc.to,
-                    from: inc.from,
-                    msg: inc.msg,
-                },
-            });
-        }
-        while self
-            .heap
-            .peek()
-            .is_some_and(|head| head.at < self.window_end)
-        {
-            let scheduled = self.heap.pop().expect("peeked entry exists"); // lint: allow(panic) — peek above guarantees an entry
-            self.step(scheduled);
-            if self.sink.out.len() >= self.trace_batch {
-                let instant_end = self.now.saturating_add(SimDuration::from_micros(1));
-                self.window_end = self.window_end.min(instant_end);
-            }
-        }
-        WindowOut {
-            region: self.id,
-            outbox: std::mem::take(&mut self.outbox),
-            trace: std::mem::take(&mut self.sink.out),
-            next_at: self.heap.peek().map(|head| head.at),
-            events: self.events,
-        }
-    }
-
-    fn apply_action(&mut self, at: SimTime, action: FaultAction) {
-        debug_assert!(at >= self.now);
-        self.now = at;
-        match action {
-            FaultAction::Purge { idx, from, to } => {
-                self.sink.begin(at, EventKey::fault_purge(idx, from, to));
-                self.purge_link_queues(from, to);
-            }
-            FaultAction::Recover { idx, node } => {
-                self.sink.begin(at, EventKey::fault_recover(idx, node));
-                self.dispatch(node, |p, ctx| p.on_recover(ctx));
-            }
-        }
-    }
-
-    fn step(&mut self, scheduled: RScheduled<P>) {
-        let RScheduled { at, key, event } = scheduled;
+    /// Applies every fault scheduled for instant `at`.
+    fn apply_fault_batch(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.events += 1;
-        self.sink.begin(at, key);
+        // The whole batch lands on the topology before any side effect
+        // runs, so purges and recoveries see the instant's final state.
+        // Only transitions that changed something have side effects.
+        let mut applied = Vec::new();
+        while let Some(fault) = self.faults.get(self.fault_cursor).filter(|f| f.at == at) {
+            let event = fault.event;
+            self.fault_cursor += 1;
+            self.events_processed += 1;
+            let changed = match event {
+                FaultEvent::NodeCrash(n) | FaultEvent::NodeRecover(n) => {
+                    let up = matches!(event, FaultEvent::NodeRecover(_));
+                    let changed = self.node_up[n.index()] != up;
+                    if changed {
+                        self.node_up[n.index()] = up;
+                        self.topology.set_node_enabled(n, up);
+                    }
+                    changed
+                }
+                FaultEvent::LinkDown(a, b) => self.topology.set_link_enabled(a, b, false),
+                FaultEvent::LinkUp(a, b) => self.topology.set_link_enabled(a, b, true),
+            };
+            if changed {
+                applied.push(event);
+            }
+        }
+        if applied.is_empty() {
+            return;
+        }
+        self.topology.rebuild_routes();
+        for event in applied {
+            let (fault, node, peer) = match event {
+                FaultEvent::NodeCrash(n) => ("node-crash", n, None),
+                FaultEvent::NodeRecover(n) => ("node-recover", n, None),
+                FaultEvent::LinkDown(a, b) => ("link-down", a, Some(b)),
+                FaultEvent::LinkUp(a, b) => ("link-up", a, Some(b)),
+            };
+            self.emit(
+                node,
+                EventKind::Fault {
+                    fault,
+                    node: node.index() as u32,
+                    peer: peer.map(|p| p.index() as u32),
+                },
+            );
+            // Purges of one fault go in ascending `(from, to)`, the order the
+            // pinned traces have their records in.
+            match event {
+                FaultEvent::NodeCrash(n) => {
+                    let mut neighbors: Vec<NodeId> = self.topology.neighbors(n).collect();
+                    neighbors.sort_unstable();
+                    for nb in neighbors {
+                        self.purge_link_queues(n, nb);
+                    }
+                }
+                FaultEvent::NodeRecover(n) => self.dispatch(n, |p, ctx| p.on_recover(ctx)),
+                FaultEvent::LinkDown(a, b) => {
+                    self.purge_link_queues(a.min(b), a.max(b));
+                    self.purge_link_queues(a.max(b), a.min(b));
+                }
+                FaultEvent::LinkUp(..) => {}
+            }
+        }
+    }
 
-        if let REvent::LinkFree(hop) = event {
+    fn step(&mut self, scheduled: Scheduled<P>) {
+        let Scheduled { at, event, .. } = scheduled;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        self.events_processed += 1;
+
+        if let Event::LinkFree(hop) = event {
             self.link_freed(hop);
             return;
         }
         let node_id = match &event {
-            REvent::Start { node } | REvent::Timer { node, .. } | REvent::External { node, .. } => {
+            Event::Start { node } | Event::Timer { node, .. } | Event::External { node, .. } => {
                 *node
             }
-            REvent::Deliver { to, .. } => *to,
-            REvent::LinkFree(_) => unreachable!("handled above"),
+            Event::Deliver { to, .. } => *to,
+            Event::LinkFree(_) => unreachable!("handled above"),
         };
-        if let REvent::Deliver { from, to, .. } = &event {
+        if let Event::Deliver { from, to, .. } = &event {
             // The link went down (by fault) while the message was in
             // flight: it never arrives.
             if !self.topology.is_link_enabled(*from, *to) {
@@ -464,7 +544,7 @@ impl<P: Protocol> Region<P> {
             }
         }
         if !self.node_up[node_id.index()] {
-            if let REvent::Deliver { from, to, .. } = &event {
+            if let Event::Deliver { from, to, .. } = &event {
                 self.metrics.messages_dropped += 1;
                 if !self.topology.is_node_enabled(node_id) {
                     self.metrics.messages_dropped_by_fault += 1;
@@ -481,7 +561,7 @@ impl<P: Protocol> Region<P> {
             }
             return;
         }
-        if let REvent::Deliver { from, to, msg } = &event {
+        if let Event::Deliver { from, to, msg } = &event {
             self.metrics.messages_delivered += 1;
             let kind = msg.kind();
             let (from, to) = (*from, *to);
@@ -497,46 +577,42 @@ impl<P: Protocol> Region<P> {
         }
 
         self.dispatch(node_id, |node, ctx| match event {
-            REvent::Start { .. } => node.on_start(ctx),
-            REvent::Deliver { from, msg, .. } => node.on_message(ctx, from, msg),
-            REvent::Timer { tag, .. } => node.on_timer(ctx, tag),
-            REvent::External { ext, .. } => node.on_external(ctx, ext),
-            REvent::LinkFree(_) => unreachable!("handled above"),
+            Event::Start { .. } => node.on_start(ctx),
+            Event::Deliver { from, msg, .. } => node.on_message(ctx, from, msg),
+            Event::Timer { tag, .. } => node.on_timer(ctx, tag),
+            Event::External { ext, .. } => node.on_external(ctx, ext),
+            Event::LinkFree(_) => unreachable!("handled above"),
         });
     }
 
     /// Runs one handler of `node_id` and realizes what it queued, in order.
-    /// The outbox is the region's one reused buffer; it is taken and handed
-    /// back only here, so no early return of [`Region::step`] can strand it.
+    /// The outbox is the one reused buffer; it is taken and handed back
+    /// only here, so no early return of [`ShardedSimulator::step`] can
+    /// strand it.
     fn dispatch(
         &mut self,
         node_id: NodeId,
         handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         let mut commands = std::mem::take(&mut self.commands);
-        {
-            let mut ctx = Context::new(
-                self.now,
-                node_id,
-                &self.topology,
-                &mut commands,
-                &mut self.sink,
-            );
-            let node = self.nodes[node_id.index()]
-                .as_mut()
-                .expect("event dispatched to a node this region owns"); // lint: allow(panic) — scheduling and the coordinator route by region_of
-            handler(node, &mut ctx);
-        }
+        let mut ctx = Context::new(
+            self.now,
+            node_id,
+            &self.topology,
+            &mut commands,
+            &mut *self.sink,
+        );
+        handler(&mut self.nodes[node_id.index()], &mut ctx);
         for cmd in commands.drain(..) {
             match cmd {
                 Command::Send { to, msg } => self.transmit(node_id, to, msg),
                 Command::Timer { at, tag } => {
                     let seq = self.timer_seq[node_id.index()];
                     self.timer_seq[node_id.index()] += 1;
-                    self.heap.push(RScheduled {
+                    self.heap.push(Scheduled {
                         at,
                         key: EventKey::timer(node_id, seq),
-                        event: REvent::Timer { node: node_id, tag },
+                        event: Event::Timer { node: node_id, tag },
                     });
                 }
             }
@@ -597,25 +673,11 @@ impl<P: Protocol> Region<P> {
         self.tx_seq[slot] += 1;
         let lost = spec.loss > 0.0 && loss_unit(self.seed, from, to, txn) < spec.loss;
         if !lost {
-            let arrival = depart + spec.latency;
-            if self.region_of[to.index()] == self.id {
-                self.heap.push(RScheduled {
-                    at: arrival,
-                    key: EventKey::deliver(from, to, txn),
-                    event: REvent::Deliver { to, from, msg },
-                });
-            } else {
-                // Conservative lookahead at work: a boundary delivery can
-                // never land inside the window that produced it.
-                debug_assert!(arrival >= self.window_end, "lookahead violation");
-                self.outbox.push(CrossDeliver {
-                    at: arrival,
-                    from,
-                    to,
-                    txn,
-                    msg,
-                });
-            }
+            self.heap.push(Scheduled {
+                at: depart + spec.latency,
+                key: EventKey::deliver(from, to, txn),
+                event: Event::Deliver { to, from, msg },
+            });
         } else {
             self.metrics.messages_lost += 1;
             self.emit(
@@ -629,10 +691,10 @@ impl<P: Protocol> Region<P> {
                 },
             );
         }
-        self.heap.push(RScheduled {
+        self.heap.push(Scheduled {
             at: depart,
             key: EventKey::link_free(from, to, txn),
-            event: REvent::LinkFree(hop),
+            event: Event::LinkFree(hop),
         });
     }
 
@@ -655,32 +717,35 @@ impl<P: Protocol> Region<P> {
                 if self.node_tx_busy[from.index()] > 0 {
                     return; // radio already claimed again
                 }
-                // A handle of our own, so the walk over `from`'s links can
-                // stay borrowed while their queues are popped.
-                let topology = Arc::clone(&self.topology);
-                // Foreground from any link first, then background.
-                for foreground in [true, false] {
-                    for (to, slot, spec) in topology.links_from(from) {
+                // Foreground from any link first, then background. The walk
+                // only pops: the transmission starts once it has let go of
+                // the topology.
+                let mut next = None;
+                'walk: for foreground in [true, false] {
+                    for (to, slot, spec) in self.topology.links_from(from) {
                         let link = &mut self.links[slot];
                         if link.busy {
                             continue;
                         }
-                        let next = if foreground {
-                            link.foreground.pop_front()
+                        let queue = if foreground {
+                            &mut link.foreground
                         } else {
-                            link.background.pop_front()
+                            &mut link.background
                         };
-                        if let Some(msg) = next {
+                        if let Some(msg) = queue.pop_front() {
                             let hop = Hop {
                                 from,
                                 to,
                                 slot,
                                 spec,
                             };
-                            self.start_transmission(hop, msg);
-                            return;
+                            next = Some((hop, msg));
+                            break 'walk;
                         }
                     }
+                }
+                if let Some((hop, msg)) = next {
+                    self.start_transmission(hop, msg);
                 }
             }
         }
@@ -705,618 +770,26 @@ impl<P: Protocol> Region<P> {
             }
         }
     }
-}
 
-/// A fault installed by the coordinator, in global install order.
-struct InstalledFault {
-    at: SimTime,
-    idx: u64,
-    event: FaultEvent,
-}
-
-/// The discrete-event simulator.
-///
-/// For pre-scheduled workloads: construct, `set_medium`/`set_sink`,
-/// `install_faults`, `schedule_external`, then
-/// [`run_until`](ShardedSimulator::run_until). With `threads == 1`
-/// everything runs inline on the calling thread; with more threads each
-/// region runs on its own scoped worker for the duration of the run.
-pub struct ShardedSimulator<P: Protocol> {
-    topology: Arc<Topology>,
-    node_up: Arc<Vec<bool>>,
-    partition: Partition,
-    regions: Vec<Region<P>>,
-    inboxes: Vec<Vec<CrossDeliver<P::Msg>>>,
-    faults: Vec<InstalledFault>,
-    fault_cursor: usize,
-    fault_seq: u64,
-    ext_seq: u64,
-    now: SimTime,
-    events_processed: u64,
-    merger: ShardMerger,
-    sink: Box<dyn Sink>,
-    medium: MediumMode,
-}
-
-impl<P: Protocol> std::fmt::Debug for ShardedSimulator<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSimulator")
-            .field("regions", &self.regions.len())
-            .field("now", &self.now)
-            .field("events_processed", &self.events_processed)
-            .finish()
-    }
-}
-
-impl<P: Protocol> ShardedSimulator<P> {
-    /// Creates a sharded simulator over `topology` with one protocol
-    /// instance per node, partitioned into (at most) `threads` regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != topology.len()`, on an empty topology, or
-    /// if a boundary link has zero latency (no conservative lookahead).
-    pub fn new(mut topology: Topology, nodes: Vec<P>, seed: u64, threads: usize) -> Self {
-        assert_eq!(
-            nodes.len(),
-            topology.len(),
-            "need exactly one protocol instance per topology node"
-        );
-        topology.ensure_routes();
-        let partition = Partition::build(&topology, threads.max(1), seed);
-        let n = nodes.len();
-        let topology = Arc::new(topology);
-        let node_up = Arc::new(vec![true; n]);
-        let region_of = Arc::new(partition.region_map().to_vec());
-        let trace_batch = if partition.count() > 1 {
-            usize::MAX
-        } else {
-            TRACE_BATCH
-        };
-        let mut slots: Vec<Option<P>> = nodes.into_iter().map(Some).collect();
-        let mut regions = Vec::with_capacity(partition.count());
-        for r in 0..partition.count() {
-            let mut owned: Vec<Option<P>> = (0..n).map(|_| None).collect();
-            let mut heap = BinaryHeap::new();
-            for node in partition.nodes_in(r) {
-                owned[node.index()] = slots[node.index()].take();
-                heap.push(RScheduled {
-                    at: SimTime::ZERO,
-                    key: EventKey::start(*node),
-                    event: REvent::Start { node: *node },
-                });
-            }
-            regions.push(Region {
-                id: r as u32,
-                topology: Arc::clone(&topology),
-                node_up: Arc::clone(&node_up),
-                region_of: Arc::clone(&region_of),
-                nodes: owned,
-                heap,
-                links: LinkState::table(&topology),
-                commands: Vec::new(),
-                node_tx_busy: vec![0; n],
-                timer_seq: vec![0; n],
-                tx_seq: vec![0; topology.directed_link_count()],
-                metrics: Metrics::new(),
-                sink: KeyedSink::default(),
-                trace_batch,
-                outbox: Vec::new(),
-                now: SimTime::ZERO,
-                window_end: SimTime::ZERO,
-                events: 0,
-                medium: MediumMode::FullDuplex,
-                seed,
-            });
-        }
-        let inboxes = (0..regions.len()).map(|_| Vec::new()).collect();
-        ShardedSimulator {
-            topology,
-            node_up,
-            partition,
-            regions,
-            inboxes,
-            faults: Vec::new(),
-            fault_cursor: 0,
-            fault_seq: 0,
-            ext_seq: 0,
-            now: SimTime::ZERO,
-            events_processed: 0,
-            merger: ShardMerger::new(),
-            sink: Box::new(NullSink),
-            medium: MediumMode::FullDuplex,
-        }
-    }
-
-    /// The partition driving this run (region layout and lookahead).
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// Number of regions (== effective worker threads).
-    pub fn threads(&self) -> usize {
-        self.partition.count()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events processed so far (region events plus one per
-    /// installed fault transition).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Aggregated traffic counters, folded over all regions.
-    pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::new();
-        for region in &self.regions {
-            total.absorb(&region.metrics);
-        }
-        total
-    }
-
-    /// One region's own counters, unfolded.
-    pub(crate) fn region_metrics(&self, region: usize) -> &Metrics {
-        &self.regions[region].metrics
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Selects how node transmitters share the medium. Must be called
-    /// before any traffic flows.
-    pub fn set_medium(&mut self, medium: MediumMode) {
-        debug_assert!(
-            self.regions.iter().all(|r| r.metrics.messages_sent == 0),
-            "set_medium before traffic"
-        );
-        self.medium = medium;
-        for region in &mut self.regions {
-            region.medium = medium;
-        }
-    }
-
-    /// Installs a trace sink. Records reach it strictly ordered by merge
-    /// key (timestamp first), once per barrier window — which a lone
-    /// region ends every few hundred records, so its trace streams.
-    pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
-        self.sink = sink;
-    }
-
-    /// The active trace sink (e.g. to flush it after a run).
-    pub fn sink_mut(&mut self) -> &mut dyn Sink {
-        &mut *self.sink
-    }
-
-    /// Removes and returns the active sink, restoring the null sink.
-    pub fn take_sink(&mut self) -> Box<dyn Sink> {
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
-    }
-
-    /// Schedules an external stimulus (e.g. a user query) for `node` at
-    /// absolute time `at`. Externals dispatch in install order at equal
-    /// timestamps.
-    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, ext: P::Ext) {
-        assert!(node.index() < self.node_up.len(), "node out of range");
-        let at = at.max(self.now);
-        let idx = self.ext_seq;
-        self.ext_seq += 1;
-        let region = self.partition.region_of(node);
-        self.regions[region].heap.push(RScheduled {
-            at,
-            key: EventKey::external(idx),
-            event: REvent::External { node, ext },
-        });
-    }
-
-    /// Installs every event of a [`FaultSchedule`]. All faults scheduled
-    /// for one instant are applied atomically at a barrier, in install
-    /// order, before any same-instant protocol events run.
-    ///
-    /// May be called multiple times **before** the run; schedules merge in
-    /// `(time, install order)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the run started, if any event is scheduled
-    /// in the past, or if one names an unknown node or link.
-    pub fn install_faults(&mut self, schedule: &FaultSchedule) {
-        assert_eq!(
-            self.fault_cursor, 0,
-            "install_faults before running the sharded simulator"
-        );
-        for f in schedule.events() {
-            assert!(f.at >= self.now, "fault scheduled in the past: {f:?}");
-            let valid = |n: NodeId| n.index() < self.node_up.len();
-            match f.event {
-                FaultEvent::NodeCrash(n) | FaultEvent::NodeRecover(n) => {
-                    assert!(valid(n), "fault names unknown node {n}");
-                }
-                FaultEvent::LinkDown(a, b) | FaultEvent::LinkUp(a, b) => {
-                    assert!(valid(a) && valid(b), "fault names unknown link {a}-{b}");
-                    assert!(
-                        self.topology.has_link(a, b),
-                        "fault names non-existent link {a}-{b}"
-                    );
-                }
-            }
-            let idx = self.fault_seq;
-            self.fault_seq += 1;
-            self.faults.push(InstalledFault {
-                at: f.at,
-                idx,
-                event: f.event,
-            });
-        }
-        // Stable by time; install order breaks ties (idx is append order,
-        // and sort_by is stable).
-        self.faults.sort_by_key(|f| f.at);
-    }
-
-    /// Emits a coordinator-side fault record into the merge buffer.
-    fn emit_fault(&mut self, at: SimTime, idx: u64, node: NodeId, kind: EventKind) {
-        if self.sink.enabled() {
-            let key = EventKey::fault_global(idx);
-            self.merger.push(
-                key.merge_key(at, 0),
-                TraceRecord {
-                    at,
-                    node: node.index() as u32,
-                    kind,
-                },
-            );
-        }
-    }
-
-    /// Applies every fault scheduled for instant `at` to the master
-    /// topology/up-state, returning per-region side-effect actions.
-    fn apply_fault_batch(&mut self, at: SimTime) -> Vec<Vec<FaultAction>> {
-        // Size by the partition, not `self.regions`: the threaded driver
-        // lends the regions out to workers, leaving `self.regions` empty.
-        let mut actions: Vec<Vec<FaultAction>> =
-            (0..self.partition.count()).map(|_| Vec::new()).collect();
-        let mut topo = (*self.topology).clone();
-        let mut up = (*self.node_up).clone();
-        while self
-            .faults
-            .get(self.fault_cursor)
-            .is_some_and(|f| f.at == at)
-        {
-            let InstalledFault { idx, event, .. } = self.faults[self.fault_cursor];
-            self.fault_cursor += 1;
-            self.events_processed += 1;
-            match event {
-                FaultEvent::NodeCrash(n) => {
-                    if !up[n.index()] {
-                        continue; // already down: idempotent
-                    }
-                    self.emit_fault(
-                        at,
-                        idx,
-                        n,
-                        EventKind::Fault {
-                            fault: "node-crash",
-                            node: n.index() as u32,
-                            peer: None,
-                        },
-                    );
-                    up[n.index()] = false;
-                    topo.set_node_enabled(n, false);
-                    topo.rebuild_routes();
-                    let neighbors: Vec<NodeId> = topo.neighbors(n).collect();
-                    let region = self.partition.region_of(n);
-                    for nb in neighbors {
-                        actions[region].push(FaultAction::Purge {
-                            idx,
-                            from: n,
-                            to: nb,
-                        });
-                    }
-                }
-                FaultEvent::NodeRecover(n) => {
-                    if up[n.index()] {
-                        continue; // already up: idempotent
-                    }
-                    self.emit_fault(
-                        at,
-                        idx,
-                        n,
-                        EventKind::Fault {
-                            fault: "node-recover",
-                            node: n.index() as u32,
-                            peer: None,
-                        },
-                    );
-                    up[n.index()] = true;
-                    topo.set_node_enabled(n, true);
-                    topo.rebuild_routes();
-                    actions[self.partition.region_of(n)]
-                        .push(FaultAction::Recover { idx, node: n });
-                }
-                FaultEvent::LinkDown(a, b) => {
-                    if topo.set_link_enabled(a, b, false) {
-                        self.emit_fault(
-                            at,
-                            idx,
-                            a,
-                            EventKind::Fault {
-                                fault: "link-down",
-                                node: a.index() as u32,
-                                peer: Some(b.index() as u32),
-                            },
-                        );
-                        topo.rebuild_routes();
-                        actions[self.partition.region_of(a)].push(FaultAction::Purge {
-                            idx,
-                            from: a,
-                            to: b,
-                        });
-                        actions[self.partition.region_of(b)].push(FaultAction::Purge {
-                            idx,
-                            from: b,
-                            to: a,
-                        });
-                    }
-                }
-                FaultEvent::LinkUp(a, b) => {
-                    if topo.set_link_enabled(a, b, true) {
-                        self.emit_fault(
-                            at,
-                            idx,
-                            a,
-                            EventKind::Fault {
-                                fault: "link-up",
-                                node: a.index() as u32,
-                                peer: Some(b.index() as u32),
-                            },
-                        );
-                        topo.rebuild_routes();
-                    }
-                }
-            }
-        }
-        self.topology = Arc::new(topo);
-        self.node_up = Arc::new(up);
-        actions
-    }
-
-    /// Plans the next barrier window: picks `[start, end)`, applies any
-    /// faults at `start`, and assembles one [`WindowCmd`] per region.
-    /// Returns `None` when nothing remains before `deadline`.
-    fn plan_window(
-        &mut self,
-        deadline: Option<SimTime>,
-        region_next: &[Option<SimTime>],
-    ) -> Option<Vec<WindowCmd<P>>> {
-        let regions_min = region_next.iter().flatten().min().copied();
-        let inbox_min = self.inboxes.iter().flatten().map(|c| c.at).min();
-        let fault_next = self.faults.get(self.fault_cursor).map(|f| f.at);
-        let start = [regions_min, inbox_min, fault_next]
-            .into_iter()
-            .flatten()
-            .min()?;
-        if deadline.is_some_and(|d| start > d) {
-            return None;
-        }
-        debug_assert!(start >= self.now, "window start went backwards");
-        self.now = start;
-
-        let actions = if fault_next == Some(start) {
-            self.apply_fault_batch(start)
-        } else {
-            // Partition count, not `self.regions.len()`: the threaded
-            // driver lends the regions out while planning windows.
-            (0..self.partition.count()).map(|_| Vec::new()).collect()
-        };
-
-        // Window end: the tightest of lookahead, the next fault barrier,
-        // and the caller's deadline (inclusive, hence + 1µs).
-        let mut end = SimTime::MAX;
-        if self.partition.count() > 1 {
-            if let Some(lookahead) = self.partition.lookahead() {
-                end = end.min(start.saturating_add(lookahead));
-            }
-        }
-        if let Some(f) = self.faults.get(self.fault_cursor) {
-            end = end.min(f.at);
-        }
-        if let Some(d) = deadline {
-            end = end.min(d.saturating_add(SimDuration::from_micros(1)));
-        }
-        debug_assert!(end > start, "empty barrier window");
-
-        let mut actions = actions;
-        let cmds = (0..self.partition.count())
-            .map(|r| WindowCmd {
-                start,
-                end,
-                topology: Arc::clone(&self.topology),
-                node_up: Arc::clone(&self.node_up),
-                actions: std::mem::take(&mut actions[r]),
-                inbox: std::mem::take(&mut self.inboxes[r]),
-            })
-            .collect();
-        Some(cmds)
-    }
-
-    /// Folds one region's window output back into coordinator state.
-    fn collect_out(&mut self, mut out: WindowOut<P::Msg>, region_next: &mut [Option<SimTime>]) {
-        region_next[out.region as usize] = out.next_at;
-        self.events_processed += out.events;
-        // One region's outbox is produced in its own deterministic event
-        // order, but sorting by the stable delivery identity here means
-        // the inbox contents never depend on emission order at all (R8).
-        out.outbox
-            .sort_by_key(|m| (m.at, m.from.index(), m.to.index(), m.txn));
-        for cd in out.outbox {
-            let region = self.partition.region_of(cd.to);
-            self.inboxes[region].push(cd);
-        }
-        self.merger.absorb(out.trace);
-    }
-}
-
-impl<P: Protocol + Send> ShardedSimulator<P>
-where
-    P::Msg: Send,
-    P::Ext: Send,
-{
-    /// Runs until the event queue drains. Returns the number of events
-    /// processed by this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 100 million events as a runaway-protocol backstop; use
-    /// [`run_until`](ShardedSimulator::run_until) for open-ended
-    /// workloads.
-    pub fn run(&mut self) -> u64 {
-        self.run_until_opt(None)
-    }
-
-    /// Runs until simulated time would exceed `deadline` (events at
-    /// exactly `deadline` are processed) or the queue drains. Returns the
-    /// number of events processed by this call.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.run_until_opt(Some(deadline))
-    }
-
-    fn run_until_opt(&mut self, deadline: Option<SimTime>) -> u64 {
-        let before = self.events_processed;
-        let enabled = self.sink.enabled();
-        for region in &mut self.regions {
-            region.sink.enabled = enabled;
-        }
-        if self.regions.len() == 1 {
-            self.run_windows_inline(deadline);
-        } else {
-            self.run_windows_threaded(deadline);
-        }
-        if let Some(d) = deadline {
-            if self.now < d {
-                self.now = d;
-            }
-        }
-        self.events_processed - before
-    }
-
-    fn run_windows_inline(&mut self, deadline: Option<SimTime>) {
-        loop {
-            let mut region_next: Vec<Option<SimTime>> = self
-                .regions
-                .iter()
-                .map(|r| r.heap.peek().map(|h| h.at))
-                .collect();
-            let Some(cmds) = self.plan_window(deadline, &region_next) else {
-                break;
-            };
-            for (r, cmd) in cmds.into_iter().enumerate() {
-                let out = self.regions[r].run_window(cmd);
-                self.collect_out(out, &mut region_next);
-            }
-            self.merger.flush_into(&mut *self.sink);
-            assert!(
-                self.events_processed < 100_000_000,
-                "runaway simulation: 1e8 events processed"
-            );
-        }
-    }
-
-    fn run_windows_threaded(&mut self, deadline: Option<SimTime>) {
-        let regions = std::mem::take(&mut self.regions);
-        let count = regions.len();
-        let mut region_next: Vec<Option<SimTime>> = regions
-            .iter()
-            .map(|r| r.heap.peek().map(|h| h.at))
-            .collect();
-        let (out_tx, out_rx) = mpsc::channel::<WindowOut<P::Msg>>();
-        let mut returned = std::thread::scope(|scope| {
-            let mut cmd_txs = Vec::with_capacity(count);
-            let mut handles = Vec::with_capacity(count);
-            for mut region in regions {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<WindowCmd<P>>();
-                cmd_txs.push(cmd_tx);
-                let out_tx = out_tx.clone();
-                handles.push(scope.spawn(move || {
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        let out = region.run_window(cmd);
-                        if out_tx.send(out).is_err() {
-                            break;
-                        }
-                    }
-                    region
-                }));
-            }
-            loop {
-                let Some(cmds) = self.plan_window(deadline, &region_next) else {
-                    break;
-                };
-                // One command per worker, or the recv loop below would
-                // wait forever on a window nobody was asked to run.
-                assert_eq!(cmds.len(), count, "window command per region");
-                for (tx, cmd) in cmd_txs.iter().zip(cmds) {
-                    tx.send(cmd).expect("region worker alive"); // lint: allow(panic) — workers outlive the loop by construction
-                }
-                for _ in 0..count {
-                    let out = out_rx.recv().expect("region worker result"); // lint: allow(panic) — each worker sends exactly one result per window
-                    self.collect_out(out, &mut region_next);
-                }
-                self.merger.flush_into(&mut *self.sink);
-                assert!(
-                    self.events_processed < 100_000_000,
-                    "runaway simulation: 1e8 events processed"
-                );
-            }
-            drop(cmd_txs);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("region worker panicked")) // lint: allow(panic) — a worker panic is already fatal
-                .collect::<Vec<_>>()
-        });
-        // Workers were spawned and joined in region order.
-        debug_assert!(returned.iter().enumerate().all(|(i, r)| r.id as usize == i));
-        self.regions = std::mem::take(&mut returned);
-    }
-}
-
-impl<P: Protocol> ShardedSimulator<P> {
     /// Shared access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> &P {
-        self.regions[self.partition.region_of(id)].nodes[id.index()]
-            .as_ref()
-            .expect("region owns its partition's nodes") // lint: allow(panic) — construction places every node
+        &self.nodes[id.index()]
     }
 
     /// Exclusive access to a node's protocol state.
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        let region = self.partition.region_of(id);
-        self.regions[region].nodes[id.index()]
-            .as_mut()
-            .expect("region owns its partition's nodes") // lint: allow(panic) — construction places every node
+        &mut self.nodes[id.index()]
     }
 
-    /// Iterates over all protocol instances in global node-id order.
+    /// Iterates over all protocol instances in node-id order.
     pub fn nodes(&self) -> impl Iterator<Item = &P> {
-        (0..self.node_up.len()).map(move |i| self.node(NodeId(i)))
+        self.nodes.iter()
     }
 
-    /// Consumes the simulator, returning the protocol instances in global
-    /// node-id order.
-    pub fn into_nodes(mut self) -> Vec<P> {
-        let mut out = Vec::with_capacity(self.node_up.len());
-        for i in 0..self.node_up.len() {
-            let region = self.partition.region_of(NodeId(i));
-            out.push(
-                self.regions[region].nodes[i]
-                    .take()
-                    .expect("region owns its partition's nodes"), // lint: allow(panic) — construction places every node
-            );
-        }
-        out
+    /// Consumes the simulator, returning the protocol instances in node-id
+    /// order.
+    pub fn into_nodes(self) -> Vec<P> {
+        self.nodes
     }
 }
 
@@ -1324,6 +797,7 @@ impl<P: Protocol> ShardedSimulator<P> {
 mod tests {
     use super::*;
     use crate::topology::LinkSpec;
+    use dde_obs::{MemorySink, SharedSink};
 
     #[derive(Debug, Clone)]
     struct Ball {
@@ -1338,114 +812,130 @@ mod tests {
         }
     }
 
-    /// Forwards a token around: node 0 serves, everyone echoes until the
-    /// hop budget is spent.
+    /// Every node serves to its neighbors at start and echoes until the hop
+    /// budget is spent, looking into the sink the engine writes to as it
+    /// goes: the record of the event being dispatched is already the last
+    /// one there.
     struct Echo {
-        seen: u32,
+        started: bool,
         budget: u32,
+        sink: SharedSink<MemorySink>,
     }
+
+    impl Echo {
+        fn assert_last_record(&self, ctx: &Context<'_, Ball>, kind: EventKind) {
+            let expected = TraceRecord {
+                at: ctx.now(),
+                node: ctx.node().index() as u32,
+                kind,
+            };
+            let last = self.sink.with(|m| m.events().last().cloned());
+            assert_eq!(last, Some(expected), "the sink lags the dispatch");
+        }
+    }
+
     impl Protocol for Echo {
         type Msg = Ball;
-        type Ext = u32;
+        type Ext = ();
         fn on_start(&mut self, ctx: &mut Context<'_, Ball>) {
-            if ctx.node() == NodeId(0) {
-                let peers: Vec<NodeId> = ctx.topology().neighbors(NodeId(0)).collect();
-                for p in peers {
-                    ctx.send(p, Ball { hops: 0 });
-                }
+            self.started = true;
+            for peer in ctx.topology().neighbors(ctx.node()) {
+                ctx.send(peer, Ball { hops: 0 });
             }
         }
         fn on_message(&mut self, ctx: &mut Context<'_, Ball>, from: NodeId, msg: Ball) {
-            self.seen += 1;
+            self.assert_last_record(
+                ctx,
+                EventKind::Deliver {
+                    from: from.index() as u32,
+                    to: ctx.node().index() as u32,
+                    msg: "ball",
+                    query: None,
+                },
+            );
             if msg.hops < self.budget {
                 ctx.send(from, Ball { hops: msg.hops + 1 });
             }
         }
-        fn on_external(&mut self, ctx: &mut Context<'_, Ball>, hops: u32) {
-            let node = ctx.node();
-            let peers: Vec<NodeId> = ctx.topology().neighbors(node).collect();
-            for p in peers {
-                ctx.send(p, Ball { hops });
-            }
+        fn on_recover(&mut self, ctx: &mut Context<'_, Ball>) {
+            self.assert_last_record(
+                ctx,
+                EventKind::Fault {
+                    fault: "node-recover",
+                    node: ctx.node().index() as u32,
+                    peer: None,
+                },
+            );
+            self.on_start(ctx);
         }
     }
 
-    fn echo_nodes(n: usize, budget: u32) -> Vec<Echo> {
-        (0..n).map(|_| Echo { seen: 0, budget }).collect()
-    }
-
-    fn ring_topology(n: usize) -> Topology {
-        let mut t = Topology::new(n);
-        for i in 0..n {
-            t.add_link(NodeId(i), NodeId((i + 1) % n), LinkSpec::mbps1());
-        }
-        t
-    }
-
-    /// A full observable signature of a run: trace bytes via a memory
-    /// sink, plus the aggregate counters.
-    fn sharded_signature(threads: usize, seed: u64) -> (Vec<TraceRecord>, Metrics, u64, Vec<u32>) {
-        let topo = ring_topology(8);
-        let mut sim = ShardedSimulator::new(topo, echo_nodes(8, 6), seed, threads);
-        let shared = dde_obs::SharedSink::new(dde_obs::MemorySink::new());
-        let handle = shared.clone();
-        sim.set_sink(Box::new(shared));
-        sim.schedule_external(SimTime::from_millis(5), NodeId(3), 2);
-        sim.run_until(SimTime::from_secs(5));
-        let events = sim.events_processed();
-        let metrics = sim.metrics();
-        let seen: Vec<u32> = sim.nodes().map(|n| n.seen).collect();
-        (handle.with(|m| m.events().to_vec()), metrics, events, seen)
+    fn echo_line(n: usize, budget: u32) -> (ShardedSimulator<Echo>, SharedSink<MemorySink>) {
+        let sink = SharedSink::new(MemorySink::new());
+        let nodes = (0..n)
+            .map(|_| Echo {
+                started: false,
+                budget,
+                sink: sink.clone(),
+            })
+            .collect();
+        let mut sim = ShardedSimulator::new(Topology::line(n, LinkSpec::mbps1()), nodes, 7, 1);
+        sim.set_sink(Box::new(sink.clone()));
+        (sim, sink)
     }
 
     #[test]
-    fn identical_across_thread_counts() {
-        let (trace1, metrics1, events1, seen1) = sharded_signature(1, 7);
-        assert!(!trace1.is_empty());
-        for threads in [2, 3, 4, 8] {
-            let (trace, metrics, events, seen) = sharded_signature(threads, 7);
-            assert_eq!(trace, trace1, "trace differs at {threads} threads");
-            assert_eq!(events, events1, "event count differs at {threads} threads");
-            assert_eq!(seen, seen1, "node state differs at {threads} threads");
-            assert_eq!(metrics.messages_sent, metrics1.messages_sent);
-            assert_eq!(metrics.messages_delivered, metrics1.messages_delivered);
-            assert_eq!(metrics.bytes_sent, metrics1.bytes_sent);
-        }
+    fn trace_reaches_the_sink_event_by_event() {
+        let (mut sim, sink) = echo_line(5, 200);
+        let mut faults = FaultSchedule::new();
+        faults.crash_at(SimTime::from_millis(20), NodeId(2));
+        faults.link_down_at(SimTime::from_millis(20), NodeId(0), NodeId(1));
+        faults.recover_at(SimTime::from_millis(60), NodeId(2));
+        faults.link_up_at(SimTime::from_millis(60), NodeId(0), NodeId(1));
+        sim.install_faults(&faults);
+        sim.run();
+        // The handlers did the checking; make sure they had work to check.
+        assert!(sim.metrics().messages_delivered > 200);
+        assert!(sim.metrics().messages_dropped_by_fault > 0);
+        let records = sink.with(|m| m.take());
+        assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]
-    fn faults_are_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let topo = ring_topology(8);
-            let mut sim = ShardedSimulator::new(topo, echo_nodes(8, 40), 9, threads);
-            let shared = dde_obs::SharedSink::new(dde_obs::MemorySink::new());
-            let handle = shared.clone();
-            sim.set_sink(Box::new(shared));
-            let mut faults = FaultSchedule::new();
-            faults.crash_at(SimTime::from_millis(20), NodeId(2));
-            faults.recover_at(SimTime::from_millis(400), NodeId(2));
-            faults.link_down_at(SimTime::from_millis(30), NodeId(5), NodeId(6));
-            faults.link_up_at(SimTime::from_millis(500), NodeId(5), NodeId(6));
-            sim.install_faults(&faults);
-            sim.run_until(SimTime::from_secs(2));
-            (
-                handle.with(|m| m.events().to_vec()),
-                sim.events_processed(),
-                sim.metrics().messages_dropped_by_fault,
-                sim.metrics().messages_purged_by_fault,
-            )
-        };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), base, "fault run differs at {threads} threads");
-        }
+    fn a_fault_at_time_zero_precedes_the_start_events() {
+        // Node 1 is crashed before anything runs, so it never starts; its
+        // neighbors do, and what they serve it is dropped on arrival. The
+        // trace is in dispatch order: fault first.
+        let (mut sim, sink) = echo_line(3, 0);
+        let mut faults = FaultSchedule::new();
+        faults.crash_at(SimTime::ZERO, NodeId(1));
+        sim.install_faults(&faults);
+        sim.run();
+        let started: Vec<bool> = sim.nodes().map(|n| n.started).collect();
+        assert_eq!(started, [true, false, true]);
+        let trace: Vec<(u64, u32, &'static str)> = sink.with(|m| {
+            m.events()
+                .iter()
+                .map(|r| (r.at.as_micros(), r.node, r.kind.kind_name()))
+                .collect()
+        });
+        assert_eq!(
+            trace,
+            [
+                (0, 1, "fault"),
+                (0, 0, "transmit"),
+                (0, 2, "transmit"),
+                (1800, 1, "drop"),
+                (1800, 1, "drop"),
+            ]
+        );
     }
 
     #[test]
     fn region_queue_order_is_insertion_independent() {
-        // Satellite check: same-timestamp events pop in stable-key order
-        // no matter the order they were pushed in — unlike a `(time, seq)`
-        // heap, whose tie-break is the insertion sequence itself.
+        // Same-timestamp events pop in stable-key order no matter the
+        // order they were pushed in — unlike a `(time, seq)` heap, whose
+        // tie-break is the insertion sequence itself.
         let at = SimTime::from_millis(1);
         let keys = [
             EventKey {
@@ -1474,12 +964,12 @@ mod tests {
             },
         ];
         let pop_order = |insert: &[usize]| {
-            let mut heap: BinaryHeap<RScheduled<Echo>> = BinaryHeap::new();
+            let mut heap: BinaryHeap<Scheduled<Echo>> = BinaryHeap::new();
             for &i in insert {
-                heap.push(RScheduled {
+                heap.push(Scheduled {
                     at,
                     key: keys[i],
-                    event: REvent::Timer {
+                    event: Event::Timer {
                         node: NodeId(0),
                         tag: i as u64,
                     },
@@ -1515,26 +1005,5 @@ mod tests {
         assert!(draws.iter().all(|d| (0.0..1.0).contains(d)));
         let mean = draws.iter().sum::<f64>() / draws.len() as f64;
         assert!((mean - 0.5).abs() < 0.05, "mean {mean} far from 0.5");
-    }
-
-    #[test]
-    fn lossy_links_are_seed_stable_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut topo = Topology::new(4);
-            for i in 0..3 {
-                topo.add_link(NodeId(i), NodeId(i + 1), LinkSpec::mbps1().loss(0.3));
-            }
-            let mut sim = ShardedSimulator::new(topo, echo_nodes(4, 30), 11, threads);
-            sim.run_until(SimTime::from_secs(2));
-            (
-                sim.metrics().messages_lost,
-                sim.metrics().messages_delivered,
-            )
-        };
-        let base = run(1);
-        assert!(base.0 > 0, "losses should occur at 30%");
-        for threads in [2, 4] {
-            assert_eq!(run(threads), base);
-        }
     }
 }

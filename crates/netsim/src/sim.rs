@@ -8,7 +8,6 @@
 //! event order — is [`crate::shard`]; a live host (`dde-net`) realizes the
 //! same commands against sockets and a timer wheel.
 
-use crate::metrics::Metrics;
 use crate::shard::ShardedSimulator;
 use crate::topology::{LinkSpec, NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
@@ -332,13 +331,11 @@ impl<M> LinkState<M> {
     }
 }
 
-/// The engine at one region, under the name and constructor it had before
-/// there were regions.
+/// [`ShardedSimulator`] under the name and constructor it had before it
+/// took a region count.
 ///
-/// A logic-free wrapper: [`ShardedSimulator::new`] with `threads == 1`
-/// (everything runs inline on the calling thread), every method by
-/// `Deref`, except that [`metrics`](Simulator::metrics) borrows the one
-/// region's counters instead of folding a copy.
+/// A logic-free wrapper, every method by `Deref`; it exists because the
+/// frozen `benchmark/` names it.
 ///
 /// # Examples
 ///
@@ -380,19 +377,14 @@ impl<M> LinkState<M> {
 pub struct Simulator<P: Protocol>(ShardedSimulator<P>);
 
 impl<P: Protocol> Simulator<P> {
-    /// Creates a one-region simulator over `topology` with one protocol
-    /// instance per node. `seed` drives link-loss sampling.
+    /// Creates a simulator over `topology` with one protocol instance per
+    /// node. `seed` drives link-loss sampling.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != topology.len()`.
     pub fn new(topology: Topology, nodes: Vec<P>, seed: u64) -> Simulator<P> {
         Simulator(ShardedSimulator::new(topology, nodes, seed, 1))
-    }
-
-    /// Traffic counters.
-    pub fn metrics(&self) -> &Metrics {
-        self.0.region_metrics(0)
     }
 
     /// Consumes the simulator, returning the protocol instances.
@@ -416,10 +408,6 @@ impl<P: Protocol> std::ops::DerefMut for Simulator<P> {
 
 #[cfg(test)]
 mod tests {
-    // Tests capture observations in thread-local RefCells; test code is
-    // outside the shard-safety envelope.
-    #![allow(clippy::disallowed_types)]
-
     use super::*;
     use crate::fault::FaultSchedule;
 

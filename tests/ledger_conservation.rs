@@ -124,81 +124,6 @@ proptest! {
     }
 }
 
-/// Runs observed on the sharded parallel engine; returns the report and
-/// the serialized trace.
-fn sharded_observed_run(seed: u64, threads: usize, faults: FaultSchedule) -> (RunReport, String) {
-    let sink = SharedSink::new(JsonlSink::new(Vec::new()));
-    let handle = sink.clone();
-    let mut options = RunOptions::new(Strategy::LvfLabelShare);
-    options.seed = seed ^ 0x5eed;
-    options.faults = faults;
-    let report =
-        run_scenario_sharded_observed(&scenario(seed, 0.4), options, threads, Box::new(sink));
-    let trace = String::from_utf8(handle.with(|j| j.get_ref().clone())).expect("trace is UTF-8");
-    (report, trace)
-}
-
-/// Conservation extends to sharded runs: per-query charges plus overhead
-/// equal the global totals at every thread count, and the ledger itself is
-/// thread-count invariant.
-#[test]
-fn ledger_conserves_on_sharded_runs_at_any_thread_count() {
-    let seed = 21;
-    let mut baseline: Option<RunReport> = None;
-    for threads in [1, 2, 4, 8] {
-        let (report, trace) = sharded_observed_run(seed, threads, FaultSchedule::new());
-        check_conservation(&report, &trace)
-            .unwrap_or_else(|e| panic!("conservation failed at {threads} threads: {e}"));
-        if let Some(base) = &baseline {
-            assert_eq!(
-                base.ledger, report.ledger,
-                "ledger differs at {threads} threads"
-            );
-            assert_eq!(base, &report, "report differs at {threads} threads");
-        } else {
-            baseline = Some(report);
-        }
-    }
-}
-
-/// Sharded conservation also survives fault injection.
-#[test]
-fn sharded_ledger_conserves_under_faults() {
-    let seed = 29;
-    // The sharded engine validates fault targets against the topology, so
-    // take a link that actually exists: node 0 and its first neighbor.
-    let outage_peer = scenario(seed, 0.4)
-        .topology
-        .neighbors(NodeId(0))
-        .next()
-        .expect("node 0 has a neighbor");
-    let mut faults = FaultSchedule::new();
-    faults.crash_at(dde_logic::time::SimTime::from_secs(10), NodeId(2));
-    faults.recover_at(dde_logic::time::SimTime::from_secs(40), NodeId(2));
-    faults.link_down_at(
-        dde_logic::time::SimTime::from_secs(15),
-        NodeId(0),
-        outage_peer,
-    );
-    faults.link_up_at(
-        dde_logic::time::SimTime::from_secs(60),
-        NodeId(0),
-        outage_peer,
-    );
-    let mut baseline: Option<CostLedger> = None;
-    for threads in [1, 4] {
-        let (report, trace) = sharded_observed_run(seed, threads, faults.clone());
-        check_conservation(&report, &trace)
-            .unwrap_or_else(|e| panic!("conservation failed at {threads} threads: {e}"));
-        let ledger = report.ledger.clone().expect("observed runs carry a ledger");
-        if let Some(base) = &baseline {
-            assert_eq!(base, &ledger, "faulted ledger differs at {threads} threads");
-        } else {
-            baseline = Some(ledger);
-        }
-    }
-}
-
 /// Two same-seed runs must produce byte-identical attribution JSON — the
 /// property `dde-trace attribute --json` inherits, since it renders
 /// exactly this document from the trace.

@@ -1,11 +1,12 @@
 //! Traces held byte-identical *across commits*.
 //!
-//! The other determinism suites compare a run with itself (same seed twice,
-//! one thread count against another). This one pins what the trace **is**:
-//! for each case below, the number of JSONL records, the number of bytes,
-//! and the FNV-1a-64 hash of the bytes, computed once on the commit before
-//! the node was restructured. A refactor of `dde-core`'s node that moves a
-//! single send, timer or trace event fails here.
+//! The other determinism suites compare a run with itself (same seed
+//! twice). This one pins what the trace **is**: for each case below, the
+//! number of JSONL records, the number of bytes, and the FNV-1a-64 hash of
+//! the bytes, computed once on the commit before the code under it was
+//! restructured (the node; for the scenario bands, the event loop). A
+//! refactor that moves a single send, timer, fault side effect or trace
+//! event fails here.
 //!
 //! The constants are never edited alongside a refactor. A deliberate
 //! behaviour change regenerates them in its own PR, the way `baselines/`
@@ -15,7 +16,7 @@ use dde_core::prelude::*;
 use dde_core::Strategy;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::fault::FaultSchedule;
-use dde_netsim::MediumMode;
+use dde_netsim::{MediumMode, NodeId};
 use dde_obs::{JsonlSink, SharedSink};
 use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
@@ -31,12 +32,11 @@ fn fingerprint(trace: &[u8]) -> Fingerprint {
     (records, trace.len(), hash)
 }
 
-/// Runs `scenario` observed on `threads` regions (one region is what
-/// `run_scenario_observed` runs) and fingerprints the trace.
-fn traced(scenario: &Scenario, options: RunOptions, threads: usize) -> Fingerprint {
+/// Runs `scenario` observed and fingerprints the trace.
+fn traced(scenario: &Scenario, options: RunOptions) -> Fingerprint {
     let sink = SharedSink::new(JsonlSink::new(Vec::new()));
     let handle = sink.clone();
-    let _ = run_scenario_sharded_observed(scenario, options, threads, Box::new(sink));
+    let _ = run_scenario_observed(scenario, options, Box::new(sink));
     handle.with(|j| fingerprint(j.get_ref()))
 }
 
@@ -92,7 +92,7 @@ fn every_strategy_trace_is_pinned() {
     let scenario = small();
     for (strategy, golden) in Strategy::ALL.into_iter().zip(GOLDEN) {
         assert_eq!(
-            traced(&scenario, options(strategy), 1),
+            traced(&scenario, options(strategy)),
             golden,
             "{} trace moved",
             strategy.code()
@@ -112,39 +112,24 @@ fn admission_gated_adaptive_trace_is_pinned() {
     // One transmitter per node is what turns the burst into an overload,
     // so the gate sheds, defers and re-admits.
     options.medium = MediumMode::HalfDuplexTx;
-    assert_eq!(traced(&scenario, options, 1), GOLDEN);
+    assert_eq!(traced(&scenario, options), GOLDEN);
 }
 
 #[test]
 fn tree_topology_label_sharing_trace_is_pinned() {
     const GOLDEN: Fingerprint = (620, 68_424, 102_603_062_721_654_301);
     let scenario = multi_hop(1, SimDuration::ZERO);
-    assert_eq!(
-        traced(&scenario, options(Strategy::LvfLabelShare), 1),
-        GOLDEN
-    );
-}
-
-/// One fingerprint for both the one-region and the two-region run: the
-/// region count chooses how the work is scheduled, never what happens.
-const FAULTED: Fingerprint = (662, 71_200, 15_520_057_291_080_224_705);
-
-fn faulted(threads: usize) -> Fingerprint {
-    let scenario = multi_hop(2, SimDuration::ZERO);
-    let mut options = options(Strategy::LvfLabelShare);
-    options.faults = crash_recover_outage(&scenario);
-    options.crash_wipes_cache = true;
-    traced(&scenario, options, threads)
+    assert_eq!(traced(&scenario, options(Strategy::LvfLabelShare)), GOLDEN);
 }
 
 #[test]
 fn crash_recover_and_link_outage_trace_is_pinned() {
-    assert_eq!(faulted(1), FAULTED);
-}
-
-#[test]
-fn two_region_sharded_trace_is_pinned() {
-    assert_eq!(faulted(2), FAULTED);
+    const GOLDEN: Fingerprint = (662, 71_200, 15_520_057_291_080_224_705);
+    let scenario = multi_hop(2, SimDuration::ZERO);
+    let mut options = options(Strategy::LvfLabelShare);
+    options.faults = crash_recover_outage(&scenario);
+    options.crash_wipes_cache = true;
+    assert_eq!(traced(&scenario, options), GOLDEN);
 }
 
 /// The background half of the node: announce-ahead prefetch pushes with
@@ -159,5 +144,93 @@ fn prefetch_triage_and_corroboration_trace_is_pinned() {
     options.triage_threshold = Some(0.6);
     options.approx_min_shared = Some(2);
     options.corroboration = 2;
-    assert_eq!(traced(&scenario, options, 1), GOLDEN);
+    assert_eq!(traced(&scenario, options), GOLDEN);
+}
+
+// ---- The scenario bands -------------------------------------------------
+//
+// Fault-free baseline, node churn, a partition cut and healed, and the
+// adaptive loop learning under churn and gating an overload. Their fault
+// instants (several faults at one time, purges and recoveries behind them)
+// are where the order of trace records is decided by the engine rather
+// than by time.
+
+fn band(seed: u64) -> ScenarioConfig {
+    ScenarioConfig::small().with_seed(seed).with_fast_ratio(0.4)
+}
+
+fn band_options(strategy: Strategy, seed: u64) -> RunOptions {
+    let mut options = RunOptions::new(strategy);
+    options.seed = seed;
+    options
+}
+
+#[test]
+fn baseline_band_trace_is_pinned() {
+    const GOLDEN: [(u64, Fingerprint); 2] = [
+        (7, (949, 95_567, 14_922_263_959_667_862_546)),
+        (11, (1051, 106_655, 16_669_102_468_088_555_377)),
+    ];
+    for (seed, golden) in GOLDEN {
+        let scenario = Scenario::build(band(seed));
+        let options = band_options(Strategy::LvfLabelShare, seed ^ 0x5eed);
+        assert_eq!(traced(&scenario, options), golden, "seed {seed}");
+    }
+}
+
+#[test]
+fn churn_band_trace_is_pinned() {
+    const GOLDEN: Fingerprint = (1085, 109_461, 4_535_559_361_723_287_249);
+    let scenario = Scenario::build(band(13).with_churn(0.5));
+    assert!(!scenario.faults.is_empty(), "churn installs node faults");
+    let options = band_options(Strategy::LvfLabelShare, 13 ^ 0x5eed);
+    assert_eq!(traced(&scenario, options), GOLDEN);
+}
+
+#[test]
+fn partition_band_trace_is_pinned() {
+    const GOLDEN: Fingerprint = (1060, 106_305, 8_579_632_586_315_865_985);
+    let scenario = Scenario::build(band(17));
+    // Cut half the nodes off mid-run, heal before the deadline horizon.
+    let side: Vec<NodeId> = (0..scenario.topology.len() / 2).map(NodeId).collect();
+    let mut faults = FaultSchedule::partition_at(&scenario.topology, SimTime::from_secs(20), &side);
+    faults.merge(&FaultSchedule::heal_partition_at(
+        &scenario.topology,
+        SimTime::from_secs(90),
+        &side,
+    ));
+    assert!(!faults.is_empty(), "the cut severs links");
+    let mut options = band_options(Strategy::LvfLabelShare, 17 ^ 0x5eed);
+    options.faults = faults;
+    assert_eq!(traced(&scenario, options), GOLDEN);
+}
+
+/// Churn exercises the reliability estimator (fetch timeouts feed it) and
+/// forces replanning, so learned state steers decisions.
+#[test]
+fn adaptive_learning_under_churn_trace_is_pinned() {
+    const GOLDEN: [(u64, Fingerprint); 2] = [
+        (7, (905, 91_542, 14_886_352_742_224_986_505)),
+        (13, (997, 101_382, 6_815_756_386_349_675_787)),
+    ];
+    for (seed, golden) in GOLDEN {
+        let scenario = Scenario::build(band(seed).with_churn(0.5));
+        assert!(!scenario.faults.is_empty(), "churn installs node faults");
+        let mut options = band_options(Strategy::Lvf, seed ^ 0xada);
+        options.adaptive = Some(AdaptiveConfig::default());
+        assert_eq!(traced(&scenario, options), golden, "seed {seed}");
+    }
+}
+
+#[test]
+fn adaptive_admission_on_the_overload_band_trace_is_pinned() {
+    const GOLDEN: Fingerprint = (4491, 475_088, 12_443_292_717_895_996_889);
+    let scenario = Scenario::build(ScenarioConfig::overload().with_seed(11));
+    let mut options = band_options(Strategy::Lvf, 11 ^ 0xada);
+    options.adaptive = Some(AdaptiveConfig {
+        admission: Some(AdmissionPolicy::default()),
+        ..AdaptiveConfig::default()
+    });
+    options.medium = MediumMode::HalfDuplexTx;
+    assert_eq!(traced(&scenario, options), GOLDEN);
 }
