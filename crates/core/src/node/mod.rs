@@ -296,8 +296,8 @@ enum AdmissionState {
 struct LocalQuery {
     /// Lifecycle, evidence and counters — what reports read.
     state: QueryState,
-    /// The candidate objects chosen at issue time and the expression,
-    /// laid out for the planner.
+    /// The candidate objects chosen at issue time, laid out for the
+    /// planner in `state`'s label ids.
     plan: PlanTable,
     /// The admission gate's latest ruling.
     gate: AdmissionState,
@@ -313,13 +313,17 @@ struct LocalQuery {
 impl LocalQuery {
     /// Whether the query is still open and its expression mentions `label`.
     fn tracks(&self, label: &Label) -> bool {
-        !self.state.status.is_final() && self.plan.mentions(label)
+        !self.state.status.is_final() && self.state.label_id(label).is_some()
     }
 
     /// Whether a value for `label` would be news at `now`: the query
     /// tracks the label and holds no fresh value for it.
     fn wants(&self, label: &Label, now: SimTime) -> bool {
-        self.tracks(label) && !self.state.assignment().value_at(label, now).is_known()
+        !self.state.status.is_final()
+            && self
+                .state
+                .label_id(label)
+                .is_some_and(|id| !self.state.value_of(id, now).is_known())
     }
 }
 

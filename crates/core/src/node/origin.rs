@@ -36,8 +36,8 @@ impl AthenaNode {
         let strategy = self.shared.config.strategy;
         let labels = inst.expr.labels();
         let candidates = strategy.candidates(&labels, self.catalog(), me, ctx.topology());
-        let plan = strategy.plan(&inst.expr, labels, candidates, self.catalog());
         let state = QueryState::new(qid, inst.expr, ctx.now(), inst.deadline);
+        let plan = strategy.plan(&state, candidates, self.catalog());
         let deadline_at = state.deadline_at;
         if ctx.obs_enabled() {
             ctx.emit(EventKind::QueryInit {
@@ -173,7 +173,7 @@ impl AthenaNode {
     }
 
     /// The §III-A short-circuit plan for `lq`'s expression as seen from this
-    /// node, over the labels its plan table already lists.
+    /// node, over the labels its query state already lists.
     /// Each condition enters with its cheapest-provider retrieval cost, its
     /// most conservative provider validity, and its short-circuit
     /// probability — learned per (name-prefix, condition) when adaptive
@@ -183,7 +183,7 @@ impl AthenaNode {
     fn plan(&self, lq: &LocalQuery, ctx: &Context<'_, AthenaMsg>) -> DnfPlan {
         let (me, topology) = (ctx.node(), ctx.topology());
         let meta: MetaTable = lq
-            .plan
+            .state
             .labels()
             .iter()
             .map(|l| {
@@ -321,12 +321,12 @@ impl AthenaNode {
                 }
                 let spec = shared.catalog.get(chosen);
                 // Bookkeeping: chasing a label whose previous value expired.
+                // The planner only picks a label with no fresh value, so a
+                // value still recorded for it has lapsed.
                 let q = &mut self.local(qid).state;
-                if q.assignment().get(&label).is_some()
-                    && !q.assignment().value_at(&label, now).is_known()
-                {
+                debug_assert!(!q.value_at(&label, now).is_known());
+                if q.forget_label(&label).is_some() {
                     q.counters.label_expiries += 1;
-                    q.forget_label(&label);
                 }
 
                 // 1. Fresh trusted cached label (shared by someone else)?
@@ -346,7 +346,7 @@ impl AthenaNode {
                     let object = stored.value.clone();
                     self.annotate_object(ctx, &object);
                     let q = &self.queries[&qid].state;
-                    if k == 1 && !q.assignment().value_at(&label, now).is_known() {
+                    if k == 1 && !q.value_at(&label, now).is_known() {
                         // Annotation failed to resolve the label (cannot
                         // happen with covering objects); avoid spinning.
                         break;

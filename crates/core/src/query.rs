@@ -9,7 +9,7 @@
 
 use crate::msg::QueryId;
 use dde_logic::dnf::{Dnf, Resolution};
-use dde_logic::label::{Assignment, Label, LabelValue};
+use dde_logic::label::{Label, LabelValue};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_logic::truth::Truth;
 use dde_naming::name::Name;
@@ -74,21 +74,36 @@ pub struct QueryCounters {
 }
 
 /// The originating node's state for one decision query.
+///
+/// The evidence is kept by *label id*: a label's id is its position in the
+/// expression's sorted label list ([`QueryState::labels`]), the id space
+/// the planner's [`PlanTable`](crate::strategy::PlanTable) indexes too.
+/// Evaluating the expression, asking whether a label is still wanted and
+/// planning the next fetch read one slot of a vector instead of a
+/// string-keyed map.
 #[derive(Debug, Clone)]
 pub struct QueryState {
     /// Query id.
     pub id: QueryId,
-    /// The decision logic. Fixed for the query's life: the verdict memo in
-    /// [`QueryState::check`] is keyed on the evidence and the clock only.
+    /// The decision logic. Fixed for the query's life: the label ids, the
+    /// term lists and the verdict memo in [`QueryState::check`] are derived
+    /// from it once, at construction.
     pub expr: Dnf,
     /// When the query was issued.
     pub issued_at: SimTime,
     /// Absolute deadline.
     pub deadline_at: SimTime,
-    /// Current (partial, freshness-aware) evidence. Private so that every
-    /// write passes through [`QueryState::record_label`] or
-    /// [`QueryState::forget_label`], which drop the verdict memo.
-    assignment: Assignment,
+    /// The expression's labels, sorted and distinct; a label's position is
+    /// its id.
+    labels: Vec<Label>,
+    /// Each term's literals as `(label id, negated)`, ascending by id, in
+    /// the expression's term order.
+    terms: Vec<Vec<(usize, bool)>>,
+    /// The evidence gathered so far (fresh or lapsed), by label id.
+    /// Private so that every write passes through
+    /// [`QueryState::record_label`] or [`QueryState::forget_label`], which
+    /// drop the verdict memo whenever they change a value.
+    values: Vec<Option<LabelValue>>,
     /// Lifecycle status.
     pub status: QueryStatus,
     /// At most one in-flight fetch at a time (sequential retrieval, §III-A).
@@ -109,12 +124,28 @@ impl QueryState {
     /// Creates a pending query issued at `issued_at` with relative
     /// `deadline`.
     pub fn new(id: QueryId, expr: Dnf, issued_at: SimTime, deadline: SimDuration) -> QueryState {
+        let labels: Vec<Label> = expr.labels().into_iter().collect();
+        // `labels` holds every label of these very terms: every literal has
+        // an id, and `filter_map` drops nothing.
+        let terms = expr
+            .terms()
+            .iter()
+            .map(|t| {
+                t.literals()
+                    .filter_map(|lit| {
+                        Some((labels.binary_search(lit.label()).ok()?, lit.is_negated()))
+                    })
+                    .collect()
+            })
+            .collect();
         QueryState {
             id,
             expr,
             issued_at,
             deadline_at: issued_at + deadline,
-            assignment: Assignment::new(),
+            values: vec![None; labels.len()],
+            labels,
+            terms,
             status: QueryStatus::Pending,
             outstanding: None,
             counters: QueryCounters::default(),
@@ -122,14 +153,66 @@ impl QueryState {
         }
     }
 
-    /// The evidence gathered so far (fresh or lapsed).
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+    /// The expression's labels, sorted; a label's position is its id.
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
+    /// Each term's literals as `(label id, negated)`, ascending by id, in
+    /// the expression's term order.
+    pub fn terms(&self) -> &[Vec<(usize, bool)>] {
+        &self.terms
+    }
+
+    /// The id of `label`, or `None` if the expression does not mention it.
+    pub fn label_id(&self, label: &Label) -> Option<usize> {
+        self.labels.binary_search(label).ok()
+    }
+
+    /// The truth of label `id` at `now`: [`Truth::Unknown`] when nothing is
+    /// recorded or the recorded value has lapsed.
+    pub fn value_of(&self, id: usize, now: SimTime) -> Truth {
+        match &self.values[id] {
+            Some(v) if v.is_fresh_at(now) => v.value,
+            _ => Truth::Unknown,
+        }
+    }
+
+    /// The truth of `label` at `now`; [`Truth::Unknown`] for a label the
+    /// expression does not mention.
+    pub fn value_at(&self, label: &Label, now: SimTime) -> Truth {
+        self.label_id(label)
+            .map_or(Truth::Unknown, |id| self.value_of(id, now))
+    }
+
+    /// The evidence gathered so far (fresh or lapsed), in label order.
+    pub fn evidence(&self) -> impl Iterator<Item = (&Label, &LabelValue)> {
+        self.labels
+            .iter()
+            .zip(&self.values)
+            .filter_map(|(l, v)| Some((l, v.as_ref()?)))
+    }
+
+    /// The Kleene conjunction of one of [`QueryState::terms`] at `now`.
+    pub fn term_value(&self, term: &[(usize, bool)], now: SimTime) -> Truth {
+        let mut acc = Truth::True;
+        for &(id, negated) in term {
+            let v = self.value_of(id, now);
+            acc = acc.and(if negated { v.negate() } else { v });
+            if acc == Truth::False {
+                break;
+            }
+        }
+        acc
     }
 
     /// Records a resolved label value and clears the outstanding fetch if it
     /// was waiting on this label. Does not itself re-check resolution — call
     /// [`QueryState::check`] after a batch of updates.
+    ///
+    /// A label the expression does not mention is ignored: it could never
+    /// affect the verdict, and keeping it would only shorten the instant
+    /// through which a remembered verdict holds.
     pub fn record_label(
         &mut self,
         label: &Label,
@@ -137,8 +220,10 @@ impl QueryState {
         sampled_at: SimTime,
         validity: SimDuration,
     ) {
-        self.assignment
-            .set(label.clone(), Truth::from(value), sampled_at, validity);
+        let Some(id) = self.label_id(label) else {
+            return;
+        };
+        self.values[id] = Some(LabelValue::new(Truth::from(value), sampled_at, validity));
         self.undecided = None;
         if let Some(o) = &mut self.outstanding {
             o.wanted.retain(|l| l != label);
@@ -151,8 +236,12 @@ impl QueryState {
     /// Drops the recorded value of `label`, returning it if present — the
     /// bookkeeping step before a lapsed label is fetched again.
     pub fn forget_label(&mut self, label: &Label) -> Option<LabelValue> {
-        self.undecided = None;
-        self.assignment.clear(label)
+        let id = self.label_id(label)?;
+        let forgotten = self.values[id].take();
+        if forgotten.is_some() {
+            self.undecided = None;
+        }
+        forgotten
     }
 
     /// Re-evaluates the decision at `now`, transitioning to `Decided` or (at
@@ -172,7 +261,7 @@ impl QueryState {
         let resolution = if memo_holds {
             Resolution::Undecided
         } else {
-            self.expr.resolution(&self.assignment, now)
+            self.resolution(now)
         };
         match resolution {
             Resolution::Viable(i) if now <= self.deadline_at => {
@@ -191,7 +280,15 @@ impl QueryState {
                 self.status = QueryStatus::Missed;
             }
             Resolution::Undecided if !memo_holds => {
-                let through = self.assignment.earliest_expiry(now).unwrap_or(SimTime::MAX);
+                // The earliest lapse among the values fresh now.
+                let through = self
+                    .values
+                    .iter()
+                    .flatten()
+                    .filter(|v| v.is_fresh_at(now))
+                    .map(LabelValue::expires_at)
+                    .min()
+                    .unwrap_or(SimTime::MAX);
                 self.undecided = Some((now, through));
             }
             _ => {}
@@ -199,19 +296,56 @@ impl QueryState {
         self.status
     }
 
+    /// The undecided verdict [`QueryState::check`] remembers, as
+    /// `(since, through)`: found at `since`, and holding at every instant
+    /// up to `through` — the earliest lapse of a value fresh at `since` —
+    /// until the evidence is next touched.
+    pub fn undecided_memo(&self) -> Option<(SimTime, SimTime)> {
+        self.undecided
+    }
+
+    /// [`Dnf::resolution`] of the expression over the evidence at `now`,
+    /// walked by label id.
+    fn resolution(&self, now: SimTime) -> Resolution {
+        let mut any_unknown = false;
+        for (i, term) in self.terms.iter().enumerate() {
+            match self.term_value(term, now) {
+                Truth::True => return Resolution::Viable(i),
+                Truth::Unknown => any_unknown = true,
+                Truth::False => {}
+            }
+        }
+        if any_unknown {
+            Resolution::Undecided
+        } else {
+            Resolution::Infeasible
+        }
+    }
+
     /// Labels that can still influence the outcome at `now` (short-circuit
     /// pruning, §II-A).
     pub fn relevant_labels(&self, now: SimTime) -> BTreeSet<Label> {
-        self.expr.relevant_labels(&self.assignment, now)
+        let mut out = BTreeSet::new();
+        for term in &self.terms {
+            match self.term_value(term, now) {
+                Truth::True => return BTreeSet::new(),
+                Truth::False => {}
+                Truth::Unknown => out.extend(
+                    term.iter()
+                        .filter(|&&(id, _)| !self.value_of(id, now).is_known())
+                        .map(|&(id, _)| self.labels[id].clone()),
+                ),
+            }
+        }
+        out
     }
 
     /// All labels of the expression still unknown (or expired) at `now` —
     /// what a *non*-decision-driven baseline keeps chasing.
     pub fn unknown_labels(&self, now: SimTime) -> BTreeSet<Label> {
-        self.expr
-            .labels()
-            .into_iter()
-            .filter(|l| !self.assignment.value_at(l, now).is_known())
+        (0..self.labels.len())
+            .filter(|&id| !self.value_of(id, now).is_known())
+            .map(|id| self.labels[id].clone())
             .collect()
     }
 
@@ -349,6 +483,27 @@ mod tests {
         );
         q.record_label(&Label::new("c"), true, t(13), d(100));
         assert!(q.outstanding.is_none());
+    }
+
+    #[test]
+    fn a_label_outside_the_expression_is_not_recorded() {
+        let mut q = route_query();
+        q.record_label(&Label::new("a"), true, t(11), d(100));
+        assert_eq!(q.check(t(11)), QueryStatus::Pending);
+        let remembered = q.undecided_memo();
+        assert_eq!(remembered, Some((t(11), t(111))));
+        // A short-lived foreign value would have pulled the bound in to 12 s.
+        q.record_label(&Label::new("zebra"), true, t(11), d(1));
+        assert_eq!(q.undecided_memo(), remembered, "the memo is untouched");
+        assert_eq!(q.evidence().count(), 1);
+        assert_eq!(q.value_at(&Label::new("zebra"), t(11)), Truth::Unknown);
+        assert_eq!(q.forget_label(&Label::new("zebra")), None);
+        assert_eq!(q.check(t(13)), QueryStatus::Pending);
+        assert_eq!(
+            q.undecided_memo(),
+            remembered,
+            "still answered from the memo"
+        );
     }
 
     #[test]

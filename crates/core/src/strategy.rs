@@ -15,7 +15,6 @@
 
 use crate::query::QueryState;
 use dde_coverage::setcover::MaskSources;
-use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::meta::{Cost, Probability};
 use dde_logic::time::SimTime;
@@ -27,6 +26,7 @@ use dde_sched::item::{Channel, RetrievalItem};
 use dde_sched::shortcircuit::{and_truth_prob, expected_and_cost};
 use dde_workload::catalog::Catalog;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Where the decision-driven planner gets its short-circuit probabilities
 /// and provider-reliability weights.
@@ -71,9 +71,11 @@ impl Priors<'_> {
 
 /// What the planner needs to know about one query that cannot change
 /// while the query lives, computed once at issue time by
-/// [`Strategy::plan`]: the candidate set and the expression, re-expressed
-/// in dense indices so that [`Strategy::next_from_plan`] compares integers
-/// where it would otherwise walk string-keyed trees.
+/// [`Strategy::plan`]: the candidate set, re-expressed in the query's
+/// label ids ([`QueryState::labels`]) so that
+/// [`Strategy::next_from_plan`] compares integers where it would otherwise
+/// walk string-keyed trees. The labels and the term lists themselves are
+/// the query's ([`QueryState::terms`]).
 ///
 /// It holds nothing read from the topology, the clock, the evidence
 /// gathered so far or a node's learned estimates. Hop distances,
@@ -84,30 +86,26 @@ impl Priors<'_> {
 pub struct PlanTable {
     /// The candidate objects, as [`Strategy::candidates`] chose them.
     candidates: Vec<usize>,
-    /// The expression's labels, sorted; a label's position is its id.
-    labels: Vec<Label>,
-    /// Each term's literals as `(label id, negated)`, ascending by id.
-    /// Empty for the baselines, which never look at the expression's shape.
-    terms: Vec<Vec<(usize, bool)>>,
-    /// Per label id, the candidates whose evidence resolves it, in
-    /// candidate order. Empty for the baselines likewise.
-    covering: Vec<Vec<usize>>,
+    /// Baselines only: the candidates in the order they are tried —
+    /// catalog order, or `(size, index)` for `lcf` — each with the range
+    /// of `covered` that lists it.
+    order: Vec<(usize, Range<usize>)>,
+    /// Baselines only: per candidate, the ids of the expression's labels
+    /// it covers, in the object's `covers` order, one run after another.
+    covered: Vec<usize>,
+    /// Decision-driven only: the candidates whose evidence resolves each
+    /// label, in candidate order, one label id after another — label
+    /// `id`'s are `providers[starts[id]..starts[id + 1]]`.
+    providers: Vec<usize>,
+    /// Decision-driven only: see `providers`; one entry per label id and
+    /// one more.
+    starts: Vec<usize>,
 }
 
 impl PlanTable {
     /// The candidate objects (catalog indices).
     pub fn candidates(&self) -> &[usize] {
         &self.candidates
-    }
-
-    /// The expression's labels, sorted.
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
-    }
-
-    /// Whether the expression mentions `label`.
-    pub fn mentions(&self, label: &Label) -> bool {
-        self.labels.binary_search(label).is_ok()
     }
 }
 
@@ -247,47 +245,56 @@ impl Strategy {
         chosen
     }
 
-    /// The table [`Strategy::next_from_plan`] reads for a query over `expr`:
-    /// `labels` must be `expr.labels()` and `candidates` what
-    /// [`Strategy::candidates`] chose for them (indices into `catalog`).
+    /// The table [`Strategy::next_from_plan`] reads for `query`:
+    /// `candidates` must be what [`Strategy::candidates`] chose for its
+    /// labels (indices into `catalog`).
     ///
-    /// The baselines walk their candidates in a fixed order and read
-    /// nothing else, so only the decision-driven strategies pay for the
-    /// term and provider indices — `cmp`, with every provider of every
-    /// label as a candidate, would pay the most for what it never uses.
-    pub fn plan(
-        self,
-        expr: &Dnf,
-        labels: BTreeSet<Label>,
-        candidates: Vec<usize>,
-        catalog: &Catalog,
-    ) -> PlanTable {
-        let labels: Vec<Label> = labels.into_iter().collect();
-        let mut terms = Vec::new();
-        let mut covering = Vec::new();
+    /// The baselines walk their candidates in a fixed order, so they get
+    /// that order with each candidate's label ids; the decision-driven
+    /// strategies pick per label, so they get each label's providers.
+    /// Neither pays for the other's index — `cmp`, with every provider of
+    /// every label as a candidate, would pay the most for what it never
+    /// uses.
+    pub fn plan(self, query: &QueryState, candidates: Vec<usize>, catalog: &Catalog) -> PlanTable {
+        let mut order = Vec::new();
+        let mut covered = Vec::new();
+        let mut providers = Vec::new();
+        let mut starts = Vec::new();
         if self.is_decision_driven() {
-            let id_of = |l: &Label| labels.binary_search(l).ok();
-            // `labels` holds every label of these very terms: every
-            // literal has an id, and `filter_map` drops nothing.
-            terms.extend(expr.terms().iter().map(|t| {
-                t.literals()
-                    .filter_map(|lit| Some((id_of(lit.label())?, lit.is_negated())))
-                    .collect()
-            }));
-            covering.resize(labels.len(), Vec::new());
+            let mut pairs: Vec<(usize, usize)> = Vec::new(); // (label id, object)
             for &idx in &candidates {
-                for id in catalog.get(idx).covers.iter().filter_map(id_of) {
-                    if covering[id].last() != Some(&idx) {
-                        covering[id].push(idx);
-                    }
-                }
+                let ids = catalog
+                    .get(idx)
+                    .covers
+                    .iter()
+                    .filter_map(|l| query.label_id(l));
+                pairs.extend(ids.map(|id| (id, idx)));
+            }
+            // Stable: each label's providers stay in candidate order, and an
+            // object listing a label twice is one provider of it.
+            pairs.sort_by_key(|&(id, _)| id);
+            pairs.dedup();
+            let first_of = |id| pairs.partition_point(|&(i, _)| i < id);
+            starts.extend((0..=query.labels().len()).map(first_of));
+            providers.extend(pairs.iter().map(|&(_, idx)| idx));
+        } else {
+            order.reserve_exact(candidates.len());
+            for &idx in &candidates {
+                let start = covered.len();
+                let covers = &catalog.get(idx).covers;
+                covered.extend(covers.iter().filter_map(|l| query.label_id(l)));
+                order.push((idx, start..covered.len()));
+            }
+            if self == Strategy::LowestCostFirst {
+                order.sort_by_key(|(i, _)| (catalog.get(*i).size, *i));
             }
         }
         PlanTable {
             candidates,
-            labels,
-            terms,
-            covering,
+            order,
+            covered,
+            providers,
+            starts,
         }
     }
 
@@ -315,19 +322,14 @@ impl Strategy {
         channel: Channel,
         priors: &Priors<'_>,
     ) -> Option<(usize, Label)> {
-        let plan = self.plan(
-            &query.expr,
-            query.expr.labels(),
-            candidates.to_vec(),
-            catalog,
-        );
+        let plan = self.plan(query, candidates.to_vec(), catalog);
         self.next_from_plan(
             query, &plan, catalog, origin, topology, now, channel, priors,
         )
     }
 
     /// [`Strategy::next_request`] for a query whose `plan` this strategy's
-    /// [`Strategy::plan`] built from `query.expr`, its candidate set and
+    /// [`Strategy::plan`] built from `query`, its candidate set and
     /// `catalog`.
     #[allow(clippy::too_many_arguments)]
     pub fn next_from_plan(
@@ -344,34 +346,32 @@ impl Strategy {
         if self.is_decision_driven() {
             self.next_decision_driven(query, plan, catalog, origin, topology, now, channel, priors)
         } else {
-            self.next_baseline(query, &plan.candidates, catalog, origin, topology, now)
+            Self::next_baseline(query, plan, catalog, origin, topology, now)
         }
     }
 
+    /// The first candidate in the plan's order that covers a label still
+    /// unknown at `now`, and the first such label it covers.
     fn next_baseline(
-        self,
         query: &QueryState,
-        candidates: &[usize],
+        plan: &PlanTable,
         catalog: &Catalog,
         origin: NodeId,
         topology: &Topology,
         now: SimTime,
     ) -> Option<(usize, Label)> {
-        let unknown = query.unknown_labels(now);
-        if unknown.is_empty() {
-            return None;
-        }
-        let mut order: Vec<usize> = candidates.to_vec();
-        if self == Strategy::LowestCostFirst {
-            order.sort_by_key(|&i| (catalog.get(i).size, i));
-        }
-        // Under faults, prefer providers we can actually route to; a stable
-        // partition keeps the original order when everything is reachable.
-        order.sort_by_key(|&i| !Self::is_reachable(i, catalog, origin, topology));
-        for idx in order {
-            let spec = catalog.get(idx);
-            if let Some(label) = spec.covers.iter().find(|l| unknown.contains(*l)) {
-                return Some((idx, label.clone()));
+        let unknown = |id: usize| !query.value_of(id, now).is_known();
+        // Under faults, prefer providers we can actually route to: the
+        // reachable ones first, then the rest, each in the plan's order —
+        // which is that order itself when everything is reachable.
+        for reachable in [true, false] {
+            for (idx, ids) in &plan.order {
+                if Self::is_reachable(*idx, catalog, origin, topology) != reachable {
+                    continue;
+                }
+                if let Some(&id) = plan.covered[ids.clone()].iter().find(|&&id| unknown(id)) {
+                    return Some((*idx, query.labels()[id].clone()));
+                }
             }
         }
         None
@@ -415,28 +415,14 @@ impl Strategy {
         channel: Channel,
         priors: &Priors<'_>,
     ) -> Option<(usize, Label)> {
-        debug_assert_eq!(plan.terms.len(), query.expr.terms().len());
-        // The evidence is read once per label; the rest is by label id.
-        let value: Vec<Truth> = plan
-            .labels
-            .iter()
-            .map(|l| query.assignment().value_at(l, now))
-            .collect();
-        let eval = |term: &[(usize, bool)]| {
-            term.iter().fold(Truth::True, |acc, &(id, negated)| {
-                acc.and(if negated {
-                    value[id].negate()
-                } else {
-                    value[id]
-                })
-            })
-        };
+        debug_assert_eq!(plan.starts.len(), query.labels().len() + 1);
+        let labels = query.labels();
         // Short-circuit pruning (§II-A): once some term is true nothing
         // matters any more, and a false term's conditions need not be
         // examined — no label is relevant unless a term is still open.
         let mut open = false;
-        for term in &plan.terms {
-            match eval(term) {
+        for term in query.terms() {
+            match query.term_value(term, now) {
                 Truth::True => return None,
                 Truth::Unknown => open = true,
                 Truth::False => {}
@@ -452,10 +438,14 @@ impl Strategy {
         // provider is reachable does the original choice stand (the fetch
         // then stalls until routes heal or the deadline passes). Terms
         // share labels, so the answer is kept for the rest of this call.
-        let mut provider: Vec<Option<Option<usize>>> = vec![None; plan.labels.len()];
+        let mut provider: Vec<Option<Option<usize>>> = vec![None; labels.len()];
         let mut provider_of = |id: usize| {
             *provider[id].get_or_insert_with(|| {
-                let covering = || plan.covering[id].iter().copied();
+                let covering = || {
+                    plan.providers[plan.starts[id]..plan.starts[id + 1]]
+                        .iter()
+                        .copied()
+                };
                 let reachable =
                     covering().filter(|&i| Self::is_reachable(i, catalog, origin, topology));
                 Self::cheapest(reachable, catalog, origin, topology, priors)
@@ -470,20 +460,23 @@ impl Strategy {
         // object's index and the first label it is fetched for. Every
         // buffer is sized for the widest possible term up front, so a call
         // allocates the same few blocks whatever the expression holds.
-        let width = plan.labels.len();
+        let width = labels.len();
         let mut picks: Vec<(usize, usize)> = Vec::with_capacity(width); // (object, label id)
         let mut items: Vec<RetrievalItem> = Vec::with_capacity(width);
         let mut heads: Vec<(usize, usize)> = Vec::with_capacity(width);
         let mut best_items: Vec<RetrievalItem> = Vec::with_capacity(width);
         let mut best_heads: Vec<(usize, usize)> = Vec::with_capacity(width);
         let mut best: Option<(f64, usize)> = None;
-        for (ti, term) in plan.terms.iter().enumerate() {
-            if eval(term) != Truth::Unknown {
+        for (ti, term) in query.terms().iter().enumerate() {
+            if query.term_value(term, now) != Truth::Unknown {
                 continue;
             }
             // Group the term's unknown labels by their chosen provider.
             picks.clear();
-            for &(id, _) in term.iter().filter(|&&(id, _)| !value[id].is_known()) {
+            for &(id, _) in term
+                .iter()
+                .filter(|&&(id, _)| !query.value_of(id, now).is_known())
+            {
                 match provider_of(id) {
                     Some(idx) => picks.push((idx, id)),
                     None => {
@@ -507,8 +500,7 @@ impl Strategy {
                 // "succeeds" (does not short-circuit the term) only if
                 // all of them come back true. Cost is the bytes the
                 // fetch puts on the network (size × hops).
-                let p =
-                    priors.group_prob(name.as_str(), group.iter().map(|&(_, id)| &plan.labels[id]));
+                let p = priors.group_prob(name.as_str(), group.iter().map(|&(_, id)| &labels[id]));
                 items.push(
                     RetrievalItem::new(
                         name.clone(),
@@ -538,7 +530,7 @@ impl Strategy {
         // over the distinct objects, of which only the first is fetched.
         let budget = query.deadline_at.saturating_since(now);
         let (idx, id) = best_heads[first_pick(&best_items, channel, now, budget)?];
-        Some((idx, plan.labels[id].clone()))
+        Some((idx, labels[id].clone()))
     }
 
     /// Whether a strategy performs short-circuit pruning: used by tests.

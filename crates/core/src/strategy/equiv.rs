@@ -1,19 +1,24 @@
 //! The planner before it worked on indices, kept as the reference the
 //! index planner is held to: [`Strategy::candidates`] and
 //! [`Strategy::next_request`] must return what these return, for every
-//! input.
+//! input and all five strategies.
 //!
-//! The three `old_*` functions are the previous bodies moved here
-//! verbatim (`self` spelled out, nothing else touched): a `BTreeSet` of
-//! labels per source for the cover, a fresh pair of filtered `Vec`s per
-//! unknown label for the provider, a rendered name per term entry.
+//! The `old_*` functions are the previous bodies moved here verbatim
+//! (`self` spelled out, and the query's evidence read from an
+//! [`Assignment`] passed beside it, as `QueryState` kept it before it
+//! stored evidence by label id): a `BTreeSet` of labels per source for the
+//! cover, a fresh pair of filtered `Vec`s per unknown label for the
+//! provider, a rendered name per term entry, and for the baselines a
+//! `BTreeSet` of unknown labels and a sorted copy of the candidates per
+//! call.
 // Said here as well as on the `mod` line: dde-lint reads one file at a time.
 #![cfg(test)]
 
 use super::*;
 use crate::msg::QueryId;
 use dde_coverage::setcover::{greedy_cover, Source};
-use dde_logic::dnf::{Literal, Term};
+use dde_logic::dnf::{Dnf, Literal, Term};
+use dde_logic::label::Assignment;
 use dde_logic::time::SimDuration;
 use dde_netsim::topology::LinkSpec;
 use dde_sched::adaptive::AdaptiveConfig;
@@ -76,6 +81,7 @@ fn old_group_prob(priors: &Priors<'_>, name: &dde_naming::name::Name, labels: &[
 #[allow(clippy::too_many_arguments)]
 fn old_next_decision_driven(
     query: &QueryState,
+    asg: &Assignment,
     candidates: &[usize],
     catalog: &Catalog,
     origin: NodeId,
@@ -84,7 +90,7 @@ fn old_next_decision_driven(
     channel: Channel,
     priors: &Priors<'_>,
 ) -> Option<(usize, Label)> {
-    let relevant = query.relevant_labels(now);
+    let relevant = query.expr.relevant_labels(asg, now);
     if relevant.is_empty() {
         return None;
     }
@@ -133,11 +139,11 @@ fn old_next_decision_driven(
     // (object index, first covered label, planning item).
     type TermEntry = (usize, Label, RetrievalItem);
     let mut best_term: Option<(f64, usize, Vec<TermEntry>)> = None;
-    for ti in query.expr.live_terms(query.assignment(), now) {
+    for ti in query.expr.live_terms(asg, now) {
         let term = &query.expr.terms()[ti];
         let unknowns: Vec<Label> = term
             .labels()
-            .filter(|l| !query.assignment().value_at(l, now).is_known())
+            .filter(|l| !asg.value_at(l, now).is_known())
             .cloned()
             .collect();
         if unknowns.is_empty() {
@@ -205,12 +211,52 @@ fn old_next_decision_driven(
         .map(|(idx, label, _)| (*idx, label.clone()))
 }
 
-/// The whole of the old `next_request`: the baselines' order never
-/// changed, so they go through the code the planner still runs.
+fn old_unknown_labels(query: &QueryState, asg: &Assignment, now: SimTime) -> BTreeSet<Label> {
+    query
+        .expr
+        .labels()
+        .into_iter()
+        .filter(|l| !asg.value_at(l, now).is_known())
+        .collect()
+}
+
+#[allow(clippy::too_many_arguments)]
+fn old_next_baseline(
+    strategy: Strategy,
+    query: &QueryState,
+    asg: &Assignment,
+    candidates: &[usize],
+    catalog: &Catalog,
+    origin: NodeId,
+    topology: &Topology,
+    now: SimTime,
+) -> Option<(usize, Label)> {
+    let unknown = old_unknown_labels(query, asg, now);
+    if unknown.is_empty() {
+        return None;
+    }
+    let mut order: Vec<usize> = candidates.to_vec();
+    if strategy == Strategy::LowestCostFirst {
+        order.sort_by_key(|&i| (catalog.get(i).size, i));
+    }
+    // Under faults, prefer providers we can actually route to; a stable
+    // partition keeps the original order when everything is reachable.
+    order.sort_by_key(|&i| !Strategy::is_reachable(i, catalog, origin, topology));
+    for idx in order {
+        let spec = catalog.get(idx);
+        if let Some(label) = spec.covers.iter().find(|l| unknown.contains(*l)) {
+            return Some((idx, label.clone()));
+        }
+    }
+    None
+}
+
+/// The whole of the old `next_request`, over the old evidence store.
 #[allow(clippy::too_many_arguments)]
 fn old_next_request(
     strategy: Strategy,
     query: &QueryState,
+    asg: &Assignment,
     candidates: &[usize],
     catalog: &Catalog,
     origin: NodeId,
@@ -221,10 +267,12 @@ fn old_next_request(
 ) -> Option<(usize, Label)> {
     if strategy.is_decision_driven() {
         old_next_decision_driven(
-            query, candidates, catalog, origin, topology, now, channel, priors,
+            query, asg, candidates, catalog, origin, topology, now, channel, priors,
         )
     } else {
-        strategy.next_baseline(query, candidates, catalog, origin, topology, now)
+        old_next_baseline(
+            strategy, query, asg, candidates, catalog, origin, topology, now,
+        )
     }
 }
 
@@ -260,6 +308,9 @@ struct Case {
     topology: Topology,
     origin: NodeId,
     query: QueryState,
+    /// Everything recorded on `query`, kept the old way: every label the
+    /// case recorded, mentioned by the expression or not.
+    evidence: Assignment,
     now: SimTime,
     channel: Channel,
     fixed: f64,
@@ -338,11 +389,14 @@ fn case(seed: u64) -> Case {
         SimDuration::from_secs(r.pick(&[2, 60, 120])),
     );
     let now = issued + SimDuration::from_secs(r.below(50) as u64);
+    let mut evidence = Assignment::new();
     for label in &universe {
         if r.one_in(2) {
             let sampled = now - SimDuration::from_secs(r.below(100) as u64);
             let validity = SimDuration::from_secs(r.pick(&[10, 50, 1000]));
-            query.record_label(label, r.one_in(2), sampled, validity);
+            let value = r.one_in(2);
+            query.record_label(label, value, sampled, validity);
+            evidence.set(label.clone(), Truth::from(value), sampled, validity);
         }
     }
 
@@ -363,6 +417,7 @@ fn case(seed: u64) -> Case {
         origin: NodeId(r.below(nodes)),
         topology,
         query,
+        evidence,
         now,
         channel: Channel::new(r.pick(&[100_000, 1_000_000, 10_000_000])),
         fixed: r.pick(&[0.0, 0.5, 0.8, 1.0, odd]),
@@ -376,6 +431,28 @@ fn case(seed: u64) -> Case {
 /// reachability and reliability actually get to choose).
 fn check(c: &Case) -> Result<(), TestCaseError> {
     let labels = c.query.expr.labels();
+    let asg = &c.evidence;
+    // The query keeps what its expression mentions, and reads it as the
+    // old store did.
+    let kept: Assignment = asg
+        .iter()
+        .filter(|(l, _)| labels.contains(*l))
+        .map(|(l, v)| (l.clone(), v.clone()))
+        .collect();
+    let held: Assignment = c
+        .query
+        .evidence()
+        .map(|(l, v)| (l.clone(), v.clone()))
+        .collect();
+    prop_assert_eq!(held, kept);
+    prop_assert_eq!(
+        c.query.unknown_labels(c.now),
+        old_unknown_labels(&c.query, asg, c.now)
+    );
+    prop_assert_eq!(
+        c.query.relevant_labels(c.now),
+        c.query.expr.relevant_labels(asg, c.now)
+    );
     let everything = Strategy::Comprehensive.candidates(&labels, &c.catalog, c.origin, &c.topology);
     for strategy in Strategy::ALL {
         let chosen = strategy.candidates(&labels, &c.catalog, c.origin, &c.topology);
@@ -386,16 +463,11 @@ fn check(c: &Case) -> Result<(), TestCaseError> {
             strategy
         );
         for candidates in [&chosen, &everything] {
-            let plan = strategy.plan(
-                &c.query.expr,
-                labels.clone(),
-                candidates.clone(),
-                &c.catalog,
-            );
+            let plan = strategy.plan(&c.query, candidates.clone(), &c.catalog);
             for priors in [Priors::Fixed(c.fixed), Priors::Learned(&c.learned)] {
                 let (q, cat, at, topo) = (&c.query, &c.catalog, c.origin, &c.topology);
                 let old = old_next_request(
-                    strategy, q, candidates, cat, at, topo, c.now, c.channel, &priors,
+                    strategy, q, asg, candidates, cat, at, topo, c.now, c.channel, &priors,
                 );
                 prop_assert_eq!(
                     &strategy.next_request(q, candidates, cat, at, topo, c.now, c.channel, &priors),
@@ -464,19 +536,18 @@ fn index_planner_matches_the_old_one_past_64_labels() {
         SimTime::ZERO,
         SimDuration::from_secs(3600),
     );
+    let mut evidence = Assignment::new();
+    let validity = SimDuration::from_secs(600);
     for name in names.iter().step_by(3) {
-        query.record_label(
-            &Label::new(name),
-            true,
-            SimTime::ZERO,
-            SimDuration::from_secs(600),
-        );
+        query.record_label(&Label::new(name), true, SimTime::ZERO, validity);
+        evidence.set(Label::new(name), Truth::True, SimTime::ZERO, validity);
     }
     let c = Case {
         catalog,
         topology: Topology::line(5, LinkSpec::mbps1()),
         origin: NodeId(1),
         query,
+        evidence,
         now: SimTime::from_secs(1),
         channel: Channel::mbps1(),
         fixed: 0.8,

@@ -1,8 +1,11 @@
 //! The exact, clock-free gate on the planner's hot path: asking an issued
 //! query for its next request allocates a fixed handful of blocks — its
-//! buffers, each sized once — however many candidates and labels the query
-//! has. The string-keyed planner allocated per candidate, per label and per
-//! term entry; a wall clock cannot hold that line, a count can.
+//! buffers, each sized once — under the decision-driven strategies, and
+//! nothing at all under the baselines, however many candidates and labels
+//! the query has. The string-keyed planner allocated per candidate, per
+//! label and per term entry, and the baselines rebuilt two label sets and
+//! a sorted candidate list per call; a wall clock cannot hold that line, a
+//! count can.
 
 use dde_core::msg::QueryId;
 use dde_core::query::QueryState;
@@ -65,10 +68,11 @@ fn allocs_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// What one `next_from_plan` call may allocate: the label values, the
+/// What one decision-driven `next_from_plan` call may allocate: the
 /// per-label provider memo, the pick list, two pairs of term buffers, and
-/// the three index lists of the first-pick greedy.
-const ALLOCS_PER_CALL: u64 = 10;
+/// the three index lists of the first-pick greedy. The label values are
+/// read from the query's own evidence vector, so they need no buffer.
+const ALLOCS_PER_CALL: u64 = 9;
 
 /// `catalog` with every object advertised a second time under another
 /// name: twice the providers of every label.
@@ -86,10 +90,10 @@ fn doubled(catalog: &Catalog) -> Catalog {
 }
 
 /// Every query of the paper-config scenario, fresh and with every other
-/// label already known, planned over all providers of its labels: the
-/// allocations of each call that planned a fetch, and how many candidates
-/// the widest plan had.
-fn counts(scenario: &Scenario, catalog: &Catalog) -> (Vec<u64>, usize) {
+/// label already known, planned by `strategy` over all providers of its
+/// labels: the allocations of each call that planned a fetch, and how many
+/// candidates the widest plan had.
+fn counts(strategy: Strategy, scenario: &Scenario, catalog: &Catalog) -> (Vec<u64>, usize) {
     let mut out = Vec::new();
     let mut widest = 0;
     for inst in &scenario.queries {
@@ -97,16 +101,16 @@ fn counts(scenario: &Scenario, catalog: &Catalog) -> (Vec<u64>, usize) {
         let candidates =
             Strategy::Comprehensive.candidates(&labels, catalog, inst.origin, &scenario.topology);
         widest = widest.max(candidates.len());
-        let plan = Strategy::Lvf.plan(&inst.expr, labels.clone(), candidates, catalog);
         let mut query = QueryState::new(
             QueryId(inst.id),
             inst.expr.clone(),
             SimTime::ZERO,
             inst.deadline,
         );
+        let plan = strategy.plan(&query, candidates, catalog);
         for round in 0..2 {
             let (next, allocs) = allocs_during(|| {
-                Strategy::Lvf.next_from_plan(
+                strategy.next_from_plan(
                     &query,
                     &plan,
                     catalog,
@@ -134,15 +138,26 @@ fn counts(scenario: &Scenario, catalog: &Catalog) -> (Vec<u64>, usize) {
 #[test]
 fn strategy_next_request_allocates_a_fixed_handful_whatever_the_catalog_size() {
     let scenario = Scenario::build(ScenarioConfig::default().with_seed(1));
-    let (single, widest) = counts(&scenario, &scenario.catalog);
-    assert!(single.len() > scenario.queries.len(), "{}", single.len());
-    assert!(
-        single.iter().all(|&n| n == ALLOCS_PER_CALL),
-        "allocations per call: {single:?}"
-    );
-
     let twice = doubled(&scenario.catalog);
-    let (double, widest_twice) = counts(&scenario, &twice);
-    assert_eq!(widest_twice, 2 * widest, "twice the candidates");
-    assert_eq!(double, single, "and not one allocation more");
+    for (strategy, per_call) in [
+        (Strategy::Lvf, ALLOCS_PER_CALL),
+        (Strategy::Comprehensive, 0),
+        (Strategy::SelectedSources, 0),
+        (Strategy::LowestCostFirst, 0),
+    ] {
+        let (single, widest) = counts(strategy, &scenario, &scenario.catalog);
+        assert!(
+            single.len() > scenario.queries.len(),
+            "{strategy}: {}",
+            single.len()
+        );
+        assert!(
+            single.iter().all(|&n| n == per_call),
+            "{strategy} allocations per call: {single:?}"
+        );
+
+        let (double, widest_twice) = counts(strategy, &scenario, &twice);
+        assert_eq!(widest_twice, 2 * widest, "twice the candidates");
+        assert_eq!(double, single, "{strategy}: and not one allocation more");
+    }
 }
