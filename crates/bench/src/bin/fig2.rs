@@ -5,8 +5,8 @@
 //! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
 use dde_bench::{
-    bench_json, print_table, rows_from_reports, sweep_reports, write_bench_json, HarnessConfig,
-    PAPER_REPS,
+    bench_json, print_table, rows_from_reports, run_point, sweep_reports, write_bench_json,
+    HarnessConfig, PAPER_REPS,
 };
 
 fn main() -> std::io::Result<()> {
@@ -20,7 +20,9 @@ fn main() -> std::io::Result<()> {
         cfg.base.node_count,
         cfg.base.node_count * cfg.base.queries_per_node,
     );
-    let all = sweep_reports(&cfg, &ratios);
+    let all = sweep_reports(&cfg, &ratios, |fr, s, seed| {
+        run_point(&cfg.base, fr, s, seed)
+    });
     let rows = rows_from_reports(&ratios, &all, |r| r.resolution_ratio());
     print_table(&rows, "query resolution ratio");
     write_bench_json(

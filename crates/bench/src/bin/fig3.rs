@@ -5,8 +5,8 @@
 //! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
 use dde_bench::{
-    bench_json, print_table, rows_from_reports, sweep_reports, write_bench_json, HarnessConfig,
-    PAPER_REPS,
+    bench_json, print_table, rows_from_reports, run_point, sweep_reports, write_bench_json,
+    HarnessConfig, PAPER_REPS,
 };
 
 fn main() -> std::io::Result<()> {
@@ -16,7 +16,9 @@ fn main() -> std::io::Result<()> {
         cfg.reps
     );
     let ratios = [0.4];
-    let all = sweep_reports(&cfg, &ratios);
+    let all = sweep_reports(&cfg, &ratios, |fr, s, seed| {
+        run_point(&cfg.base, fr, s, seed)
+    });
     let rows = rows_from_reports(&ratios, &all, |r| r.total_megabytes());
     print_table(&rows, "total bandwidth, MB");
     write_bench_json(

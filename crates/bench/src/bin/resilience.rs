@@ -10,7 +10,9 @@
 //! Usage: `cargo run -p dde-bench --bin resilience --release`
 //! Knobs: `DDE_REPS` (default 10), `DDE_SCALE` (`paper`/`small`), `DDE_SEED`.
 
-use dde_bench::{bench_json, stat, write_bench_json, HarnessConfig, Stat, PAPER_REPS};
+use dde_bench::{
+    bench_json, stat, sweep_reports, write_bench_json, HarnessConfig, Stat, PAPER_REPS,
+};
 use dde_core::engine::{run_scenario, RunOptions, RunReport};
 use dde_core::strategy::Strategy;
 use dde_logic::time::SimDuration;
@@ -26,57 +28,6 @@ fn run_churn_point(cfg: &HarnessConfig, churn: f64, strategy: Strategy, seed: u6
     let mut options = RunOptions::new(strategy);
     options.seed = seed ^ 0x5eed;
     run_scenario(&scenario, options)
-}
-
-/// Sweeps churn × strategies × reps on a worker pool (the same idiom as
-/// [`dde_bench::sweep`], keyed on churn rate instead of fast ratio).
-fn sweep_churn(cfg: &HarnessConfig) -> Vec<Vec<Vec<RunReport>>> {
-    let grid: Vec<(usize, usize, u64)> = (0..CHURN_RATES.len())
-        .flat_map(|ri| {
-            (0..Strategy::ALL.len()).flat_map(move |si| (0..cfg.reps).map(move |r| (ri, si, r)))
-        })
-        .collect();
-    let results: Vec<std::sync::Mutex<Option<RunReport>>> =
-        grid.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(grid.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if k >= grid.len() {
-                    break;
-                }
-                let (ri, si, r) = grid[k];
-                let report = run_churn_point(cfg, CHURN_RATES[ri], Strategy::ALL[si], cfg.seed + r);
-                *results[k].lock().expect("cell poisoned") = Some(report);
-            });
-        }
-    });
-    // lint: allow(merge-order) — slots are grid-index-keyed; positional drain is the deterministic order
-    let mut it = results.into_iter();
-    CHURN_RATES
-        .iter()
-        .map(|_| {
-            Strategy::ALL
-                .iter()
-                .map(|_| {
-                    (0..cfg.reps)
-                        .map(|_| {
-                            it.next()
-                                .expect("grid-sized")
-                                .into_inner()
-                                .expect("cell poisoned")
-                                .expect("worker filled cell")
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 fn metric_stat(reports: &[RunReport], metric: impl Fn(&RunReport) -> f64) -> Stat {
@@ -111,7 +62,9 @@ fn main() -> std::io::Result<()> {
         "== resilience: node churn sweep ({} reps, seed {}, downtime 45 s) ==\n",
         cfg.reps, cfg.seed
     );
-    let all = sweep_churn(&cfg);
+    let all = sweep_reports(&cfg, &CHURN_RATES, |churn, s, seed| {
+        run_churn_point(&cfg, churn, s, seed)
+    });
 
     print_metric_table(&all, "resolution ratio", |r| r.resolution_ratio());
     print_metric_table(&all, "bandwidth MB", |r| r.total_megabytes());

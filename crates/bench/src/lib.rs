@@ -164,21 +164,21 @@ pub struct FigureRow {
     pub per_strategy: Vec<(Strategy, Stat)>,
 }
 
-/// Sweeps `fast_ratios` × strategies × reps and keeps the full
-/// [`RunReport`] of every run, indexed `[ratio][strategy][rep]` in the
-/// paper's strategy order. Runs are independent and deterministic per seed,
-/// so they execute on a `std::thread::scope` worker pool sized to the
-/// available parallelism; the output is identical to the sequential order.
-pub fn sweep_reports(cfg: &HarnessConfig, fast_ratios: &[f64]) -> Vec<Vec<Vec<RunReport>>> {
-    // Flatten the full (ratio, strategy, rep) grid into one work list.
-    let grid: Vec<(usize, usize, u64)> = fast_ratios
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, _)| {
-            Strategy::ALL
-                .iter()
-                .enumerate()
-                .flat_map(move |(si, _)| (0..cfg.reps).map(move |r| (ri, si, r)))
+/// Sweeps `xs` × strategies × reps, calling `run(x, strategy, seed)` with
+/// `seed = cfg.seed + rep`, and keeps the full [`RunReport`] of every run,
+/// indexed `[x][strategy][rep]` in the paper's strategy order. Runs are
+/// independent and deterministic per seed, so they execute on a
+/// `std::thread::scope` worker pool sized to the available parallelism;
+/// the output is identical to the sequential order.
+pub fn sweep_reports(
+    cfg: &HarnessConfig,
+    xs: &[f64],
+    run: impl Fn(f64, Strategy, u64) -> RunReport + Sync,
+) -> Vec<Vec<Vec<RunReport>>> {
+    // Flatten the full (x, strategy, rep) grid into one work list.
+    let grid: Vec<(usize, usize, u64)> = (0..xs.len())
+        .flat_map(|xi| {
+            (0..Strategy::ALL.len()).flat_map(move |si| (0..cfg.reps).map(move |r| (xi, si, r)))
         })
         .collect();
     let results: Vec<std::sync::Mutex<Option<RunReport>>> =
@@ -196,18 +196,17 @@ pub fn sweep_reports(cfg: &HarnessConfig, fast_ratios: &[f64]) -> Vec<Vec<Vec<Ru
                 if k >= grid.len() {
                     break;
                 }
-                let (ri, si, r) = grid[k];
-                let report = run_point(&cfg.base, fast_ratios[ri], Strategy::ALL[si], cfg.seed + r);
+                let (xi, si, r) = grid[k];
+                let report = run(xs[xi], Strategy::ALL[si], cfg.seed + r);
                 *results[k].lock().expect("sweep cell poisoned") = Some(report);
             });
         }
     });
 
-    // Reassemble in the sequential order.
-    // lint: allow(merge-order) — slots are grid-index-keyed; positional drain is the deterministic order
+    // Reassemble in the sequential order: slot `k` holds grid cell `k`,
+    // whichever worker finished it.
     let mut it = results.into_iter();
-    fast_ratios
-        .iter()
+    xs.iter()
         .map(|_| {
             Strategy::ALL
                 .iter()
@@ -251,16 +250,6 @@ pub fn rows_from_reports(
             }
         })
         .collect()
-}
-
-/// Sweeps `fast_ratios` × strategies × reps, extracting `metric` from each
-/// run. Convenience wrapper over [`sweep_reports`] + [`rows_from_reports`].
-pub fn sweep(
-    cfg: &HarnessConfig,
-    fast_ratios: &[f64],
-    metric: impl Fn(&RunReport) -> f64 + Sync,
-) -> Vec<FigureRow> {
-    rows_from_reports(fast_ratios, &sweep_reports(cfg, fast_ratios), metric)
 }
 
 /// Prints rows as an aligned table with `header` naming the metric.

@@ -30,9 +30,15 @@
 //! ```
 
 #![warn(missing_docs)]
-// Determinism guardrails (see clippy.toml and dde-lint): hashed collections
-// and ambient clocks/env reads are disallowed in simulation library code.
-#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+// Determinism rules (see clippy.toml): hashed collections, ambient
+// clocks/env reads and unjustified unwrap/expect are denied in simulation
+// library code.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 pub mod annotate;
 pub mod engine;

@@ -434,8 +434,12 @@ impl AthenaNode {
 
     /// The record of local query `qid`, for handlers that hold an id drawn
     /// from `open`, a local interest or a vote.
+    #[expect(
+        clippy::expect_used,
+        reason = "every such id was issued here, and local queries are never removed"
+    )]
     fn local(&mut self, qid: QueryId) -> &mut LocalQuery {
-        self.queries.get_mut(&qid).expect("query exists") // lint: allow(panic) — every such id was issued here, and local queries are never removed
+        self.queries.get_mut(&qid).expect("query exists")
     }
 
     fn catalog(&self) -> &Catalog {

@@ -522,19 +522,31 @@ impl AthenaNode {
         let majority = weight_true >= weight_false;
         // Freshness of the corroborated label: the most conservative of the
         // agreeing evidence (latest sample, its validity).
+        #[expect(
+            clippy::expect_used,
+            reason = "the majority was computed from these votes"
+        )]
         let (_, sampled_at, validity) = entry
             .values()
             .filter(|(v, _, _)| *v == majority)
             .max_by_key(|(_, t, _)| *t)
             .copied()
-            .expect("majority side is non-empty"); // lint: allow(panic) — the majority was computed from these votes
+            .expect("majority side is non-empty");
 
         // Evidence attribution: name an object from an agreeing source.
+        #[expect(
+            clippy::expect_used,
+            reason = "the majority was computed from these votes"
+        )]
         let agreeing_source = entry
             .iter()
             .find(|(_, (v, _, _))| *v == majority)
             .map(|(src, _)| *src)
-            .expect("majority side is non-empty"); // lint: allow(panic) — the majority was computed from these votes
+            .expect("majority side is non-empty");
+        #[expect(
+            clippy::expect_used,
+            reason = "votes come only from providers of this label"
+        )]
         let based_on = self
             .catalog()
             .providers_of(label)
@@ -542,7 +554,7 @@ impl AthenaNode {
             .map(|&i| self.catalog().get(i))
             .find(|spec| spec.source == agreeing_source)
             .map(|spec| spec.name.clone())
-            .expect("agreeing source provides the label"); // lint: allow(panic) — votes come only from providers of this label
+            .expect("agreeing source provides the label");
         for (source, (v, _, _)) in &entry {
             let slot = self.reliability.entry(*source).or_insert((0, 0));
             if *v == majority {

@@ -1,7 +1,5 @@
 //! Unit tests of the node: small simulated runs over a four-node star, and
 //! single handler calls on a hand-built hub.
-// Said here as well as on the `mod` line: dde-lint reads one file at a time.
-#![cfg(test)]
 
 use super::*;
 use crate::annotate::GroundTruthAnnotator;

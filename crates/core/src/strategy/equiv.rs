@@ -11,8 +11,6 @@
 //! provider, a rendered name per term entry, and for the baselines a
 //! `BTreeSet` of unknown labels and a sorted copy of the candidates per
 //! call.
-// Said here as well as on the `mod` line: dde-lint reads one file at a time.
-#![cfg(test)]
 
 use super::*;
 use crate::msg::QueryId;

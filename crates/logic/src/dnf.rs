@@ -94,8 +94,12 @@ impl Term {
     /// # Panics
     ///
     /// Panics if the literals are contradictory.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_from_literals is the fallible path"
+    )]
     pub fn from_literals(literals: Vec<Literal>) -> Term {
-        Term::try_from_literals(literals).expect("contradictory term") // lint: allow(panic) — documented panicking constructor; try_from_literals is the fallible path
+        Term::try_from_literals(literals).expect("contradictory term")
     }
 
     /// Builds a term from literals, returning `None` when they contradict.

@@ -96,6 +96,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "guarded by children.len() == 1")]
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut children = vec![self.parse_and()?];
         loop {
@@ -110,12 +111,13 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(if children.len() == 1 {
-            children.pop().expect("one child") // lint: allow(panic) — guarded by children.len() == 1
+            children.pop().expect("one child")
         } else {
             Expr::Or(children)
         })
     }
 
+    #[expect(clippy::expect_used, reason = "guarded by children.len() == 1")]
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut children = vec![self.parse_unary()?];
         loop {
@@ -129,7 +131,7 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(if children.len() == 1 {
-            children.pop().expect("one child") // lint: allow(panic) — guarded by children.len() == 1
+            children.pop().expect("one child")
         } else {
             Expr::And(children)
         })
@@ -161,8 +163,9 @@ impl<'a> Parser<'a> {
                 while self.peek().is_some_and(is_label_byte) {
                     self.pos += 1;
                 }
+                #[expect(clippy::expect_used, reason = "is_label_byte admits only ASCII")]
                 let word = core::str::from_utf8(&self.input[start..self.pos])
-                    .expect("label bytes are ASCII"); // lint: allow(panic) — is_label_byte admits only ASCII
+                    .expect("label bytes are ASCII");
                 match word {
                     "true" => Ok(Expr::Const(true)),
                     "false" => Ok(Expr::Const(false)),

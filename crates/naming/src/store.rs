@@ -192,7 +192,7 @@ impl<T> ContentStore<T> {
 
     /// Iterates over `(name, entry)` pairs in ascending name order — a
     /// *defined* order, so consumers cannot inherit replay-breaking
-    /// iteration nondeterminism from the store (dde-lint rule R1).
+    /// iteration nondeterminism from the store.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, &StoredObject<T>)> {
         self.entries.iter()
     }
@@ -319,7 +319,7 @@ mod tests {
         assert!(cs.closest_fresh(&n("/rural/cam"), t(50), 1).is_none());
     }
 
-    /// Regression test for the latent replay hazard dde-lint rule R1 found:
+    /// Regression test for the latent replay hazard of a hashed store:
     /// the store used to be `HashMap`-keyed with `iter()` documented as
     /// "arbitrary order", so any consumer folding over it inherited std's
     /// per-instance-seeded iteration order — identical seeds could produce

@@ -13,7 +13,7 @@
 //!
 //! The interner is **insertion-ordered**: the *k*-th distinct component ever
 //! interned receives id *k*, with no hash state anywhere (the lookup table
-//! is a `BTreeMap`, satisfying dde-lint rule R1). Two same-seed runs
+//! is a `BTreeMap`, as `clippy.toml` requires). Two same-seed runs
 //! therefore intern identical component sequences and assign identical ids.
 //! Crucially, no simulation output may depend on *id order* anyway: ids are
 //! assigned in first-seen order, not lexicographic order, so everything
@@ -83,7 +83,7 @@ pub struct Interner {
     /// Interned strings, indexed by symbol id — insertion order.
     strings: Vec<&'static str>,
     /// Reverse lookup. A `BTreeMap`, not a `HashMap`: no hash state may
-    /// reach simulation-visible structures (dde-lint rule R1).
+    /// reach simulation-visible structures (see `clippy.toml`).
     map: BTreeMap<&'static str, Symbol>,
 }
 

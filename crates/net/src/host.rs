@@ -20,9 +20,9 @@
 //! backend (fault injection is the DES's job); requesting one is a typed
 //! error, not a silent ignore.
 //!
-//! This file owns threads, channels, and the virtual clock. The
-//! wall-clock reads are confined to [`VirtualClock`] and carry explicit
-//! lint markers.
+//! This file owns threads, channels, and the virtual clock. The one
+//! wall-clock read is [`VirtualClock::start`], under an explicit
+//! `#[expect(clippy::disallowed_methods)]`.
 
 use crate::error::NetError;
 use crate::health::{probe_health, HealthReport, HealthState};
@@ -31,9 +31,11 @@ use crate::transport::Transport;
 use dde_core::{AthenaEvent, AthenaMsg, AthenaNode, GroundTruthAnnotator, RunOptions, RunReport};
 use dde_logic::time::SimTime;
 use dde_netsim::sim::WireMessage;
-use dde_netsim::{Command, Context, Metrics, NodeId, Protocol, Topology};
+use dde_netsim::{
+    deliver_record, transmit_record, Command, Context, Metrics, NodeId, Protocol, Topology,
+};
 use dde_obs::metrics::{Counter, MetricsRegistry, MetricsSnapshot, WallHist};
-use dde_obs::{EventKind, FlightRecorder, LedgerSink, SharedSink, Sink, TeeSink, TraceRecord};
+use dde_obs::{FlightRecorder, LedgerSink, SharedSink, Sink, TeeSink, TraceRecord};
 use dde_workload::scenario::Scenario;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,12 +57,15 @@ pub struct VirtualClock {
 impl VirtualClock {
     /// Starts a clock at simulated time zero, running `scale` simulated
     /// microseconds per wall microsecond (clamped to at least 1).
-    #[allow(clippy::disallowed_methods)] // the live backend's single wall-clock anchor
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "live-backend clock epoch; the DES backend never runs this"
+    )]
     pub fn start(scale: u64) -> VirtualClock {
         VirtualClock {
             // The one wall-clock anchor of the live runtime. Everything
             // downstream is *relative* to this epoch, in simulation units.
-            epoch: Instant::now(), // lint: allow(nondeterminism) — live-backend clock epoch; the DES backend never runs this
+            epoch: Instant::now(),
             scale: scale.max(1),
         }
     }
@@ -377,12 +382,7 @@ impl NodeHost {
             self.sink.record(&TraceRecord {
                 at: self.clock.now(),
                 node: self.id.index() as u32,
-                kind: EventKind::Deliver {
-                    from: from.index() as u32,
-                    to: self.id.index() as u32,
-                    msg: msg.kind(),
-                    query: msg.attribution(),
-                },
+                kind: deliver_record(from, self.id, &msg),
             });
         }
         self.dispatch(metrics, timers, timer_seq, send_errors, hm, |node, ctx| {
@@ -419,14 +419,7 @@ impl NodeHost {
                         self.sink.record(&TraceRecord {
                             at: now,
                             node: self.id.index() as u32,
-                            kind: EventKind::Transmit {
-                                from: self.id.index() as u32,
-                                to: to.index() as u32,
-                                msg: msg.kind(),
-                                bytes,
-                                background: msg.background(),
-                                query: msg.attribution(),
-                            },
+                            kind: transmit_record(self.id, to, &msg),
                         });
                     }
                     // `Context::try_send` only queues sends to neighbors.

@@ -43,10 +43,15 @@
 //! runtimes to exactly that.
 
 #![deny(missing_docs)]
-// Determinism guardrails (see clippy.toml and dde-lint): the protocol-facing
-// surface of this crate must stay as strict as the simulator's. The TCP and
-// host modules carry explicit allow markers where they touch the wall clock.
-#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+// Determinism rules (see clippy.toml): the protocol-facing surface of this
+// crate must stay as strict as the simulator's. The host module carries an
+// explicit `#[expect]` where it touches the wall clock.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 pub mod des;
 pub mod error;

@@ -7,8 +7,8 @@
 //! protocol's job, so `send_to` refuses non-neighbors with a typed error
 //! rather than routing around the protocol.
 //!
-//! The entire surface is panic-free (dde-lint R4): every failure mode is
-//! a [`NetError`] the host can count and survive.
+//! The entire surface is panic-free (no `unwrap`/`expect`): every failure
+//! mode is a [`NetError`] the host can count and survive.
 
 use crate::error::NetError;
 use dde_core::AthenaMsg;

@@ -24,9 +24,15 @@
 //!   frozen `benchmark/` reports its shape.
 
 #![deny(missing_docs)]
-// Determinism guardrails (see clippy.toml and dde-lint): hashed collections
-// and ambient clocks/env reads are disallowed in simulation library code.
-#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+// Determinism rules (see clippy.toml): hashed collections, ambient
+// clocks/env reads and unjustified unwrap/expect are denied in simulation
+// library code.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 pub mod fault;
 pub mod metrics;
@@ -39,7 +45,10 @@ pub use fault::{FaultEvent, FaultSchedule, TimedFault};
 pub use metrics::{KindCounters, Metrics};
 pub use partition::Partition;
 pub use shard::{EventKey, ShardedSimulator};
-pub use sim::{Command, Context, MediumMode, Protocol, SendError, Simulator, WireMessage};
+pub use sim::{
+    deliver_record, loss_record, transmit_record, Command, Context, MediumMode, Protocol,
+    SendError, Simulator, WireMessage,
+};
 pub use topology::{LinkSpec, NodeId, Topology};
 
 /// Convenient glob-import of the crate's primary types.

@@ -28,7 +28,10 @@
 use crate::fault::{FaultEvent, FaultSchedule, TimedFault};
 use crate::metrics::Metrics;
 use crate::partition::Partition;
-use crate::sim::{Command, Context, Hop, LinkState, MediumMode, Protocol, WireMessage};
+use crate::sim::{
+    deliver_record, loss_record, transmit_record, Command, Context, Hop, LinkState, MediumMode,
+    Protocol, WireMessage,
+};
 use crate::topology::{NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_obs::{EventKind, NullSink, Sink, TraceRecord};
@@ -58,16 +61,23 @@ const CLASS_DELIVER: u64 = 4;
 ///
 /// Faults are not keyed: a fault batch is applied ahead of every event of
 /// its instant, in install order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// The fields are private, so outside this module the named constructors
+/// are the only way to build a key:
+///
+/// ```compile_fail,E0451
+/// let key = dde_netsim::EventKey { class: 4, a: 0, b: 1, c: 0 };
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventKey {
     /// Event class rank (see the table above).
-    pub class: u64,
+    class: u64,
     /// First identity component.
-    pub a: u64,
+    a: u64,
     /// Second identity component.
-    pub b: u64,
+    b: u64,
     /// Third identity component.
-    pub c: u64,
+    c: u64,
 }
 
 impl EventKey {
@@ -412,7 +422,8 @@ impl<P: Protocol> ShardedSimulator<P> {
             let next_fault = next_fault.filter(|&at| at < horizon);
             let until = next_fault.unwrap_or(horizon);
             while self.heap.peek().is_some_and(|head| head.at < until) {
-                let scheduled = self.heap.pop().expect("peeked entry exists"); // lint: allow(panic) — peek above guarantees an entry
+                #[expect(clippy::expect_used, reason = "peek above guarantees an entry")]
+                let scheduled = self.heap.pop().expect("peeked entry exists");
                 self.step(scheduled);
                 assert!(
                     self.events_processed < 100_000_000,
@@ -563,17 +574,7 @@ impl<P: Protocol> ShardedSimulator<P> {
         }
         if let Event::Deliver { from, to, msg } = &event {
             self.metrics.messages_delivered += 1;
-            let kind = msg.kind();
-            let (from, to) = (*from, *to);
-            self.emit(
-                to,
-                EventKind::Deliver {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: kind,
-                    query: msg.attribution(),
-                },
-            );
+            self.emit(*to, deliver_record(*from, *to, msg));
         }
 
         self.dispatch(node_id, |node, ctx| match event {
@@ -658,17 +659,7 @@ impl<P: Protocol> ShardedSimulator<P> {
         self.links[slot].busy = true;
         self.node_tx_busy[from.index()] += 1;
         self.metrics.record_send(slot, from, to, bytes, msg.kind());
-        self.emit(
-            from,
-            EventKind::Transmit {
-                from: from.index() as u32,
-                to: to.index() as u32,
-                msg: msg.kind(),
-                bytes,
-                background: msg.background(),
-                query: msg.attribution(),
-            },
-        );
+        self.emit(from, transmit_record(from, to, &msg));
         let txn = self.tx_seq[slot];
         self.tx_seq[slot] += 1;
         let lost = spec.loss > 0.0 && loss_unit(self.seed, from, to, txn) < spec.loss;
@@ -680,16 +671,7 @@ impl<P: Protocol> ShardedSimulator<P> {
             });
         } else {
             self.metrics.messages_lost += 1;
-            self.emit(
-                from,
-                EventKind::Loss {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: msg.kind(),
-                    bytes,
-                    query: msg.attribution(),
-                },
-            );
+            self.emit(from, loss_record(from, to, &msg));
         }
         self.heap.push(Scheduled {
             at: depart,
@@ -844,15 +826,7 @@ mod tests {
             }
         }
         fn on_message(&mut self, ctx: &mut Context<'_, Ball>, from: NodeId, msg: Ball) {
-            self.assert_last_record(
-                ctx,
-                EventKind::Deliver {
-                    from: from.index() as u32,
-                    to: ctx.node().index() as u32,
-                    msg: "ball",
-                    query: None,
-                },
-            );
+            self.assert_last_record(ctx, deliver_record(from, ctx.node(), &msg));
             if msg.hops < self.budget {
                 ctx.send(from, Ball { hops: msg.hops + 1 });
             }

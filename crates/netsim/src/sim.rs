@@ -43,6 +43,42 @@ pub trait WireMessage {
     }
 }
 
+// The wire-level trace records, built from the message itself so that every
+// emit site carries the message's attribution key and none can drop it.
+
+/// The `transmit` record of `msg` leaving `from` for `to`.
+pub fn transmit_record<M: WireMessage>(from: NodeId, to: NodeId, msg: &M) -> EventKind {
+    EventKind::Transmit {
+        from: from.index() as u32,
+        to: to.index() as u32,
+        msg: msg.kind(),
+        bytes: msg.wire_size(),
+        background: msg.background(),
+        query: msg.attribution(),
+    }
+}
+
+/// The `deliver` record of `msg` arriving at `to` from `from`.
+pub fn deliver_record<M: WireMessage>(from: NodeId, to: NodeId, msg: &M) -> EventKind {
+    EventKind::Deliver {
+        from: from.index() as u32,
+        to: to.index() as u32,
+        msg: msg.kind(),
+        query: msg.attribution(),
+    }
+}
+
+/// The `loss` record of `msg`, sent from `from` and lost on the link to `to`.
+pub fn loss_record<M: WireMessage>(from: NodeId, to: NodeId, msg: &M) -> EventKind {
+    EventKind::Loss {
+        from: from.index() as u32,
+        to: to.index() as u32,
+        msg: msg.kind(),
+        bytes: msg.wire_size(),
+        query: msg.attribution(),
+    }
+}
+
 /// Node-local protocol logic.
 ///
 /// Handlers receive a [`Context`] through which they may send messages to

@@ -233,7 +233,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    // lint: allow(nondeterminism) — CLI argv parsing, not simulation state.
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,

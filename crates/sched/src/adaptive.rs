@@ -29,8 +29,8 @@
 //! (annotation, fetch-timeout, and data-arrival events), which the
 //! engine already guarantees is a function of the seed — so adaptive runs
 //! inherit byte-identical traces for free. All state
-//! lives in `BTreeMap`s (lint rule R1) and updates use only arithmetic on
-//! finite inputs (R2/R3).
+//! lives in `BTreeMap`s (no hashed state) and updates use only arithmetic on
+//! finite inputs (no clock reads, no `partial_cmp` ordering).
 
 use dde_logic::label::Label;
 use dde_logic::time::SimDuration;

@@ -141,7 +141,8 @@ pub fn hierarchical_schedule_with(
     }
     MultiQuerySchedule {
         band_order,
-        per_query: per_query.into_iter().map(|o| o.expect("filled")).collect(), // lint: allow(panic) — the band loop above fills every slot
+        #[expect(clippy::expect_used, reason = "the band loop above fills every slot")]
+        per_query: per_query.into_iter().map(|o| o.expect("filled")).collect(),
     }
 }
 

@@ -172,7 +172,8 @@ pub fn shared_schedule(
 
     SharedSchedule {
         fetches,
-        per_query: per_query.into_iter().map(|o| o.expect("filled")).collect(), // lint: allow(panic) — the fetch loop above fills every slot
+        #[expect(clippy::expect_used, reason = "the fetch loop above fills every slot")]
+        per_query: per_query.into_iter().map(|o| o.expect("filled")).collect(),
         total_cost: total,
     }
 }

@@ -118,8 +118,12 @@ impl Route {
     }
 
     /// Destination intersection.
+    #[expect(
+        clippy::expect_used,
+        reason = "Route::new rejects routes with < 2 intersections"
+    )]
     pub fn destination(&self) -> Intersection {
-        *self.intersections.last().expect("non-empty") // lint: allow(panic) — Route::new rejects routes with < 2 intersections
+        *self.intersections.last().expect("non-empty")
     }
 }
 

@@ -270,7 +270,11 @@ impl Scenario {
             let incident = grid.incident_segments(*site);
             for seg in &incident {
                 let label = seg.label();
-                let dynamics = world.dynamics(&label).expect("registered"); // lint: allow(panic) — the world registers dynamics for every grid segment
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the world registers dynamics for every grid segment"
+                )]
+                let dynamics = world.dynamics(&label).expect("registered");
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(seg, "cam", ni),
                     covers: vec![label.clone()],
@@ -284,9 +288,13 @@ impl Scenario {
                 // One wide shot covering every incident segment; priced like
                 // a single large picture, cheaper than fetching each view.
                 let covers: Vec<_> = incident.iter().map(|s| s.label()).collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the world registers dynamics for every grid segment"
+                )]
                 let class = incident
                     .iter()
-                    .map(|s| world.dynamics(&s.label()).expect("registered").class) // lint: allow(panic) — the world registers dynamics for every grid segment
+                    .map(|s| world.dynamics(&s.label()).expect("registered").class)
                     .fold(DynamicsClass::Slow, |acc, c| {
                         if c == DynamicsClass::Fast {
                             DynamicsClass::Fast
@@ -294,13 +302,21 @@ impl Scenario {
                             acc
                         }
                     });
-                let validity = incident
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the world registers dynamics for every grid segment"
+                )]
+                let validities = incident
                     .iter()
-                    .map(|s| world.dynamics(&s.label()).expect("registered").validity) // lint: allow(panic) — the world registers dynamics for every grid segment
-                    .min()
-                    .expect("non-empty"); // lint: allow(panic) — guarded by incident.len() > 1 above
+                    .map(|s| world.dynamics(&s.label()).expect("registered").validity);
+                #[expect(clippy::expect_used, reason = "guarded by incident.len() > 1 above")]
+                let validity = validities.min().expect("non-empty");
                 catalog.add(ObjectSpec {
-                    name: format!("/city/pano/n{ni}").parse().expect("valid name"), // lint: allow(panic) — name is built from numeric components
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "name is built from numeric components"
+                    )]
+                    name: format!("/city/pano/n{ni}").parse().expect("valid name"),
                     covers,
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
@@ -334,7 +350,11 @@ impl Scenario {
                     ni,
                 )
             });
-            let dynamics = *world.dynamics(&seg.label()).expect("registered"); // lint: allow(panic) — the world registers dynamics for every grid segment
+            #[expect(
+                clippy::expect_used,
+                reason = "the world registers dynamics for every grid segment"
+            )]
+            let dynamics = *world.dynamics(&seg.label()).expect("registered");
             for &ni in nearest.iter().take(min_sources - sources.len()) {
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(&seg, "tele", ni),
@@ -355,8 +375,10 @@ impl Scenario {
             for qn in 0..config.queries_per_node {
                 // Pick origin/destination with some distance between them.
                 let (o, d) = loop {
-                    let o = *all_intersections.choose(&mut rng).expect("non-empty"); // lint: allow(panic) — a grid always has intersections
-                    let d = *all_intersections.choose(&mut rng).expect("non-empty"); // lint: allow(panic) — a grid always has intersections
+                    #[expect(clippy::expect_used, reason = "a grid always has intersections")]
+                    let o = *all_intersections.choose(&mut rng).expect("non-empty");
+                    #[expect(clippy::expect_used, reason = "a grid always has intersections")]
+                    let d = *all_intersections.choose(&mut rng).expect("non-empty");
                     let min_dist = (grid.rows + grid.cols) / 4;
                     if o != d && grid.distance(o, d) >= min_dist.max(2) {
                         break (o, d);
@@ -450,13 +472,14 @@ impl Scenario {
 /// track semantic similarity (§V-A): two names agreeing on the first three
 /// components are two views of the same road segment, so one is a valid
 /// approximate substitute for the other.
+#[expect(clippy::expect_used, reason = "name is built from numeric components")]
 fn segment_camera_name(seg: &crate::grid::Segment, kind: &str, node: usize) -> Name {
     format!(
         "/city/seg/{}_{}-{}_{}/{kind}/n{node}",
         seg.a.row, seg.a.col, seg.b.row, seg.b.col
     )
     .parse()
-    .expect("valid name") // lint: allow(panic) — name is built from numeric components
+    .expect("valid name")
 }
 
 /// Links disconnected components to the main component via nearest pairs.
@@ -485,7 +508,11 @@ fn connect_components(
                 }
             }
         }
-        let (a, b, _) = best.expect("multiple components imply a pair"); // lint: allow(panic) — the caller loops only while components.len() > 1
+        #[expect(
+            clippy::expect_used,
+            reason = "the caller loops only while components.len() > 1"
+        )]
+        let (a, b, _) = best.expect("multiple components imply a pair");
         topology.add_link(NodeId(a), NodeId(b), link);
     }
 }

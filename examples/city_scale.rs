@@ -15,7 +15,6 @@ use dde_core::prelude::*;
 use dde_workload::prelude::*;
 
 fn main() {
-    // lint: allow(nondeterminism) — CLI selection only; the run itself uses a fixed seed
     let strategy: Strategy = std::env::args()
         .nth(1)
         .as_deref()

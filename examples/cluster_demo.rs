@@ -223,10 +223,10 @@ fn metrics_document(nodes: &[NodeTelemetry]) -> JsonValue {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace_path = std::env::args() // lint: allow(nondeterminism) — CLI trace-path selection only; the scenario itself is fixed
+    let trace_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "cluster_trace.jsonl".to_string());
-    let metrics_path = std::env::args() // lint: allow(nondeterminism) — CLI artifact-path selection only
+    let metrics_path = std::env::args()
         .nth(2)
         .unwrap_or_else(|| "cluster_metrics.json".to_string());
     let scenario = star_scenario();
