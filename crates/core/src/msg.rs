@@ -2,8 +2,9 @@
 //!
 //! Four message families, mirroring the paper's protocol functions:
 //!
-//! - [`AthenaMsg::QueryAnnounce`] — the query's Boolean expression, flooded
-//!   to neighbors so they may prefetch (`Query_Recv` step iv);
+//! - [`AthenaMsg::QueryAnnounce`] — the query's Boolean expression, relayed
+//!   down the origin's routing tree so that every reachable node hears it
+//!   once and may prefetch (`Query_Recv` step iv);
 //! - [`AthenaMsg::Request`] — a hop-by-hop object request, fetch or
 //!   prefetch (`Request_Send`/`Request_Recv`);
 //! - [`AthenaMsg::Data`] — the evidence object traveling back
@@ -43,7 +44,8 @@ pub enum RequestKind {
 /// One Athena protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AthenaMsg {
-    /// A decision query's expression, flooded for prefetching.
+    /// A decision query's expression, sent once to every reachable node
+    /// along the origin's routing tree, for prefetching.
     QueryAnnounce {
         /// The query.
         qid: QueryId,

@@ -150,7 +150,10 @@ impl AthenaNode {
                 query: qid_attr(qid),
             });
         }
-        // Register the interest; forward only the first.
+        // Register the interest; forward only the first. Lapsed interests
+        // go first, so a request never aggregates onto a dead entry: a
+        // pure forwarder has no tick to sweep them (free when none is due).
+        self.pit.expire(now);
         let first = self.pit.register(
             &name,
             Requester::Neighbor(from),

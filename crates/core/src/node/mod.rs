@@ -4,16 +4,17 @@
 //! network, one file per side of the protocol:
 //!
 //! - `Query_Init`, `Request_Send` (`origin.rs`) — [`Protocol::on_external`]
-//!   creates the query's record, floods the Boolean expression to
-//!   neighbors, and starts the decision-driven (or baseline) retrieval
-//!   loop; an annotator turns delivered evidence into label values, which
-//!   under `lvfl` are shared back toward the data source (§VI-D);
+//!   creates the query's record, announces the Boolean expression down the
+//!   origin's routing tree, and starts the decision-driven (or baseline)
+//!   retrieval loop; an annotator turns delivered evidence into label
+//!   values, which under `lvfl` are shared back toward the data source
+//!   (§VI-D);
 //! - `Request_Recv`, `Data_Send` / `Data_Recv` (`forward.rs`) — hop-by-hop
 //!   object requests with a Pending Interest Table for duplicate
 //!   suppression, served from caches when a fresh copy (or, under `lvfl`, a
 //!   fresh trusted label) exists; evidence flows back along interests,
 //!   cached at every hop;
-//! - `Query_Recv` (`prefetch.rs`) — receivers of the flood may *prefetch*
+//! - `Query_Recv` (`prefetch.rs`) — receivers of the announce may *prefetch*
 //!   (source-side push, exactly the Fig. 1 pattern), in the background.
 //!
 //! This file holds what they share: configuration, the node's state, and
@@ -203,7 +204,8 @@ pub struct NodeStats {
     pub approx_hits: u64,
     /// Prefetch pushes initiated (this node as source).
     pub prefetch_pushes: u64,
-    /// Query announcements relayed.
+    /// Query announcements heard for the first time, each relayed to this
+    /// node's children in the origin's routing tree (none at a leaf).
     pub announces_relayed: u64,
     /// Foreground requests forwarded toward sources.
     pub requests_forwarded: u64,
@@ -338,7 +340,9 @@ pub struct AthenaNode {
     /// non-final query, plus — within a handler only — those that turned
     /// final since [`AthenaNode::retire_finished`] last ran.
     open: Vec<QueryId>,
-    /// Announcements already seen (flood dedup).
+    /// Announcements already heard. A repeat is dropped: the issue of a
+    /// query announced ahead, or a second copy after a route changed
+    /// mid-relay.
     seen_announces: BTreeSet<QueryId>,
     /// Object cache.
     content: ContentStore<EvidenceObject>,
@@ -557,19 +561,22 @@ impl AthenaNode {
     }
 }
 
-/// Floods the decision structure of query `qid` (issued at `origin`) to
-/// every neighbor of this node but `except` — the one the announce came
-/// from, when relaying. Each copy shares `expr`'s terms.
-fn flood_announce(
+/// Sends the decision structure of query `qid` (issued at `origin`) one
+/// level down `origin`'s routing tree: to each neighbor whose next hop
+/// toward `origin` is this node. The routing tables come from one BFS per
+/// destination, so those pointers form an in-tree rooted at `origin`, and
+/// relaying at every node that hears the announce reaches each reachable
+/// node exactly once. Each copy shares `expr`'s terms.
+fn announce_to_children(
     ctx: &mut Context<'_, AthenaMsg>,
     qid: QueryId,
     origin: NodeId,
     expr: &Dnf,
     deadline_at: SimTime,
-    except: Option<NodeId>,
 ) {
-    for nb in ctx.topology().neighbors(ctx.node()) {
-        if Some(nb) != except {
+    let (me, topology) = (ctx.node(), ctx.topology());
+    for nb in topology.neighbors(me) {
+        if topology.next_hop(nb, origin) == Some(me) {
             ctx.send(
                 nb,
                 AthenaMsg::QueryAnnounce {
@@ -601,7 +608,7 @@ impl Protocol for AthenaNode {
                 origin,
                 expr,
                 deadline_at,
-            } => self.handle_announce(ctx, from, qid, origin, expr, deadline_at),
+            } => self.handle_announce(ctx, qid, origin, expr, deadline_at),
             AthenaMsg::Request {
                 name,
                 wanted,
@@ -639,12 +646,12 @@ impl Protocol for AthenaNode {
     /// caches survive or not per [`NodeConfig::crash_wipes_cache`]. Open
     /// queries restart their retrieval loop — the in-flight fetch and the
     /// votes gathered so far are forgotten (replies, if any, were dropped
-    /// while we were down), deadline timers are re-armed (timers that fired
-    /// during the outage were swallowed), and the decision structure is
-    /// re-announced so sources can resume prefetching.
+    /// while we were down) — and their deadline timers are re-armed (timers
+    /// that fired during the outage were swallowed). Nothing is
+    /// re-announced: every node that heard the announce before the crash
+    /// still holds it in `seen_announces` and would drop a repeat.
     fn on_recover(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
         let now = ctx.now();
-        let me = ctx.node();
         self.pit = Pit::new();
         self.prefetch_queue.clear();
         self.recent_pushes.clear();
@@ -662,13 +669,11 @@ impl Protocol for AthenaNode {
                 continue;
             }
             lq.state.outstanding = None;
-            // Queries the admission gate is holding back were never
-            // announced; they re-face the gate in the retrieval loop
-            // instead of being re-announced here.
+            // Queries the admission gate is holding back re-face the gate
+            // in the retrieval loop; only admitted ones are re-armed here.
             if lq.gate != AdmissionState::Admitted {
                 continue;
             }
-            flood_announce(ctx, qid, me, &lq.state.expr, lq.state.deadline_at, None);
             ctx.set_timer_at(lq.state.deadline_at, qid.0 + 1);
         }
         self.advance_queries(ctx);

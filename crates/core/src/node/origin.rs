@@ -3,8 +3,8 @@
 //! evidence into label values — annotation, corroboration, label sharing.
 
 use super::{
-    flood_announce, share_msg, AdmissionState, AthenaNode, CachedLabel, LocalQuery, Requester,
-    VoteSet, INTEREST_LIFETIME, RETRY_TIMEOUT,
+    announce_to_children, share_msg, AdmissionState, AthenaNode, CachedLabel, LocalQuery,
+    Requester, VoteSet, INTEREST_LIFETIME, RETRY_TIMEOUT,
 };
 use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
@@ -67,8 +67,8 @@ impl AthenaNode {
         self.advance_queries(ctx);
     }
 
-    /// Floods the decision structure of a query that has not been issued
-    /// yet, giving sources a prefetching head start (§VIII).
+    /// Announces the decision structure of a query that has not been
+    /// issued yet, giving sources a prefetching head start (§VIII).
     pub(super) fn announce_only(&mut self, ctx: &mut Context<'_, AthenaMsg>, inst: QueryInstance) {
         let me = ctx.node();
         let qid = QueryId(inst.id);
@@ -76,7 +76,7 @@ impl AthenaNode {
             return;
         }
         let deadline_at = inst.issue_at + inst.deadline;
-        flood_announce(ctx, qid, me, &inst.expr, deadline_at, None);
+        announce_to_children(ctx, qid, me, &inst.expr, deadline_at);
     }
 
     /// Puts `qid` before the admission gate (adaptive mode) for the
@@ -132,7 +132,7 @@ impl AthenaNode {
         verdict == AdmissionVerdict::Admit
     }
 
-    /// Emits the plan of a query the gate has let through and floods its
+    /// Emits the plan of a query the gate has let through and announces its
     /// decision structure so the network can prefetch.
     fn announce_admitted(&mut self, ctx: &mut Context<'_, AthenaMsg>, qid: QueryId) {
         let me = ctx.node();
@@ -147,13 +147,13 @@ impl AthenaNode {
                 rationale: explain_dnf_plan(&plan),
             });
         }
-        flood_announce(ctx, qid, me, &lq.state.expr, lq.state.deadline_at, None);
+        announce_to_children(ctx, qid, me, &lq.state.expr, lq.state.deadline_at);
     }
 
     /// Whether the retrieval loop may work on `qid`: `false` while the
     /// query is shed or still deferred. A deferral that ripens re-faces the
     /// gate with *fresh* estimates, and an admission at that point emits
-    /// the plan and floods the announce that were withheld at issue time.
+    /// the plan and sends the announce that were withheld at issue time.
     fn admission_allows(&mut self, ctx: &mut Context<'_, AthenaMsg>, qid: QueryId) -> bool {
         let lq = &self.queries[&qid];
         match lq.gate {

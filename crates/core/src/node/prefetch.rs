@@ -2,7 +2,7 @@
 //! pushes for announced queries, the tick sends them one at a time, and
 //! utility triage drops the redundant ones.
 
-use super::{flood_announce, AthenaNode, PushTask};
+use super::{announce_to_children, AthenaNode, PushTask};
 use crate::msg::{AthenaMsg, QueryId};
 use dde_logic::dnf::Dnf;
 use dde_logic::time::{SimDuration, SimTime};
@@ -12,13 +12,12 @@ use dde_netsim::topology::NodeId;
 use dde_obs::EventKind;
 
 impl AthenaNode {
-    /// `Query_Recv`: relays a query announcement once and, with prefetch
-    /// on, queues a background push for every candidate object this node
-    /// sources.
+    /// `Query_Recv`: relays a query announcement once, down the origin's
+    /// routing tree, and, with prefetch on, queues a background push for
+    /// every candidate object this node sources.
     pub(super) fn handle_announce(
         &mut self,
         ctx: &mut Context<'_, AthenaMsg>,
-        from: NodeId,
         qid: QueryId,
         origin: NodeId,
         expr: Dnf,
@@ -29,12 +28,12 @@ impl AthenaNode {
         }
         self.stats.announces_relayed += 1;
         let me = ctx.node();
-        flood_announce(ctx, qid, origin, &expr, deadline_at, Some(from));
+        announce_to_children(ctx, qid, origin, &expr, deadline_at);
         if self.shared.config.prefetch_enabled() && ctx.now() < deadline_at {
             let labels = expr.labels();
             // Only candidates this node sources are queued, and a
             // candidate provides some label of the expression: a node
-            // hosting no such sensor — most receivers of a flood — has
+            // hosting no such sensor — most receivers of an announce — has
             // nothing to find in the cover and skips computing it.
             let sources_any = labels.iter().any(|l| {
                 let providers = self.catalog().providers_of(l);

@@ -228,16 +228,12 @@ fn deadline_timer_finalizes_unresolvable_query() {
     assert_eq!(sim.metrics().kind("data").count, 0);
 }
 
-/// DEFECT, pinned not fixed: `pit.expire` runs only on housekeeping
-/// ticks, and a node ticks only while it has local queries or prefetch
-/// work. A pure forwarder therefore never drops a lapsed interest, and a
-/// later request for the same name aggregates onto the dead entry
-/// instead of being forwarded — the requester starves to its deadline.
-/// Sweeping on request arrival would fix it, and would move
-/// `resolution_ratio` and `mb_per_decision` under loss (ROADMAP,
-/// hot-paths item).
+/// A node ticks only while it has local queries or prefetch work, so a
+/// pure forwarder's interest table is swept when a request arrives: a
+/// later request for a name whose interest lapsed is forwarded, not
+/// aggregated onto the dead entry.
 #[test]
-fn forwarder_keeps_a_lapsed_interest_and_aggregates_onto_it() {
+fn forwarder_sweeps_a_lapsed_interest_and_forwards_the_next_request() {
     let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
     // Leaf 0 asks; the reply (2 s on the wire, 3→1) dies with the link.
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
@@ -256,14 +252,16 @@ fn forwarder_keeps_a_lapsed_interest_and_aggregates_onto_it() {
 
     let hub = sim.node(NodeId(1));
     assert_eq!(hub.queries().count(), 0, "the hub is a pure forwarder");
-    assert_eq!(hub.pit.len(), 2, "the lapsed interest is still there");
-    assert_eq!(hub.stats.requests_forwarded, 1, "only the first request");
-    // 0→1 and 1→3 for the first query, 2→1 for the second. (Leaf 0's
-    // retry after 30 s sends nothing either: its own first interest is
+    assert_eq!(hub.pit.len(), 0, "the lapsed interest was swept");
+    assert_eq!(hub.stats.requests_forwarded, 2, "both requests");
+    // 0→1 and 1→3 for the first query, 2→1 and 1→3 for the second.
+    // (Leaf 0's retry after 30 s sends nothing: its own first interest is
     // still pending, so the re-registration is not "first".)
-    assert_eq!(sim.metrics().kind("request").count, 3);
-    let starved = sim.node(NodeId(2)).queries().next().unwrap();
-    assert_eq!(starved.status, QueryStatus::Missed);
+    assert_eq!(sim.metrics().kind("request").count, 4);
+    let first = sim.node(NodeId(0)).queries().next().unwrap();
+    assert_eq!(first.status, QueryStatus::Missed, "its reply died");
+    let second = sim.node(NodeId(2)).queries().next().unwrap();
+    assert!(matches!(second.status, QueryStatus::Decided { .. }));
 }
 
 #[test]

@@ -1,10 +1,14 @@
-//! Pins the traffic of the announce flood (`Query_Init`/`Query_Recv`, §VI)
-//! on fixed topologies, once per site that starts or continues a flood:
-//! issue, announce-only, deferred-then-admitted, relay, and crash recovery.
+//! Pins the traffic of the query announce (`Query_Init`/`Query_Recv`, §VI)
+//! on fixed and random topologies, once per site that starts or continues
+//! one: issue, announce-only, deferred-then-admitted, relay, and crash
+//! recovery (which sends none).
 //!
-//! One flood of a query from `origin` costs `deg(origin)` sends at the
-//! origin plus `deg(v) − 1` at every other node `v` (each relays once, to
-//! everyone but the sender): `Σ deg − (n − 1)` announces, `n − 1` relays.
+//! An announce of a query from `origin` travels down `origin`'s routing
+//! tree: a node sends it to each neighbor whose next hop toward `origin` is
+//! that node. With `r` nodes reachable from `origin` (`n` when nothing is
+//! down) one announce costs `r − 1` sends, and every reachable node but the
+//! origin relays it once. Since each relay consumes a copy, `r − 1` sends
+//! and `r − 1` relays mean each node heard it exactly once.
 
 use dde_core::prelude::*;
 use dde_core::AthenaEvent;
@@ -20,11 +24,22 @@ use std::sync::Arc;
 
 const ORIGIN: NodeId = NodeId(0);
 
-fn topologies() -> Vec<(&'static str, Topology)> {
-    vec![
-        ("ring", Topology::ring(6, LinkSpec::mbps1())),
-        ("grid", Topology::grid(3, 3, LinkSpec::mbps1())),
-    ]
+fn topologies() -> Vec<(String, Topology)> {
+    let mut all = vec![
+        ("ring".to_string(), Topology::ring(6, LinkSpec::mbps1())),
+        ("grid".to_string(), Topology::grid(3, 3, LinkSpec::mbps1())),
+        ("star".to_string(), Topology::star(5, LinkSpec::mbps1())),
+        ("line".to_string(), Topology::line(5, LinkSpec::mbps1())),
+    ];
+    for seed in 1..=4 {
+        for extra in [0, 15, 45] {
+            all.push((
+                format!("random(30, {extra}, {seed})"),
+                Topology::random_connected(30, extra, seed),
+            ));
+        }
+    }
+    all
 }
 
 /// Labels `x` and `y` are each covered by one small object hosted at the
@@ -77,22 +92,17 @@ fn announce_bytes(q: &QueryInstance) -> u64 {
     .wire_size()
 }
 
-fn degree_sum(topology: &Topology) -> u64 {
-    topology.directed_link_count() as u64
-}
-
-/// Asserts that the run sent exactly `floods` whole floods from [`ORIGIN`]
-/// plus `extra_sends` further announces that every receiver dropped.
-fn assert_flood_shape(
+/// Asserts that the run sent exactly `announces` announces from [`ORIGIN`]
+/// down its tree, each reaching every node in `reachable` (which includes
+/// the origin) once, and nothing else.
+fn assert_tree_shape(
     what: &str,
     sim: &ShardedSimulator<AthenaNode>,
-    floods: u64,
-    extra_sends: u64,
+    reachable: &[NodeId],
+    announces: u64,
     bytes_per_announce: u64,
 ) {
-    let topology = sim.topology();
-    let n = topology.len() as u64;
-    let sends = floods * (degree_sum(topology) - (n - 1)) + extra_sends;
+    let sends = announces * (reachable.len() as u64 - 1);
     let announce = sim.metrics().kind("announce");
     assert_eq!(announce.count, sends, "{what}: announces sent");
     assert_eq!(
@@ -105,11 +115,19 @@ fn assert_flood_shape(
         by_kind.contains(&("announce", announce)),
         "{what}: kinds() lists the same counters"
     );
-    for node in topology.nodes() {
+    for node in sim.topology().nodes() {
         let relayed = sim.node(node).stats.announces_relayed;
-        let expected = if node == ORIGIN { 0 } else { floods };
+        let expected = if node != ORIGIN && reachable.contains(&node) {
+            announces
+        } else {
+            0
+        };
         assert_eq!(relayed, expected, "{what}: relays at {node}");
     }
+}
+
+fn all_nodes(topology: &Topology) -> Vec<NodeId> {
+    topology.nodes().collect()
 }
 
 #[test]
@@ -119,8 +137,9 @@ fn issue_floods_once() {
         let q = query(0, "ghost");
         sim.schedule_external(SimTime::ZERO, ORIGIN, q.clone().into());
         sim.run();
-        assert_flood_shape(&format!("{name} issue"), &sim, 1, 0, announce_bytes(&q));
-        assert_eq!(sim.metrics().kind("request").count, 0);
+        let what = format!("{name} issue");
+        assert_tree_shape(&what, &sim, &all_nodes(&topology), 1, announce_bytes(&q));
+        assert_eq!(sim.metrics().kind("request").count, 0, "{what}");
     }
 }
 
@@ -137,11 +156,11 @@ fn announce_only_floods_once_and_the_later_issue_is_silent() {
             AthenaEvent::AnnounceOnly(q.clone()),
         );
         sim.run();
-        assert_flood_shape(
+        assert_tree_shape(
             &format!("{name} announce-only"),
             &sim,
+            &all_nodes(&topology),
             1,
-            0,
             announce_bytes(&q),
         );
     }
@@ -156,7 +175,13 @@ fn relay_skips_the_sender_and_fires_once_per_node() {
         sim.schedule_external(SimTime::ZERO, ORIGIN, a.clone().into());
         sim.schedule_external(SimTime::from_secs(1), ORIGIN, b.into());
         sim.run();
-        assert_flood_shape(&format!("{name} relay"), &sim, 2, 0, announce_bytes(&a));
+        assert_tree_shape(
+            &format!("{name} relay"),
+            &sim,
+            &all_nodes(&topology),
+            2,
+            announce_bytes(&a),
+        );
     }
 }
 
@@ -184,17 +209,49 @@ fn deferred_query_floods_when_admitted() {
         sim.schedule_external(SimTime::ZERO, ORIGIN, b.into());
         sim.run_until(SimTime::from_secs(1));
         let what = format!("{name} deferred");
-        assert_flood_shape(&what, &sim, 1, 0, announce_bytes(&a));
+        let everyone = all_nodes(&topology);
+        assert_tree_shape(&what, &sim, &everyone, 1, announce_bytes(&a));
         assert_eq!(sim.node(ORIGIN).stats.admission_deferred, 1, "{what}");
         sim.run();
-        assert_flood_shape(&what, &sim, 2, 0, announce_bytes(&a));
+        assert_tree_shape(&what, &sim, &everyone, 2, announce_bytes(&a));
         assert_eq!(sim.node(ORIGIN).stats.admission_deferred, 1, "{what}");
         assert_eq!(sim.node(ORIGIN).stats.admission_shed, 0, "{what}");
     }
 }
 
 #[test]
-fn recovery_reannounces_to_neighbors_only() {
+fn a_link_down_before_issue_reshapes_the_tree() {
+    // On the ring the tree detours around the cut and still reaches every
+    // node; on the line the cut strands the far side, which hears nothing.
+    let cases = [
+        ("ring", Topology::ring(6, LinkSpec::mbps1()), NodeId(1), 6),
+        ("line", Topology::line(5, LinkSpec::mbps1()), NodeId(3), 3),
+    ];
+    for (name, topology, far, reached) in cases {
+        let near = NodeId(far.index() - 1);
+        let mut cut = topology.clone();
+        cut.set_link_enabled(near, far, false);
+        cut.rebuild_routes();
+        let reachable: Vec<NodeId> = cut
+            .nodes()
+            .filter(|&v| cut.hop_distance(v, ORIGIN).is_some())
+            .collect();
+
+        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut faults = FaultSchedule::new();
+        faults.link_down_at(SimTime::ZERO, near, far);
+        sim.install_faults(&faults);
+        let q = query(0, "ghost");
+        sim.schedule_external(SimTime::from_secs(1), ORIGIN, q.clone().into());
+        sim.run();
+        let what = format!("{name} link down");
+        assert_eq!(reachable.len(), reached, "{what}: reachable nodes");
+        assert_tree_shape(&what, &sim, &reachable, 1, announce_bytes(&q));
+    }
+}
+
+#[test]
+fn recovery_sends_no_announce() {
     for (name, topology) in topologies() {
         let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
         let q = query(0, "ghost");
@@ -204,15 +261,15 @@ fn recovery_reannounces_to_neighbors_only() {
         faults.recover_at(SimTime::from_secs(20), ORIGIN);
         sim.install_faults(&faults);
         sim.run();
-        // The query is still open at recovery, so the origin announces it
-        // again; every neighbor has seen it and drops the repeat.
-        let repeats = topology.neighbors(ORIGIN).count() as u64;
-        assert_flood_shape(
-            &format!("{name} recover"),
-            &sim,
-            1,
-            repeats,
-            announce_bytes(&q),
+        // The query is still open at recovery; every node heard its
+        // announce before the crash, so the origin sends none again.
+        let what = format!("{name} recover");
+        assert_tree_shape(&what, &sim, &all_nodes(&topology), 1, announce_bytes(&q));
+        let q = sim.node(ORIGIN).queries().next().unwrap();
+        assert_eq!(
+            q.status,
+            QueryStatus::Missed,
+            "{what}: the deadline still fires"
         );
     }
 }

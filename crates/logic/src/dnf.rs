@@ -264,7 +264,7 @@ impl Resolution {
 /// ```
 ///
 /// A query is immutable once built and its terms are shared: `clone` bumps
-/// a reference count, so flooding the decision structure to a whole network
+/// a reference count, so announcing the decision structure to a whole network
 /// (§VI `Query_Init`/`Query_Recv`) copies no term.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Dnf {

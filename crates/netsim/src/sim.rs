@@ -112,7 +112,7 @@ pub trait Protocol {
     /// Called when this node comes back up after a scheduled
     /// [`FaultEvent::NodeRecover`](crate::fault::FaultEvent::NodeRecover).
     /// Protocols use this to rebuild any state lost in the crash
-    /// (re-announce queries, re-arm timers). Default: do nothing.
+    /// (restart retrieval, re-arm timers). Default: do nothing.
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         let _ = ctx;
     }

@@ -18,7 +18,7 @@
 //! That identity is asserted by the conservation tests, so the breakdown
 //! can be trusted as an accounting of real simulated time, not an estimate.
 //!
-//! Announce-flood records and background (prefetch-class) transmissions are
+//! Announce records and background (prefetch-class) transmissions are
 //! excluded from the walk — they serve the query but are not on its
 //! resolve path; their time folds into the enclosing segment. Their bytes
 //! are still charged in the [`CostLedger`](crate::ledger::CostLedger).

@@ -97,8 +97,8 @@ impl QueryCost {
 pub struct CostLedger {
     /// Charges per decision query, keyed by query id.
     pub queries: BTreeMap<u64, QueryCost>,
-    /// Traffic no decision can be charged for: announce floods from other
-    /// origins' re-forwarding, PIT-less re-forwards, and similar plumbing.
+    /// Traffic no decision can be charged for: announce relays of other
+    /// origins' queries, PIT-less re-forwards, and similar plumbing.
     pub overhead: QueryCost,
     /// All bytes transmitted in the trace (mirror of the simulator's
     /// `bytes_sent`).

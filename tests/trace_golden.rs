@@ -10,7 +10,7 @@
 //!
 //! The constants are never edited alongside a refactor. A deliberate
 //! behaviour change regenerates them in its own PR, the way `baselines/`
-//! is regenerated, and says so.
+//! is regenerated, and says so; EXPERIMENTS.md lists what moved.
 
 use dde_core::prelude::*;
 use dde_core::Strategy;
@@ -83,11 +83,11 @@ fn crash_recover_outage(scenario: &Scenario) -> FaultSchedule {
 fn every_strategy_trace_is_pinned() {
     // In `Strategy::ALL` order: cmp, slt, lcf, lvf, lvfl.
     const GOLDEN: [Fingerprint; 5] = [
-        (1161, 120_420, 17_080_087_759_441_899_779),
-        (1058, 109_178, 13_944_117_124_477_350_044),
-        (1097, 113_183, 5_721_163_087_886_189_977),
-        (937, 96_669, 15_061_276_996_131_981_245),
-        (1029, 105_204, 9_376_774_105_672_342_624),
+        (553, 64_133, 3_103_102_037_231_527_428),
+        (450, 52_890, 1_398_997_849_256_896_760),
+        (489, 56_899, 14_111_339_170_866_083_527),
+        (329, 40_386, 12_725_226_799_492_301_200),
+        (421, 48_921, 8_988_643_312_409_994_546),
     ];
     let scenario = small();
     for (strategy, golden) in Strategy::ALL.into_iter().zip(GOLDEN) {
@@ -102,7 +102,7 @@ fn every_strategy_trace_is_pinned() {
 
 #[test]
 fn admission_gated_adaptive_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (5043, 532_849, 395_428_615_227_788_155);
+    const GOLDEN: Fingerprint = (1560, 200_077, 5_145_887_638_456_883_864);
     let scenario = Scenario::build(ScenarioConfig::overload().with_seed(1));
     let mut options = options(Strategy::Lvf);
     options.adaptive = Some(AdaptiveConfig {
@@ -124,7 +124,7 @@ fn tree_topology_label_sharing_trace_is_pinned() {
 
 #[test]
 fn crash_recover_and_link_outage_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (662, 71_200, 15_520_057_291_080_224_705);
+    const GOLDEN: Fingerprint = (430, 49_644, 11_360_118_312_232_966_956);
     let scenario = multi_hop(2, SimDuration::ZERO);
     let mut options = options(Strategy::LvfLabelShare);
     options.faults = crash_recover_outage(&scenario);
@@ -136,7 +136,7 @@ fn crash_recover_and_link_outage_trace_is_pinned() {
 /// utility triage, approximate substitution and two-source corroboration.
 #[test]
 fn prefetch_triage_and_corroboration_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1050, 112_980, 642_961_245_147_398_132);
+    const GOLDEN: Fingerprint = (826, 91_476, 11_283_526_789_845_629_550);
     let scenario = multi_hop(2, SimDuration::from_secs(60));
     let mut options = options(Strategy::LvfLabelShare);
     options.prefetch = Some(true);
@@ -168,8 +168,8 @@ fn band_options(strategy: Strategy, seed: u64) -> RunOptions {
 #[test]
 fn baseline_band_trace_is_pinned() {
     const GOLDEN: [(u64, Fingerprint); 2] = [
-        (7, (949, 95_567, 14_922_263_959_667_862_546)),
-        (11, (1051, 106_655, 16_669_102_468_088_555_377)),
+        (7, (341, 39_330, 6_302_692_099_235_078_981)),
+        (11, (411, 47_411, 15_999_372_195_106_571_285)),
     ];
     for (seed, golden) in GOLDEN {
         let scenario = Scenario::build(band(seed));
@@ -180,7 +180,7 @@ fn baseline_band_trace_is_pinned() {
 
 #[test]
 fn churn_band_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1085, 109_461, 4_535_559_361_723_287_249);
+    const GOLDEN: Fingerprint = (413, 47_225, 7_376_115_835_266_875_941);
     let scenario = Scenario::build(band(13).with_churn(0.5));
     assert!(!scenario.faults.is_empty(), "churn installs node faults");
     let options = band_options(Strategy::LvfLabelShare, 13 ^ 0x5eed);
@@ -189,7 +189,7 @@ fn churn_band_trace_is_pinned() {
 
 #[test]
 fn partition_band_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1060, 106_305, 8_579_632_586_315_865_985);
+    const GOLDEN: Fingerprint = (452, 50_083, 11_933_353_638_121_383_939);
     let scenario = Scenario::build(band(17));
     // Cut half the nodes off mid-run, heal before the deadline horizon.
     let side: Vec<NodeId> = (0..scenario.topology.len() / 2).map(NodeId).collect();
@@ -210,8 +210,8 @@ fn partition_band_trace_is_pinned() {
 #[test]
 fn adaptive_learning_under_churn_trace_is_pinned() {
     const GOLDEN: [(u64, Fingerprint); 2] = [
-        (7, (905, 91_542, 14_886_352_742_224_986_505)),
-        (13, (997, 101_382, 6_815_756_386_349_675_787)),
+        (7, (297, 35_318, 13_215_491_968_051_627_184)),
+        (13, (325, 39_158, 7_304_235_307_862_738_088)),
     ];
     for (seed, golden) in GOLDEN {
         let scenario = Scenario::build(band(seed).with_churn(0.5));
@@ -224,7 +224,7 @@ fn adaptive_learning_under_churn_trace_is_pinned() {
 
 #[test]
 fn adaptive_admission_on_the_overload_band_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (4491, 475_088, 12_443_292_717_895_996_889);
+    const GOLDEN: Fingerprint = (1360, 176_351, 17_559_394_873_450_137_994);
     let scenario = Scenario::build(ScenarioConfig::overload().with_seed(11));
     let mut options = band_options(Strategy::Lvf, 11 ^ 0xada);
     options.adaptive = Some(AdaptiveConfig {
