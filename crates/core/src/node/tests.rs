@@ -126,6 +126,30 @@ fn forwarder_cache_serves_second_query() {
     assert!(sim.node(NodeId(1)).stats.cache_hits >= 1);
     // First fetch: 3→1, 1→0. Second: 1→2 from cache. Three data sends.
     assert_eq!(sim.metrics().kind("data").count, 3);
+
+    // The same second query at the first origin never leaves it: node 0
+    // kept the object it fetched and serves the query from its own store.
+    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
+    sim.schedule_external(
+        SimTime::from_secs(20),
+        NodeId(0),
+        query(1, 0, &["x"]).into(),
+    );
+    sim.run();
+    let origin = sim.node(NodeId(0));
+    assert_eq!(origin.queries().count(), 2);
+    for q in origin.queries() {
+        assert!(matches!(
+            q.status,
+            crate::query::QueryStatus::Decided { .. }
+        ));
+    }
+    let second = origin.queries().find(|q| q.id == QueryId(1)).unwrap();
+    assert_eq!(second.counters.requests_sent, 0);
+    // One query's traffic: request 0→1→3, data 3→1→0.
+    assert_eq!(sim.metrics().kind("request").count, 2);
+    assert_eq!(sim.metrics().kind("data").count, 2);
 }
 
 #[test]
@@ -146,6 +170,25 @@ fn pit_aggregates_concurrent_fetches() {
     // The source transmitted once (3→1); the hub fanned out to both
     // leaves: 3 data transmissions total, not 4.
     assert_eq!(sim.metrics().kind("data").count, 3);
+
+    // Two queries for the same object at one origin: the second registers
+    // onto the first's pending interest there and sends nothing, and the
+    // one data arrival resolves both.
+    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
+    sim.schedule_external(SimTime::ZERO, NodeId(0), query(1, 0, &["x"]).into());
+    sim.run();
+    let origin = sim.node(NodeId(0));
+    assert_eq!(origin.queries().count(), 2);
+    for q in origin.queries() {
+        assert!(matches!(
+            q.status,
+            crate::query::QueryStatus::Decided { .. }
+        ));
+    }
+    // One query's traffic: request 0→1→3, data 3→1→0.
+    assert_eq!(sim.metrics().kind("request").count, 2);
+    assert_eq!(sim.metrics().kind("data").count, 2);
 }
 
 #[test]

@@ -1,59 +1,14 @@
-//! Forwarding Information Base and Pending Interest Table (§V-A, §VI-B).
+//! The Pending Interest Table (§VI-B).
 //!
-//! "Routing tables directly store information on how to route interests to
-//! nodes who previously advertized having data matching a name prefix" —
-//! the [`Fib`]. "Each node maintains an *Interest Table* that keeps track of
-//! which data objects have been requested by which sources for what
-//! queries" — the [`Pit`], which also suppresses duplicate downstream
-//! requests.
+//! "Each node maintains an *Interest Table* that keeps track of which data
+//! objects have been requested by which sources for what queries" — the
+//! [`Pit`], which also suppresses duplicate downstream requests. Routing is
+//! not name-based here: a node forwards along its topology's next hop.
 
 use crate::name::Name;
 use crate::tree::NameTree;
 use dde_logic::time::SimTime;
 use std::collections::BTreeSet;
-
-/// Forwarding Information Base: name prefixes → next-hop node ids.
-///
-/// Generic over the node-id type so the networking layer can plug its own.
-#[derive(Debug, Clone, Default)]
-pub struct Fib<N> {
-    routes: NameTree<N>,
-}
-
-impl<N: Copy> Fib<N> {
-    /// Creates an empty FIB.
-    pub fn new() -> Fib<N> {
-        Fib {
-            routes: NameTree::new(),
-        }
-    }
-
-    /// Advertises that content under `prefix` is reachable via `next_hop`.
-    /// Returns the previous next hop for that exact prefix, if any.
-    pub fn advertise(&mut self, prefix: &Name, next_hop: N) -> Option<N> {
-        self.routes.insert(prefix, next_hop)
-    }
-
-    /// Withdraws the route for exactly `prefix`.
-    pub fn withdraw(&mut self, prefix: &Name) -> Option<N> {
-        self.routes.remove(prefix)
-    }
-
-    /// Longest-prefix-match lookup: the next hop for `name`.
-    pub fn lookup(&self, name: &Name) -> Option<N> {
-        self.routes.longest_prefix(name).map(|(_, n)| *n)
-    }
-
-    /// Number of advertised prefixes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether no prefixes are advertised.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-}
 
 /// One pending-interest record: who asked for an object, for which query.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -200,28 +155,6 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn fib_longest_prefix_routing() {
-        let mut fib: Fib<u32> = Fib::new();
-        assert!(fib.is_empty());
-        fib.advertise(&n("/city"), 1);
-        fib.advertise(&n("/city/market"), 2);
-        assert_eq!(fib.lookup(&n("/city/market/cam1")), Some(2));
-        assert_eq!(fib.lookup(&n("/city/port")), Some(1));
-        assert_eq!(fib.lookup(&n("/rural")), None);
-        assert_eq!(fib.len(), 2);
-        assert_eq!(fib.withdraw(&n("/city/market")), Some(2));
-        assert_eq!(fib.lookup(&n("/city/market/cam1")), Some(1));
-    }
-
-    #[test]
-    fn fib_advertise_replaces() {
-        let mut fib: Fib<u32> = Fib::new();
-        assert_eq!(fib.advertise(&n("/a"), 1), None);
-        assert_eq!(fib.advertise(&n("/a"), 9), Some(1));
-        assert_eq!(fib.lookup(&n("/a")), Some(9));
     }
 
     #[test]

@@ -10,12 +10,10 @@
 //! - [`tree`] — a name trie with exact, longest-prefix (FIB-style), and
 //!   approximate (closest-name) lookup — the "hierarchical semantic
 //!   indexing" of §V-A;
-//! - [`fib`] — the Forwarding Information Base and Pending Interest Table of
-//!   the NDN-like forwarding plane (§VI-B);
+//! - [`fib`] — the Pending Interest Table of the NDN-like forwarding plane
+//!   (§VI-B);
 //! - [`store`] — a freshness-aware, capacity-bounded content store with
 //!   expired-first/LRU eviction and approximate substitution (§VI-B/C);
-//! - [`utility`] — sub-additive information utility and greedy budgeted
-//!   triage for overload (§V-B);
 //! - [`criticality`] — preferential treatment for critical name-space
 //!   regions (§V-C).
 
@@ -36,22 +34,19 @@ pub mod name;
 pub mod store;
 pub mod symbol;
 pub mod tree;
-pub mod utility;
 
 pub use criticality::{Criticality, CriticalityMap};
-pub use fib::{Fib, Interest, Pit};
+pub use fib::{Interest, Pit};
 pub use name::{Name, NameError};
 pub use store::{ContentStore, StoredObject};
 pub use symbol::{Interner, Symbol};
 pub use tree::NameTree;
-pub use utility::{greedy_select, marginal_utility, total_utility, UtilityItem};
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
     pub use crate::criticality::{Criticality, CriticalityMap};
-    pub use crate::fib::{Fib, Interest, Pit};
+    pub use crate::fib::{Interest, Pit};
     pub use crate::name::{Name, NameError};
     pub use crate::store::{ContentStore, StoredObject};
     pub use crate::tree::NameTree;
-    pub use crate::utility::{greedy_select, total_utility, UtilityItem};
 }

@@ -1,84 +1,13 @@
 //! Human-readable rendering of retrieval plans.
 //!
 //! The decision-driven paradigm's pitch is that the *network* understands
-//! why data is needed; `explain` makes that visible: it renders an
-//! [`EvalPlan`] or [`DnfPlan`]
-//! as an indented tree annotated with each step's truth probability,
-//! expected cost, and short-circuit ratio — the quantities §III-A reasons
-//! about.
+//! why data is needed; `explain` makes that visible: it renders a
+//! [`DnfPlan`] as its courses of action in evaluation order, each fetch
+//! annotated with its truth probability, expected cost, and short-circuit
+//! ratio — the quantities §III-A reasons about.
 
 use crate::shortcircuit::{and_truth_prob, expected_and_cost, DnfPlan};
-use crate::tree::{EvalPlan, PlanNode};
 use core::fmt::Write as _;
-
-/// Renders an expression evaluation plan as an indented tree.
-///
-/// # Examples
-///
-/// ```
-/// use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
-/// use dde_logic::label::Label;
-/// use dde_logic::parse::parse_expr;
-/// use dde_logic::time::SimDuration;
-/// use dde_sched::tree::plan_expr;
-/// use dde_sched::explain::explain_plan;
-///
-/// let expr = parse_expr("(a & b) | c")?;
-/// let meta: MetaTable = [("a", 100u64, 0.9), ("b", 200, 0.8), ("c", 50, 0.3)]
-///     .into_iter()
-///     .map(|(l, c, p)| (
-///         Label::new(l),
-///         ConditionMeta::new(Cost::from_bytes(c), SimDuration::MAX)
-///             .with_prob(Probability::clamped(p)),
-///     ))
-///     .collect();
-/// let text = explain_plan(&plan_expr(&expr, &meta));
-/// assert!(text.contains("OR"));
-/// assert!(text.contains("fetch a"));
-/// # Ok::<(), dde_logic::parse::ParseError>(())
-/// ```
-pub fn explain_plan(plan: &EvalPlan) -> String {
-    let mut out = String::new();
-    render(plan, 0, &mut out);
-    out
-}
-
-fn render(plan: &EvalPlan, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    match &plan.node {
-        PlanNode::Const(b) => {
-            let _ = writeln!(out, "{pad}const {b}");
-        }
-        PlanNode::Leaf { label, negated } => {
-            let neg = if *negated { "!" } else { "" };
-            let _ = writeln!(
-                out,
-                "{pad}fetch {neg}{label}  [P(true)={:.2}, E[cost]={:.0} B]",
-                plan.prob_true, plan.expected_cost
-            );
-        }
-        PlanNode::And(children) => {
-            let _ = writeln!(
-                out,
-                "{pad}AND — stop at first false  [P={:.2}, E={:.0} B]",
-                plan.prob_true, plan.expected_cost
-            );
-            for c in children {
-                render(c, depth + 1, out);
-            }
-        }
-        PlanNode::Or(children) => {
-            let _ = writeln!(
-                out,
-                "{pad}OR — stop at first true  [P={:.2}, E={:.0} B]",
-                plan.prob_true, plan.expected_cost
-            );
-            for c in children {
-                render(c, depth + 1, out);
-            }
-        }
-    }
-}
 
 /// One course of action's predicted quantities, in plan (evaluation) order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,11 +94,9 @@ pub fn explain_dnf_plan(plan: &DnfPlan) -> String {
 mod tests {
     use super::*;
     use crate::shortcircuit::plan_dnf;
-    use crate::tree::plan_expr;
     use dde_logic::dnf::{Dnf, Term};
     use dde_logic::label::Label;
     use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
-    use dde_logic::parse::parse_expr;
     use dde_logic::time::SimDuration;
 
     fn meta(entries: &[(&str, u64, f64)]) -> MetaTable {
@@ -183,20 +110,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn tree_explanation_shows_structure_and_order() {
-        let e = parse_expr("(a & b) | !c").unwrap();
-        let m = meta(&[("a", 100, 0.9), ("b", 300, 0.5), ("c", 50, 0.8)]);
-        let text = explain_plan(&plan_expr(&e, &m));
-        assert!(text.contains("OR — stop at first true"));
-        assert!(text.contains("AND — stop at first false"));
-        assert!(text.contains("fetch !c"));
-        // Indentation: leaves are deeper than their connective.
-        let or_line = text.lines().position(|l| l.contains("OR")).unwrap();
-        let leaf_line = text.lines().position(|l| l.contains("fetch !c")).unwrap();
-        assert!(leaf_line > or_line);
     }
 
     #[test]
@@ -236,13 +149,5 @@ mod tests {
         // entry is the y-term with its own expected cost.
         assert_eq!(summary.terms[0].term_idx, 1);
         assert!(summary.terms[0].prob_viable > 0.8);
-    }
-
-    #[test]
-    fn const_nodes_render() {
-        let e = parse_expr("true & a").unwrap();
-        let m = meta(&[("a", 10, 0.5)]);
-        let text = explain_plan(&plan_expr(&e, &m));
-        assert!(text.contains("const true"));
     }
 }

@@ -23,7 +23,8 @@
 //!   situation of a running system holding partially-fresh caches — the
 //!   expiration times are anchored at arrival and the paper's key
 //!   `min(min_i I_i, D)` applies ([`BandPolicy::MinExpiryOrDeadline`]).
-//!   The Athena engine uses this key online.
+//!   The node does not use this key online: it advances its open queries
+//!   in ascending query id. The `ablations` bench compares the two keys.
 
 use crate::feasibility::{analyze, ScheduleAnalysis};
 use crate::item::{Channel, RetrievalItem};

@@ -16,12 +16,8 @@
 //!   DNF planning;
 //! - [`hybrid`] — ref \[3]'s greedy combining validity feasibility with
 //!   short-circuit efficiency;
-//! - [`explain`] — human-readable rendering of retrieval plans;
-//! - [`shared`] — reuse-aware scheduling for queries that overlap in data
-//!   objects (the paper's §IV-B open problem), with the no-reuse reference;
-//! - [`tree`] — expected-cost-optimal evaluation plans for general AND/OR
-//!   expression trees (depth-first-optimal, checked against brute force);
-//! - [`optimal`] — exhaustive-search baselines for validation and ablation;
+//! - [`explain`] — the predicted-cost summary and human-readable rendering
+//!   of a DNF retrieval plan;
 //! - [`adaptive`] — online EWMA estimators (short-circuit probability per
 //!   name-prefix/condition, per-source reliability, bytes-per-decision
 //!   load) that re-parameterize the planners each decision epoch, plus
@@ -61,16 +57,15 @@ pub mod hierarchical;
 pub mod hybrid;
 pub mod item;
 pub mod lvf;
-pub mod optimal;
-pub mod shared;
+#[cfg(test)]
+mod optimal;
 pub mod shortcircuit;
-pub mod tree;
 
 pub use adaptive::{
     AdaptiveConfig, AdaptiveState, AdmissionPolicy, AdmissionVerdict, Ewma, LoadEstimator,
     ReliabilityEstimator, TruthEstimator,
 };
-pub use explain::{explain_dnf_plan, explain_plan};
+pub use explain::explain_dnf_plan;
 pub use feasibility::{analyze, is_feasible, optimal_cost, ScheduleAnalysis};
 pub use hierarchical::{
     hierarchical_schedule, hierarchical_schedule_with, BandPolicy, MultiQuerySchedule, QuerySpec,
@@ -78,12 +73,10 @@ pub use hierarchical::{
 pub use hybrid::greedy_validity_shortcircuit;
 pub use item::{Channel, RetrievalItem};
 pub use lvf::{lvf_order, lvf_schedule, schedulable, sort_lvf};
-pub use shared::{no_reuse_cost, shared_schedule, ScheduledFetch, SharedQuery, SharedSchedule};
 pub use shortcircuit::{
     and_truth_prob, expected_and_cost, expected_or_cost, optimal_and_order, optimal_or_order,
     plan_dnf, DnfPlan,
 };
-pub use tree::{plan_expr, EvalPlan, PlanNode};
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
@@ -96,7 +89,5 @@ pub mod prelude {
     pub use crate::hybrid::greedy_validity_shortcircuit;
     pub use crate::item::{Channel, RetrievalItem};
     pub use crate::lvf::{lvf_order, lvf_schedule, schedulable};
-    pub use crate::shared::{shared_schedule, SharedQuery, SharedSchedule};
     pub use crate::shortcircuit::{expected_and_cost, optimal_and_order, plan_dnf, DnfPlan};
-    pub use crate::tree::{plan_expr, EvalPlan, PlanNode};
 }

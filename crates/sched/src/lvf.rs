@@ -61,6 +61,7 @@ pub fn schedulable(
 mod tests {
     use super::*;
     use crate::feasibility::is_feasible;
+    use crate::optimal::permutations;
     use dde_logic::meta::Cost;
     use proptest::prelude::*;
 
@@ -121,22 +122,6 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(60)
         ));
-    }
-
-    fn permutations<T: Clone>(v: &[T]) -> Vec<Vec<T>> {
-        if v.is_empty() {
-            return vec![vec![]];
-        }
-        let mut out = Vec::new();
-        for i in 0..v.len() {
-            let mut rest = v.to_vec();
-            let x = rest.remove(i);
-            for mut p in permutations(&rest) {
-                p.insert(0, x.clone());
-                out.push(p);
-            }
-        }
-        out
     }
 
     proptest! {

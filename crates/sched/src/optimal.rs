@@ -1,8 +1,7 @@
-//! Exhaustive-search baselines.
+//! Exhaustive-search baselines, compiled for tests only.
 //!
-//! Used by tests and benches to validate the polynomial-time policies
-//! against ground truth on small instances, and by the ablation benches to
-//! quantify how close the heuristics get.
+//! Validate the polynomial-time policies against ground truth on small
+//! instances.
 
 use crate::feasibility::is_feasible;
 use crate::item::{Channel, RetrievalItem};
@@ -15,9 +14,9 @@ use dde_logic::time::{SimDuration, SimTime};
 ///
 /// Panics if `items.len() > 9` (362 880 permutations) to guard against
 /// accidental blowups.
-pub fn permutations(items: &[RetrievalItem]) -> Vec<Vec<RetrievalItem>> {
+pub fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
     assert!(items.len() <= 9, "permutation search capped at n = 9");
-    fn go(rest: &[RetrievalItem]) -> Vec<Vec<RetrievalItem>> {
+    fn go<T: Clone>(rest: &[T]) -> Vec<Vec<T>> {
         if rest.is_empty() {
             return vec![vec![]];
         }
@@ -98,7 +97,7 @@ mod tests {
             .map(|i| item(&format!("o{i}"), 1, 1000, 0.5))
             .collect();
         assert_eq!(permutations(&items).len(), 24);
-        assert_eq!(permutations(&[]).len(), 1);
+        assert_eq!(permutations::<RetrievalItem>(&[]).len(), 1);
     }
 
     #[test]

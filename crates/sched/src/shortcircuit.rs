@@ -151,6 +151,7 @@ pub fn plan_dnf(query: &Dnf, meta: &MetaTable) -> DnfPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimal::permutations;
     use dde_logic::dnf::Term;
     use dde_logic::label::Label;
     use dde_logic::meta::{ConditionMeta, Cost, Probability};
@@ -248,22 +249,6 @@ mod tests {
         let plan = plan_dnf(&q, &MetaTable::new());
         assert_eq!(plan.terms.len(), 1);
         assert_eq!(plan.expected_cost(), 0.0);
-    }
-
-    fn permutations<T: Clone>(v: &[T]) -> Vec<Vec<T>> {
-        if v.is_empty() {
-            return vec![vec![]];
-        }
-        let mut out = Vec::new();
-        for i in 0..v.len() {
-            let mut rest = v.to_vec();
-            let x = rest.remove(i);
-            for mut p in permutations(&rest) {
-                p.insert(0, x.clone());
-                out.push(p);
-            }
-        }
-        out
     }
 
     proptest! {
