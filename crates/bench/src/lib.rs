@@ -2,7 +2,7 @@
 //!
 //! One binary per paper figure (`fig2`, `fig3`), an `ablations` binary for
 //! the design-choice sweeps called out in DESIGN.md, and the `city` /
-//! `live` / `adaptive` / `resilience` gates. Every `BENCH_*.json` written
+//! `adaptive` / `resilience` gates. Every `BENCH_*.json` written
 //! here is a deterministic function of the seed: nothing in this crate
 //! reads a wall clock (that is `benchmark/`'s job), and
 //! `tests/baselines.rs` holds each document to `baselines/` byte for byte.
@@ -82,7 +82,7 @@ fn env_knob<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>
 }
 
 /// `DDE_REPS` from the environment, `default` when unset.
-pub fn env_reps(default: u64) -> u64 {
+fn env_reps(default: u64) -> u64 {
     env_knob("DDE_REPS", |v| parse_count("DDE_REPS", v, default))
 }
 

@@ -4,8 +4,7 @@
 //! byte for byte. A deliberate behaviour change regenerates the baseline
 //! in the same PR (see `baselines/README.md`).
 //!
-//! `city` and `live` are `#[ignore]`d — seconds of CPU and ~19 s of
-//! virtual-clock wall respectively — and run in CI with
+//! `city` is `#[ignore]`d — seconds of CPU — and runs in CI with
 //! `cargo test --release -p dde-bench --test baselines -- --include-ignored`.
 
 use dde_obs::json::{parse, JsonValue};
@@ -93,8 +92,8 @@ fn stat_objects(path: &str, value: &JsonValue, found: &mut Vec<String>) {
     }
 }
 
-/// `city` and `live` carry only exact invariants: a stat object in either
-/// would be a sampled (wall-clock) number re-entering a gated file.
+/// `city` carries only exact invariants: a stat object in it would be a
+/// sampled (wall-clock) number re-entering a gated file.
 fn assert_no_stat_objects(name: &str, doc: &JsonValue) {
     let mut found = Vec::new();
     stat_objects("$", doc, &mut found);
@@ -129,13 +128,6 @@ fn adaptive_reproduces_its_baseline() {
 fn city_reproduces_its_baseline_with_no_stat_objects() {
     let doc = assert_matches_baseline("city", env!("CARGO_BIN_EXE_city"));
     assert_no_stat_objects("city", &doc);
-}
-
-#[test]
-#[ignore = "~19 s of virtual-clock wall on loopback TCP; CI runs it with --include-ignored"]
-fn live_reproduces_its_baseline_with_no_stat_objects() {
-    let doc = assert_matches_baseline("live", env!("CARGO_BIN_EXE_live"));
-    assert_no_stat_objects("live", &doc);
 }
 
 #[test]

@@ -7,42 +7,53 @@
 //! — plus a breakdown useful for the ablations.
 
 use crate::annotate::{Annotator, GroundTruthAnnotator, TrustPolicy};
-use crate::node::{AthenaNode, NodeConfig, SharedWorld};
+use crate::node::{AthenaEvent, AthenaNode, SharedWorld};
 use crate::query::{QueryOutcome, QueryStatus};
 use crate::strategy::Strategy;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::fault::FaultSchedule;
 use dde_netsim::shard::ShardedSimulator;
-use dde_netsim::Metrics;
+use dde_netsim::{Metrics, NodeId};
 use dde_obs::{CostLedger, Histogram, LedgerSink, SharedSink, Sink, TeeSink};
 use dde_workload::scenario::Scenario;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Options for one run.
+/// Options for one run: the configuration every node of the run shares,
+/// plus how the run is driven (announce lead, medium, drain, faults, seed).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// The strategy under test.
     pub strategy: Strategy,
-    /// Override the strategy's prefetch default.
+    /// Whether sources push prefetches on hearing query announcements
+    /// (`None` = off; prefetch pushes ride as background traffic).
     pub prefetch: Option<bool>,
     /// Trust policy for shared labels.
     pub trust: TrustPolicy,
     /// Per-node content-store capacity in bytes.
     pub cache_capacity: u64,
-    /// Approximate name substitution threshold (§V-A); `None` disables.
+    /// Approximate name substitution (§V-A): when the exact object is not
+    /// cached, serve the fresh cached object sharing at least this many
+    /// leading name components. `None` disables substitution.
     pub approx_min_shared: Option<usize>,
-    /// Criticality classes over the name space (§V-C).
+    /// Criticality classes over the name space (§V-C): objects in a
+    /// [`Criticality::Critical`] region are exempt from approximation.
+    ///
+    /// [`Criticality::Critical`]: dde_naming::criticality::Criticality::Critical
     pub criticality: dde_naming::criticality::CriticalityMap,
     /// How many independent pieces of evidence must corroborate a label
-    /// before it is accepted (§IV-B); 1 = no corroboration.
+    /// before it is accepted (§IV-B, "Noisy sensor data"); 1 = accept the
+    /// first annotation. When fewer distinct providers exist, the node
+    /// accepts the majority of whatever it could gather.
     pub corroboration: usize,
     /// Anticipation lead (§VIII): announce each query's decision structure
     /// this long before it is issued, so prefetching can stage evidence.
     /// Only meaningful with prefetch enabled.
     pub announce_lead: Option<SimDuration>,
-    /// Sub-additive utility triage threshold for background pushes (§V-B);
-    /// `None` disables.
+    /// Sub-additive utility triage for *background* traffic (§V-B): a
+    /// prefetch push is dropped at a hop when its marginal utility
+    /// `1 − max_similarity` against recently pushed names on that link
+    /// falls below this threshold. `None` disables triage.
     pub triage_threshold: Option<f64>,
     /// Medium model: wired point-to-point (default) or one shared radio
     /// transmitter per node, as in the paper's wireless emulation.
@@ -54,12 +65,18 @@ pub struct RunOptions {
     /// scenario itself schedules. An empty schedule reproduces the
     /// fault-free run bit-for-bit.
     pub faults: FaultSchedule,
-    /// Whether crashed nodes lose their content store and label cache on
-    /// recovery (see [`NodeConfig::crash_wipes_cache`]).
+    /// Whether a crashed node loses its content store and label cache on
+    /// recovery (RAM-backed caches) or keeps them (flash-backed caches).
+    /// Volatile forwarding state — PIT, prefetch queue, in-flight fetch
+    /// bookkeeping — is always lost.
     pub crash_wipes_cache: bool,
-    /// Online adaptive planning (per-node estimators re-parameterizing the
-    /// §III-A planners, plus optional admission control); `None` — the
-    /// default — reproduces the static planners byte-for-byte.
+    /// Online adaptive planning: when set, each node re-parameterizes its
+    /// §III-A planners from per-node estimators learned off the trace-visible
+    /// event stream, and (if the config carries an [`AdmissionPolicy`])
+    /// gates query admission under overload. `None` — the default —
+    /// reproduces the static planners byte-for-byte.
+    ///
+    /// [`AdmissionPolicy`]: dde_sched::adaptive::AdmissionPolicy
     pub adaptive: Option<dde_sched::AdaptiveConfig>,
     /// Simulator seed (link-loss sampling).
     pub seed: u64,
@@ -85,6 +102,13 @@ impl RunOptions {
             adaptive: None,
             seed: 7,
         }
+    }
+
+    /// Whether prefetch is on (defaults to off — the headline figures
+    /// compare pure retrieval protocols; the prefetch ablation and the
+    /// Fig. 1 walkthrough enable it explicitly).
+    pub fn prefetch_enabled(&self) -> bool {
+        self.prefetch.unwrap_or(false)
     }
 }
 
@@ -162,7 +186,7 @@ pub struct RunReport {
     /// Events processed by the simulator.
     pub events: u64,
     /// Fixed-bucket histogram of issue-to-decision latencies over decided
-    /// queries; see [`RunReport::latency_p50`] and friends.
+    /// queries; see [`RunReport::latency_p50`].
     pub latency_hist: Histogram,
     /// Per-node protocol counters, indexed by node id.
     pub node_stats: Vec<crate::node::NodeStats>,
@@ -201,16 +225,6 @@ impl RunReport {
     /// query was decided.
     pub fn latency_p50(&self) -> Option<SimDuration> {
         self.latency_hist.p50()
-    }
-
-    /// 95th-percentile issue-to-decision latency (bucket resolution).
-    pub fn latency_p95(&self) -> Option<SimDuration> {
-        self.latency_hist.p95()
-    }
-
-    /// 99th-percentile issue-to-decision latency (bucket resolution).
-    pub fn latency_p99(&self) -> Option<SimDuration> {
-        self.latency_hist.p99()
     }
 
     /// Mean attributed bytes per resolved decision, from the run's cost
@@ -289,19 +303,10 @@ fn run(
     faults.merge(&options.faults);
     sim.install_faults(&faults);
 
-    let mut last_deadline = SimTime::ZERO;
-    for q in &scenario.queries {
-        if let Some(lead) = options.announce_lead {
-            sim.schedule_external(
-                q.issue_at - lead,
-                q.origin,
-                crate::node::AthenaEvent::AnnounceOnly(q.clone()),
-            );
-        }
-        sim.schedule_external(q.issue_at, q.origin, q.clone().into());
-        last_deadline = last_deadline.max(q.issue_at + q.deadline);
+    let (stimuli, horizon) = schedule(scenario, &options);
+    for (at, origin, event) in stimuli {
+        sim.schedule_external(at, origin, event);
     }
-    let horizon = last_deadline + options.drain;
     sim.run_until(horizon);
 
     // Flushing here (rather than leaving it to the caller) guarantees
@@ -322,27 +327,42 @@ fn run(
     report
 }
 
-/// Builds the world + config shared by every node of a run. Public so
+/// The stimuli of one run and its horizon — the one schedule every backend
+/// installs. For each query in scenario order: its
+/// [`AthenaEvent::AnnounceOnly`] [`RunOptions::announce_lead`] ahead of
+/// the issue (when a lead is set), then its [`AthenaEvent::Issue`], each as
+/// `(fire at, origin, event)`. The horizon is the last deadline plus
+/// [`RunOptions::drain`].
+pub fn schedule(
+    scenario: &Scenario,
+    options: &RunOptions,
+) -> (Vec<(SimTime, NodeId, AthenaEvent)>, SimTime) {
+    let mut stimuli = Vec::with_capacity(scenario.queries.len() * 2);
+    let mut last_deadline = SimTime::ZERO;
+    for q in &scenario.queries {
+        if let Some(lead) = options.announce_lead {
+            stimuli.push((
+                q.issue_at - lead,
+                q.origin,
+                AthenaEvent::AnnounceOnly(q.clone()),
+            ));
+        }
+        stimuli.push((q.issue_at, q.origin, q.clone().into()));
+        last_deadline = last_deadline.max(q.issue_at + q.deadline);
+    }
+    (stimuli, last_deadline + options.drain)
+}
+
+/// Builds the world + options shared by every node of a run. Public so
 /// alternative engines (the `dde-net` live-transport host) assemble node
 /// state exactly as the DES entry points do.
 pub fn build_shared_world(scenario: &Scenario, options: &RunOptions) -> Arc<SharedWorld> {
-    let mut config = NodeConfig::new(options.strategy);
-    config.prefetch = options.prefetch;
-    config.trust = options.trust.clone();
-    config.cache_capacity = options.cache_capacity;
-    config.approx_min_shared = options.approx_min_shared;
-    config.criticality = options.criticality.clone();
-    config.corroboration = options.corroboration;
-    config.triage_threshold = options.triage_threshold;
-    config.crash_wipes_cache = options.crash_wipes_cache;
-    config.adaptive = options.adaptive;
-    config.prob_true_prior = scenario.config.prob_viable;
-    config.planning_bandwidth_bps = scenario.config.link_bandwidth_bps;
-
     Arc::new(SharedWorld {
         catalog: scenario.catalog.clone(),
         world: scenario.world.clone(),
-        config,
+        options: options.clone(),
+        prob_true_prior: scenario.config.prob_viable,
+        planning_bandwidth_bps: scenario.config.link_bandwidth_bps,
     })
 }
 
@@ -548,6 +568,38 @@ mod tests {
         assert_eq!(a.total_bytes, b.total_bytes);
         assert_eq!(a.resolved, b.resolved);
         assert_eq!(a.events, b.events);
+    }
+
+    #[test]
+    fn schedule_announces_ahead_then_issues_each_query_in_scenario_order() {
+        let s = small_scenario(8, 0.4);
+        let mut options = RunOptions::new(Strategy::Lvf);
+        let lead = SimDuration::from_secs(2);
+        options.announce_lead = Some(lead);
+        options.drain = SimDuration::from_secs(9);
+        let (stimuli, horizon) = schedule(&s, &options);
+
+        assert_eq!(stimuli.len(), 2 * s.queries.len());
+        for (q, pair) in s.queries.iter().zip(stimuli.chunks(2)) {
+            let (announce_at, announce_origin, announce) = &pair[0];
+            let (issue_at, issue_origin, issue) = &pair[1];
+            assert_eq!(*announce_at, q.issue_at - lead);
+            assert_eq!(*issue_at, q.issue_at);
+            assert_eq!((*announce_origin, *issue_origin), (q.origin, q.origin));
+            assert!(matches!(announce, AthenaEvent::AnnounceOnly(a) if a == q));
+            assert!(matches!(issue, AthenaEvent::Issue(i) if i == q));
+        }
+        let last_deadline = s.queries.iter().map(|q| q.issue_at + q.deadline).max();
+        assert_eq!(Some(horizon), last_deadline.map(|d| d + options.drain));
+
+        options.announce_lead = None;
+        let (issues, same_horizon) = schedule(&s, &options);
+        assert_eq!(same_horizon, horizon);
+        assert!(issues
+            .iter()
+            .zip(&s.queries)
+            .all(|((at, _, e), q)| *at == q.issue_at && matches!(e, AthenaEvent::Issue(_))));
+        assert_eq!(issues.len(), s.queries.len());
     }
 
     #[test]

@@ -54,11 +54,11 @@ pub use annotate::{
 };
 pub use engine::{
     build_nodes, build_shared_world, collect_report_parts, run_all_strategies, run_scenario,
-    run_scenario_observed, run_scenario_sharded, run_scenario_with_annotator, QueryRecord,
-    RunOptions, RunReport,
+    run_scenario_observed, run_scenario_sharded, run_scenario_with_annotator, schedule,
+    QueryRecord, RunOptions, RunReport,
 };
 pub use msg::{AthenaMsg, QueryId, RequestKind};
-pub use node::{AthenaEvent, AthenaNode, CachedLabel, NodeConfig, NodeStats, SharedWorld};
+pub use node::{AthenaEvent, AthenaNode, CachedLabel, NodeStats, SharedWorld};
 pub use object::EvidenceObject;
 pub use query::{QueryCounters, QueryOutcome, QueryState, QueryStatus};
 pub use strategy::Strategy;
@@ -71,7 +71,7 @@ pub mod prelude {
         run_scenario_with_annotator, RunOptions, RunReport,
     };
     pub use crate::msg::{AthenaMsg, QueryId};
-    pub use crate::node::{AthenaNode, NodeConfig, SharedWorld};
+    pub use crate::node::{AthenaNode, SharedWorld};
     pub use crate::object::EvidenceObject;
     pub use crate::query::{QueryOutcome, QueryState, QueryStatus};
     pub use crate::strategy::Strategy;

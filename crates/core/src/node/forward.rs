@@ -1,7 +1,10 @@
 //! The forwarding side (§VI-B, §VI-C, §VI-D): `Request_Recv`, `Data_Recv`
 //! and label shares, over the Pending Interest Table.
 
-use super::{qid_attr, qid_tag, share_msg, AthenaNode, CachedLabel, Requester, INTEREST_LIFETIME};
+use super::{
+    qid_attr, qid_tag, share_msg, AthenaNode, CachedLabel, Requester, INTEREST_LIFETIME,
+    SERVE_HEADROOM,
+};
 use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
 use dde_logic::label::Label;
@@ -53,12 +56,11 @@ impl AthenaNode {
     ) {
         let now = ctx.now();
         let me = ctx.node();
-        let headroom = self.shared.config.serve_headroom;
         // Cheapest first (§II-C): fresh trusted *labels* in place of the
         // object (§VI-D) — "several orders of magnitude resource savings".
         // Usable labels answer their share of the request immediately; only
         // the remainder (if any) keeps traveling as an object request.
-        if self.shared.config.strategy.label_sharing() {
+        if self.shared.options.strategy.label_sharing() {
             let (usable, rest): (Vec<Label>, Vec<Label>) = wanted.into_iter().partition(|l| {
                 self.labels
                     .get(l)
@@ -85,7 +87,7 @@ impl AthenaNode {
         // Fresh cached object with enough remaining validity to survive the
         // trip and the requester's decision?
         if let Some(stored) = self.content.get_fresh(&name, now) {
-            if stored.expires_at() >= now + headroom {
+            if stored.expires_at() >= now + SERVE_HEADROOM {
                 let object = stored.value.clone();
                 self.stats.cache_hits += 1;
                 if ctx.obs_enabled() {
@@ -102,11 +104,11 @@ impl AthenaNode {
         // Approximate substitution (§V-A): a fresh cached object whose name
         // shares a long-enough prefix — e.g. another camera over the same
         // road segment — unless the name space region is critical (§V-C).
-        if let Some(min_shared) = self.shared.config.approx_min_shared {
-            if self.shared.config.criticality.classify(&name) != Criticality::Critical {
+        if let Some(min_shared) = self.shared.options.approx_min_shared {
+            if self.shared.options.criticality.classify(&name) != Criticality::Critical {
                 if let Some((_, stored)) =
                     self.content
-                        .closest_fresh(&name, now + headroom, min_shared)
+                        .closest_fresh(&name, now + SERVE_HEADROOM, min_shared)
                 {
                     // The name-similarity proxy is checked against ground
                     // truth coverage so a bad namespace design cannot send
@@ -373,7 +375,7 @@ impl AthenaNode {
         // that wanted an object *for this label*: the share is forwarded to
         // each such requester, and its interest stays pending for its other
         // labels.
-        if self.shared.config.trust.accepts(c.annotator) {
+        if self.shared.options.trust.accepts(c.annotator) {
             self.apply_shared_label(&label, &c, ctx.now());
             let shared = Arc::clone(&self.shared);
             for &i in shared.catalog.providers_of(&label) {

@@ -28,22 +28,22 @@ mod prefetch;
 #[cfg(test)]
 mod tests;
 
-use crate::annotate::{Annotator, TrustPolicy};
+use crate::annotate::Annotator;
+use crate::engine::RunOptions;
 use crate::msg::{AthenaMsg, QueryId};
 use crate::object::EvidenceObject;
 use crate::query::{QueryOutcome, QueryState, QueryStatus};
-use crate::strategy::{PlanTable, Strategy};
+use crate::strategy::PlanTable;
 use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
-use dde_naming::criticality::CriticalityMap;
 use dde_naming::fib::Pit;
 use dde_naming::name::Name;
 use dde_naming::store::ContentStore;
 use dde_netsim::sim::{Context, Protocol};
 use dde_netsim::topology::NodeId;
 use dde_obs::EventKind;
-use dde_sched::adaptive::{AdaptiveConfig, AdaptiveState};
+use dde_sched::adaptive::AdaptiveState;
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::WorldModel;
@@ -58,6 +58,12 @@ const TICK: SimDuration = SimDuration::from_millis(250);
 
 /// Re-issue an unanswered fetch after this long.
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Minimum remaining validity a cached object or label must have to be
+/// served to a *remote* requester. Serving a nearly-expired copy wastes
+/// bandwidth: it goes stale before the requester's decision completes and
+/// triggers a refetch.
+const SERVE_HEADROOM: SimDuration = SimDuration::from_secs(15);
 
 /// Lifetime of a pending interest.
 const INTEREST_LIFETIME: SimDuration = SimDuration::from_secs(60);
@@ -97,89 +103,6 @@ impl CachedLabel {
     }
 }
 
-/// Node configuration shared by every node in a run.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// The retrieval strategy under evaluation.
-    pub strategy: Strategy,
-    /// Whether sources push prefetches on hearing query announcements
-    /// (`None` = off; prefetch pushes ride as background traffic).
-    pub prefetch: Option<bool>,
-    /// Trust policy for shared labels.
-    pub trust: TrustPolicy,
-    /// Content-store capacity per node, bytes.
-    pub cache_capacity: u64,
-    /// Prior probability a condition is true (drives short-circuit ratios).
-    pub prob_true_prior: f64,
-    /// Bottleneck bandwidth assumed by the retrieval planner.
-    pub planning_bandwidth_bps: u64,
-    /// Minimum remaining validity a cached object/label must have to be
-    /// served to a *remote* requester. Serving a nearly-expired copy wastes
-    /// bandwidth: it goes stale before the requester's decision completes
-    /// and triggers a refetch.
-    pub serve_headroom: SimDuration,
-    /// Approximate name substitution (§V-A): when the exact object is not
-    /// cached, serve the fresh cached object sharing at least this many
-    /// leading name components. `None` disables substitution.
-    pub approx_min_shared: Option<usize>,
-    /// Criticality classes over the name space (§V-C): objects in a
-    /// [`Criticality::Critical`] region are exempt from approximation.
-    ///
-    /// [`Criticality::Critical`]: dde_naming::criticality::Criticality::Critical
-    pub criticality: CriticalityMap,
-    /// How many independent pieces of evidence must corroborate a label
-    /// before it is accepted (§IV-B, "Noisy sensor data"); 1 = accept the
-    /// first annotation. When fewer distinct providers exist, the node
-    /// accepts the majority of whatever it could gather.
-    pub corroboration: usize,
-    /// Sub-additive utility triage for *background* traffic (§V-B): a
-    /// prefetch push is dropped at a hop when its marginal utility
-    /// `1 − max_similarity` against recently pushed names on that link
-    /// falls below this threshold. `None` disables triage.
-    pub triage_threshold: Option<f64>,
-    /// Whether a crashed node loses its content store and label cache on
-    /// recovery (RAM-backed caches) or keeps them (flash-backed caches).
-    /// Volatile forwarding state — PIT, prefetch queue, in-flight fetch
-    /// bookkeeping — is always lost.
-    pub crash_wipes_cache: bool,
-    /// Online adaptive planning: when set, the node re-parameterizes its
-    /// §III-A planners from per-node estimators learned off the trace-visible
-    /// event stream, and (if the config carries an [`AdmissionPolicy`])
-    /// gates query admission under overload. `None` — the default —
-    /// reproduces the static planners byte-for-byte.
-    ///
-    /// [`AdmissionPolicy`]: dde_sched::adaptive::AdmissionPolicy
-    pub adaptive: Option<AdaptiveConfig>,
-}
-
-impl NodeConfig {
-    /// Defaults for `strategy` matching the evaluation setup.
-    pub fn new(strategy: Strategy) -> NodeConfig {
-        NodeConfig {
-            strategy,
-            prefetch: None,
-            trust: TrustPolicy::TrustAll,
-            cache_capacity: 64_000_000,
-            prob_true_prior: 0.8,
-            planning_bandwidth_bps: 1_000_000,
-            serve_headroom: SimDuration::from_secs(15),
-            approx_min_shared: None,
-            criticality: CriticalityMap::new(),
-            corroboration: 1,
-            triage_threshold: None,
-            crash_wipes_cache: false,
-            adaptive: None,
-        }
-    }
-
-    /// Whether prefetch is on (defaults to off — the headline figures
-    /// compare pure retrieval protocols; the prefetch ablation and the
-    /// Fig. 1 walkthrough enable it explicitly).
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch.unwrap_or(false)
-    }
-}
-
 /// Immutable state shared by all nodes of one run.
 #[derive(Debug)]
 pub struct SharedWorld {
@@ -187,8 +110,28 @@ pub struct SharedWorld {
     pub catalog: Catalog,
     /// Ground truth.
     pub world: WorldModel,
-    /// Node configuration.
-    pub config: NodeConfig,
+    /// The run's options; every node reads its configuration from here.
+    pub options: RunOptions,
+    /// Prior probability a condition is true (drives short-circuit
+    /// ratios): the scenario's `prob_viable`.
+    pub prob_true_prior: f64,
+    /// Bottleneck bandwidth assumed by the retrieval planner: the
+    /// scenario's link bandwidth.
+    pub planning_bandwidth_bps: u64,
+}
+
+impl SharedWorld {
+    /// A world for a hand-built catalog and ground truth, planned with the
+    /// paper configuration's prior (0.8) and link bandwidth (1 Mbps).
+    pub fn new(catalog: Catalog, world: WorldModel, options: RunOptions) -> SharedWorld {
+        SharedWorld {
+            catalog,
+            world,
+            options,
+            prob_true_prior: 0.8,
+            planning_bandwidth_bps: 1_000_000,
+        }
+    }
 }
 
 /// Per-node counters.
@@ -362,7 +305,7 @@ pub struct AthenaNode {
     /// Whether a tick timer is armed.
     tick_armed: bool,
     /// Online estimator state (`None` = static planning). Built from
-    /// [`NodeConfig::adaptive`]; updated only at trace-visible events so
+    /// [`RunOptions::adaptive`]; updated only at trace-visible events so
     /// observed and unobserved runs evolve identically.
     adaptive: Option<AdaptiveState>,
     /// Counters.
@@ -375,11 +318,11 @@ impl AthenaNode {
         shared: Arc<SharedWorld>,
         annotator: Arc<dyn Annotator + Send + Sync>,
     ) -> AthenaNode {
-        let cache_capacity = shared.config.cache_capacity;
+        let cache_capacity = shared.options.cache_capacity;
         let adaptive = shared
-            .config
+            .options
             .adaptive
-            .map(|cfg| AdaptiveState::new(cfg, shared.config.prob_true_prior));
+            .map(|cfg| AdaptiveState::new(cfg, shared.prob_true_prior));
         AthenaNode {
             shared,
             annotator,
@@ -457,8 +400,8 @@ impl AthenaNode {
     /// remaining conditions resolve — so we require the lesser of twice the
     /// serve headroom and half the label's full validity.
     fn label_usable(&self, c: &CachedLabel, now: SimTime) -> bool {
-        let margin = (self.shared.config.serve_headroom * 2).min(c.validity / 2);
-        c.is_fresh_at(now + margin) && self.shared.config.trust.accepts(c.annotator)
+        let margin = (SERVE_HEADROOM * 2).min(c.validity / 2);
+        c.is_fresh_at(now + margin) && self.shared.options.trust.accepts(c.annotator)
     }
 
     /// The next hop toward the node that sources `name`: `None` when that
@@ -643,7 +586,7 @@ impl Protocol for AthenaNode {
     }
 
     /// Crash recovery (fault injection): volatile forwarding state is gone;
-    /// caches survive or not per [`NodeConfig::crash_wipes_cache`]. Open
+    /// caches survive or not per [`RunOptions::crash_wipes_cache`]. Open
     /// queries restart their retrieval loop — the in-flight fetch and the
     /// votes gathered so far are forgotten (replies, if any, were dropped
     /// while we were down) — and their deadline timers are re-armed (timers
@@ -657,8 +600,8 @@ impl Protocol for AthenaNode {
         self.recent_pushes.clear();
         self.recent_bg.clear();
         self.tick_armed = false;
-        if self.shared.config.crash_wipes_cache {
-            self.content = ContentStore::new(self.shared.config.cache_capacity);
+        if self.shared.options.crash_wipes_cache {
+            self.content = ContentStore::new(self.shared.options.cache_capacity);
             self.labels.clear();
         }
         for at in 0..self.open.len() {

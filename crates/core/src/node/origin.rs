@@ -33,7 +33,7 @@ impl AthenaNode {
         let me = ctx.node();
         debug_assert_eq!(inst.origin, me, "query delivered to wrong node");
         let qid = QueryId(inst.id);
-        let strategy = self.shared.config.strategy;
+        let strategy = self.shared.options.strategy;
         let labels = inst.expr.labels();
         let candidates = strategy.candidates(&labels, self.catalog(), me, ctx.topology());
         let state = QueryState::new(qid, inst.expr, ctx.now(), inst.deadline);
@@ -141,7 +141,7 @@ impl AthenaNode {
             let plan = self.plan(lq, ctx);
             ctx.emit(EventKind::Plan {
                 query: qid.0,
-                strategy: self.shared.config.strategy.code(),
+                strategy: self.shared.options.strategy.code(),
                 candidates: lq.plan.candidates().len() as u64,
                 expected_bytes: summarize_dnf_plan(&plan).expected_bytes_rounded(),
                 rationale: explain_dnf_plan(&plan),
@@ -209,7 +209,7 @@ impl AthenaNode {
                         })
                         .map(|&i| state.prob_for(self.catalog().rendered_name(i).as_str(), l))
                         .unwrap_or_else(|| state.truth.prior()),
-                    None => self.shared.config.prob_true_prior,
+                    None => self.shared.prob_true_prior,
                 };
                 let meta = ConditionMeta::new(Cost::from_bytes(cost), validity)
                     .with_prob(Probability::clamped(prob));
@@ -242,9 +242,9 @@ impl AthenaNode {
         // A handle of our own, so catalog entries can stay borrowed across
         // the `&mut self` calls below.
         let shared = Arc::clone(&self.shared);
-        let strategy = shared.config.strategy;
-        let channel = Channel::new(shared.config.planning_bandwidth_bps);
-        let k = shared.config.corroboration.max(1);
+        let strategy = shared.options.strategy;
+        let channel = Channel::new(shared.planning_bandwidth_bps);
+        let k = shared.options.corroboration.max(1);
         let adaptive = self.adaptive.is_some();
 
         // Retired queries are final for good and have nothing to advance.
@@ -287,7 +287,7 @@ impl AthenaNode {
                 }
                 let priors = match self.adaptive.as_ref() {
                     Some(st) => Priors::Learned(st),
-                    None => Priors::Fixed(shared.config.prob_true_prior),
+                    None => Priors::Fixed(shared.prob_true_prior),
                 };
                 let lq = &self.queries[&qid];
                 let Some((idx, label)) = strategy.next_from_plan(
@@ -458,7 +458,7 @@ impl AthenaNode {
                 }
             }
         }
-        let k = self.shared.config.corroboration.max(1);
+        let k = self.shared.options.corroboration.max(1);
         for (qid, label) in wanted {
             let Some(value) = self.annotator.annotate(object, &label, &self.shared.world) else {
                 continue;
@@ -611,7 +611,7 @@ impl AthenaNode {
         self.record_on_open(label, &judged, ctx.now(), Some(qid), |n| {
             n.labels_from_data += 1
         });
-        if self.shared.config.strategy.label_sharing() {
+        if self.shared.options.strategy.label_sharing() {
             if let Some(hop) = self.hop_toward_source(ctx, &judged.based_on) {
                 if ctx.obs_enabled() {
                     ctx.emit(EventKind::LabelShare {

@@ -29,7 +29,7 @@ impl AthenaNode {
         self.stats.announces_relayed += 1;
         let me = ctx.node();
         announce_to_children(ctx, qid, origin, &expr, deadline_at);
-        if self.shared.config.prefetch_enabled() && ctx.now() < deadline_at {
+        if self.shared.options.prefetch_enabled() && ctx.now() < deadline_at {
             let labels = expr.labels();
             // Only candidates this node sources are queued, and a
             // candidate provides some label of the expression: a node
@@ -42,7 +42,7 @@ impl AthenaNode {
                     .any(|&i| self.catalog().get(i).source == me)
             });
             let candidates = if sources_any {
-                let strategy = self.shared.config.strategy;
+                let strategy = self.shared.options.strategy;
                 strategy.candidates(&labels, self.catalog(), origin, ctx.topology())
             } else {
                 Vec::new()
@@ -134,7 +134,7 @@ impl AthenaNode {
         hop: NodeId,
         name: &Name,
     ) -> bool {
-        let Some(threshold) = self.shared.config.triage_threshold else {
+        let Some(threshold) = self.shared.options.triage_threshold else {
             return false;
         };
         const WINDOW: SimDuration = SimDuration::from_secs(60);

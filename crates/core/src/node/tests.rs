@@ -4,6 +4,7 @@
 use super::*;
 use crate::annotate::GroundTruthAnnotator;
 use crate::msg::RequestKind;
+use crate::strategy::Strategy;
 use dde_logic::dnf::Term;
 use dde_netsim::topology::{LinkSpec, Topology};
 use dde_netsim::ShardedSimulator;
@@ -11,29 +12,41 @@ use dde_workload::catalog::ObjectSpec;
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::DynamicsClass;
 
+/// How long the star's labels keep a value, and by default how long a
+/// sampled object stays valid.
+const SLOW: SimDuration = SimDuration::from_secs(600);
+
 /// A 4-node star — leaf 0, hub 1, leaf 2, source-leaf 3 — with two
 /// labels: `x` covered by a cheap camera and a wide shot (both hosted
 /// at node 3); `y` covered only by the wide shot. Requests from either
 /// leaf transit the hub, which is where caching/label effects show.
-fn harness(config: NodeConfig) -> (ShardedSimulator<AthenaNode>, Arc<SharedWorld>) {
-    let (topology, shared) = star(config);
+fn harness(options: RunOptions) -> (ShardedSimulator<AthenaNode>, Arc<SharedWorld>) {
+    harness_valid_for(options, SLOW)
+}
+
+/// [`harness`] with objects valid for `validity` once sampled.
+fn harness_valid_for(
+    options: RunOptions,
+    validity: SimDuration,
+) -> (ShardedSimulator<AthenaNode>, Arc<SharedWorld>) {
+    let (topology, shared) = star(options, validity);
     let nodes: Vec<AthenaNode> = (0..4)
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
     (ShardedSimulator::new(topology, nodes, 1, 1), shared)
 }
 
-/// The topology and world of [`harness`], without nodes or simulator.
-fn star(config: NodeConfig) -> (Topology, Arc<SharedWorld>) {
+/// The topology and world of [`harness_valid_for`], without nodes or
+/// simulator.
+fn star(options: RunOptions, validity: SimDuration) -> (Topology, Arc<SharedWorld>) {
     let mut topology = Topology::new(4);
     topology.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1());
     topology.add_link(NodeId(1), NodeId(2), LinkSpec::mbps1());
     topology.add_link(NodeId(1), NodeId(3), LinkSpec::mbps1());
     topology.rebuild_routes();
-    let slow = SimDuration::from_secs(600);
     let mut world = WorldModel::new(4);
-    world.register(Label::new("x"), DynamicsClass::Slow, slow, 1.0);
-    world.register(Label::new("y"), DynamicsClass::Slow, slow, 1.0);
+    world.register(Label::new("x"), DynamicsClass::Slow, SLOW, 1.0);
+    world.register(Label::new("y"), DynamicsClass::Slow, SLOW, 1.0);
     let mut catalog = Catalog::new();
     catalog.add(ObjectSpec {
         name: "/city/seg/x/cam/a".parse().unwrap(),
@@ -41,7 +54,7 @@ fn star(config: NodeConfig) -> (Topology, Arc<SharedWorld>) {
         size: 250_000,
         source: NodeId(3),
         class: DynamicsClass::Slow,
-        validity: slow,
+        validity,
     });
     catalog.add(ObjectSpec {
         name: "/city/seg/x/cam/wide".parse().unwrap(),
@@ -49,13 +62,9 @@ fn star(config: NodeConfig) -> (Topology, Arc<SharedWorld>) {
         size: 450_000,
         source: NodeId(3),
         class: DynamicsClass::Slow,
-        validity: slow,
+        validity,
     });
-    let shared = Arc::new(SharedWorld {
-        catalog,
-        world,
-        config,
-    });
+    let shared = Arc::new(SharedWorld::new(catalog, world, options));
     (topology, shared)
 }
 
@@ -71,7 +80,7 @@ fn query(id: u64, origin: usize, labels: &[&str]) -> QueryInstance {
 
 #[test]
 fn local_source_resolves_without_network() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     sim.schedule_external(SimTime::ZERO, NodeId(3), query(0, 3, &["x"]).into());
     sim.run();
     let node = sim.node(NodeId(3));
@@ -87,7 +96,7 @@ fn local_source_resolves_without_network() {
 
 #[test]
 fn remote_fetch_travels_hop_by_hop() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
     sim.run();
     let q = sim.node(NodeId(0)).queries().next().unwrap();
@@ -108,7 +117,7 @@ fn remote_fetch_travels_hop_by_hop() {
 
 #[test]
 fn forwarder_cache_serves_second_query() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
     // Leaf 2 asks later for the same label; the hub cached the transit
     // copy of the first fetch and answers directly.
@@ -129,7 +138,7 @@ fn forwarder_cache_serves_second_query() {
 
     // The same second query at the first origin never leaves it: node 0
     // kept the object it fetched and serves the query from its own store.
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
     sim.schedule_external(
         SimTime::from_secs(20),
@@ -154,7 +163,7 @@ fn forwarder_cache_serves_second_query() {
 
 #[test]
 fn pit_aggregates_concurrent_fetches() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     // Both leaves want the same object at the same time; their requests
     // meet at the hub, whose PIT forwards only one upstream.
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
@@ -174,7 +183,7 @@ fn pit_aggregates_concurrent_fetches() {
     // Two queries for the same object at one origin: the second registers
     // onto the first's pending interest there and sends nothing, and the
     // one data arrival resolves both.
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(1, 0, &["x"]).into());
     sim.run();
@@ -193,7 +202,7 @@ fn pit_aggregates_concurrent_fetches() {
 
 #[test]
 fn label_sharing_serves_request_with_label() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::LvfLabelShare));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::LvfLabelShare));
     // Leaf 2 resolves x first and (lvfl) shares the label toward the
     // source; the hub caches it in transit.
     sim.schedule_external(SimTime::ZERO, NodeId(2), query(0, 2, &["x"]).into());
@@ -224,27 +233,34 @@ fn label_sharing_serves_request_with_label() {
 
 #[test]
 fn headroom_refuses_nearly_expired_cache() {
-    // With an absurd headroom the hub's cache never serves: the second
-    // leaf's request goes all the way to the source (4 data sends,
-    // versus 3 with the default headroom — see
-    // forwarder_cache_serves_second_query).
-    let mut config = NodeConfig::new(Strategy::Lvf);
-    config.serve_headroom = SimDuration::from_secs(1_000_000); // absurd
-    let (mut sim, _) = harness(config);
-    sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
-    sim.schedule_external(
-        SimTime::from_secs(20),
-        NodeId(2),
-        query(1, 2, &["x"]).into(),
-    );
-    sim.run();
-    assert_eq!(sim.metrics().kind("data").count, 4);
-    assert_eq!(sim.node(NodeId(1)).stats.cache_hits, 0);
+    // The hub caches leaf 0's fetch, valid for 30 s from its sampling just
+    // after zero. Leaf 2 asks for the same object at 10 s, when the copy
+    // outlives the 15 s serve headroom, and the hub serves it: 3 data sends,
+    // as in forwarder_cache_serves_second_query. At 20 s the copy is still
+    // fresh but nearly expired, so the hub refuses it and the request goes
+    // all the way to the source: 4 data sends.
+    for (second_at, data_sends, hub_hits) in [(10, 3, 1), (20, 4, 0)] {
+        let (mut sim, _) =
+            harness_valid_for(RunOptions::new(Strategy::Lvf), SimDuration::from_secs(30));
+        sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
+        let mut second = query(1, 2, &["x"]);
+        second.issue_at = SimTime::from_secs(second_at);
+        sim.schedule_external(second.issue_at, NodeId(2), second.into());
+        sim.run();
+        assert_eq!(
+            sim.metrics().kind("data").count,
+            data_sends,
+            "second query at {second_at} s"
+        );
+        assert_eq!(sim.node(NodeId(1)).stats.cache_hits, hub_hits);
+        let q1 = sim.node(NodeId(2)).queries().next().unwrap();
+        assert!(matches!(q1.status, QueryStatus::Decided { .. }));
+    }
 }
 
 #[test]
 fn wanted_labels_from_panorama_resolve_together() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     // One query needing both labels: the cover picks the wide camera
     // (600 KB for two labels beats 250 + 600).
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x", "y"]).into());
@@ -262,7 +278,7 @@ fn wanted_labels_from_panorama_resolve_together() {
 
 #[test]
 fn deadline_timer_finalizes_unresolvable_query() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     // A label nobody provides: the query can never resolve.
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["ghost"]).into());
     sim.run();
@@ -277,7 +293,7 @@ fn deadline_timer_finalizes_unresolvable_query() {
 /// aggregated onto the dead entry.
 #[test]
 fn forwarder_sweeps_a_lapsed_interest_and_forwards_the_next_request() {
-    let (mut sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
     // Leaf 0 asks; the reply (2 s on the wire, 3→1) dies with the link.
     sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
     let mut faults = dde_netsim::FaultSchedule::new();
@@ -309,9 +325,9 @@ fn forwarder_sweeps_a_lapsed_interest_and_forwards_the_next_request() {
 
 #[test]
 fn prefetch_config_default_off() {
-    let config = NodeConfig::new(Strategy::Lvf);
-    assert!(!config.prefetch_enabled());
-    let mut on = NodeConfig::new(Strategy::Comprehensive);
+    let options = RunOptions::new(Strategy::Lvf);
+    assert!(!options.prefetch_enabled());
+    let mut on = RunOptions::new(Strategy::Comprehensive);
     on.prefetch = Some(true);
     assert!(on.prefetch_enabled());
 }
@@ -331,7 +347,7 @@ fn cached_label_freshness() {
 
 #[test]
 fn reliability_score_defaults_to_optimistic() {
-    let (sim, _) = harness(NodeConfig::new(Strategy::Lvf));
+    let (sim, _) = harness(RunOptions::new(Strategy::Lvf));
     let node = sim.node(NodeId(0));
     assert_eq!(node.reliability_of(NodeId(3)), (0, 0));
     assert_eq!(node.reliability_score(NodeId(3)), 1.0);
@@ -352,7 +368,7 @@ const WIDE: &str = "/city/seg/x/cam/wide";
 
 impl Hub {
     fn new() -> Hub {
-        let (topology, shared) = star(NodeConfig::new(Strategy::LvfLabelShare));
+        let (topology, shared) = star(RunOptions::new(Strategy::LvfLabelShare), SLOW);
         let node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
         Hub { topology, node }
     }
@@ -564,9 +580,9 @@ fn data_under_another_provider_name_serves_a_neighbor_once() {
 /// announced by `from`; returns the node and how many source-selection
 /// covers the announcement made it compute.
 fn announced_to(me: NodeId, from: NodeId) -> (AthenaNode, u64) {
-    let mut config = NodeConfig::new(Strategy::LvfLabelShare);
-    config.prefetch = Some(true);
-    let (topology, shared) = star(config);
+    let mut options = RunOptions::new(Strategy::LvfLabelShare);
+    options.prefetch = Some(true);
+    let (topology, shared) = star(options, SLOW);
     let mut node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
     let (mut commands, mut sink) = (Vec::new(), dde_obs::NullSink);
     let mut ctx = Context::new(

@@ -45,7 +45,7 @@ fn topologies() -> Vec<(String, Topology)> {
 /// Labels `x` and `y` are each covered by one small object hosted at the
 /// last node; label `ghost` has no provider, so a query over it stays
 /// pending to its deadline without sending a single request.
-fn simulator(topology: &Topology, config: NodeConfig) -> ShardedSimulator<AthenaNode> {
+fn simulator(topology: &Topology, options: RunOptions) -> ShardedSimulator<AthenaNode> {
     let n = topology.len();
     let validity = SimDuration::from_secs(600);
     let mut world = WorldModel::new(4);
@@ -61,11 +61,7 @@ fn simulator(topology: &Topology, config: NodeConfig) -> ShardedSimulator<Athena
             validity,
         });
     }
-    let shared = Arc::new(SharedWorld {
-        catalog,
-        world,
-        config,
-    });
+    let shared = Arc::new(SharedWorld::new(catalog, world, options));
     let nodes = (0..n)
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
@@ -133,7 +129,7 @@ fn all_nodes(topology: &Topology) -> Vec<NodeId> {
 #[test]
 fn issue_floods_once() {
     for (name, topology) in topologies() {
-        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut sim = simulator(&topology, RunOptions::new(Strategy::Lvf));
         let q = query(0, "ghost");
         sim.schedule_external(SimTime::ZERO, ORIGIN, q.clone().into());
         sim.run();
@@ -146,7 +142,7 @@ fn issue_floods_once() {
 #[test]
 fn announce_only_floods_once_and_the_later_issue_is_silent() {
     for (name, topology) in topologies() {
-        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut sim = simulator(&topology, RunOptions::new(Strategy::Lvf));
         let q = query(0, "ghost");
         sim.schedule_external(SimTime::ZERO, ORIGIN, AthenaEvent::AnnounceOnly(q.clone()));
         // A second early announcement of the same query is deduplicated.
@@ -170,7 +166,7 @@ fn announce_only_floods_once_and_the_later_issue_is_silent() {
 fn relay_skips_the_sender_and_fires_once_per_node() {
     // Two queries from the same origin: every other node relays each once.
     for (name, topology) in topologies() {
-        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut sim = simulator(&topology, RunOptions::new(Strategy::Lvf));
         let (a, b) = (query(0, "ghost"), query(1, "ghost"));
         sim.schedule_external(SimTime::ZERO, ORIGIN, a.clone().into());
         sim.schedule_external(SimTime::from_secs(1), ORIGIN, b.into());
@@ -198,12 +194,12 @@ fn deferred_query_floods_when_admitted() {
         max_defers: 3,
     };
     for (name, topology) in topologies() {
-        let mut config = NodeConfig::new(Strategy::Lvf);
-        config.adaptive = Some(AdaptiveConfig {
+        let mut options = RunOptions::new(Strategy::Lvf);
+        options.adaptive = Some(AdaptiveConfig {
             admission: Some(policy),
             ..AdaptiveConfig::default()
         });
-        let mut sim = simulator(&topology, config);
+        let mut sim = simulator(&topology, options);
         let (a, b) = (query(0, "x"), query(1, "y"));
         sim.schedule_external(SimTime::ZERO, ORIGIN, a.clone().into());
         sim.schedule_external(SimTime::ZERO, ORIGIN, b.into());
@@ -237,7 +233,7 @@ fn a_link_down_before_issue_reshapes_the_tree() {
             .filter(|&v| cut.hop_distance(v, ORIGIN).is_some())
             .collect();
 
-        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut sim = simulator(&topology, RunOptions::new(Strategy::Lvf));
         let mut faults = FaultSchedule::new();
         faults.link_down_at(SimTime::ZERO, near, far);
         sim.install_faults(&faults);
@@ -253,7 +249,7 @@ fn a_link_down_before_issue_reshapes_the_tree() {
 #[test]
 fn recovery_sends_no_announce() {
     for (name, topology) in topologies() {
-        let mut sim = simulator(&topology, NodeConfig::new(Strategy::Lvf));
+        let mut sim = simulator(&topology, RunOptions::new(Strategy::Lvf));
         let q = query(0, "ghost");
         sim.schedule_external(SimTime::ZERO, ORIGIN, q.clone().into());
         let mut faults = FaultSchedule::new();

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// Labels `x` and `y` are true and `n` is false, each covered by one
 /// 20 kB object (0.16 s a hop at 1 Mb/s, so fetches span several ticks);
 /// `ghost` has no provider.
-fn simulator(config: NodeConfig) -> ShardedSimulator<AthenaNode> {
+fn simulator(options: RunOptions) -> ShardedSimulator<AthenaNode> {
     let topology = Topology::ring(6, LinkSpec::mbps1());
     let validity = SimDuration::from_secs(600);
     let mut world = WorldModel::new(4);
@@ -41,11 +41,7 @@ fn simulator(config: NodeConfig) -> ShardedSimulator<AthenaNode> {
             validity,
         });
     }
-    let shared = Arc::new(SharedWorld {
-        catalog,
-        world,
-        config,
-    });
+    let shared = Arc::new(SharedWorld::new(catalog, world, options));
     let nodes = (0..topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
@@ -84,10 +80,10 @@ const ENDINGS: [Ending; 8] = [
     (21_000_000, 0, 2, "missed"),
 ];
 
-/// Runs [`QUERIES`] to quiescence under `config`; returns the terminal
+/// Runs [`QUERIES`] to quiescence under `options`; returns the terminal
 /// events in trace order and the simulator.
-fn run(config: NodeConfig) -> (Vec<Ending>, ShardedSimulator<AthenaNode>) {
-    let mut sim = simulator(config);
+fn run(options: RunOptions) -> (Vec<Ending>, ShardedSimulator<AthenaNode>) {
+    let mut sim = simulator(options);
     let sink = SharedSink::new(MemorySink::new());
     sim.set_sink(Box::new(sink.clone()));
     for (id, origin, issue_ms, terms) in QUERIES {
@@ -138,7 +134,7 @@ fn assert_one_ending_per_query(endings: &[Ending]) {
 
 #[test]
 fn every_query_ends_once_in_the_recorded_order() {
-    let (endings, sim) = run(NodeConfig::new(Strategy::Lvf));
+    let (endings, sim) = run(RunOptions::new(Strategy::Lvf));
     assert_one_ending_per_query(&endings);
     assert_eq!(endings, ENDINGS);
     for node in sim.nodes() {
@@ -148,9 +144,9 @@ fn every_query_ends_once_in_the_recorded_order() {
 
 #[test]
 fn adaptive_folds_each_decision_into_the_load_estimator_once() {
-    let mut config = NodeConfig::new(Strategy::Lvf);
-    config.adaptive = Some(AdaptiveConfig::default());
-    let (endings, sim) = run(config);
+    let mut options = RunOptions::new(Strategy::Lvf);
+    options.adaptive = Some(AdaptiveConfig::default());
+    let (endings, sim) = run(options);
     assert_one_ending_per_query(&endings);
     assert_eq!(endings, ENDINGS, "learning alone moves no ending here");
     // The estimate is an EWMA, so it also depends on the order of the folds.

@@ -181,21 +181,6 @@ impl Assignment {
         }
     }
 
-    /// The truth value ignoring freshness (useful for static logic tests).
-    pub fn value_ignoring_freshness(&self, label: &Label) -> Truth {
-        self.values
-            .get(label)
-            .map(|v| v.value)
-            .unwrap_or(Truth::Unknown)
-    }
-
-    /// Removes entries that are stale at `now`; returns how many were evicted.
-    pub fn evict_stale(&mut self, now: SimTime) -> usize {
-        let before = self.values.len();
-        self.values.retain(|_, v| v.is_fresh_at(now));
-        before - self.values.len()
-    }
-
     /// Removes the entry for `label`, returning it if present.
     pub fn clear(&mut self, label: &Label) -> Option<LabelValue> {
         self.values.remove(label)
@@ -289,7 +274,6 @@ mod tests {
         assert_eq!(asg.len(), 1);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(2)), Truth::False);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(4)), Truth::Unknown);
-        assert_eq!(asg.value_ignoring_freshness(&a), Truth::False);
         assert_eq!(
             asg.value_at(&Label::new("missing"), SimTime::ZERO),
             Truth::Unknown
@@ -304,17 +288,6 @@ mod tests {
         let prev = asg.set_value(a.clone(), lv(Truth::False, 5, 1)).unwrap();
         assert_eq!(prev.value, Truth::True);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(5)), Truth::False);
-    }
-
-    #[test]
-    fn evict_stale_removes_only_expired() {
-        let mut asg = Assignment::new();
-        asg.set_value(Label::new("old"), lv(Truth::True, 0, 1));
-        asg.set_value(Label::new("new"), lv(Truth::True, 0, 100));
-        let evicted = asg.evict_stale(SimTime::from_secs(10));
-        assert_eq!(evicted, 1);
-        assert_eq!(asg.len(), 1);
-        assert!(asg.get(&Label::new("new")).is_some());
     }
 
     #[test]

@@ -73,15 +73,6 @@ impl Truth {
     pub fn is_known(self) -> bool {
         self != Truth::Unknown
     }
-
-    /// Converts to `Option<bool>`, mapping `Unknown` to `None`.
-    pub fn to_bool(self) -> Option<bool> {
-        match self {
-            Truth::True => Some(true),
-            Truth::False => Some(false),
-            Truth::Unknown => None,
-        }
-    }
 }
 
 impl From<bool> for Truth {
@@ -213,8 +204,6 @@ mod tests {
         assert_eq!(Truth::from(true), True);
         assert_eq!(Truth::from(Some(false)), False);
         assert_eq!(Truth::from(None), Unknown);
-        assert_eq!(True.to_bool(), Some(true));
-        assert_eq!(Unknown.to_bool(), None);
         assert!(!Unknown.is_known());
         assert!(False.is_known());
     }

@@ -175,21 +175,6 @@ impl<T> ContentStore<T> {
         Some(old.value)
     }
 
-    /// Drops every expired entry; returns how many were evicted.
-    pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
-        let mut freed = 0u64;
-        self.entries.retain(|_, o| {
-            let fresh = o.is_fresh_at(now);
-            if !fresh {
-                freed += o.size;
-            }
-            fresh
-        });
-        self.used -= freed;
-        before - self.entries.len()
-    }
-
     /// Iterates over `(name, entry)` pairs in ascending name order — a
     /// *defined* order, so consumers cannot inherit replay-breaking
     /// iteration nondeterminism from the store.
@@ -285,16 +270,6 @@ mod tests {
             "LRU victim should be /newer"
         );
         assert!(cs.peek(&n("/old")).is_some());
-    }
-
-    #[test]
-    fn purge_expired_frees_space() {
-        let mut cs = ContentStore::new(1000);
-        cs.insert(&n("/a"), 1, 100, t(0), d(1));
-        cs.insert(&n("/b"), 2, 100, t(0), d(100));
-        assert_eq!(cs.purge_expired(t(50)), 1);
-        assert_eq!(cs.used_bytes(), 100);
-        assert_eq!(cs.len(), 1);
     }
 
     #[test]

@@ -5,18 +5,18 @@
 //! simulator the transport seam already exists as
 //! [`dde_netsim::Context`] (sends, timers, clock) and the engine's event
 //! loop. `DesTransport` is the *scenario-level* counterpart of
-//! [`crate::run_cluster_tcp`]: one scenario in, one report out, from
-//! `dde_core::engine::run_scenario*` — the oracle every committed
-//! artifact (traces, `RunReport`s, the determinism suites) is pinned to.
+//! [`crate::run_cluster_tcp_observed`]: one scenario in, one report out,
+//! from `dde_core::run_scenario` — the oracle every committed artifact
+//! (traces, `RunReport`s, the determinism suites) is pinned to. An
+//! observed DES run is `dde_core::run_scenario_observed`.
 //!
 //! Use the DES backend for anything that must be reproducible — CI
 //! regression baselines, ablation sweeps, trace diffs. Use the TCP
-//! backend ([`crate::run_cluster_tcp`]) to run the same scenario on real
-//! sockets; the equivalence suite holds the two to the same decision
-//! outcomes and attributed byte totals.
+//! backend ([`crate::run_cluster_tcp_observed`]) to run the same scenario
+//! on real sockets; `tests/des_tcp_equivalence.rs` holds the two to the
+//! same decision outcomes and attributed byte totals.
 
 use dde_core::{RunOptions, RunReport};
-use dde_obs::Sink;
 use dde_workload::scenario::Scenario;
 
 /// The deterministic cluster backend: one [`Scenario`] in, one
@@ -32,21 +32,10 @@ impl DesTransport {
         DesTransport { options }
     }
 
-    /// The options every run of this backend uses.
-    pub fn options(&self) -> &RunOptions {
-        &self.options
-    }
-
     /// Runs `scenario` to quiescence, unobserved (no trace overhead, no
     /// ledger).
     pub fn run(&self, scenario: &Scenario) -> RunReport {
         dde_core::run_scenario(scenario, self.options.clone())
-    }
-
-    /// Runs `scenario` with the full event lifecycle streamed into
-    /// `sink` and a live cost ledger folded into the report.
-    pub fn run_observed(&self, scenario: &Scenario, sink: Box<dyn Sink>) -> RunReport {
-        dde_core::run_scenario_observed(scenario, self.options.clone(), sink)
     }
 }
 

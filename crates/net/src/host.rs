@@ -1,7 +1,7 @@
 //! [`NodeHost`] — the live runtime that drives one Athena node over a
-//! [`Transport`] — and [`run_cluster_tcp`], which boots a loopback
-//! cluster of node threads from a [`Scenario`] and folds the per-node
-//! outcomes into the same [`RunReport`] the DES engine produces.
+//! [`Transport`] — and [`run_cluster_tcp_observed`], which boots a
+//! loopback cluster of node threads from a [`Scenario`] and folds the
+//! per-node outcomes into the same [`RunReport`] the DES engine produces.
 //!
 //! The host replays exactly the seam the simulator uses: each stimulus
 //! (start, delivery, timer, external) is dispatched through
@@ -34,7 +34,7 @@ use dde_netsim::sim::WireMessage;
 use dde_netsim::{
     deliver_record, transmit_record, Command, Context, Metrics, NodeId, Protocol, Topology,
 };
-use dde_obs::metrics::{Counter, MetricsRegistry, MetricsSnapshot, WallHist};
+use dde_obs::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, WallHist};
 use dde_obs::{FlightRecorder, LedgerSink, SharedSink, Sink, TeeSink, TraceRecord};
 use dde_workload::scenario::Scenario;
 use std::cmp::Reverse;
@@ -100,12 +100,8 @@ pub struct HostOutcome {
     /// Link-layer accounting from this node's perspective (sends only —
     /// folding across hosts must not double-count).
     pub metrics: Metrics,
-    /// Stimuli dispatched (start + deliveries + timers + externals).
-    pub dispatches: u64,
-    /// Sends that failed with a transport error (counted, not fatal —
-    /// mirroring the simulator's drop-and-trace policy).
-    pub send_errors: u64,
-    /// The node's final metrics snapshot (host loop + transport series).
+    /// The node's final metrics snapshot (host loop + transport series),
+    /// including the `host.dispatches` and `host.send_errors` counters.
     /// Wall-clock values are nondeterministic by nature; the snapshot
     /// format is deterministic (DESIGN.md §5i).
     pub snapshot: MetricsSnapshot,
@@ -126,6 +122,15 @@ pub struct NodeHost {
     registry: Arc<MetricsRegistry>,
     health: Arc<HealthState>,
     recorder: Option<SharedSink<FlightRecorder>>,
+    /// The host loop's series, registered in `registry`.
+    hm: HostMetrics,
+    /// Link-layer accounting of this node's sends.
+    metrics: Metrics,
+    /// Timer wheel keyed `(fire_at_micros, seq, tag)`: same-instant timers
+    /// fire in the order they were set, like the simulator's event heap
+    /// sequence numbers.
+    timers: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    timer_seq: u64,
 }
 
 impl NodeHost {
@@ -156,9 +161,13 @@ impl NodeHost {
             horizon,
             sink,
             clock,
+            hm: HostMetrics::new(&registry),
             registry,
             health,
             recorder: None,
+            metrics: Metrics::new(),
+            timers: BinaryHeap::new(),
+            timer_seq: 0,
         }
     }
 
@@ -170,6 +179,7 @@ impl NodeHost {
         registry: Arc<MetricsRegistry>,
         health: Arc<HealthState>,
     ) -> NodeHost {
+        self.hm = HostMetrics::new(&registry);
         self.registry = registry;
         self.health = health;
         self
@@ -211,19 +221,12 @@ impl NodeHost {
     }
 
     fn run_inner(mut self) -> Result<HostOutcome, NetError> {
-        // Pre-register every host-side series so the hot loop never takes
-        // the registry lock.
-        let hm = HostMetrics::new(&self.registry);
-        let recv_enqueued = self.registry.counter("host.recv_enqueued");
-        let recv_dequeued = self.registry.counter("host.recv_dequeued");
-        let queue_depth = self.registry.gauge("host.recv_queue_depth");
         let scale = self.clock.scale();
-
         let (tx, rx) = mpsc::channel::<(NodeId, AthenaMsg, SimTime)>();
         {
             let clock = Arc::clone(&self.clock);
-            let recv_enqueued = Arc::clone(&recv_enqueued);
-            let queue_depth = Arc::clone(&queue_depth);
+            let recv_enqueued = Arc::clone(&self.hm.recv_enqueued);
+            let queue_depth = Arc::clone(&self.hm.recv_queue_depth);
             self.transport
                 .set_message_handler(Box::new(move |from, msg| {
                     recv_enqueued.inc();
@@ -235,41 +238,19 @@ impl NodeHost {
                 }));
         }
 
-        let mut metrics = Metrics::new();
-        // Timer wheel keyed (fire_at_micros, seq): same-instant timers
-        // fire in the order they were set, like the simulator's event
-        // heap sequence numbers.
-        let mut timers: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-        let mut timer_seq = 0u64;
-        let mut ext_idx = 0usize;
-        let mut dispatches = 0u64;
-        let mut send_errors = 0u64;
-
         // on_start at (virtual) time zero-ish, exactly once, before any
         // other stimulus — as the simulator does.
-        self.dispatch(
-            &mut metrics,
-            &mut timers,
-            &mut timer_seq,
-            &mut send_errors,
-            &hm,
-            |node, ctx| node.on_start(ctx),
-        )?;
-        dispatches += 1;
-        self.health.record_dispatch();
+        self.dispatch(|node, ctx| node.on_start(ctx))?;
         self.health.mark_ready();
 
+        let mut ext_idx = 0usize;
         loop {
             // Fire everything due: timers and externals interleaved in
             // time order.
             loop {
                 let now = self.clock.now();
-                let next_timer = timers.peek().map(|Reverse((at, _, _))| *at);
-                let next_ext = self
-                    .externals
-                    .get(ext_idx)
-                    .map(|(at, _)| at.as_micros())
-                    .filter(|_| ext_idx < self.externals.len());
+                let next_timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
+                let next_ext = self.externals.get(ext_idx).map(|(at, _)| at.as_micros());
                 let timer_due = next_timer.is_some_and(|at| at <= now.as_micros());
                 let ext_due = next_ext.is_some_and(|at| at <= now.as_micros());
                 if ext_due && (!timer_due || next_ext <= next_timer) {
@@ -277,34 +258,18 @@ impl NodeHost {
                     ext_idx += 1;
                     // How far behind the virtual schedule this stimulus
                     // fired, in wall microseconds.
-                    hm.loop_lag_wall_us
+                    self.hm
+                        .loop_lag_wall_us
                         .record_us(now.as_micros().saturating_sub(at.as_micros()) / scale);
-                    self.dispatch(
-                        &mut metrics,
-                        &mut timers,
-                        &mut timer_seq,
-                        &mut send_errors,
-                        &hm,
-                        |node, ctx| node.on_external(ctx, ev),
-                    )?;
-                    dispatches += 1;
-                    self.health.record_dispatch();
+                    self.dispatch(|node, ctx| node.on_external(ctx, ev))?;
                 } else if timer_due {
-                    let Some(Reverse((at, _, tag))) = timers.pop() else {
+                    let Some(Reverse((at, _, tag))) = self.timers.pop() else {
                         break;
                     };
-                    hm.loop_lag_wall_us
+                    self.hm
+                        .loop_lag_wall_us
                         .record_us(now.as_micros().saturating_sub(at) / scale);
-                    self.dispatch(
-                        &mut metrics,
-                        &mut timers,
-                        &mut timer_seq,
-                        &mut send_errors,
-                        &hm,
-                        |node, ctx| node.on_timer(ctx, tag),
-                    )?;
-                    dispatches += 1;
-                    self.health.record_dispatch();
+                    self.dispatch(|node, ctx| node.on_timer(ctx, tag))?;
                 } else {
                     break;
                 }
@@ -318,7 +283,7 @@ impl NodeHost {
             // Sleep (in the inbox) until the next scheduled thing — or a
             // delivery, whichever comes first.
             let mut next = self.horizon;
-            if let Some(Reverse((at, _, _))) = timers.peek() {
+            if let Some(Reverse((at, _, _))) = self.timers.peek() {
                 next = next.min(SimTime::from_micros(*at));
             }
             if let Some((at, _)) = self.externals.get(ext_idx) {
@@ -327,27 +292,18 @@ impl NodeHost {
             match rx.recv_timeout(self.clock.wall_until(next)) {
                 Ok((from, msg, enqueued_at)) => {
                     let now = self.clock.now();
-                    recv_dequeued.inc();
-                    queue_depth.add(-1);
+                    self.hm.recv_dequeued.inc();
+                    self.hm.recv_queue_depth.add(-1);
                     // Wall time the message sat in the inbox between the
                     // reader thread's enqueue and this dequeue.
-                    hm.recv_wait_wall_us
+                    self.hm
+                        .recv_wait_wall_us
                         .record_us(now.as_micros().saturating_sub(enqueued_at.as_micros()) / scale);
                     if now >= self.horizon {
                         break; // past the cut-off, like run_until
                     }
-                    metrics.messages_delivered += 1;
-                    self.deliver(
-                        &mut metrics,
-                        &mut timers,
-                        &mut timer_seq,
-                        &mut send_errors,
-                        &hm,
-                        from,
-                        msg,
-                    )?;
-                    dispatches += 1;
-                    self.health.record_dispatch();
+                    self.metrics.messages_delivered += 1;
+                    self.deliver(from, msg)?;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -359,25 +315,13 @@ impl NodeHost {
         let _ = self.sink.flush();
         Ok(HostOutcome {
             node: self.node,
-            metrics,
-            dispatches,
-            send_errors,
+            metrics: self.metrics,
             snapshot: self.registry.snapshot(),
         })
     }
 
     /// Emits the Deliver record and hands the message to the protocol.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        metrics: &mut Metrics,
-        timers: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
-        timer_seq: &mut u64,
-        send_errors: &mut u64,
-        hm: &HostMetrics,
-        from: NodeId,
-        msg: AthenaMsg,
-    ) -> Result<(), NetError> {
+    fn deliver(&mut self, from: NodeId, msg: AthenaMsg) -> Result<(), NetError> {
         if self.sink.enabled() {
             self.sink.record(&TraceRecord {
                 at: self.clock.now(),
@@ -385,23 +329,15 @@ impl NodeHost {
                 kind: deliver_record(from, self.id, &msg),
             });
         }
-        self.dispatch(metrics, timers, timer_seq, send_errors, hm, |node, ctx| {
-            node.on_message(ctx, from, msg)
-        })
+        self.dispatch(|node, ctx| node.on_message(ctx, from, msg))
     }
 
     /// Runs one protocol callback through a [`Context`], then realizes
     /// the queued commands: sends go to the transport (with the same
     /// Transmit trace + metrics bookkeeping as the simulator's link
-    /// layer), timers go on the wheel.
-    #[allow(clippy::too_many_arguments)]
+    /// layer), timers go on the wheel. Counts the stimulus as dispatched.
     fn dispatch(
         &mut self,
-        metrics: &mut Metrics,
-        timers: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
-        timer_seq: &mut u64,
-        send_errors: &mut u64,
-        hm: &HostMetrics,
         f: impl FnOnce(&mut AthenaNode, &mut Context<'_, AthenaMsg>),
     ) -> Result<(), NetError> {
         let now = self.clock.now();
@@ -424,7 +360,8 @@ impl NodeHost {
                     }
                     // `Context::try_send` only queues sends to neighbors.
                     if let Some((slot, _)) = self.topology.link_slot(self.id, to) {
-                        metrics.record_send(slot, self.id, to, bytes, msg.kind());
+                        self.metrics
+                            .record_send(slot, self.id, to, bytes, msg.kind());
                     }
                     // Wall-clock send latency, measured as a virtual-time
                     // delta divided back by the scale — the host loop's
@@ -437,22 +374,23 @@ impl NodeHost {
                         .as_micros()
                         .saturating_sub(sent_at.as_micros())
                         / self.clock.scale();
-                    hm.send_wall_us.record_us(wall_us);
+                    self.hm.send_wall_us.record_us(wall_us);
                     match result {
                         Ok(()) => {}
                         Err(NetError::Shutdown) => return Err(NetError::Shutdown),
-                        Err(_) => {
-                            *send_errors += 1;
-                            hm.send_errors.inc();
-                        }
+                        // Counted, not fatal — mirroring the simulator's
+                        // drop-and-trace policy.
+                        Err(_) => self.hm.send_errors.inc(),
                     }
                 }
                 Command::Timer { at, tag } => {
-                    timers.push(Reverse((at.as_micros(), *timer_seq, tag)));
-                    *timer_seq += 1;
+                    self.timers
+                        .push(Reverse((at.as_micros(), self.timer_seq, tag)));
+                    self.timer_seq += 1;
                 }
             }
         }
+        self.health.record_dispatch();
         Ok(())
     }
 }
@@ -464,6 +402,9 @@ struct HostMetrics {
     loop_lag_wall_us: Arc<WallHist>,
     recv_wait_wall_us: Arc<WallHist>,
     send_errors: Arc<Counter>,
+    recv_enqueued: Arc<Counter>,
+    recv_dequeued: Arc<Counter>,
+    recv_queue_depth: Arc<Gauge>,
 }
 
 impl HostMetrics {
@@ -473,6 +414,9 @@ impl HostMetrics {
             loop_lag_wall_us: registry.hist("host.loop_lag_wall_us"),
             recv_wait_wall_us: registry.hist("host.recv_wait_wall_us"),
             send_errors: registry.counter("host.send_errors"),
+            recv_enqueued: registry.counter("host.recv_enqueued"),
+            recv_dequeued: registry.counter("host.recv_dequeued"),
+            recv_queue_depth: registry.gauge("host.recv_queue_depth"),
         }
     }
 }
@@ -488,9 +432,6 @@ pub struct ClusterConfig {
     /// Wall-clock period between coordinator health-probe sweeps, in
     /// milliseconds; `None` disables the prober thread entirely.
     pub probe_wall_ms: Option<u64>,
-    /// How many trace records each node's flight recorder retains for
-    /// the post-mortem dump on host failure.
-    pub flight_recorder_cap: usize,
 }
 
 impl Default for ClusterConfig {
@@ -498,10 +439,13 @@ impl Default for ClusterConfig {
         ClusterConfig {
             time_scale: 16,
             probe_wall_ms: Some(200),
-            flight_recorder_cap: 256,
         }
     }
 }
+
+/// How many trace records each node's flight recorder retains for the
+/// post-mortem dump on host failure.
+const FLIGHT_RECORDER_CAP: usize = 256;
 
 /// One node's live telemetry from an observed cluster run.
 #[derive(Debug)]
@@ -534,25 +478,15 @@ pub struct ClusterOutcome {
 /// capture the merged live trace (record order across nodes is
 /// wall-clock arrival order — nondeterministic by nature).
 ///
-/// Fault schedules are unsupported here ([`NetError::Unsupported`]):
-/// fault injection is the DES backend's job.
-///
-/// This is [`run_cluster_tcp_observed`] with the telemetry discarded.
-pub fn run_cluster_tcp<S: Sink + Send + 'static>(
-    scenario: &Scenario,
-    options: &RunOptions,
-    config: &ClusterConfig,
-    sink: Option<S>,
-) -> Result<RunReport, NetError> {
-    run_cluster_tcp_observed(scenario, options, config, sink).map(|o| o.report)
-}
-
-/// [`run_cluster_tcp`] plus the live observability plane: one metrics
+/// Alongside the report comes the live observability plane: one metrics
 /// registry per node shared by its host loop and transport, a
 /// coordinator prober polling every node's health endpoint over the
 /// wire ([`ClusterConfig::probe_wall_ms`]), and one flight recorder per
 /// node whose retained trace tail is dumped to stderr when that host
 /// fails or panics.
+///
+/// Fault schedules are unsupported here ([`NetError::Unsupported`]):
+/// fault injection is the DES backend's job.
 pub fn run_cluster_tcp_observed<S: Sink + Send + 'static>(
     scenario: &Scenario,
     options: &RunOptions,
@@ -588,22 +522,15 @@ pub fn run_cluster_tcp_observed<S: Sink + Send + 'static>(
     }
     let book = Arc::new(book);
 
-    // Partition the scenario's stimuli per origin node, exactly as the
-    // engine schedules them.
+    // The engine's schedule, grouped per origin node in install order.
+    let (stimuli, horizon) = dde_core::schedule(scenario, options);
     let mut externals: Vec<Vec<(SimTime, AthenaEvent)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut last_deadline = SimTime::ZERO;
-    for q in &scenario.queries {
-        if let Some(lead) = options.announce_lead {
-            externals[q.origin.index()]
-                .push((q.issue_at - lead, AthenaEvent::AnnounceOnly(q.clone())));
-        }
-        externals[q.origin.index()].push((q.issue_at, q.clone().into()));
-        last_deadline = last_deadline.max(q.issue_at + q.deadline);
+    for (at, origin, event) in stimuli {
+        externals[origin.index()].push((at, event));
     }
     for per_node in &mut externals {
         per_node.sort_by_key(|(at, _)| *at);
     }
-    let horizon = last_deadline + options.drain;
 
     let ledger = SharedSink::new(LedgerSink::new());
     let user = sink.map(SharedSink::new);
@@ -619,7 +546,7 @@ pub fn run_cluster_tcp_observed<S: Sink + Send + 'static>(
         .map(|r| Arc::new(HealthState::new(Arc::clone(r))))
         .collect();
     let recorders: Vec<SharedSink<FlightRecorder>> = (0..n)
-        .map(|_| SharedSink::new(FlightRecorder::new(config.flight_recorder_cap)))
+        .map(|_| SharedSink::new(FlightRecorder::new(FLIGHT_RECORDER_CAP)))
         .collect();
 
     // Coordinator prober: sweeps every node's health endpoint on a
@@ -720,7 +647,7 @@ pub fn run_cluster_tcp_observed<S: Sink + Send + 'static>(
             }
         };
         metrics.absorb(&outcome.metrics);
-        dispatches += outcome.dispatches;
+        dispatches += outcome.snapshot.counter("host.dispatches").unwrap_or(0);
         final_nodes.push(outcome.node);
         snapshots.push(outcome.snapshot);
     }

@@ -8,25 +8,25 @@
 //! networked process:
 //!
 //! - [`transport`] — the [`Transport`] trait: per-node `send_to` /
-//!   `broadcast` / `local_now` / message-handler registration with typed
-//!   [`NetError`]s (no panics on any input);
+//!   `local_now` / message-handler registration with typed [`NetError`]s
+//!   (no panics on any input);
 //! - [`frame`] — hand-rolled length-prefixed binary wire frames for
 //!   [`dde_core::AthenaMsg`], including the observational attribution
 //!   keys; decoding rejects truncated, oversized, and malformed frames
 //!   with typed errors, never a panic;
-//! - [`des`] — [`DesTransport`], the deterministic test double: the
-//!   `run_scenario*` entry points behind the scenario-in, report-out shape
-//!   of the live backend (the DES remains the oracle);
+//! - [`des`] — [`DesTransport`], the deterministic test double:
+//!   `run_scenario` behind the scenario-in, report-out shape of the live
+//!   backend (the DES remains the oracle);
 //! - [`tcp`] — [`TcpTransport`], a production backend on `std::net`
 //!   (threaded accept/reader loops, length-prefixed frames, connect
 //!   retry with capped backoff — no external async runtime);
 //! - [`host`] — [`NodeHost`], the live runtime that drives one
 //!   `AthenaNode` over any [`Transport`] with a scaled virtual clock and
-//!   a timer wheel, plus [`run_cluster_tcp`], which boots a loopback
-//!   cluster of node threads from a [`dde_workload::scenario::Scenario`]
-//!   and folds per-node outcomes into a [`dde_core::RunReport`]
-//!   ([`run_cluster_tcp_observed`] additionally returns per-node
-//!   [`NodeTelemetry`]);
+//!   a timer wheel, plus [`run_cluster_tcp_observed`], which boots a
+//!   loopback cluster of node threads from a
+//!   [`dde_workload::scenario::Scenario`], installs the DES engine's own
+//!   schedule ([`dde_core::schedule`]), and folds per-node outcomes into a
+//!   [`dde_core::RunReport`] plus per-node [`NodeTelemetry`];
 //! - [`health`] — the live observability control plane: [`HealthState`]
 //!   shared between host loop and transport, the [`probe_health`] client,
 //!   and the [`HealthReport`] wire answer carrying a full
@@ -69,8 +69,8 @@ pub use frame::{
 };
 pub use health::{probe_health, HealthReport, HealthState};
 pub use host::{
-    run_cluster_tcp, run_cluster_tcp_observed, ClusterConfig, ClusterOutcome, HostOutcome,
-    NodeHost, NodeTelemetry, VirtualClock,
+    run_cluster_tcp_observed, ClusterConfig, ClusterOutcome, HostOutcome, NodeHost, NodeTelemetry,
+    VirtualClock,
 };
 pub use tcp::TcpTransport;
 pub use transport::{MessageHandler, Transport};

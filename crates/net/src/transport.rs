@@ -49,24 +49,6 @@ pub trait Transport: Send {
     /// trouble, [`NetError::Shutdown`] after [`Transport::shutdown`].
     fn send_to(&self, to: NodeId, msg: &AthenaMsg) -> Result<(), NetError>;
 
-    /// Sends `msg` to every neighbor; returns how many sends succeeded.
-    ///
-    /// The default implementation loops over [`Transport::neighbors`] and
-    /// keeps going past per-peer failures (a flooded announce should
-    /// reach the neighbors that *are* reachable); it fails only if the
-    /// transport is shut down entirely.
-    fn broadcast(&self, msg: &AthenaMsg) -> Result<usize, NetError> {
-        let mut delivered = 0;
-        for nb in self.neighbors() {
-            match self.send_to(nb, msg) {
-                Ok(()) => delivered += 1,
-                Err(NetError::Shutdown) => return Err(NetError::Shutdown),
-                Err(_) => {}
-            }
-        }
-        Ok(delivered)
-    }
-
     /// Registers the inbound-message callback. Messages that arrive
     /// before a handler is registered are buffered and replayed to the
     /// new handler in arrival order, so registration is race-free.

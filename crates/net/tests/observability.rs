@@ -209,7 +209,6 @@ fn observed_cluster_run_returns_per_node_telemetry() {
     let config = ClusterConfig {
         time_scale: 16,
         probe_wall_ms: Some(50),
-        flight_recorder_cap: 64,
     };
     let outcome = run_cluster_tcp_observed::<NullSink>(&scenario, &options, &config, None)
         .expect("cluster run");

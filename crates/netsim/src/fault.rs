@@ -122,11 +122,6 @@ impl FaultSchedule {
         self
     }
 
-    /// The instant of the last scheduled event, if any.
-    pub fn last_event_at(&self) -> Option<SimTime> {
-        self.events.last().map(|f| f.at)
-    }
-
     /// Generates a seeded random churn schedule: each of `nodes` nodes
     /// independently crashes with probability `rate` at a uniform instant
     /// in `[0, horizon)` and recovers `downtime` later.
@@ -228,7 +223,6 @@ mod tests {
                 (t2, FaultEvent::NodeRecover(NodeId(1))),
             ]
         );
-        assert_eq!(s.last_event_at(), Some(t2));
     }
 
     #[test]

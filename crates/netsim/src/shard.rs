@@ -333,11 +333,6 @@ impl<P: Protocol> ShardedSimulator<P> {
         &mut *self.sink
     }
 
-    /// Removes and returns the active sink, restoring the null sink.
-    pub fn take_sink(&mut self) -> Box<dyn Sink> {
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
-    }
-
     /// Schedules an external stimulus (e.g. a user query) for `node` at
     /// absolute time `at`. Externals dispatch in install order at equal
     /// timestamps.
@@ -756,11 +751,6 @@ impl<P: Protocol> ShardedSimulator<P> {
     /// Shared access to a node's protocol state.
     pub fn node(&self, id: NodeId) -> &P {
         &self.nodes[id.index()]
-    }
-
-    /// Exclusive access to a node's protocol state.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
     }
 
     /// Iterates over all protocol instances in node-id order.

@@ -302,19 +302,6 @@ impl Topology {
         self.is_link_enabled(a, b) && self.is_node_enabled(a) && self.is_node_enabled(b)
     }
 
-    /// Whether any fault state (disabled node or link) is active.
-    pub fn has_fault_state(&self) -> bool {
-        !self.disabled_nodes.is_empty() || !self.disabled_links.is_empty()
-    }
-
-    /// Neighbors of `node` reachable over currently-usable links.
-    pub fn neighbors_up(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency[node.0]
-            .iter()
-            .map(|(v, _)| *v)
-            .filter(move |&v| self.is_link_usable(node, v))
-    }
-
     /// Recomputes the all-pairs next-hop tables. Called automatically by the
     /// routing queries; exposed for callers that want to pay the cost
     /// eagerly.

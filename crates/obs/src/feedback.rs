@@ -96,14 +96,6 @@ impl FeedbackSink {
         }
     }
 
-    /// Replaces the prediction-bias smoothing factor (default
-    /// [`Self::DEFAULT_BIAS_ALPHA`]); the bias restarts at 1.0.
-    #[must_use]
-    pub fn with_bias_alpha(mut self, alpha: f64) -> Self {
-        self.bias = Ewma::new(alpha, 1.0);
-        self
-    }
-
     /// The current multiplicative prediction-bias estimate: the EWMA of
     /// observed actual/predicted ratios, starting at 1.0 (trust the model).
     pub fn bias(&self) -> f64 {

@@ -44,26 +44,16 @@ impl Sink for NullSink {
     fn record(&mut self, _rec: &TraceRecord) {}
 }
 
-/// Collects records into a `Vec`, optionally bounded.
+/// Collects records into a `Vec`.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Vec<TraceRecord>,
-    cap: Option<usize>,
 }
 
 impl MemorySink {
-    /// An unbounded in-memory sink.
+    /// An empty in-memory sink.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A sink that keeps only the first `cap` records (later records are
-    /// silently discarded, mirroring the legacy `trace_cap` behaviour).
-    pub fn with_cap(cap: usize) -> Self {
-        Self {
-            events: Vec::new(),
-            cap: Some(cap),
-        }
     }
 
     /// The records collected so far.
@@ -80,9 +70,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&mut self, rec: &TraceRecord) {
-        if self.events.len() < self.cap.unwrap_or(usize::MAX) {
-            self.events.push(rec.clone());
-        }
+        self.events.push(rec.clone());
     }
 }
 
@@ -302,13 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_respects_cap() {
-        let mut sink = MemorySink::with_cap(2);
+    fn memory_sink_keeps_every_record_until_taken() {
+        let mut sink = MemorySink::new();
         for t in 0..5 {
             sink.record(&rec(t));
         }
-        assert_eq!(sink.events().len(), 2);
-        assert_eq!(sink.take().len(), 2);
+        assert_eq!(sink.events().len(), 5);
+        assert_eq!(sink.take().len(), 5);
         assert!(sink.events().is_empty());
     }
 

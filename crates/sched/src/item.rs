@@ -79,16 +79,6 @@ impl Channel {
     pub fn transmission_time(&self, cost: Cost) -> SimDuration {
         SimDuration::of_transmission(cost.as_bytes(), self.bandwidth_bps)
     }
-
-    /// Total time to move a sequence of items.
-    pub fn total_time<'a, I>(&self, items: I) -> SimDuration
-    where
-        I: IntoIterator<Item = &'a RetrievalItem>,
-    {
-        items.into_iter().fold(SimDuration::ZERO, |acc, it| {
-            acc + self.transmission_time(it.cost)
-        })
-    }
 }
 
 impl Default for Channel {
@@ -120,16 +110,6 @@ mod tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
         let _ = Channel::new(0);
-    }
-
-    #[test]
-    fn total_time_sums() {
-        let ch = Channel::mbps1();
-        let items = vec![
-            RetrievalItem::new("a", Cost::from_bytes(125_000), SimDuration::MAX),
-            RetrievalItem::new("b", Cost::from_bytes(250_000), SimDuration::MAX),
-        ];
-        assert_eq!(ch.total_time(&items), SimDuration::from_secs(3));
     }
 
     #[test]

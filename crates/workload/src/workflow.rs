@@ -188,16 +188,6 @@ impl WorkflowModel {
         }
     }
 
-    /// The `k` most likely next decisions, most likely first.
-    pub fn top_k(&self, current: usize, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.n)
-            .filter(|&j| self.counts[current][j] > 0)
-            .collect();
-        idx.sort_by_key(|&j| (std::cmp::Reverse(self.counts[current][j]), j));
-        idx.truncate(k);
-        idx
-    }
-
     /// Fraction of transitions in `sequences` whose successor the model
     /// predicts correctly (top-1).
     pub fn top1_accuracy(&self, sequences: &[Vec<usize>]) -> f64 {
@@ -303,7 +293,6 @@ mod tests {
         assert_eq!(model.predict_next(2), None); // evac is terminal
                                                  // Learned probabilities are close to ground truth.
         assert!((model.transition_prob(1, 2) - 0.6 / 0.9).abs() < 0.1);
-        assert_eq!(model.top_k(1, 2), vec![2, 3]);
     }
 
     #[test]
@@ -328,7 +317,6 @@ mod tests {
         let m = WorkflowModel::new(3);
         assert_eq!(m.predict_next(1), None);
         assert_eq!(m.transition_prob(0, 1), 0.0);
-        assert!(m.top_k(0, 5).is_empty());
         assert_eq!(m.top1_accuracy(&[vec![0, 1, 2]]), 0.0);
         assert_eq!(m.top1_accuracy(&[]), 1.0);
         assert_eq!(m.len(), 3);

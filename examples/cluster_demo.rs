@@ -1,27 +1,26 @@
 //! Cluster demo: the same scenario on both transport backends.
 //!
-//! Boots a loopback TCP cluster — one OS thread + real socket endpoint
-//! per Athena node — runs a small query band against it, then replays the
-//! identical scenario through the deterministic DES backend and checks
-//! the two agree on every decision outcome and every attributed byte.
-//! The live run's merged trace is written as JSONL, its per-node metrics
-//! snapshots as a `{"nodes": [...]}` collection readable by
-//! `dde-trace metrics` (CI uploads both as artifacts).
+//! Runs a small query band through the deterministic DES backend and on a
+//! loopback TCP cluster — one OS thread + real socket endpoint per Athena
+//! node — and prints both backends' per-query outcomes and attributed
+//! bytes side by side. The live run's merged trace is written as JSONL,
+//! its per-node metrics snapshots as a `{"nodes": [...]}` collection
+//! readable by `dde-trace metrics` (CI uploads both as artifacts).
 //!
 //! Run with: `cargo run -p dde-examples --bin cluster_demo
 //! [trace.jsonl [metrics.json]]`
 //!
-//! Exits nonzero if the backends disagree — this is the CI cluster-smoke
-//! gate, not just a printout.
+//! Exits nonzero only when a run fails. Whether the backends agree is
+//! checked by `crates/net/tests/des_tcp_equivalence.rs`.
 
 // CLI argument parsing reads the environment; the scenario and both
 // backend runs are fixed (same policy as city_scale.rs).
 #![allow(clippy::disallowed_methods)]
-use dde_core::{QueryOutcome, QueryStatus, RunOptions, RunReport, Strategy};
+use dde_core::{run_scenario_observed, QueryOutcome, QueryStatus, RunOptions, RunReport, Strategy};
 use dde_logic::dnf::{Dnf, Term};
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
-use dde_net::{run_cluster_tcp_observed, ClusterConfig, DesTransport, NodeTelemetry};
+use dde_net::{run_cluster_tcp_observed, ClusterConfig, NodeTelemetry};
 use dde_netsim::{FaultSchedule, LinkSpec, NodeId, Topology};
 use dde_obs::{JsonValue, JsonlSink, NullSink};
 use dde_workload::{
@@ -105,58 +104,31 @@ fn outcome_str(status: &QueryStatus) -> String {
     }
 }
 
-/// Checks decision and byte agreement, printing each mismatch. Returns
-/// how many checks failed.
-fn compare(des: &RunReport, tcp: &RunReport) -> usize {
-    let mut mismatches = 0;
-    let mut check = |what: &str, ok: bool| {
-        if !ok {
-            eprintln!("MISMATCH: {what}");
-            mismatches += 1;
-        }
-    };
-
-    check("resolved counts", des.resolved == tcp.resolved);
-    check("viable counts", des.viable == tcp.viable);
-    check("infeasible counts", des.infeasible == tcp.infeasible);
-    check("missed counts", des.missed == tcp.missed);
-    check("total bytes", des.total_bytes == tcp.total_bytes);
-    check("bytes by kind", des.bytes_by_kind == tcp.bytes_by_kind);
-
-    println!("\n  per-query agreement:");
+/// Prints each query's outcome and attributed bytes on both backends.
+fn print_side_by_side(des: &RunReport, tcp: &RunReport) {
+    println!("\n  per-query outcomes:");
     println!(
-        "  {:>5} {:>7} {:>20} {:>20} {:>12}",
-        "query", "origin", "DES outcome", "TCP outcome", "bytes match"
+        "  {:>5} {:>7} {:>20} {:>20} {:>10} {:>10}",
+        "query", "origin", "DES outcome", "TCP outcome", "DES bytes", "TCP bytes"
     );
-    let des_ledger = des.ledger.as_ref();
-    let tcp_ledger = tcp.ledger.as_ref();
+    let bytes = |report: &RunReport, qid: u64| {
+        report
+            .ledger
+            .as_ref()
+            .and_then(|l| l.queries.get(&qid))
+            .map_or(0, |q| q.bytes)
+    };
     for (d, t) in des.queries.iter().zip(&tcp.queries) {
-        let outcomes_agree = match (&d.status, &t.status) {
-            (QueryStatus::Decided { outcome: a, .. }, QueryStatus::Decided { outcome: b, .. }) => {
-                a == b
-            }
-            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
-        };
-        let (db, tb) = (
-            des_ledger
-                .and_then(|l| l.queries.get(&d.id.0))
-                .map(|q| q.bytes),
-            tcp_ledger
-                .and_then(|l| l.queries.get(&t.id.0))
-                .map(|q| q.bytes),
-        );
         println!(
-            "  {:>5} {:>7} {:>20} {:>20} {:>12}",
+            "  {:>5} {:>7} {:>20} {:>20} {:>10} {:>10}",
             d.id.to_string(),
             d.origin.to_string(),
             outcome_str(&d.status),
             outcome_str(&t.status),
-            if db == tb { "yes" } else { "NO" },
+            bytes(des, d.id.0),
+            bytes(tcp, t.id.0),
         );
-        check("query outcome", outcomes_agree);
-        check("query byte attribution", db == tb);
     }
-    mismatches
 }
 
 /// Prints the per-node live-telemetry table: what each node's registry
@@ -233,7 +205,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = RunOptions::new(Strategy::Lvf);
 
     println!("== DES backend (deterministic baseline) ==");
-    let des = DesTransport::new(options.clone()).run_observed(&scenario, Box::new(NullSink));
+    let des = run_scenario_observed(&scenario, options.clone(), Box::new(NullSink));
     println!(
         "  resolved {}/{} | total bytes {}",
         des.resolved, des.total_queries, des.total_bytes
@@ -258,11 +230,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&metrics_path, doc)?;
     println!("  metrics -> {metrics_path}");
 
-    let mismatches = compare(&des, tcp);
-    if mismatches > 0 {
-        eprintln!("\ncluster demo FAILED: {mismatches} mismatches between backends");
-        std::process::exit(1);
-    }
-    println!("\ncluster demo OK: backends agree on all outcomes and attributed bytes");
+    print_side_by_side(&des, tcp);
     Ok(())
 }

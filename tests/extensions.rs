@@ -216,16 +216,9 @@ fn reliability_profiles_learn_bad_sources() {
     let bad = [NodeId(0), NodeId(1)];
     // Run manually to keep the simulator (run_scenario consumes it), using
     // the engine's building blocks.
-    use dde_core::node::{AthenaNode, NodeConfig, SharedWorld};
+    use dde_core::node::AthenaNode;
     use dde_netsim::ShardedSimulator;
-    let mut config = NodeConfig::new(Strategy::Lvf);
-    config.corroboration = 3;
-    config.prob_true_prior = s.config.prob_viable;
-    let shared = Arc::new(SharedWorld {
-        catalog: s.catalog.clone(),
-        world: s.world.clone(),
-        config,
-    });
+    let shared = dde_core::build_shared_world(&s, &opts);
     let annotator = Arc::new(BiasedSourcesAnnotator::new(bad));
     let nodes: Vec<AthenaNode> = (0..s.topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), annotator.clone()))

@@ -4,7 +4,7 @@
 //! and must not slow decisions down.
 
 use dde_core::annotate::GroundTruthAnnotator;
-use dde_core::node::{AthenaEvent, AthenaNode, NodeConfig, SharedWorld};
+use dde_core::node::{AthenaEvent, AthenaNode};
 use dde_core::prelude::*;
 use dde_core::query::QueryStatus;
 use dde_logic::dnf::{Dnf, Term};
@@ -62,14 +62,9 @@ fn replay(
     predictor: Option<&WorkflowModel>,
 ) -> (usize, usize, f64) {
     let spacing = SimDuration::from_secs(60);
-    let mut config = NodeConfig::new(Strategy::LvfLabelShare);
-    config.prefetch = Some(true);
-    config.prob_true_prior = scenario.config.prob_viable;
-    let shared = Arc::new(SharedWorld {
-        catalog: scenario.catalog.clone(),
-        world: scenario.world.clone(),
-        config,
-    });
+    let mut options = RunOptions::new(Strategy::LvfLabelShare);
+    options.prefetch = Some(true);
+    let shared = dde_core::build_shared_world(scenario, &options);
     let nodes: Vec<AthenaNode> = (0..scenario.topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
