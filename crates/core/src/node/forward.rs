@@ -154,7 +154,8 @@ impl AthenaNode {
         }
         // Register the interest; forward only the first. Lapsed interests
         // go first, so a request never aggregates onto a dead entry: a
-        // pure forwarder has no tick to sweep them (free when none is due).
+        // pure forwarder has no wake-up to sweep them (free when none is
+        // due).
         self.pit.expire(now);
         let first = self.pit.register(
             &name,

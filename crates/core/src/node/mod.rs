@@ -50,11 +50,20 @@ use dde_workload::world::WorldModel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Timer tag for the housekeeping tick.
-const TICK_TAG: u64 = 0;
+/// Timer tag of the wake-up timer; deadline timers carry `qid + 1`. The
+/// value stays 0: `benchmark/src/layers.rs` reads tag 0 as the
+/// `core.on_timer_tick` span, and `benchmark/` is frozen.
+const WAKE_TAG: u64 = 0;
 
-/// Housekeeping tick period.
-const TICK: SimDuration = SimDuration::from_millis(250);
+/// Re-check period where no event announces a change: a query whose
+/// chosen source has no route (the node is not told when the topology
+/// heals), a timed-out fetch that could not be replaced, and the pacing of
+/// background prefetch pushes, one per period (§VI-A).
+const POLL: SimDuration = SimDuration::from_millis(250);
+
+/// The step from the last instant a condition holds to the first instant
+/// it does not: time is counted in whole microseconds.
+const ONE_US: SimDuration = SimDuration::from_micros(1);
 
 /// Re-issue an unanswered fetch after this long.
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
@@ -302,8 +311,9 @@ pub struct AthenaNode {
     /// Reliability profile per evidence *source*: (agreed, disagreed) with
     /// the corroborated majority (§IV-B annotator feedback).
     reliability: BTreeMap<NodeId, (u64, u64)>,
-    /// Whether a tick timer is armed.
-    tick_armed: bool,
+    /// The earliest wake-up timer armed and not yet fired (`None`: none).
+    /// Later ones may still be pending; they fire and find nothing due.
+    wake_at: Option<SimTime>,
     /// Online estimator state (`None` = static planning). Built from
     /// [`RunOptions::adaptive`]; updated only at trace-visible events so
     /// observed and unobserved runs evolve identically.
@@ -336,7 +346,7 @@ impl AthenaNode {
             recent_pushes: BTreeMap::new(),
             recent_bg: BTreeMap::new(),
             reliability: BTreeMap::new(),
-            tick_armed: false,
+            wake_at: None,
             adaptive,
             stats: NodeStats::default(),
         }
@@ -450,18 +460,21 @@ impl AthenaNode {
         });
     }
 
-    fn arm_tick(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
-        if !self.tick_armed {
-            self.tick_armed = true;
-            ctx.set_timer(TICK, TICK_TAG);
+    /// Arms the wake-up timer at the earlier of `due` and the next prefetch
+    /// slot, unless a wake-up at or before that instant is armed already.
+    /// Every handler that can change when work is due ends here. A
+    /// superseded (later) timer still fires; [`Protocol::on_timer`] lets it
+    /// pass.
+    fn arm(&mut self, ctx: &mut Context<'_, AthenaMsg>, due: Option<SimTime>) {
+        let now = ctx.now();
+        let Some(at) = due.into_iter().chain(self.prefetch_due(now)).min() else {
+            return;
+        };
+        debug_assert!(at > now, "wake-up at {at:?} is not after {now:?}");
+        if self.wake_at.is_none_or(|armed| at < armed) {
+            self.wake_at = Some(at);
+            ctx.set_timer_at(at, WAKE_TAG);
         }
-    }
-
-    /// Whether another tick is needed. Only called once
-    /// [`AthenaNode::retire_finished`] has run, when `open` holds exactly
-    /// the non-final queries.
-    fn has_pending_work(&self, now: SimTime) -> bool {
-        !self.open.is_empty() || self.prefetch_queue.iter().any(|t| t.deadline_at > now)
     }
 
     /// Samples a fresh instance of `spec`, with per-label epoch-aligned
@@ -589,17 +602,17 @@ impl Protocol for AthenaNode {
     /// caches survive or not per [`RunOptions::crash_wipes_cache`]. Open
     /// queries restart their retrieval loop — the in-flight fetch and the
     /// votes gathered so far are forgotten (replies, if any, were dropped
-    /// while we were down) — and their deadline timers are re-armed (timers
-    /// that fired during the outage were swallowed). Nothing is
-    /// re-announced: every node that heard the announce before the crash
-    /// still holds it in `seen_announces` and would drop a repeat.
+    /// while we were down) — and their deadline timers and the wake-up are
+    /// re-armed (timers that fired during the outage were swallowed).
+    /// Nothing is re-announced: every node that heard the announce before
+    /// the crash still holds it in `seen_announces` and would drop a repeat.
     fn on_recover(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
         let now = ctx.now();
         self.pit = Pit::new();
         self.prefetch_queue.clear();
         self.recent_pushes.clear();
         self.recent_bg.clear();
-        self.tick_armed = false;
+        self.wake_at = None;
         if self.shared.options.crash_wipes_cache {
             self.content = ContentStore::new(self.shared.options.cache_capacity);
             self.labels.clear();
@@ -612,31 +625,35 @@ impl Protocol for AthenaNode {
                 continue;
             }
             lq.state.outstanding = None;
-            // Queries the admission gate is holding back re-face the gate
-            // in the retrieval loop; only admitted ones are re-armed here.
-            if lq.gate != AdmissionState::Admitted {
-                continue;
-            }
             ctx.set_timer_at(lq.state.deadline_at, qid.0 + 1);
         }
         self.advance_queries(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, AthenaMsg>, tag: u64) {
-        if tag == TICK_TAG {
-            self.tick_armed = false;
-            self.pit.expire(ctx.now());
-            self.advance_queries(ctx);
-            self.process_prefetch(ctx);
-            if self.has_pending_work(ctx.now()) {
-                self.arm_tick(ctx);
+        let now = ctx.now();
+        if tag == WAKE_TAG {
+            // Only the earliest armed wake-up works, and at or after its
+            // instant, not just on it: the live backend dispatches a timer
+            // at the wall-derived `now`, never before the scheduled instant
+            // and almost never on it.
+            if self.wake_at.is_none_or(|armed| now < armed) {
+                return;
             }
+            self.wake_at = None;
+            self.pit.expire(now);
+            let due = self.advance_open(ctx);
+            self.process_prefetch(ctx);
+            self.arm(ctx, due);
         } else {
             // Deadline for query (tag - 1).
             if let Some(lq) = self.queries.get_mut(&QueryId(tag - 1)) {
-                lq.state.check(ctx.now());
+                lq.state.check(now);
             }
             self.retire_finished(ctx);
+            // A query that ended with its fetch in flight may free the
+            // prefetch queue.
+            self.arm(ctx, None);
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use super::{
     announce_to_children, share_msg, AdmissionState, AthenaNode, CachedLabel, LocalQuery,
-    Requester, VoteSet, INTEREST_LIFETIME, RETRY_TIMEOUT,
+    Requester, SharedWorld, VoteSet, INTEREST_LIFETIME, ONE_US, POLL, RETRY_TIMEOUT,
 };
 use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
@@ -62,7 +62,7 @@ impl AthenaNode {
         if self.rule_on(ctx, qid, 0) {
             self.announce_admitted(ctx, qid);
         }
-        // Deadline timer: tag = qid + 1 (0 is the tick).
+        // Deadline timer: tag = qid + 1 (0 is the wake-up).
         ctx.set_timer_at(deadline_at, qid.0 + 1);
         self.advance_queries(ctx);
     }
@@ -234,18 +234,34 @@ impl AthenaNode {
         (None, None)
     }
 
-    /// The retrieval loop: satisfy next requests locally when possible,
-    /// otherwise send one fetch per query into the network.
+    /// The retrieval loop ([`AthenaNode::advance_open`]), then the wake-up
+    /// for whatever it leaves due.
     pub(super) fn advance_queries(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
+        let due = self.advance_open(ctx);
+        self.arm(ctx, due);
+    }
+
+    /// The retrieval loop: satisfy next requests locally when possible,
+    /// otherwise send one fetch per query into the network. Returns the
+    /// earliest instant, before its deadline, at which an open query can
+    /// progress with no message arriving (§IV: a verdict changes only when
+    /// evidence arrives or a validity interval ends):
+    ///
+    /// - a deferred query: when its deferral ripens;
+    /// - a fetch in flight: the first instant it counts as timed out;
+    /// - nothing left to fetch: the first instant a recorded label lapses —
+    ///   the planner reads the clock only through label freshness;
+    /// - no route to the chosen source, or a timed-out fetch that could
+    ///   not be replaced: one [`POLL`] from now. The node is not told when
+    ///   routes heal, and a standing fetch holds prefetch back.
+    ///
+    /// A shed query adds nothing: its deadline timer is all it waits for.
+    pub(super) fn advance_open(&mut self, ctx: &mut Context<'_, AthenaMsg>) -> Option<SimTime> {
         let now = ctx.now();
-        let me = ctx.node();
         // A handle of our own, so catalog entries can stay borrowed across
         // the `&mut self` calls below.
         let shared = Arc::clone(&self.shared);
-        let strategy = shared.options.strategy;
-        let channel = Channel::new(shared.planning_bandwidth_bps);
-        let k = shared.options.corroboration.max(1);
-        let adaptive = self.adaptive.is_some();
+        let mut due: Option<SimTime> = None;
 
         // Retired queries are final for good and have nothing to advance.
         // `open` only changes when a query is issued or retired, neither of
@@ -256,185 +272,224 @@ impl AthenaNode {
             // deferred ones wait out their re-evaluation time, then face
             // the gate again. The deadline check still runs, so a gated
             // query turns `Missed` on time.
-            if !self.admission_allows(ctx, qid) {
-                self.local(qid).state.check(now);
-                continue;
+            let wake = if !self.admission_allows(ctx, qid) {
+                match self.local(qid).gate {
+                    AdmissionState::Deferred { until, .. } if until > now => Some(until),
+                    // A zero-length deferral: look again after a poll.
+                    AdmissionState::Deferred { .. } => Some(now + POLL),
+                    _ => None,
+                }
+            } else {
+                self.retrieve(ctx, &shared, qid)
+            };
+            let q = &mut self.local(qid).state;
+            if !q.check(now).is_final() {
+                if let Some(at) = wake.filter(|&at| at < q.deadline_at) {
+                    due = Some(due.map_or(at, |d| d.min(at)));
+                }
             }
-            loop {
-                let q = &mut self.local(qid).state;
-                if q.check(now).is_final() {
-                    break;
+        }
+        self.retire_finished(ctx);
+        due
+    }
+
+    /// One query's share of [`AthenaNode::advance_open`]: makes what
+    /// progress is possible at `now` — local resolution, or one fetch sent
+    /// into the network — and returns when it next can without news.
+    fn retrieve(
+        &mut self,
+        ctx: &mut Context<'_, AthenaMsg>,
+        shared: &SharedWorld,
+        qid: QueryId,
+    ) -> Option<SimTime> {
+        let now = ctx.now();
+        let me = ctx.node();
+        let strategy = shared.options.strategy;
+        let channel = Channel::new(shared.planning_bandwidth_bps);
+        let k = shared.options.corroboration.max(1);
+        let adaptive = self.adaptive.is_some();
+        loop {
+            let q = &mut self.local(qid).state;
+            if q.check(now).is_final() {
+                return None;
+            }
+            // Waiting on an in-flight fetch that hasn't timed out?
+            if let Some(o) = &q.outstanding {
+                if !q.outstanding_timed_out(now, RETRY_TIMEOUT) {
+                    return Some(o.sent_at + RETRY_TIMEOUT + ONE_US);
                 }
-                // Waiting on an in-flight fetch that hasn't timed out?
-                if q.outstanding.is_some() && !q.outstanding_timed_out(now, RETRY_TIMEOUT) {
-                    break;
+            }
+            // A timed-out fetch falls through to re-plan; in adaptive
+            // mode the unresponsive source's reliability estimate is
+            // discounted first (the trace-visible `fetch-timeout`).
+            let timed_out = q.outstanding.as_ref().filter(|_| adaptive);
+            if let Some(spec) = timed_out.and_then(|o| shared.catalog.by_name(&o.name)) {
+                if let Some(st) = self.adaptive.as_mut() {
+                    st.reliability.observe(spec.source.0 as u32, false);
                 }
-                // A timed-out fetch falls through to re-plan; in adaptive
-                // mode the unresponsive source's reliability estimate is
-                // discounted first (the trace-visible `fetch-timeout`).
-                let timed_out = q.outstanding.as_ref().filter(|_| adaptive);
-                if let Some(spec) = timed_out.and_then(|o| shared.catalog.by_name(&o.name)) {
-                    if let Some(st) = self.adaptive.as_mut() {
-                        st.reliability.observe(spec.source.0 as u32, false);
-                    }
-                    if ctx.obs_enabled() {
-                        ctx.emit(EventKind::FetchTimeout {
-                            query: qid.0,
-                            name: spec.name.to_string(),
-                            source: spec.source.index() as u32,
-                        });
-                    }
+                if ctx.obs_enabled() {
+                    ctx.emit(EventKind::FetchTimeout {
+                        query: qid.0,
+                        name: spec.name.to_string(),
+                        source: spec.source.index() as u32,
+                    });
                 }
-                let priors = match self.adaptive.as_ref() {
-                    Some(st) => Priors::Learned(st),
-                    None => Priors::Fixed(shared.prob_true_prior),
-                };
-                let lq = &self.queries[&qid];
-                let Some((idx, label)) = strategy.next_from_plan(
-                    &lq.state,
-                    &lq.plan,
-                    &shared.catalog,
-                    me,
-                    ctx.topology(),
-                    now,
-                    channel,
-                    &priors,
-                ) else {
-                    break;
-                };
-                // Corroboration (§IV-B): if this provider already voted on
-                // this label, fetch a *different* provider; if none remains,
-                // accept the majority of the votes gathered so far.
-                let mut chosen = idx;
-                if k > 1 {
-                    if let Some(entry) = lq.votes.get(&label) {
-                        if entry.contains_key(&shared.catalog.get(idx).source) {
-                            match self.alternate_provider(&label, entry) {
-                                Some(a) => chosen = a,
-                                None => {
-                                    self.finalize_votes(ctx, qid, &label);
-                                    continue;
-                                }
+            }
+            let priors = match self.adaptive.as_ref() {
+                Some(st) => Priors::Learned(st),
+                None => Priors::Fixed(shared.prob_true_prior),
+            };
+            let lq = &self.queries[&qid];
+            let Some((idx, label)) = strategy.next_from_plan(
+                &lq.state,
+                &lq.plan,
+                &shared.catalog,
+                me,
+                ctx.topology(),
+                now,
+                channel,
+                &priors,
+            ) else {
+                // Nothing to fetch until a recorded label lapses — but a
+                // timed-out fetch left standing is only cleared by a poll.
+                let q = &self.queries[&qid].state;
+                if q.outstanding.is_some() {
+                    return Some(now + POLL);
+                }
+                return q
+                    .undecided_memo()
+                    .map(|(_, through)| through.saturating_add(ONE_US));
+            };
+            // Corroboration (§IV-B): if this provider already voted on
+            // this label, fetch a *different* provider; if none remains,
+            // accept the majority of the votes gathered so far.
+            let mut chosen = idx;
+            if k > 1 {
+                if let Some(entry) = lq.votes.get(&label) {
+                    if entry.contains_key(&shared.catalog.get(idx).source) {
+                        match self.alternate_provider(&label, entry) {
+                            Some(a) => chosen = a,
+                            None => {
+                                self.finalize_votes(ctx, qid, &label);
+                                continue;
                             }
                         }
                     }
                 }
-                let spec = shared.catalog.get(chosen);
-                // Bookkeeping: chasing a label whose previous value expired.
-                // The planner only picks a label with no fresh value, so a
-                // value still recorded for it has lapsed.
-                let q = &mut self.local(qid).state;
-                debug_assert!(!q.value_at(&label, now).is_known());
-                if q.forget_label(&label).is_some() {
-                    q.counters.label_expiries += 1;
-                }
-
-                // 1. Fresh trusted cached label (shared by someone else)?
-                if strategy.label_sharing() {
-                    if let Some(c) = self.labels.get(&label) {
-                        if self.label_usable(c, now) {
-                            let (value, sampled_at, validity) = (c.value, c.sampled_at, c.validity);
-                            let q = &mut self.local(qid).state;
-                            q.record_label(&label, value, sampled_at, validity);
-                            q.counters.labels_from_shares += 1;
-                            continue;
-                        }
-                    }
-                }
-                // 2. Fresh object in the local content store?
-                if let Some(stored) = self.content.get_fresh(&spec.name, now) {
-                    let object = stored.value.clone();
-                    self.annotate_object(ctx, &object);
-                    let q = &self.queries[&qid].state;
-                    if k == 1 && !q.value_at(&label, now).is_known() {
-                        // Annotation failed to resolve the label (cannot
-                        // happen with covering objects); avoid spinning.
-                        break;
-                    }
-                    // Under corroboration an unresolved label just gained a
-                    // vote — loop to fetch the next distinct provider.
-                    continue;
-                }
-                // 3. We are the source: sample locally, free of charge.
-                if spec.source == me {
-                    self.stats.local_samples += 1;
-                    if ctx.obs_enabled() {
-                        ctx.emit(EventKind::LocalSample {
-                            name: spec.name.to_string(),
-                            query: Some(qid.0),
-                        });
-                    }
-                    let object = self.sample_object(spec, now);
-                    self.store(ctx, &object, Some(qid.0));
-                    self.local(qid).state.counters.labels_from_local += 1;
-                    self.annotate_object(ctx, &object);
-                    continue;
-                }
-                // 4. Fetch over the network. The request carries every
-                // still-unknown label this object can resolve, so that an
-                // intermediate node may answer with labels only if it can
-                // supply all of them.
-                let lq = &self.queries[&qid];
-                let mut wanted: Vec<Label> = spec
-                    .covers
-                    .iter()
-                    .filter(|l| lq.wants(l, now))
-                    .cloned()
-                    .collect();
-                if !wanted.contains(&label) {
-                    wanted.push(label.clone());
-                }
-                // The selected source may be unreachable right now (crashed
-                // or partitioned away, with no alternate provider). Don't
-                // register an interest or pretend a fetch is in flight:
-                // leave the query pending so every tick re-plans until a
-                // route exists again, then send immediately on recovery.
-                let Some(hop) = ctx.next_hop_toward(spec.source) else {
-                    break;
-                };
-                let first = self.pit.register(
-                    &spec.name,
-                    Requester::Local,
-                    (qid, wanted.clone()),
-                    now + INTEREST_LIFETIME,
-                );
-                let q = &mut self.local(qid).state;
-                q.outstanding = Some(Outstanding {
-                    name: spec.name.clone(),
-                    wanted: wanted.clone(),
-                    sent_at: now,
-                });
-                q.counters.requests_sent += 1;
-                if first {
-                    if ctx.obs_enabled() {
-                        let (term, cond) = self.locate_predicate(qid, &label);
-                        ctx.emit(EventKind::RequestSend {
-                            query: qid.0,
-                            name: spec.name.to_string(),
-                            hop: hop.index() as u32,
-                            term,
-                            cond,
-                        });
-                    }
-                    ctx.send(
-                        hop,
-                        AthenaMsg::Request {
-                            name: spec.name.clone(),
-                            wanted,
-                            qid,
-                            origin: me,
-                            kind: RequestKind::Fetch,
-                        },
-                    );
-                }
-                break;
             }
-            // Final check after the burst of local progress.
-            self.local(qid).state.check(now);
-        }
-        self.retire_finished(ctx);
-        if self.has_pending_work(now) {
-            self.arm_tick(ctx);
+            let spec = shared.catalog.get(chosen);
+            // Bookkeeping: chasing a label whose previous value expired.
+            // The planner only picks a label with no fresh value, so a
+            // value still recorded for it has lapsed.
+            let q = &mut self.local(qid).state;
+            debug_assert!(!q.value_at(&label, now).is_known());
+            if q.forget_label(&label).is_some() {
+                q.counters.label_expiries += 1;
+            }
+
+            // 1. Fresh trusted cached label (shared by someone else)?
+            if strategy.label_sharing() {
+                if let Some(c) = self.labels.get(&label) {
+                    if self.label_usable(c, now) {
+                        let (value, sampled_at, validity) = (c.value, c.sampled_at, c.validity);
+                        let q = &mut self.local(qid).state;
+                        q.record_label(&label, value, sampled_at, validity);
+                        q.counters.labels_from_shares += 1;
+                        continue;
+                    }
+                }
+            }
+            // 2. Fresh object in the local content store?
+            if let Some(stored) = self.content.get_fresh(&spec.name, now) {
+                let object = stored.value.clone();
+                self.annotate_object(ctx, &object);
+                let q = &self.queries[&qid].state;
+                if k == 1 && !q.value_at(&label, now).is_known() {
+                    // Annotation failed to resolve the label (cannot
+                    // happen with covering objects); avoid spinning.
+                    return Some(now + POLL);
+                }
+                // Under corroboration an unresolved label just gained a
+                // vote — loop to fetch the next distinct provider.
+                continue;
+            }
+            // 3. We are the source: sample locally, free of charge.
+            if spec.source == me {
+                self.stats.local_samples += 1;
+                if ctx.obs_enabled() {
+                    ctx.emit(EventKind::LocalSample {
+                        name: spec.name.to_string(),
+                        query: Some(qid.0),
+                    });
+                }
+                let object = self.sample_object(spec, now);
+                self.store(ctx, &object, Some(qid.0));
+                self.local(qid).state.counters.labels_from_local += 1;
+                self.annotate_object(ctx, &object);
+                continue;
+            }
+            // 4. Fetch over the network. The request carries every
+            // still-unknown label this object can resolve, so that an
+            // intermediate node may answer with labels only if it can
+            // supply all of them.
+            let lq = &self.queries[&qid];
+            let mut wanted: Vec<Label> = spec
+                .covers
+                .iter()
+                .filter(|l| lq.wants(l, now))
+                .cloned()
+                .collect();
+            if !wanted.contains(&label) {
+                wanted.push(label.clone());
+            }
+            // The selected source may be unreachable right now (crashed
+            // or partitioned away, with no alternate provider). Don't
+            // register an interest or pretend a fetch is in flight:
+            // leave the query pending and re-plan every poll until a
+            // route exists again, then send at once.
+            let Some(hop) = ctx.next_hop_toward(spec.source) else {
+                return Some(now + POLL);
+            };
+            // Lapsed interests go first, as in `handle_request`: with no
+            // periodic sweep, a dead entry would otherwise swallow this
+            // request.
+            self.pit.expire(now);
+            let first = self.pit.register(
+                &spec.name,
+                Requester::Local,
+                (qid, wanted.clone()),
+                now + INTEREST_LIFETIME,
+            );
+            let q = &mut self.local(qid).state;
+            q.outstanding = Some(Outstanding {
+                name: spec.name.clone(),
+                wanted: wanted.clone(),
+                sent_at: now,
+            });
+            q.counters.requests_sent += 1;
+            if first {
+                if ctx.obs_enabled() {
+                    let (term, cond) = self.locate_predicate(qid, &label);
+                    ctx.emit(EventKind::RequestSend {
+                        query: qid.0,
+                        name: spec.name.to_string(),
+                        hop: hop.index() as u32,
+                        term,
+                        cond,
+                    });
+                }
+                ctx.send(
+                    hop,
+                    AthenaMsg::Request {
+                        name: spec.name.clone(),
+                        wanted,
+                        qid,
+                        origin: me,
+                        kind: RequestKind::Fetch,
+                    },
+                );
+            }
+            return Some(now + RETRY_TIMEOUT + ONE_US);
         }
     }
 

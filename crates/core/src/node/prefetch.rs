@@ -1,8 +1,9 @@
 //! Background traffic (§VI-A, §V-B): `Query_Recv` queues source-side
-//! pushes for announced queries, the tick sends them one at a time, and
-//! utility triage drops the redundant ones.
+//! pushes for announced queries, wake-ups one [`POLL`] apart send them one
+//! at a time while no local fetch is in flight, and utility triage drops
+//! the redundant ones.
 
-use super::{announce_to_children, AthenaNode, PushTask};
+use super::{announce_to_children, AthenaNode, PushTask, POLL};
 use crate::msg::{AthenaMsg, QueryId};
 use dde_logic::dnf::Dnf;
 use dde_logic::time::{SimDuration, SimTime};
@@ -57,24 +58,34 @@ impl AthenaNode {
                     });
                 }
             }
-            if !self.prefetch_queue.is_empty() {
-                self.arm_tick(ctx);
-            }
+            self.arm(ctx, None);
         }
     }
 
+    /// Whether a local query has a fetch in flight. Called where `open`
+    /// holds exactly the non-final queries.
+    fn foreground_busy(&self) -> bool {
+        self.open
+            .iter()
+            .any(|qid| self.queries[qid].state.outstanding.is_some())
+    }
+
+    /// The next prefetch slot: one [`POLL`] from `now` while the queue holds
+    /// a live task and no local fetch is in flight. A fetch in flight has a
+    /// wake-up of its own, and whatever ends it arms again.
+    pub(super) fn prefetch_due(&self, now: SimTime) -> Option<SimTime> {
+        let live = self.prefetch_queue.iter().any(|t| t.deadline_at > now);
+        (live && !self.foreground_busy()).then(|| now + POLL)
+    }
+
     /// Processes the background prefetch queue: one source-side push per
-    /// tick, and only when no local foreground fetch is outstanding
+    /// wake-up, and only when no local foreground fetch is outstanding
     /// ("the prefetch queue is only processed in the background", §VI-A).
     pub(super) fn process_prefetch(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
         let now = ctx.now();
         let me = ctx.node();
-        // Runs after `advance_queries`, so every open query is non-final.
-        let foreground_busy = self
-            .open
-            .iter()
-            .any(|qid| self.queries[qid].state.outstanding.is_some());
-        if foreground_busy {
+        // Runs after the retrieval loop, so every open query is non-final.
+        if self.foreground_busy() {
             return;
         }
         while let Some(task) = self.prefetch_queue.pop_front() {
@@ -119,7 +130,7 @@ impl AthenaNode {
                     for_query: Some(task.qid),
                 },
             );
-            break; // one push per tick keeps prefetch in the background
+            break; // one push per wake-up keeps prefetch in the background
         }
     }
 

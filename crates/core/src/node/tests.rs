@@ -287,10 +287,10 @@ fn deadline_timer_finalizes_unresolvable_query() {
     assert_eq!(sim.metrics().kind("data").count, 0);
 }
 
-/// A node ticks only while it has local queries or prefetch work, so a
-/// pure forwarder's interest table is swept when a request arrives: a
-/// later request for a name whose interest lapsed is forwarded, not
-/// aggregated onto the dead entry.
+/// A node wakes only for its own queries and prefetch work, so a pure
+/// forwarder's interest table is swept when a request arrives: a later
+/// request for a name whose interest lapsed is forwarded, not aggregated
+/// onto the dead entry.
 #[test]
 fn forwarder_sweeps_a_lapsed_interest_and_forwards_the_next_request() {
     let (mut sim, _) = harness(RunOptions::new(Strategy::Lvf));
@@ -627,4 +627,77 @@ fn announce_reaches_a_source_which_queues_its_share_of_the_cover() {
         queued,
         vec![(1, NodeId(0), QueryId(5), SimTime::from_secs(61))]
     );
+}
+
+/// What one handler call on `node`, running as `me` at `at`, queued: its
+/// sends in order, and its timers as `(instant, tag)`.
+type Queued = (Vec<(NodeId, AthenaMsg)>, Vec<(SimTime, u64)>);
+
+fn handle(
+    node: &mut AthenaNode,
+    topology: &Topology,
+    me: NodeId,
+    at: SimTime,
+    f: impl FnOnce(&mut AthenaNode, &mut Context<'_, AthenaMsg>),
+) -> Queued {
+    let (mut commands, mut sink) = (Vec::new(), dde_obs::NullSink);
+    let mut ctx = Context::new(at, me, topology, &mut commands, &mut sink);
+    f(node, &mut ctx);
+    let (mut sends, mut timers) = (Vec::new(), Vec::new());
+    for c in commands {
+        match c {
+            dde_netsim::Command::Send { to, msg } => sends.push((to, msg)),
+            dde_netsim::Command::Timer { at, tag } => timers.push((at, tag)),
+        }
+    }
+    (sends, timers)
+}
+
+/// The live backend dispatches a timer at its wall-derived `now`, a little
+/// after the instant it was set for. A wake-up must still do its work
+/// then: leaf 0's fetch, whose reply never comes, is retried when the
+/// wake-up armed for its timeout fires 3 ms late. A wake-up handled before
+/// the armed instant (a superseded timer) does nothing.
+#[test]
+fn a_late_wake_up_retries_the_timed_out_fetch() {
+    const LEAF: NodeId = NodeId(0);
+    let (topology, shared) = star(RunOptions::new(Strategy::Lvf), SLOW);
+    let mut node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
+    let mut q = query(0, 0, &["x"]);
+    q.deadline = SimDuration::from_secs(120);
+    let (sent, timers) = handle(&mut node, &topology, LEAF, SimTime::ZERO, |n, ctx| {
+        n.on_external(ctx, q.into())
+    });
+    let requests = |sent: &[(NodeId, AthenaMsg)]| {
+        sent.iter()
+            .filter(|(_, m)| matches!(m, AthenaMsg::Request { .. }))
+            .count()
+    };
+    assert_eq!(requests(&sent), 1);
+    let due = SimTime::ZERO + RETRY_TIMEOUT + ONE_US;
+    assert_eq!(
+        timers,
+        vec![(SimTime::from_secs(120), 1), (due, WAKE_TAG)],
+        "the deadline, then one wake-up at the first instant the fetch times out"
+    );
+    let requests_sent = |node: &AthenaNode| node.queries().next().unwrap().counters.requests_sent;
+
+    let early = due - SimDuration::from_millis(1);
+    let queued = handle(&mut node, &topology, LEAF, early, |n, ctx| {
+        n.on_timer(ctx, WAKE_TAG)
+    });
+    assert_eq!(queued, (vec![], vec![]));
+    assert_eq!(requests_sent(&node), 1);
+
+    let late = due + SimDuration::from_millis(3);
+    let (sent, timers) = handle(&mut node, &topology, LEAF, late, |n, ctx| {
+        n.on_timer(ctx, WAKE_TAG)
+    });
+    assert_eq!(requests_sent(&node), 2, "the fetch is re-issued");
+    let q = node.queries().next().unwrap();
+    assert_eq!(q.outstanding.as_ref().map(|o| o.sent_at), Some(late));
+    // Its first interest is still pending at the origin, so the re-issue
+    // registers onto it and nothing new leaves.
+    assert_eq!(requests(&sent), 0);
+    assert_eq!(timers, vec![(late + RETRY_TIMEOUT + ONE_US, WAKE_TAG)]);
 }

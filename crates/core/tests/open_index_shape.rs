@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Labels `x` and `y` are true and `n` is false, each covered by one
-/// 20 kB object (0.16 s a hop at 1 Mb/s, so fetches span several ticks);
+/// 20 kB object (0.16 s a hop at 1 Mb/s, so fetches overlap);
 /// `ghost` has no provider.
 fn simulator(options: RunOptions) -> ShardedSimulator<AthenaNode> {
     let topology = Topology::ring(6, LinkSpec::mbps1());

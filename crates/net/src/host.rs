@@ -9,8 +9,10 @@
 //! realized against the transport (sends) and a local timer wheel
 //! (timers). Protocol time is a **scaled virtual clock**: `now = wall
 //! elapsed × scale` in simulation units, so a 60-second scenario runs in
-//! a couple of wall seconds while deadlines, validity windows, and tick
-//! periods keep their simulated meaning.
+//! a couple of wall seconds while deadlines, validity windows, and retry
+//! and poll periods keep their simulated meaning. A timer fires at the
+//! clock's `now` once its instant has passed — never before it, and almost
+//! never exactly on it, which the node's wake-up handler allows for.
 //!
 //! What is — deliberately — *not* reproduced here is determinism: thread
 //! scheduling and wall-clock jitter reorder deliveries, so traces and
@@ -426,7 +428,7 @@ impl HostMetrics {
 pub struct ClusterConfig {
     /// Simulated microseconds per wall microsecond. 16 runs a 60 s
     /// scenario band in under 4 wall seconds while keeping the protocol's
-    /// 250 ms tick ~16 ms of wall time — coarse enough for thread
+    /// 250 ms poll period ~16 ms of wall time — coarse enough for thread
     /// scheduling noise to stay far from decision deadlines.
     pub time_scale: u64,
     /// Wall-clock period between coordinator health-probe sweeps, in

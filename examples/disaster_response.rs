@@ -135,8 +135,9 @@ fn main() {
     // The earthquake aftershock takes down node 4 (the only camera for
     // segment F) shortly into the mission; it comes back before the
     // deadline. The retrieval loop rides out the outage: with no route to
-    // the only provider it keeps re-planning each tick, fires the fetch the
-    // moment the node recovers, and completes well inside the deadline.
+    // the only provider it re-plans every 250 ms poll, fires the fetch at
+    // the first poll after the node recovers, and completes well inside
+    // the deadline.
     println!("\n== Aftershock: the segment-F camera host crashes mid-run ==\n");
     let scenario = build();
     let mut options = RunOptions::new(Strategy::Lvf);
@@ -161,8 +162,8 @@ fn main() {
     );
     println!(
         "\nA crashed source delays the decision instead of killing it: while\n\
-         no route to the only camera exists the fetch keeps re-planning, it\n\
-         fires the moment the node recovers, and the decision still lands\n\
-         well before the 90 s deadline."
+         no route to the only camera exists the fetch re-plans every 250 ms,\n\
+         it fires at the first poll after the node recovers, and the decision\n\
+         still lands well before the 90 s deadline."
     );
 }

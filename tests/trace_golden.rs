@@ -102,7 +102,7 @@ fn every_strategy_trace_is_pinned() {
 
 #[test]
 fn admission_gated_adaptive_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1560, 200_077, 5_145_887_638_456_883_864);
+    const GOLDEN: Fingerprint = (1565, 200_499, 12_340_356_659_956_362_772);
     let scenario = Scenario::build(ScenarioConfig::overload().with_seed(1));
     let mut options = options(Strategy::Lvf);
     options.adaptive = Some(AdaptiveConfig {
@@ -124,7 +124,7 @@ fn tree_topology_label_sharing_trace_is_pinned() {
 
 #[test]
 fn crash_recover_and_link_outage_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (430, 49_644, 11_360_118_312_232_966_956);
+    const GOLDEN: Fingerprint = (430, 49_644, 16_479_526_150_405_326_265);
     let scenario = multi_hop(2, SimDuration::ZERO);
     let mut options = options(Strategy::LvfLabelShare);
     options.faults = crash_recover_outage(&scenario);
@@ -136,7 +136,7 @@ fn crash_recover_and_link_outage_trace_is_pinned() {
 /// utility triage, approximate substitution and two-source corroboration.
 #[test]
 fn prefetch_triage_and_corroboration_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (826, 91_476, 11_283_526_789_845_629_550);
+    const GOLDEN: Fingerprint = (821, 90_901, 17_463_432_108_554_179_328);
     let scenario = multi_hop(2, SimDuration::from_secs(60));
     let mut options = options(Strategy::LvfLabelShare);
     options.prefetch = Some(true);
@@ -224,7 +224,7 @@ fn adaptive_learning_under_churn_trace_is_pinned() {
 
 #[test]
 fn adaptive_admission_on_the_overload_band_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1360, 176_351, 17_559_394_873_450_137_994);
+    const GOLDEN: Fingerprint = (1346, 174_001, 5_701_318_098_088_475_451);
     let scenario = Scenario::build(ScenarioConfig::overload().with_seed(11));
     let mut options = band_options(Strategy::Lvf, 11 ^ 0xada);
     options.adaptive = Some(AdaptiveConfig {
