@@ -18,9 +18,9 @@
 //! 10. **Utility triage** (§V-B) — dropping redundant background pushes.
 //! 11. **Medium model** — wired links vs a half-duplex radio per node.
 //! 12. **Deployment density** — node count on the same grid.
-//! 13. **Adaptive planning** — static priors vs online estimators, and the
-//!     admission gate on the overload band (`BENCH_adaptive.json` has the
-//!     full convergence study; this row is the headline comparison).
+//! 13. **Adaptive planning** — static priors vs learned short-circuit
+//!     probabilities (`BENCH_adaptive.json` has the full convergence study;
+//!     this row is the headline comparison).
 //!
 //! Usage: `cargo run -p dde-bench --bin ablations --release`
 //! Knobs: `DDE_REPS` (default 5), `DDE_SCALE`, `DDE_SEED`.
@@ -393,38 +393,13 @@ fn adaptive_ablation(cfg: &HarnessConfig) {
         Strategy::Lvf,
         |c| c,
         |mut o| {
-            o.adaptive = Some(dde_sched::adaptive::AdaptiveConfig::default());
+            o.adaptive = true;
             o
         },
     );
     summarize("lvf, static 0.8 prior", &fixed);
     summarize("lvf, learned estimators", &learned);
-    // The admission gate only earns its keep when the band is actually
-    // overloaded: a query burst on a half-duplex radio medium.
-    let overload = |c: ScenarioConfig| ScenarioConfig::overload().with_seed(c.seed);
-    let radio = |mut o: RunOptions| {
-        o.medium = dde_netsim::MediumMode::HalfDuplexTx;
-        o
-    };
-    let ungated = runs_with(cfg, Strategy::Lvf, overload, radio);
-    let gated = runs_with(cfg, Strategy::Lvf, overload, |o| {
-        let mut o = radio(o);
-        o.adaptive = Some(dde_sched::adaptive::AdaptiveConfig {
-            admission: Some(dde_sched::adaptive::AdmissionPolicy::default()),
-            ..dde_sched::adaptive::AdaptiveConfig::default()
-        });
-        o
-    });
-    summarize("overload burst, no gate", &ungated);
-    summarize("overload burst, admission", &gated);
-    let shed: u64 = gated.iter().map(|r| r.admission_shed).sum();
-    let deferred: u64 = gated.iter().map(|r| r.admission_deferred).sum();
-    println!(
-        "  ({} shed, {} deferred across {} runs; the gate spends its deadline\n   slack on queries it predicts it can still afford)\n",
-        shed,
-        deferred,
-        gated.len()
-    );
+    println!();
 }
 
 fn aggregation_ablation(cfg: &HarnessConfig) {

@@ -1,20 +1,17 @@
 //! Regenerates **BENCH_adaptive.json**: the online-adaptive-planning gate.
 //!
-//! Two experiments, one JSON document:
-//!
-//! - **Convergence** (churn band): the same decision queries recur
-//!   periodically while nodes churn, and every completed query is scored by
-//!   the [`FeedbackSink`] — `|predicted − actual|` attributed bytes,
-//!   aggregated into epochs of one query round each. With the adaptive
-//!   estimators on, later epochs predict better than earlier ones: the
-//!   rep-averaged per-epoch error must shrink **monotonically**, and the
-//!   binary asserts it before writing anything. The per-epoch series is
-//!   written as `{mean, stddev}` stat objects over the seeded reps; the
-//!   epoch count and monotonicity flag go in the `invariant` block.
-//! - **Admission** (overload band): every node issues a burst of
-//!   near-simultaneous queries. The static planner admits everything and
-//!   saturates; the adaptive run sheds or defers part of the burst once
-//!   its load estimator sees the overload.
+//! **Convergence** (churn band): the same decision queries recur
+//! periodically while nodes churn, and every completed query is scored by
+//! the [`FeedbackSink`] — `|predicted − actual|` attributed bytes,
+//! aggregated into epochs of one query round each. With the truth
+//! estimator on, later epochs predict better than earlier ones: the
+//! rep-averaged per-epoch error must shrink **monotonically**, and the
+//! binary asserts it before writing anything. The per-epoch series is
+//! written as `{mean, stddev}` stat objects over the seeded reps; the epoch
+//! count and monotonicity flag go in the `invariant` block. Cost per
+//! decision is compared seed by seed, static against adaptive on the same
+//! inputs: the median per-seed difference (in bytes and relative to the
+//! static mean) and how many seeds each side wins.
 //!
 //! Every number is a deterministic function of the seed; the baselines
 //! test compares the whole document byte for byte.
@@ -27,8 +24,7 @@ use dde_core::engine::{run_scenario_observed, RunOptions, RunReport};
 use dde_core::strategy::Strategy;
 use dde_logic::time::SimDuration;
 use dde_obs::feedback::FeedbackSink;
-use dde_obs::{JsonValue, NullSink, SharedSink};
-use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
+use dde_obs::{JsonValue, SharedSink};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
 
 fn stat_json(st: Stat) -> JsonValue {
@@ -39,16 +35,13 @@ fn stat_json(st: Stat) -> JsonValue {
 }
 
 /// Query rounds in the convergence experiment (== expected epochs). Three
-/// rounds span the estimators' convergence; past that the error sits on
+/// rounds span the estimator's convergence; past that the error sits on
 /// its noise floor and the monotonicity assertion would be a coin flip.
 const ROUNDS: usize = 3;
 
 /// One rep of the convergence band: periodic queries under churn, scored by
 /// a [`FeedbackSink`]. Returns the per-epoch feedback stats and the report.
-fn convergence_rep(
-    seed: u64,
-    adaptive: Option<AdaptiveConfig>,
-) -> (Vec<dde_obs::EpochStats>, RunReport) {
+fn convergence_rep(seed: u64, adaptive: bool) -> (Vec<dde_obs::EpochStats>, RunReport) {
     // The convergence band is pinned to the small grid at every scale
     // (`DDE_SCALE` only picks the rep count): on the paper-scale topology
     // 90 concurrent queries saturate the 1 Mbps links and congestion —
@@ -68,15 +61,13 @@ fn convergence_rep(
     // fault-noise floor sits below the learning signal.
     cfg.queries_per_node = 3;
     // Uniform evidence sizes: per-query prediction error should come from
-    // what the estimators can learn (truth rates, reliability, systematic
-    // model bias), not from the size lottery of which camera serves a
-    // segment.
+    // what the loop can learn (truth rates, systematic model bias), not
+    // from the size lottery of which camera serves a segment.
     cfg.min_object_bytes = 400_000;
     cfg.max_object_bytes = 400_000;
     // Churn is drawn by Scenario::build before the periodic expansion, so
-    // every crash lands in the first round: the estimators take their
-    // reliability lessons (and their worst predictions) up front, and the
-    // later epochs measure what those lessons bought.
+    // every crash lands in the first round: the worst predictions come up
+    // front, and the later epochs measure what learning bought.
     cfg = cfg.with_churn(0.3);
     let round = cfg.node_count * cfg.queries_per_node;
     // Rounds are spaced past the slow-validity window, so every round
@@ -101,34 +92,57 @@ fn convergence_rep(
     (epochs, report)
 }
 
+/// The paired verdict on cost per decision, from `(static, adaptive)`
+/// bytes per decision of each seed: the median per-seed difference
+/// `adaptive − static`, in bytes and relative to the static mean, and how
+/// many seeds each side wins (ties count for neither).
+fn paired_cost(pairs: &[(f64, f64)]) -> JsonValue {
+    let mut diffs: Vec<f64> = pairs.iter().map(|&(s, a)| a - s).collect();
+    diffs.sort_by(f64::total_cmp);
+    let n = diffs.len();
+    let median = match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => diffs[n / 2],
+        _ => (diffs[n / 2 - 1] + diffs[n / 2]) / 2.0,
+    };
+    let static_mean = stat(&pairs.iter().map(|&(s, _)| s).collect::<Vec<_>>()).mean;
+    let seeds =
+        |won: fn(&f64) -> bool| JsonValue::Int(diffs.iter().filter(|d| won(d)).count() as i64);
+    JsonValue::Object(vec![
+        ("median_diff_bytes".into(), JsonValue::Float(median)),
+        (
+            "median_diff_rel".into(),
+            JsonValue::Float(median / static_mean.max(1.0)),
+        ),
+        ("seeds_better".into(), seeds(|&d| d < 0.0)),
+        ("seeds_worse".into(), seeds(|&d| d > 0.0)),
+    ])
+}
+
 /// Convergence: rep-averaged per-epoch |predicted − actual| under the
-/// learning planner, plus the static baseline's flat error for contrast.
+/// learning planner, the static baseline's flat error for contrast, and the
+/// paired cost-per-decision verdict.
 fn convergence(cfg: &HarnessConfig) -> (JsonValue, JsonValue) {
-    let learn_cfg = AdaptiveConfig::default();
     let mut adaptive_epochs: Vec<Vec<f64>> = Vec::new();
     let mut adaptive_bytes: Vec<Vec<f64>> = Vec::new();
     let mut static_errors: Vec<f64> = Vec::new();
-    let mut static_cost: Vec<f64> = Vec::new();
-    let mut adaptive_cost: Vec<f64> = Vec::new();
+    let mut costs: Vec<(f64, f64)> = Vec::new();
     let mut resolved_static = 0u64;
     let mut resolved_adaptive = 0u64;
     for r in 0..cfg.reps {
         let seed = cfg.seed + r;
-        let (epochs, report) = convergence_rep(seed, Some(learn_cfg));
+        let (epochs, adaptive) = convergence_rep(seed, true);
         adaptive_epochs.push(epochs.iter().map(|e| e.mean_abs_error).collect());
         adaptive_bytes.push(epochs.iter().map(|e| e.mean_actual_bytes).collect());
-        if let Some(c) = report.cost_per_decision() {
-            adaptive_cost.push(c);
-        }
-        resolved_adaptive += report.resolved as u64;
+        resolved_adaptive += adaptive.resolved as u64;
 
-        let (epochs, report) = convergence_rep(seed, None);
+        let (epochs, fixed) = convergence_rep(seed, false);
         let errs: Vec<f64> = epochs.iter().map(|e| e.mean_abs_error).collect();
         static_errors.push(stat(&errs).mean);
-        if let Some(c) = report.cost_per_decision() {
-            static_cost.push(c);
+        resolved_static += fixed.resolved as u64;
+        if let (Some(s), Some(a)) = (fixed.cost_per_decision(), adaptive.cost_per_decision()) {
+            costs.push((s, a));
         }
-        resolved_static += report.resolved as u64;
     }
 
     // Rep-averaged per-epoch error; truncate to the shortest rep so every
@@ -178,14 +192,7 @@ fn convergence(cfg: &HarnessConfig) -> (JsonValue, JsonValue) {
         ("epochs".into(), JsonValue::Array(epoch_rows)),
         ("error_shrink_ratio".into(), stat_json(stat(&shrink))),
         ("static_abs_error".into(), stat_json(stat(&static_errors))),
-        (
-            "static_cost_per_decision".into(),
-            stat_json(stat(&static_cost)),
-        ),
-        (
-            "adaptive_cost_per_decision".into(),
-            stat_json(stat(&adaptive_cost)),
-        ),
+        ("cost_per_decision_paired".into(), paired_cost(&costs)),
     ]);
     let invariant = JsonValue::Object(vec![
         ("epochs".into(), JsonValue::Int(epochs as i64)),
@@ -202,63 +209,6 @@ fn convergence(cfg: &HarnessConfig) -> (JsonValue, JsonValue) {
     (section, invariant)
 }
 
-/// Admission: the overload band with and without the admission gate.
-fn admission(cfg: &HarnessConfig) -> (JsonValue, JsonValue) {
-    // Tighter than the default policy so the 45 s deadline band exercises
-    // both verdicts: two 12 s deferrals burn 24 s of slack, and a query
-    // still facing overload after that is shed instead of limping to a
-    // deadline miss.
-    let gated = AdaptiveConfig {
-        admission: Some(AdmissionPolicy {
-            overload_bytes: 2_000_000,
-            defer_for: SimDuration::from_secs(12),
-            max_defers: 2,
-            ..AdmissionPolicy::default()
-        }),
-        ..AdaptiveConfig::default()
-    };
-    let mut shed = 0u64;
-    let mut deferred = 0u64;
-    let mut res_static: Vec<f64> = Vec::new();
-    let mut res_gated: Vec<f64> = Vec::new();
-    let mut mb_static: Vec<f64> = Vec::new();
-    let mut mb_gated: Vec<f64> = Vec::new();
-    for r in 0..cfg.reps {
-        let seed = cfg.seed + r;
-        let scenario = Scenario::build(ScenarioConfig::overload().with_seed(seed));
-        let run = |adaptive: Option<AdaptiveConfig>| {
-            let mut options = RunOptions::new(Strategy::Lvf);
-            options.seed = seed ^ 0xada;
-            options.adaptive = adaptive;
-            // One shared transmitter per node (the paper's wireless
-            // emulation): the burst actually contends for the medium
-            // instead of fanning out over independent wired links.
-            options.medium = dde_netsim::MediumMode::HalfDuplexTx;
-            run_scenario_observed(&scenario, options, Box::new(NullSink))
-        };
-        let s = run(None);
-        let g = run(Some(gated));
-        shed += g.admission_shed;
-        deferred += g.admission_deferred;
-        res_static.push(s.resolution_ratio());
-        res_gated.push(g.resolution_ratio());
-        mb_static.push(s.total_megabytes());
-        mb_gated.push(g.total_megabytes());
-    }
-    let section = JsonValue::Object(vec![
-        ("resolution_static".into(), stat_json(stat(&res_static))),
-        ("resolution_gated".into(), stat_json(stat(&res_gated))),
-        ("megabytes_static".into(), stat_json(stat(&mb_static))),
-        ("megabytes_gated".into(), stat_json(stat(&mb_gated))),
-    ]);
-    let invariant = JsonValue::Object(vec![
-        ("admission_shed".into(), JsonValue::Int(shed as i64)),
-        ("admission_deferred".into(), JsonValue::Int(deferred as i64)),
-        ("gate_engaged".into(), JsonValue::Bool(shed + deferred > 0)),
-    ]);
-    (section, invariant)
-}
-
 fn main() -> std::io::Result<()> {
     let cfg = HarnessConfig::from_env(5);
     eprintln!(
@@ -266,7 +216,6 @@ fn main() -> std::io::Result<()> {
         cfg.scale, cfg.reps, cfg.seed
     );
     let (convergence_json, convergence_invariant) = convergence(&cfg);
-    let (admission_json, admission_invariant) = admission(&cfg);
     let doc = JsonValue::Object(vec![
         ("bench".into(), JsonValue::Str("adaptive".into())),
         ("scale".into(), JsonValue::Str(cfg.scale.into())),
@@ -274,13 +223,9 @@ fn main() -> std::io::Result<()> {
         ("seed".into(), JsonValue::Int(cfg.seed as i64)),
         (
             "invariant".into(),
-            JsonValue::Object(vec![
-                ("convergence".into(), convergence_invariant),
-                ("admission".into(), admission_invariant),
-            ]),
+            JsonValue::Object(vec![("convergence".into(), convergence_invariant)]),
         ),
         ("convergence".into(), convergence_json),
-        ("admission".into(), admission_json),
     ]);
     write_bench_json("BENCH_adaptive.json", &doc)
 }

@@ -70,14 +70,12 @@ pub struct RunOptions {
     /// Volatile forwarding state — PIT, prefetch queue, in-flight fetch
     /// bookkeeping — is always lost.
     pub crash_wipes_cache: bool,
-    /// Online adaptive planning: when set, each node re-parameterizes its
-    /// §III-A planners from per-node estimators learned off the trace-visible
-    /// event stream, and (if the config carries an [`AdmissionPolicy`])
-    /// gates query admission under overload. `None` — the default —
-    /// reproduces the static planners byte-for-byte.
-    ///
-    /// [`AdmissionPolicy`]: dde_sched::adaptive::AdmissionPolicy
-    pub adaptive: Option<dde_sched::AdaptiveConfig>,
+    /// Online adaptive planning: when set, each node learns short-circuit
+    /// probabilities per (name-prefix, condition) from its own annotations
+    /// ([`dde_sched::TruthEstimator`]) and plans with them in place of the
+    /// static prior. Off — the default — reproduces the static planners
+    /// byte-for-byte.
+    pub adaptive: bool,
     /// Simulator seed (link-loss sampling).
     pub seed: u64,
 }
@@ -99,7 +97,7 @@ impl RunOptions {
             drain: SimDuration::from_secs(5),
             faults: FaultSchedule::new(),
             crash_wipes_cache: false,
-            adaptive: None,
+            adaptive: false,
             seed: 7,
         }
     }
@@ -167,12 +165,6 @@ pub struct RunReport {
     pub approx_hits: u64,
     /// Background pushes dropped by utility triage (§V-B).
     pub triage_drops: u64,
-    /// Queries shed by the admission gate (adaptive mode), summed over
-    /// nodes.
-    pub admission_shed: u64,
-    /// Admission-gate deferral decisions (adaptive mode), summed over
-    /// nodes.
-    pub admission_deferred: u64,
     /// Number of fault events installed for this run (0 = fault-free).
     pub fault_events: usize,
     /// In-flight messages dropped because a fault took down their
@@ -406,8 +398,6 @@ pub fn collect_report_parts(
         prefetch_pushes: 0,
         approx_hits: 0,
         triage_drops: 0,
-        admission_shed: 0,
-        admission_deferred: 0,
         fault_events,
         messages_dropped_by_fault: metrics.messages_dropped_by_fault,
         messages_purged_by_fault: metrics.messages_purged_by_fault,
@@ -431,8 +421,6 @@ pub fn collect_report_parts(
         report.prefetch_pushes += node.stats.prefetch_pushes;
         report.approx_hits += node.stats.approx_hits;
         report.triage_drops += node.stats.triage_drops;
-        report.admission_shed += node.stats.admission_shed;
-        report.admission_deferred += node.stats.admission_deferred;
         for q in node.queries() {
             debug_assert!(
                 scenario

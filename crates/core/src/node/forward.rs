@@ -255,19 +255,16 @@ impl AthenaNode {
         let me = ctx.node();
         // Who asked for exactly this object: distinct neighbors, each with
         // the first decision its interests name (for attribution of the
-        // forwarded copies), and the local queries.
+        // forwarded copies). Local queries are served by the annotation
+        // below.
         let mut targets: BTreeMap<NodeId, Option<QueryId>> = BTreeMap::new();
-        let mut local_qids: BTreeSet<QueryId> = BTreeSet::new();
         let mut interest_query: Option<QueryId> = None;
         for i in self.pit.take(&object.name) {
             let tag = qid_tag(i.query.0);
             interest_query = interest_query.or(tag);
-            match i.requester {
-                Requester::Local => local_qids.extend(tag),
-                Requester::Neighbor(nb) => {
-                    let slot = targets.entry(nb).or_insert(None);
-                    *slot = slot.or(tag);
-                }
+            if let Requester::Neighbor(nb) = i.requester {
+                let slot = targets.entry(nb).or_insert(None);
+                *slot = slot.or(tag);
             }
         }
         self.store(ctx, &object, for_query.or(interest_query).map(|q| q.0));
@@ -305,16 +302,6 @@ impl AthenaNode {
                         for_query,
                     },
                 );
-            }
-        }
-        // Adaptive load signal: evidence bytes arriving for local queries
-        // accumulate per query and are folded into the load estimator when
-        // the decision completes — the same Deliver-with-attribution the
-        // cost ledger charges. Local delivery itself happens via the
-        // annotation below.
-        if self.adaptive.is_some() {
-            for qid in local_qids {
-                self.local(qid).ingress_bytes += object.size;
             }
         }
 

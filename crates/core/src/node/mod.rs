@@ -43,7 +43,7 @@ use dde_naming::store::ContentStore;
 use dde_netsim::sim::{Context, Protocol};
 use dde_netsim::topology::NodeId;
 use dde_obs::EventKind;
-use dde_sched::adaptive::AdaptiveState;
+use dde_sched::adaptive::TruthEstimator;
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::WorldModel;
@@ -167,11 +167,6 @@ pub struct NodeStats {
     pub labels_forwarded: u64,
     /// Background pushes dropped by information-utility triage (§V-B).
     pub triage_drops: u64,
-    /// Queries shed by the admission gate (never planned; they run to
-    /// their deadline and count as deliberate misses).
-    pub admission_shed: u64,
-    /// Admission-gate deferral decisions (one query may defer repeatedly).
-    pub admission_deferred: u64,
 }
 
 /// External stimuli delivered to an Athena node.
@@ -227,23 +222,6 @@ fn share_msg(label: &Label, c: &CachedLabel, for_query: Option<QueryId>) -> Athe
     }
 }
 
-/// Admission-gate state for one locally issued query (always `Admitted`
-/// outside adaptive mode).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AdmissionState {
-    /// Retrieval proceeds normally.
-    Admitted,
-    /// Waiting: the gate re-evaluates once `until` passes.
-    Deferred {
-        /// When the gate looks again.
-        until: SimTime,
-        /// How often this query has been deferred so far.
-        tries: u32,
-    },
-    /// Never planned; the query runs to its deadline unanswered.
-    Shed,
-}
-
 /// Everything this node keeps for one query it originated: the one record
 /// the §VI functions share. `Query_Init` creates it; it is never removed.
 #[derive(Debug)]
@@ -253,11 +231,6 @@ struct LocalQuery {
     /// The candidate objects chosen at issue time, laid out for the
     /// planner in `state`'s label ids.
     plan: PlanTable,
-    /// The admission gate's latest ruling.
-    gate: AdmissionState,
-    /// Evidence bytes delivered to this node for this query — the
-    /// actual-cost signal the load estimator folds at decision time.
-    ingress_bytes: u64,
     /// Corroboration votes per label: evidence *source* → judgment. Keyed
     /// by source node, not object, so that two views from the same
     /// (possibly compromised) sensor host count once (§IV-B).
@@ -314,10 +287,11 @@ pub struct AthenaNode {
     /// The earliest wake-up timer armed and not yet fired (`None`: none).
     /// Later ones may still be pending; they fire and find nothing due.
     wake_at: Option<SimTime>,
-    /// Online estimator state (`None` = static planning). Built from
-    /// [`RunOptions::adaptive`]; updated only at trace-visible events so
-    /// observed and unobserved runs evolve identically.
-    adaptive: Option<AdaptiveState>,
+    /// Learned short-circuit probabilities (`None` = static planning).
+    /// Built when [`RunOptions::adaptive`] is on; updated only at
+    /// trace-visible events so observed and unobserved runs evolve
+    /// identically.
+    truth: Option<TruthEstimator>,
     /// Counters.
     pub stats: NodeStats,
 }
@@ -329,10 +303,10 @@ impl AthenaNode {
         annotator: Arc<dyn Annotator + Send + Sync>,
     ) -> AthenaNode {
         let cache_capacity = shared.options.cache_capacity;
-        let adaptive = shared
+        let truth = shared
             .options
             .adaptive
-            .map(|cfg| AdaptiveState::new(cfg, shared.prob_true_prior));
+            .then(|| TruthEstimator::new(shared.prob_true_prior));
         AthenaNode {
             shared,
             annotator,
@@ -347,15 +321,9 @@ impl AthenaNode {
             recent_bg: BTreeMap::new(),
             reliability: BTreeMap::new(),
             wake_at: None,
-            adaptive,
+            truth,
             stats: NodeStats::default(),
         }
-    }
-
-    /// The node's adaptive estimator state, when adaptive planning is on
-    /// (for post-run inspection).
-    pub fn adaptive_state(&self) -> Option<&AdaptiveState> {
-        self.adaptive.as_ref()
     }
 
     /// The node's local queries, in id order (for post-run inspection).
@@ -425,22 +393,16 @@ impl AthenaNode {
     }
 
     /// Retires every open query that has reached a final status — the one
-    /// place a query leaves [`AthenaNode::open`], so each of these happens
-    /// once per query: its actual bytes are folded into the load estimator
-    /// (adaptive mode; sink or no sink, so observed and unobserved runs
-    /// evolve identically) and its terminal trace event (`query-resolved` /
-    /// `query-missed`) is emitted. Runs at the end of every handler that can
-    /// change a status, after the handler's other trace events.
+    /// place a query leaves [`AthenaNode::open`], so its terminal trace
+    /// event (`query-resolved` / `query-missed`) is emitted once per query.
+    /// Runs at the end of every handler that can change a status, after the
+    /// handler's other trace events.
     fn retire_finished(&mut self, ctx: &mut Context<'_, AthenaMsg>) {
-        let (queries, adaptive) = (&self.queries, &mut self.adaptive);
+        let queries = &self.queries;
         self.open.retain(|qid| {
-            let lq = &queries[qid];
-            let q = &lq.state;
+            let q = &queries[qid].state;
             if !q.status.is_final() {
                 return true;
-            }
-            if let Some(st) = adaptive.as_mut() {
-                st.load.observe_decision(lq.ingress_bytes);
             }
             if ctx.obs_enabled() {
                 match q.status {

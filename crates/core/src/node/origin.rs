@@ -1,10 +1,10 @@
-//! The originating side of a query (§VI-A): `Query_Init`, the admission
-//! gate, the retrieval loop (`Request_Send`), and turning delivered
-//! evidence into label values — annotation, corroboration, label sharing.
+//! The originating side of a query (§VI-A): `Query_Init`, the retrieval
+//! loop (`Request_Send`), and turning delivered evidence into label values
+//! — annotation, corroboration, label sharing.
 
 use super::{
-    announce_to_children, share_msg, AdmissionState, AthenaNode, CachedLabel, LocalQuery,
-    Requester, SharedWorld, VoteSet, INTEREST_LIFETIME, ONE_US, POLL, RETRY_TIMEOUT,
+    announce_to_children, share_msg, AthenaNode, CachedLabel, LocalQuery, Requester, SharedWorld,
+    VoteSet, INTEREST_LIFETIME, ONE_US, POLL, RETRY_TIMEOUT,
 };
 use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
@@ -16,7 +16,6 @@ use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::sim::Context;
 use dde_netsim::topology::NodeId;
 use dde_obs::EventKind;
-use dde_sched::adaptive::{prefix_of, AdmissionVerdict};
 use dde_sched::explain::{explain_dnf_plan, summarize_dnf_plan};
 use dde_sched::item::Channel;
 use dde_sched::shortcircuit::{plan_dnf, DnfPlan};
@@ -25,10 +24,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl AthenaNode {
-    /// `Query_Init`: creates the query's record, puts it before the
-    /// admission gate, announces it if admitted, and starts retrieval.
-    /// Gated queries still get their record and deadline timer, so
-    /// reporting counts them against resolution like any other miss.
+    /// `Query_Init`: creates the query's record, emits its plan on the
+    /// trace, announces its decision structure so the network can
+    /// prefetch, and starts retrieval.
     pub(super) fn issue(&mut self, ctx: &mut Context<'_, AthenaMsg>, inst: QueryInstance) {
         let me = ctx.node();
         debug_assert_eq!(inst.origin, me, "query delivered to wrong node");
@@ -39,29 +37,31 @@ impl AthenaNode {
         let state = QueryState::new(qid, inst.expr, ctx.now(), inst.deadline);
         let plan = strategy.plan(&state, candidates, self.catalog());
         let deadline_at = state.deadline_at;
+        let lq = LocalQuery {
+            state,
+            plan,
+            votes: BTreeMap::new(),
+        };
         if ctx.obs_enabled() {
             ctx.emit(EventKind::QueryInit {
                 query: qid.0,
                 origin: me.index() as u32,
             });
+            let plan = self.plan(&lq, ctx);
+            ctx.emit(EventKind::Plan {
+                query: qid.0,
+                strategy: strategy.code(),
+                candidates: lq.plan.candidates().len() as u64,
+                expected_bytes: summarize_dnf_plan(&plan).expected_bytes_rounded(),
+                rationale: explain_dnf_plan(&plan),
+            });
         }
-        self.queries.insert(
-            qid,
-            LocalQuery {
-                state,
-                plan,
-                gate: AdmissionState::Admitted,
-                ingress_bytes: 0,
-                votes: BTreeMap::new(),
-            },
-        );
+        announce_to_children(ctx, qid, me, &lq.state.expr, deadline_at);
+        self.queries.insert(qid, lq);
         if let Err(at) = self.open.binary_search(&qid) {
             self.open.insert(at, qid);
         }
         self.seen_announces.insert(qid);
-        if self.rule_on(ctx, qid, 0) {
-            self.announce_admitted(ctx, qid);
-        }
         // Deadline timer: tag = qid + 1 (0 is the wake-up).
         ctx.set_timer_at(deadline_at, qid.0 + 1);
         self.advance_queries(ctx);
@@ -79,107 +79,12 @@ impl AthenaNode {
         announce_to_children(ctx, qid, me, &inst.expr, deadline_at);
     }
 
-    /// Puts `qid` before the admission gate (adaptive mode) for the
-    /// `tries + 1`-th time: predicts the plan's cost under the current
-    /// estimators, asks the policy, and records the ruling — on the trace,
-    /// in the counters and on the query. Returns whether retrieval may
-    /// proceed, which it always may when no gate is configured.
-    fn rule_on(&mut self, ctx: &mut Context<'_, AthenaMsg>, qid: QueryId, tries: u32) -> bool {
-        let Some(st) = self.adaptive.as_ref() else {
-            return true;
-        };
-        let Some(policy) = st.config.admission else {
-            return true;
-        };
-        let now = ctx.now();
-        let lq = &self.queries[&qid];
-        let q = &lq.state;
-        let predicted = summarize_dnf_plan(&self.plan(lq, ctx)).expected_bytes_rounded();
-        // Deferred and shed queries consume no retrieval resources, so
-        // they do not count as active; neither does the one being ruled on.
-        let active = self
-            .open
-            .iter()
-            .filter(|other| {
-                let lq = &self.queries[*other];
-                **other != qid && !lq.state.status.is_final() && lq.gate == AdmissionState::Admitted
-            })
-            .count();
-        let slack = q.deadline_at.saturating_since(now);
-        let verdict = policy.verdict(predicted, active, &st.load, slack, tries);
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::Admission {
-                query: qid.0,
-                verdict: verdict.name(),
-                predicted_bytes: predicted,
-            });
-        }
-        let gate = match verdict {
-            AdmissionVerdict::Admit => AdmissionState::Admitted,
-            AdmissionVerdict::Defer => {
-                self.stats.admission_deferred += 1;
-                AdmissionState::Deferred {
-                    until: now + policy.defer_for,
-                    tries: tries + 1,
-                }
-            }
-            AdmissionVerdict::Shed => {
-                self.stats.admission_shed += 1;
-                AdmissionState::Shed
-            }
-        };
-        self.local(qid).gate = gate;
-        verdict == AdmissionVerdict::Admit
-    }
-
-    /// Emits the plan of a query the gate has let through and announces its
-    /// decision structure so the network can prefetch.
-    fn announce_admitted(&mut self, ctx: &mut Context<'_, AthenaMsg>, qid: QueryId) {
-        let me = ctx.node();
-        let lq = &self.queries[&qid];
-        if ctx.obs_enabled() {
-            let plan = self.plan(lq, ctx);
-            ctx.emit(EventKind::Plan {
-                query: qid.0,
-                strategy: self.shared.options.strategy.code(),
-                candidates: lq.plan.candidates().len() as u64,
-                expected_bytes: summarize_dnf_plan(&plan).expected_bytes_rounded(),
-                rationale: explain_dnf_plan(&plan),
-            });
-        }
-        announce_to_children(ctx, qid, me, &lq.state.expr, lq.state.deadline_at);
-    }
-
-    /// Whether the retrieval loop may work on `qid`: `false` while the
-    /// query is shed or still deferred. A deferral that ripens re-faces the
-    /// gate with *fresh* estimates, and an admission at that point emits
-    /// the plan and sends the announce that were withheld at issue time.
-    fn admission_allows(&mut self, ctx: &mut Context<'_, AthenaMsg>, qid: QueryId) -> bool {
-        let lq = &self.queries[&qid];
-        match lq.gate {
-            AdmissionState::Admitted => true,
-            AdmissionState::Shed => false,
-            AdmissionState::Deferred { until, tries } => {
-                if ctx.now() < until || lq.state.status.is_final() {
-                    return false;
-                }
-                let admitted = self.rule_on(ctx, qid, tries);
-                if admitted {
-                    self.announce_admitted(ctx, qid);
-                }
-                admitted
-            }
-        }
-    }
-
     /// The §III-A short-circuit plan for `lq`'s expression as seen from this
     /// node, over the labels its query state already lists.
     /// Each condition enters with its cheapest-provider retrieval cost, its
     /// most conservative provider validity, and its short-circuit
     /// probability — learned per (name-prefix, condition) when adaptive
-    /// planning is on, the run's static prior otherwise. The admission gate
-    /// reads the plan's expected cost, so this must not depend on whether a
-    /// sink is attached; the rendered rationale is for the trace alone.
+    /// planning is on, the run's static prior otherwise.
     fn plan(&self, lq: &LocalQuery, ctx: &Context<'_, AthenaMsg>) -> DnfPlan {
         let (me, topology) = (ctx.node(), ctx.topology());
         let meta: MetaTable = lq
@@ -198,17 +103,17 @@ impl AthenaNode {
                     .map(|&i| self.catalog().get(i).validity)
                     .min()
                     .unwrap_or(SimDuration::MAX);
-                let prob = match &self.adaptive {
+                let prob = match &self.truth {
                     // The cheapest provider's name keys the learned
                     // estimate — the same prefix the annotation feedback
                     // updates in `finalize_label`.
-                    Some(state) => providers
+                    Some(truth) => providers
                         .iter()
                         .min_by_key(|&&i| {
                             (Strategy::effective_cost(i, self.catalog(), me, topology), i)
                         })
-                        .map(|&i| state.prob_for(self.catalog().rendered_name(i).as_str(), l))
-                        .unwrap_or_else(|| state.truth.prior()),
+                        .map(|&i| truth.prob(self.catalog().rendered_name(i).as_str(), l))
+                        .unwrap_or_else(|| truth.prior()),
                     None => self.shared.prob_true_prior,
                 };
                 let meta = ConditionMeta::new(Cost::from_bytes(cost), validity)
@@ -247,15 +152,12 @@ impl AthenaNode {
     /// progress with no message arriving (§IV: a verdict changes only when
     /// evidence arrives or a validity interval ends):
     ///
-    /// - a deferred query: when its deferral ripens;
     /// - a fetch in flight: the first instant it counts as timed out;
     /// - nothing left to fetch: the first instant a recorded label lapses —
     ///   the planner reads the clock only through label freshness;
     /// - no route to the chosen source, or a timed-out fetch that could
     ///   not be replaced: one [`POLL`] from now. The node is not told when
     ///   routes heal, and a standing fetch holds prefetch back.
-    ///
-    /// A shed query adds nothing: its deadline timer is all it waits for.
     pub(super) fn advance_open(&mut self, ctx: &mut Context<'_, AthenaMsg>) -> Option<SimTime> {
         let now = ctx.now();
         // A handle of our own, so catalog entries can stay borrowed across
@@ -268,20 +170,7 @@ impl AthenaNode {
         // which happens inside this loop.
         for at in 0..self.open.len() {
             let qid = self.open[at];
-            // Admission gate (adaptive mode): shed queries never plan;
-            // deferred ones wait out their re-evaluation time, then face
-            // the gate again. The deadline check still runs, so a gated
-            // query turns `Missed` on time.
-            let wake = if !self.admission_allows(ctx, qid) {
-                match self.local(qid).gate {
-                    AdmissionState::Deferred { until, .. } if until > now => Some(until),
-                    // A zero-length deferral: look again after a poll.
-                    AdmissionState::Deferred { .. } => Some(now + POLL),
-                    _ => None,
-                }
-            } else {
-                self.retrieve(ctx, &shared, qid)
-            };
+            let wake = self.retrieve(ctx, &shared, qid);
             let q = &mut self.local(qid).state;
             if !q.check(now).is_final() {
                 if let Some(at) = wake.filter(|&at| at < q.deadline_at) {
@@ -307,7 +196,7 @@ impl AthenaNode {
         let strategy = shared.options.strategy;
         let channel = Channel::new(shared.planning_bandwidth_bps);
         let k = shared.options.corroboration.max(1);
-        let adaptive = self.adaptive.is_some();
+        let adaptive = self.truth.is_some();
         loop {
             let q = &mut self.local(qid).state;
             if q.check(now).is_final() {
@@ -319,24 +208,21 @@ impl AthenaNode {
                     return Some(o.sent_at + RETRY_TIMEOUT + ONE_US);
                 }
             }
-            // A timed-out fetch falls through to re-plan; in adaptive
-            // mode the unresponsive source's reliability estimate is
-            // discounted first (the trace-visible `fetch-timeout`).
-            let timed_out = q.outstanding.as_ref().filter(|_| adaptive);
+            // A timed-out fetch falls through to re-plan; adaptive runs
+            // say so on the trace (`fetch-timeout`).
+            let timed_out = q
+                .outstanding
+                .as_ref()
+                .filter(|_| adaptive && ctx.obs_enabled());
             if let Some(spec) = timed_out.and_then(|o| shared.catalog.by_name(&o.name)) {
-                if let Some(st) = self.adaptive.as_mut() {
-                    st.reliability.observe(spec.source.0 as u32, false);
-                }
-                if ctx.obs_enabled() {
-                    ctx.emit(EventKind::FetchTimeout {
-                        query: qid.0,
-                        name: spec.name.to_string(),
-                        source: spec.source.index() as u32,
-                    });
-                }
+                ctx.emit(EventKind::FetchTimeout {
+                    query: qid.0,
+                    name: spec.name.to_string(),
+                    source: spec.source.index() as u32,
+                });
             }
-            let priors = match self.adaptive.as_ref() {
-                Some(st) => Priors::Learned(st),
+            let priors = match self.truth.as_ref() {
+                Some(truth) => Priors::Learned(truth),
                 None => Priors::Fixed(shared.prob_true_prior),
             };
             let lq = &self.queries[&qid];
@@ -649,17 +535,11 @@ impl AthenaNode {
             });
         }
         // Adaptive feedback: the annotation outcome updates the truth
-        // estimate for this evidence prefix, and reaching an annotation at
-        // all counts as a successful retrieval from the evidence's source.
-        // The update uses only what the `annotate` trace event carries, so
-        // observed and unobserved runs evolve identically.
-        if let Some(st) = self.adaptive.as_mut() {
-            let rendered = judged.based_on.to_string();
-            let prefix = prefix_of(&rendered, st.config.prefix_len);
-            st.truth.observe(prefix, label, judged.value);
-            if let Some(spec) = self.shared.catalog.by_name(&judged.based_on) {
-                st.reliability.observe(spec.source.0 as u32, true);
-            }
+        // estimate for this evidence's name prefix. The update uses only
+        // what the `annotate` trace event carries, so observed and
+        // unobserved runs evolve identically.
+        if let Some(truth) = self.truth.as_mut() {
+            truth.observe(&judged.based_on.to_string(), label, judged.value);
         }
         // The judgment is valid evidence for every local query that
         // references this label, not just `qid`.

@@ -20,7 +20,7 @@ use dde_logic::meta::{Cost, Probability};
 use dde_logic::time::SimTime;
 use dde_logic::truth::Truth;
 use dde_netsim::topology::{NodeId, Topology};
-use dde_sched::adaptive::AdaptiveState;
+use dde_sched::adaptive::TruthEstimator;
 use dde_sched::hybrid::first_pick;
 use dde_sched::item::{Channel, RetrievalItem};
 use dde_sched::shortcircuit::{and_truth_prob, expected_and_cost};
@@ -28,21 +28,19 @@ use dde_workload::catalog::Catalog;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-/// Where the decision-driven planner gets its short-circuit probabilities
-/// and provider-reliability weights.
+/// Where the decision-driven planner gets its short-circuit probabilities.
 ///
 /// [`Priors::Fixed`] reproduces the pre-adaptive planner bit for bit
 /// (including the `p.powi(n)` grouping of multi-label fetches), so every
 /// committed figure artifact is unchanged when adaptation is off.
-/// [`Priors::Learned`] reads a node's [`AdaptiveState`]: per
-/// *(name-prefix, condition)* truth estimates for term ordering and
-/// per-source reliability scores for provider selection.
+/// [`Priors::Learned`] reads a node's [`TruthEstimator`]: per
+/// *(name-prefix, condition)* truth estimates for term ordering.
 #[derive(Debug, Clone, Copy)]
 pub enum Priors<'a> {
     /// One static short-circuit probability for every (object, label).
     Fixed(f64),
-    /// Online estimates from the node's adaptive state.
-    Learned(&'a AdaptiveState),
+    /// Online estimates learned by the node.
+    Learned(&'a TruthEstimator),
 }
 
 impl Priors<'_> {
@@ -55,16 +53,7 @@ impl Priors<'_> {
             // in floating point and would silently shift committed
             // artifacts.
             Priors::Fixed(p) => p.powi(labels.len() as i32),
-            Priors::Learned(state) => labels.map(|l| state.prob_for(name, l)).product(),
-        }
-    }
-
-    /// The fetch-success score of `source` in `[0, 1]`; `1.0` (neutral)
-    /// for fixed priors.
-    fn reliability(&self, source: NodeId) -> f64 {
-        match self {
-            Priors::Fixed(_) => 1.0,
-            Priors::Learned(state) => state.reliability.score(source.0 as u32),
+            Priors::Learned(truth) => labels.map(|l| truth.prob(name, l)).product(),
         }
     }
 }
@@ -377,30 +366,15 @@ impl Strategy {
         None
     }
 
-    /// The cheapest (by network cost) object in `pool`. Under learned
-    /// priors the cost is divided by the source's reliability score — the
-    /// expected bytes including retries — so flaky providers lose ties
-    /// they would otherwise win; with fixed priors every score is 1.0 and
-    /// the original integer ordering is preserved exactly.
+    /// The cheapest (by network cost) object in `pool`, the lower index on
+    /// a tie.
     fn cheapest(
         pool: impl Iterator<Item = usize>,
         catalog: &Catalog,
         origin: NodeId,
         topology: &Topology,
-        priors: &Priors<'_>,
     ) -> Option<usize> {
-        match priors {
-            Priors::Fixed(_) => {
-                pool.min_by_key(|&i| (Self::effective_cost(i, catalog, origin, topology), i))
-            }
-            Priors::Learned(_) => pool.min_by(|&a, &b| {
-                let weighted = |i: usize| {
-                    Self::effective_cost(i, catalog, origin, topology) as f64
-                        / priors.reliability(catalog.get(i).source).max(0.05)
-                };
-                weighted(a).total_cmp(&weighted(b)).then(a.cmp(&b))
-            }),
-        }
+        pool.min_by_key(|&i| (Self::effective_cost(i, catalog, origin, topology), i))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -448,8 +422,8 @@ impl Strategy {
                 };
                 let reachable =
                     covering().filter(|&i| Self::is_reachable(i, catalog, origin, topology));
-                Self::cheapest(reachable, catalog, origin, topology, priors)
-                    .or_else(|| Self::cheapest(covering(), catalog, origin, topology, priors))
+                Self::cheapest(reachable, catalog, origin, topology)
+                    .or_else(|| Self::cheapest(covering(), catalog, origin, topology))
             })
         };
 

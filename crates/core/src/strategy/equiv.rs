@@ -19,7 +19,6 @@ use dde_logic::dnf::{Dnf, Literal, Term};
 use dde_logic::label::Assignment;
 use dde_logic::time::SimDuration;
 use dde_netsim::topology::LinkSpec;
-use dde_sched::adaptive::AdaptiveConfig;
 use dde_sched::hybrid::greedy_validity_shortcircuit;
 use dde_workload::catalog::ObjectSpec;
 use dde_workload::world::DynamicsClass;
@@ -66,12 +65,9 @@ fn old_group_prob(priors: &Priors<'_>, name: &dde_naming::name::Name, labels: &[
         // in floating point and would silently shift committed
         // artifacts.
         Priors::Fixed(p) => p.powi(labels.len() as i32),
-        Priors::Learned(state) => {
+        Priors::Learned(truth) => {
             let rendered = name.to_string();
-            labels
-                .iter()
-                .map(|l| state.prob_for(&rendered, l))
-                .product()
+            labels.iter().map(|l| truth.prob(&rendered, l)).product()
         }
     }
 }
@@ -97,25 +93,11 @@ fn old_next_decision_driven(
     // cut off a provider, an alternate (reachable) source is selected
     // instead; only when *no* provider is reachable does the original
     // choice stand (the fetch then stalls until routes heal or the
-    // deadline passes). Under learned priors the cost is divided by
-    // the source's reliability score — the expected bytes including
-    // retries — so flaky providers lose ties they would otherwise win;
-    // with fixed priors every score is 1.0 and the original integer
-    // ordering is preserved exactly.
+    // deadline passes).
     let pick_cheapest = |pool: &[usize]| -> Option<usize> {
-        match priors {
-            Priors::Fixed(_) => pool
-                .iter()
-                .copied()
-                .min_by_key(|&i| (Strategy::effective_cost(i, catalog, origin, topology), i)),
-            Priors::Learned(_) => pool.iter().copied().min_by(|&a, &b| {
-                let weighted = |i: usize| {
-                    Strategy::effective_cost(i, catalog, origin, topology) as f64
-                        / priors.reliability(catalog.get(i).source).max(0.05)
-                };
-                weighted(a).total_cmp(&weighted(b)).then(a.cmp(&b))
-            }),
-        }
+        pool.iter()
+            .copied()
+            .min_by_key(|&i| (Strategy::effective_cost(i, catalog, origin, topology), i))
     };
     let provider = |label: &Label| -> Option<usize> {
         let covering: Vec<usize> = candidates
@@ -312,7 +294,7 @@ struct Case {
     now: SimTime,
     channel: Channel,
     fixed: f64,
-    learned: AdaptiveState,
+    learned: TruthEstimator,
 }
 
 /// A random instance: multi-label objects (a label may repeat within one),
@@ -320,7 +302,7 @@ struct Case {
 /// nobody provides, a random connected topology with — half the time —
 /// crashed nodes and downed links, an expression with negated literals and
 /// the occasional constant-true term, evidence that is partly fresh and
-/// partly expired, and an adaptive state that has seen some outcomes.
+/// partly expired, and a truth estimator that has seen some outcomes.
 fn case(seed: u64) -> Case {
     let mut r = Rng(seed);
     let nodes = 2 + r.below(7);
@@ -398,16 +380,11 @@ fn case(seed: u64) -> Case {
         }
     }
 
-    let mut learned = AdaptiveState::new(AdaptiveConfig::default(), 0.8);
+    let mut learned = TruthEstimator::new(0.8);
     for _ in 0..r.below(12) {
         let prefix = format!("/city/seg/{}", r.below(3));
         let label = universe[r.below(universe.len())].clone();
-        learned.truth.observe(&prefix, &label, r.one_in(2));
-    }
-    for _ in 0..r.below(12) {
-        learned
-            .reliability
-            .observe(r.below(nodes) as u32, r.one_in(3));
+        learned.observe(&prefix, &label, r.one_in(2));
     }
     let odd = (r.next() % 1001) as f64 / 1000.0;
     Case {
@@ -426,7 +403,7 @@ fn case(seed: u64) -> Case {
 /// Holds both entry points of the index planner to the old one on `c`,
 /// for all five strategies, under fixed and learned priors, over the
 /// strategy's own candidates and over every provider (the pool in which
-/// reachability and reliability actually get to choose).
+/// reachability actually gets to choose).
 fn check(c: &Case) -> Result<(), TestCaseError> {
     let labels = c.query.expr.labels();
     let asg = &c.evidence;
@@ -549,7 +526,7 @@ fn index_planner_matches_the_old_one_past_64_labels() {
         now: SimTime::from_secs(1),
         channel: Channel::mbps1(),
         fixed: 0.8,
-        learned: AdaptiveState::new(AdaptiveConfig::default(), 0.8),
+        learned: TruthEstimator::new(0.8),
     };
     check(&c).unwrap();
     // The cover really is wider than a word, and something is planned.

@@ -1,7 +1,7 @@
 //! Pins the traffic of the query announce (`Query_Init`/`Query_Recv`, §VI)
 //! on fixed and random topologies, once per site that starts or continues
-//! one: issue, announce-only, deferred-then-admitted, relay, and crash
-//! recovery (which sends none).
+//! one: issue, announce-only, relay, and crash recovery (which sends
+//! none).
 //!
 //! An announce of a query from `origin` travels down `origin`'s routing
 //! tree: a node sends it to each neighbor whose next hop toward `origin` is
@@ -16,7 +16,6 @@ use dde_logic::dnf::{Dnf, Term};
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::{FaultSchedule, LinkSpec, NodeId, ShardedSimulator, Topology, WireMessage};
-use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::{DynamicsClass, WorldModel};
@@ -178,40 +177,6 @@ fn relay_skips_the_sender_and_fires_once_per_node() {
             2,
             announce_bytes(&a),
         );
-    }
-}
-
-#[test]
-fn deferred_query_floods_when_admitted() {
-    // The gate counts the node overloaded as soon as one query is active,
-    // and admits nothing with a positive predicted cost while it is: query 1
-    // is deferred behind query 0 and admitted once query 0 has resolved.
-    let policy = AdmissionPolicy {
-        budget_bytes: 0,
-        overload_bytes: 0,
-        min_active: 1,
-        defer_for: SimDuration::from_secs(5),
-        max_defers: 3,
-    };
-    for (name, topology) in topologies() {
-        let mut options = RunOptions::new(Strategy::Lvf);
-        options.adaptive = Some(AdaptiveConfig {
-            admission: Some(policy),
-            ..AdaptiveConfig::default()
-        });
-        let mut sim = simulator(&topology, options);
-        let (a, b) = (query(0, "x"), query(1, "y"));
-        sim.schedule_external(SimTime::ZERO, ORIGIN, a.clone().into());
-        sim.schedule_external(SimTime::ZERO, ORIGIN, b.into());
-        sim.run_until(SimTime::from_secs(1));
-        let what = format!("{name} deferred");
-        let everyone = all_nodes(&topology);
-        assert_tree_shape(&what, &sim, &everyone, 1, announce_bytes(&a));
-        assert_eq!(sim.node(ORIGIN).stats.admission_deferred, 1, "{what}");
-        sim.run();
-        assert_tree_shape(&what, &sim, &everyone, 2, announce_bytes(&a));
-        assert_eq!(sim.node(ORIGIN).stats.admission_deferred, 1, "{what}");
-        assert_eq!(sim.node(ORIGIN).stats.admission_shed, 0, "{what}");
     }
 }
 

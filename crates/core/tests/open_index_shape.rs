@@ -2,12 +2,11 @@
 //! with four queries per origin: every query emits exactly one terminal
 //! trace event (`query-resolved` / `query-missed`), queries that end inside
 //! one handler are reported in ascending id order at that handler's
-//! instant, and under adaptive planning each decision is folded into the
-//! load estimator once. The expected values were first recorded before the
-//! node kept an index of its open queries, so they held the index to the
-//! behaviour of the scan over every query ever issued that it replaced.
-//! The announce tree later moved the instants of the data-driven endings,
-//! not their order or the load estimates.
+//! instant, and adaptive planning ends them the same way. The expected
+//! values were first recorded before the node kept an index of its open
+//! queries, so they held the index to the behaviour of the scan over every
+//! query ever issued that it replaced. The announce tree later moved the
+//! instants of the data-driven endings, not their order.
 
 use dde_core::prelude::*;
 use dde_logic::dnf::{Dnf, Term};
@@ -15,7 +14,6 @@ use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::{LinkSpec, NodeId, ShardedSimulator, Topology};
 use dde_obs::{EventKind, MemorySink, SharedSink};
-use dde_sched::adaptive::AdaptiveConfig;
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::{DynamicsClass, WorldModel};
@@ -143,32 +141,10 @@ fn every_query_ends_once_in_the_recorded_order() {
 }
 
 #[test]
-fn adaptive_folds_each_decision_into_the_load_estimator_once() {
+fn adaptive_planning_ends_every_query_in_the_recorded_order() {
     let mut options = RunOptions::new(Strategy::Lvf);
-    options.adaptive = Some(AdaptiveConfig::default());
-    let (endings, sim) = run(options);
+    options.adaptive = true;
+    let (endings, _) = run(options);
     assert_one_ending_per_query(&endings);
     assert_eq!(endings, ENDINGS, "learning alone moves no ending here");
-    // The estimate is an EWMA, so it also depends on the order of the folds.
-    let expected = [
-        (0, 4, Some(10781.25)),
-        (1, 0, None),
-        (2, 4, Some(5859.375)),
-        (3, 0, None),
-        (4, 0, None),
-        (5, 0, None),
-    ];
-    for (node, decisions, bytes_per_decision) in expected {
-        let load = &sim.node(NodeId(node)).adaptive_state().unwrap().load;
-        assert_eq!(
-            load.decisions(),
-            decisions,
-            "decisions folded at node {node}"
-        );
-        assert_eq!(
-            load.bytes_per_decision(),
-            bytes_per_decision,
-            "load estimate at node {node}"
-        );
-    }
 }

@@ -1,14 +1,12 @@
 //! Pins when a node wakes up. A node arms one timer (tag 0) at the earliest
 //! instant something it holds can change without a message arriving: a
-//! fetch timing out, a label lapsing, a deferral ripening, the next
-//! prefetch slot. These runs count the timer's firings through a wrapper
+//! fetch timing out, a label lapsing, the next prefetch slot. These runs count the timer's firings through a wrapper
 //! [`Protocol`] and pin them, one case per source of wake-ups:
 //!
 //! - a query with nothing to fetch never wakes its node (a 250 ms
 //!   housekeeping tick fired ≈240 times over the same 60 s);
 //! - a fetch whose reply is lost wakes its origin once, at the first
 //!   instant the fetch counts as timed out, and is re-issued once;
-//! - a deferred query wakes its origin when each deferral ripens;
 //! - announce-ahead prefetch pushes leave their source 250 ms apart.
 
 use dde_core::prelude::*;
@@ -17,7 +15,6 @@ use dde_logic::dnf::{Dnf, Term};
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::{Context, FaultSchedule, LinkSpec, NodeId, Protocol, ShardedSimulator, Topology};
-use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::catalog::{Catalog, ObjectSpec};
 use dde_workload::scenario::QueryInstance;
 use dde_workload::world::{DynamicsClass, WorldModel};
@@ -154,38 +151,6 @@ fn a_lost_reply_wakes_its_origin_once_at_the_timeout() {
     // The re-issue registers onto the origin's own pending interest, so the
     // wire carries the first request only: origin → relay → source.
     assert_eq!(sim.metrics().kind("request").count, 2);
-}
-
-#[test]
-fn a_deferred_query_wakes_its_origin_when_each_deferral_ripens() {
-    // The gate counts the node overloaded while one query is active and
-    // admits nothing with a positive predicted cost meanwhile. The `ghost`
-    // query is admitted (nothing active yet, and it costs nothing) and
-    // stays active to its deadline, so the `x` query is deferred three
-    // times, 5 s each, and then shed.
-    let policy = AdmissionPolicy {
-        budget_bytes: 0,
-        overload_bytes: 0,
-        min_active: 1,
-        defer_for: SimDuration::from_secs(5),
-        max_defers: 3,
-    };
-    let mut options = RunOptions::new(Strategy::Lvf);
-    options.adaptive = Some(AdaptiveConfig {
-        admission: Some(policy),
-        ..AdaptiveConfig::default()
-    });
-    let mut sim = simulator(options, 1_000);
-    sim.schedule_external(SimTime::ZERO, ORIGIN, query(0, &["ghost"]).into());
-    sim.schedule_external(SimTime::ZERO, ORIGIN, query(1, &["x"]).into());
-    sim.run();
-
-    let origin = &sim.node(ORIGIN).node;
-    assert_eq!(origin.stats.admission_deferred, 3);
-    assert_eq!(origin.stats.admission_shed, 1);
-    let ripens = [5, 10, 15].map(SimTime::from_secs).to_vec();
-    assert_eq!(wakes(&sim), vec![ripens, vec![], vec![]]);
-    assert_eq!(sim.metrics().kind("request").count, 0);
 }
 
 #[test]

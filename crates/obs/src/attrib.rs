@@ -203,13 +203,11 @@ impl LedgerView {
             EventKind::LabelShare { query, .. } | EventKind::PrefetchPush { query, .. } => {
                 (ViewKind::Other, *query, None)
             }
-            // Adaptive-planning bookkeeping events: no direct charge (the
+            // Adaptive-planning bookkeeping: no direct charge (the
             // retransmission after a timeout is charged by its own
-            // `transmit`), but the query attribution keeps them on the
-            // right decision's timeline.
-            EventKind::FetchTimeout { query, .. } | EventKind::Admission { query, .. } => {
-                (ViewKind::Other, Some(*query), None)
-            }
+            // `transmit`), but the query attribution keeps it on the right
+            // decision's timeline.
+            EventKind::FetchTimeout { query, .. } => (ViewKind::Other, Some(*query), None),
             EventKind::Drop { .. }
             | EventKind::Purge { .. }
             | EventKind::Fault { .. }

@@ -252,8 +252,7 @@ pub enum EventKind {
         query: u64,
     },
     /// An in-flight fetch hit its retry timeout and the origin is about to
-    /// re-plan; the selected source's reliability estimate is discounted.
-    /// Emitted only by adaptive-planning runs.
+    /// re-plan. Emitted only by adaptive-planning runs.
     FetchTimeout {
         /// Query id.
         query: u64,
@@ -261,15 +260,6 @@ pub enum EventKind {
         name: String,
         /// The source node the fetch was directed at.
         source: u32,
-    },
-    /// The admission gate ruled on a query (adaptive-planning runs only).
-    Admission {
-        /// Query id.
-        query: u64,
-        /// `admit`, `defer`, or `shed`.
-        verdict: &'static str,
-        /// Predicted expected retrieval cost in bytes at gate time.
-        predicted_bytes: u64,
     },
 }
 
@@ -328,7 +318,6 @@ impl EventKind {
             EventKind::QueryResolved { .. } => "query-resolved",
             EventKind::QueryMissed { .. } => "query-missed",
             EventKind::FetchTimeout { .. } => "fetch-timeout",
-            EventKind::Admission { .. } => "admission",
         }
     }
 
@@ -549,15 +538,6 @@ impl EventKind {
                 f("query", n(*query));
                 f("name", Str(name));
                 f("source", u(*source));
-            }
-            EventKind::Admission {
-                query,
-                verdict,
-                predicted_bytes,
-            } => {
-                f("query", n(*query));
-                f("verdict", Str(verdict));
-                f("predicted_bytes", n(*predicted_bytes));
             }
         }
     }
@@ -797,11 +777,6 @@ mod tests {
                 name: s.to_string(),
                 source: 3,
             },
-            EventKind::Admission {
-                query: 9,
-                verdict: s,
-                predicted_bytes: 450_000,
-            },
         ]
     }
 
@@ -831,7 +806,6 @@ mod tests {
             EventKind::QueryResolved { .. } => 19,
             EventKind::QueryMissed { .. } => 20,
             EventKind::FetchTimeout { .. } => 21,
-            EventKind::Admission { .. } => 22,
         }
     }
 

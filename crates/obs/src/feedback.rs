@@ -16,15 +16,15 @@
 use crate::attrib::{LedgerView, ViewKind};
 use crate::event::TraceRecord;
 use crate::sink::Sink;
-use dde_sched::adaptive::{Ewma, LoadEstimator};
+use dde_sched::adaptive::Ewma;
 use std::collections::BTreeMap;
 
 /// Per-query predicted-vs-actual tracking state while the query is open.
 #[derive(Debug, Clone, Copy, Default)]
 struct OpenQuery {
-    /// Latest planner prediction, if a `plan` event was seen. Re-planning
-    /// (an admission-deferred query re-gated later) replaces the estimate:
-    /// the freshest prediction is the one the planner acted on.
+    /// Latest planner prediction, if a `plan` event was seen. A later
+    /// `plan` for the same query replaces the estimate: the freshest
+    /// prediction is the one the planner acted on.
     predicted: Option<u64>,
     /// Query-attributed bytes clocked onto links so far.
     actual: u64,
@@ -52,11 +52,10 @@ pub struct EpochStats {
 }
 
 /// A [`Sink`] that folds the trace into planner-feedback statistics:
-/// per-epoch mean `|predicted − actual|` bytes and a [`LoadEstimator`] fed
-/// with each decision's actual cost.
+/// per-epoch mean `|predicted − actual|` bytes, raw and bias-corrected.
 ///
-/// Only queries that produced a `plan` event contribute — a query shed by
-/// admission control is never planned, so it carries no prediction to score.
+/// Only queries that produced a `plan` event contribute — a query without
+/// one carries no prediction to score.
 #[derive(Debug)]
 pub struct FeedbackSink {
     epoch_len: u64,
@@ -68,7 +67,6 @@ pub struct FeedbackSink {
     cur_corrected_error: f64,
     cur_predicted: f64,
     cur_actual: f64,
-    load: LoadEstimator,
     bias: Ewma,
 }
 
@@ -91,7 +89,6 @@ impl FeedbackSink {
             cur_corrected_error: 0.0,
             cur_predicted: 0.0,
             cur_actual: 0.0,
-            load: LoadEstimator::new(dde_sched::adaptive::AdaptiveConfig::default().alpha),
             bias: Ewma::new(Self::DEFAULT_BIAS_ALPHA, 1.0),
         }
     }
@@ -130,11 +127,9 @@ impl FeedbackSink {
             return;
         };
         let Some(predicted) = open.predicted else {
-            // Never planned (e.g. shed by admission control): nothing to
-            // score against.
+            // Never planned: nothing to score against.
             return;
         };
-        self.load.observe_decision(open.actual);
         self.cur_queries += 1;
         self.cur_abs_error += (predicted as f64 - open.actual as f64).abs();
         // Score the corrected prediction with the bias as it stood *before*
@@ -178,11 +173,6 @@ impl FeedbackSink {
     /// Completed epochs, in completion order.
     pub fn epochs(&self) -> &[EpochStats] {
         &self.epochs
-    }
-
-    /// The load estimator fed with each completed decision's actual bytes.
-    pub fn load(&self) -> &LoadEstimator {
-        &self.load
     }
 
     /// Queries seen (planned or charged) but not yet resolved or missed.
@@ -275,7 +265,6 @@ mod tests {
         assert_eq!(e.queries, 2);
         assert!((e.mean_abs_error - 300.0).abs() < 1e-9);
         assert!((e.mean_actual_bytes - 1100.0).abs() < 1e-9);
-        assert_eq!(sink.load().decisions(), 2);
     }
 
     #[test]
@@ -292,7 +281,7 @@ mod tests {
     #[test]
     fn unplanned_queries_do_not_score() {
         let mut sink = FeedbackSink::new(1);
-        // Charged and missed, but never planned (shed by admission).
+        // Charged and missed, but never planned.
         sink.record(&rec(
             1,
             EventKind::Transmit {
@@ -307,7 +296,6 @@ mod tests {
         sink.record(&rec(2, EventKind::QueryMissed { query: 7 }));
         sink.finish();
         assert!(sink.epochs().is_empty());
-        assert_eq!(sink.load().decisions(), 0);
         assert_eq!(sink.open_queries(), 0);
     }
 

@@ -18,10 +18,9 @@
 //!   short-circuit efficiency;
 //! - [`explain`] — the predicted-cost summary and human-readable rendering
 //!   of a DNF retrieval plan;
-//! - [`adaptive`] — online EWMA estimators (short-circuit probability per
-//!   name-prefix/condition, per-source reliability, bytes-per-decision
-//!   load) that re-parameterize the planners each decision epoch, plus
-//!   admission control that sheds or defers queries under overload.
+//! - [`adaptive`] — the online EWMA estimator of short-circuit probability
+//!   per name-prefix/condition that re-parameterizes the planners as
+//!   annotations arrive.
 //!
 //! # Example
 //!
@@ -61,10 +60,7 @@ pub mod lvf;
 mod optimal;
 pub mod shortcircuit;
 
-pub use adaptive::{
-    AdaptiveConfig, AdaptiveState, AdmissionPolicy, AdmissionVerdict, Ewma, LoadEstimator,
-    ReliabilityEstimator, TruthEstimator,
-};
+pub use adaptive::{Ewma, TruthEstimator};
 pub use explain::explain_dnf_plan;
 pub use feasibility::{analyze, is_feasible, optimal_cost, ScheduleAnalysis};
 pub use hierarchical::{
@@ -80,7 +76,6 @@ pub use shortcircuit::{
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
-    pub use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdmissionPolicy, AdmissionVerdict};
     pub use crate::feasibility::{analyze, is_feasible, optimal_cost, ScheduleAnalysis};
     pub use crate::hierarchical::{
         hierarchical_schedule, hierarchical_schedule_with, BandPolicy, MultiQuerySchedule,

@@ -127,20 +127,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// An overload band for admission-control experiments: the small grid,
-    /// but every node issues a burst of near-simultaneous queries, so the
-    /// predicted retrieval work outruns what the 1 Mbps links can carry
-    /// before the deadlines. Adaptive runs should shed or defer part of
-    /// the burst; static runs saturate and miss.
-    pub fn overload() -> ScenarioConfig {
-        ScenarioConfig {
-            queries_per_node: 6,
-            query_stagger: SimDuration::from_millis(20),
-            deadline: SimDuration::from_secs(45),
-            ..ScenarioConfig::small()
-        }
-    }
-
     /// A city-scale configuration for throughput sweeps: 12×12 grid, 60
     /// nodes, 120 queries. Roughly 4× the default event volume — big
     /// enough for parallel speedup measurements to mean something, small
@@ -594,21 +580,6 @@ mod tests {
                 "segment {seg} has no provider"
             );
         }
-    }
-
-    #[test]
-    fn overload_band_is_a_query_burst() {
-        let s = Scenario::build(ScenarioConfig::overload().with_seed(9));
-        assert_eq!(s.queries.len(), 8 * 6);
-        // The whole burst at one node lands within a deadline window.
-        let node0: Vec<_> = s.queries.iter().filter(|q| q.origin == NodeId(0)).collect();
-        assert_eq!(node0.len(), 6);
-        let span = node0
-            .last()
-            .unwrap()
-            .issue_at
-            .saturating_since(node0[0].issue_at);
-        assert!(span < s.config.deadline, "burst wider than a deadline");
     }
 
     #[test]

@@ -16,9 +16,8 @@ use dde_core::prelude::*;
 use dde_core::Strategy;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::fault::FaultSchedule;
-use dde_netsim::{MediumMode, NodeId};
+use dde_netsim::NodeId;
 use dde_obs::{JsonlSink, SharedSink};
-use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
 
 /// `(records, bytes, FNV-1a-64)` of one JSONL trace.
@@ -101,21 +100,6 @@ fn every_strategy_trace_is_pinned() {
 }
 
 #[test]
-fn admission_gated_adaptive_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1565, 200_499, 12_340_356_659_956_362_772);
-    let scenario = Scenario::build(ScenarioConfig::overload().with_seed(1));
-    let mut options = options(Strategy::Lvf);
-    options.adaptive = Some(AdaptiveConfig {
-        admission: Some(AdmissionPolicy::default()),
-        ..AdaptiveConfig::default()
-    });
-    // One transmitter per node is what turns the burst into an overload,
-    // so the gate sheds, defers and re-admits.
-    options.medium = MediumMode::HalfDuplexTx;
-    assert_eq!(traced(&scenario, options), GOLDEN);
-}
-
-#[test]
 fn tree_topology_label_sharing_trace_is_pinned() {
     const GOLDEN: Fingerprint = (620, 68_424, 102_603_062_721_654_301);
     let scenario = multi_hop(1, SimDuration::ZERO);
@@ -150,7 +134,7 @@ fn prefetch_triage_and_corroboration_trace_is_pinned() {
 // ---- The scenario bands -------------------------------------------------
 //
 // Fault-free baseline, node churn, a partition cut and healed, and the
-// adaptive loop learning under churn and gating an overload. Their fault
+// adaptive loop learning under churn. Their fault
 // instants (several faults at one time, purges and recoveries behind them)
 // are where the order of trace records is decided by the engine rather
 // than by time.
@@ -205,8 +189,8 @@ fn partition_band_trace_is_pinned() {
     assert_eq!(traced(&scenario, options), GOLDEN);
 }
 
-/// Churn exercises the reliability estimator (fetch timeouts feed it) and
-/// forces replanning, so learned state steers decisions.
+/// Churn forces fetch timeouts (each on the trace as `fetch-timeout`) and
+/// replanning, so learned state steers decisions.
 #[test]
 fn adaptive_learning_under_churn_trace_is_pinned() {
     const GOLDEN: [(u64, Fingerprint); 2] = [
@@ -217,20 +201,7 @@ fn adaptive_learning_under_churn_trace_is_pinned() {
         let scenario = Scenario::build(band(seed).with_churn(0.5));
         assert!(!scenario.faults.is_empty(), "churn installs node faults");
         let mut options = band_options(Strategy::Lvf, seed ^ 0xada);
-        options.adaptive = Some(AdaptiveConfig::default());
+        options.adaptive = true;
         assert_eq!(traced(&scenario, options), golden, "seed {seed}");
     }
-}
-
-#[test]
-fn adaptive_admission_on_the_overload_band_trace_is_pinned() {
-    const GOLDEN: Fingerprint = (1346, 174_001, 5_701_318_098_088_475_451);
-    let scenario = Scenario::build(ScenarioConfig::overload().with_seed(11));
-    let mut options = band_options(Strategy::Lvf, 11 ^ 0xada);
-    options.adaptive = Some(AdaptiveConfig {
-        admission: Some(AdmissionPolicy::default()),
-        ..AdaptiveConfig::default()
-    });
-    options.medium = MediumMode::HalfDuplexTx;
-    assert_eq!(traced(&scenario, options), GOLDEN);
 }
