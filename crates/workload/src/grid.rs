@@ -9,7 +9,8 @@ use core::fmt;
 use dde_logic::label::Label;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An intersection on the grid, by (row, col).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -179,34 +180,30 @@ impl RoadGrid {
         out
     }
 
-    /// Neighbors of an intersection.
+    /// Neighbors of an intersection, in the order up, down, left, right.
     pub fn neighbors(&self, i: Intersection) -> Vec<Intersection> {
-        let mut out = Vec::with_capacity(4);
-        if i.row > 0 {
-            out.push(Intersection {
-                row: i.row - 1,
-                col: i.col,
-            });
+        let (out, len) = self.neighbor_array(i);
+        out[..len].to_vec()
+    }
+
+    /// [`RoadGrid::neighbors`] without the allocation: the neighbours fill
+    /// a prefix of the array, whose length is returned beside it.
+    fn neighbor_array(&self, i: Intersection) -> ([Intersection; 4], usize) {
+        let Intersection { row, col } = i;
+        let mut out = [i; 4];
+        let mut len = 0;
+        for (on_grid, r, c) in [
+            (row > 0, row.wrapping_sub(1), col),
+            (row + 1 < self.rows, row + 1, col),
+            (col > 0, row, col.wrapping_sub(1)),
+            (col + 1 < self.cols, row, col + 1),
+        ] {
+            if on_grid {
+                out[len] = Intersection { row: r, col: c };
+                len += 1;
+            }
         }
-        if i.row + 1 < self.rows {
-            out.push(Intersection {
-                row: i.row + 1,
-                col: i.col,
-            });
-        }
-        if i.col > 0 {
-            out.push(Intersection {
-                row: i.row,
-                col: i.col - 1,
-            });
-        }
-        if i.col + 1 < self.cols {
-            out.push(Intersection {
-                row: i.row,
-                col: i.col + 1,
-            });
-        }
-        out
+        (out, len)
     }
 
     /// Segments incident to an intersection — a camera at `i` can examine
@@ -234,6 +231,13 @@ impl RoadGrid {
     /// (each attempt draws fresh weights from `rng`). This mirrors the
     /// paper's "five candidate routes … computed and randomly selected from
     /// the underlying road segment network".
+    ///
+    /// Every built scenario depends on the exact draws taken from `rng`, so
+    /// a change here must keep them: per attempt, one `gen_range(1..=100)`
+    /// weight per segment in [`RoadGrid::segments`] order, then one shuffle
+    /// of each popped node's neighbours in [`RoadGrid::neighbors`] order, on
+    /// a heap of `Reverse((distance, intersection))` that pops equal
+    /// distances in intersection order.
     ///
     /// # Panics
     ///
@@ -270,44 +274,50 @@ impl RoadGrid {
         dest: Intersection,
         rng: &mut R,
     ) -> Route {
-        // Dijkstra with random edge weights in [1, 100].
-        let mut weights: BTreeMap<(Intersection, Intersection), u64> = BTreeMap::new();
-        for seg in self.segments() {
-            let w = rng.gen_range(1..=100u64);
-            weights.insert((seg.a, seg.b), w);
-            weights.insert((seg.b, seg.a), w);
+        // Dijkstra with random edge weights in [1, 100], on arrays indexed by
+        // `row * cols + col`. A segment's weight sits at its smaller
+        // endpoint: in `east` if it runs to the right, in `south` if down.
+        let at = |i: Intersection| i.row * self.cols + i.col;
+        let n = self.rows * self.cols;
+        let mut east = vec![0u64; n];
+        let mut south = vec![0u64; n];
+        for here in self.intersections() {
+            if here.col + 1 < self.cols {
+                east[at(here)] = rng.gen_range(1..=100u64);
+            }
+            if here.row + 1 < self.rows {
+                south[at(here)] = rng.gen_range(1..=100u64);
+            }
         }
-        let mut dist: BTreeMap<Intersection, u64> = BTreeMap::new();
-        let mut prev: BTreeMap<Intersection, Intersection> = BTreeMap::new();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, Intersection)>> = BinaryHeap::new();
-        dist.insert(origin, 0);
-        heap.push(std::cmp::Reverse((0, origin)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        let weight = |u: Intersection, v: Intersection| {
+            let table = if u.row == v.row { &east } else { &south };
+            table[at(u.min(v))]
+        };
+        let mut dist = vec![u64::MAX; n];
+        let mut prev = vec![origin; n];
+        let mut heap = BinaryHeap::new();
+        dist[at(origin)] = 0;
+        heap.push(Reverse((0, origin)));
+        while let Some(Reverse((d, u))) = heap.pop() {
             if u == dest {
                 break;
             }
-            if dist.get(&u).copied().unwrap_or(u64::MAX) < d {
+            if dist[at(u)] < d {
                 continue;
             }
-            let mut nbrs = self.neighbors(u);
-            nbrs.shuffle(rng);
-            for v in nbrs {
-                let w = weights[&(u, v)];
-                let nd = d + w;
-                if nd < dist.get(&v).copied().unwrap_or(u64::MAX) {
-                    dist.insert(v, nd);
-                    prev.insert(v, u);
-                    heap.push(std::cmp::Reverse((nd, v)));
+            let (mut nbrs, len) = self.neighbor_array(u);
+            nbrs[..len].shuffle(rng);
+            for &v in &nbrs[..len] {
+                let nd = d + weight(u, v);
+                if nd < dist[at(v)] {
+                    dist[at(v)] = nd;
+                    prev[at(v)] = u;
+                    heap.push(Reverse((nd, v)));
                 }
             }
         }
-        // Reconstruct.
-        let mut path = vec![dest];
-        let mut cur = dest;
-        while cur != origin {
-            cur = prev[&cur];
-            path.push(cur);
-        }
+        let mut path: Vec<Intersection> =
+            std::iter::successors(Some(dest), |&v| (v != origin).then(|| prev[at(v)])).collect();
         path.reverse();
         Route::new(path)
     }
@@ -393,10 +403,14 @@ mod tests {
 
     #[test]
     fn candidate_routes_deterministic_per_seed() {
-        let g = RoadGrid::new(4, 4);
-        let r1 = g.candidate_routes(i(0, 0), i(3, 3), 3, &mut SmallRng::seed_from_u64(9));
-        let r2 = g.candidate_routes(i(0, 0), i(3, 3), 3, &mut SmallRng::seed_from_u64(9));
-        assert_eq!(r1, r2);
+        for (rows, cols) in [(4, 4), (3, 9), (9, 3)] {
+            let g = RoadGrid::new(rows, cols);
+            let dest = i(rows - 1, cols - 1);
+            let r1 = g.candidate_routes(i(0, 0), dest, 3, &mut SmallRng::seed_from_u64(9));
+            let r2 = g.candidate_routes(i(0, 0), dest, 3, &mut SmallRng::seed_from_u64(9));
+            assert!(!r1.is_empty());
+            assert_eq!(r1, r2, "{rows} x {cols}");
+        }
     }
 
     #[test]
@@ -409,16 +423,31 @@ mod tests {
     }
 
     proptest! {
-        /// Every generated route is a valid simple-ish walk from origin to
-        /// destination whose segments all lie on the grid.
+        /// Every generated route is a simple walk from origin to destination
+        /// along grid segments, at least the Manhattan distance long, and
+        /// the routes of one call are pairwise distinct, on grids whose
+        /// rows and columns are drawn independently.
         #[test]
-        fn routes_are_valid_walks(seed in 0u64..30) {
-            let g = RoadGrid::new(5, 5);
+        fn routes_are_valid_walks(
+            rows in 2usize..=10,
+            cols in 2usize..=10,
+            origin_pick in 0usize..100,
+            dest_step in 0usize..100,
+            seed in 0u64..1000,
+        ) {
+            let g = RoadGrid::new(rows, cols);
+            let n = rows * cols;
+            let at = |k: usize| i(k / cols, k % cols);
+            let origin_k = origin_pick % n;
+            let (origin, dest) = (at(origin_k), at((origin_k + 1 + dest_step % (n - 1)) % n));
             let mut rng = SmallRng::seed_from_u64(seed);
-            let routes = g.candidate_routes(i(0, 0), i(4, 4), 4, &mut rng);
+            let routes = g.candidate_routes(origin, dest, 4, &mut rng);
             prop_assert!(!routes.is_empty());
             let all_segments = g.segments();
             for r in &routes {
+                prop_assert_eq!(r.origin(), origin);
+                prop_assert_eq!(r.destination(), dest);
+                prop_assert!(r.len() >= g.distance(origin, dest));
                 for s in r.segments() {
                     prop_assert!(all_segments.contains(&s));
                 }
@@ -427,6 +456,11 @@ mod tests {
                 seen.sort();
                 seen.dedup();
                 prop_assert_eq!(seen.len(), r.intersections().len());
+            }
+            for (x, a) in routes.iter().enumerate() {
+                for b in routes.iter().skip(x + 1) {
+                    prop_assert_ne!(a, b);
+                }
             }
         }
     }

@@ -5,9 +5,10 @@
 //! deterministically from a seed.
 
 use crate::catalog::{Catalog, ObjectSpec};
-use crate::grid::{Intersection, RoadGrid};
-use crate::world::{DynamicsClass, WorldModel};
+use crate::grid::{Intersection, RoadGrid, Segment};
+use crate::world::{DynamicsClass, LabelDynamics, WorldModel};
 use dde_logic::dnf::{Dnf, Term};
+use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_naming::name::Name;
 use dde_netsim::fault::FaultSchedule;
@@ -254,13 +255,16 @@ impl Scenario {
         let mut catalog = Catalog::new();
         for (ni, site) in node_sites.iter().enumerate() {
             let incident = grid.incident_segments(*site);
-            for seg in &incident {
-                let label = seg.label();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the world registers dynamics for every grid segment"
-                )]
-                let dynamics = world.dynamics(&label).expect("registered");
+            let labels: Vec<Label> = incident.iter().map(Segment::label).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "the world registers dynamics for every grid segment"
+            )]
+            let dynamics: Vec<LabelDynamics> = labels
+                .iter()
+                .map(|l| *world.dynamics(l).expect("registered"))
+                .collect();
+            for ((seg, label), dynamics) in incident.iter().zip(&labels).zip(&dynamics) {
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(seg, "cam", ni),
                     covers: vec![label.clone()],
@@ -273,37 +277,24 @@ impl Scenario {
             if config.panoramas && incident.len() > 1 {
                 // One wide shot covering every incident segment; priced like
                 // a single large picture, cheaper than fetching each view.
-                let covers: Vec<_> = incident.iter().map(|s| s.label()).collect();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the world registers dynamics for every grid segment"
-                )]
-                let class = incident
-                    .iter()
-                    .map(|s| world.dynamics(&s.label()).expect("registered").class)
-                    .fold(DynamicsClass::Slow, |acc, c| {
-                        if c == DynamicsClass::Fast {
-                            DynamicsClass::Fast
-                        } else {
-                            acc
-                        }
-                    });
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the world registers dynamics for every grid segment"
-                )]
-                let validities = incident
-                    .iter()
-                    .map(|s| world.dynamics(&s.label()).expect("registered").validity);
+                let class = if dynamics.iter().any(|d| d.class == DynamicsClass::Fast) {
+                    DynamicsClass::Fast
+                } else {
+                    DynamicsClass::Slow
+                };
                 #[expect(clippy::expect_used, reason = "guarded by incident.len() > 1 above")]
-                let validity = validities.min().expect("non-empty");
+                let validity = dynamics
+                    .iter()
+                    .map(|d| d.validity)
+                    .min()
+                    .expect("non-empty");
                 catalog.add(ObjectSpec {
                     #[expect(
                         clippy::expect_used,
                         reason = "name is built from numeric components"
                     )]
                     name: format!("/city/pano/n{ni}").parse().expect("valid name"),
-                    covers,
+                    covers: labels,
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
                     class,
@@ -317,8 +308,9 @@ impl Scenario {
         // corroborable).
         let min_sources = config.min_sources_per_segment.max(1);
         for seg in grid.segments() {
+            let label = seg.label();
             let mut sources: Vec<usize> = catalog
-                .providers_of(&seg.label())
+                .providers_of(&label)
                 .iter()
                 .map(|&i| catalog.get(i).source.index())
                 .collect();
@@ -340,11 +332,11 @@ impl Scenario {
                 clippy::expect_used,
                 reason = "the world registers dynamics for every grid segment"
             )]
-            let dynamics = *world.dynamics(&seg.label()).expect("registered");
+            let dynamics = *world.dynamics(&label).expect("registered");
             for &ni in nearest.iter().take(min_sources - sources.len()) {
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(&seg, "tele", ni),
-                    covers: vec![seg.label()],
+                    covers: vec![label.clone()],
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
                     class: dynamics.class,
@@ -373,9 +365,7 @@ impl Scenario {
                 let routes = grid.candidate_routes(o, d, config.routes_per_query, &mut rng);
                 let terms: Vec<Term> = routes
                     .iter()
-                    .map(|r| {
-                        Term::all_of(r.segments().iter().map(|s| s.label().as_str().to_string()))
-                    })
+                    .map(|r| Term::all_of(r.segments().iter().map(Segment::label)))
                     .collect();
                 queries.push(QueryInstance {
                     id: qid,
@@ -459,7 +449,7 @@ impl Scenario {
 /// components are two views of the same road segment, so one is a valid
 /// approximate substitute for the other.
 #[expect(clippy::expect_used, reason = "name is built from numeric components")]
-fn segment_camera_name(seg: &crate::grid::Segment, kind: &str, node: usize) -> Name {
+fn segment_camera_name(seg: &Segment, kind: &str, node: usize) -> Name {
     format!(
         "/city/seg/{}_{}-{}_{}/{kind}/n{node}",
         seg.a.row, seg.a.col, seg.b.row, seg.b.col
