@@ -205,3 +205,52 @@ fn adaptive_learning_under_churn_trace_is_pinned() {
         assert_eq!(traced(&scenario, options), golden, "seed {seed}");
     }
 }
+
+// ---- Paper scale ---------------------------------------------------------
+//
+// Every case above runs the small preset. A paper-scale plan record is
+// about 3 KB with repeated item lines, and the ledger folds thousands of
+// records per query: these two cases pin the encoder, the plan rendering
+// and the live ledger where they do the most work.
+
+/// `(records, bytes, FNV-1a-64)` of the trace and FNV-1a-64 of the compact
+/// JSON of the run's live ledger.
+fn traced_with_ledger(scenario: &Scenario, options: RunOptions) -> (Fingerprint, u64) {
+    let sink = SharedSink::new(JsonlSink::new(Vec::new()));
+    let handle = sink.clone();
+    let report = run_scenario_observed(scenario, options, Box::new(sink));
+    let ledger = report
+        .ledger
+        .expect("an observed run carries its ledger")
+        .to_json_value()
+        .to_compact_string();
+    let (_, _, ledger_hash) = fingerprint(ledger.as_bytes());
+    (handle.with(|j| fingerprint(j.get_ref())), ledger_hash)
+}
+
+#[test]
+fn paper_scale_trace_and_ledger_are_pinned() {
+    // lvfl, then cmp: the planner's plan records and label sharing, then
+    // the heaviest link traffic.
+    const GOLDEN: [(Strategy, Fingerprint, u64); 2] = [
+        (
+            Strategy::LvfLabelShare,
+            (13_438, 1_592_477, 17_496_442_573_334_148_429),
+            12_715_005_225_934_146_053,
+        ),
+        (
+            Strategy::Comprehensive,
+            (18_527, 2_188_125, 18_089_433_590_596_171_466),
+            3_195_645_609_677_832_709,
+        ),
+    ];
+    let scenario = Scenario::build(
+        ScenarioConfig::default()
+            .with_seed(1000)
+            .with_fast_ratio(0.4),
+    );
+    for (strategy, trace, ledger) in GOLDEN {
+        let got = traced_with_ledger(&scenario, options(strategy));
+        assert_eq!(got, (trace, ledger), "{} moved", strategy.code());
+    }
+}
