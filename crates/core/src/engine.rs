@@ -14,9 +14,11 @@ use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::fault::FaultSchedule;
 use dde_netsim::shard::ShardedSimulator;
 use dde_netsim::{Metrics, NodeId};
-use dde_obs::{CostLedger, Histogram, LedgerSink, SharedSink, Sink, TeeSink};
+use dde_obs::{CostLedger, Histogram, LedgerSink, Sink, TeeSink, TraceRecord};
 use dde_workload::scenario::Scenario;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Options for one run: the configuration every node of the run shares,
@@ -282,10 +284,12 @@ fn run(
     // Observed runs tee the event stream into a live cost ledger alongside
     // the caller's sink, so every observed run gets per-decision
     // attribution for free; unobserved runs skip the machinery entirely.
-    let ledger_handle = sink.map(|user| {
-        let shared = SharedSink::new(LedgerSink::new());
-        sim.set_sink(Box::new(TeeSink::new(user, Box::new(shared.clone()))));
-        shared
+    // The run owns its ledger and the event loop is its only writer, so a
+    // record takes the caller's lock, if any, and no other.
+    let ledger = sink.map(|user| {
+        let ledger = RunLedger::default();
+        sim.set_sink(Box::new(TeeSink::new(user, Box::new(ledger.clone()))));
+        ledger
     });
 
     // Faults: whatever the scenario schedules (churn config) plus whatever
@@ -315,8 +319,21 @@ fn run(
         options.strategy,
         faults.len(),
     );
-    report.ledger = ledger_handle.map(|h| h.with(|l| l.take_ledger()));
+    report.ledger = ledger.map(|l| l.0.borrow_mut().take_ledger());
     report
+}
+
+/// The live cost ledger of one observed run: a [`LedgerSink`] the
+/// simulator writes through its sink while [`run`] keeps a handle to take
+/// the ledger back afterwards. Single-threaded, so a record costs a flag
+/// check where a [`dde_obs::SharedSink`] would take a lock.
+#[derive(Debug, Clone, Default)]
+struct RunLedger(Rc<RefCell<LedgerSink>>);
+
+impl Sink for RunLedger {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.0.borrow_mut().record(rec);
+    }
 }
 
 /// The stimuli of one run and its horizon — the one schedule every backend

@@ -11,14 +11,15 @@ use crate::object::EvidenceObject;
 use crate::query::{Outstanding, QueryCounters, QueryState};
 use crate::strategy::{Priors, Strategy};
 use dde_logic::label::Label;
-use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
+use dde_logic::meta::{Cost, Probability};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_netsim::sim::Context;
 use dde_netsim::topology::NodeId;
 use dde_obs::EventKind;
 use dde_sched::explain::{explain_dnf_plan, summarize_dnf_plan};
 use dde_sched::item::Channel;
-use dde_sched::shortcircuit::{plan_dnf, DnfPlan};
+use dde_sched::item::RetrievalItem;
+use dde_sched::shortcircuit::{plan_terms, DnfPlan};
 use dde_workload::scenario::QueryInstance;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,9 +33,8 @@ impl AthenaNode {
         debug_assert_eq!(inst.origin, me, "query delivered to wrong node");
         let qid = QueryId(inst.id);
         let strategy = self.shared.options.strategy;
-        let labels = inst.expr.labels();
-        let candidates = strategy.candidates(&labels, self.catalog(), me, ctx.topology());
         let state = QueryState::new(qid, inst.expr, ctx.now(), inst.deadline);
+        let candidates = strategy.candidates(state.labels(), self.catalog(), me, ctx.topology());
         let plan = strategy.plan(&state, candidates, self.catalog());
         let deadline_at = state.deadline_at;
         let lq = LocalQuery {
@@ -80,14 +80,15 @@ impl AthenaNode {
     }
 
     /// The §III-A short-circuit plan for `lq`'s expression as seen from this
-    /// node, over the labels its query state already lists.
+    /// node, over the label ids its query state already assigns: one
+    /// retrieval item per label, terms from [`QueryState::terms`].
     /// Each condition enters with its cheapest-provider retrieval cost, its
     /// most conservative provider validity, and its short-circuit
     /// probability — learned per (name-prefix, condition) when adaptive
     /// planning is on, the run's static prior otherwise.
     fn plan(&self, lq: &LocalQuery, ctx: &Context<'_, AthenaMsg>) -> DnfPlan {
         let (me, topology) = (ctx.node(), ctx.topology());
-        let meta: MetaTable = lq
+        let items: Vec<RetrievalItem> = lq
             .state
             .labels()
             .iter()
@@ -116,23 +117,32 @@ impl AthenaNode {
                         .unwrap_or_else(|| truth.prior()),
                     None => self.shared.prob_true_prior,
                 };
-                let meta = ConditionMeta::new(Cost::from_bytes(cost), validity)
-                    .with_prob(Probability::clamped(prob));
-                (l.clone(), meta)
+                RetrievalItem {
+                    label: l.clone(),
+                    cost: Cost::from_bytes(cost),
+                    validity,
+                    prob_true: Probability::clamped(prob),
+                }
             })
             .collect();
-        plan_dnf(&lq.state.expr, &meta)
+        let terms = lq.state.terms().iter();
+        plan_terms(terms.map(|t| t.iter().map(|&(id, _)| items[id].clone())))
     }
 
     /// The first (OR-term, condition) coordinates of `label` in `qid`'s
     /// expression, for trace attribution. `(None, None)` when the query is
     /// not local or the label does not appear.
     fn locate_predicate(&self, qid: QueryId, label: &Label) -> (Option<u32>, Option<u32>) {
-        let Some(lq) = self.queries.get(&qid) else {
+        let Some(state) = self.queries.get(&qid).map(|lq| &lq.state) else {
             return (None, None);
         };
-        for (ti, term) in lq.state.expr.terms().iter().enumerate() {
-            if let Some(ci) = term.literals().position(|lit| lit.label() == label) {
+        let Some(id) = state.label_id(label) else {
+            return (None, None);
+        };
+        // A term lists its literals in label order, so a position among
+        // its ids is the condition's index.
+        for (ti, term) in state.terms().iter().enumerate() {
+            if let Some(ci) = term.iter().position(|&(l, _)| l == id) {
                 return (Some(ti as u32), Some(ci as u32));
             }
         }

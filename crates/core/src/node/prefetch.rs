@@ -6,6 +6,7 @@
 use super::{announce_to_children, AthenaNode, PushTask, POLL};
 use crate::msg::{AthenaMsg, QueryId};
 use dde_logic::dnf::Dnf;
+use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
 use dde_naming::name::Name;
 use dde_netsim::sim::Context;
@@ -31,7 +32,7 @@ impl AthenaNode {
         let me = ctx.node();
         announce_to_children(ctx, qid, origin, &expr, deadline_at);
         if self.shared.options.prefetch_enabled() && ctx.now() < deadline_at {
-            let labels = expr.labels();
+            let labels: Vec<Label> = expr.labels().into_iter().collect();
             // Only candidates this node sources are queued, and a
             // candidate provides some label of the expression: a node
             // hosting no such sensor — most receivers of an announce — has

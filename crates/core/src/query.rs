@@ -8,7 +8,7 @@
 //! refetch churn the baselines suffer from in Fig. 2.
 
 use crate::msg::QueryId;
-use dde_logic::dnf::{Dnf, Resolution};
+use dde_logic::dnf::{Dnf, Resolution, Term};
 use dde_logic::label::{Label, LabelValue};
 use dde_logic::time::{SimDuration, SimTime};
 use dde_logic::truth::Truth;
@@ -124,7 +124,14 @@ impl QueryState {
     /// Creates a pending query issued at `issued_at` with relative
     /// `deadline`.
     pub fn new(id: QueryId, expr: Dnf, issued_at: SimTime, deadline: SimDuration) -> QueryState {
-        let labels: Vec<Label> = expr.labels().into_iter().collect();
+        let mut labels: Vec<Label> = expr
+            .terms()
+            .iter()
+            .flat_map(Term::labels)
+            .cloned()
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
         // `labels` holds every label of these very terms: every literal has
         // an id, and `filter_map` drops nothing.
         let terms = expr

@@ -189,13 +189,14 @@ impl Strategy {
     }
 
     /// The candidate object set (catalog indices, ascending) for a query
-    /// over `labels`, issued at `origin`. Source-selected strategies cover
+    /// over `labels` (sorted and distinct, as [`QueryState::labels`] lists
+    /// them), issued at `origin`. Source-selected strategies cover
     /// the labels at minimum *network* cost (size × hops), so nearby
     /// cameras win over marginally-smaller faraway ones (§III-B's network
     /// cost consideration).
     pub fn candidates(
         self,
-        labels: &BTreeSet<Label>,
+        labels: &[Label],
         catalog: &Catalog,
         origin: NodeId,
         topology: &Topology,
@@ -581,10 +582,6 @@ mod tests {
         QueryState::new(QueryId(1), expr, SimTime::ZERO, SimDuration::from_secs(120))
     }
 
-    fn labels(q: &QueryState) -> BTreeSet<Label> {
-        q.expr.labels()
-    }
-
     #[test]
     fn codes_round_trip() {
         for s in Strategy::ALL {
@@ -608,7 +605,7 @@ mod tests {
     fn cmp_takes_all_providers() {
         let c = catalog();
         let q = query(Dnf::from_terms(vec![Term::all_of(["a", "b"])]));
-        let cands = Strategy::Comprehensive.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Comprehensive.candidates(q.labels(), &c, NodeId(0), &topo());
         // Both providers of `a` plus the provider of `b`.
         assert_eq!(cands, vec![0, 1, 2]);
     }
@@ -617,7 +614,7 @@ mod tests {
     fn selected_sources_drop_redundancy() {
         let c = catalog();
         let q = query(Dnf::from_terms(vec![Term::all_of(["a", "b"])]));
-        let cands = Strategy::SelectedSources.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::SelectedSources.candidates(q.labels(), &c, NodeId(0), &topo());
         // Cover picks the cheap provider of a (idx 1) and b (idx 2).
         assert_eq!(cands, vec![1, 2]);
     }
@@ -626,7 +623,7 @@ mod tests {
     fn cover_exploits_multi_label_objects() {
         let c = catalog();
         let q = query(Dnf::from_terms(vec![Term::all_of(["c", "d"])]));
-        let cands = Strategy::SelectedSources.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::SelectedSources.candidates(q.labels(), &c, NodeId(0), &topo());
         // Panorama (400 KB for both) beats two singles (700 KB).
         assert_eq!(cands, vec![3]);
     }
@@ -635,7 +632,7 @@ mod tests {
     fn lcf_orders_by_size() {
         let c = catalog();
         let mut q = query(Dnf::from_terms(vec![Term::all_of(["a", "b"])]));
-        let cands = Strategy::LowestCostFirst.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::LowestCostFirst.candidates(q.labels(), &c, NodeId(0), &topo());
         let (idx, label) = Strategy::LowestCostFirst
             .next_request(
                 &q,
@@ -690,7 +687,7 @@ mod tests {
             SimDuration::from_secs(600),
         );
         let now = SimTime::from_secs(1);
-        let cands = Strategy::Comprehensive.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Comprehensive.candidates(q.labels(), &c, NodeId(0), &topo());
         let (idx, _) = Strategy::Comprehensive
             .next_request(
                 &q,
@@ -723,7 +720,7 @@ mod tests {
             SimDuration::from_secs(600),
         );
         let now = SimTime::from_secs(1);
-        let cands = Strategy::Lvf.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Lvf.candidates(q.labels(), &c, NodeId(0), &topo());
         let (_, label) = Strategy::Lvf
             .next_request(
                 &q,
@@ -746,7 +743,7 @@ mod tests {
         // Single term with a stable label (600 s validity) and a volatile
         // one (30 s). The hybrid order fetches the stable one first.
         let q = query(Dnf::from_terms(vec![Term::all_of(["a", "b"])]));
-        let cands = Strategy::Lvf.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Lvf.candidates(q.labels(), &c, NodeId(0), &topo());
         let (_, label) = Strategy::Lvf
             .next_request(
                 &q,
@@ -771,7 +768,7 @@ mod tests {
             Term::all_of(["a", "b"]),
             Term::all_of(["c", "d"]),
         ]));
-        let cands = Strategy::Lvf.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Lvf.candidates(q.labels(), &c, NodeId(0), &topo());
         let (idx, _) = Strategy::Lvf
             .next_request(
                 &q,
@@ -802,7 +799,7 @@ mod tests {
         );
         let now = SimTime::from_secs(1);
         for s in Strategy::ALL {
-            let cands = s.candidates(&labels(&q), &c, NodeId(0), &topo());
+            let cands = s.candidates(q.labels(), &c, NodeId(0), &topo());
             assert!(
                 s.next_request(
                     &q,
@@ -829,7 +826,7 @@ mod tests {
             Term::all_of(["ghost"]),
             Term::all_of(["c"]),
         ]));
-        let cands = Strategy::Lvf.candidates(&labels(&q), &c, NodeId(0), &topo());
+        let cands = Strategy::Lvf.candidates(q.labels(), &c, NodeId(0), &topo());
         let (idx, label) = Strategy::Lvf
             .next_request(
                 &q,

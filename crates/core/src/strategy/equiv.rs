@@ -428,9 +428,10 @@ fn check(c: &Case) -> Result<(), TestCaseError> {
         c.query.relevant_labels(c.now),
         c.query.expr.relevant_labels(asg, c.now)
     );
-    let everything = Strategy::Comprehensive.candidates(&labels, &c.catalog, c.origin, &c.topology);
+    let everything =
+        Strategy::Comprehensive.candidates(c.query.labels(), &c.catalog, c.origin, &c.topology);
     for strategy in Strategy::ALL {
-        let chosen = strategy.candidates(&labels, &c.catalog, c.origin, &c.topology);
+        let chosen = strategy.candidates(c.query.labels(), &c.catalog, c.origin, &c.topology);
         prop_assert_eq!(
             &chosen,
             &old_candidates(strategy, &labels, &c.catalog, c.origin, &c.topology),
@@ -530,8 +531,7 @@ fn index_planner_matches_the_old_one_past_64_labels() {
     };
     check(&c).unwrap();
     // The cover really is wider than a word, and something is planned.
-    let labels = c.query.expr.labels();
-    let chosen = Strategy::Lvf.candidates(&labels, &c.catalog, c.origin, &c.topology);
+    let chosen = Strategy::Lvf.candidates(c.query.labels(), &c.catalog, c.origin, &c.topology);
     assert!(chosen.len() > 40, "{}", chosen.len());
     assert!(Strategy::Lvf
         .next_request(

@@ -98,15 +98,19 @@ fn counts(strategy: Strategy, scenario: &Scenario, catalog: &Catalog) -> (Vec<u6
     let mut widest = 0;
     for inst in &scenario.queries {
         let labels = inst.expr.labels();
-        let candidates =
-            Strategy::Comprehensive.candidates(&labels, catalog, inst.origin, &scenario.topology);
-        widest = widest.max(candidates.len());
         let mut query = QueryState::new(
             QueryId(inst.id),
             inst.expr.clone(),
             SimTime::ZERO,
             inst.deadline,
         );
+        let candidates = Strategy::Comprehensive.candidates(
+            query.labels(),
+            catalog,
+            inst.origin,
+            &scenario.topology,
+        );
+        widest = widest.max(candidates.len());
         let plan = strategy.plan(&query, candidates, catalog);
         for round in 0..2 {
             let (next, allocs) = allocs_during(|| {

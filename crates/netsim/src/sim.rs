@@ -126,6 +126,10 @@ pub struct Context<'a, M> {
     topology: &'a Topology,
     commands: &'a mut Vec<Command<M>>,
     sink: &'a mut dyn Sink,
+    /// `sink.enabled()`, read once when the context is assembled: a
+    /// handler's checks and emits then cost a branch each, whatever the
+    /// sink (the `Sink` contract fixes the answer for the sink's life).
+    tracing: bool,
 }
 
 impl<M> std::fmt::Debug for Context<'_, M> {
@@ -156,6 +160,7 @@ impl<'a, M> Context<'a, M> {
             node,
             topology,
             commands,
+            tracing: sink.enabled(),
             sink,
         }
     }
@@ -165,13 +170,13 @@ impl<'a, M> Context<'a, M> {
     /// rationale strings) so the default [`dde_obs::NullSink`] costs one
     /// branch per site.
     pub fn obs_enabled(&self) -> bool {
-        self.sink.enabled()
+        self.tracing
     }
 
     /// Records a trace event stamped with the current simulated time and
     /// this node's identity. A no-op when the sink is disabled.
     pub fn emit(&mut self, kind: EventKind) {
-        if self.sink.enabled() {
+        if self.tracing {
             self.sink.record(&TraceRecord {
                 at: self.now,
                 node: self.node.index() as u32,

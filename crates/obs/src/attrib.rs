@@ -21,13 +21,14 @@ pub struct PredKey {
 }
 
 /// What a record means to the cost ledger, independent of representation.
+/// Text is borrowed from the record or the parsed JSON line it views, so
+/// lowering a record copies no string.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ViewKind {
+pub enum ViewKind<'a> {
     /// Bytes clocked onto a link (bandwidth consumed even if later lost).
     Transmit {
-        /// Message kind tag (`announce`, `request`, `data`, `label`, …):
-        /// borrowed from a typed record, owned when read back from JSON.
-        msg: Cow<'static, str>,
+        /// Message kind tag (`announce`, `request`, `data`, `label`, …).
+        msg: &'a str,
         /// Wire size in bytes.
         bytes: u64,
         /// Background priority class (prefetch/continuation pushes).
@@ -36,7 +37,7 @@ pub enum ViewKind {
     /// A message finished transit and was handled.
     Deliver {
         /// Message kind tag.
-        msg: Cow<'static, str>,
+        msg: &'a str,
     },
     /// A transmission lost to link noise.
     Loss {
@@ -53,7 +54,7 @@ pub enum ViewKind {
     /// A fetch request left the origin.
     RequestSend {
         /// Requested object name (keys retransmission detection).
-        name: String,
+        name: &'a str,
     },
     /// A request served from a content store.
     CacheHit,
@@ -74,8 +75,10 @@ pub enum ViewKind {
     Annotate,
     /// The query reached a decision.
     QueryResolved {
-        /// `viable` or `infeasible`.
-        outcome: String,
+        /// `viable` or `infeasible`: the record's own `&'static str` from
+        /// a typed record, so the ledger can keep it without a copy; owned
+        /// when read back from JSON.
+        outcome: Cow<'static, str>,
         /// Issue-to-decision latency in microseconds.
         latency_us: u64,
     },
@@ -89,13 +92,13 @@ pub enum ViewKind {
 /// A normalized, representation-independent view of one trace record:
 /// when, where, what, and on whose behalf.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LedgerView {
+pub struct LedgerView<'a> {
     /// Simulated microseconds.
     pub t_us: u64,
     /// Reporting node.
     pub node: u32,
     /// What happened, reduced to what cost accounting needs.
-    pub kind: ViewKind,
+    pub kind: ViewKind<'a>,
     /// The decision query charged, if attributable.
     pub query: Option<u64>,
     /// Predicate coordinates, where the emitter knew them.
@@ -109,11 +112,11 @@ fn pred_from(term: &Option<u32>, cond: &Option<u32>) -> Option<PredKey> {
     }
 }
 
-impl LedgerView {
+impl<'a> LedgerView<'a> {
     /// Lower a typed record into its ledger view. Numbers pass through
     /// the same saturation the encoder applies, so the view of a record is
     /// the view of its JSONL line.
-    pub fn from_record(rec: &TraceRecord) -> Self {
+    pub fn from_record(rec: &'a TraceRecord) -> Self {
         let (kind, query, pred) = match &rec.kind {
             EventKind::Transmit {
                 msg,
@@ -123,20 +126,14 @@ impl LedgerView {
                 ..
             } => (
                 ViewKind::Transmit {
-                    msg: Cow::Borrowed(msg),
+                    msg,
                     bytes: wire_u64(*bytes),
                     background: *background,
                 },
                 *query,
                 None,
             ),
-            EventKind::Deliver { msg, query, .. } => (
-                ViewKind::Deliver {
-                    msg: Cow::Borrowed(msg),
-                },
-                *query,
-                None,
-            ),
+            EventKind::Deliver { msg, query, .. } => (ViewKind::Deliver { msg }, *query, None),
             EventKind::Loss { bytes, query, .. } => (
                 ViewKind::Loss {
                     bytes: wire_u64(*bytes),
@@ -163,7 +160,7 @@ impl LedgerView {
                 cond,
                 ..
             } => (
-                ViewKind::RequestSend { name: name.clone() },
+                ViewKind::RequestSend { name },
                 Some(*query),
                 pred_from(term, cond),
             ),
@@ -193,7 +190,7 @@ impl LedgerView {
                 latency_us,
             } => (
                 ViewKind::QueryResolved {
-                    outcome: (*outcome).to_string(),
+                    outcome: Cow::Borrowed(outcome),
                     latency_us: wire_u64(*latency_us),
                 },
                 Some(*query),
@@ -227,7 +224,7 @@ impl LedgerView {
     /// Returns `None` when the object lacks the `t`/`node`/`kind` envelope
     /// or a required payload field — callers decide whether that is an
     /// error (strict CLI) or a skip.
-    pub fn from_json(v: &JsonValue) -> Option<Self> {
+    pub fn from_json(v: &'a JsonValue) -> Option<Self> {
         let t_us = u64::try_from(v.get("t")?.as_int()?).ok()?;
         let node = u32::try_from(v.get("node")?.as_int()?).ok()?;
         let kind_tag = v.get("kind")?.as_str()?;
@@ -248,12 +245,12 @@ impl LedgerView {
         };
         let kind = match kind_tag {
             "transmit" => ViewKind::Transmit {
-                msg: Cow::Owned(v.get("msg")?.as_str()?.to_string()),
+                msg: v.get("msg")?.as_str()?,
                 bytes: get_u64("bytes")?,
                 background: matches!(v.get("bg"), Some(JsonValue::Bool(true))),
             },
             "deliver" => ViewKind::Deliver {
-                msg: Cow::Owned(v.get("msg")?.as_str()?.to_string()),
+                msg: v.get("msg")?.as_str()?,
             },
             "loss" => ViewKind::Loss {
                 bytes: get_u64("bytes")?,
@@ -263,7 +260,7 @@ impl LedgerView {
                 expected_bytes: get_u64("expected_bytes")?,
             },
             "request-send" => ViewKind::RequestSend {
-                name: v.get("name")?.as_str()?.to_string(),
+                name: v.get("name")?.as_str()?,
             },
             "cache-hit" => ViewKind::CacheHit,
             "cache-miss" => ViewKind::CacheMiss,
@@ -275,7 +272,7 @@ impl LedgerView {
             },
             "annotate" => ViewKind::Annotate,
             "query-resolved" => ViewKind::QueryResolved {
-                outcome: v.get("outcome")?.as_str()?.to_string(),
+                outcome: Cow::Owned(v.get("outcome")?.as_str()?.to_string()),
                 latency_us: get_u64("latency_us")?,
             },
             "query-missed" => ViewKind::QueryMissed,
@@ -297,21 +294,33 @@ mod tests {
     use crate::json::parse;
     use dde_logic::time::SimTime;
 
-    fn roundtrip(kind: EventKind) -> (LedgerView, LedgerView) {
+    /// A record and its parsed JSONL line: the two things a view borrows.
+    struct Trip {
+        rec: TraceRecord,
+        parsed: JsonValue,
+    }
+
+    impl Trip {
+        /// The typed view and the JSON view.
+        fn views(&self) -> (LedgerView<'_>, LedgerView<'_>) {
+            let json = LedgerView::from_json(&self.parsed).expect("complete envelope");
+            (LedgerView::from_record(&self.rec), json)
+        }
+    }
+
+    fn roundtrip(kind: EventKind) -> Trip {
         let rec = TraceRecord {
             at: SimTime::from_micros(42),
             node: 3,
             kind,
         };
-        let typed = LedgerView::from_record(&rec);
         let parsed = parse(&rec.to_jsonl_line()).expect("valid JSONL");
-        let json = LedgerView::from_json(&parsed).expect("complete envelope");
-        (typed, json)
+        Trip { rec, parsed }
     }
 
     #[test]
     fn typed_and_json_paths_agree_on_transmit() {
-        let (typed, json) = roundtrip(EventKind::Transmit {
+        let trip = roundtrip(EventKind::Transmit {
             from: 1,
             to: 2,
             msg: "data",
@@ -319,6 +328,7 @@ mod tests {
             background: false,
             query: Some(9),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert_eq!(typed.query, Some(9));
         assert!(matches!(
@@ -329,38 +339,41 @@ mod tests {
 
     #[test]
     fn typed_and_json_paths_agree_on_request_send() {
-        let (typed, json) = roundtrip(EventKind::RequestSend {
+        let trip = roundtrip(EventKind::RequestSend {
             query: 5,
             name: "/city/a".into(),
             hop: 1,
             term: Some(1),
             cond: Some(2),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert_eq!(typed.pred, Some(PredKey { term: 1, cond: 2 }));
     }
 
     #[test]
     fn unattributed_link_events_view_as_overhead() {
-        let (typed, json) = roundtrip(EventKind::Loss {
+        let trip = roundtrip(EventKind::Loss {
             from: 0,
             to: 1,
             msg: "announce",
             bytes: 88,
             query: None,
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert_eq!(typed.query, None);
     }
 
     #[test]
     fn cache_store_charge_is_bytes_times_validity() {
-        let (typed, json) = roundtrip(EventKind::CacheStore {
+        let trip = roundtrip(EventKind::CacheStore {
             name: "/city/a".into(),
             bytes: 1000,
             validity_us: 2_000_000,
             query: Some(4),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert!(matches!(
             typed.kind,
@@ -376,17 +389,18 @@ mod tests {
         // `i64`: both folds must see the saturated value, not one of them
         // a negative number it then rejects.
         let cap = i64::MAX as u64;
-        let (typed, json) = roundtrip(EventKind::CacheStore {
+        let trip = roundtrip(EventKind::CacheStore {
             name: "/city/a".into(),
             bytes: u64::MAX,
             validity_us: u64::MAX,
             query: Some(u64::MAX),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert_eq!(typed.query, Some(cap));
         assert_eq!(typed.kind, ViewKind::CacheStore { byte_us: u64::MAX });
 
-        let (typed, json) = roundtrip(EventKind::Transmit {
+        let trip = roundtrip(EventKind::Transmit {
             from: 1,
             to: 2,
             msg: "data",
@@ -394,32 +408,36 @@ mod tests {
             background: true,
             query: Some(4),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert!(matches!(typed.kind, ViewKind::Transmit { bytes, .. } if bytes == cap));
 
-        let (typed, json) = roundtrip(EventKind::Loss {
+        let trip = roundtrip(EventKind::Loss {
             from: 1,
             to: 2,
             msg: "data",
             bytes: u64::MAX,
             query: None,
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
 
-        let (typed, json) = roundtrip(EventKind::Plan {
+        let trip = roundtrip(EventKind::Plan {
             query: 4,
             strategy: "lvf",
             candidates: u64::MAX,
             expected_bytes: u64::MAX,
             rationale: String::new(),
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
 
-        let (typed, json) = roundtrip(EventKind::QueryResolved {
+        let trip = roundtrip(EventKind::QueryResolved {
             query: 4,
             outcome: "viable",
             latency_us: u64::MAX,
         });
+        let (typed, json) = trip.views();
         assert_eq!(typed, json);
         assert!(matches!(
             typed.kind,

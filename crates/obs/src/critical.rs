@@ -116,14 +116,14 @@ fn segment_of(kind: &ViewKind) -> Option<Segment> {
         ViewKind::Transmit {
             msg, background, ..
         } => {
-            if msg == "announce" || *background {
+            if *msg == "announce" || *background {
                 None
             } else {
                 Some(Segment::Queueing)
             }
         }
         ViewKind::Deliver { msg } => {
-            if msg == "announce" {
+            if *msg == "announce" {
                 None
             } else {
                 Some(Segment::Transit)
@@ -146,7 +146,7 @@ enum Segment {
 impl PathWalk {
     /// Advance the walk with one event already known to be attributed to
     /// this walk's query.
-    pub fn observe(&mut self, view: &LedgerView) {
+    pub fn observe(&mut self, view: &LedgerView<'_>) {
         if self.done {
             return;
         }
@@ -201,7 +201,7 @@ impl PathWalk {
 mod tests {
     use super::*;
 
-    fn view(t_us: u64, kind: ViewKind) -> LedgerView {
+    fn view(t_us: u64, kind: ViewKind<'static>) -> LedgerView<'static> {
         LedgerView {
             t_us,
             node: 0,
@@ -211,11 +211,11 @@ mod tests {
         }
     }
 
-    fn tx(t_us: u64, msg: &'static str, background: bool) -> LedgerView {
+    fn tx(t_us: u64, msg: &'static str, background: bool) -> LedgerView<'static> {
         view(
             t_us,
             ViewKind::Transmit {
-                msg: msg.into(),
+                msg,
                 bytes: 100,
                 background,
             },
@@ -226,9 +226,9 @@ mod tests {
     fn segments_partition_the_latency() {
         let mut walk = PathWalk::default();
         walk.observe(&view(100, ViewKind::QueryInit));
-        walk.observe(&view(110, ViewKind::RequestSend { name: "/a".into() })); // 10us scheduler
+        walk.observe(&view(110, ViewKind::RequestSend { name: "/a" })); // 10us scheduler
         walk.observe(&tx(130, "request", false)); // 20us queueing
-        walk.observe(&view(180, ViewKind::Deliver { msg: "data".into() })); // 50us transit
+        walk.observe(&view(180, ViewKind::Deliver { msg: "data" })); // 50us transit
         walk.observe(&view(200, ViewKind::Annotate)); // 20us annotation
         walk.observe(&view(
             250,

@@ -18,7 +18,9 @@
 //! occurred and the node reporting it. Node identity is a plain `u32`
 //! (`NodeId` lives upstream in `dde-netsim`, which depends on this crate).
 
-use crate::json::{write_json_int, write_json_string, JsonValue};
+use crate::json::{
+    into_string, write_json_bool, write_json_int, write_json_string, write_json_u64, JsonValue,
+};
 use dde_logic::time::SimTime;
 
 /// One trace event: what happened, where, at which simulated instant.
@@ -560,37 +562,45 @@ impl EventKind {
 }
 
 impl TraceRecord {
-    /// Appends the record to `out` as one JSON object (no trailing
-    /// newline) with a fixed key order: `t` (microseconds of simulated
-    /// time), `node`, `kind`, then the variant's payload fields. Nothing is
-    /// built on the way: keys are literals and values are written from the
+    /// The one encoder: appends the record to `out` as one JSON object (no
+    /// trailing newline) with a fixed key order: `t` (microseconds of
+    /// simulated time), `node`, `kind`, then the variant's payload fields.
+    /// Nothing is built on the way: keys and kind tags are literals copied
+    /// as bytes (no tag needs escaping) and values are written from the
     /// record's own fields, so encoding allocates only if `out` must grow.
-    pub fn write_jsonl(&self, out: &mut String) {
-        out.push_str("{\"t\":");
-        write_json_int(out, wire_u64(self.at.as_micros()) as i64);
-        out.push_str(",\"node\":");
-        write_json_int(out, i64::from(self.node));
-        out.push_str(",\"kind\":");
-        write_json_string(out, self.kind.kind_name());
+    pub(crate) fn encode_jsonl(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"t\":");
+        write_json_u64(out, wire_u64(self.at.as_micros()));
+        out.extend_from_slice(b",\"node\":");
+        write_json_u64(out, u64::from(self.node));
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(self.kind.kind_name().as_bytes());
+        out.push(b'"');
         self.kind.visit_fields(&mut |key, val| {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
             match val {
                 FieldVal::Int(i) => write_json_int(out, i),
                 FieldVal::Str(s) => write_json_string(out, s),
-                FieldVal::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-                FieldVal::Null => out.push_str("null"),
+                FieldVal::Bool(b) => write_json_bool(out, b),
+                FieldVal::Null => out.extend_from_slice(b"null"),
             }
         });
-        out.push('}');
+        out.push(b'}');
+    }
+
+    /// Appends the record to `out` as one JSONL line (no trailing newline),
+    /// through the byte encoder [`JsonlSink`](crate::sink::JsonlSink) uses.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str(&self.to_jsonl_line());
     }
 
     /// The record as one JSONL line (no trailing newline).
     pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::new();
-        self.write_jsonl(&mut out);
-        out
+        let mut out = Vec::new();
+        self.encode_jsonl(&mut out);
+        into_string(out)
     }
 }
 

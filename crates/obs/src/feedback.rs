@@ -100,7 +100,7 @@ impl FeedbackSink {
     }
 
     /// Fold one normalized record view.
-    pub fn observe(&mut self, view: &LedgerView) {
+    pub fn observe(&mut self, view: &LedgerView<'_>) {
         match &view.kind {
             ViewKind::Plan { expected_bytes } => {
                 if let Some(q) = view.query {

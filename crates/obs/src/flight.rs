@@ -58,12 +58,12 @@ impl FlightRecorder {
     /// The retained tail as JSON Lines (same format as
     /// [`JsonlSink`](crate::sink::JsonlSink)), oldest first.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for rec in &self.ring {
-            rec.write_jsonl(&mut out);
-            out.push('\n');
+            rec.encode_jsonl(&mut out);
+            out.push(b'\n');
         }
-        out
+        crate::json::into_string(out)
     }
 
     /// A framed human-readable dump for stderr: a header naming the

@@ -8,7 +8,7 @@
 //! makes the writer deterministic: the emitter chooses the key order once
 //! and every run reproduces it byte for byte.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,158 +65,197 @@ impl JsonValue {
 
     /// Serializes compactly (no whitespace), deterministically.
     pub fn to_compact_string(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_compact(&mut out);
-        out
+        into_string(out)
     }
 
     /// Serializes with 2-space indentation, deterministically.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
+        out.push(b'\n');
+        into_string(out)
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write_compact(&self, out: &mut Vec<u8>) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Null => out.extend_from_slice(b"null"),
+            JsonValue::Bool(b) => write_json_bool(out, *b),
             JsonValue::Int(i) => write_json_int(out, *i),
             JsonValue::Float(f) => write_float(out, *f),
             JsonValue::Str(s) => write_json_string(out, s),
             JsonValue::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     v.write_compact(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             JsonValue::Object(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_json_string(out, k);
-                    out.push(':');
+                    out.push(b':');
                     v.write_compact(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    fn write_pretty(&self, out: &mut Vec<u8>, depth: usize) {
         match self {
             JsonValue::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
+                out.extend_from_slice(b"[\n");
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     indent(out, depth + 1);
                     v.write_pretty(out, depth + 1);
                 }
-                out.push('\n');
+                out.push(b'\n');
                 indent(out, depth);
-                out.push(']');
+                out.push(b']');
             }
             JsonValue::Object(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
+                out.extend_from_slice(b"{\n");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     indent(out, depth + 1);
                     write_json_string(out, k);
-                    out.push_str(": ");
+                    out.extend_from_slice(b": ");
                     v.write_pretty(out, depth + 1);
                 }
-                out.push('\n');
+                out.push(b'\n');
                 indent(out, depth);
-                out.push('}');
+                out.push(b'}');
             }
             other => other.write_compact(out),
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
+fn indent(out: &mut Vec<u8>, depth: usize) {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.extend_from_slice(b"  ");
     }
+}
+
+/// The text of bytes this module wrote. Every writer here emits UTF-8
+/// (ASCII punctuation and digits, and `&str` input copied between ASCII
+/// escape points), so the lossy branch is never taken.
+pub(crate) fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Writes `f` as a JSON number. `f64`'s `Display` is the shortest string
 /// that round-trips, which is deterministic across runs and platforms;
 /// non-finite values (invalid JSON) degrade to `null`.
-fn write_float(out: &mut String, f: f64) {
+fn write_float(out: &mut Vec<u8>, f: f64) {
     if !f.is_finite() {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
         return;
     }
     let start = out.len();
     let _ = write!(out, "{f}");
     // Ensure the token stays a *number* that parses back as Float.
-    if !out[start..].contains('.') && !out[start..].contains('e') {
-        out.push_str(".0");
+    if !out[start..].iter().any(|&b| b == b'.' || b == b'e') {
+        out.extend_from_slice(b".0");
     }
 }
 
-/// Writes `i` in decimal. Digits are produced into a stack buffer and
-/// appended in one go: no formatter, no lookup table, no allocation beyond
-/// `out`'s own growth.
-pub fn write_json_int(out: &mut String, i: i64) {
-    // '-' plus the 19 digits of `i64::MIN`'s magnitude.
+/// Writes `true` or `false`.
+pub fn write_json_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `n` in decimal: two digits per division into a stack buffer
+/// (`u64::MAX` has 20), then one copy into `out`. No formatter and no
+/// allocation beyond `out`'s own growth.
+pub fn write_json_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
-    let mut n = i.unsigned_abs();
-    loop {
-        pos -= 1;
-        buf[pos] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[pos..]);
+}
+
+/// Writes `i` in decimal, as [`write_json_u64`] does its magnitude.
+pub fn write_json_int(out: &mut Vec<u8>, i: i64) {
     if i < 0 {
-        pos -= 1;
-        buf[pos] = b'-';
+        out.push(b'-');
     }
-    out.extend(buf[pos..].iter().map(|&b| b as char));
+    write_json_u64(out, i.unsigned_abs());
 }
 
 /// Writes `s` as a JSON string literal with the mandatory escapes.
 ///
 /// Every byte that needs escaping is ASCII, so the text between two of
 /// them is copied as one slice; a string with none (every name, tag and
-/// label the protocol emits) is a single `push_str`.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
+/// label the protocol emits) is found so by one branch-free pass and
+/// copied whole.
+pub fn write_json_string(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push(b'"');
+    let plain = bytes.iter().fold(true, |plain, &b| {
+        plain & (b >= 0x20) & (b != b'"') & (b != b'\\')
+    });
+    if plain {
+        out.extend_from_slice(bytes);
+        out.push(b'"');
+        return;
+    }
     let mut copied = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.push_str(&s[copied..i]);
+        out.extend_from_slice(&bytes[copied..i]);
         copied = i + 1;
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
             _ => {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
     }
-    out.push_str(&s[copied..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[copied..]);
+    out.push(b'"');
 }
 
 /// A JSON syntax error with its byte offset in the input.
@@ -452,6 +491,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::fmt::Write as _;
 
     #[test]
     fn round_trips_compact() {
@@ -533,15 +573,15 @@ mod tests {
     }
 
     fn written_string(s: &str) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         write_json_string(&mut out, s);
-        out
+        String::from_utf8(out).unwrap()
     }
 
     fn written_int(i: i64) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         write_json_int(&mut out, i);
-        out
+        String::from_utf8(out).unwrap()
     }
 
     #[test]

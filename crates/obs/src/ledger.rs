@@ -24,6 +24,7 @@ use crate::event::TraceRecord;
 use crate::json::JsonValue;
 use crate::sink::Sink;
 use core::fmt::Write as _;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fetch/annotation counts for one predicate (OR-term, condition) of a
@@ -69,8 +70,9 @@ pub struct QueryCost {
     /// The planner's predicted expected retrieval cost (§III-A), if a
     /// `plan` record was seen.
     pub predicted_bytes: Option<u64>,
-    /// `viable`, `infeasible`, or `missed` once a terminal record is seen.
-    pub outcome: Option<String>,
+    /// `viable`, `infeasible`, or `missed` once a terminal record is seen:
+    /// the emitter's static tag, owned only when folded from JSON.
+    pub outcome: Option<Cow<'static, str>>,
     /// Issue-to-decision latency for resolved queries.
     pub latency_us: Option<u64>,
     /// Per-predicate work, keyed by (OR-term, condition) coordinates.
@@ -80,6 +82,20 @@ pub struct QueryCost {
 }
 
 impl QueryCost {
+    /// Charges one transmission of `bytes` bytes of message kind `msg`.
+    fn charge_transmit(&mut self, msg: &str, bytes: u64) {
+        self.bytes = self.bytes.saturating_add(bytes);
+        self.messages = self.messages.saturating_add(1);
+        // Look up by `&str` first: only the first transmit of a message
+        // kind in a bucket pays for an owned key.
+        match self.bytes_by_msg.get_mut(msg) {
+            Some(by_msg) => *by_msg = by_msg.saturating_add(bytes),
+            None => {
+                self.bytes_by_msg.insert(msg.to_string(), bytes);
+            }
+        }
+    }
+
     /// The critical-path breakdown accumulated for this query.
     pub fn path(&self) -> &PathBreakdown {
         self.walk.breakdown()
@@ -113,38 +129,31 @@ impl CostLedger {
         Self::default()
     }
 
-    /// Fold one normalized view into the ledger.
-    pub fn observe(&mut self, view: &LedgerView) {
+    /// Fold one normalized view into the ledger: one `queries` lookup, and
+    /// an owned string only for a request name or message kind the query
+    /// has not seen before.
+    pub fn observe(&mut self, view: &LedgerView<'_>) {
         // Global totals and the byte/message charge: every transmit goes
         // to exactly one bucket, which is what makes conservation a
         // construction property rather than a hope.
-        if let ViewKind::Transmit { msg, bytes, .. } = &view.kind {
-            self.total_bytes = self.total_bytes.saturating_add(*bytes);
+        if let ViewKind::Transmit { bytes, .. } = view.kind {
+            self.total_bytes = self.total_bytes.saturating_add(bytes);
             self.total_messages = self.total_messages.saturating_add(1);
-            let bucket = match view.query {
-                Some(q) => self.queries.entry(q).or_default(),
-                None => &mut self.overhead,
-            };
-            bucket.bytes = bucket.bytes.saturating_add(*bytes);
-            bucket.messages = bucket.messages.saturating_add(1);
-            // Look up by `&str` first: only the first transmit of a message
-            // kind in a bucket pays for an owned key.
-            match bucket.bytes_by_msg.get_mut(msg.as_ref()) {
-                Some(by_msg) => *by_msg = by_msg.saturating_add(*bytes),
-                None => {
-                    bucket.bytes_by_msg.insert(msg.to_string(), *bytes);
-                }
-            }
         }
         let Some(q) = view.query else {
-            if let ViewKind::Loss { bytes } = &view.kind {
-                self.overhead.lost_bytes = self.overhead.lost_bytes.saturating_add(*bytes);
+            match view.kind {
+                ViewKind::Transmit { msg, bytes, .. } => self.overhead.charge_transmit(msg, bytes),
+                ViewKind::Loss { bytes } => {
+                    self.overhead.lost_bytes = self.overhead.lost_bytes.saturating_add(bytes);
+                }
+                _ => {}
             }
             return;
         };
         let cost = self.queries.entry(q).or_default();
         match &view.kind {
-            ViewKind::Transmit { .. } | ViewKind::Deliver { .. } => {}
+            ViewKind::Transmit { msg, bytes, .. } => cost.charge_transmit(msg, *bytes),
+            ViewKind::Deliver { .. } => {}
             ViewKind::Loss { bytes } => {
                 cost.lost_bytes = cost.lost_bytes.saturating_add(*bytes);
             }
@@ -154,8 +163,10 @@ impl CostLedger {
             }
             ViewKind::RequestSend { name } => {
                 cost.requests = cost.requests.saturating_add(1);
-                if !cost.seen_names.insert(name.clone()) {
+                if cost.seen_names.contains(*name) {
                     cost.retransmissions = cost.retransmissions.saturating_add(1);
+                } else {
+                    cost.seen_names.insert((*name).to_string());
                 }
                 if let Some(pred) = view.pred {
                     let work = cost.predicates.entry(pred).or_default();
@@ -186,7 +197,7 @@ impl CostLedger {
                 cost.latency_us = Some(*latency_us);
             }
             ViewKind::QueryMissed => {
-                cost.outcome = Some("missed".to_string());
+                cost.outcome = Some(Cow::Borrowed("missed"));
             }
             ViewKind::Other => {}
         }
@@ -327,7 +338,7 @@ impl CostLedger {
                     "outcome".into(),
                     cost.outcome
                         .as_ref()
-                        .map(|o| JsonValue::Str(o.clone()))
+                        .map(|o| JsonValue::Str(o.to_string()))
                         .unwrap_or(JsonValue::Null),
                 ));
                 pairs.push((

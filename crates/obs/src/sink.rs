@@ -3,7 +3,10 @@
 //! Instrumentation sites hold a `&mut dyn Sink` (or a cloneable
 //! [`SharedSink`] handle) and call [`Sink::record`] per event. Sites are
 //! expected to check [`Sink::enabled`] before building events with owned
-//! payloads, so the default [`NullSink`] costs one branch per site.
+//! payloads, so the default [`NullSink`] costs one branch per site. The
+//! answer is fixed for a sink's life, so a site may read it once and keep
+//! it: [`TeeSink`] reads its sides' at construction, and the simulator's
+//! handler context once per dispatch.
 
 use crate::event::TraceRecord;
 use std::io::Write;
@@ -17,6 +20,10 @@ pub trait Sink {
     /// Whether this sink actually consumes records. Instrumentation sites
     /// use this to skip building event payloads (strings, rationale
     /// rendering) entirely. Defaults to `true`.
+    ///
+    /// The answer must not change over the sink's life: callers may read
+    /// it once and cache it, and a sink that turned itself on later would
+    /// miss every record built before.
     fn enabled(&self) -> bool {
         true
     }
@@ -82,9 +89,9 @@ impl Sink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
-    /// The line being encoded; reused, so a record costs no allocation
-    /// once it has grown to the longest line seen.
-    line: String,
+    /// The line being encoded, as bytes; reused, so a record costs no
+    /// allocation once it has grown to the longest line seen.
+    line: Vec<u8>,
     error: Option<std::io::Error>,
 }
 
@@ -94,7 +101,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
-            line: String::new(),
+            line: Vec::new(),
             error: None,
         }
     }
@@ -117,9 +124,9 @@ impl<W: Write> Sink for JsonlSink<W> {
             return;
         }
         self.line.clear();
-        rec.write_jsonl(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
+        rec.encode_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = self.writer.write_all(&self.line) {
             self.error = Some(e);
         }
     }
@@ -178,9 +185,14 @@ impl<W: Write> Sink for ChromeTraceSink<W> {
 ///
 /// Enabled when *either* side is enabled; a disabled side is skipped per
 /// record, so teeing a `NullSink` with a ledger costs the ledger alone.
+/// Each side's [`enabled`](Sink::enabled) is read once, here at
+/// construction: for a [`SharedSink`] side that is a lock a record no
+/// longer takes.
 pub struct TeeSink {
     a: Box<dyn Sink>,
     b: Box<dyn Sink>,
+    a_on: bool,
+    b_on: bool,
 }
 
 impl std::fmt::Debug for TeeSink {
@@ -192,20 +204,21 @@ impl std::fmt::Debug for TeeSink {
 impl TeeSink {
     /// Tee records to both `a` and `b`.
     pub fn new(a: Box<dyn Sink>, b: Box<dyn Sink>) -> Self {
-        Self { a, b }
+        let (a_on, b_on) = (a.enabled(), b.enabled());
+        Self { a, b, a_on, b_on }
     }
 }
 
 impl Sink for TeeSink {
     fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
+        self.a_on || self.b_on
     }
 
     fn record(&mut self, rec: &TraceRecord) {
-        if self.a.enabled() {
+        if self.a_on {
             self.a.record(rec);
         }
-        if self.b.enabled() {
+        if self.b_on {
             self.b.record(rec);
         }
     }

@@ -1,7 +1,8 @@
 //! The exact, clock-free gate on the trace hot path: once warm, encoding a
-//! record into a [`JsonlSink`] and folding a transmit for a known query
-//! into a [`LedgerSink`] allocate nothing. A wall clock cannot hold this
-//! line; a count can.
+//! record into a [`JsonlSink`] and folding a known query's records into a
+//! [`LedgerSink`] allocate nothing, and a request name the query has not
+//! asked for before costs one. A wall clock cannot hold this line; a count
+//! can.
 
 use dde_logic::time::SimTime;
 use dde_obs::{EventKind, JsonlSink, LedgerSink, Sink, TraceRecord};
@@ -156,4 +157,79 @@ fn a_transmit_for_a_known_query_and_message_folds_without_allocating() {
     let ledger = sink.take_ledger();
     assert_eq!(ledger.total_messages, 1_001);
     assert_eq!(ledger.queries[&7].bytes_by_msg["data"], 1_001 * 450_000);
+}
+
+fn request_send(t: u64, name: &str) -> TraceRecord {
+    rec(
+        t,
+        EventKind::RequestSend {
+            query: 7,
+            name: name.into(),
+            hop: 4,
+            term: Some(0),
+            cond: Some(1),
+        },
+    )
+}
+
+#[test]
+fn a_warm_ledger_folds_a_known_query_without_allocating_and_a_new_name_with_one() {
+    let annotate = rec(
+        3,
+        EventKind::Annotate {
+            query: 7,
+            label: "seg-3-4".into(),
+            value: true,
+            term: Some(0),
+            cond: Some(1),
+        },
+    );
+    let resolved = rec(
+        4,
+        EventKind::QueryResolved {
+            query: 7,
+            outcome: "viable",
+            latency_us: 4,
+        },
+    );
+    let (repeat, fresh) = (request_send(5, "/city/a"), request_send(6, "/city/b"));
+    let mut sink = LedgerSink::new();
+    // Warm-up: the query's bucket, its predicate entry, its first name and
+    // its `data` entry come into being.
+    for r in [
+        rec(
+            0,
+            EventKind::QueryInit {
+                query: 7,
+                origin: 3,
+            },
+        ),
+        request_send(1, "/city/a"),
+        transmit(2),
+        deliver(2),
+        annotate.clone(),
+        resolved.clone(),
+    ] {
+        sink.record(&r);
+    }
+    let allocs = allocs_during(|| {
+        for _ in 0..1_000 {
+            sink.record(&deliver(2));
+            sink.record(&annotate);
+            sink.record(&resolved);
+            sink.record(&repeat);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "1 000 delivers, annotates, resolves and repeated request names"
+    );
+    // The records are built before the count starts: only the fold counts.
+    assert_eq!(allocs_during(|| sink.record(&fresh)), 1, "a new name");
+    let ledger = sink.take_ledger();
+    let cost = &ledger.queries[&7];
+    assert_eq!(cost.requests, 1_002);
+    assert_eq!(cost.retransmissions, 1_000);
+    assert_eq!(cost.annotations, 1_001);
+    assert_eq!(cost.outcome.as_deref(), Some("viable"));
 }

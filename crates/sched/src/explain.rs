@@ -6,8 +6,10 @@
 //! annotated with its truth probability, expected cost, and short-circuit
 //! ratio — the quantities §III-A reasons about.
 
+use crate::item::RetrievalItem;
 use crate::shortcircuit::{and_truth_prob, expected_and_cost, DnfPlan};
 use core::fmt::Write as _;
+use core::ops::Range;
 
 /// One course of action's predicted quantities, in plan (evaluation) order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,32 +64,71 @@ pub fn summarize_dnf_plan(plan: &DnfPlan) -> PlanSummary {
 
 /// Renders a DNF retrieval plan: the candidate courses of action in
 /// evaluation order, each with its internally ordered fetches.
+///
+/// A label shared by several courses of action repeats its fetch line, so
+/// each distinct line is rendered once and copied thereafter; everything
+/// but the floats is written without the formatter.
 pub fn explain_dnf_plan(plan: &DnfPlan) -> String {
     let mut out = String::new();
+    // Fetch lines rendered so far: the item, and where its line sits in
+    // `out`. The line reads the label, the cost and the probability (the
+    // ratio derives from the last two); the probability compares by bits,
+    // because `-0.0 == 0.0` yet they print differently.
+    let mut rendered: Vec<(&RetrievalItem, Range<usize>)> = Vec::new();
     let mut reach = 1.0;
     for (rank, (term_idx, items)) in plan.terms.iter().enumerate() {
         let p = and_truth_prob(items);
         let e = expected_and_cost(items);
+        push_u64(&mut out, rank as u64 + 1);
+        out.push_str(". course of action #");
+        push_u64(&mut out, *term_idx as u64);
         let _ = writeln!(
             out,
-            "{}. course of action #{term_idx}  [P(viable)={p:.2}, E[cost]={e:.0} B, \
-             P(reached)={reach:.2}]",
-            rank + 1,
+            "  [P(viable)={p:.2}, E[cost]={e:.0} B, P(reached)={reach:.2}]"
         );
         for it in items {
+            let seen = rendered.iter().find(|(seen, _)| {
+                seen.cost == it.cost
+                    && seen.prob_true.value().to_bits() == it.prob_true.value().to_bits()
+                    && seen.label == it.label
+            });
+            if let Some((_, line)) = seen {
+                out.extend_from_within(line.clone());
+                continue;
+            }
+            let start = out.len();
+            out.push_str("     fetch ");
+            out.push_str(it.label.as_str());
+            out.push_str("  [");
+            push_u64(&mut out, it.cost.as_bytes());
             let _ = writeln!(
                 out,
-                "     fetch {}  [{} B, P(true)={:.2}, (1-p)/C={:.2e}]",
-                it.label,
-                it.cost.as_bytes(),
+                " B, P(true)={:.2}, (1-p)/C={:.2e}]",
                 it.prob_true.value(),
                 it.and_shortcircuit_ratio(),
             );
+            rendered.push((it, start..out.len()));
         }
         reach *= 1.0 - p;
     }
     let _ = writeln!(out, "expected total: {:.0} B", plan.expected_cost());
     out
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // ASCII digits: always valid UTF-8.
+    out.push_str(core::str::from_utf8(&buf[pos..]).unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -98,6 +139,7 @@ mod tests {
     use dde_logic::label::Label;
     use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
     use dde_logic::time::SimDuration;
+    use proptest::prelude::*;
 
     fn meta(entries: &[(&str, u64, f64)]) -> MetaTable {
         entries
@@ -149,5 +191,106 @@ mod tests {
         // entry is the y-term with its own expected cost.
         assert_eq!(summary.terms[0].term_idx, 1);
         assert!(summary.terms[0].prob_viable > 0.8);
+    }
+
+    /// The renderer before the line memo, kept as the oracle: every line
+    /// through `writeln!`.
+    fn explain_oracle(plan: &DnfPlan) -> String {
+        let mut out = String::new();
+        let mut reach = 1.0;
+        for (rank, (term_idx, items)) in plan.terms.iter().enumerate() {
+            let p = and_truth_prob(items);
+            let e = expected_and_cost(items);
+            let _ = writeln!(
+                out,
+                "{}. course of action #{term_idx}  [P(viable)={p:.2}, E[cost]={e:.0} B, \
+                 P(reached)={reach:.2}]",
+                rank + 1,
+            );
+            for it in items {
+                let _ = writeln!(
+                    out,
+                    "     fetch {}  [{} B, P(true)={:.2}, (1-p)/C={:.2e}]",
+                    it.label,
+                    it.cost.as_bytes(),
+                    it.prob_true.value(),
+                    it.and_shortcircuit_ratio(),
+                );
+            }
+            reach *= 1.0 - p;
+        }
+        let _ = writeln!(out, "expected total: {:.0} B", plan.expected_cost());
+        out
+    }
+
+    /// Random plans over a per-plan pool of items: the pool reuses four
+    /// labels (so a label repeats with the same or with other metadata),
+    /// probabilities sit on rounding ties and both zeros, costs reach
+    /// zero and `u64::MAX`, and terms draw from the pool with repeats.
+    fn plans() -> impl Strategy<Value = DnfPlan> {
+        let prob = prop_oneof![
+            Just(0.125),
+            Just(0.005),
+            Just(0.995),
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            0.0f64..=1.0,
+        ];
+        let cost = prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            Just(u64::MAX - 1),
+            Just(500_000),
+            any::<u64>(),
+        ];
+        let item = (0usize..4, cost, prob).prop_map(|(l, bytes, p)| {
+            RetrievalItem::new(
+                ["seg-1-2", "seg-1-3", "x", "cam/7"][l],
+                Cost::from_bytes(bytes),
+                SimDuration::MAX,
+            )
+            .with_prob(Probability::clamped(p))
+        });
+        let term = (0usize..12, prop::collection::vec(0usize..6, 0..5));
+        (
+            prop::collection::vec(item, 1..6),
+            prop::collection::vec(term, 0..7),
+        )
+            .prop_map(|(pool, terms)| DnfPlan {
+                terms: terms
+                    .into_iter()
+                    .map(|(idx, picks)| {
+                        let items = picks.iter().map(|&i| pool[i % pool.len()].clone());
+                        (idx, items.collect())
+                    })
+                    .collect(),
+            })
+    }
+
+    #[test]
+    fn explanation_equals_the_oracle_on_a_paper_shaped_plan() {
+        let q = Dnf::from_terms(vec![
+            Term::all_of(["a", "b", "c"]),
+            Term::all_of(["b", "c", "d"]),
+            Term::all_of(["a", "d"]),
+        ]);
+        let m = meta(&[
+            ("a", 450_000, 0.8),
+            ("b", 450_000, 0.125),
+            ("c", 0, 0.995),
+            ("d", u64::MAX, 0.005),
+        ]);
+        let plan = plan_dnf(&q, &m);
+        assert_eq!(explain_dnf_plan(&plan), explain_oracle(&plan));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn explanation_equals_the_oracle(plan in plans()) {
+            prop_assert_eq!(explain_dnf_plan(&plan), explain_oracle(&plan));
+        }
     }
 }

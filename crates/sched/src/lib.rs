@@ -71,7 +71,7 @@ pub use item::{Channel, RetrievalItem};
 pub use lvf::{lvf_order, lvf_schedule, schedulable, sort_lvf};
 pub use shortcircuit::{
     and_truth_prob, expected_and_cost, expected_or_cost, optimal_and_order, optimal_or_order,
-    plan_dnf, DnfPlan,
+    plan_dnf, plan_terms, DnfPlan,
 };
 
 /// Convenient glob-import of the crate's primary types.

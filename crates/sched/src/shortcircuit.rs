@@ -117,35 +117,47 @@ impl DnfPlan {
 /// probability ½) — zero-cost conditions are evaluated first, which is
 /// always sound.
 pub fn plan_dnf(query: &Dnf, meta: &MetaTable) -> DnfPlan {
-    let mut terms: Vec<(usize, Vec<RetrievalItem>)> = query
-        .terms()
-        .iter()
+    plan_terms(query.terms().iter().map(|term| {
+        term.labels().map(|l| {
+            let m = meta.get_or_default(l);
+            RetrievalItem {
+                label: l.clone(),
+                cost: m.cost,
+                validity: m.validity,
+                prob_true: m.prob_true,
+            }
+        })
+    }))
+}
+
+/// The planning body behind [`plan_dnf`]: `terms` are the expression's
+/// terms in order, each as the retrieval items of its labels in label
+/// order. A caller that already numbers its labels (a query's state at its
+/// origin) builds one item per label id and hands each term's items over
+/// by id, with no [`MetaTable`] and no label lookup.
+///
+/// Each term's conditions are ordered by descending `(1 − p)/C` (ties by
+/// label), then the terms by descending `P(term true) / E[term cost]`
+/// (ties by term index); each term's sort key is computed once.
+pub fn plan_terms<T>(terms: impl IntoIterator<Item = T>) -> DnfPlan
+where
+    T: IntoIterator<Item = RetrievalItem>,
+{
+    let mut keyed: Vec<(f64, (usize, Vec<RetrievalItem>))> = terms
+        .into_iter()
         .enumerate()
-        .map(|(idx, term)| {
-            let items: Vec<RetrievalItem> = term
-                .labels()
-                .map(|l| {
-                    let m = meta.get_or_default(l);
-                    RetrievalItem {
-                        label: l.clone(),
-                        cost: m.cost,
-                        validity: m.validity,
-                        prob_true: m.prob_true,
-                    }
-                })
-                .collect();
-            (idx, optimal_and_order(&items))
+        .map(|(idx, items)| {
+            let mut items: Vec<RetrievalItem> = items.into_iter().collect();
+            items.sort_by(cmp_and_ratio);
+            let (p, e) = (and_truth_prob(&items), expected_and_cost(&items));
+            let ratio = if e == 0.0 { f64::INFINITY } else { p / e };
+            (ratio, (idx, items))
         })
         .collect();
-    // Order terms by descending P(true) / E[cost].
-    terms.sort_by(|(ia, a), (ib, b)| {
-        let (pa, ea) = (and_truth_prob(a), expected_and_cost(a));
-        let (pb, eb) = (and_truth_prob(b), expected_and_cost(b));
-        let ra = if ea == 0.0 { f64::INFINITY } else { pa / ea };
-        let rb = if eb == 0.0 { f64::INFINITY } else { pb / eb };
-        rb.total_cmp(&ra).then_with(|| ia.cmp(ib))
-    });
-    DnfPlan { terms }
+    keyed.sort_by(|(ra, (ia, _)), (rb, (ib, _))| rb.total_cmp(ra).then_with(|| ia.cmp(ib)));
+    DnfPlan {
+        terms: keyed.into_iter().map(|(_, term)| term).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +339,104 @@ mod tests {
                 prop_assert!(best <= eval(&perm) + 1e-6,
                     "plan cost {best} beaten by permutation {}", eval(&perm));
             }
+        }
+    }
+
+    /// The planning body before it moved onto label ids, kept as the
+    /// oracle: per-literal metadata lookups, the comparator recomputing
+    /// each term's key on every comparison.
+    fn plan_dnf_oracle(query: &Dnf, meta: &MetaTable) -> DnfPlan {
+        let mut terms: Vec<(usize, Vec<RetrievalItem>)> = query
+            .terms()
+            .iter()
+            .enumerate()
+            .map(|(idx, term)| {
+                let items: Vec<RetrievalItem> = term
+                    .labels()
+                    .map(|l| {
+                        let m = meta.get_or_default(l);
+                        RetrievalItem {
+                            label: l.clone(),
+                            cost: m.cost,
+                            validity: m.validity,
+                            prob_true: m.prob_true,
+                        }
+                    })
+                    .collect();
+                (idx, optimal_and_order(&items))
+            })
+            .collect();
+        terms.sort_by(|(ia, a), (ib, b)| {
+            let (pa, ea) = (and_truth_prob(a), expected_and_cost(a));
+            let (pb, eb) = (and_truth_prob(b), expected_and_cost(b));
+            let ra = if ea == 0.0 { f64::INFINITY } else { pa / ea };
+            let rb = if eb == 0.0 { f64::INFINITY } else { pb / eb };
+            rb.total_cmp(&ra).then_with(|| ia.cmp(ib))
+        });
+        DnfPlan { terms }
+    }
+
+    /// A query over a pool of eight labels: up to five terms of up to four
+    /// labels, with metadata for some labels (the rest take the default),
+    /// drawn from few values so that ratios tie across labels and terms.
+    fn query_and_meta() -> impl Strategy<Value = (Dnf, MetaTable)> {
+        let term = prop::collection::vec(0usize..8, 1..5);
+        let spec = (
+            prop_oneof![Just(0u64), Just(MB), Just(2 * MB), 1u64..5 * MB],
+            prop_oneof![Just(0.0), Just(0.5), Just(0.8), Just(1.0), 0.0f64..=1.0],
+        );
+        (
+            prop::collection::vec(term, 1..6),
+            prop::collection::vec((any::<bool>(), spec), 8),
+        )
+            .prop_map(|(terms, specs)| {
+                let name = |i: usize| format!("l{i}");
+                let dnf = Dnf::from_terms(
+                    terms
+                        .into_iter()
+                        .map(|t| Term::all_of(t.into_iter().map(name)))
+                        .collect(),
+                );
+                let meta = specs
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, (known, _))| *known)
+                    .map(|(i, (_, (bytes, p)))| {
+                        (
+                            Label::new(name(i)),
+                            ConditionMeta::new(Cost::from_bytes(bytes), SimDuration::MAX)
+                                .with_prob(Probability::new(p).unwrap()),
+                        )
+                    })
+                    .collect();
+                (dnf, meta)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `plan_dnf`, and the planning body fed the way a query's origin
+        /// feeds it (one item per sorted label id, each term's items by
+        /// id), both equal the oracle.
+        #[test]
+        fn id_based_planning_equals_plan_dnf((dnf, meta) in query_and_meta()) {
+            let oracle = plan_dnf_oracle(&dnf, &meta).terms;
+            prop_assert_eq!(&plan_dnf(&dnf, &meta).terms, &oracle);
+            let labels: Vec<Label> = dnf.labels().into_iter().collect();
+            let items: Vec<RetrievalItem> = labels
+                .iter()
+                .map(|l| {
+                    let m = meta.get_or_default(l);
+                    RetrievalItem::new(l.clone(), m.cost, m.validity).with_prob(m.prob_true)
+                })
+                .collect();
+            let by_id = dnf.terms().iter().map(|t| {
+                t.labels()
+                    .map(|l| items[labels.binary_search(l).unwrap()].clone())
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(&plan_terms(by_id).terms, &oracle);
         }
     }
 }

@@ -23,7 +23,7 @@ proptest! {
     fn candidates_cover_and_shrink(seed in 0u64..200, qidx in 0usize..8) {
         let s = scenario(seed);
         let q = &s.queries[qidx % s.queries.len()];
-        let labels = q.expr.labels();
+        let labels: Vec<Label> = q.expr.labels().into_iter().collect();
         let cmp = Strategy::Comprehensive.candidates(&labels, &s.catalog, q.origin, &s.topology);
         let slt = Strategy::SelectedSources.candidates(&labels, &s.catalog, q.origin, &s.topology);
         prop_assert!(slt.len() <= cmp.len());
@@ -50,7 +50,7 @@ proptest! {
     fn next_request_is_sound(seed in 0u64..200, qidx in 0usize..8) {
         let s = scenario(seed);
         let inst = &s.queries[qidx % s.queries.len()];
-        let labels = inst.expr.labels();
+        let labels: Vec<Label> = inst.expr.labels().into_iter().collect();
         let now = SimTime::from_secs(1);
         for strategy in Strategy::ALL {
             let cands = strategy.candidates(&labels, &s.catalog, inst.origin, &s.topology);
