@@ -175,7 +175,7 @@ fn write_float(out: &mut Vec<u8>, f: f64) {
 }
 
 /// Writes `true` or `false`.
-pub fn write_json_bool(out: &mut Vec<u8>, b: bool) {
+pub(crate) fn write_json_bool(out: &mut Vec<u8>, b: bool) {
     out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
@@ -190,7 +190,7 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 /// Writes `n` in decimal: two digits per division into a stack buffer
 /// (`u64::MAX` has 20), then one copy into `out`. No formatter and no
 /// allocation beyond `out`'s own growth.
-pub fn write_json_u64(out: &mut Vec<u8>, mut n: u64) {
+pub(crate) fn write_json_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
     while n >= 100 {
@@ -210,7 +210,8 @@ pub fn write_json_u64(out: &mut Vec<u8>, mut n: u64) {
     out.extend_from_slice(&buf[pos..]);
 }
 
-/// Writes `i` in decimal, as [`write_json_u64`] does its magnitude.
+/// Writes `i` in decimal: a sign, then its magnitude as `write_json_u64`
+/// writes it.
 pub fn write_json_int(out: &mut Vec<u8>, i: i64) {
     if i < 0 {
         out.push(b'-');

@@ -133,9 +133,10 @@ impl CostLedger {
     /// an owned string only for a request name or message kind the query
     /// has not seen before.
     pub fn observe(&mut self, view: &LedgerView<'_>) {
-        // Global totals and the byte/message charge: every transmit goes
-        // to exactly one bucket, which is what makes conservation a
-        // construction property rather than a hope.
+        // Global totals here, the byte/message charge below: every transmit
+        // goes to exactly one bucket (its query's, else overhead), which is
+        // what makes conservation a construction property rather than a
+        // hope.
         if let ViewKind::Transmit { bytes, .. } = view.kind {
             self.total_bytes = self.total_bytes.saturating_add(bytes);
             self.total_messages = self.total_messages.saturating_add(1);

@@ -186,8 +186,7 @@ impl<W: Write> Sink for ChromeTraceSink<W> {
 /// Enabled when *either* side is enabled; a disabled side is skipped per
 /// record, so teeing a `NullSink` with a ledger costs the ledger alone.
 /// Each side's [`enabled`](Sink::enabled) is read once, here at
-/// construction: for a [`SharedSink`] side that is a lock a record no
-/// longer takes.
+/// construction: for a [`SharedSink`] side each read is a lock.
 pub struct TeeSink {
     a: Box<dyn Sink>,
     b: Box<dyn Sink>,

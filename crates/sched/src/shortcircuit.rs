@@ -342,9 +342,9 @@ mod tests {
         }
     }
 
-    /// The planning body before it moved onto label ids, kept as the
-    /// oracle: per-literal metadata lookups, the comparator recomputing
-    /// each term's key on every comparison.
+    /// `plan_dnf`'s body before `plan_terms`, kept as the oracle:
+    /// per-literal metadata lookups, the comparator recomputing each
+    /// term's key on every comparison.
     fn plan_dnf_oracle(query: &Dnf, meta: &MetaTable) -> DnfPlan {
         let mut terms: Vec<(usize, Vec<RetrievalItem>)> = query
             .terms()
