@@ -307,7 +307,9 @@ fn run(
 
     // Flushing here (rather than leaving it to the caller) guarantees
     // streaming sinks have written the complete trace before the report is
-    // in hand; a flush failure must not invalidate the run itself.
+    // in hand. A flush failure must not invalidate the run itself, so it
+    // is not returned here: a sink keeps its write error for its owner
+    // (`JsonlSink::into_inner`).
     let _ = sim.sink_mut().flush();
     let nodes: Vec<&AthenaNode> = sim.nodes().collect();
     let mut report = collect_report_parts(

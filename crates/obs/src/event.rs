@@ -325,8 +325,9 @@ impl EventKind {
 
     /// The variant's payload fields in wire order (without the common
     /// `t`/`node`/`kind` envelope), borrowed from the record. This is the
-    /// one field table: the JSONL encoder and [`fields`](Self::fields) both
-    /// read it, so a key is named and ordered in exactly one place.
+    /// one field table: [`fields`](Self::fields) reads it, and so does the
+    /// JSONL encoder for every kind but `transmit` and `deliver`, whose
+    /// hand-written shapes the tests check against it.
     pub fn visit_fields<'a>(&'a self, f: &mut impl FnMut(&'static str, FieldVal<'a>)) {
         use FieldVal::{Bool, Null, Str};
         /// `"query": q` only when the attribution is present, so
@@ -568,25 +569,49 @@ impl TraceRecord {
     /// Nothing is built on the way: keys and kind tags are literals copied
     /// as bytes (no tag needs escaping) and values are written from the
     /// record's own fields, so encoding allocates only if `out` must grow.
+    ///
+    /// `transmit` and `deliver`, three records in four of a run, are
+    /// written by hand: each run of literal text between two values is one
+    /// copy, and the flag with its key is one literal. Every other kind
+    /// walks [`EventKind::visit_fields`]. The hand-written shapes must
+    /// equal the table's; the tests hold them to it.
     pub(crate) fn encode_jsonl(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"t\":");
         write_json_u64(out, wire_u64(self.at.as_micros()));
         out.extend_from_slice(b",\"node\":");
         write_json_u64(out, u64::from(self.node));
-        out.extend_from_slice(b",\"kind\":\"");
-        out.extend_from_slice(self.kind.kind_name().as_bytes());
-        out.push(b'"');
-        self.kind.visit_fields(&mut |key, val| {
-            out.extend_from_slice(b",\"");
-            out.extend_from_slice(key.as_bytes());
-            out.extend_from_slice(b"\":");
-            match val {
-                FieldVal::Int(i) => write_json_int(out, i),
-                FieldVal::Str(s) => write_json_string(out, s),
-                FieldVal::Bool(b) => write_json_bool(out, b),
-                FieldVal::Null => out.extend_from_slice(b"null"),
+        match &self.kind {
+            EventKind::Transmit {
+                from,
+                to,
+                msg,
+                bytes,
+                background,
+                query,
+            } => {
+                out.extend_from_slice(b",\"kind\":\"transmit\",\"from\":");
+                write_link(out, *from, *to, msg);
+                out.extend_from_slice(b",\"bytes\":");
+                write_json_u64(out, wire_u64(*bytes));
+                out.extend_from_slice(if *background {
+                    b",\"bg\":true"
+                } else {
+                    b",\"bg\":false"
+                });
+                write_query(out, *query);
             }
-        });
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                query,
+            } => {
+                out.extend_from_slice(b",\"kind\":\"deliver\",\"from\":");
+                write_link(out, *from, *to, msg);
+                write_query(out, *query);
+            }
+            kind => kind.encode_fields(out),
+        }
         out.push(b'}');
     }
 
@@ -604,10 +629,49 @@ impl TraceRecord {
     }
 }
 
+/// `from` (its key already written), then `,"to":` and `,"msg":`.
+fn write_link(out: &mut Vec<u8>, from: u32, to: u32, msg: &str) {
+    write_json_u64(out, u64::from(from));
+    out.extend_from_slice(b",\"to\":");
+    write_json_u64(out, u64::from(to));
+    out.extend_from_slice(b",\"msg\":");
+    write_json_string(out, msg);
+}
+
+/// `,"query":q` when the record is attributed, as the table's `query`.
+fn write_query(out: &mut Vec<u8>, query: Option<u64>) {
+    if let Some(q) = query {
+        out.extend_from_slice(b",\"query\":");
+        write_json_u64(out, wire_u64(q));
+    }
+}
+
+impl EventKind {
+    /// The `kind` tag and the payload, as [`visit_fields`](Self::visit_fields)
+    /// lists them.
+    fn encode_fields(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(self.kind_name().as_bytes());
+        out.push(b'"');
+        self.visit_fields(&mut |key, val| {
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\":");
+            match val {
+                FieldVal::Int(i) => write_json_int(out, i),
+                FieldVal::Str(s) => write_json_string(out, s),
+                FieldVal::Bool(b) => write_json_bool(out, b),
+                FieldVal::Null => out.extend_from_slice(b"null"),
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::parse;
+    use proptest::prelude::*;
 
     #[test]
     fn jsonl_line_has_fixed_envelope() {
@@ -819,6 +883,24 @@ mod tests {
         }
     }
 
+    /// The oracle: the record's tree, built from the envelope and
+    /// `fields()`, never from the encoder.
+    fn tree(rec: &TraceRecord) -> JsonValue {
+        let mut pairs = vec![
+            (
+                "t".to_string(),
+                JsonValue::Int(wire_u64(rec.at.as_micros()) as i64),
+            ),
+            ("node".to_string(), JsonValue::Int(i64::from(rec.node))),
+            (
+                "kind".to_string(),
+                JsonValue::Str(rec.kind.kind_name().to_string()),
+            ),
+        ];
+        pairs.extend(rec.kind.fields());
+        JsonValue::Object(pairs)
+    }
+
     /// Every variant × every `Option` shape × strings needing every escape:
     /// the directly written line is the compact form of the tree built from
     /// the envelope and `fields()`, and parses back to it, key order
@@ -837,16 +919,7 @@ mod tests {
                         node: 42,
                         kind,
                     };
-                    let mut pairs = vec![
-                        ("t".to_string(), JsonValue::Int(1_234_567)),
-                        ("node".to_string(), JsonValue::Int(42)),
-                        (
-                            "kind".to_string(),
-                            JsonValue::Str(rec.kind.kind_name().to_string()),
-                        ),
-                    ];
-                    pairs.extend(rec.kind.fields());
-                    let tree = JsonValue::Object(pairs);
+                    let tree = tree(&rec);
                     let mut line = String::from("kept:");
                     rec.write_jsonl(&mut line);
                     let line = line.strip_prefix("kept:").expect("write_jsonl appends");
@@ -855,6 +928,186 @@ mod tests {
                     assert_eq!(parse(line).expect(line), tree, "{rec:?}");
                 }
             }
+        }
+    }
+
+    /// Integers across the writer's edges: small, anything, either side of
+    /// `i64::MAX` (where [`wire_u64`] starts to saturate) and `u64::MAX`.
+    fn wide() -> impl Strategy<Value = u64> {
+        const EDGE: u64 = i64::MAX as u64;
+        prop_oneof![
+            0u64..1_000,
+            any::<u64>(),
+            (EDGE - 2)..(EDGE + 3),
+            Just(u64::MAX),
+        ]
+    }
+
+    /// The variant at `index` in [`variant_index`] order, built from drawn
+    /// parts: `ints` feed the numeric fields, `texts` the owned strings,
+    /// `tag` the static ones, and bit `k` of `shape` says whether the
+    /// `k`-th optional field is present.
+    fn drawn_variant(
+        index: usize,
+        ints: &[u64],
+        texts: &[String],
+        tag: &'static str,
+        shape: u8,
+    ) -> EventKind {
+        let (a, b) = (shape & 1 == 1, shape & 2 == 2);
+        let big = |k: usize| ints[k];
+        let small = |k: usize| ints[k] as u32;
+        let text = |k: usize| texts[k].clone();
+        let q = a.then(|| big(5));
+        let (term, cond) = (a.then(|| small(3)), b.then(|| small(4)));
+        match index {
+            0 => EventKind::Transmit {
+                from: small(0),
+                to: small(1),
+                msg: tag,
+                bytes: big(2),
+                background: b,
+                query: q,
+            },
+            1 => EventKind::Deliver {
+                from: small(0),
+                to: small(1),
+                msg: tag,
+                query: q,
+            },
+            2 => EventKind::Loss {
+                from: small(0),
+                to: small(1),
+                msg: tag,
+                bytes: big(2),
+                query: q,
+            },
+            3 => EventKind::Drop {
+                from: small(0),
+                to: small(1),
+                reason: tag,
+            },
+            4 => EventKind::Purge {
+                from: small(0),
+                to: small(1),
+                count: big(2),
+            },
+            5 => EventKind::Fault {
+                fault: tag,
+                node: small(0),
+                peer: a.then(|| small(1)),
+            },
+            6 => EventKind::QueryInit {
+                query: big(5),
+                origin: small(0),
+            },
+            7 => EventKind::Plan {
+                query: big(5),
+                strategy: tag,
+                candidates: big(1),
+                expected_bytes: big(2),
+                rationale: text(0),
+            },
+            8 => EventKind::RequestSend {
+                query: big(5),
+                name: text(0),
+                hop: small(1),
+                term,
+                cond,
+            },
+            9 => EventKind::CacheHit {
+                name: text(0),
+                requester: small(1),
+                query: q,
+            },
+            10 => EventKind::CacheMiss {
+                name: text(0),
+                forwarded_to: b.then(|| small(1)),
+                query: q,
+            },
+            11 => EventKind::LabelHit {
+                requester: small(1),
+                labels: big(2),
+                query: q,
+            },
+            12 => EventKind::ApproxHit {
+                name: text(0),
+                substitute: text(1),
+                query: q,
+            },
+            13 => EventKind::LocalSample {
+                name: text(0),
+                query: q,
+            },
+            14 => EventKind::CacheStore {
+                name: text(0),
+                bytes: big(2),
+                validity_us: big(1),
+                query: q,
+            },
+            15 => EventKind::Annotate {
+                query: big(5),
+                label: text(0),
+                value: b,
+                term,
+                cond,
+            },
+            16 => EventKind::LabelShare {
+                label: text(0),
+                value: b,
+                toward: small(1),
+                query: q,
+            },
+            17 => EventKind::PrefetchPush {
+                name: text(0),
+                toward: small(1),
+                query: q,
+            },
+            18 => EventKind::TriageDrop {
+                name: text(0),
+                hop: small(1),
+            },
+            19 => EventKind::QueryResolved {
+                query: big(5),
+                outcome: tag,
+                latency_us: big(2),
+            },
+            20 => EventKind::QueryMissed { query: big(5) },
+            _ => EventKind::FetchTimeout {
+                query: big(5),
+                name: text(0),
+                source: small(1),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Random records of every variant and `Option` shape, with hostile
+        /// text and integers past `i64::MAX`: the encoder writes exactly the
+        /// compact form of the `fields()` tree, so a hand-written writer
+        /// that drops [`wire_u64`], a key or an escape fails here.
+        #[test]
+        fn the_encoder_writes_the_fields_tree(
+            index in 0usize..22,
+            ints in prop::collection::vec(wide(), 6),
+            texts in prop::collection::vec(crate::json::tests::text(), 2),
+            tag in 0usize..HOSTILE.len(),
+            shape in 0u8..4,
+            (t, node) in (wide(), any::<u32>()),
+        ) {
+            let kind = drawn_variant(index, &ints, &texts, HOSTILE[tag], shape);
+            prop_assert_eq!(variant_index(&kind), index);
+            let rec = TraceRecord {
+                at: SimTime::from_micros(t),
+                node,
+                kind,
+            };
+            let line = rec.to_jsonl_line();
+            let tree = tree(&rec);
+            prop_assert_eq!(&line, &tree.to_compact_string(), "{:?}", rec);
+            prop_assert_eq!(parse(&line).expect("valid JSON"), tree);
         }
     }
 }

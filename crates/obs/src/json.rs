@@ -187,10 +187,20 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// Writes `n` in decimal: two digits per division into a stack buffer
+/// Writes `n` in decimal: one or two digits (a node index, a hop) as one
+/// fixed-size copy; otherwise two digits per division into a stack buffer
 /// (`u64::MAX` has 20), then one copy into `out`. No formatter and no
 /// allocation beyond `out`'s own growth.
 pub(crate) fn write_json_u64(out: &mut Vec<u8>, mut n: u64) {
+    if n < 10 {
+        out.push(b'0' + n as u8);
+        return;
+    }
+    if n < 100 {
+        let pair = n as usize * 2;
+        out.extend_from_slice(&[DIGIT_PAIRS[pair], DIGIT_PAIRS[pair + 1]]);
+        return;
+    }
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
     while n >= 100 {
@@ -224,8 +234,9 @@ pub fn write_json_int(out: &mut Vec<u8>, i: i64) {
 /// Every byte that needs escaping is ASCII, so the text between two of
 /// them is copied as one slice: a string with none (every name, tag and
 /// label the protocol emits) is one copy. Plain text is skipped sixteen
-/// bytes at a time by a branch-free test, so a long text with a few
-/// escapes (a plan's multi-line rationale) is not walked byte by byte.
+/// bytes at a time by a branch-free test, and only the sixteen bytes that
+/// failed it are searched one by one, so a long text with a few escapes (a
+/// plan's multi-line rationale) is walked byte by byte nowhere else.
 pub fn write_json_string(out: &mut Vec<u8>, s: &str) {
     /// Whether `b` is copied as it is.
     fn plain(b: u8) -> bool {
@@ -236,30 +247,30 @@ pub fn write_json_string(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
     let mut copied = 0;
     let mut i = 0;
-    while i < bytes.len() {
-        if let Some(chunk) = bytes.get(i..i + 16) {
-            if chunk.iter().fold(true, |all, &b| all & plain(b)) {
-                i += 16;
-                continue;
+    loop {
+        while let Some(chunk) = bytes.get(i..i + 16) {
+            if !chunk.iter().fold(true, |all, &b| all & plain(b)) {
+                break;
             }
+            i += 16;
         }
-        let b = bytes[i];
-        i += 1;
-        if plain(b) {
-            continue;
-        }
-        out.extend_from_slice(&bytes[copied..i - 1]);
-        copied = i;
-        match b {
+        let Some(skip) = bytes[i..].iter().position(|&b| !plain(b)) else {
+            break;
+        };
+        i += skip;
+        out.extend_from_slice(&bytes[copied..i]);
+        match bytes[i] {
             b'"' => out.extend_from_slice(b"\\\""),
             b'\\' => out.extend_from_slice(b"\\\\"),
             b'\n' => out.extend_from_slice(b"\\n"),
             b'\r' => out.extend_from_slice(b"\\r"),
             b'\t' => out.extend_from_slice(b"\\t"),
-            _ => {
+            b => {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
+        i += 1;
+        copied = i;
     }
     out.extend_from_slice(&bytes[copied..]);
     out.push(b'"');
@@ -495,7 +506,7 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::fmt::Write as _;
@@ -610,7 +621,7 @@ mod tests {
 
     /// Code points weighted toward the bytes that need escaping, plus two-,
     /// three- and four-byte UTF-8 (the ranges skip the surrogates).
-    fn text() -> impl Strategy<Value = String> {
+    pub(crate) fn text() -> impl Strategy<Value = String> {
         let code_point = prop_oneof![
             0u32..0x20,
             0x20u32..0x80,

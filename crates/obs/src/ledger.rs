@@ -25,6 +25,7 @@ use crate::json::JsonValue;
 use crate::sink::Sink;
 use core::fmt::Write as _;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fetch/annotation counts for one predicate (OR-term, condition) of a
@@ -78,24 +79,9 @@ pub struct QueryCost {
     /// Per-predicate work, keyed by (OR-term, condition) coordinates.
     pub predicates: BTreeMap<PredKey, PredicateWork>,
     walk: PathWalk,
-    seen_names: BTreeSet<String>,
 }
 
 impl QueryCost {
-    /// Charges one transmission of `bytes` bytes of message kind `msg`.
-    fn charge_transmit(&mut self, msg: &str, bytes: u64) {
-        self.bytes = self.bytes.saturating_add(bytes);
-        self.messages = self.messages.saturating_add(1);
-        // Look up by `&str` first: only the first transmit of a message
-        // kind in a bucket pays for an owned key.
-        match self.bytes_by_msg.get_mut(msg) {
-            Some(by_msg) => *by_msg = by_msg.saturating_add(bytes),
-            None => {
-                self.bytes_by_msg.insert(msg.to_string(), bytes);
-            }
-        }
-    }
-
     /// The critical-path breakdown accumulated for this query.
     pub fn path(&self) -> &PathBreakdown {
         self.walk.breakdown()
@@ -123,38 +109,106 @@ pub struct CostLedger {
     pub total_messages: u64,
 }
 
-impl CostLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
+/// Query ids below this are found through a vector indexed by the id
+/// itself, the rest through an ordered map. The engine numbers a
+/// scenario's queries from 0, so a run's ids are all dense.
+const DENSE_IDS: u64 = 1 << 16;
+
+/// One bucket while the fold runs: the charges as [`QueryCost`] holds
+/// them, plus what only the fold needs.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    /// Every charge but `bytes_by_msg`, which stays empty until the ledger
+    /// is built.
+    cost: QueryCost,
+    /// Bytes per message kind, indexed like [`Fold::msgs`]; `None` for a
+    /// kind this bucket never transmitted.
+    by_msg: Vec<Option<u64>>,
+    /// Request names seen, for retransmission detection.
+    seen_names: BTreeSet<String>,
+}
+
+impl Bucket {
+    /// Charges one transmission of `bytes` bytes of the message kind at
+    /// index `msg`.
+    fn charge_transmit(&mut self, msg: usize, bytes: u64) {
+        self.cost.bytes = self.cost.bytes.saturating_add(bytes);
+        self.cost.messages = self.cost.messages.saturating_add(1);
+        if self.by_msg.len() <= msg {
+            self.by_msg.resize(msg + 1, None);
+        }
+        let by_msg = &mut self.by_msg[msg];
+        *by_msg = Some(by_msg.unwrap_or(0).saturating_add(bytes));
     }
 
-    /// Fold one normalized view into the ledger: one `queries` lookup, and
-    /// an owned string only for a request name or message kind the query
-    /// has not seen before.
-    pub fn observe(&mut self, view: &LedgerView<'_>) {
+    /// The bucket as the reader sees it.
+    fn into_cost(self, msgs: &[String]) -> QueryCost {
+        let bytes_by_msg = msgs
+            .iter()
+            .zip(&self.by_msg)
+            .filter_map(|(msg, bytes)| Some((msg.clone(), (*bytes)?)))
+            .collect();
+        QueryCost {
+            bytes_by_msg,
+            ..self.cost
+        }
+    }
+}
+
+/// The fold state behind a [`CostLedger`], laid out for the record rather
+/// than for the reader: a query's bucket is found through an index instead
+/// of an ordered map, and a message kind is a small integer instead of a
+/// `String` key. The ledger is built from it when it is read.
+#[derive(Debug, Clone, Default)]
+struct Fold {
+    /// Slot plus one of each query id below [`DENSE_IDS`], by id; 0 for an
+    /// id not seen yet.
+    dense: Vec<u32>,
+    /// Slot of each query id from [`DENSE_IDS`] up.
+    sparse: BTreeMap<u64, u32>,
+    /// Each query's id and bucket, in the order the queries were first seen.
+    slots: Vec<(u64, Bucket)>,
+    /// Unattributable traffic.
+    overhead: Bucket,
+    /// Message kinds in the order the run first transmitted them.
+    msgs: Vec<String>,
+    total_bytes: u64,
+    total_messages: u64,
+}
+
+impl Fold {
+    /// Fold one normalized view: one index lookup, and an owned string
+    /// only for a request name the query has not seen before or a message
+    /// kind the run has not sent before.
+    fn observe(&mut self, view: &LedgerView<'_>) {
         // Global totals here, the byte/message charge below: every transmit
         // goes to exactly one bucket (its query's, else overhead), which is
         // what makes conservation a construction property rather than a
         // hope.
-        if let ViewKind::Transmit { bytes, .. } = view.kind {
-            self.total_bytes = self.total_bytes.saturating_add(bytes);
-            self.total_messages = self.total_messages.saturating_add(1);
-        }
+        let sent = match view.kind {
+            ViewKind::Transmit { msg, bytes, .. } => {
+                self.total_bytes = self.total_bytes.saturating_add(bytes);
+                self.total_messages = self.total_messages.saturating_add(1);
+                Some((self.msg_index(msg), bytes))
+            }
+            _ => None,
+        };
         let Some(q) = view.query else {
-            match view.kind {
-                ViewKind::Transmit { msg, bytes, .. } => self.overhead.charge_transmit(msg, bytes),
-                ViewKind::Loss { bytes } => {
-                    self.overhead.lost_bytes = self.overhead.lost_bytes.saturating_add(bytes);
-                }
-                _ => {}
+            if let Some((msg, bytes)) = sent {
+                self.overhead.charge_transmit(msg, bytes);
+            } else if let ViewKind::Loss { bytes } = view.kind {
+                let lost = &mut self.overhead.cost.lost_bytes;
+                *lost = lost.saturating_add(bytes);
             }
             return;
         };
-        let cost = self.queries.entry(q).or_default();
+        let bucket = self.bucket(q);
+        if let Some((msg, bytes)) = sent {
+            bucket.charge_transmit(msg, bytes);
+        }
+        let cost = &mut bucket.cost;
         match &view.kind {
-            ViewKind::Transmit { msg, bytes, .. } => cost.charge_transmit(msg, *bytes),
-            ViewKind::Deliver { .. } => {}
+            ViewKind::Transmit { .. } | ViewKind::Deliver { .. } => {}
             ViewKind::Loss { bytes } => {
                 cost.lost_bytes = cost.lost_bytes.saturating_add(*bytes);
             }
@@ -164,10 +218,10 @@ impl CostLedger {
             }
             ViewKind::RequestSend { name } => {
                 cost.requests = cost.requests.saturating_add(1);
-                if cost.seen_names.contains(*name) {
+                if bucket.seen_names.contains(*name) {
                     cost.retransmissions = cost.retransmissions.saturating_add(1);
                 } else {
-                    cost.seen_names.insert((*name).to_string());
+                    bucket.seen_names.insert((*name).to_string());
                 }
                 if let Some(pred) = view.pred {
                     let work = cost.predicates.entry(pred).or_default();
@@ -205,19 +259,75 @@ impl CostLedger {
         cost.walk.observe(view);
     }
 
+    /// The index of message kind `msg`, added if the run has not sent one.
+    fn msg_index(&mut self, msg: &str) -> usize {
+        match self.msgs.iter().position(|m| m == msg) {
+            Some(i) => i,
+            None => {
+                self.msgs.push(msg.to_string());
+                self.msgs.len() - 1
+            }
+        }
+    }
+
+    /// Query `q`'s bucket, opened if `q` is new.
+    fn bucket(&mut self, q: u64) -> &mut Bucket {
+        let next = self.slots.len();
+        let slot = if q < DENSE_IDS {
+            let id = q as usize;
+            if self.dense.len() <= id {
+                self.dense.resize(id + 1, 0);
+            }
+            let plus_one = &mut self.dense[id];
+            if *plus_one == 0 {
+                *plus_one = next as u32 + 1;
+            }
+            *plus_one as usize - 1
+        } else {
+            *self.sparse.entry(q).or_insert(next as u32) as usize
+        };
+        if slot == next {
+            self.slots.push((q, Bucket::default()));
+        }
+        &mut self.slots[slot].1
+    }
+
+    /// The ledger as the reader sees it. It moves the fold's charges
+    /// rather than copying them: a run's ledger is built once, at its end.
+    fn into_ledger(self) -> CostLedger {
+        let msgs = self.msgs;
+        CostLedger {
+            queries: self
+                .slots
+                .into_iter()
+                .map(|(q, bucket)| (q, bucket.into_cost(&msgs)))
+                .collect(),
+            overhead: self.overhead.into_cost(&msgs),
+            total_bytes: self.total_bytes,
+            total_messages: self.total_messages,
+        }
+    }
+}
+
+impl CostLedger {
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Fold a stream of typed records.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
-        let mut ledger = Self::new();
+        let mut fold = Fold::default();
         for rec in records {
-            ledger.observe(&LedgerView::from_record(rec));
+            fold.observe(&LedgerView::from_record(rec));
         }
-        ledger
+        fold.into_ledger()
     }
 
     /// Fold a JSONL trace. Strict: any unparseable or incomplete line is
     /// an error naming its 1-based line number.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut ledger = Self::new();
+        let mut fold = Fold::default();
         for (idx, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -226,9 +336,9 @@ impl CostLedger {
                 .map_err(|e| format!("line {}: invalid JSON: {e:?}", idx + 1))?;
             let view = LedgerView::from_json(&value)
                 .ok_or_else(|| format!("line {}: missing trace envelope or payload", idx + 1))?;
-            ledger.observe(&view);
+            fold.observe(&view);
         }
-        Ok(ledger)
+        Ok(fold.into_ledger())
     }
 
     /// Bytes charged to decision queries (excluding overhead).
@@ -531,10 +641,13 @@ impl CostLedger {
 
 /// A live [`Sink`] maintaining a [`CostLedger`] incrementally: O(1) state
 /// per query, no trace buffering — suitable for attaching to every bench
-/// run.
+/// run. The ledger is built from the fold state when it is read.
 #[derive(Debug, Default)]
 pub struct LedgerSink {
-    ledger: CostLedger,
+    fold: Fold,
+    /// The ledger [`ledger`](Self::ledger) last built; the next record
+    /// clears it.
+    built: OnceCell<CostLedger>,
 }
 
 impl LedgerSink {
@@ -545,18 +658,20 @@ impl LedgerSink {
 
     /// The ledger accumulated so far.
     pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
+        self.built.get_or_init(|| self.fold.clone().into_ledger())
     }
 
     /// Take the accumulated ledger, leaving an empty one.
     pub fn take_ledger(&mut self) -> CostLedger {
-        std::mem::take(&mut self.ledger)
+        self.built.take();
+        std::mem::take(&mut self.fold).into_ledger()
     }
 }
 
 impl Sink for LedgerSink {
     fn record(&mut self, rec: &TraceRecord) {
-        self.ledger.observe(&LedgerView::from_record(rec));
+        self.built.take();
+        self.fold.observe(&LedgerView::from_record(rec));
     }
 }
 
@@ -786,6 +901,84 @@ mod tests {
             sink.record(r);
         }
         assert_eq!(sink.take_ledger(), CostLedger::from_records(&records));
+    }
+
+    /// Query ids far apart, one of them past what the trace can carry,
+    /// interleaved record by record.
+    fn sparse_records() -> Vec<TraceRecord> {
+        let ids = [u64::MAX, 0, 1 << 40];
+        let mut records = Vec::new();
+        for (step, &query) in ids.iter().cycle().take(12).enumerate() {
+            let t = step as u64 * 10;
+            records.push(rec(t, 0, EventKind::QueryInit { query, origin: 0 }));
+            records.push(rec(
+                t + 1,
+                0,
+                EventKind::RequestSend {
+                    query,
+                    name: format!("/n/{}", step % 2),
+                    hop: 1,
+                    term: Some(0),
+                    cond: Some(step as u32 % 2),
+                },
+            ));
+            records.push(rec(
+                t + 2,
+                0,
+                EventKind::Transmit {
+                    from: 0,
+                    to: 1,
+                    msg: ["request", "data"][step % 2],
+                    bytes: 100 + step as u64,
+                    background: false,
+                    query: Some(query),
+                },
+            ));
+        }
+        records
+    }
+
+    #[test]
+    fn sparse_query_ids_get_their_own_buckets_in_ascending_order() {
+        let records = sparse_records();
+        let mut sink = LedgerSink::new();
+        for r in &records {
+            sink.record(r);
+        }
+        let live = sink.take_ledger();
+        // `u64::MAX` saturates to the largest id the trace can carry.
+        let ids: Vec<u64> = live.queries.keys().copied().collect();
+        assert_eq!(ids, [0, 1 << 40, i64::MAX as u64]);
+        for cost in live.queries.values() {
+            assert_eq!(cost.messages, 4);
+            assert_eq!(cost.requests, 4);
+            assert_eq!(cost.retransmissions, 2);
+        }
+        let mut jsonl = String::new();
+        for r in &records {
+            r.write_jsonl(&mut jsonl);
+            jsonl.push('\n');
+        }
+        assert_eq!(live, CostLedger::from_jsonl(&jsonl).expect("valid trace"));
+        assert_eq!(live, CostLedger::from_records(&records));
+        assert!(live.conserves());
+    }
+
+    #[test]
+    fn a_read_ledger_follows_later_records() {
+        let records = sample_records();
+        let (head, tail) = records.split_at(4);
+        let mut sink = LedgerSink::new();
+        for r in head {
+            sink.record(r);
+        }
+        assert_eq!(sink.ledger(), &CostLedger::from_records(head));
+        for r in tail {
+            sink.record(r);
+        }
+        assert_eq!(sink.ledger(), &CostLedger::from_records(&records));
+        assert_eq!(sink.take_ledger(), CostLedger::from_records(&records));
+        assert_eq!(sink.take_ledger(), CostLedger::new());
     }
 
     #[test]

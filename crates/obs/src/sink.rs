@@ -84,8 +84,9 @@ impl Sink for MemorySink {
 /// Streams records as JSON Lines to any [`Write`] target.
 ///
 /// Write errors are captured rather than panicked on (the simulator hot
-/// path must stay panic-free); the first error is surfaced by
-/// [`flush`](Sink::flush) and by [`JsonlSink::into_inner`].
+/// path must stay panic-free). The first error sticks: every later record
+/// is skipped, so no line lands after a torn one, and
+/// [`flush`](Sink::flush) and [`JsonlSink::into_inner`] both report it.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -132,8 +133,8 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
+        if let Some(e) = &self.error {
+            return Err(std::io::Error::new(e.kind(), e.to_string()));
         }
         self.writer.flush()
     }

@@ -9,7 +9,7 @@
 
 use dde_core::prelude::*;
 use dde_core::Strategy;
-use dde_obs::{diff_jsonl, EventKind, JsonlSink, MemorySink, SharedSink};
+use dde_obs::{diff_jsonl, EventKind, JsonlSink, MemorySink, SharedSink, Sink};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 
@@ -130,4 +130,65 @@ proptest! {
             }
         }
     }
+}
+
+/// A writer whose `fail_at`-th write fails; it counts the writes it is
+/// asked for after that.
+#[derive(Debug, Default)]
+struct FailingWriter {
+    fail_at: usize,
+    writes: usize,
+    written: Vec<u8>,
+    writes_after_failure: usize,
+}
+
+impl std::io::Write for FailingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        if self.writes > self.fail_at {
+            self.writes_after_failure += 1;
+        }
+        if self.writes >= self.fail_at {
+            return Err(std::io::Error::other("disk full"));
+        }
+        self.written.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_trace_write_error_sticks_until_the_owner_reads_it() {
+    let seed = 5;
+    let fail_at = 40;
+    let sink = SharedSink::new(JsonlSink::new(FailingWriter {
+        fail_at,
+        ..FailingWriter::default()
+    }));
+    let handle = sink.clone();
+    let mut observed = run_scenario_observed(&small_scenario(seed), options(seed), Box::new(sink));
+    observed.ledger = None;
+    assert_eq!(
+        run_scenario(&small_scenario(seed), options(seed)),
+        observed,
+        "a failing trace writer must not change the run"
+    );
+    // The engine's flush saw the error; it is still there for the owner.
+    for _ in 0..2 {
+        let err = handle.with(|s| s.flush()).expect_err("the error sticks");
+        assert_eq!(err.to_string(), "disk full");
+    }
+    let sink = handle.with(|s| std::mem::replace(s, JsonlSink::new(FailingWriter::default())));
+    let (writer, err) = sink.into_inner();
+    assert_eq!(err.expect("into_inner reports it").to_string(), "disk full");
+    assert_eq!(
+        writer.writes_after_failure, 0,
+        "no record after the torn one"
+    );
+    let text = String::from_utf8(writer.written).expect("UTF-8");
+    assert_eq!(text.lines().count(), fail_at - 1);
+    assert!(text.ends_with('\n'), "every line written is whole");
 }
