@@ -111,7 +111,7 @@ fn prefetch_ablation(cfg: &HarnessConfig) {
         cfg,
         |c| c,
         |mut o| {
-            o.prefetch = Some(true);
+            o.prefetch = true;
             o
         },
     );
@@ -302,11 +302,11 @@ fn anticipation_ablation(cfg: &HarnessConfig) {
         c
     };
     let plain = runs(cfg, offset, |mut o| {
-        o.prefetch = Some(true);
+        o.prefetch = true;
         o
     });
     let anticipated = runs(cfg, offset, |mut o| {
-        o.prefetch = Some(true);
+        o.prefetch = true;
         o.announce_lead = Some(SimDuration::from_secs(45));
         o
     });
@@ -321,7 +321,7 @@ fn triage_ablation(cfg: &HarnessConfig) {
         cfg,
         |c| c,
         |mut o| {
-            o.prefetch = Some(true);
+            o.prefetch = true;
             o
         },
     );
@@ -329,7 +329,7 @@ fn triage_ablation(cfg: &HarnessConfig) {
         cfg,
         |c| c,
         |mut o| {
-            o.prefetch = Some(true);
+            o.prefetch = true;
             o.triage_threshold = Some(0.5); // drop same-segment re-pushes
             o
         },

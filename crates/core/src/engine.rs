@@ -28,8 +28,10 @@ pub struct RunOptions {
     /// The strategy under test.
     pub strategy: Strategy,
     /// Whether sources push prefetches on hearing query announcements
-    /// (`None` = off; prefetch pushes ride as background traffic).
-    pub prefetch: Option<bool>,
+    /// (prefetch pushes ride as background traffic). Off by default: the
+    /// headline figures compare pure retrieval protocols; the prefetch
+    /// ablation and the Fig. 1 walkthrough turn it on.
+    pub prefetch: bool,
     /// Trust policy for shared labels.
     pub trust: TrustPolicy,
     /// Per-node content-store capacity in bytes.
@@ -87,7 +89,7 @@ impl RunOptions {
     pub fn new(strategy: Strategy) -> RunOptions {
         RunOptions {
             strategy,
-            prefetch: None,
+            prefetch: false,
             trust: TrustPolicy::TrustAll,
             cache_capacity: 64_000_000,
             approx_min_shared: None,
@@ -102,13 +104,6 @@ impl RunOptions {
             adaptive: false,
             seed: 7,
         }
-    }
-
-    /// Whether prefetch is on (defaults to off — the headline figures
-    /// compare pure retrieval protocols; the prefetch ablation and the
-    /// Fig. 1 walkthrough enable it explicitly).
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch.unwrap_or(false)
     }
 }
 

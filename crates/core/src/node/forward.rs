@@ -9,7 +9,6 @@ use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
 use dde_logic::label::Label;
 use dde_logic::time::SimTime;
-use dde_naming::criticality::Criticality;
 use dde_naming::name::Name;
 use dde_netsim::sim::Context;
 use dde_netsim::topology::NodeId;
@@ -104,8 +103,9 @@ impl AthenaNode {
         // Approximate substitution (§V-A): a fresh cached object whose name
         // shares a long-enough prefix — e.g. another camera over the same
         // road segment — unless the name space region is critical (§V-C).
-        if let Some(min_shared) = self.shared.options.approx_min_shared {
-            if self.shared.options.criticality.classify(&name) != Criticality::Critical {
+        let options = &self.shared.options;
+        if let Some(min_shared) = options.approx_min_shared {
+            if options.criticality.classify(&name).allows_approximation() {
                 if let Some((_, stored)) =
                     self.content
                         .closest_fresh(&name, now + SERVE_HEADROOM, min_shared)

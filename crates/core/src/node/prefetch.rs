@@ -31,7 +31,7 @@ impl AthenaNode {
         self.stats.announces_relayed += 1;
         let me = ctx.node();
         announce_to_children(ctx, qid, origin, &expr, deadline_at);
-        if self.shared.options.prefetch_enabled() && ctx.now() < deadline_at {
+        if self.shared.options.prefetch && ctx.now() < deadline_at {
             let labels: Vec<Label> = expr.labels().into_iter().collect();
             // Only candidates this node sources are queued, and a
             // candidate provides some label of the expression: a node

@@ -325,11 +325,7 @@ fn forwarder_sweeps_a_lapsed_interest_and_forwards_the_next_request() {
 
 #[test]
 fn prefetch_config_default_off() {
-    let options = RunOptions::new(Strategy::Lvf);
-    assert!(!options.prefetch_enabled());
-    let mut on = RunOptions::new(Strategy::Comprehensive);
-    on.prefetch = Some(true);
-    assert!(on.prefetch_enabled());
+    assert!(!RunOptions::new(Strategy::Lvf).prefetch);
 }
 
 #[test]
@@ -581,7 +577,7 @@ fn data_under_another_provider_name_serves_a_neighbor_once() {
 /// covers the announcement made it compute.
 fn announced_to(me: NodeId, from: NodeId) -> (AthenaNode, u64) {
     let mut options = RunOptions::new(Strategy::LvfLabelShare);
-    options.prefetch = Some(true);
+    options.prefetch = true;
     let (topology, shared) = star(options, SLOW);
     let mut node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
     let (mut commands, mut sink) = (Vec::new(), dde_obs::NullSink);

@@ -507,12 +507,6 @@ impl Strategy {
         let (idx, id) = best_heads[first_pick(&best_items, channel, now, budget)?];
         Some((idx, labels[id].clone()))
     }
-
-    /// Whether a strategy performs short-circuit pruning: used by tests.
-    pub fn prunes(self, query: &QueryState, now: SimTime) -> bool {
-        self.is_decision_driven()
-            && query.relevant_labels(now).len() < query.unknown_labels(now).len()
-    }
 }
 
 impl core::fmt::Display for Strategy {
@@ -702,8 +696,11 @@ mod tests {
             .unwrap();
         // First candidate in catalog order covering an unknown: /cam/b.
         assert_eq!(idx, 2);
-        assert!(Strategy::Lvf.prunes(&q, now));
-        assert!(!Strategy::Comprehensive.prunes(&q, now));
+        // Short-circuit pruning: a decision-driven strategy asks for fewer
+        // labels than are unknown; `cmp` never prunes.
+        assert!(q.relevant_labels(now).len() < q.unknown_labels(now).len());
+        assert!(Strategy::Lvf.is_decision_driven());
+        assert!(!Strategy::Comprehensive.is_decision_driven());
     }
 
     #[test]

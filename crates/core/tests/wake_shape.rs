@@ -156,7 +156,7 @@ fn a_lost_reply_wakes_its_origin_once_at_the_timeout() {
 #[test]
 fn announce_ahead_pushes_leave_one_poll_apart() {
     let mut options = RunOptions::new(Strategy::Lvf);
-    options.prefetch = Some(true);
+    options.prefetch = true;
     let mut sim = simulator(options, 1_000);
     let ahead = query(0, &["x", "y"]);
     sim.schedule_external(SimTime::ZERO, ORIGIN, AthenaEvent::AnnounceOnly(ahead));

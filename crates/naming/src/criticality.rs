@@ -2,22 +2,24 @@
 //!
 //! "Some parts of the name space can be considered more critical than
 //! others. Objects published … in that part of the name space can thus
-//! receive preferential treatment" — exemption from approximate
-//! substitution, and priority for caching and forwarding.
+//! receive preferential treatment." The one treatment implemented is
+//! exemption from approximate substitution: a node never serves a
+//! similar-named stand-in for a [`Criticality::Critical`] object. Caching
+//! and forwarding treat every class alike.
 
 use crate::name::Name;
-use crate::tree::NameTree;
 use core::fmt;
+use std::collections::BTreeMap;
 
 /// Criticality classes, ordered: `Routine < Elevated < Critical`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Criticality {
-    /// Ordinary traffic: full approximation and best-effort handling.
+    /// Ordinary traffic: approximation allowed.
     #[default]
     Routine,
-    /// Elevated: preferred for caching/forwarding, approximation allowed.
+    /// Elevated: approximation still allowed; handled like `Routine`.
     Elevated,
-    /// Critical: exempt from approximate substitution, highest priority.
+    /// Critical: exempt from approximate substitution.
     Critical,
 }
 
@@ -25,15 +27,6 @@ impl Criticality {
     /// Whether approximate name substitution may serve this class.
     pub fn allows_approximation(self) -> bool {
         self != Criticality::Critical
-    }
-
-    /// Forwarding/caching priority weight (higher = more preferred).
-    pub fn priority_weight(self) -> u32 {
-        match self {
-            Criticality::Routine => 1,
-            Criticality::Elevated => 4,
-            Criticality::Critical => 16,
-        }
     }
 }
 
@@ -63,7 +56,7 @@ impl fmt::Display for Criticality {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CriticalityMap {
-    prefixes: NameTree<Criticality>,
+    prefixes: BTreeMap<Name, Criticality>,
 }
 
 impl CriticalityMap {
@@ -75,14 +68,16 @@ impl CriticalityMap {
     /// Assigns `class` to the name-space region under `prefix`. Returns the
     /// previous class assigned to that exact prefix.
     pub fn assign(&mut self, prefix: &Name, class: Criticality) -> Option<Criticality> {
-        self.prefixes.insert(prefix, class)
+        self.prefixes.insert(prefix.clone(), class)
     }
 
     /// The class of `name`: the longest matching assigned prefix, else
     /// `Routine`.
     pub fn classify(&self, name: &Name) -> Criticality {
         self.prefixes
-            .longest_prefix(name)
+            .iter()
+            .filter(|(prefix, _)| name.starts_with(prefix))
+            .max_by_key(|(prefix, _)| prefix.len())
             .map(|(_, c)| *c)
             .unwrap_or_default()
     }
@@ -108,9 +103,8 @@ mod tests {
 
     #[test]
     fn ordering_and_weights() {
-        assert!(Criticality::Routine < Criticality::Critical);
-        assert!(Criticality::Elevated.priority_weight() > Criticality::Routine.priority_weight());
-        assert!(Criticality::Critical.priority_weight() > Criticality::Elevated.priority_weight());
+        assert!(Criticality::Routine < Criticality::Elevated);
+        assert!(Criticality::Elevated < Criticality::Critical);
         assert_eq!(Criticality::Critical.to_string(), "critical");
     }
 
@@ -124,15 +118,18 @@ mod tests {
     #[test]
     fn nested_prefixes_use_longest_match() {
         let mut map = CriticalityMap::new();
-        map.assign(&n("/city"), Criticality::Elevated);
+        map.assign(&Name::root(), Criticality::Elevated);
+        map.assign(&n("/city"), Criticality::Routine);
         map.assign(&n("/city/hospital"), Criticality::Critical);
         assert_eq!(
             map.classify(&n("/city/hospital/icu")),
             Criticality::Critical
         );
-        assert_eq!(map.classify(&n("/city/park")), Criticality::Elevated);
-        assert_eq!(map.classify(&n("/rural")), Criticality::Routine);
-        assert_eq!(map.len(), 2);
+        assert_eq!(map.classify(&n("/city/park")), Criticality::Routine);
+        // The root prefix `/` matches every name.
+        assert_eq!(map.classify(&n("/rural")), Criticality::Elevated);
+        assert_eq!(map.classify(&Name::root()), Criticality::Elevated);
+        assert_eq!(map.len(), 3);
     }
 
     #[test]

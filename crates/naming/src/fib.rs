@@ -6,9 +6,8 @@
 //! not name-based here: a node forwards along its topology's next hop.
 
 use crate::name::Name;
-use crate::tree::NameTree;
 use dde_logic::time::SimTime;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One pending-interest record: who asked for an object, for which query.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -24,7 +23,7 @@ pub struct Interest<N, Q> {
 /// Pending Interest Table: object name → set of interests.
 #[derive(Debug, Clone)]
 pub struct Pit<N, Q> {
-    entries: NameTree<BTreeSet<Interest<N, Q>>>,
+    entries: BTreeMap<Name, BTreeSet<Interest<N, Q>>>,
     len: usize,
     /// No pending interest lapses before this instant: a lower bound on the
     /// earliest `expires_at` in the table (`SimTime::MAX` when that is
@@ -37,7 +36,7 @@ pub struct Pit<N, Q> {
 impl<N, Q> Default for Pit<N, Q> {
     fn default() -> Self {
         Pit {
-            entries: NameTree::new(),
+            entries: BTreeMap::new(),
             len: 0,
             lapse_bound: SimTime::MAX,
         }
@@ -73,9 +72,8 @@ where
                 false
             }
             None => {
-                let mut set = BTreeSet::new();
-                set.insert(interest);
-                self.entries.insert(name, set);
+                self.entries
+                    .insert(name.clone(), BTreeSet::from([interest]));
                 self.len += 1;
                 true
             }
@@ -111,25 +109,16 @@ where
         if now <= self.lapse_bound {
             return 0;
         }
-        let names: Vec<Name> = self.entries.iter().map(|(n, _)| n).collect();
         let mut dropped = 0;
         let mut earliest = SimTime::MAX;
-        for name in names {
-            let mut empty = false;
-            if let Some(set) = self.entries.get_mut(&name) {
-                let before = set.len();
-                set.retain(|i| i.expires_at >= now);
-                dropped += before - set.len();
-                self.len -= before - set.len();
-                empty = set.is_empty();
-                for i in set.iter() {
-                    earliest = earliest.min(i.expires_at);
-                }
-            }
-            if empty {
-                self.entries.remove(&name);
-            }
-        }
+        self.entries.retain(|_, set| {
+            let before = set.len();
+            set.retain(|i| i.expires_at >= now);
+            dropped += before - set.len();
+            earliest = set.iter().map(|i| i.expires_at).fold(earliest, Ord::min);
+            !set.is_empty()
+        });
+        self.len -= dropped;
         self.lapse_bound = earliest;
         dropped
     }

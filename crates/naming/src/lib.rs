@@ -7,15 +7,12 @@
 //! - [`name`] — path-like content names with shared-prefix similarity;
 //! - [`symbol`] — deterministic, insertion-ordered interning of name
 //!   components, making hot-path comparisons integer-speed (§V-A);
-//! - [`tree`] — a name trie with exact, longest-prefix (FIB-style), and
-//!   approximate (closest-name) lookup — the "hierarchical semantic
-//!   indexing" of §V-A;
 //! - [`fib`] — the Pending Interest Table of the NDN-like forwarding plane
-//!   (§VI-B);
+//!   (§VI-B), keyed by object name;
 //! - [`store`] — a freshness-aware, capacity-bounded content store with
 //!   expired-first/LRU eviction and approximate substitution (§VI-B/C);
-//! - [`criticality`] — preferential treatment for critical name-space
-//!   regions (§V-C).
+//! - [`criticality`] — longest-prefix classes over the name space; a
+//!   critical region is exempt from approximate substitution (§V-C).
 
 #![deny(missing_docs)]
 // Determinism rules (see clippy.toml): hashed collections, ambient
@@ -33,14 +30,12 @@ pub mod fib;
 pub mod name;
 pub mod store;
 pub mod symbol;
-pub mod tree;
 
 pub use criticality::{Criticality, CriticalityMap};
 pub use fib::{Interest, Pit};
 pub use name::{Name, NameError};
 pub use store::{ContentStore, StoredObject};
 pub use symbol::{Interner, Symbol};
-pub use tree::NameTree;
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
@@ -48,5 +43,4 @@ pub mod prelude {
     pub use crate::fib::{Interest, Pit};
     pub use crate::name::{Name, NameError};
     pub use crate::store::{ContentStore, StoredObject};
-    pub use crate::tree::NameTree;
 }

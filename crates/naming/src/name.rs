@@ -7,8 +7,8 @@
 //!
 //! Components are interned [`Symbol`]s (see [`crate::symbol`]), so the hot
 //! operations — component equality, [`Name::shared_prefix_len`],
-//! [`Name::starts_with`], trie descent — are integer compares; strings are
-//! resolved back out only at I/O boundaries ([`Name::fmt`][core::fmt::Display],
+//! [`Name::starts_with`] — are integer compares; strings are resolved back
+//! out only at I/O boundaries ([`Name::fmt`][core::fmt::Display],
 //! [`Symbol::as_str`], error messages).
 
 use crate::symbol::{intern, Symbol};
@@ -155,17 +155,11 @@ impl Name {
     pub fn child(&self, component: impl AsRef<str>) -> Result<Name, NameError> {
         let component = component.as_ref();
         validate(component)?;
-        Ok(self.child_symbol(intern(component)))
-    }
-
-    /// The name extended by one already-interned component — infallible,
-    /// for trie traversal that rebuilds names from stored symbols.
-    pub(crate) fn child_symbol(&self, component: Symbol) -> Name {
         let mut v: Vec<Symbol> = self.components.to_vec();
-        v.push(component);
-        Name {
+        v.push(intern(component));
+        Ok(Name {
             components: v.into(),
-        }
+        })
     }
 
     /// The parent name, or `None` at the root.

@@ -1,12 +1,12 @@
 //! Interned name components (§V-A hot path).
 //!
-//! Every retrieval decision flows through hierarchical names: longest-prefix
-//! match in the FIB, shared-prefix approximate substitution in the content
-//! store, and per-object cache keys. Comparing raw strings on those paths
-//! re-walks UTF-8 for every component, so name components are *interned*: a
-//! [`Symbol`] is a `u32` handle into an [`Interner`] table, making component
-//! equality (the dominant operation in shared-prefix workloads) a single
-//! integer compare. Strings are resolved back out only at I/O boundaries —
+//! Every retrieval decision flows through hierarchical names: interest
+//! table and content-store keys, shared-prefix approximate substitution,
+//! and longest-prefix criticality classes. Comparing raw strings on those
+//! paths re-walks UTF-8 for every component, so name components are
+//! *interned*: a [`Symbol`] is a `u32` handle into an [`Interner`] table,
+//! making component equality (the dominant operation in shared-prefix
+//! workloads) a single integer compare. Strings are resolved back out only at I/O boundaries —
 //! parsing, trace emission, error messages.
 //!
 //! # Determinism contract
@@ -37,11 +37,16 @@ use std::sync::{OnceLock, RwLock};
 /// [`Interner`].
 ///
 /// Equality is a single integer compare and agrees with string equality
-/// (the interner is injective). The derived `Ord` is **id order** (first
-/// interned sorts first), *not* lexicographic order — it exists so symbols
-/// can key `BTreeMap`s on hot paths; anything user-visible must order by
-/// [`Symbol::as_str`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// (the interner is injective). There is deliberately no `Ord`: ids are
+/// handed out in first-seen order, so an id order would leak interning
+/// history into whatever it sorted. Order by [`Symbol::as_str`] instead,
+/// as [`Name`](crate::name::Name)'s `Ord` does:
+///
+/// ```compile_fail,E0369
+/// use dde_naming::symbol::intern;
+/// let _ = intern("a") < intern("b");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
 impl Symbol {

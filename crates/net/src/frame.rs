@@ -311,7 +311,11 @@ pub fn encode(msg: &AthenaMsg) -> Result<Vec<u8>, FrameError> {
             KIND_LABEL_SHARE
         }
     };
-    let payload = e.buf;
+    frame(kind, &e.buf)
+}
+
+/// Prefixes `payload` with the header for `kind`: one complete wire frame.
+fn frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
     if payload.len() > MAX_PAYLOAD {
         return Err(FrameError::Oversized {
             len: payload.len(),
@@ -323,7 +327,7 @@ pub fn encode(msg: &AthenaMsg) -> Result<Vec<u8>, FrameError> {
     frame.push(VERSION);
     frame.push(kind);
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(payload);
     Ok(frame)
 }
 
@@ -485,20 +489,7 @@ pub fn encode_control(msg: &ControlMsg) -> Result<Vec<u8>, FrameError> {
             KIND_HEALTH_REPORT
         }
     };
-    let payload = e.buf;
-    if payload.len() > MAX_PAYLOAD {
-        return Err(FrameError::Oversized {
-            len: payload.len(),
-            max: MAX_PAYLOAD,
-        });
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    frame(kind, &e.buf)
 }
 
 /// Decodes one complete wire frame (header + payload) back into an

@@ -446,23 +446,10 @@ fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
     }
     let from = NodeId(from);
 
-    let mut header = [0u8; frame::HEADER_LEN];
     loop {
-        if read_exact_polled(&mut stream, &mut header, &ctx.stop).is_err() {
+        let Some(buf) = read_frame(&mut stream, &ctx) else {
             return;
-        }
-        let len = match frame::payload_len(&header) {
-            Ok(len) => len,
-            Err(_) => {
-                ctx.stats.decode_errors.inc();
-                return;
-            }
         };
-        let mut buf = vec![0u8; frame::HEADER_LEN + len];
-        buf[..frame::HEADER_LEN].copy_from_slice(&header);
-        if read_exact_polled(&mut stream, &mut buf[frame::HEADER_LEN..], &ctx.stop).is_err() {
-            return;
-        }
         // Control frames are not legal on peer connections: frame::decode
         // rejects them, which closes this connection like any other
         // malformed input.
@@ -480,28 +467,31 @@ fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
     }
 }
 
+/// Reads one complete frame (header + payload). `None` once the stream
+/// ends, fails or is stopped, and on a bad header, which also counts a
+/// decode error.
+fn read_frame(stream: &mut TcpStream, ctx: &ReaderCtx) -> Option<Vec<u8>> {
+    let mut header = [0u8; frame::HEADER_LEN];
+    read_exact_polled(stream, &mut header, &ctx.stop).ok()?;
+    let Ok(len) = frame::payload_len(&header) else {
+        ctx.stats.decode_errors.inc();
+        return None;
+    };
+    let mut buf = vec![0u8; frame::HEADER_LEN + len];
+    buf[..frame::HEADER_LEN].copy_from_slice(&header);
+    read_exact_polled(stream, &mut buf[frame::HEADER_LEN..], &ctx.stop).ok()?;
+    Some(buf)
+}
+
 /// Serves one prober connection: each [`ControlMsg::HealthProbe`] frame
 /// is answered with a [`ControlMsg::HealthReport`] on the same stream.
 /// Anything else closes the connection. The Athena protocol (and its
 /// trace) never observes this exchange.
 fn prober_loop(mut stream: TcpStream, ctx: &ReaderCtx) {
-    let mut header = [0u8; frame::HEADER_LEN];
     loop {
-        if read_exact_polled(&mut stream, &mut header, &ctx.stop).is_err() {
+        let Some(buf) = read_frame(&mut stream, ctx) else {
             return;
-        }
-        let len = match frame::payload_len(&header) {
-            Ok(len) => len,
-            Err(_) => {
-                ctx.stats.decode_errors.inc();
-                return;
-            }
         };
-        let mut buf = vec![0u8; frame::HEADER_LEN + len];
-        buf[..frame::HEADER_LEN].copy_from_slice(&header);
-        if read_exact_polled(&mut stream, &mut buf[frame::HEADER_LEN..], &ctx.stop).is_err() {
-            return;
-        }
         match frame::decode_any(&buf) {
             Ok(WireFrame::Control(ControlMsg::HealthProbe { seq })) => {
                 let report = ctx.health.report(ctx.local, seq);

@@ -1,38 +1,12 @@
 //! Chrome trace-event export.
 //!
 //! Produces the JSON object format understood by `about:tracing` and
-//! Perfetto: each [`TraceRecord`] becomes an instant event (`"ph":"i"`)
+//! Perfetto: each JSONL trace line becomes an instant event (`"ph":"i"`)
 //! with the simulated microsecond as `ts`, the node index as `tid`, and
 //! the event payload under `args`. Timestamps being simulated means the
 //! visual timeline *is* the simulation timeline.
 
-use crate::event::TraceRecord;
 use crate::json::JsonValue;
-
-fn record_to_chrome_event(rec: &TraceRecord) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "name".into(),
-            JsonValue::Str(rec.kind.kind_name().to_string()),
-        ),
-        ("ph".into(), JsonValue::Str("i".into())),
-        ("s".into(), JsonValue::Str("t".into())),
-        ("ts".into(), JsonValue::Int(rec.at.as_micros() as i64)),
-        ("pid".into(), JsonValue::Int(0)),
-        ("tid".into(), JsonValue::Int(rec.node as i64)),
-        ("args".into(), JsonValue::Object(rec.kind.fields())),
-    ])
-}
-
-/// Render records as a complete Chrome trace-event document.
-pub fn chrome_trace_from_records(records: &[TraceRecord]) -> String {
-    let events: Vec<JsonValue> = records.iter().map(record_to_chrome_event).collect();
-    let doc = JsonValue::Object(vec![
-        ("traceEvents".into(), JsonValue::Array(events)),
-        ("displayTimeUnit".into(), JsonValue::Str("ms".into())),
-    ]);
-    doc.to_pretty_string()
-}
 
 /// Convert a JSONL trace (as produced by
 /// [`JsonlSink`](crate::sink::JsonlSink)) into a Chrome trace-event
@@ -78,13 +52,13 @@ pub fn chrome_trace_from_jsonl(jsonl: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{EventKind, TraceRecord};
     use crate::json::parse;
     use dde_logic::time::SimTime;
 
     #[test]
     fn records_export_as_instant_events() {
-        let recs = vec![TraceRecord {
+        let rec = TraceRecord {
             at: SimTime::from_micros(42),
             node: 7,
             kind: EventKind::Deliver {
@@ -93,8 +67,10 @@ mod tests {
                 msg: "data",
                 query: None,
             },
-        }];
-        let doc = chrome_trace_from_records(&recs);
+        };
+        let mut jsonl = String::new();
+        rec.write_jsonl(&mut jsonl);
+        let doc = chrome_trace_from_jsonl(&jsonl);
         let v = parse(&doc).unwrap();
         let events = match v.get("traceEvents") {
             Some(JsonValue::Array(a)) => a,
@@ -106,6 +82,10 @@ mod tests {
         assert_eq!(
             events[0].get("name").and_then(|n| n.as_str()),
             Some("deliver")
+        );
+        assert_eq!(
+            events[0].get("args"),
+            Some(&JsonValue::Object(rec.kind.fields()))
         );
     }
 
@@ -122,9 +102,21 @@ mod tests {
         };
         let mut jsonl = String::new();
         rec.write_jsonl(&mut jsonl);
-        assert_eq!(
-            chrome_trace_from_jsonl(&jsonl),
-            chrome_trace_from_records(std::slice::from_ref(&rec))
-        );
+        let expected = JsonValue::Object(vec![
+            (
+                "traceEvents".into(),
+                JsonValue::Array(vec![JsonValue::Object(vec![
+                    ("name".into(), JsonValue::Str(rec.kind.kind_name().into())),
+                    ("ph".into(), JsonValue::Str("i".into())),
+                    ("s".into(), JsonValue::Str("t".into())),
+                    ("ts".into(), JsonValue::Int(rec.at.as_micros() as i64)),
+                    ("pid".into(), JsonValue::Int(0)),
+                    ("tid".into(), JsonValue::Int(rec.node as i64)),
+                    ("args".into(), JsonValue::Object(rec.kind.fields())),
+                ])]),
+            ),
+            ("displayTimeUnit".into(), JsonValue::Str("ms".into())),
+        ]);
+        assert_eq!(chrome_trace_from_jsonl(&jsonl), expected.to_pretty_string());
     }
 }

@@ -545,8 +545,9 @@ impl EventKind {
         }
     }
 
-    /// The payload fields as an owned JSON tree, for consumers that nest
-    /// them in a larger document (the Chrome export's `args`).
+    /// The payload fields as an owned JSON tree: what a JSONL line holds
+    /// besides its envelope, and so what the Chrome export puts under
+    /// `args`.
     pub fn fields(&self) -> Vec<(String, JsonValue)> {
         let mut pairs = Vec::new();
         self.visit_fields(&mut |key, val| {

@@ -10,8 +10,8 @@
 //! (`dde_sched::adaptive`) shrink the prediction error.
 //!
 //! Like every other consumer of the trace, the fold is defined over the
-//! normalized [`LedgerView`], so the live typed path and the offline JSONL
-//! path ([`FeedbackSink::fold_jsonl`]) cannot drift apart.
+//! normalized [`LedgerView`]. It runs live, as a [`Sink`] on the typed
+//! records.
 
 use crate::attrib::{LedgerView, ViewKind};
 use crate::event::TraceRecord;
@@ -179,27 +179,6 @@ impl FeedbackSink {
     pub fn open_queries(&self) -> usize {
         self.open.len()
     }
-
-    /// Fold a JSONL trace offline. Unparsable lines are skipped, mirroring
-    /// the lenient path of the other offline folds.
-    pub fn fold_jsonl(epoch_len: u64, trace: &str) -> Self {
-        let mut sink = Self::new(epoch_len);
-        for line in trace.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(view) = crate::json::parse(line)
-                .ok()
-                .as_ref()
-                .and_then(LedgerView::from_json)
-            {
-                sink.observe(&view);
-            }
-        }
-        sink.finish();
-        sink
-    }
 }
 
 impl Sink for FeedbackSink {
@@ -315,52 +294,5 @@ mod tests {
         run_query(&mut sink, 3, 1000, 1000);
         assert_eq!(sink.epochs().len(), 1);
         assert_eq!(sink.epochs()[0].mean_abs_error, 0.0);
-    }
-
-    #[test]
-    fn typed_and_jsonl_folds_agree() {
-        let mut typed = FeedbackSink::new(2);
-        let mut lines = String::new();
-        for (q, predicted, actual) in [(1u64, 1000u64, 700u64), (2, 2000, 2600), (3, 500, 500)] {
-            for r in [
-                rec(
-                    q * 10,
-                    EventKind::Plan {
-                        query: q,
-                        strategy: "hybrid",
-                        candidates: 2,
-                        expected_bytes: predicted,
-                        rationale: String::new(),
-                    },
-                ),
-                rec(
-                    q * 10 + 1,
-                    EventKind::Transmit {
-                        from: 0,
-                        to: 1,
-                        msg: "data",
-                        bytes: actual,
-                        background: false,
-                        query: Some(q),
-                    },
-                ),
-                rec(
-                    q * 10 + 2,
-                    EventKind::QueryResolved {
-                        query: q,
-                        outcome: "viable",
-                        latency_us: 5,
-                    },
-                ),
-            ] {
-                typed.record(&r);
-                r.write_jsonl(&mut lines);
-                lines.push('\n');
-            }
-        }
-        typed.finish();
-        let json = FeedbackSink::fold_jsonl(2, &lines);
-        assert_eq!(typed.epochs(), json.epochs());
-        assert_eq!(typed.epochs().len(), 2);
     }
 }

@@ -293,11 +293,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, and its input can come from a peer or a
+/// file, so a deeper document is an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing whitespace allowed). Arrays
+/// and objects nested more than 128 levels deep are an error.
 pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -311,6 +318,8 @@ pub fn parse(src: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -359,11 +368,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -552,6 +576,17 @@ pub(crate) mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        assert!(parse(&"[".repeat(deep)).is_err());
+        assert!(parse(&"{\"a\":".repeat(deep)).is_err());
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl QueryCost {
     pub fn path(&self) -> &PathBreakdown {
         self.walk.breakdown()
     }
-
-    /// Whether the query reached a terminal event (resolved or missed).
-    pub fn is_terminal(&self) -> bool {
-        self.outcome.is_some()
-    }
 }
 
 /// The fold result: per-query charges, the overhead bucket, and the global

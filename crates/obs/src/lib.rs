@@ -12,7 +12,7 @@
 //!   cache hit/miss → annotate → label share → resolve/timeout);
 //! - [`sink`] — the [`Sink`] contract plus the stock implementations:
 //!   [`NullSink`] (compiled-in but free), [`MemorySink`], [`JsonlSink`],
-//!   [`ChromeTraceSink`], and the cloneable [`SharedSink`] handle;
+//!   [`TeeSink`], and the cloneable [`SharedSink`] handle;
 //! - [`json`] — the hand-rolled JSON subset (the workspace is offline:
 //!   no serde_json), with a deterministic writer and a strict parser;
 //! - [`hist`] — fixed-bucket latency histograms surfacing p50/p95/p99;
@@ -23,7 +23,8 @@
 //!   last N records for post-mortem dumps on live-cluster failures;
 //! - [`diff`] — structural trace diffing (first divergent event,
 //!   per-kind count deltas) behind the `dde-trace` CLI;
-//! - [`chrome`] — Chrome trace-event (`about:tracing` / Perfetto) export;
+//! - [`chrome`] — Chrome trace-event (`about:tracing` / Perfetto) export
+//!   of a JSONL trace;
 //! - [`attrib`] — attribution keys and the normalized record view;
 //! - [`feedback`] — the predicted-vs-actual planner feedback fold
 //!   ([`FeedbackSink`]) behind the adaptive-planning loop;
@@ -57,7 +58,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use attrib::{LedgerView, PredKey, ViewKind};
-pub use chrome::{chrome_trace_from_jsonl, chrome_trace_from_records};
+pub use chrome::chrome_trace_from_jsonl;
 pub use critical::{PathBreakdown, PathWalk};
 pub use diff::{diff_jsonl, Divergence, TraceDiff};
 pub use event::{EventKind, FieldVal, TraceRecord};
@@ -70,4 +71,4 @@ pub use metrics::{
     parse_snapshot_document, Counter, Gauge, MetricsError, MetricsRegistry, MetricsSnapshot,
     WallHist,
 };
-pub use sink::{ChromeTraceSink, JsonlSink, MemorySink, NullSink, SharedSink, Sink, TeeSink};
+pub use sink::{JsonlSink, MemorySink, NullSink, SharedSink, Sink, TeeSink};

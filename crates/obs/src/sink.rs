@@ -140,47 +140,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Buffers records and writes a complete Chrome trace-event JSON document
-/// (loadable in `about:tracing` / Perfetto) on [`flush`](Sink::flush).
-#[derive(Debug)]
-pub struct ChromeTraceSink<W: Write> {
-    writer: W,
-    records: Vec<TraceRecord>,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> ChromeTraceSink<W> {
-    /// Wrap a writer; the document is produced on flush.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            records: Vec::new(),
-            error: None,
-        }
-    }
-
-    /// Unwrap into the underlying writer, surfacing any deferred write
-    /// error.
-    pub fn into_inner(self) -> (W, Option<std::io::Error>) {
-        (self.writer, self.error)
-    }
-}
-
-impl<W: Write> Sink for ChromeTraceSink<W> {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.records.push(rec.clone());
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let doc = crate::chrome::chrome_trace_from_records(&self.records);
-        self.writer.write_all(doc.as_bytes())?;
-        self.writer.flush()
-    }
-}
-
 /// Fans each record out to two sinks — e.g. the caller's trace sink plus
 /// the engine's live [`LedgerSink`](crate::ledger::LedgerSink).
 ///

@@ -78,7 +78,7 @@ struct Row {
 fn run(prefetch: bool) -> (RunReport, Vec<Row>) {
     let scenario = build();
     let mut options = RunOptions::new(Strategy::Lvf);
-    options.prefetch = Some(prefetch);
+    options.prefetch = prefetch;
     let sink = SharedSink::new(MemorySink::new());
     let handle = sink.clone();
     let report = run_scenario_observed(&scenario, options, Box::new(sink));

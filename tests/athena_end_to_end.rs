@@ -156,7 +156,7 @@ fn prefetch_stages_content_without_hurting_resolution() {
         let s = scenario(90 + seed, 0.2);
         let off = run_scenario(&s, RunOptions::new(Strategy::Lvf));
         let mut opts = RunOptions::new(Strategy::Lvf);
-        opts.prefetch = Some(true);
+        opts.prefetch = true;
         let on = run_scenario(&s, opts);
         off_res += off.resolved;
         on_res += on.resolved;

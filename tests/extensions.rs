@@ -266,11 +266,11 @@ fn anticipatory_announcement_cuts_latency() {
     let s = Scenario::build(cfg);
 
     let mut plain = RunOptions::new(Strategy::LvfLabelShare);
-    plain.prefetch = Some(true);
+    plain.prefetch = true;
     let r_plain = run_scenario(&s, plain);
 
     let mut ahead = RunOptions::new(Strategy::LvfLabelShare);
-    ahead.prefetch = Some(true);
+    ahead.prefetch = true;
     ahead.announce_lead = Some(SimDuration::from_secs(45));
     let r_ahead = run_scenario(&s, ahead);
 
@@ -320,12 +320,12 @@ fn utility_triage_drops_redundant_pushes() {
     // provider overlap, so this runs at the paper scale.
     let s = Scenario::build(ScenarioConfig::default().with_seed(31).with_fast_ratio(0.2));
     let mut plain = RunOptions::new(Strategy::Lvf);
-    plain.prefetch = Some(true);
+    plain.prefetch = true;
     let r_plain = run_scenario(&s, plain);
     assert_eq!(r_plain.triage_drops, 0);
 
     let mut triaged = RunOptions::new(Strategy::Lvf);
-    triaged.prefetch = Some(true);
+    triaged.prefetch = true;
     triaged.triage_threshold = Some(0.5);
     let r_triaged = run_scenario(&s, triaged);
 

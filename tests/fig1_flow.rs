@@ -73,7 +73,7 @@ fn query_resolves_without_prefetch() {
 fn prefetch_push_stages_objects_and_serves_cache_hit() {
     let s = fig1_scenario();
     let mut opts = RunOptions::new(Strategy::Lvf);
-    opts.prefetch = Some(true);
+    opts.prefetch = true;
     let r = run_scenario(&s, opts);
     assert_eq!(r.resolved, 1);
     // The source (C) pushed both u and v upon hearing the announcement.

@@ -123,7 +123,7 @@ fn prefetch_triage_and_corroboration_trace_is_pinned() {
     const GOLDEN: Fingerprint = (821, 90_901, 17_463_432_108_554_179_328);
     let scenario = multi_hop(2, SimDuration::from_secs(60));
     let mut options = options(Strategy::LvfLabelShare);
-    options.prefetch = Some(true);
+    options.prefetch = true;
     options.announce_lead = Some(SimDuration::from_secs(45));
     options.triage_threshold = Some(0.6);
     options.approx_min_shared = Some(2);

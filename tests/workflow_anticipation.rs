@@ -63,7 +63,7 @@ fn replay(
 ) -> (usize, usize, f64) {
     let spacing = SimDuration::from_secs(60);
     let mut options = RunOptions::new(Strategy::LvfLabelShare);
-    options.prefetch = Some(true);
+    options.prefetch = true;
     let shared = dde_core::build_shared_world(scenario, &options);
     let nodes: Vec<AthenaNode> = (0..scenario.topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
