@@ -419,7 +419,7 @@ fn aggregation_ablation(cfg: &HarnessConfig) {
                 .map(|(i, o)| {
                     Source::new(
                         i,
-                        o.covers.iter().filter(|l| needed.contains(*l)).cloned(),
+                        o.covers.iter().filter(|l| needed.contains(*l)).copied(),
                         Cost::from_bytes(o.size),
                     )
                 })

@@ -149,15 +149,10 @@ mod tests {
     fn setup() -> (WorldModel, EvidenceObject, Label) {
         let mut world = WorldModel::new(5);
         let label = Label::new("viable/x");
-        world.register(
-            label.clone(),
-            DynamicsClass::Fast,
-            SimDuration::from_secs(10),
-            0.5,
-        );
+        world.register(label, DynamicsClass::Fast, SimDuration::from_secs(10), 0.5);
         let object = EvidenceObject {
             name: "/cam/a".parse().unwrap(),
-            covers: vec![label.clone()],
+            covers: vec![label],
             size: 1000,
             source: NodeId(0),
             sampled_at: SimTime::from_secs(3),

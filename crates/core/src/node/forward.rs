@@ -229,7 +229,7 @@ impl AthenaNode {
             }
             for l in &wanted {
                 if !out.starved.contains(l) {
-                    out.starved.push(l.clone());
+                    out.starved.push(*l);
                 }
             }
             self.pit
@@ -341,7 +341,7 @@ impl AthenaNode {
             .get(label)
             .is_none_or(|old| c.sampled_at > old.sampled_at);
         if fresher {
-            self.labels.insert(label.clone(), c.clone());
+            self.labels.insert(*label, c.clone());
         }
         if c.is_fresh_at(now) {
             self.record_on_open(label, c, now, None, |n| n.labels_from_shares += 1);

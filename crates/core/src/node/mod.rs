@@ -212,7 +212,7 @@ fn qid_tag(qid: QueryId) -> Option<QueryId> {
 /// The wire form of a cached label value, traveling for `for_query`.
 fn share_msg(label: &Label, c: &CachedLabel, for_query: Option<QueryId>) -> AthenaMsg {
     AthenaMsg::LabelShare {
-        label: label.clone(),
+        label: *label,
         value: c.value,
         sampled_at: c.sampled_at,
         validity: c.validity,

@@ -118,7 +118,7 @@ impl AthenaNode {
                     None => self.shared.prob_true_prior,
                 };
                 RetrievalItem {
-                    label: l.clone(),
+                    label: *l,
                     cost: Cost::from_bytes(cost),
                     validity,
                     prob_true: Probability::clamped(prob),
@@ -333,10 +333,10 @@ impl AthenaNode {
                 .covers
                 .iter()
                 .filter(|l| lq.wants(l, now))
-                .cloned()
+                .copied()
                 .collect();
             if !wanted.contains(&label) {
-                wanted.push(label.clone());
+                wanted.push(label);
             }
             // The selected source may be unreachable right now (crashed
             // or partitioned away, with no alternate provider). Don't
@@ -405,7 +405,7 @@ impl AthenaNode {
         for (qid, lq) in &self.queries {
             for l in &object.covers {
                 if lq.wants(l, now) {
-                    wanted.push((*qid, l.clone()));
+                    wanted.push((*qid, *l));
                 }
             }
         }
@@ -426,7 +426,7 @@ impl AthenaNode {
                 continue;
             }
             // Corroboration: collect votes from distinct evidence *sources*.
-            let entry = self.local(qid).votes.entry(label.clone()).or_default();
+            let entry = self.local(qid).votes.entry(label).or_default();
             entry.insert(object.source, (value, object.sampled_at, object.validity));
             let votes = entry.len();
             let source_count = {
@@ -569,7 +569,7 @@ impl AthenaNode {
                 ctx.send(hop, share_msg(label, &judged, Some(qid)));
             }
         }
-        self.labels.insert(label.clone(), judged);
+        self.labels.insert(*label, judged);
     }
 
     /// Records `c` as the value of `label` on every open local query that

@@ -128,7 +128,7 @@ impl QueryState {
             .terms()
             .iter()
             .flat_map(Term::labels)
-            .cloned()
+            .copied()
             .collect();
         labels.sort_unstable();
         labels.dedup();
@@ -340,7 +340,7 @@ impl QueryState {
                 Truth::Unknown => out.extend(
                     term.iter()
                         .filter(|&&(id, _)| !self.value_of(id, now).is_known())
-                        .map(|&(id, _)| self.labels[id].clone()),
+                        .map(|&(id, _)| self.labels[id]),
                 ),
             }
         }
@@ -352,7 +352,7 @@ impl QueryState {
     pub fn unknown_labels(&self, now: SimTime) -> BTreeSet<Label> {
         (0..self.labels.len())
             .filter(|&id| !self.value_of(id, now).is_known())
-            .map(|id| self.labels[id].clone())
+            .map(|id| self.labels[id])
             .collect()
     }
 

@@ -360,7 +360,7 @@ impl Strategy {
                     continue;
                 }
                 if let Some(&id) = plan.covered[ids.clone()].iter().find(|&&id| unknown(id)) {
-                    return Some((*idx, query.labels()[id].clone()));
+                    return Some((*idx, query.labels()[id]));
                 }
             }
         }
@@ -478,7 +478,7 @@ impl Strategy {
                 let p = priors.group_prob(name.as_str(), group.iter().map(|&(_, id)| &labels[id]));
                 items.push(
                     RetrievalItem::new(
-                        name.clone(),
+                        *name,
                         Cost::from_bytes(Self::effective_cost(idx, catalog, origin, topology)),
                         catalog.get(idx).validity,
                     )
@@ -505,7 +505,7 @@ impl Strategy {
         // over the distinct objects, of which only the first is fetched.
         let budget = query.deadline_at.saturating_since(now);
         let (idx, id) = best_heads[first_pick(&best_items, channel, now, budget)?];
-        Some((idx, labels[id].clone()))
+        Some((idx, labels[id]))
     }
 }
 

@@ -48,7 +48,7 @@ fn old_candidates(
         .map(|(i, o)| {
             Source::new(
                 i,
-                o.covers.iter().filter(|l| labels.contains(*l)).cloned(),
+                o.covers.iter().filter(|l| labels.contains(*l)).copied(),
                 Cost::from_bytes(Strategy::effective_cost(i, catalog, origin, topology)),
             )
         })
@@ -124,7 +124,7 @@ fn old_next_decision_driven(
         let unknowns: Vec<Label> = term
             .labels()
             .filter(|l| !asg.value_at(l, now).is_known())
-            .cloned()
+            .copied()
             .collect();
         if unknowns.is_empty() {
             continue;
@@ -135,7 +135,7 @@ fn old_next_decision_driven(
         let mut unprovided = false;
         for l in &unknowns {
             match provider(l) {
-                Some(idx) => by_object.entry(idx).or_default().push(l.clone()),
+                Some(idx) => by_object.entry(idx).or_default().push(*l),
                 None => {
                     unprovided = true;
                     break;
@@ -162,7 +162,7 @@ fn old_next_decision_driven(
                     spec.validity,
                 )
                 .with_prob(Probability::clamped(p));
-                (idx, labels[0].clone(), item)
+                (idx, labels[0], item)
             })
             .collect();
         let items: Vec<RetrievalItem> = entries.iter().map(|(_, _, it)| it.clone()).collect();
@@ -188,7 +188,7 @@ fn old_next_decision_driven(
     entries
         .iter()
         .find(|(_, _, it)| it.label == first.label)
-        .map(|(idx, label, _)| (*idx, label.clone()))
+        .map(|(idx, label, _)| (*idx, *label))
 }
 
 fn old_unknown_labels(query: &QueryState, asg: &Assignment, now: SimTime) -> BTreeSet<Label> {
@@ -225,7 +225,7 @@ fn old_next_baseline(
     for idx in order {
         let spec = catalog.get(idx);
         if let Some(label) = spec.covers.iter().find(|l| unknown.contains(*l)) {
-            return Some((idx, label.clone()));
+            return Some((idx, *label));
         }
     }
     None
@@ -326,7 +326,7 @@ fn case(seed: u64) -> Case {
     for i in 0..r.below(14) {
         // The last label of the universe is never provided.
         let covers = (0..1 + r.below(3))
-            .map(|_| universe[r.below(universe.len() - 1)].clone())
+            .map(|_| universe[r.below(universe.len() - 1)])
             .collect();
         let odd = 1 + r.next() % 900_000;
         let size = r.pick(&[100_000, 200_000, 200_000, 350_000, odd]);
@@ -350,7 +350,7 @@ fn case(seed: u64) -> Case {
         }
         let literals = (0..1 + r.below(4))
             .map(|_| {
-                let label = universe[r.below(universe.len())].clone();
+                let label = universe[r.below(universe.len())];
                 if r.one_in(4) {
                     Literal::negative(label)
                 } else {
@@ -376,14 +376,14 @@ fn case(seed: u64) -> Case {
             let validity = SimDuration::from_secs(r.pick(&[10, 50, 1000]));
             let value = r.one_in(2);
             query.record_label(label, value, sampled, validity);
-            evidence.set(label.clone(), Truth::from(value), sampled, validity);
+            evidence.set(*label, Truth::from(value), sampled, validity);
         }
     }
 
     let mut learned = TruthEstimator::new(0.8);
     for _ in 0..r.below(12) {
         let prefix = format!("/city/seg/{}", r.below(3));
-        let label = universe[r.below(universe.len())].clone();
+        let label = universe[r.below(universe.len())];
         learned.observe(&prefix, &label, r.one_in(2));
     }
     let odd = (r.next() % 1001) as f64 / 1000.0;
@@ -412,13 +412,9 @@ fn check(c: &Case) -> Result<(), TestCaseError> {
     let kept: Assignment = asg
         .iter()
         .filter(|(l, _)| labels.contains(*l))
-        .map(|(l, v)| (l.clone(), v.clone()))
+        .map(|(l, v)| (*l, v.clone()))
         .collect();
-    let held: Assignment = c
-        .query
-        .evidence()
-        .map(|(l, v)| (l.clone(), v.clone()))
-        .collect();
+    let held: Assignment = c.query.evidence().map(|(l, v)| (*l, v.clone())).collect();
     prop_assert_eq!(held, kept);
     prop_assert_eq!(
         c.query.unknown_labels(c.now),

@@ -52,7 +52,7 @@ impl Oracle {
     fn record(&mut self, label: &Label, value: bool, now: SimTime, validity: SimDuration) {
         if self.mentioned.contains(label) {
             self.assignment
-                .set(label.clone(), Truth::from(value), now, validity);
+                .set(*label, Truth::from(value), now, validity);
         }
     }
 
@@ -240,7 +240,7 @@ fn generated(seed: u64) -> (Dnf, Vec<Label>, Vec<Op>) {
         .map(|i| Label::new(format!("l{i:03}")))
         .collect();
     let literal = |r: &mut Rng, id: usize| {
-        let label = universe[id].clone();
+        let label = universe[id];
         if r.one_in(4) {
             Literal::negative(label)
         } else {

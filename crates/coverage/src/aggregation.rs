@@ -44,9 +44,9 @@ pub fn aggregate_select<Id>(needed: &BTreeSet<Label>, sources: &[Source<Id>]) ->
     // Ground truth: what did the chosen set actually cover?
     let covered: BTreeSet<Label> = chosen
         .iter()
-        .flat_map(|&i| sources[i].covers.iter().cloned())
+        .flat_map(|&i| sources[i].covers.iter().copied())
         .collect();
-    let uncovered = needed.difference(&covered).cloned().collect();
+    let uncovered = needed.difference(&covered).copied().collect();
     Cover {
         chosen,
         cost,

@@ -192,11 +192,7 @@ pub fn greedy_cover<Id>(needed: &BTreeSet<Label>, sources: &[Source<Id>]) -> Cov
     Cover {
         chosen: cover.chosen,
         cost: cover.cost,
-        uncovered: cover
-            .uncovered
-            .iter()
-            .map(|&id| order[id].clone())
-            .collect(),
+        uncovered: cover.uncovered.iter().map(|&id| *order[id]).collect(),
     }
 }
 
@@ -216,9 +212,9 @@ pub fn exact_cover<Id>(needed: &BTreeSet<Label>, sources: &[Source<Id>]) -> Cove
         .iter()
         .flat_map(|s| s.covers.iter())
         .filter(|l| needed.contains(*l))
-        .cloned()
+        .copied()
         .collect();
-    let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).cloned().collect();
+    let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).copied().collect();
 
     // Bitmask over coverable labels.
     let label_ids: BTreeMap<&Label, u32> = coverable
@@ -340,9 +336,9 @@ mod tests {
             .iter()
             .flat_map(|s| s.covers.iter())
             .filter(|l| needed.contains(*l))
-            .cloned()
+            .copied()
             .collect();
-        let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).cloned().collect();
+        let uncovered_forever: BTreeSet<Label> = needed.difference(&coverable).copied().collect();
 
         let mut remaining: BTreeSet<Label> = coverable;
         let mut chosen = Vec::new();
@@ -487,16 +483,16 @@ mod tests {
     fn masks_match_sets_across_the_word_boundary() {
         for n in [1, 63, 64, 65, 130] {
             let all = numbered(n);
-            let needed: BTreeSet<Label> = all.iter().cloned().collect();
+            let needed: BTreeSet<Label> = all.iter().copied().collect();
             // Overlapping windows of three labels, one source holding the
             // last label alone, one source outside `needed` entirely.
             let mut sources: Vec<Source<usize>> = (0..n)
                 .map(|i| {
-                    let covers = (i..(i + 3).min(n)).map(|j| all[j].clone());
+                    let covers = (i..(i + 3).min(n)).map(|j| all[j]);
                     Source::new(i, covers, Cost::from_bytes(10 + (i as u64 * 7) % 13))
                 })
                 .collect();
-            sources.push(Source::new(n, [all[n - 1].clone()], Cost::from_bytes(1)));
+            sources.push(Source::new(n, [all[n - 1]], Cost::from_bytes(1)));
             sources.push(Source::new(n + 1, ["elsewhere"], Cost::ZERO));
             assert_eq!(
                 greedy_cover(&needed, &sources),
@@ -547,12 +543,12 @@ mod tests {
             let all = numbered(universe + 2);
             let needed: BTreeSet<Label> = (0..=universe)
                 .filter(|i| i % skip != 1)
-                .map(|i| all[i].clone())
+                .map(|i| all[i])
                 .collect();
             let sources: Vec<Source<usize>> = windows.iter().enumerate()
                 .map(|(i, &(start, len, step, cost))| Source::new(
                     i,
-                    (0..len).map(|t| all[1 + (start + t * step) % (universe + 1)].clone()),
+                    (0..len).map(|t| all[1 + (start + t * step) % (universe + 1)]),
                     Cost::from_bytes(cost),
                 ))
                 .collect();
@@ -587,10 +583,10 @@ mod tests {
             prop_assert_eq!(&g.uncovered, &e.uncovered);
             // Both cover everything coverable: verify explicitly.
             let coverable: BTreeSet<Label> =
-                needed.difference(&g.uncovered).cloned().collect();
+                needed.difference(&g.uncovered).copied().collect();
             let covered_by = |c: &Cover| -> BTreeSet<Label> {
                 c.chosen.iter()
-                    .flat_map(|&i| sources[i].covers.iter().cloned())
+                    .flat_map(|&i| sources[i].covers.iter().copied())
                     .filter(|l| needed.contains(l))
                     .collect()
             };

@@ -106,7 +106,7 @@ impl Term {
     pub fn try_from_literals(literals: Vec<Literal>) -> Option<Term> {
         let mut map = BTreeMap::new();
         for lit in literals {
-            if let Some(prev) = map.insert(lit.label.clone(), lit.negated) {
+            if let Some(prev) = map.insert(lit.label, lit.negated) {
                 if prev != lit.negated {
                     return None;
                 }
@@ -139,7 +139,7 @@ impl Term {
     /// Iterates over the literals in label order.
     pub fn literals(&self) -> impl Iterator<Item = Literal> + '_ {
         self.literals.iter().map(|(label, &negated)| Literal {
-            label: label.clone(),
+            label: *label,
             negated,
         })
     }
@@ -173,7 +173,7 @@ impl Term {
                     return None;
                 }
             } else {
-                merged.insert(label.clone(), negated);
+                merged.insert(*label, negated);
             }
         }
         Some(Term { literals: merged })
@@ -206,7 +206,7 @@ impl Term {
         self.literals
             .keys()
             .filter(|l| !asg.value_at(l, now).is_known())
-            .cloned()
+            .copied()
             .collect()
     }
 }
@@ -300,7 +300,7 @@ impl Dnf {
     pub fn labels(&self) -> BTreeSet<Label> {
         self.terms
             .iter()
-            .flat_map(|t| t.labels().cloned())
+            .flat_map(|t| t.labels().copied())
             .collect()
     }
 

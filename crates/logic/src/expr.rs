@@ -111,7 +111,7 @@ impl Expr {
         match self {
             Expr::Const(_) => {}
             Expr::Label(l) => {
-                out.insert(l.clone());
+                out.insert(*l);
             }
             Expr::Not(e) => e.collect_labels(out),
             Expr::And(cs) | Expr::Or(cs) => {
@@ -143,9 +143,9 @@ impl Expr {
             Expr::Const(b) => Expr::Const(*b != negated),
             Expr::Label(l) => {
                 if negated {
-                    Expr::Not(Box::new(Expr::Label(l.clone())))
+                    Expr::Not(Box::new(Expr::Label(*l)))
                 } else {
-                    Expr::Label(l.clone())
+                    Expr::Label(*l)
                 }
             }
             Expr::Not(e) => e.nnf(!negated),
@@ -187,13 +187,9 @@ impl Expr {
         match self {
             Expr::Const(true) => Ok(vec![Term::empty()]),
             Expr::Const(false) => Ok(vec![]),
-            Expr::Label(l) => Ok(vec![Term::from_literals(vec![Literal::positive(
-                l.clone(),
-            )])]),
+            Expr::Label(l) => Ok(vec![Term::from_literals(vec![Literal::positive(*l)])]),
             Expr::Not(inner) => match inner.as_ref() {
-                Expr::Label(l) => Ok(vec![Term::from_literals(vec![Literal::negative(
-                    l.clone(),
-                )])]),
+                Expr::Label(l) => Ok(vec![Term::from_literals(vec![Literal::negative(*l)])]),
                 _ => unreachable!("to_nnf pushes negations to literals"),
             },
             Expr::Or(cs) => {

@@ -5,17 +5,22 @@
 //! *true*/*false* by an annotator examining evidence, and the resolved value
 //! carries a *validity interval* after which it is stale.
 
+use crate::symbol::{Symbol, LABELS};
 use crate::time::{SimDuration, SimTime};
 use crate::truth::Truth;
+use core::cmp::Ordering;
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// An interned label name (e.g. `viable/seg_3_4` or `Dim`).
 ///
-/// Cloning a `Label` is cheap (it is a reference-counted string), which keeps
-/// decision expressions and assignments lightweight.
+/// A `Label` is a `Copy` handle into the process-global label table (see
+/// [`crate::symbol`]): `==` compares handles and `<` compares ranks, each a
+/// single integer compare, and both agree with comparing the strings.
+/// `Hash`, `Debug` (`Label("viableA")`), `Display`, serde and
+/// `Borrow<str>` all behave as the label's string does.
 ///
 /// # Examples
 ///
@@ -26,25 +31,54 @@ use std::sync::Arc;
 /// let b: Label = "viableA".into();
 /// assert_eq!(a, b);
 /// assert_eq!(a.as_str(), "viableA");
+/// assert!(Label::new("viableB") > a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Label(Arc<str>);
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Label(Symbol);
 
 impl Label {
-    /// Creates a label from any string-like value.
+    /// Interns `name` in the label table and returns its handle.
     pub fn new(name: impl AsRef<str>) -> Self {
-        Label(Arc::from(name.as_ref()))
+        Label(LABELS.intern(name.as_ref()))
     }
 
     /// The label's name.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        LABELS.resolve(self.0)
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    /// String order, by rank.
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.0 == other.0 {
+            return Ordering::Equal;
+        }
+        LABELS.cmp(self.0, other.0)
+    }
+}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Label").field(&self.as_str()).finish()
     }
 }
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -56,25 +90,25 @@ impl From<&str> for Label {
 
 impl From<String> for Label {
     fn from(s: String) -> Self {
-        Label(Arc::from(s.as_str()))
+        Label::new(s)
     }
 }
 
 impl AsRef<str> for Label {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl Borrow<str> for Label {
     fn borrow(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl serde::Serialize for Label {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&self.0)
+        s.serialize_str(self.as_str())
     }
 }
 
@@ -270,7 +304,7 @@ mod tests {
         let mut asg = Assignment::new();
         let a = Label::new("a");
         assert!(asg.is_empty());
-        asg.set_value(a.clone(), lv(Truth::False, 0, 3));
+        asg.set_value(a, lv(Truth::False, 0, 3));
         assert_eq!(asg.len(), 1);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(2)), Truth::False);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(4)), Truth::Unknown);
@@ -284,8 +318,8 @@ mod tests {
     fn overwrite_returns_previous() {
         let mut asg = Assignment::new();
         let a = Label::new("a");
-        assert!(asg.set_value(a.clone(), lv(Truth::True, 0, 1)).is_none());
-        let prev = asg.set_value(a.clone(), lv(Truth::False, 5, 1)).unwrap();
+        assert!(asg.set_value(a, lv(Truth::True, 0, 1)).is_none());
+        let prev = asg.set_value(a, lv(Truth::False, 5, 1)).unwrap();
         assert_eq!(prev.value, Truth::True);
         assert_eq!(asg.value_at(&a, SimTime::from_secs(5)), Truth::False);
     }
@@ -317,12 +351,7 @@ mod tests {
     fn clear_removes_entry() {
         let mut asg = Assignment::new();
         let a = Label::new("a");
-        asg.set(
-            a.clone(),
-            Truth::True,
-            SimTime::ZERO,
-            SimDuration::from_secs(1),
-        );
+        asg.set(a, Truth::True, SimTime::ZERO, SimDuration::from_secs(1));
         assert!(asg.clear(&a).is_some());
         assert!(asg.clear(&a).is_none());
     }

@@ -7,6 +7,8 @@
 //!   [`SimDuration`]) shared by every other crate;
 //! - [`truth`] — Kleene three-valued logic ([`Truth`]), the semantics under
 //!   which partially-evaluated decisions are sound to short-circuit;
+//! - [`symbol`] — insertion-ordered string interning with a rank column,
+//!   so interned labels and name components compare as integers;
 //! - [`label`] — named Boolean world-state variables ([`Label`]) and
 //!   freshness-aware partial assignments ([`Assignment`]);
 //! - [`expr`] — general Boolean expression trees ([`Expr`]) with conversion
@@ -54,6 +56,7 @@ pub mod expr;
 pub mod label;
 pub mod meta;
 pub mod parse;
+pub mod symbol;
 pub mod time;
 pub mod truth;
 

@@ -358,7 +358,7 @@ mod tests {
         assert!(t.is_empty());
         let a = Label::new("a");
         t.insert(
-            a.clone(),
+            a,
             ConditionMeta::new(Cost::from_bytes(10), SimDuration::from_secs(5)),
         );
         assert_eq!(t.len(), 1);

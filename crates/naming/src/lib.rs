@@ -5,8 +5,9 @@
 //! semantics, so shared-prefix length proxies information similarity.
 //!
 //! - [`name`] — path-like content names with shared-prefix similarity;
-//! - [`symbol`] — deterministic, insertion-ordered interning of name
-//!   components, making hot-path comparisons integer-speed (§V-A);
+//! - [`symbol`] — `dde-logic`'s deterministic, insertion-ordered interner
+//!   with its rank column, re-exported: name component equality and order
+//!   are integer compares (§V-A);
 //! - [`fib`] — the Pending Interest Table of the NDN-like forwarding plane
 //!   (§VI-B), keyed by object name;
 //! - [`store`] — a freshness-aware, capacity-bounded content store with

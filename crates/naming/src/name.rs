@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 /// A hierarchical content name.
 ///
-/// Ordering is **lexicographic over resolved component strings** — exactly
+/// Ordering is **lexicographic over component strings** — exactly
 /// the order the pre-interning `Arc<[String]>` representation had — so
 /// every `BTreeMap<Name, _>` iterates, and every deterministic tie-break
-/// resolves, byte-identically to earlier releases. Comparison still runs at
-/// integer speed on shared prefixes: equal symbols short-circuit without
-/// touching the interner, and only the first *differing* component pair is
-/// resolved.
+/// resolves, byte-identically to earlier releases. Comparison runs at
+/// integer speed throughout: equal symbols short-circuit, and the first
+/// *differing* component pair compares the interner's ranks, which sort as
+/// the strings do, so no string is resolved.
 ///
 /// # Examples
 ///
@@ -193,17 +193,17 @@ impl PartialOrd for Name {
 }
 
 impl Ord for Name {
-    /// Lexicographic over resolved component strings (see the type-level
-    /// docs). Symbol-equal components short-circuit as an integer compare;
-    /// only the first differing pair resolves through the interner.
+    /// Lexicographic over component strings (see the type-level docs).
+    /// Symbol-equal components short-circuit as an integer compare; the
+    /// first differing pair compares ranks.
     fn cmp(&self, other: &Self) -> Ordering {
         for (a, b) in self.components.iter().zip(other.components.iter()) {
             if a == b {
                 continue;
             }
-            // The interner is injective, so differing symbols resolve to
-            // differing strings and this never returns `Equal` here.
-            return crate::symbol::cmp_resolved(*a, *b);
+            // The interner is injective, so differing symbols name
+            // differing strings and their ranks never tie.
+            return a.cmp_as_str(*b);
         }
         self.components.len().cmp(&other.components.len())
     }

@@ -11,8 +11,9 @@
 //!
 //! Primitives: integers are big-endian; `bool` is one byte (0/1); strings
 //! are `u32` length + UTF-8 bytes; a [`Name`] is a `u32` component count +
-//! component strings (names travel as *strings*, never as interned
-//! `Symbol` ids — the interning table is process-local); `Option<T>` is a
+//! component strings (names and labels travel as *strings*, never as
+//! interned ids — the interning tables are process-local, so decoding
+//! interns each one); `Option<T>` is a
 //! one-byte tag + `T`; times are `u64` microseconds.
 //!
 //! Decoding is total: truncated, oversized, and malformed input returns a

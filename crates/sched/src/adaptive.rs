@@ -121,7 +121,7 @@ impl TruthEstimator {
         self.rates
             .entry(prefix_of(name, PREFIX_LEN).to_string())
             .or_default()
-            .entry(label.clone())
+            .entry(*label)
             .or_insert_with(|| Ewma::new(ALPHA, prior))
             .observe(if observed_true { 1.0 } else { 0.0 });
     }

@@ -121,7 +121,7 @@ pub fn plan_dnf(query: &Dnf, meta: &MetaTable) -> DnfPlan {
         term.labels().map(|l| {
             let m = meta.get_or_default(l);
             RetrievalItem {
-                label: l.clone(),
+                label: *l,
                 cost: m.cost,
                 validity: m.validity,
                 prob_true: m.prob_true,
@@ -328,7 +328,7 @@ mod tests {
                     .collect()
             );
             let meta: MetaTable = terms.iter().flatten()
-                .map(|i| (i.label.clone(),
+                .map(|i| (i.label,
                           ConditionMeta::new(i.cost, i.validity).with_prob(i.prob_true)))
                 .collect();
             let plan = plan_dnf(&dnf, &meta);
@@ -356,7 +356,7 @@ mod tests {
                     .map(|l| {
                         let m = meta.get_or_default(l);
                         RetrievalItem {
-                            label: l.clone(),
+                            label: *l,
                             cost: m.cost,
                             validity: m.validity,
                             prob_true: m.prob_true,
@@ -428,7 +428,7 @@ mod tests {
                 .iter()
                 .map(|l| {
                     let m = meta.get_or_default(l);
-                    RetrievalItem::new(l.clone(), m.cost, m.validity).with_prob(m.prob_true)
+                    RetrievalItem::new(*l, m.cost, m.validity).with_prob(m.prob_true)
                 })
                 .collect();
             let by_id = dnf.terms().iter().map(|t| {

@@ -57,7 +57,7 @@ impl Catalog {
         let prev = self.by_name.insert(spec.name.clone(), idx);
         assert!(prev.is_none(), "duplicate object name: {}", spec.name);
         for l in &spec.covers {
-            self.by_label.entry(l.clone()).or_default().push(idx);
+            self.by_label.entry(*l).or_default().push(idx);
         }
         self.names.push(Label::new(spec.name.to_string()));
         self.objects.push(spec);
@@ -74,9 +74,8 @@ impl Catalog {
         &self.objects[idx]
     }
 
-    /// Object `idx`'s name as rendered text, shared: cloning it is a
-    /// reference-count bump, where `get(idx).name.to_string()` formats and
-    /// allocates.
+    /// Object `idx`'s name as rendered text, interned once: copying it is
+    /// free, where `get(idx).name.to_string()` formats and allocates.
     pub fn rendered_name(&self, idx: usize) -> &Label {
         &self.names[idx]
     }

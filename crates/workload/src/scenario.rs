@@ -16,6 +16,7 @@ use dde_netsim::topology::{LinkSpec, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// A generated decision query.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,6 +241,10 @@ impl Scenario {
         // --- World dynamics per segment --------------------------------
         let mut world = WorldModel::new(config.seed ^ 0xD1CE);
         let mut segments = grid.segments();
+        // Each segment's label, formatted and interned once: queries name
+        // every segment of every candidate route.
+        let labels: BTreeMap<Segment, Label> =
+            segments.iter().map(|seg| (*seg, seg.label())).collect();
         segments.shuffle(&mut rng);
         let fast_count = (segments.len() as f64 * config.fast_ratio).round() as usize;
         for (k, seg) in segments.iter().enumerate() {
@@ -248,26 +253,26 @@ impl Scenario {
             } else {
                 (DynamicsClass::Slow, config.slow_validity)
             };
-            world.register(seg.label(), class, validity, config.prob_viable);
+            world.register(labels[seg], class, validity, config.prob_viable);
         }
 
         // --- Catalog: per-node per-incident-segment cameras ------------
         let mut catalog = Catalog::new();
         for (ni, site) in node_sites.iter().enumerate() {
             let incident = grid.incident_segments(*site);
-            let labels: Vec<Label> = incident.iter().map(Segment::label).collect();
+            let covers: Vec<Label> = incident.iter().map(|seg| labels[seg]).collect();
             #[expect(
                 clippy::expect_used,
                 reason = "the world registers dynamics for every grid segment"
             )]
-            let dynamics: Vec<LabelDynamics> = labels
+            let dynamics: Vec<LabelDynamics> = covers
                 .iter()
                 .map(|l| *world.dynamics(l).expect("registered"))
                 .collect();
-            for ((seg, label), dynamics) in incident.iter().zip(&labels).zip(&dynamics) {
+            for ((seg, label), dynamics) in incident.iter().zip(&covers).zip(&dynamics) {
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(seg, "cam", ni),
-                    covers: vec![label.clone()],
+                    covers: vec![*label],
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
                     class: dynamics.class,
@@ -294,7 +299,7 @@ impl Scenario {
                         reason = "name is built from numeric components"
                     )]
                     name: format!("/city/pano/n{ni}").parse().expect("valid name"),
-                    covers: labels,
+                    covers,
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
                     class,
@@ -308,7 +313,7 @@ impl Scenario {
         // corroborable).
         let min_sources = config.min_sources_per_segment.max(1);
         for seg in grid.segments() {
-            let label = seg.label();
+            let label = labels[&seg];
             let mut sources: Vec<usize> = catalog
                 .providers_of(&label)
                 .iter()
@@ -336,7 +341,7 @@ impl Scenario {
             for &ni in nearest.iter().take(min_sources - sources.len()) {
                 catalog.add(ObjectSpec {
                     name: segment_camera_name(&seg, "tele", ni),
-                    covers: vec![label.clone()],
+                    covers: vec![label],
                     size: rng.gen_range(config.min_object_bytes..=config.max_object_bytes),
                     source: NodeId(ni),
                     class: dynamics.class,
@@ -365,7 +370,7 @@ impl Scenario {
                 let routes = grid.candidate_routes(o, d, config.routes_per_query, &mut rng);
                 let terms: Vec<Term> = routes
                     .iter()
-                    .map(|r| Term::all_of(r.segments().iter().map(Segment::label)))
+                    .map(|r| Term::all_of(r.segments().iter().map(|seg| labels[seg])))
                     .collect();
                 queries.push(QueryInstance {
                     id: qid,

@@ -201,7 +201,7 @@ mod tests {
         let mut w = WorldModel::new(1234);
         let l = Label::new(label);
         w.register(
-            l.clone(),
+            l,
             DynamicsClass::Fast,
             SimDuration::from_secs(validity_s),
             p,
@@ -263,12 +263,7 @@ mod tests {
         let mut w1 = WorldModel::new(1);
         let mut w2 = WorldModel::new(2);
         for w in [&mut w1, &mut w2] {
-            w.register(
-                l.clone(),
-                DynamicsClass::Fast,
-                SimDuration::from_secs(1),
-                0.5,
-            );
+            w.register(l, DynamicsClass::Fast, SimDuration::from_secs(1), 0.5);
         }
         let differs = (0..200)
             .any(|s| w1.value(&l, SimTime::from_secs(s)) != w2.value(&l, SimTime::from_secs(s)));

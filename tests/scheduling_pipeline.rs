@@ -28,7 +28,7 @@ fn meta_for(s: &Scenario, q: &QueryInstance) -> MetaTable {
         .filter_map(|l| {
             let spec = s.catalog.cheapest_provider(&l)?;
             Some((
-                l.clone(),
+                l,
                 ConditionMeta::new(Cost::from_bytes(spec.size), spec.validity)
                     .with_prob(Probability::clamped(s.config.prob_viable)),
             ))
@@ -106,7 +106,7 @@ fn cover_then_schedule_round_trip() {
             .map(|(i, o)| {
                 Source::new(
                     i,
-                    o.covers.iter().filter(|l| labels.contains(*l)).cloned(),
+                    o.covers.iter().filter(|l| labels.contains(*l)).copied(),
                     Cost::from_bytes(o.size),
                 )
             })

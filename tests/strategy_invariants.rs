@@ -85,11 +85,10 @@ proptest! {
         let mut q = QueryState::new(QueryId(0), inst.expr.clone(), SimTime::ZERO, inst.deadline);
         let before = q.relevant_labels(now);
         // Falsify the first label of the first term.
-        let first_label: Label = inst.expr.terms()[0]
+        let first_label: Label = *inst.expr.terms()[0]
             .labels()
             .next()
-            .expect("non-empty term")
-            .clone();
+            .expect("non-empty term");
         q.record_label(&first_label, false, now, SimDuration::from_secs(600));
         let after = q.relevant_labels(now);
         prop_assert!(after.len() <= before.len());
