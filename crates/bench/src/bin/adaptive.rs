@@ -19,20 +19,13 @@
 //! Usage: `cargo run -p dde-bench --bin adaptive --release`
 //! Knobs: `DDE_REPS` (default 5), `DDE_SCALE`, `DDE_SEED`.
 
-use dde_bench::{stat, write_bench_json, HarnessConfig, Stat};
+use dde_bench::{stat, stat_json, write_bench_json, HarnessConfig, Stat};
 use dde_core::engine::{run_scenario_observed, RunOptions, RunReport};
 use dde_core::strategy::Strategy;
 use dde_logic::time::SimDuration;
 use dde_obs::feedback::FeedbackSink;
 use dde_obs::{JsonValue, SharedSink};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
-
-fn stat_json(st: Stat) -> JsonValue {
-    JsonValue::Object(vec![
-        ("mean".into(), JsonValue::Float(st.mean)),
-        ("stddev".into(), JsonValue::Float(st.stddev)),
-    ])
-}
 
 /// Query rounds in the convergence experiment (== expected epochs). Three
 /// rounds span the estimator's convergence; past that the error sits on

@@ -269,7 +269,7 @@ pub fn print_table(rows: &[FigureRow], header: &str) {
 }
 
 /// Mean/stddev pair as a JSON object.
-fn stat_json(st: Stat) -> JsonValue {
+pub fn stat_json(st: Stat) -> JsonValue {
     JsonValue::Object(vec![
         ("mean".into(), JsonValue::Float(st.mean)),
         ("stddev".into(), JsonValue::Float(st.stddev)),

@@ -360,11 +360,7 @@ impl NodeHost {
                             kind: transmit_record(self.id, to, &msg),
                         });
                     }
-                    // `Context::try_send` only queues sends to neighbors.
-                    if let Some((slot, _)) = self.topology.link_slot(self.id, to) {
-                        self.metrics
-                            .record_send(slot, self.id, to, bytes, msg.kind());
-                    }
+                    self.metrics.record_send(bytes, msg.kind());
                     // Wall-clock send latency, measured as a virtual-time
                     // delta divided back by the scale — the host loop's
                     // only sanctioned clock is the VirtualClock.

@@ -11,7 +11,7 @@
 //! - [`sim`] — the seam protocols are written against: [`Protocol`]
 //!   handlers per node, the [`Context`] they see, the [`Command`]s (sends
 //!   to neighbors, timers) they queue;
-//! - [`metrics`] — per-link and per-message-kind traffic accounting, the
+//! - [`metrics`] — per-message-kind traffic accounting, the
 //!   instrument behind the paper's Fig. 3 bandwidth comparison;
 //! - [`fault`] — seeded, replayable fault timelines (node churn, link
 //!   outages, partitions) the simulator applies at exact instants;

@@ -653,7 +653,7 @@ impl<P: Protocol> ShardedSimulator<P> {
         let depart = self.now + spec.transmission_time(bytes);
         self.links[slot].busy = true;
         self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(slot, from, to, bytes, msg.kind());
+        self.metrics.record_send(bytes, msg.kind());
         self.emit(from, transmit_record(from, to, &msg));
         let txn = self.tx_seq[slot];
         self.tx_seq[slot] += 1;

@@ -1,8 +1,8 @@
-//! `Metrics::links()` and `Metrics::kinds()` are reporting surfaces: links
-//! that carried traffic in `(from, to)` order, kinds in name order. The
-//! engine counts by dense link slot and by kind-literal address, neither of
-//! which is that order, so this pins what readers see against an
-//! independent fold of the transmit trace into ordered maps.
+//! `Metrics::kinds()` is a reporting surface: kinds in name order. The
+//! engine counts by kind-literal address, which is not that order, so this
+//! pins what readers see, and the byte total, against an independent fold
+//! of the transmit trace into ordered maps: per kind, and per directed link
+//! for the links the trace shows carrying traffic.
 
 use dde_netsim::prelude::*;
 use dde_netsim::{KindCounters, SendError};
@@ -90,7 +90,7 @@ fn topology() -> Topology {
 type Links = Vec<((NodeId, NodeId), u64)>;
 type Kinds = Vec<(&'static str, KindCounters)>;
 
-/// What the map-keyed counters used to hold, rebuilt from the trace.
+/// Bytes per directed link and counters per kind, folded from the trace.
 fn fold_trace(sink: &SharedSink<MemorySink>) -> (Links, Kinds, usize) {
     let mut links: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     let mut kinds: BTreeMap<&'static str, KindCounters> = BTreeMap::new();
@@ -134,7 +134,6 @@ fn links_and_kinds_report_in_key_order() {
     sim.run();
     let metrics = sim.metrics();
     let (links, kinds, stray_drops) = fold_trace(&sink);
-    assert_eq!(metrics.links().collect::<Links>(), links);
     assert_eq!(metrics.kinds().collect::<Kinds>(), kinds);
     // Spot checks that do not go through the fold.
     let order: Vec<(usize, usize)> = links.iter().map(|((a, b), _)| (a.0, b.0)).collect();
@@ -143,13 +142,6 @@ fn links_and_kinds_report_in_key_order() {
     assert_eq!(kinds[1].0, "serve");
     assert_eq!(metrics.kind("serve"), kinds[1].1);
     assert_eq!(metrics.kind("nonexistent"), KindCounters::default());
-    assert_eq!(metrics.link_bytes(NodeId(0), NodeId(3)), links[1].1);
-    assert_eq!(metrics.link_bytes(NodeId(3), NodeId(2)), 0);
-    assert_eq!(metrics.link_bytes(HUB, ISOLATED), 0);
-    assert_eq!(
-        metrics.hottest_link(),
-        links.iter().copied().max_by_key(|(_, b)| *b)
-    );
     assert_eq!(
         metrics.bytes_sent,
         links.iter().map(|(_, b)| b).sum::<u64>()

@@ -23,7 +23,7 @@
 //! resolve path; their time folds into the enclosing segment. Their bytes
 //! are still charged in the [`CostLedger`](crate::ledger::CostLedger).
 
-use crate::attrib::{LedgerView, ViewKind};
+use crate::event::{wire_u64, EventKind, TraceRecord};
 use crate::json::JsonValue;
 
 /// How one query's issue-to-decision latency decomposes.
@@ -111,9 +111,9 @@ pub struct PathWalk {
 }
 
 /// Which segment an event terminates, if it is on the resolve path at all.
-fn segment_of(kind: &ViewKind) -> Option<Segment> {
+fn segment_of(kind: &EventKind) -> Option<Segment> {
     match kind {
-        ViewKind::Transmit {
+        EventKind::Transmit {
             msg, background, ..
         } => {
             if *msg == "announce" || *background {
@@ -122,15 +122,15 @@ fn segment_of(kind: &ViewKind) -> Option<Segment> {
                 Some(Segment::Queueing)
             }
         }
-        ViewKind::Deliver { msg } => {
+        EventKind::Deliver { msg, .. } => {
             if *msg == "announce" {
                 None
             } else {
                 Some(Segment::Transit)
             }
         }
-        ViewKind::Loss { .. } => Some(Segment::Transit),
-        ViewKind::Annotate | ViewKind::QueryResolved { .. } => Some(Segment::Annotation),
+        EventKind::Loss { .. } => Some(Segment::Transit),
+        EventKind::Annotate { .. } | EventKind::QueryResolved { .. } => Some(Segment::Annotation),
         _ => Some(Segment::SchedulerWait),
     }
 }
@@ -146,23 +146,24 @@ enum Segment {
 impl PathWalk {
     /// Advance the walk with one event already known to be attributed to
     /// this walk's query.
-    pub fn observe(&mut self, view: &LedgerView<'_>) {
+    pub fn observe(&mut self, rec: &TraceRecord) {
         if self.done {
             return;
         }
-        if matches!(view.kind, ViewKind::QueryInit) {
+        let t_us = wire_u64(rec.at.as_micros());
+        if matches!(rec.kind, EventKind::QueryInit { .. }) {
             self.started = true;
-            self.last_us = view.t_us;
+            self.last_us = t_us;
             return;
         }
         if !self.started {
             return;
         }
-        let Some(segment) = segment_of(&view.kind) else {
+        let Some(segment) = segment_of(&rec.kind) else {
             return;
         };
-        let gap = view.t_us.saturating_sub(self.last_us);
-        self.last_us = view.t_us;
+        let gap = t_us.saturating_sub(self.last_us);
+        self.last_us = t_us;
         match segment {
             Segment::Queueing => {
                 self.breakdown.queueing_us = self.breakdown.queueing_us.saturating_add(gap)
@@ -179,8 +180,8 @@ impl PathWalk {
             }
         }
         if matches!(
-            view.kind,
-            ViewKind::QueryResolved { .. } | ViewKind::QueryMissed
+            rec.kind,
+            EventKind::QueryResolved { .. } | EventKind::QueryMissed { .. }
         ) {
             self.done = true;
         }
@@ -200,24 +201,47 @@ impl PathWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dde_logic::time::SimTime;
 
-    fn view(t_us: u64, kind: ViewKind<'static>) -> LedgerView<'static> {
-        LedgerView {
-            t_us,
+    fn rec(t_us: u64, kind: EventKind) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::from_micros(t_us),
             node: 0,
             kind,
-            query: Some(1),
-            pred: None,
         }
     }
 
-    fn tx(t_us: u64, msg: &'static str, background: bool) -> LedgerView<'static> {
-        view(
+    fn tx(t_us: u64, msg: &'static str, background: bool) -> TraceRecord {
+        rec(
             t_us,
-            ViewKind::Transmit {
+            EventKind::Transmit {
+                from: 0,
+                to: 1,
                 msg,
                 bytes: 100,
                 background,
+                query: Some(1),
+            },
+        )
+    }
+
+    fn init(t_us: u64) -> TraceRecord {
+        rec(
+            t_us,
+            EventKind::QueryInit {
+                query: 1,
+                origin: 0,
+            },
+        )
+    }
+
+    fn resolved(t_us: u64, latency_us: u64) -> TraceRecord {
+        rec(
+            t_us,
+            EventKind::QueryResolved {
+                query: 1,
+                outcome: "viable",
+                latency_us,
             },
         )
     }
@@ -225,18 +249,38 @@ mod tests {
     #[test]
     fn segments_partition_the_latency() {
         let mut walk = PathWalk::default();
-        walk.observe(&view(100, ViewKind::QueryInit));
-        walk.observe(&view(110, ViewKind::RequestSend { name: "/a" })); // 10us scheduler
-        walk.observe(&tx(130, "request", false)); // 20us queueing
-        walk.observe(&view(180, ViewKind::Deliver { msg: "data" })); // 50us transit
-        walk.observe(&view(200, ViewKind::Annotate)); // 20us annotation
-        walk.observe(&view(
-            250,
-            ViewKind::QueryResolved {
-                outcome: "viable".into(),
-                latency_us: 150,
+        walk.observe(&init(100));
+        walk.observe(&rec(
+            110,
+            EventKind::RequestSend {
+                query: 1,
+                name: "/a".into(),
+                hop: 1,
+                term: None,
+                cond: None,
             },
-        )); // 50us annotation
+        )); // 10us scheduler
+        walk.observe(&tx(130, "request", false)); // 20us queueing
+        walk.observe(&rec(
+            180,
+            EventKind::Deliver {
+                from: 1,
+                to: 0,
+                msg: "data",
+                query: Some(1),
+            },
+        )); // 50us transit
+        walk.observe(&rec(
+            200,
+            EventKind::Annotate {
+                query: 1,
+                label: "a".into(),
+                value: true,
+                term: None,
+                cond: None,
+            },
+        )); // 20us annotation
+        walk.observe(&resolved(250, 150)); // 50us annotation
         let b = *walk.breakdown();
         assert!(walk.is_done());
         assert_eq!(b.scheduler_wait_us, 10);
@@ -249,17 +293,11 @@ mod tests {
     #[test]
     fn announce_and_background_traffic_fold_into_the_next_segment() {
         let mut walk = PathWalk::default();
-        walk.observe(&view(0, ViewKind::QueryInit));
+        walk.observe(&init(0));
         walk.observe(&tx(10, "announce", false)); // excluded
         walk.observe(&tx(30, "data", true)); // background: excluded
         walk.observe(&tx(40, "request", false)); // 40us queueing (absorbs both)
-        walk.observe(&view(
-            50,
-            ViewKind::QueryResolved {
-                outcome: "viable".into(),
-                latency_us: 50,
-            },
-        ));
+        walk.observe(&resolved(50, 50));
         let b = *walk.breakdown();
         assert_eq!(b.queueing_us, 40);
         assert_eq!(b.annotation_us, 10);
@@ -269,18 +307,11 @@ mod tests {
     #[test]
     fn events_after_resolution_are_ignored() {
         let mut walk = PathWalk::default();
-        walk.observe(&view(0, ViewKind::QueryInit));
-        walk.observe(&view(
-            5,
-            ViewKind::QueryResolved {
-                outcome: "viable".into(),
-                latency_us: 5,
-            },
-        ));
+        walk.observe(&init(0));
+        walk.observe(&resolved(5, 5));
         walk.observe(&tx(100, "data", false));
         assert_eq!(walk.breakdown().total_us(), 5);
     }
-
     #[test]
     fn fractions_sum_to_one() {
         let b = PathBreakdown {

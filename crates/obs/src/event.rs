@@ -19,8 +19,10 @@
 //! (`NodeId` lives upstream in `dde-netsim`, which depends on this crate).
 
 use crate::json::{
-    into_string, write_json_bool, write_json_int, write_json_string, write_json_u64, JsonValue,
+    into_string, parse, write_json_bool, write_json_int, write_json_string, write_json_u64,
+    JsonValue,
 };
+use dde_logic::symbol::Interner;
 use dde_logic::time::SimTime;
 
 /// One trace event: what happened, where, at which simulated instant.
@@ -280,8 +282,9 @@ pub enum FieldVal<'a> {
 
 /// A `u64` as the trace can carry it. JSON integers here are `i64`, so a
 /// larger value ("never expires" validities) saturates instead of wrapping
-/// negative; the live ledger view applies the same function, which keeps
-/// the live fold equal to the offline one for every input.
+/// negative; the live folds apply the same function to what they read
+/// from a record, which keeps the live ledger equal to the offline one for
+/// every input.
 pub(crate) fn wire_u64(v: u64) -> u64 {
     v.min(i64::MAX as u64)
 }
@@ -321,6 +324,37 @@ impl EventKind {
             EventKind::QueryMissed { .. } => "query-missed",
             EventKind::FetchTimeout { .. } => "fetch-timeout",
         }
+    }
+
+    /// The decision query the event is charged to, as the trace carries it;
+    /// `None` for plumbing no decision caused (faults, purges, drops,
+    /// triage, unattributed link traffic).
+    pub(crate) fn query(&self) -> Option<u64> {
+        let query = match self {
+            EventKind::Transmit { query, .. }
+            | EventKind::Deliver { query, .. }
+            | EventKind::Loss { query, .. }
+            | EventKind::CacheHit { query, .. }
+            | EventKind::CacheMiss { query, .. }
+            | EventKind::LabelHit { query, .. }
+            | EventKind::ApproxHit { query, .. }
+            | EventKind::LocalSample { query, .. }
+            | EventKind::CacheStore { query, .. }
+            | EventKind::LabelShare { query, .. }
+            | EventKind::PrefetchPush { query, .. } => *query,
+            EventKind::QueryInit { query, .. }
+            | EventKind::Plan { query, .. }
+            | EventKind::RequestSend { query, .. }
+            | EventKind::Annotate { query, .. }
+            | EventKind::QueryResolved { query, .. }
+            | EventKind::QueryMissed { query }
+            | EventKind::FetchTimeout { query, .. } => Some(*query),
+            EventKind::Drop { .. }
+            | EventKind::Purge { .. }
+            | EventKind::Fault { .. }
+            | EventKind::TriageDrop { .. } => None,
+        };
+        query.map(wire_u64)
     }
 
     /// The variant's payload fields in wire order (without the common
@@ -628,6 +662,149 @@ impl TraceRecord {
         self.encode_jsonl(&mut out);
         into_string(out)
     }
+
+    /// The encoder's inverse: the record one JSONL line holds, so encoding
+    /// it again gives the line back byte for byte. Integers come back as
+    /// the trace carries them: a `u64` past `i64::MAX` was written
+    /// saturated and reads back as `i64::MAX`. Strict: an unknown `kind`,
+    /// a missing field or a field of the wrong type is an error naming
+    /// it. The tags (`msg`, `reason`, `fault`, `strategy`, `outcome`) are
+    /// resolved through `tags`, which leaks each distinct tag once,
+    /// however many lines repeat it.
+    pub fn decode_jsonl(line: &str, tags: &mut Interner) -> Result<TraceRecord, String> {
+        let obj = parse(line).map_err(|e| format!("invalid JSON: {e:?}"))?;
+        let mut d = Fields { obj: &obj, tags };
+        let kind = match d.text("kind")? {
+            "transmit" => EventKind::Transmit {
+                from: d.int("from")?,
+                to: d.int("to")?,
+                msg: d.tag("msg")?,
+                bytes: d.int("bytes")?,
+                background: d.flag("bg")?,
+                query: d.opt("query")?,
+            },
+            "deliver" => EventKind::Deliver {
+                from: d.int("from")?,
+                to: d.int("to")?,
+                msg: d.tag("msg")?,
+                query: d.opt("query")?,
+            },
+            "loss" => EventKind::Loss {
+                from: d.int("from")?,
+                to: d.int("to")?,
+                msg: d.tag("msg")?,
+                bytes: d.int("bytes")?,
+                query: d.opt("query")?,
+            },
+            "drop" => EventKind::Drop {
+                from: d.int("from")?,
+                to: d.int("to")?,
+                reason: d.tag("reason")?,
+            },
+            "purge" => EventKind::Purge {
+                from: d.int("from")?,
+                to: d.int("to")?,
+                count: d.int("count")?,
+            },
+            "fault" => EventKind::Fault {
+                fault: d.tag("fault")?,
+                node: d.int("a")?,
+                peer: d.opt("b")?,
+            },
+            "query-init" => EventKind::QueryInit {
+                query: d.int("query")?,
+                origin: d.int("origin")?,
+            },
+            "plan" => EventKind::Plan {
+                query: d.int("query")?,
+                strategy: d.tag("strategy")?,
+                candidates: d.int("candidates")?,
+                expected_bytes: d.int("expected_bytes")?,
+                rationale: d.text("rationale")?.to_string(),
+            },
+            "request-send" => EventKind::RequestSend {
+                query: d.int("query")?,
+                name: d.text("name")?.to_string(),
+                hop: d.int("hop")?,
+                term: d.opt("term")?,
+                cond: d.opt("cond")?,
+            },
+            "cache-hit" => EventKind::CacheHit {
+                name: d.text("name")?.to_string(),
+                requester: d.int("requester")?,
+                query: d.opt("query")?,
+            },
+            "cache-miss" => EventKind::CacheMiss {
+                name: d.text("name")?.to_string(),
+                forwarded_to: match d.field("forwarded_to")? {
+                    JsonValue::Null => None,
+                    _ => Some(d.int("forwarded_to")?),
+                },
+                query: d.opt("query")?,
+            },
+            "label-hit" => EventKind::LabelHit {
+                requester: d.int("requester")?,
+                labels: d.int("labels")?,
+                query: d.opt("query")?,
+            },
+            "approx-hit" => EventKind::ApproxHit {
+                name: d.text("name")?.to_string(),
+                substitute: d.text("substitute")?.to_string(),
+                query: d.opt("query")?,
+            },
+            "local-sample" => EventKind::LocalSample {
+                name: d.text("name")?.to_string(),
+                query: d.opt("query")?,
+            },
+            "cache-store" => EventKind::CacheStore {
+                name: d.text("name")?.to_string(),
+                bytes: d.int("bytes")?,
+                validity_us: d.int("validity_us")?,
+                query: d.opt("query")?,
+            },
+            "annotate" => EventKind::Annotate {
+                query: d.int("query")?,
+                label: d.text("label")?.to_string(),
+                value: d.flag("value")?,
+                term: d.opt("term")?,
+                cond: d.opt("cond")?,
+            },
+            "label-share" => EventKind::LabelShare {
+                label: d.text("label")?.to_string(),
+                value: d.flag("value")?,
+                toward: d.int("toward")?,
+                query: d.opt("query")?,
+            },
+            "prefetch-push" => EventKind::PrefetchPush {
+                name: d.text("name")?.to_string(),
+                toward: d.int("toward")?,
+                query: d.opt("query")?,
+            },
+            "triage-drop" => EventKind::TriageDrop {
+                name: d.text("name")?.to_string(),
+                hop: d.int("hop")?,
+            },
+            "query-resolved" => EventKind::QueryResolved {
+                query: d.int("query")?,
+                outcome: d.tag("outcome")?,
+                latency_us: d.int("latency_us")?,
+            },
+            "query-missed" => EventKind::QueryMissed {
+                query: d.int("query")?,
+            },
+            "fetch-timeout" => EventKind::FetchTimeout {
+                query: d.int("query")?,
+                name: d.text("name")?.to_string(),
+                source: d.int("source")?,
+            },
+            other => return Err(format!("unknown kind `{other}`")),
+        };
+        Ok(TraceRecord {
+            at: SimTime::from_micros(d.int("t")?),
+            node: d.int("node")?,
+            kind,
+        })
+    }
 }
 
 /// `from` (its key already written), then `,"to":` and `,"msg":`.
@@ -665,6 +842,62 @@ impl EventKind {
                 FieldVal::Null => out.extend_from_slice(b"null"),
             }
         });
+    }
+}
+
+/// One parsed JSONL object, read field by field for
+/// [`TraceRecord::decode_jsonl`]; each read names the field it failed on.
+struct Fields<'a> {
+    obj: &'a JsonValue,
+    tags: &'a mut Interner,
+}
+
+impl<'a> Fields<'a> {
+    fn field(&self, key: &str) -> Result<&'a JsonValue, String> {
+        self.obj
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    fn wrong<T>(key: &str, want: &str) -> Result<T, String> {
+        Err(format!("field `{key}` is not {want}"))
+    }
+
+    /// An integer that fits `T`.
+    fn int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        match self.field(key)?.as_int().map(T::try_from) {
+            Some(Ok(v)) => Ok(v),
+            _ => Self::wrong(key, std::any::type_name::<T>()),
+        }
+    }
+
+    /// An integer that fits `T`, or `None` when the key is absent.
+    fn opt<T: TryFrom<i64>>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.obj.get(key) {
+            None => Ok(None),
+            Some(_) => self.int(key).map(Some),
+        }
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.field(key)? {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Self::wrong(key, "a bool"),
+        }
+    }
+
+    fn text(&self, key: &str) -> Result<&'a str, String> {
+        match self.field(key)?.as_str() {
+            Some(s) => Ok(s),
+            None => Self::wrong(key, "a string"),
+        }
+    }
+
+    /// A tag, as the `&'static str` its [`EventKind`] field holds.
+    fn tag(&mut self, key: &str) -> Result<&'static str, String> {
+        let sym = self.tags.intern(self.text(key)?);
+        // A symbol the table just handed out always resolves.
+        Ok(self.tags.resolve(sym).unwrap_or_default())
     }
 }
 
@@ -905,9 +1138,10 @@ mod tests {
     /// Every variant × every `Option` shape × strings needing every escape:
     /// the directly written line is the compact form of the tree built from
     /// the envelope and `fields()`, and parses back to it, key order
-    /// included.
+    /// included; it decodes back to the record, and each tag is leaked once.
     #[test]
     fn every_variant_serializes_and_parses() {
+        let mut tags = Interner::new();
         for s in HOSTILE {
             for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
                 let kinds = every_variant(s, a, b);
@@ -927,9 +1161,13 @@ mod tests {
                     assert_eq!(line, tree.to_compact_string(), "{rec:?}");
                     assert_eq!(line, rec.to_jsonl_line());
                     assert_eq!(parse(line).expect(line), tree, "{rec:?}");
+                    let back = TraceRecord::decode_jsonl(line, &mut tags).expect(line);
+                    assert_eq!(back, rec);
+                    assert_eq!(back.to_jsonl_line(), line);
                 }
             }
         }
+        assert_eq!(tags.len(), HOSTILE.len());
     }
 
     /// Integers across the writer's edges: small, anything, either side of
@@ -1088,7 +1326,8 @@ mod tests {
         /// Random records of every variant and `Option` shape, with hostile
         /// text and integers past `i64::MAX`: the encoder writes exactly the
         /// compact form of the `fields()` tree, so a hand-written writer
-        /// that drops [`wire_u64`], a key or an escape fails here.
+        /// that drops [`wire_u64`], a key or an escape fails here; and the
+        /// line decodes to a record that encodes to the same line.
         #[test]
         fn the_encoder_writes_the_fields_tree(
             index in 0usize..22,
@@ -1109,6 +1348,8 @@ mod tests {
             let tree = tree(&rec);
             prop_assert_eq!(&line, &tree.to_compact_string(), "{:?}", rec);
             prop_assert_eq!(parse(&line).expect("valid JSON"), tree);
+            let back = TraceRecord::decode_jsonl(&line, &mut Interner::new()).expect("decodes");
+            prop_assert_eq!(back.to_jsonl_line(), line);
         }
     }
 }

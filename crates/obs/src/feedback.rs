@@ -2,19 +2,17 @@
 //! planner-feedback statistics.
 //!
 //! The §III-A planners predict an expected retrieval cost for every decision
-//! query (the `expected_bytes` carried by the [`Plan`](ViewKind::Plan)
+//! query (the `expected_bytes` carried by the [`Plan`](EventKind::Plan)
 //! event). The trace also records what the retrieval *actually* cost — the
-//! query-attributed [`Transmit`](ViewKind::Transmit) bytes. [`FeedbackSink`]
+//! query-attributed [`Transmit`](EventKind::Transmit) bytes. [`FeedbackSink`]
 //! joins the two per query and aggregates completed queries into fixed-size
 //! *epochs*, so a run can report how fast the adaptive estimators
 //! (`dde_sched::adaptive`) shrink the prediction error.
 //!
-//! Like every other consumer of the trace, the fold is defined over the
-//! normalized [`LedgerView`]. It runs live, as a [`Sink`] on the typed
-//! records.
+//! Like the cost ledger, the fold reads the [`TraceRecord`]s the run emits,
+//! with numbers as the trace carries them. It runs live, as a [`Sink`].
 
-use crate::attrib::{LedgerView, ViewKind};
-use crate::event::TraceRecord;
+use crate::event::{wire_u64, EventKind, TraceRecord};
 use crate::sink::Sink;
 use dde_sched::adaptive::Ewma;
 use std::collections::BTreeMap;
@@ -99,24 +97,27 @@ impl FeedbackSink {
         self.bias.value()
     }
 
-    /// Fold one normalized record view.
-    pub fn observe(&mut self, view: &LedgerView<'_>) {
-        match &view.kind {
-            ViewKind::Plan { expected_bytes } => {
-                if let Some(q) = view.query {
-                    self.open.entry(q).or_default().predicted = Some(*expected_bytes);
-                }
+    /// Fold one record.
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        match rec.kind {
+            EventKind::Plan {
+                query,
+                expected_bytes,
+                ..
+            } => {
+                self.open.entry(wire_u64(query)).or_default().predicted =
+                    Some(wire_u64(expected_bytes));
             }
-            ViewKind::Transmit { bytes, .. } => {
-                if let Some(q) = view.query {
-                    let open = self.open.entry(q).or_default();
-                    open.actual = open.actual.saturating_add(*bytes);
-                }
+            EventKind::Transmit {
+                bytes,
+                query: Some(q),
+                ..
+            } => {
+                let open = self.open.entry(wire_u64(q)).or_default();
+                open.actual = open.actual.saturating_add(wire_u64(bytes));
             }
-            ViewKind::QueryResolved { .. } | ViewKind::QueryMissed => {
-                if let Some(q) = view.query {
-                    self.close(q);
-                }
+            EventKind::QueryResolved { query, .. } | EventKind::QueryMissed { query } => {
+                self.close(wire_u64(query));
             }
             _ => {}
         }
@@ -183,7 +184,7 @@ impl FeedbackSink {
 
 impl Sink for FeedbackSink {
     fn record(&mut self, rec: &TraceRecord) {
-        self.observe(&LedgerView::from_record(rec));
+        self.observe(rec);
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! The paper's thesis is that every resource the network spends should be
 //! spent *because a decision needs it* (§I, §III). The ledger makes that
-//! auditable: folding a trace — live through [`LedgerSink`], or offline
-//! from JSONL — produces a [`CostLedger`] that charges every transmitted
+//! auditable: folding a trace's [`TraceRecord`]s — live through
+//! [`LedgerSink`], or offline from JSONL decoded back into those records —
+//! produces a [`CostLedger`] that charges every transmitted
 //! byte, retrieval, annotation, and cache byte-microsecond to the decision
 //! query that caused it, with unattributable traffic in an explicit
-//! [`overhead`](CostLedger::overhead) bucket.
+//! [`overhead`](CostLedger::overhead) bucket. Both paths run one fold.
 //!
 //! **Conservation invariant.** Every `transmit` record is charged to
 //! exactly one bucket (its `query` attribution, else overhead), and the
@@ -18,15 +19,34 @@
 //! `tests/ledger_conservation.rs` suite checks this against `dde-netsim`'s
 //! metrics for random scenarios, seeds, and fault schedules.
 
-use crate::attrib::{LedgerView, PredKey, ViewKind};
 use crate::critical::{PathBreakdown, PathWalk};
-use crate::event::TraceRecord;
+use crate::event::{wire_u64, EventKind, TraceRecord};
 use crate::json::JsonValue;
 use crate::sink::Sink;
 use core::fmt::Write as _;
-use std::borrow::Cow;
+use dde_logic::symbol::Interner;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Predicate coordinates inside a DNF decision query: which OR-term and
+/// which condition within it caused a fetch or annotation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PredKey {
+    /// OR-term (course-of-action) index.
+    pub term: u32,
+    /// Condition index within the term.
+    pub cond: u32,
+}
+
+impl PredKey {
+    /// The coordinates a record carries, when it carries both.
+    fn of(term: Option<u32>, cond: Option<u32>) -> Option<PredKey> {
+        Some(PredKey {
+            term: term?,
+            cond: cond?,
+        })
+    }
+}
 
 /// Fetch/annotation counts for one predicate (OR-term, condition) of a
 /// query — the finest attribution grain the emitters know.
@@ -71,9 +91,8 @@ pub struct QueryCost {
     /// The planner's predicted expected retrieval cost (§III-A), if a
     /// `plan` record was seen.
     pub predicted_bytes: Option<u64>,
-    /// `viable`, `infeasible`, or `missed` once a terminal record is seen:
-    /// the emitter's static tag, owned only when folded from JSON.
-    pub outcome: Option<Cow<'static, str>>,
+    /// `viable`, `infeasible`, or `missed` once a terminal record is seen.
+    pub outcome: Option<&'static str>,
     /// Issue-to-decision latency for resolved queries.
     pub latency_us: Option<u64>,
     /// Per-predicate work, keyed by (OR-term, condition) coordinates.
@@ -137,11 +156,11 @@ impl Bucket {
     }
 
     /// The bucket as the reader sees it.
-    fn into_cost(self, msgs: &[String]) -> QueryCost {
+    fn into_cost(self, msgs: &[&str]) -> QueryCost {
         let bytes_by_msg = msgs
             .iter()
             .zip(&self.by_msg)
-            .filter_map(|(msg, bytes)| Some((msg.clone(), (*bytes)?)))
+            .filter_map(|(msg, bytes)| Some((msg.to_string(), (*bytes)?)))
             .collect();
         QueryCost {
             bytes_by_msg,
@@ -166,34 +185,36 @@ struct Fold {
     /// Unattributable traffic.
     overhead: Bucket,
     /// Message kinds in the order the run first transmitted them.
-    msgs: Vec<String>,
+    msgs: Vec<&'static str>,
     total_bytes: u64,
     total_messages: u64,
 }
 
 impl Fold {
-    /// Fold one normalized view: one index lookup, and an owned string
-    /// only for a request name the query has not seen before or a message
-    /// kind the run has not sent before.
-    fn observe(&mut self, view: &LedgerView<'_>) {
+    /// Fold one record: one index lookup, and an owned string only for a
+    /// request name the query has not seen before. Every number read from
+    /// the record goes through [`wire_u64`], as the encoder's does, so the
+    /// live fold equals the fold of the record's JSONL line.
+    fn observe(&mut self, rec: &TraceRecord) {
         // Global totals here, the byte/message charge below: every transmit
         // goes to exactly one bucket (its query's, else overhead), which is
         // what makes conservation a construction property rather than a
         // hope.
-        let sent = match view.kind {
-            ViewKind::Transmit { msg, bytes, .. } => {
+        let sent = match rec.kind {
+            EventKind::Transmit { msg, bytes, .. } => {
+                let bytes = wire_u64(bytes);
                 self.total_bytes = self.total_bytes.saturating_add(bytes);
                 self.total_messages = self.total_messages.saturating_add(1);
                 Some((self.msg_index(msg), bytes))
             }
             _ => None,
         };
-        let Some(q) = view.query else {
+        let Some(q) = rec.kind.query() else {
             if let Some((msg, bytes)) = sent {
                 self.overhead.charge_transmit(msg, bytes);
-            } else if let ViewKind::Loss { bytes } = view.kind {
+            } else if let EventKind::Loss { bytes, .. } = rec.kind {
                 let lost = &mut self.overhead.cost.lost_bytes;
-                *lost = lost.saturating_add(bytes);
+                *lost = lost.saturating_add(wire_u64(bytes));
             }
             return;
         };
@@ -202,64 +223,70 @@ impl Fold {
             bucket.charge_transmit(msg, bytes);
         }
         let cost = &mut bucket.cost;
-        match &view.kind {
-            ViewKind::Transmit { .. } | ViewKind::Deliver { .. } => {}
-            ViewKind::Loss { bytes } => {
-                cost.lost_bytes = cost.lost_bytes.saturating_add(*bytes);
+        match &rec.kind {
+            EventKind::Loss { bytes, .. } => {
+                cost.lost_bytes = cost.lost_bytes.saturating_add(wire_u64(*bytes));
             }
-            ViewKind::QueryInit => {}
-            ViewKind::Plan { expected_bytes } => {
-                cost.predicted_bytes = Some(*expected_bytes);
+            EventKind::Plan { expected_bytes, .. } => {
+                cost.predicted_bytes = Some(wire_u64(*expected_bytes));
             }
-            ViewKind::RequestSend { name } => {
+            EventKind::RequestSend {
+                name, term, cond, ..
+            } => {
                 cost.requests = cost.requests.saturating_add(1);
-                if bucket.seen_names.contains(*name) {
+                if bucket.seen_names.contains(name) {
                     cost.retransmissions = cost.retransmissions.saturating_add(1);
                 } else {
-                    bucket.seen_names.insert((*name).to_string());
+                    bucket.seen_names.insert(name.clone());
                 }
-                if let Some(pred) = view.pred {
+                if let Some(pred) = PredKey::of(*term, *cond) {
                     let work = cost.predicates.entry(pred).or_default();
                     work.requests = work.requests.saturating_add(1);
                 }
             }
-            ViewKind::CacheHit => cost.cache_hits = cost.cache_hits.saturating_add(1),
-            ViewKind::CacheMiss => {}
-            ViewKind::LabelHit => cost.label_hits = cost.label_hits.saturating_add(1),
-            ViewKind::ApproxHit => cost.approx_hits = cost.approx_hits.saturating_add(1),
-            ViewKind::LocalSample => cost.local_samples = cost.local_samples.saturating_add(1),
-            ViewKind::CacheStore { byte_us } => {
-                cost.cache_stores = cost.cache_stores.saturating_add(1);
-                cost.cache_byte_us = cost.cache_byte_us.saturating_add(*byte_us);
+            EventKind::CacheHit { .. } => cost.cache_hits = cost.cache_hits.saturating_add(1),
+            EventKind::LabelHit { .. } => cost.label_hits = cost.label_hits.saturating_add(1),
+            EventKind::ApproxHit { .. } => cost.approx_hits = cost.approx_hits.saturating_add(1),
+            EventKind::LocalSample { .. } => {
+                cost.local_samples = cost.local_samples.saturating_add(1)
             }
-            ViewKind::Annotate => {
+            EventKind::CacheStore {
+                bytes, validity_us, ..
+            } => {
+                let byte_us = wire_u64(*bytes).saturating_mul(wire_u64(*validity_us));
+                cost.cache_stores = cost.cache_stores.saturating_add(1);
+                cost.cache_byte_us = cost.cache_byte_us.saturating_add(byte_us);
+            }
+            EventKind::Annotate { term, cond, .. } => {
                 cost.annotations = cost.annotations.saturating_add(1);
-                if let Some(pred) = view.pred {
+                if let Some(pred) = PredKey::of(*term, *cond) {
                     let work = cost.predicates.entry(pred).or_default();
                     work.annotations = work.annotations.saturating_add(1);
                 }
             }
-            ViewKind::QueryResolved {
+            EventKind::QueryResolved {
                 outcome,
                 latency_us,
+                ..
             } => {
-                cost.outcome = Some(outcome.clone());
-                cost.latency_us = Some(*latency_us);
+                cost.outcome = Some(*outcome);
+                cost.latency_us = Some(wire_u64(*latency_us));
             }
-            ViewKind::QueryMissed => {
-                cost.outcome = Some(Cow::Borrowed("missed"));
-            }
-            ViewKind::Other => {}
+            EventKind::QueryMissed { .. } => cost.outcome = Some("missed"),
+            // Transmits are charged above; the rest (deliveries, misses,
+            // shares, pushes, timeouts) carry no direct charge but still
+            // advance the critical path.
+            _ => {}
         }
-        cost.walk.observe(view);
+        cost.walk.observe(rec);
     }
 
     /// The index of message kind `msg`, added if the run has not sent one.
-    fn msg_index(&mut self, msg: &str) -> usize {
-        match self.msgs.iter().position(|m| m == msg) {
+    fn msg_index(&mut self, msg: &'static str) -> usize {
+        match self.msgs.iter().position(|m| *m == msg) {
             Some(i) => i,
             None => {
-                self.msgs.push(msg.to_string());
+                self.msgs.push(msg);
                 self.msgs.len() - 1
             }
         }
@@ -314,24 +341,26 @@ impl CostLedger {
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
         let mut fold = Fold::default();
         for rec in records {
-            fold.observe(&LedgerView::from_record(rec));
+            fold.observe(rec);
         }
         fold.into_ledger()
     }
 
-    /// Fold a JSONL trace. Strict: any unparseable or incomplete line is
-    /// an error naming its 1-based line number.
+    /// Fold a JSONL trace: each line is decoded back into the record the
+    /// run emitted ([`TraceRecord::decode_jsonl`]) and folded as
+    /// [`LedgerSink`] folds it live. Strict: a line that is not valid
+    /// JSON, names an unknown kind or lacks a field (or holds one of the
+    /// wrong type) is an error naming its 1-based line number.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
         let mut fold = Fold::default();
+        let mut tags = Interner::new();
         for (idx, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let value = crate::json::parse(line)
-                .map_err(|e| format!("line {}: invalid JSON: {e:?}", idx + 1))?;
-            let view = LedgerView::from_json(&value)
-                .ok_or_else(|| format!("line {}: missing trace envelope or payload", idx + 1))?;
-            fold.observe(&view);
+            let rec = TraceRecord::decode_jsonl(line, &mut tags)
+                .map_err(|e| format!("line {}: {e}", idx + 1))?;
+            fold.observe(&rec);
         }
         Ok(fold.into_ledger())
     }
@@ -443,7 +472,6 @@ impl CostLedger {
                 pairs.push((
                     "outcome".into(),
                     cost.outcome
-                        .as_ref()
                         .map(|o| JsonValue::Str(o.to_string()))
                         .unwrap_or(JsonValue::Null),
                 ));
@@ -529,7 +557,7 @@ impl CostLedger {
                 c.predicted_bytes
                     .map(|p| p.to_string())
                     .unwrap_or_else(|| "-".to_string()),
-                c.outcome.as_deref().unwrap_or("-"),
+                c.outcome.unwrap_or("-"),
                 c.latency_us
                     .map(|l| l.to_string())
                     .unwrap_or_else(|| "-".to_string()),
@@ -666,7 +694,7 @@ impl LedgerSink {
 impl Sink for LedgerSink {
     fn record(&mut self, rec: &TraceRecord) {
         self.built.take();
-        self.fold.observe(&LedgerView::from_record(rec));
+        self.fold.observe(rec);
     }
 }
 
@@ -848,7 +876,7 @@ mod tests {
         assert_eq!(c.cache_byte_us, 500_000);
         assert_eq!(c.annotations, 1);
         assert_eq!(c.predicted_bytes, Some(1000));
-        assert_eq!(c.outcome.as_deref(), Some("viable"));
+        assert_eq!(c.outcome, Some("viable"));
         assert_eq!(c.bytes_by_msg.get("data"), Some(&500));
         let work = c
             .predicates
@@ -869,13 +897,127 @@ mod tests {
     fn typed_fold_equals_jsonl_fold() {
         let records = sample_records();
         let typed = CostLedger::from_records(&records);
-        let mut jsonl = String::new();
-        for r in &records {
-            r.write_jsonl(&mut jsonl);
-            jsonl.push('\n');
-        }
-        let folded = CostLedger::from_jsonl(&jsonl).expect("valid trace");
+        let folded = CostLedger::from_jsonl(&jsonl(&records)).expect("valid trace");
         assert_eq!(typed, folded);
+    }
+
+    /// The records as a JSONL trace, one line each.
+    fn jsonl(records: &[TraceRecord]) -> String {
+        let mut text = String::new();
+        for r in records {
+            r.write_jsonl(&mut text);
+            text.push('\n');
+        }
+        text
+    }
+
+    #[test]
+    fn decode_errors_name_their_line() {
+        let records = sample_records();
+        let good = records[0].to_jsonl_line();
+        let transmit = records[3].to_jsonl_line();
+        for (bad, want) in [
+            (transmit[..transmit.len() - 4].to_string(), "invalid JSON"),
+            (transmit.replace(",\"bg\":false", ""), "missing field `bg`"),
+            (
+                transmit.replace("\"bytes\":100", "\"bytes\":-1"),
+                "field `bytes`",
+            ),
+            (
+                good.replace("query-init", "query-begun"),
+                "unknown kind `query-begun`",
+            ),
+        ] {
+            // A blank line still counts: the bad line is line 3.
+            let text = format!("{good}\n\n{bad}\n{good}\n");
+            let err = CostLedger::from_jsonl(&text).expect_err(&bad);
+            assert!(err.starts_with("line 3: "), "{err}");
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn values_above_i64_max_saturate_the_same_way_live_and_offline() {
+        // "Never expires" is `SimDuration::MAX`, and the trace carries
+        // `i64`: both folds must see the saturated value, not one of them
+        // a negative number it then rejects.
+        let cap = i64::MAX as u64;
+        let records = [
+            rec(
+                0,
+                0,
+                EventKind::QueryInit {
+                    query: 4,
+                    origin: 0,
+                },
+            ),
+            rec(
+                1,
+                0,
+                EventKind::Plan {
+                    query: 4,
+                    strategy: "lvf",
+                    candidates: u64::MAX,
+                    expected_bytes: u64::MAX,
+                    rationale: String::new(),
+                },
+            ),
+            rec(
+                2,
+                0,
+                EventKind::CacheStore {
+                    name: "/city/a".into(),
+                    bytes: u64::MAX,
+                    validity_us: u64::MAX,
+                    query: Some(u64::MAX),
+                },
+            ),
+            rec(
+                3,
+                0,
+                EventKind::Transmit {
+                    from: 1,
+                    to: 2,
+                    msg: "data",
+                    bytes: u64::MAX,
+                    background: true,
+                    query: Some(4),
+                },
+            ),
+            rec(
+                4,
+                0,
+                EventKind::Loss {
+                    from: 1,
+                    to: 2,
+                    msg: "data",
+                    bytes: u64::MAX,
+                    query: None,
+                },
+            ),
+            rec(
+                u64::MAX,
+                0,
+                EventKind::QueryResolved {
+                    query: 4,
+                    outcome: "viable",
+                    latency_us: u64::MAX,
+                },
+            ),
+        ];
+        let live = CostLedger::from_records(&records);
+        assert_eq!(
+            live,
+            CostLedger::from_jsonl(&jsonl(&records)).expect("valid trace")
+        );
+        let q = &live.queries[&4];
+        assert_eq!(
+            (q.bytes, q.predicted_bytes, q.latency_us),
+            (cap, Some(cap), Some(cap))
+        );
+        assert_eq!(q.path().total_us(), cap);
+        assert_eq!(live.overhead.lost_bytes, cap);
+        assert_eq!(live.queries[&cap].cache_byte_us, u64::MAX);
     }
 
     #[test]
@@ -949,12 +1091,10 @@ mod tests {
             assert_eq!(cost.requests, 4);
             assert_eq!(cost.retransmissions, 2);
         }
-        let mut jsonl = String::new();
-        for r in &records {
-            r.write_jsonl(&mut jsonl);
-            jsonl.push('\n');
-        }
-        assert_eq!(live, CostLedger::from_jsonl(&jsonl).expect("valid trace"));
+        assert_eq!(
+            live,
+            CostLedger::from_jsonl(&jsonl(&records)).expect("valid trace")
+        );
         assert_eq!(live, CostLedger::from_records(&records));
         assert!(live.conserves());
     }

@@ -9,7 +9,9 @@
 //!
 //! - [`event`] — the typed span/event taxonomy over the full query
 //!   lifecycle (query init → plan decision → request send → link transit →
-//!   cache hit/miss → annotate → label share → resolve/timeout);
+//!   cache hit/miss → annotate → label share → resolve/timeout), with the
+//!   one JSONL encoder and its inverse, so a saved trace reads back as the
+//!   records the run emitted;
 //! - [`sink`] — the [`Sink`] contract plus the stock implementations:
 //!   [`NullSink`] (compiled-in but free), [`MemorySink`], [`JsonlSink`],
 //!   [`TeeSink`], and the cloneable [`SharedSink`] handle;
@@ -25,11 +27,11 @@
 //!   per-kind count deltas) behind the `dde-trace` CLI;
 //! - [`chrome`] — Chrome trace-event (`about:tracing` / Perfetto) export
 //!   of a JSONL trace;
-//! - [`attrib`] — attribution keys and the normalized record view;
 //! - [`feedback`] — the predicted-vs-actual planner feedback fold
 //!   ([`FeedbackSink`]) behind the adaptive-planning loop;
 //! - [`ledger`] — the per-decision [`CostLedger`] with its conservation
-//!   invariant, built live by [`LedgerSink`] or folded from JSONL;
+//!   invariant and its attribution keys ([`PredKey`]), built live by
+//!   [`LedgerSink`] or by the same fold over a decoded JSONL trace;
 //! - [`critical`] — per-query critical-path extraction (queueing vs.
 //!   transit vs. annotation vs. scheduler wait).
 
@@ -44,7 +46,6 @@
     clippy::expect_used
 )]
 
-pub mod attrib;
 pub mod chrome;
 pub mod critical;
 pub mod diff;
@@ -57,7 +58,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod sink;
 
-pub use attrib::{LedgerView, PredKey, ViewKind};
 pub use chrome::chrome_trace_from_jsonl;
 pub use critical::{PathBreakdown, PathWalk};
 pub use diff::{diff_jsonl, Divergence, TraceDiff};
@@ -66,7 +66,7 @@ pub use feedback::{EpochStats, FeedbackSink};
 pub use flight::FlightRecorder;
 pub use hist::{Histogram, BUCKET_BOUNDS_US, BUCKET_COUNT};
 pub use json::{JsonError, JsonValue};
-pub use ledger::{CostLedger, LedgerSink, PredicateWork, QueryCost};
+pub use ledger::{CostLedger, LedgerSink, PredKey, PredicateWork, QueryCost};
 pub use metrics::{
     parse_snapshot_document, Counter, Gauge, MetricsError, MetricsRegistry, MetricsSnapshot,
     WallHist,

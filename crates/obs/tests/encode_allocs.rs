@@ -231,5 +231,5 @@ fn a_warm_ledger_folds_a_known_query_without_allocating_and_a_new_name_with_one(
     assert_eq!(cost.requests, 1_002);
     assert_eq!(cost.retransmissions, 1_000);
     assert_eq!(cost.annotations, 1_001);
-    assert_eq!(cost.outcome.as_deref(), Some("viable"));
+    assert_eq!(cost.outcome, Some("viable"));
 }

@@ -64,7 +64,7 @@ fn check_conservation(report: &RunReport, trace: &str) -> Result<(), TestCaseErr
     // 2. Critical-path segments partition each resolved query's latency.
     for (qid, cost) in &live.queries {
         if let Some(latency_us) = cost.latency_us {
-            if cost.outcome.as_deref() != Some("missed") {
+            if cost.outcome != Some("missed") {
                 prop_assert_eq!(
                     cost.path().total_us(),
                     latency_us,
