@@ -139,9 +139,7 @@ impl QueryState {
             .iter()
             .map(|t| {
                 t.literals()
-                    .filter_map(|lit| {
-                        Some((labels.binary_search(lit.label()).ok()?, lit.is_negated()))
-                    })
+                    .filter_map(|lit| Some((position(&labels, lit.label())?, lit.is_negated())))
                     .collect()
             })
             .collect();
@@ -171,9 +169,10 @@ impl QueryState {
         &self.terms
     }
 
-    /// The id of `label`, or `None` if the expression does not mention it.
+    /// The id of `label` (its position in [`QueryState::labels`]), or
+    /// `None` if the expression does not mention it.
     pub fn label_id(&self, label: &Label) -> Option<usize> {
-        self.labels.binary_search(label).ok()
+        position(&self.labels, label)
     }
 
     /// The truth of label `id` at `now`: [`Truth::Unknown`] when nothing is
@@ -371,6 +370,13 @@ impl QueryState {
             _ => None,
         }
     }
+}
+
+/// The position of `label` in `labels`. The list is in label order,
+/// because term and literal order decide planner ties, but finding a label
+/// needs only identity: an id compare reads no rank snapshot.
+fn position(labels: &[Label], label: &Label) -> Option<usize> {
+    labels.iter().position(|l| l == label)
 }
 
 #[cfg(test)]

@@ -17,8 +17,10 @@ use std::collections::BTreeMap;
 /// An interned label name (e.g. `viable/seg_3_4` or `Dim`).
 ///
 /// A `Label` is a `Copy` handle into the process-global label table (see
-/// [`crate::symbol`]): `==` compares handles and `<` compares ranks, each a
-/// single integer compare, and both agree with comparing the strings.
+/// [`crate::symbol`]): `==` compares handles, one integer compare, and `<`
+/// compares ranks, read through this thread's rank snapshot; both agree
+/// with comparing the strings. A lookup that needs only identity keys on
+/// [`Label::id`] and never pays for order.
 /// `Hash`, `Debug` (`Label("viableA")`), `Display`, serde and
 /// `Borrow<str>` all behave as the label's string does.
 ///
@@ -45,6 +47,14 @@ impl Label {
     /// The label's name.
     pub fn as_str(&self) -> &'static str {
         LABELS.resolve(self.0)
+    }
+
+    /// The dense id assigned when the label was first interned, as
+    /// [`Symbol::id`] is for a name component. Ids are handed out in
+    /// first-seen order, so they key lookups that need only identity and
+    /// must never order anything a run shows.
+    pub fn id(self) -> u32 {
+        self.0.id()
     }
 }
 

@@ -7,8 +7,9 @@
 //!   [`SimDuration`]) shared by every other crate;
 //! - [`truth`] — Kleene three-valued logic ([`Truth`]), the semantics under
 //!   which partially-evaluated decisions are sound to short-circuit;
-//! - [`symbol`] — insertion-ordered string interning with a rank column,
-//!   so interned labels and name components compare as integers;
+//! - [`symbol`] — insertion-ordered string interning with a rank column:
+//!   interned labels and name components are equal as integers and ordered
+//!   by rank, read from a per-thread snapshot;
 //! - [`label`] — named Boolean world-state variables ([`Label`]) and
 //!   freshness-aware partial assignments ([`Assignment`]);
 //! - [`expr`] — general Boolean expression trees ([`Expr`]) with conversion

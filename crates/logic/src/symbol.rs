@@ -6,9 +6,12 @@
 //! decision queries (§II-B: "names of Boolean variables"). Comparing raw
 //! strings on those paths re-walks UTF-8 on every compare, so both are
 //! *interned*: a [`Symbol`] is a `u32` handle into an [`Interner`] table.
-//! Equality is an integer compare, and so is order: the table keeps a
+//! Equality is one integer compare. Order is not: the table keeps a
 //! **rank** for every string, a `u64` that sorts exactly as the strings do,
-//! so `Name` and `Label` order compares two ranks instead of two strings.
+//! so `Name` and `Label` order compares two ranks instead of two strings,
+//! but each such compare reads this thread's rank snapshot through a
+//! thread-local (about 10 ns). Lookups that need only identity therefore
+//! key on ids, and rank order is kept for what a run shows in order.
 //! Strings are resolved back out only at I/O boundaries — parsing, trace
 //! emission, error messages.
 //!

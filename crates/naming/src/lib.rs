@@ -6,8 +6,9 @@
 //!
 //! - [`name`] — path-like content names with shared-prefix similarity;
 //! - [`symbol`] — `dde-logic`'s deterministic, insertion-ordered interner
-//!   with its rank column, re-exported: name component equality and order
-//!   are integer compares (§V-A);
+//!   with its rank column, re-exported: name component equality is an
+//!   integer compare, and order compares ranks from a per-thread snapshot
+//!   (§V-A);
 //! - [`fib`] — the Pending Interest Table of the NDN-like forwarding plane
 //!   (§VI-B), keyed by object name;
 //! - [`store`] — a freshness-aware, capacity-bounded content store with

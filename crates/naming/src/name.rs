@@ -7,9 +7,10 @@
 //!
 //! Components are interned [`Symbol`]s (see [`crate::symbol`]), so the hot
 //! operations — component equality, [`Name::shared_prefix_len`],
-//! [`Name::starts_with`] — are integer compares; strings are resolved back
-//! out only at I/O boundaries ([`Name::fmt`][core::fmt::Display],
-//! [`Symbol::as_str`], error messages).
+//! [`Name::starts_with`] — are integer compares of ids. Order is not: it
+//! compares ranks through this thread's rank snapshot. Strings are
+//! resolved back out only at I/O boundaries
+//! ([`Name::fmt`][core::fmt::Display], [`Symbol::as_str`], error messages).
 
 use crate::symbol::{intern, Symbol};
 use core::cmp::Ordering;
@@ -22,10 +23,11 @@ use std::sync::Arc;
 /// Ordering is **lexicographic over component strings** — exactly
 /// the order the pre-interning `Arc<[String]>` representation had — so
 /// every `BTreeMap<Name, _>` iterates, and every deterministic tie-break
-/// resolves, byte-identically to earlier releases. Comparison runs at
-/// integer speed throughout: equal symbols short-circuit, and the first
-/// *differing* component pair compares the interner's ranks, which sort as
-/// the strings do, so no string is resolved.
+/// resolves, byte-identically to earlier releases. Equal symbols
+/// short-circuit as integer compares, and the first *differing* component
+/// pair compares the interner's ranks, which sort as the strings do, so no
+/// string is resolved; that one rank compare reads this thread's rank
+/// snapshot through a thread-local.
 ///
 /// # Examples
 ///

@@ -5,10 +5,10 @@
 //! and longest-prefix criticality classes. Name components are interned in
 //! `dde-logic`'s component table ([`dde_logic::symbol`]), the same
 //! implementation that interns labels: a [`Symbol`] is a `u32` handle, so
-//! component equality is an integer compare, and the table's rank column
-//! makes [`Name`](crate::name::Name) order an integer compare too, with no
-//! string resolved. This module re-exports that interner for the naming
-//! layer.
+//! component equality is an integer compare. The table's rank column
+//! orders [`Name`](crate::name::Name)s with no string resolved, but each
+//! rank compare reads this thread's rank snapshot, so it costs more than an
+//! id compare. This module re-exports that interner for the naming layer.
 
 pub use dde_logic::symbol::{global_len, intern, Interner};
 

@@ -5,12 +5,13 @@
 //! resolve." The catalog is the global registry of advertised objects that
 //! the lookup service (refs \[8,9]) would provide in a deployment.
 
+use crate::by_id::{LabelIndex, NameIndex};
 use crate::world::DynamicsClass;
+use core::fmt;
 use dde_logic::label::Label;
 use dde_logic::time::SimDuration;
 use dde_naming::name::Name;
 use dde_netsim::topology::NodeId;
-use std::collections::BTreeMap;
 
 /// An advertised evidence object.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,14 +32,18 @@ pub struct ObjectSpec {
 }
 
 /// Index of all advertised objects.
-#[derive(Debug, Clone, Default)]
+///
+/// Lookups by label and by name compare interned ids, never ranks; what is
+/// shown in order — [`Catalog::covered_labels`] and the `Debug` text — is
+/// sorted by label or name.
+#[derive(Clone, Default)]
 pub struct Catalog {
     objects: Vec<ObjectSpec>,
     // names[i] is objects[i].name rendered once, in the form planners key
     // retrieval items and learned estimates by.
     names: Vec<Label>,
-    by_label: BTreeMap<Label, Vec<usize>>,
-    by_name: BTreeMap<Name, usize>,
+    by_label: LabelIndex<Vec<usize>>,
+    by_name: NameIndex<usize>,
 }
 
 impl Catalog {
@@ -57,7 +62,7 @@ impl Catalog {
         let prev = self.by_name.insert(spec.name.clone(), idx);
         assert!(prev.is_none(), "duplicate object name: {}", spec.name);
         for l in &spec.covers {
-            self.by_label.entry(*l).or_default().push(idx);
+            self.by_label.get_or_insert_with(*l, Vec::new).push(idx);
         }
         self.names.push(Label::new(spec.name.to_string()));
         self.objects.push(spec);
@@ -85,22 +90,27 @@ impl Catalog {
         self.by_name.get(name).map(|&i| &self.objects[i])
     }
 
-    /// Indices of objects whose evidence can resolve `label`.
+    /// Indices of objects whose evidence can resolve `label`, in
+    /// registration order.
     pub fn providers_of(&self, label: &Label) -> &[usize] {
-        self.by_label.get(label).map(Vec::as_slice).unwrap_or(&[])
+        self.by_label.get(*label).map_or(&[], Vec::as_slice)
     }
 
-    /// The cheapest (smallest) provider of `label`, if any.
+    /// The cheapest (smallest) provider of `label`, if any; the first name
+    /// in name order breaks a tie.
     pub fn cheapest_provider(&self, label: &Label) -> Option<&ObjectSpec> {
         self.providers_of(label)
             .iter()
             .map(|&i| &self.objects[i])
-            .min_by_key(|o| (o.size, o.name.clone()))
+            .min_by(|a, b| a.size.cmp(&b.size).then_with(|| a.name.cmp(&b.name)))
     }
 
-    /// All labels with at least one provider.
+    /// All labels with at least one provider, in label order.
     pub fn covered_labels(&self) -> impl Iterator<Item = &Label> {
-        self.by_label.keys()
+        let mut labels: Vec<&Label> = self.objects.iter().flat_map(|o| &o.covers).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels.into_iter()
     }
 
     /// Number of registered objects.
@@ -111,6 +121,30 @@ impl Catalog {
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
+    }
+}
+
+/// `by_label` in label order and `by_name` in name order: the id indexes
+/// have no order to show, and `scenario_golden` pins this text.
+impl fmt::Debug for Catalog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let by_label = fmt::from_fn(|f| {
+            f.debug_map()
+                .entries(self.covered_labels().map(|l| (l, self.providers_of(l))))
+                .finish()
+        });
+        let by_name = fmt::from_fn(|f| {
+            let mut names: Vec<(&Name, usize)> =
+                self.objects.iter().map(|o| &o.name).zip(0..).collect();
+            names.sort_unstable();
+            f.debug_map().entries(names).finish()
+        });
+        f.debug_struct("Catalog")
+            .field("objects", &self.objects)
+            .field("names", &self.names)
+            .field("by_label", &by_label)
+            .field("by_name", &by_name)
+            .finish()
     }
 }
 

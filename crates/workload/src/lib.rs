@@ -27,6 +27,7 @@
     clippy::expect_used
 )]
 
+mod by_id;
 pub mod catalog;
 pub mod grid;
 pub mod scenario;

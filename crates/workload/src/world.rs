@@ -10,10 +10,10 @@
 //! The value in each epoch is a deterministic hash of `(seed, label, epoch)`,
 //! so the world needs no storage and every run is reproducible.
 
+use crate::by_id::LabelIndex;
 use core::fmt;
 use dde_logic::label::Label;
 use dde_logic::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Dynamics class of a measured quantity.
@@ -61,10 +61,27 @@ pub struct LabelDynamics {
 /// // Within one epoch the value is constant:
 /// assert_eq!(v0, world.value(&Label::new("viable/x"), SimTime::from_secs(9)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WorldModel {
     seed: u64,
-    labels: BTreeMap<Label, LabelDynamics>,
+    /// The registered labels, in registration order, each once.
+    labels: Vec<Label>,
+    by_label: LabelIndex<Registered>,
+}
+
+/// A registered label's dynamics and the hash state its values come from.
+#[derive(Clone)]
+struct Registered {
+    dynamics: LabelDynamics,
+    /// The mixer state after the seed and the label's bytes: a value in
+    /// epoch `e` is this state with `e` hashed on top.
+    hashed: u64,
+}
+
+impl Registered {
+    fn epoch(&self, time: SimTime) -> u64 {
+        time.as_micros() / self.dynamics.validity.as_micros().max(1)
+    }
 }
 
 impl WorldModel {
@@ -72,11 +89,12 @@ impl WorldModel {
     pub fn new(seed: u64) -> WorldModel {
         WorldModel {
             seed,
-            labels: BTreeMap::new(),
+            labels: Vec::new(),
+            by_label: LabelIndex::default(),
         }
     }
 
-    /// Registers a label's dynamics.
+    /// Registers a label's dynamics, replacing any registered before.
     ///
     /// # Panics
     ///
@@ -90,19 +108,24 @@ impl WorldModel {
     ) {
         assert!((0.0..=1.0).contains(&prob_true), "prob_true out of range");
         assert!(validity > SimDuration::ZERO, "validity must be positive");
-        self.labels.insert(
-            label,
-            LabelDynamics {
+        let mut h = Splitmix(self.seed ^ 0x9e37_79b9_7f4a_7c15);
+        label.as_str().hash(&mut h);
+        let registered = Registered {
+            dynamics: LabelDynamics {
                 class,
                 validity,
                 prob_true,
             },
-        );
+            hashed: h.0,
+        };
+        if self.by_label.insert(label, registered).is_none() {
+            self.labels.push(label);
+        }
     }
 
     /// The dynamics registered for `label`.
     pub fn dynamics(&self, label: &Label) -> Option<&LabelDynamics> {
-        self.labels.get(label)
+        self.by_label.get(*label).map(|r| &r.dynamics)
     }
 
     /// Number of registered labels.
@@ -115,9 +138,19 @@ impl WorldModel {
         self.labels.is_empty()
     }
 
-    /// Iterates over registered labels and their dynamics.
+    /// Iterates over registered labels and their dynamics, in label order.
     pub fn iter(&self) -> impl Iterator<Item = (&Label, &LabelDynamics)> {
-        self.labels.iter()
+        let mut labels: Vec<&Label> = self.labels.iter().collect();
+        labels.sort_unstable();
+        labels
+            .into_iter()
+            .filter_map(|l| Some((l, self.dynamics(l)?)))
+    }
+
+    fn registered(&self, label: &Label) -> &Registered {
+        self.by_label
+            .get(*label)
+            .unwrap_or_else(|| panic!("label not registered: {label}"))
     }
 
     /// The epoch index of `label` at `time`.
@@ -126,11 +159,7 @@ impl WorldModel {
     ///
     /// Panics if `label` was never registered.
     pub fn epoch(&self, label: &Label, time: SimTime) -> u64 {
-        let dyn_ = self
-            .labels
-            .get(label)
-            .unwrap_or_else(|| panic!("label not registered: {label}"));
-        time.as_micros() / dyn_.validity.as_micros().max(1)
+        self.registered(label).epoch(time)
     }
 
     /// The ground-truth value of `label` at `time`.
@@ -139,39 +168,42 @@ impl WorldModel {
     ///
     /// Panics if `label` was never registered.
     pub fn value(&self, label: &Label, time: SimTime) -> bool {
-        let dyn_ = self
-            .labels
-            .get(label)
-            .unwrap_or_else(|| panic!("label not registered: {label}"));
-        let epoch = self.epoch(label, time);
-        let h = stable_hash(self.seed, label.as_str(), epoch);
+        let registered = self.registered(label);
+        let mut h = Splitmix(registered.hashed);
+        registered.epoch(time).hash(&mut h);
         // Map to [0,1) and compare against prob_true.
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        unit < dyn_.prob_true
+        let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
+        unit < registered.dynamics.prob_true
     }
 
     /// The instant `label`'s current epoch (at `time`) ends — when a fresh
     /// measurement taken at `time` stops being valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `label` was never registered.
     pub fn epoch_end(&self, label: &Label, time: SimTime) -> SimTime {
-        let dyn_ = self
-            .labels
-            .get(label)
-            .unwrap_or_else(|| panic!("label not registered: {label}"));
-        let epoch = self.epoch(label, time);
-        SimTime::from_micros((epoch + 1).saturating_mul(dyn_.validity.as_micros()))
+        let registered = self.registered(label);
+        let validity = registered.dynamics.validity.as_micros();
+        SimTime::from_micros((registered.epoch(time) + 1).saturating_mul(validity))
     }
 }
 
-fn stable_hash(seed: u64, label: &str, epoch: u64) -> u64 {
-    // FxHash-style mix; std's SipHasher with fixed keys would also do, but
-    // DefaultHasher's keys are randomized per process, so roll a simple
-    // explicit mixer for cross-run stability.
-    let mut h = Splitmix(seed ^ 0x9e37_79b9_7f4a_7c15);
-    label.hash(&mut h);
-    epoch.hash(&mut h);
-    h.finish()
+/// `labels` as a map in label order: the id index has no order to show, and
+/// `scenario_golden` pins this text.
+impl fmt::Debug for WorldModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let labels = fmt::from_fn(|f| f.debug_map().entries(self.iter()).finish());
+        f.debug_struct("WorldModel")
+            .field("seed", &self.seed)
+            .field("labels", &labels)
+            .finish()
+    }
 }
 
+/// FxHash-style mix; std's SipHasher with fixed keys would also do, but
+/// DefaultHasher's keys are randomized per process, so roll a simple
+/// explicit mixer for cross-run stability.
 struct Splitmix(u64);
 
 impl Hasher for Splitmix {
