@@ -68,8 +68,7 @@ mod tests {
                 query: None,
             },
         };
-        let mut jsonl = String::new();
-        rec.write_jsonl(&mut jsonl);
+        let jsonl = rec.to_jsonl_line();
         let doc = chrome_trace_from_jsonl(&jsonl);
         let v = parse(&doc).unwrap();
         let events = match v.get("traceEvents") {
@@ -100,8 +99,7 @@ mod tests {
                 query: None,
             },
         };
-        let mut jsonl = String::new();
-        rec.write_jsonl(&mut jsonl);
+        let jsonl = rec.to_jsonl_line();
         let expected = JsonValue::Object(vec![
             (
                 "traceEvents".into(),

@@ -17,10 +17,20 @@
 //! A [`TraceRecord`] stamps an [`EventKind`] with the *simulated* time it
 //! occurred and the node reporting it. Node identity is a plain `u32`
 //! (`NodeId` lives upstream in `dde-netsim`, which depends on this crate).
+//!
+//! Each kind is declared once, as one row of the table that defines
+//! [`EventKind`]: its variant, its `kind` tag, the field it is charged to
+//! (if any), and each field's doc, Rust type and JSON key (the field's name
+//! unless the row gives `=> "key"`), in wire order. The row generates the
+//! variant, [`kind_name`](EventKind::kind_name), the attribution the ledger
+//! reads, [`visit_fields`](EventKind::visit_fields), the JSONL encoder and
+//! its inverse, [`TraceRecord::decode_jsonl`]. A field's wire shape follows
+//! from its type (`Wire`); the one exception, `cache-miss`'s
+//! `forwarded_to`, names its shape in its row (`as Nullable`). Adding a
+//! field is editing one row.
 
 use crate::json::{
-    into_string, parse, write_json_bool, write_json_int, write_json_string, write_json_u64,
-    JsonValue,
+    into_string, parse, write_json_bool, write_json_string, write_json_u64, JsonValue,
 };
 use dde_logic::symbol::Interner;
 use dde_logic::time::SimTime;
@@ -36,235 +46,361 @@ pub struct TraceRecord {
     pub kind: EventKind,
 }
 
-/// What happened. Variants carrying `String` payloads should only be built
-/// when the active sink is [enabled](crate::sink::Sink::enabled), so the
-/// null sink costs a branch and nothing else.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A message started clocking onto the directed link `from → to`.
-    Transmit {
-        /// Transmitting node.
-        from: u32,
-        /// Receiving node.
-        to: u32,
-        /// Message kind tag (`announce`, `request`, `data`, `label`, …).
-        msg: &'static str,
-        /// Wire size in bytes.
-        bytes: u64,
-        /// Whether it rode in the background priority class.
-        background: bool,
-        /// The decision query this transmission serves, when attributable.
-        query: Option<u64>,
-    },
-    /// A message arrived and is being handled at `to`.
-    Deliver {
-        /// Transmitting node.
-        from: u32,
-        /// Receiving node.
-        to: u32,
-        /// Message kind tag.
-        msg: &'static str,
-        /// The decision query this delivery serves, when attributable.
-        query: Option<u64>,
-    },
-    /// A transmission was lost to link noise (seeded sampling).
-    Loss {
-        /// Transmitting node.
-        from: u32,
-        /// Intended receiver.
-        to: u32,
-        /// Message kind tag.
-        msg: &'static str,
-        /// Wire size in bytes (bandwidth was still consumed).
-        bytes: u64,
-        /// The decision query the lost message served, when attributable.
-        query: Option<u64>,
-    },
-    /// An in-flight message was dropped at arrival.
-    Drop {
-        /// Transmitting node.
-        from: u32,
-        /// Intended receiver.
-        to: u32,
-        /// Why: `link-down` or `node-down`.
-        reason: &'static str,
-    },
-    /// Queued (never transmitted) messages were purged from a link by a
-    /// fault.
-    Purge {
-        /// Transmitting side of the purged link.
-        from: u32,
-        /// Receiving side of the purged link.
-        to: u32,
-        /// How many messages vanished.
-        count: u64,
-    },
-    /// A scheduled fault transition was applied.
-    Fault {
-        /// Which: `node-crash`, `node-recover`, `link-down`, `link-up`.
-        fault: &'static str,
-        /// The affected node (or one endpoint of the affected link).
-        node: u32,
-        /// The other link endpoint, for link faults.
-        peer: Option<u32>,
-    },
-    /// A decision query was issued at its origin (`Query_Init`).
-    QueryInit {
-        /// Query id.
-        query: u64,
-        /// Origin node.
-        origin: u32,
-    },
-    /// The origin planned its retrieval: the decision-driven ordering
-    /// rationale, rendered by `dde-sched`'s `explain`.
-    Plan {
-        /// Query id.
-        query: u64,
-        /// Strategy code (`cmp`, `slt`, `lcf`, `lvf`, `lvfl`).
-        strategy: &'static str,
-        /// Number of candidate objects selected.
-        candidates: u64,
-        /// Predicted expected retrieval cost in bytes (§III-A expected
-        /// short-circuit cost of the chosen plan ordering).
-        expected_bytes: u64,
-        /// Human-readable ordering rationale (term ranking, expected
-        /// costs, short-circuit ratios).
-        rationale: String,
-    },
-    /// The origin sent a fetch request into the network.
-    RequestSend {
-        /// Query id.
-        query: u64,
-        /// Requested object name.
-        name: String,
-        /// First hop the request was sent to.
-        hop: u32,
-        /// OR-term index of the predicate driving this fetch.
-        term: Option<u32>,
-        /// Condition index within the OR-term.
-        cond: Option<u32>,
-    },
-    /// A request was answered from this node's content store.
-    CacheHit {
-        /// Served object name.
-        name: String,
-        /// Neighbor the reply was sent to.
-        requester: u32,
-        /// The decision query the request served, when attributable.
-        query: Option<u64>,
-    },
-    /// A request could not be served locally and was forwarded (or hit a
-    /// dead end).
-    CacheMiss {
-        /// Requested object name.
-        name: String,
-        /// Next hop it was forwarded to, if a route existed.
-        forwarded_to: Option<u32>,
-        /// The decision query the request served, when attributable.
-        query: Option<u64>,
-    },
-    /// A request was answered with cached *labels* instead of data (§VI-D).
-    LabelHit {
-        /// Neighbor the labels were sent to.
-        requester: u32,
-        /// How many of the request's labels were answered.
-        labels: u64,
-        /// The decision query the request served, when attributable.
-        query: Option<u64>,
-    },
-    /// A request was answered with an approximate (same-prefix) substitute
-    /// object (§V-A).
-    ApproxHit {
-        /// Requested object name.
-        name: String,
-        /// The substitute actually served.
-        substitute: String,
-        /// The decision query the request served, when attributable.
-        query: Option<u64>,
-    },
-    /// A label was resolved by sampling a co-located sensor (no network).
-    LocalSample {
-        /// Sampled object name.
-        name: String,
-        /// The decision query the sample served, when attributable.
-        query: Option<u64>,
-    },
-    /// An object was stored into a node's content store; occupancy is
-    /// charged as `bytes × validity_us` (byte-microseconds) to `query`.
-    CacheStore {
-        /// Stored object name.
-        name: String,
-        /// Object payload size in bytes.
-        bytes: u64,
-        /// Remaining validity when stored, in microseconds.
-        validity_us: u64,
-        /// The decision query whose retrieval caused the store.
-        query: Option<u64>,
-    },
-    /// Evidence was annotated into a label value at the query origin.
-    Annotate {
-        /// Query id.
-        query: u64,
-        /// The judged label.
-        label: String,
-        /// The judged value.
-        value: bool,
-        /// OR-term index of the annotated predicate.
-        term: Option<u32>,
-        /// Condition index within the OR-term.
-        cond: Option<u32>,
-    },
-    /// A label value was shared toward the evidence source (§VI-D).
-    LabelShare {
-        /// The shared label.
-        label: String,
-        /// The shared value.
-        value: bool,
-        /// First hop of the share.
-        toward: u32,
-        /// The decision query whose annotation is being shared.
-        query: Option<u64>,
-    },
-    /// A source-side prefetch push was initiated (§VI-A).
-    PrefetchPush {
-        /// Pushed object name.
-        name: String,
-        /// First hop toward the anticipated consumer.
-        toward: u32,
-        /// The decision query whose announce triggered the push.
-        query: Option<u64>,
-    },
-    /// A background push was dropped by sub-additive utility triage (§V-B).
-    TriageDrop {
-        /// The redundant object name.
-        name: String,
-        /// The hop it would have been pushed to.
-        hop: u32,
-    },
-    /// A query reached a decision before its deadline.
-    QueryResolved {
-        /// Query id.
-        query: u64,
-        /// `viable` or `infeasible`.
-        outcome: &'static str,
-        /// Issue-to-decision latency in microseconds.
-        latency_us: u64,
-    },
-    /// A query's deadline passed while undecided.
-    QueryMissed {
-        /// Query id.
-        query: u64,
-    },
-    /// An in-flight fetch hit its retry timeout and the origin is about to
-    /// re-plan. Emitted only by adaptive-planning runs.
-    FetchTimeout {
-        /// Query id.
-        query: u64,
-        /// The object name whose fetch timed out.
-        name: String,
-        /// The source node the fetch was directed at.
-        source: u32,
-    },
+/// A field's JSON key: its name, unless its row gives one.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// A field's wire shape: its type's own, unless its row names one.
+macro_rules! shape {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $shape:ty) => {
+        $shape
+    };
+}
+
+/// The query a row's charged field holds, or `None` for a row with none.
+macro_rules! charged {
+    () => {
+        None
+    };
+    ($query:ident) => {
+        Option::<u64>::from(*$query)
+    };
+}
+
+/// The record kind table. A row reads
+/// `Variant("tag", charged_field) { field: Type => "key" as Shape, … }`,
+/// where `charged_field`, `=> "key"` and `as Shape` are optional, and gives
+/// its variant and one arm of each function generated below. Field order is
+/// wire order. An encoder arm is straight-line code: it copies literal keys
+/// built by `concat!` and walks no closure.
+macro_rules! event_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident($tag:literal $(, $charged:ident)?) {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty $(=> $key:literal)? $(as $shape:ty)?
+                    ),* $(,)?
+                }
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+            )*
+        }
+
+        impl EventKind {
+            /// The stable kind tag used in JSONL traces and per-kind diff deltas.
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// The decision query the event is charged to, as the trace
+            /// carries it; `None` for plumbing no decision caused (faults,
+            /// purges, drops, triage, unattributed link traffic).
+            pub(crate) fn query(&self) -> Option<u64> {
+                let query = match self {
+                    $( EventKind::$variant { $($charged,)? .. } => charged!($($charged)?), )*
+                };
+                query.map(wire_u64)
+            }
+
+            /// The variant's payload fields in wire order (without the
+            /// common `t`/`node`/`kind` envelope), borrowed from the record;
+            /// a key the encoder omits is not visited.
+            pub fn visit_fields<'a>(&'a self, f: &mut impl FnMut(&'static str, FieldVal<'a>)) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        $(
+                            if let Some(v) = <shape!($ty $(, $shape)?) as Wire<$ty>>::value($field) {
+                                f(key!($field $($key)?), v);
+                            }
+                        )*
+                    } )*
+                }
+            }
+
+            /// Appends `,"kind":"tag"` and the payload fields to `out`.
+            fn encode_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        out.extend_from_slice(concat!(",\"kind\":\"", $tag, "\"").as_bytes());
+                        $(
+                            <shape!($ty $(, $shape)?) as Wire<$ty>>::encode(
+                                $field,
+                                out,
+                                concat!(",\"", key!($field $($key)?), "\":").as_bytes(),
+                            );
+                        )*
+                    } )*
+                }
+            }
+
+            /// The kind the object's `kind` tag names, read field by field.
+            fn decode_payload(d: &mut Fields<'_>) -> Result<EventKind, String> {
+                Ok(match d.text("kind")? {
+                    $( $tag => EventKind::$variant {
+                        $( $field: <shape!($ty $(, $shape)?) as Wire<$ty>>::decode(
+                            d,
+                            key!($field $($key)?),
+                        )?, )*
+                    }, )*
+                    other => return Err(format!("unknown kind `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+event_kinds! {
+    /// What happened. Variants carrying `String` payloads should only be built
+    /// when the active sink is [enabled](crate::sink::Sink::enabled), so the
+    /// null sink costs a branch and nothing else.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// A message started clocking onto the directed link `from → to`.
+        Transmit("transmit", query) {
+            /// Transmitting node.
+            from: u32,
+            /// Receiving node.
+            to: u32,
+            /// Message kind tag (`announce`, `request`, `data`, `label`, …).
+            msg: &'static str,
+            /// Wire size in bytes.
+            bytes: u64,
+            /// Whether it rode in the background priority class.
+            background: bool => "bg",
+            /// The decision query this transmission serves, when attributable.
+            query: Option<u64>,
+        }
+        /// A message arrived and is being handled at `to`.
+        Deliver("deliver", query) {
+            /// Transmitting node.
+            from: u32,
+            /// Receiving node.
+            to: u32,
+            /// Message kind tag.
+            msg: &'static str,
+            /// The decision query this delivery serves, when attributable.
+            query: Option<u64>,
+        }
+        /// A transmission was lost to link noise (seeded sampling).
+        Loss("loss", query) {
+            /// Transmitting node.
+            from: u32,
+            /// Intended receiver.
+            to: u32,
+            /// Message kind tag.
+            msg: &'static str,
+            /// Wire size in bytes (bandwidth was still consumed).
+            bytes: u64,
+            /// The decision query the lost message served, when attributable.
+            query: Option<u64>,
+        }
+        /// An in-flight message was dropped at arrival.
+        Drop("drop") {
+            /// Transmitting node.
+            from: u32,
+            /// Intended receiver.
+            to: u32,
+            /// Why: `link-down` or `node-down`.
+            reason: &'static str,
+        }
+        /// Queued (never transmitted) messages were purged from a link by a
+        /// fault.
+        Purge("purge") {
+            /// Transmitting side of the purged link.
+            from: u32,
+            /// Receiving side of the purged link.
+            to: u32,
+            /// How many messages vanished.
+            count: u64,
+        }
+        /// A scheduled fault transition was applied.
+        Fault("fault") {
+            /// Which: `node-crash`, `node-recover`, `link-down`, `link-up`.
+            fault: &'static str,
+            /// The affected node (or one endpoint of the affected link).
+            node: u32 => "a",
+            /// The other link endpoint, for link faults.
+            peer: Option<u32> => "b",
+        }
+        /// A decision query was issued at its origin (`Query_Init`).
+        QueryInit("query-init", query) {
+            /// Query id.
+            query: u64,
+            /// Origin node.
+            origin: u32,
+        }
+        /// The origin planned its retrieval: the decision-driven ordering
+        /// rationale, rendered by `dde-sched`'s `explain`.
+        Plan("plan", query) {
+            /// Query id.
+            query: u64,
+            /// Strategy code (`cmp`, `slt`, `lcf`, `lvf`, `lvfl`).
+            strategy: &'static str,
+            /// Number of candidate objects selected.
+            candidates: u64,
+            /// Predicted expected retrieval cost in bytes (§III-A expected
+            /// short-circuit cost of the chosen plan ordering).
+            expected_bytes: u64,
+            /// Human-readable ordering rationale (term ranking, expected
+            /// costs, short-circuit ratios).
+            rationale: String,
+        }
+        /// The origin sent a fetch request into the network.
+        RequestSend("request-send", query) {
+            /// Query id.
+            query: u64,
+            /// Requested object name.
+            name: String,
+            /// First hop the request was sent to.
+            hop: u32,
+            /// OR-term index of the predicate driving this fetch.
+            term: Option<u32>,
+            /// Condition index within the OR-term.
+            cond: Option<u32>,
+        }
+        /// A request was answered from this node's content store.
+        CacheHit("cache-hit", query) {
+            /// Served object name.
+            name: String,
+            /// Neighbor the reply was sent to.
+            requester: u32,
+            /// The decision query the request served, when attributable.
+            query: Option<u64>,
+        }
+        /// A request could not be served locally and was forwarded (or hit a
+        /// dead end).
+        CacheMiss("cache-miss", query) {
+            /// Requested object name.
+            name: String,
+            /// Next hop it was forwarded to, if a route existed.
+            forwarded_to: Option<u32> as Nullable,
+            /// The decision query the request served, when attributable.
+            query: Option<u64>,
+        }
+        /// A request was answered with cached *labels* instead of data (§VI-D).
+        LabelHit("label-hit", query) {
+            /// Neighbor the labels were sent to.
+            requester: u32,
+            /// How many of the request's labels were answered.
+            labels: u64,
+            /// The decision query the request served, when attributable.
+            query: Option<u64>,
+        }
+        /// A request was answered with an approximate (same-prefix) substitute
+        /// object (§V-A).
+        ApproxHit("approx-hit", query) {
+            /// Requested object name.
+            name: String,
+            /// The substitute actually served.
+            substitute: String,
+            /// The decision query the request served, when attributable.
+            query: Option<u64>,
+        }
+        /// A label was resolved by sampling a co-located sensor (no network).
+        LocalSample("local-sample", query) {
+            /// Sampled object name.
+            name: String,
+            /// The decision query the sample served, when attributable.
+            query: Option<u64>,
+        }
+        /// An object was stored into a node's content store; occupancy is
+        /// charged as `bytes × validity_us` (byte-microseconds) to `query`.
+        CacheStore("cache-store", query) {
+            /// Stored object name.
+            name: String,
+            /// Object payload size in bytes.
+            bytes: u64,
+            /// Remaining validity when stored, in microseconds.
+            validity_us: u64,
+            /// The decision query whose retrieval caused the store.
+            query: Option<u64>,
+        }
+        /// Evidence was annotated into a label value at the query origin.
+        Annotate("annotate", query) {
+            /// Query id.
+            query: u64,
+            /// The judged label.
+            label: String,
+            /// The judged value.
+            value: bool,
+            /// OR-term index of the annotated predicate.
+            term: Option<u32>,
+            /// Condition index within the OR-term.
+            cond: Option<u32>,
+        }
+        /// A label value was shared toward the evidence source (§VI-D).
+        LabelShare("label-share", query) {
+            /// The shared label.
+            label: String,
+            /// The shared value.
+            value: bool,
+            /// First hop of the share.
+            toward: u32,
+            /// The decision query whose annotation is being shared.
+            query: Option<u64>,
+        }
+        /// A source-side prefetch push was initiated (§VI-A).
+        PrefetchPush("prefetch-push", query) {
+            /// Pushed object name.
+            name: String,
+            /// First hop toward the anticipated consumer.
+            toward: u32,
+            /// The decision query whose announce triggered the push.
+            query: Option<u64>,
+        }
+        /// A background push was dropped by sub-additive utility triage (§V-B).
+        TriageDrop("triage-drop") {
+            /// The redundant object name.
+            name: String,
+            /// The hop it would have been pushed to.
+            hop: u32,
+        }
+        /// A query reached a decision before its deadline.
+        QueryResolved("query-resolved", query) {
+            /// Query id.
+            query: u64,
+            /// `viable` or `infeasible`.
+            outcome: &'static str,
+            /// Issue-to-decision latency in microseconds.
+            latency_us: u64,
+        }
+        /// A query's deadline passed while undecided.
+        QueryMissed("query-missed", query) {
+            /// Query id.
+            query: u64,
+        }
+        /// An in-flight fetch hit its retry timeout and the origin is about to
+        /// re-plan. Emitted only by adaptive-planning runs.
+        FetchTimeout("fetch-timeout", query) {
+            /// Query id.
+            query: u64,
+            /// The object name whose fetch timed out.
+            name: String,
+            /// The source node the fetch was directed at.
+            source: u32,
+        }
+    }
 }
 
 /// One payload value of an event, borrowed from the record that holds it.
@@ -289,296 +425,138 @@ pub(crate) fn wire_u64(v: u64) -> u64 {
     v.min(i64::MAX as u64)
 }
 
-fn n(v: u64) -> FieldVal<'static> {
-    FieldVal::Int(wire_u64(v) as i64)
+/// How a field of type `T` is written, visited and read back. A field's
+/// type is its own shape: `u32` is written as it is, `u64` saturates
+/// through [`wire_u64`], `bool` is a flag, `String` is text, a `&'static
+/// str` is a tag (interned on decode) and an `Option` omits its key when
+/// `None` (a missing key reads back as `None`).
+trait Wire<T> {
+    /// Appends `key` (the literal `,"key":`) and the value, or nothing for
+    /// a value whose key is omitted.
+    fn encode(v: &T, out: &mut Vec<u8>, key: &[u8]);
+    /// The value as [`EventKind::visit_fields`] hands it out; `None` when
+    /// the key is omitted.
+    fn value(v: &T) -> Option<FieldVal<'_>>;
+    /// Reads the field `key`; an error names it.
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<T, String>;
 }
 
-fn u(v: u32) -> FieldVal<'static> {
-    FieldVal::Int(i64::from(v))
+impl Wire<u32> for u32 {
+    fn encode(v: &u32, out: &mut Vec<u8>, key: &[u8]) {
+        out.extend_from_slice(key);
+        write_json_u64(out, u64::from(*v));
+    }
+    fn value(v: &u32) -> Option<FieldVal<'_>> {
+        Some(FieldVal::Int(i64::from(*v)))
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<u32, String> {
+        d.int(key)
+    }
+}
+
+impl Wire<u64> for u64 {
+    fn encode(v: &u64, out: &mut Vec<u8>, key: &[u8]) {
+        out.extend_from_slice(key);
+        write_json_u64(out, wire_u64(*v));
+    }
+    fn value(v: &u64) -> Option<FieldVal<'_>> {
+        Some(FieldVal::Int(wire_u64(*v) as i64))
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<u64, String> {
+        d.int(key)
+    }
+}
+
+impl Wire<bool> for bool {
+    fn encode(v: &bool, out: &mut Vec<u8>, key: &[u8]) {
+        out.extend_from_slice(key);
+        write_json_bool(out, *v);
+    }
+    fn value(v: &bool) -> Option<FieldVal<'_>> {
+        Some(FieldVal::Bool(*v))
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<bool, String> {
+        match d.field(key)? {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Fields::wrong(key, "a bool"),
+        }
+    }
+}
+
+impl Wire<String> for String {
+    fn encode(v: &String, out: &mut Vec<u8>, key: &[u8]) {
+        out.extend_from_slice(key);
+        write_json_string(out, v);
+    }
+    fn value(v: &String) -> Option<FieldVal<'_>> {
+        Some(FieldVal::Str(v))
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<String, String> {
+        d.text(key).map(str::to_string)
+    }
+}
+
+impl Wire<&'static str> for &'static str {
+    fn encode(v: &&'static str, out: &mut Vec<u8>, key: &[u8]) {
+        out.extend_from_slice(key);
+        write_json_string(out, v);
+    }
+    fn value<'a>(v: &'a &'static str) -> Option<FieldVal<'a>> {
+        Some(FieldVal::Str(v))
+    }
+    /// The tag as the `&'static str` its field holds: resolved through
+    /// `d.tags`, which leaks each distinct tag once.
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<&'static str, String> {
+        let sym = d.tags.intern(d.text(key)?);
+        // A symbol the table just handed out always resolves.
+        Ok(d.tags.resolve(sym).unwrap_or_default())
+    }
+}
+
+impl<T: Wire<T>> Wire<Option<T>> for Option<T> {
+    fn encode(v: &Option<T>, out: &mut Vec<u8>, key: &[u8]) {
+        if let Some(v) = v {
+            T::encode(v, out, key);
+        }
+    }
+    fn value(v: &Option<T>) -> Option<FieldVal<'_>> {
+        v.as_ref().and_then(T::value)
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<Option<T>, String> {
+        match d.obj.get(key) {
+            None => Ok(None),
+            Some(_) => T::decode(d, key).map(Some),
+        }
+    }
+}
+
+/// The one shape a row names instead of its type's (`cache-miss`'s
+/// `forwarded_to`): the key is always written, with `null` for `None`, so
+/// decoding requires it.
+enum Nullable {}
+
+impl<T: Wire<T>> Wire<Option<T>> for Nullable {
+    fn encode(v: &Option<T>, out: &mut Vec<u8>, key: &[u8]) {
+        match v {
+            Some(v) => T::encode(v, out, key),
+            None => {
+                out.extend_from_slice(key);
+                out.extend_from_slice(b"null");
+            }
+        }
+    }
+    fn value(v: &Option<T>) -> Option<FieldVal<'_>> {
+        Some(v.as_ref().and_then(T::value).unwrap_or(FieldVal::Null))
+    }
+    fn decode(d: &mut Fields<'_>, key: &str) -> Result<Option<T>, String> {
+        match d.field(key)? {
+            JsonValue::Null => Ok(None),
+            _ => T::decode(d, key).map(Some),
+        }
+    }
 }
 
 impl EventKind {
-    /// The stable kind tag used in JSONL traces and per-kind diff deltas.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            EventKind::Transmit { .. } => "transmit",
-            EventKind::Deliver { .. } => "deliver",
-            EventKind::Loss { .. } => "loss",
-            EventKind::Drop { .. } => "drop",
-            EventKind::Purge { .. } => "purge",
-            EventKind::Fault { .. } => "fault",
-            EventKind::QueryInit { .. } => "query-init",
-            EventKind::Plan { .. } => "plan",
-            EventKind::RequestSend { .. } => "request-send",
-            EventKind::CacheHit { .. } => "cache-hit",
-            EventKind::CacheMiss { .. } => "cache-miss",
-            EventKind::LabelHit { .. } => "label-hit",
-            EventKind::ApproxHit { .. } => "approx-hit",
-            EventKind::LocalSample { .. } => "local-sample",
-            EventKind::CacheStore { .. } => "cache-store",
-            EventKind::Annotate { .. } => "annotate",
-            EventKind::LabelShare { .. } => "label-share",
-            EventKind::PrefetchPush { .. } => "prefetch-push",
-            EventKind::TriageDrop { .. } => "triage-drop",
-            EventKind::QueryResolved { .. } => "query-resolved",
-            EventKind::QueryMissed { .. } => "query-missed",
-            EventKind::FetchTimeout { .. } => "fetch-timeout",
-        }
-    }
-
-    /// The decision query the event is charged to, as the trace carries it;
-    /// `None` for plumbing no decision caused (faults, purges, drops,
-    /// triage, unattributed link traffic).
-    pub(crate) fn query(&self) -> Option<u64> {
-        let query = match self {
-            EventKind::Transmit { query, .. }
-            | EventKind::Deliver { query, .. }
-            | EventKind::Loss { query, .. }
-            | EventKind::CacheHit { query, .. }
-            | EventKind::CacheMiss { query, .. }
-            | EventKind::LabelHit { query, .. }
-            | EventKind::ApproxHit { query, .. }
-            | EventKind::LocalSample { query, .. }
-            | EventKind::CacheStore { query, .. }
-            | EventKind::LabelShare { query, .. }
-            | EventKind::PrefetchPush { query, .. } => *query,
-            EventKind::QueryInit { query, .. }
-            | EventKind::Plan { query, .. }
-            | EventKind::RequestSend { query, .. }
-            | EventKind::Annotate { query, .. }
-            | EventKind::QueryResolved { query, .. }
-            | EventKind::QueryMissed { query }
-            | EventKind::FetchTimeout { query, .. } => Some(*query),
-            EventKind::Drop { .. }
-            | EventKind::Purge { .. }
-            | EventKind::Fault { .. }
-            | EventKind::TriageDrop { .. } => None,
-        };
-        query.map(wire_u64)
-    }
-
-    /// The variant's payload fields in wire order (without the common
-    /// `t`/`node`/`kind` envelope), borrowed from the record. This is the
-    /// one field table: [`fields`](Self::fields) reads it, and so does the
-    /// JSONL encoder for every kind but `transmit` and `deliver`, whose
-    /// hand-written shapes the tests check against it.
-    pub fn visit_fields<'a>(&'a self, f: &mut impl FnMut(&'static str, FieldVal<'a>)) {
-        use FieldVal::{Bool, Null, Str};
-        /// `"query": q` only when the attribution is present, so
-        /// unattributable events keep their pre-attribution wire shape.
-        fn query<'a>(f: &mut impl FnMut(&'static str, FieldVal<'a>), query: &Option<u64>) {
-            if let Some(q) = query {
-                f("query", n(*q));
-            }
-        }
-        /// `"term"`/`"cond"` predicate coordinates when present.
-        fn pred<'a>(
-            f: &mut impl FnMut(&'static str, FieldVal<'a>),
-            term: &Option<u32>,
-            cond: &Option<u32>,
-        ) {
-            if let Some(t) = term {
-                f("term", u(*t));
-            }
-            if let Some(c) = cond {
-                f("cond", u(*c));
-            }
-        }
-        match self {
-            EventKind::Transmit {
-                from,
-                to,
-                msg,
-                bytes,
-                background,
-                query: q,
-            } => {
-                f("from", u(*from));
-                f("to", u(*to));
-                f("msg", Str(msg));
-                f("bytes", n(*bytes));
-                f("bg", Bool(*background));
-                query(f, q);
-            }
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                query: q,
-            } => {
-                f("from", u(*from));
-                f("to", u(*to));
-                f("msg", Str(msg));
-                query(f, q);
-            }
-            EventKind::Loss {
-                from,
-                to,
-                msg,
-                bytes,
-                query: q,
-            } => {
-                f("from", u(*from));
-                f("to", u(*to));
-                f("msg", Str(msg));
-                f("bytes", n(*bytes));
-                query(f, q);
-            }
-            EventKind::Drop { from, to, reason } => {
-                f("from", u(*from));
-                f("to", u(*to));
-                f("reason", Str(reason));
-            }
-            EventKind::Purge { from, to, count } => {
-                f("from", u(*from));
-                f("to", u(*to));
-                f("count", n(*count));
-            }
-            EventKind::Fault { fault, node, peer } => {
-                f("fault", Str(fault));
-                f("a", u(*node));
-                if let Some(p) = peer {
-                    f("b", u(*p));
-                }
-            }
-            EventKind::QueryInit { query, origin } => {
-                f("query", n(*query));
-                f("origin", u(*origin));
-            }
-            EventKind::Plan {
-                query,
-                strategy,
-                candidates,
-                expected_bytes,
-                rationale,
-            } => {
-                f("query", n(*query));
-                f("strategy", Str(strategy));
-                f("candidates", n(*candidates));
-                f("expected_bytes", n(*expected_bytes));
-                f("rationale", Str(rationale));
-            }
-            EventKind::RequestSend {
-                query,
-                name,
-                hop,
-                term,
-                cond,
-            } => {
-                f("query", n(*query));
-                f("name", Str(name));
-                f("hop", u(*hop));
-                pred(f, term, cond);
-            }
-            EventKind::CacheHit {
-                name,
-                requester,
-                query: q,
-            } => {
-                f("name", Str(name));
-                f("requester", u(*requester));
-                query(f, q);
-            }
-            EventKind::CacheMiss {
-                name,
-                forwarded_to,
-                query: q,
-            } => {
-                f("name", Str(name));
-                f("forwarded_to", forwarded_to.map_or(Null, u));
-                query(f, q);
-            }
-            EventKind::LabelHit {
-                requester,
-                labels,
-                query: q,
-            } => {
-                f("requester", u(*requester));
-                f("labels", n(*labels));
-                query(f, q);
-            }
-            EventKind::ApproxHit {
-                name,
-                substitute,
-                query: q,
-            } => {
-                f("name", Str(name));
-                f("substitute", Str(substitute));
-                query(f, q);
-            }
-            EventKind::LocalSample { name, query: q } => {
-                f("name", Str(name));
-                query(f, q);
-            }
-            EventKind::CacheStore {
-                name,
-                bytes,
-                validity_us,
-                query: q,
-            } => {
-                f("name", Str(name));
-                f("bytes", n(*bytes));
-                f("validity_us", n(*validity_us));
-                query(f, q);
-            }
-            EventKind::Annotate {
-                query,
-                label,
-                value,
-                term,
-                cond,
-            } => {
-                f("query", n(*query));
-                f("label", Str(label));
-                f("value", Bool(*value));
-                pred(f, term, cond);
-            }
-            EventKind::LabelShare {
-                label,
-                value,
-                toward,
-                query: q,
-            } => {
-                f("label", Str(label));
-                f("value", Bool(*value));
-                f("toward", u(*toward));
-                query(f, q);
-            }
-            EventKind::PrefetchPush {
-                name,
-                toward,
-                query: q,
-            } => {
-                f("name", Str(name));
-                f("toward", u(*toward));
-                query(f, q);
-            }
-            EventKind::TriageDrop { name, hop } => {
-                f("name", Str(name));
-                f("hop", u(*hop));
-            }
-            EventKind::QueryResolved {
-                query,
-                outcome,
-                latency_us,
-            } => {
-                f("query", n(*query));
-                f("outcome", Str(outcome));
-                f("latency_us", n(*latency_us));
-            }
-            EventKind::QueryMissed { query } => f("query", n(*query)),
-            EventKind::FetchTimeout {
-                query,
-                name,
-                source,
-            } => {
-                f("query", n(*query));
-                f("name", Str(name));
-                f("source", u(*source));
-            }
-        }
-    }
-
     /// The payload fields as an owned JSON tree: what a JSONL line holds
     /// besides its envelope, and so what the Chrome export puts under
     /// `args`.
@@ -604,56 +582,13 @@ impl TraceRecord {
     /// Nothing is built on the way: keys and kind tags are literals copied
     /// as bytes (no tag needs escaping) and values are written from the
     /// record's own fields, so encoding allocates only if `out` must grow.
-    ///
-    /// `transmit` and `deliver`, three records in four of a run, are
-    /// written by hand: each run of literal text between two values is one
-    /// copy, and the flag with its key is one literal. Every other kind
-    /// walks [`EventKind::visit_fields`]. The hand-written shapes must
-    /// equal the table's; the tests hold them to it.
     pub(crate) fn encode_jsonl(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"t\":");
         write_json_u64(out, wire_u64(self.at.as_micros()));
         out.extend_from_slice(b",\"node\":");
         write_json_u64(out, u64::from(self.node));
-        match &self.kind {
-            EventKind::Transmit {
-                from,
-                to,
-                msg,
-                bytes,
-                background,
-                query,
-            } => {
-                out.extend_from_slice(b",\"kind\":\"transmit\",\"from\":");
-                write_link(out, *from, *to, msg);
-                out.extend_from_slice(b",\"bytes\":");
-                write_json_u64(out, wire_u64(*bytes));
-                out.extend_from_slice(if *background {
-                    b",\"bg\":true"
-                } else {
-                    b",\"bg\":false"
-                });
-                write_query(out, *query);
-            }
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                query,
-            } => {
-                out.extend_from_slice(b",\"kind\":\"deliver\",\"from\":");
-                write_link(out, *from, *to, msg);
-                write_query(out, *query);
-            }
-            kind => kind.encode_fields(out),
-        }
+        self.kind.encode_payload(out);
         out.push(b'}');
-    }
-
-    /// Appends the record to `out` as one JSONL line (no trailing newline),
-    /// through the byte encoder [`JsonlSink`](crate::sink::JsonlSink) uses.
-    pub fn write_jsonl(&self, out: &mut String) {
-        out.push_str(&self.to_jsonl_line());
     }
 
     /// The record as one JSONL line (no trailing newline).
@@ -674,174 +609,12 @@ impl TraceRecord {
     pub fn decode_jsonl(line: &str, tags: &mut Interner) -> Result<TraceRecord, String> {
         let obj = parse(line).map_err(|e| format!("invalid JSON: {e:?}"))?;
         let mut d = Fields { obj: &obj, tags };
-        let kind = match d.text("kind")? {
-            "transmit" => EventKind::Transmit {
-                from: d.int("from")?,
-                to: d.int("to")?,
-                msg: d.tag("msg")?,
-                bytes: d.int("bytes")?,
-                background: d.flag("bg")?,
-                query: d.opt("query")?,
-            },
-            "deliver" => EventKind::Deliver {
-                from: d.int("from")?,
-                to: d.int("to")?,
-                msg: d.tag("msg")?,
-                query: d.opt("query")?,
-            },
-            "loss" => EventKind::Loss {
-                from: d.int("from")?,
-                to: d.int("to")?,
-                msg: d.tag("msg")?,
-                bytes: d.int("bytes")?,
-                query: d.opt("query")?,
-            },
-            "drop" => EventKind::Drop {
-                from: d.int("from")?,
-                to: d.int("to")?,
-                reason: d.tag("reason")?,
-            },
-            "purge" => EventKind::Purge {
-                from: d.int("from")?,
-                to: d.int("to")?,
-                count: d.int("count")?,
-            },
-            "fault" => EventKind::Fault {
-                fault: d.tag("fault")?,
-                node: d.int("a")?,
-                peer: d.opt("b")?,
-            },
-            "query-init" => EventKind::QueryInit {
-                query: d.int("query")?,
-                origin: d.int("origin")?,
-            },
-            "plan" => EventKind::Plan {
-                query: d.int("query")?,
-                strategy: d.tag("strategy")?,
-                candidates: d.int("candidates")?,
-                expected_bytes: d.int("expected_bytes")?,
-                rationale: d.text("rationale")?.to_string(),
-            },
-            "request-send" => EventKind::RequestSend {
-                query: d.int("query")?,
-                name: d.text("name")?.to_string(),
-                hop: d.int("hop")?,
-                term: d.opt("term")?,
-                cond: d.opt("cond")?,
-            },
-            "cache-hit" => EventKind::CacheHit {
-                name: d.text("name")?.to_string(),
-                requester: d.int("requester")?,
-                query: d.opt("query")?,
-            },
-            "cache-miss" => EventKind::CacheMiss {
-                name: d.text("name")?.to_string(),
-                forwarded_to: match d.field("forwarded_to")? {
-                    JsonValue::Null => None,
-                    _ => Some(d.int("forwarded_to")?),
-                },
-                query: d.opt("query")?,
-            },
-            "label-hit" => EventKind::LabelHit {
-                requester: d.int("requester")?,
-                labels: d.int("labels")?,
-                query: d.opt("query")?,
-            },
-            "approx-hit" => EventKind::ApproxHit {
-                name: d.text("name")?.to_string(),
-                substitute: d.text("substitute")?.to_string(),
-                query: d.opt("query")?,
-            },
-            "local-sample" => EventKind::LocalSample {
-                name: d.text("name")?.to_string(),
-                query: d.opt("query")?,
-            },
-            "cache-store" => EventKind::CacheStore {
-                name: d.text("name")?.to_string(),
-                bytes: d.int("bytes")?,
-                validity_us: d.int("validity_us")?,
-                query: d.opt("query")?,
-            },
-            "annotate" => EventKind::Annotate {
-                query: d.int("query")?,
-                label: d.text("label")?.to_string(),
-                value: d.flag("value")?,
-                term: d.opt("term")?,
-                cond: d.opt("cond")?,
-            },
-            "label-share" => EventKind::LabelShare {
-                label: d.text("label")?.to_string(),
-                value: d.flag("value")?,
-                toward: d.int("toward")?,
-                query: d.opt("query")?,
-            },
-            "prefetch-push" => EventKind::PrefetchPush {
-                name: d.text("name")?.to_string(),
-                toward: d.int("toward")?,
-                query: d.opt("query")?,
-            },
-            "triage-drop" => EventKind::TriageDrop {
-                name: d.text("name")?.to_string(),
-                hop: d.int("hop")?,
-            },
-            "query-resolved" => EventKind::QueryResolved {
-                query: d.int("query")?,
-                outcome: d.tag("outcome")?,
-                latency_us: d.int("latency_us")?,
-            },
-            "query-missed" => EventKind::QueryMissed {
-                query: d.int("query")?,
-            },
-            "fetch-timeout" => EventKind::FetchTimeout {
-                query: d.int("query")?,
-                name: d.text("name")?.to_string(),
-                source: d.int("source")?,
-            },
-            other => return Err(format!("unknown kind `{other}`")),
-        };
+        let kind = EventKind::decode_payload(&mut d)?;
         Ok(TraceRecord {
             at: SimTime::from_micros(d.int("t")?),
             node: d.int("node")?,
             kind,
         })
-    }
-}
-
-/// `from` (its key already written), then `,"to":` and `,"msg":`.
-fn write_link(out: &mut Vec<u8>, from: u32, to: u32, msg: &str) {
-    write_json_u64(out, u64::from(from));
-    out.extend_from_slice(b",\"to\":");
-    write_json_u64(out, u64::from(to));
-    out.extend_from_slice(b",\"msg\":");
-    write_json_string(out, msg);
-}
-
-/// `,"query":q` when the record is attributed, as the table's `query`.
-fn write_query(out: &mut Vec<u8>, query: Option<u64>) {
-    if let Some(q) = query {
-        out.extend_from_slice(b",\"query\":");
-        write_json_u64(out, wire_u64(q));
-    }
-}
-
-impl EventKind {
-    /// The `kind` tag and the payload, as [`visit_fields`](Self::visit_fields)
-    /// lists them.
-    fn encode_fields(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b",\"kind\":\"");
-        out.extend_from_slice(self.kind_name().as_bytes());
-        out.push(b'"');
-        self.visit_fields(&mut |key, val| {
-            out.extend_from_slice(b",\"");
-            out.extend_from_slice(key.as_bytes());
-            out.extend_from_slice(b"\":");
-            match val {
-                FieldVal::Int(i) => write_json_int(out, i),
-                FieldVal::Str(s) => write_json_string(out, s),
-                FieldVal::Bool(b) => write_json_bool(out, b),
-                FieldVal::Null => out.extend_from_slice(b"null"),
-            }
-        });
     }
 }
 
@@ -871,33 +644,11 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// An integer that fits `T`, or `None` when the key is absent.
-    fn opt<T: TryFrom<i64>>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.obj.get(key) {
-            None => Ok(None),
-            Some(_) => self.int(key).map(Some),
-        }
-    }
-
-    fn flag(&self, key: &str) -> Result<bool, String> {
-        match self.field(key)? {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Self::wrong(key, "a bool"),
-        }
-    }
-
     fn text(&self, key: &str) -> Result<&'a str, String> {
         match self.field(key)?.as_str() {
             Some(s) => Ok(s),
             None => Self::wrong(key, "a string"),
         }
-    }
-
-    /// A tag, as the `&'static str` its [`EventKind`] field holds.
-    fn tag(&mut self, key: &str) -> Result<&'static str, String> {
-        let sym = self.tags.intern(self.text(key)?);
-        // A symbol the table just handed out always resolves.
-        Ok(self.tags.resolve(sym).unwrap_or_default())
     }
 }
 
@@ -1155,11 +906,9 @@ mod tests {
                         kind,
                     };
                     let tree = tree(&rec);
-                    let mut line = String::from("kept:");
-                    rec.write_jsonl(&mut line);
-                    let line = line.strip_prefix("kept:").expect("write_jsonl appends");
+                    let line = rec.to_jsonl_line();
+                    let line = line.as_str();
                     assert_eq!(line, tree.to_compact_string(), "{rec:?}");
-                    assert_eq!(line, rec.to_jsonl_line());
                     assert_eq!(parse(line).expect(line), tree, "{rec:?}");
                     let back = TraceRecord::decode_jsonl(line, &mut tags).expect(line);
                     assert_eq!(back, rec);
@@ -1168,6 +917,80 @@ mod tests {
             }
         }
         assert_eq!(tags.len(), HOSTILE.len());
+    }
+
+    /// The keys of `kind`'s line, with the envelope, as a JSON object.
+    fn pairs(kind: EventKind) -> Vec<(String, JsonValue)> {
+        let rec = TraceRecord {
+            at: SimTime::from_micros(5),
+            node: 1,
+            kind,
+        };
+        match parse(&rec.to_jsonl_line()) {
+            Ok(JsonValue::Object(pairs)) => pairs,
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// Decoding is strict field by field, over every kind. A key the line
+    /// carries even when every `Option` is `None` is required: dropping it
+    /// is an error naming it. Any other key (`query`, `term`, `cond`, `b`)
+    /// is optional: dropping it reads back as `None`. Any key with a value
+    /// of the wrong type, or a negative integer, is an error naming it.
+    #[test]
+    fn decode_is_strict_field_by_field() {
+        let decode = |pairs: &[(String, JsonValue)]| {
+            let line = JsonValue::Object(pairs.to_vec()).to_compact_string();
+            (TraceRecord::decode_jsonl(&line, &mut Interner::new()), line)
+        };
+        let all_some = every_variant("tag", true, true);
+        for (full, bare) in all_some.into_iter().zip(every_variant("tag", false, false)) {
+            let required: Vec<String> = pairs(bare).into_iter().map(|(k, _)| k).collect();
+            let full = pairs(full);
+            for (i, (key, val)) in full.iter().enumerate() {
+                let named = format!("`{key}`");
+                let mut dropped = full.clone();
+                dropped.remove(i);
+                match decode(&dropped) {
+                    (Err(err), _) => {
+                        assert!(required.contains(key), "optional `{key}`: {err}");
+                        assert!(err.contains(&named), "{err}");
+                    }
+                    (Ok(back), line) => {
+                        assert!(!required.contains(key), "required `{key}` dropped: {line}");
+                        assert!(["query", "term", "cond", "b"].contains(&key.as_str()));
+                        assert_eq!(back.to_jsonl_line(), line, "`{key}` reads as None");
+                    }
+                }
+                let mut wrong = vec![match val {
+                    JsonValue::Str(_) => JsonValue::Bool(true),
+                    _ => JsonValue::Str("1".into()),
+                }];
+                if let JsonValue::Int(_) = val {
+                    wrong.push(JsonValue::Int(-1));
+                }
+                for value in wrong {
+                    let mut bad = full.clone();
+                    bad[i].1 = value;
+                    let (result, line) = decode(&bad);
+                    let err = result.expect_err(&line);
+                    assert!(err.contains(&named), "{err}");
+                }
+            }
+        }
+        let null = pairs(every_variant("tag", false, false).swap_remove(10));
+        assert!(null.contains(&("forwarded_to".into(), JsonValue::Null)));
+        let (back, line) = decode(&null);
+        assert!(
+            matches!(
+                back.expect(&line).kind,
+                EventKind::CacheMiss {
+                    forwarded_to: None,
+                    ..
+                }
+            ),
+            "{line}"
+        );
     }
 
     /// Integers across the writer's edges: small, anything, either side of

@@ -905,7 +905,7 @@ mod tests {
     fn jsonl(records: &[TraceRecord]) -> String {
         let mut text = String::new();
         for r in records {
-            r.write_jsonl(&mut text);
+            text.push_str(&r.to_jsonl_line());
             text.push('\n');
         }
         text

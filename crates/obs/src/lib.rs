@@ -9,9 +9,10 @@
 //!
 //! - [`event`] — the typed span/event taxonomy over the full query
 //!   lifecycle (query init → plan decision → request send → link transit →
-//!   cache hit/miss → annotate → label share → resolve/timeout), with the
-//!   one JSONL encoder and its inverse, so a saved trace reads back as the
-//!   records the run emitted;
+//!   cache hit/miss → annotate → label share → resolve/timeout), declared
+//!   as one table with a row per kind that generates the enum, the JSONL
+//!   encoder and its inverse, so a saved trace reads back as the records
+//!   the run emitted;
 //! - [`sink`] — the [`Sink`] contract plus the stock implementations:
 //!   [`NullSink`] (compiled-in but free), [`MemorySink`], [`JsonlSink`],
 //!   [`TeeSink`], and the cloneable [`SharedSink`] handle;
