@@ -254,3 +254,36 @@ fn paper_scale_trace_and_ledger_are_pinned() {
         assert_eq!(got, (trace, ledger), "{} moved", strategy.code());
     }
 }
+
+// ---- One radio per node --------------------------------------------------
+//
+// Under `MediumMode::HalfDuplexTx` a node's links share one transmitter:
+// when it frees, the engine walks all of the node's queues, foreground
+// first. Every case above runs full duplex, where each link is its own
+// transmitter.
+
+#[test]
+fn half_duplex_radio_trace_is_pinned() {
+    use dde_netsim::MediumMode;
+    // lvfl, then cmp, on the small preset; then the crash-recover and link
+    // outage on the range-2 mesh, where forwarders queue behind the radio.
+    const GOLDEN: [Fingerprint; 3] = [
+        (397, 46_792, 13_758_148_021_217_722_295),
+        (595, 69_038, 8_963_500_802_444_052_713),
+        (429, 49_735, 17_034_558_845_257_040_965),
+    ];
+    let half = |strategy| {
+        let mut options = options(strategy);
+        options.medium = MediumMode::HalfDuplexTx;
+        options
+    };
+    let scenario = small();
+    let lvfl = traced(&scenario, half(Strategy::LvfLabelShare));
+    let cmp = traced(&scenario, half(Strategy::Comprehensive));
+    let mesh = multi_hop(2, SimDuration::ZERO);
+    let mut outage = half(Strategy::LvfLabelShare);
+    outage.faults = crash_recover_outage(&mesh);
+    outage.crash_wipes_cache = true;
+    let outage = traced(&mesh, outage);
+    assert_eq!([lvfl, cmp, outage], GOLDEN);
+}
