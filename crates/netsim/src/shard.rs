@@ -1,8 +1,8 @@
 //! The event loop: one heap, one thread.
 //!
-//! [`ShardedSimulator`] owns every node, every link transmitter, the
-//! topology and one [`BinaryHeap`] of pending events, and dispatches them
-//! one at a time on the calling thread. The name, the region count
+//! [`ShardedSimulator`] owns every node, every transmitter, the topology
+//! and one queue of pending events, and dispatches them one at a time on
+//! the calling thread. The name, the region count
 //! [`ShardedSimulator::new`] takes and [`ShardedSimulator::partition`] are
 //! left from a conservative-parallel mode that never ran faster than this
 //! loop (EXPERIMENTS.md, "Threads: the verdict"); they are inert, kept
@@ -24,6 +24,26 @@
 //!   index)`, not a draw from a shared generator.
 //! - A trace record goes to the caller's sink the moment it is born, so
 //!   trace order is dispatch order and nothing is buffered.
+//!
+//! # The queue
+//!
+//! The [`BinaryHeap`] holds 32-byte `Copy` entries. Each is an event's
+//! `(at, EventKey)` packed into one `u128` whose integer order is exactly
+//! the tuple's order, plus the index of the event's payload in a slab with
+//! a free list. A heap step is one integer compare. A link's events pack
+//! the link's rank in `(from, to)` order, from a table built in
+//! [`ShardedSimulator::new`]; the dense slot that finds the link's queues
+//! is in adjacency order and never reaches a key. The slab, its free list
+//! and the rank table belong to the simulator value and die with it.
+//!
+//! A transmitter — the link under [`MediumMode::FullDuplex`], the node's
+//! radio under [`MediumMode::HalfDuplexTx`] — queues its free event only
+//! while a message waits behind it. An idle transmitter counts as free once
+//! the `(busy_until, EventKey::link_free(..))` order of its last
+//! transmission sorts at or before the event being dispatched, and a fault
+//! batch sorts before every event of its instant. That is exactly when the
+//! skipped event would have run, so skipping it moves nothing but the event
+//! count.
 
 use crate::fault::{FaultEvent, FaultSchedule, TimedFault};
 use crate::metrics::Metrics;
@@ -134,6 +154,89 @@ impl EventKey {
     }
 }
 
+/// Bits of the packed key's low word below the class.
+const IDENTITY_BITS: u32 = 61;
+/// Bits of a timer's node and of a link's `(from, to)` rank.
+const OWNER_BITS: u32 = 24;
+/// Bits of a timer's per-node sequence and of a link's `txn`.
+const SEQ_BITS: u32 = IDENTITY_BITS - OWNER_BITS;
+
+/// `value`, checked to fit `bits` bits of the packed key.
+#[inline]
+fn field(value: u64, bits: u32, what: &str) -> u64 {
+    assert!(
+        value < 1 << bits,
+        "event key field {what} = {value} reaches its limit 2^{bits}"
+    );
+    value
+}
+
+/// An event's place in the queue: `(at, EventKey)` packed into one integer
+/// whose order is exactly the tuple's order.
+///
+/// `at` (in µs) is the high 64 bits. The low 64 bits are the class (3
+/// bits) over 61 identity bits: the node of a start, the install index of
+/// an external, node (24 bits) | sequence (37) of a timer, and the link's
+/// `(from, to)` rank (24) | `txn` (37) of a link-free or a delivery. The
+/// 1e8-event runaway backstop keeps every counter far below 2^37.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Order(u128);
+
+impl Order {
+    /// Instant `at`, ahead of every event of it: a fault batch's place.
+    #[inline]
+    fn instant(at: SimTime) -> Order {
+        Order(u128::from(at.as_micros()) << 64)
+    }
+
+    /// Packs `(at, key)`. `rank` is the `(from, to)` rank of a link key's
+    /// link and is read only for the link classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field does not fit its width.
+    #[inline]
+    fn of(at: SimTime, key: EventKey, rank: u32) -> Order {
+        let identity = match key.class {
+            CLASS_START => field(key.a, IDENTITY_BITS, "node"),
+            CLASS_EXTERNAL => field(key.a, IDENTITY_BITS, "install index"),
+            CLASS_TIMER => {
+                field(key.a, OWNER_BITS, "timer node") << SEQ_BITS
+                    | field(key.b, SEQ_BITS, "timer sequence")
+            }
+            _ => {
+                field(u64::from(rank), OWNER_BITS, "link rank") << SEQ_BITS
+                    | field(key.c, SEQ_BITS, "txn")
+            }
+        };
+        Order(Order::instant(at).0 | u128::from(key.class << IDENTITY_BITS | identity))
+    }
+
+    /// The instant the event is at.
+    #[inline]
+    fn at(self) -> SimTime {
+        SimTime::from_micros((self.0 >> 64) as u64)
+    }
+}
+
+/// Each directed link's rank in `(from, to)` order, by
+/// [`Topology::link_slot`]: what a link's events key on.
+fn link_ranks(topology: &Topology) -> Vec<u32> {
+    let mut ranks = vec![0; topology.directed_link_count()];
+    let mut out = Vec::new();
+    let mut next = 0;
+    for from in topology.nodes() {
+        out.clear();
+        out.extend(topology.links_from(from).map(|(to, slot, _)| (to, slot)));
+        out.sort_unstable();
+        for &(_, slot) in &out {
+            ranks[slot] = next;
+            next += 1;
+        }
+    }
+    ranks
+}
+
 /// Stateless counter-based loss draw in `[0, 1)`: a splitmix64 chain over
 /// `(seed, from, to, transmission index)`.
 fn loss_unit(seed: u64, from: NodeId, to: NodeId, txn: u64) -> f64 {
@@ -149,6 +252,7 @@ fn loss_unit(seed: u64, from: NodeId, to: NodeId, txn: u64) -> f64 {
     h = mix(h ^ txn);
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
+
 enum Event<P: Protocol> {
     Start {
         node: NodeId,
@@ -166,30 +270,115 @@ enum Event<P: Protocol> {
         node: NodeId,
         ext: P::Ext,
     },
+    /// A transmitter frees with a message waiting. The hop is one the
+    /// transmitter serves; under `HalfDuplexTx` only its `from` is read.
     LinkFree(Hop),
 }
 
-struct Scheduled<P: Protocol> {
-    at: SimTime,
-    key: EventKey,
-    event: Event<P>,
+/// A heap entry: an event's order and the slab slot of its payload.
+#[derive(Clone, Copy)]
+struct Entry {
+    order: Order,
+    slot: u32,
 }
 
-impl<P: Protocol> PartialEq for Scheduled<P> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
+        self.order == other.order
     }
 }
-impl<P: Protocol> Eq for Scheduled<P> {}
-impl<P: Protocol> PartialOrd for Scheduled<P> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<P: Protocol> Ord for Scheduled<P> {
+impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.key).cmp(&(self.at, self.key))
+        other.order.cmp(&self.order)
+    }
+}
+
+/// Pending events: a heap of small entries over a slab of payloads. No two
+/// pending events share an order, so the entry's slot never breaks a tie.
+struct EventQueue<P: Protocol> {
+    heap: BinaryHeap<Entry>,
+    slab: Vec<Option<Event<P>>>,
+    /// Slab slots whose event has been popped, for reuse.
+    vacant: Vec<u32>,
+}
+
+impl<P: Protocol> EventQueue<P> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            vacant: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, order: Order, event: Event<P>) {
+        let slot = match self.vacant.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = self.slab.len();
+                assert!(slot < u32::MAX as usize, "2^32 - 1 pending events");
+                self.slab.push(Some(event));
+                slot as u32
+            }
+        };
+        self.heap.push(Entry { order, slot });
+    }
+
+    /// Pops the first event if it sorts before `until`.
+    #[inline]
+    fn pop_before(&mut self, until: Order) -> Option<(Order, Event<P>)> {
+        if self.heap.peek()?.order >= until {
+            return None;
+        }
+        let Entry { order, slot } = self.heap.pop()?;
+        self.vacant.push(slot);
+        #[expect(clippy::expect_used, reason = "a heap entry's slot holds its event")]
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("slot holds an event");
+        Some((order, event))
+    }
+}
+
+/// A transmitter: a directed link under [`MediumMode::FullDuplex`], a
+/// node's radio under [`MediumMode::HalfDuplexTx`].
+#[derive(Debug, Clone, Copy)]
+struct Transmitter {
+    /// Order of the link-free event of the last transmission. The
+    /// transmitter is free once this sorts at or before the event being
+    /// dispatched; `Order(0)` before its first transmission.
+    free: Order,
+    /// Messages waiting in the queues it serves.
+    waiting: usize,
+    /// Whether its free event is in the queue.
+    free_queued: bool,
+}
+
+impl Transmitter {
+    /// One idle transmitter per directed link (full duplex) or per node
+    /// (half duplex).
+    fn table(topology: &Topology, medium: MediumMode) -> Vec<Transmitter> {
+        let idle = Transmitter {
+            free: Order(0),
+            waiting: 0,
+            free_queued: false,
+        };
+        let count = match medium {
+            MediumMode::FullDuplex => topology.directed_link_count(),
+            MediumMode::HalfDuplexTx => topology.len(),
+        };
+        vec![idle; count]
     }
 }
 
@@ -204,12 +393,18 @@ pub struct ShardedSimulator<P: Protocol> {
     node_up: Vec<bool>,
     partition: Partition,
     nodes: Vec<P>,
-    heap: BinaryHeap<Scheduled<P>>,
-    /// Transmitters, by `Topology::link_slot`.
+    queue: EventQueue<P>,
+    /// Order of the event being dispatched; a fault batch's instant while
+    /// it applies.
+    dispatching: Order,
+    /// Wait queues, by `Topology::link_slot`.
     links: Vec<LinkState<P::Msg>>,
+    /// By slot under full duplex, by node under half duplex.
+    transmitters: Vec<Transmitter>,
+    /// Each link's `(from, to)` rank, by slot.
+    ranks: Vec<u32>,
     /// Handler outbox, emptied after every dispatch and reused by the next.
     commands: Vec<Command<P::Msg>>,
-    node_tx_busy: Vec<u32>,
     timer_seq: Vec<u64>,
     /// Transmissions started per link, by slot.
     tx_seq: Vec<u64>,
@@ -256,21 +451,22 @@ impl<P: Protocol> ShardedSimulator<P> {
         topology.ensure_routes();
         let partition = Partition::build(&topology, regions.max(1), seed);
         let n = nodes.len();
-        let heap = (0..n)
-            .map(|i| Scheduled {
-                at: SimTime::ZERO,
-                key: EventKey::start(NodeId(i)),
-                event: Event::Start { node: NodeId(i) },
-            })
-            .collect();
+        let mut queue = EventQueue::new();
+        for i in 0..n {
+            let node = NodeId(i);
+            let order = Order::of(SimTime::ZERO, EventKey::start(node), 0);
+            queue.push(order, Event::Start { node });
+        }
         ShardedSimulator {
             node_up: vec![true; n],
             partition,
             nodes,
-            heap,
+            queue,
+            dispatching: Order(0),
             links: LinkState::table(&topology),
+            transmitters: Transmitter::table(&topology, MediumMode::FullDuplex),
+            ranks: link_ranks(&topology),
             commands: Vec::new(),
-            node_tx_busy: vec![0; n],
             timer_seq: vec![0; n],
             tx_seq: vec![0; topology.directed_link_count()],
             topology,
@@ -299,8 +495,15 @@ impl<P: Protocol> ShardedSimulator<P> {
         self.now
     }
 
-    /// Number of events processed so far (dispatched events plus one per
-    /// installed fault transition).
+    /// Number of events processed so far: dispatched events plus one per
+    /// installed fault transition.
+    ///
+    /// An idle link's free instant is not an event: a transmitter queues
+    /// its free event only while a message waits behind it. A transmission
+    /// that leaves its transmitter idle costs one event (its delivery), not
+    /// two, so `RunReport::events` and the benchmark's `netsim.events`
+    /// count fewer events than they did when every link freed by an event,
+    /// and `netsim.ns_per_event` divides by fewer.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -317,9 +520,15 @@ impl<P: Protocol> ShardedSimulator<P> {
 
     /// Selects how node transmitters share the medium. Must be called
     /// before any traffic flows.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a message has been sent: the transmitter table is
+    /// rebuilt for the new medium, and a busy transmitter would be lost.
     pub fn set_medium(&mut self, medium: MediumMode) {
-        debug_assert!(self.metrics.messages_sent == 0, "set_medium before traffic");
+        assert!(self.metrics.messages_sent == 0, "set_medium before traffic");
         self.medium = medium;
+        self.transmitters = Transmitter::table(&self.topology, medium);
     }
 
     /// Installs a trace sink. Each record reaches it as the event that
@@ -340,11 +549,8 @@ impl<P: Protocol> ShardedSimulator<P> {
         assert!(node.index() < self.nodes.len(), "node out of range");
         let idx = self.ext_seq;
         self.ext_seq += 1;
-        self.heap.push(Scheduled {
-            at: at.max(self.now),
-            key: EventKey::external(idx),
-            event: Event::External { node, ext },
-        });
+        let order = Order::of(at.max(self.now), EventKey::external(idx), 0);
+        self.queue.push(order, Event::External { node, ext });
     }
 
     /// Installs every event of a [`FaultSchedule`]. All faults scheduled
@@ -415,11 +621,9 @@ impl<P: Protocol> ShardedSimulator<P> {
             // to the next fault instant exclusive, then the batch.
             let next_fault = self.faults.get(self.fault_cursor).map(|f| f.at);
             let next_fault = next_fault.filter(|&at| at < horizon);
-            let until = next_fault.unwrap_or(horizon);
-            while self.heap.peek().is_some_and(|head| head.at < until) {
-                #[expect(clippy::expect_used, reason = "peek above guarantees an entry")]
-                let scheduled = self.heap.pop().expect("peeked entry exists");
-                self.step(scheduled);
+            let until = Order::instant(next_fault.unwrap_or(horizon));
+            while let Some((order, event)) = self.queue.pop_before(until) {
+                self.step(order, event);
                 assert!(
                     self.events_processed < 100_000_000,
                     "runaway simulation: 1e8 events processed"
@@ -450,6 +654,7 @@ impl<P: Protocol> ShardedSimulator<P> {
     fn apply_fault_batch(&mut self, at: SimTime) {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
+        self.dispatching = Order::instant(at);
         // The whole batch lands on the topology before any side effect
         // runs, so purges and recoveries see the instant's final state.
         // Only transitions that changed something have side effects.
@@ -514,62 +719,53 @@ impl<P: Protocol> ShardedSimulator<P> {
         }
     }
 
-    fn step(&mut self, scheduled: Scheduled<P>) {
-        let Scheduled { at, event, .. } = scheduled;
+    fn step(&mut self, order: Order, event: Event<P>) {
+        let at = order.at();
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
+        self.dispatching = order;
         self.events_processed += 1;
 
-        if let Event::LinkFree(hop) = event {
-            self.link_freed(hop);
-            return;
-        }
         let node_id = match &event {
+            Event::LinkFree(hop) => {
+                self.link_freed(*hop);
+                return;
+            }
             Event::Start { node } | Event::Timer { node, .. } | Event::External { node, .. } => {
                 *node
             }
             Event::Deliver { to, .. } => *to,
-            Event::LinkFree(_) => unreachable!("handled above"),
         };
-        if let Event::Deliver { from, to, .. } = &event {
-            // The link went down (by fault) while the message was in
-            // flight: it never arrives.
-            if !self.topology.is_link_enabled(*from, *to) {
+        if let Event::Deliver { from, to, msg } = &event {
+            let (from, to) = (*from, *to);
+            // Faults are the only way a link or a node goes down (a batch
+            // writes `node_up` and the topology together): a message in
+            // flight on a link that went down, or arriving at a crashed
+            // node, is dropped by a fault.
+            let dropped = if !self.topology.is_link_enabled(from, to) {
+                Some("link-down")
+            } else if !self.node_up[to.index()] {
+                Some("node-down")
+            } else {
+                None
+            };
+            if let Some(reason) = dropped {
                 self.metrics.messages_dropped += 1;
                 self.metrics.messages_dropped_by_fault += 1;
-                let (from, to) = (*from, *to);
                 self.emit(
                     to,
                     EventKind::Drop {
                         from: from.index() as u32,
                         to: to.index() as u32,
-                        reason: "link-down",
+                        reason,
                     },
                 );
                 return;
             }
-        }
-        if !self.node_up[node_id.index()] {
-            if let Event::Deliver { from, to, .. } = &event {
-                self.metrics.messages_dropped += 1;
-                if !self.topology.is_node_enabled(node_id) {
-                    self.metrics.messages_dropped_by_fault += 1;
-                }
-                let (from, to) = (*from, *to);
-                self.emit(
-                    to,
-                    EventKind::Drop {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        reason: "node-down",
-                    },
-                );
-            }
-            return;
-        }
-        if let Event::Deliver { from, to, msg } = &event {
             self.metrics.messages_delivered += 1;
-            self.emit(*to, deliver_record(*from, *to, msg));
+            self.emit(to, deliver_record(from, to, msg));
+        } else if !self.node_up[node_id.index()] {
+            return;
         }
 
         self.dispatch(node_id, |node, ctx| match event {
@@ -605,15 +801,21 @@ impl<P: Protocol> ShardedSimulator<P> {
                 Command::Timer { at, tag } => {
                     let seq = self.timer_seq[node_id.index()];
                     self.timer_seq[node_id.index()] += 1;
-                    self.heap.push(Scheduled {
-                        at,
-                        key: EventKey::timer(node_id, seq),
-                        event: Event::Timer { node: node_id, tag },
-                    });
+                    let order = Order::of(at, EventKey::timer(node_id, seq), 0);
+                    self.queue.push(order, Event::Timer { node: node_id, tag });
                 }
             }
         }
         self.commands = commands;
+    }
+
+    /// The transmitter that clocks `hop` out.
+    #[inline]
+    fn transmitter(&self, hop: &Hop) -> usize {
+        match self.medium {
+            MediumMode::FullDuplex => hop.slot,
+            MediumMode::HalfDuplexTx => hop.from.index(),
+        }
     }
 
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
@@ -633,77 +835,79 @@ impl<P: Protocol> ShardedSimulator<P> {
             );
             return;
         };
-        let node_blocked =
-            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
+        let t = self.transmitter(&hop);
+        if self.transmitters[t].free <= self.dispatching {
+            self.start_transmission(t, hop, msg);
+            return;
+        }
         let link = &mut self.links[hop.slot];
-        if link.busy || node_blocked {
-            if msg.background() {
-                link.background.push_back(msg);
-            } else {
-                link.foreground.push_back(msg);
-            }
+        if msg.background() {
+            link.background.push_back(msg);
         } else {
-            self.start_transmission(hop, msg);
+            link.foreground.push_back(msg);
+        }
+        self.transmitters[t].waiting += 1;
+        self.queue_free_event(t, hop);
+    }
+
+    /// Queues transmitter `t`'s free event if a message waits behind it
+    /// and the event is not queued yet. `hop` is one `t` serves.
+    fn queue_free_event(&mut self, t: usize, hop: Hop) {
+        let tx = &mut self.transmitters[t];
+        if tx.waiting > 0 && !tx.free_queued {
+            tx.free_queued = true;
+            let order = tx.free;
+            self.queue.push(order, Event::LinkFree(hop));
         }
     }
 
-    fn start_transmission(&mut self, hop: Hop, msg: P::Msg) {
+    fn start_transmission(&mut self, t: usize, hop: Hop, msg: P::Msg) {
         let (from, to, slot, spec) = (hop.from, hop.to, hop.slot, hop.spec);
         let bytes = msg.wire_size();
         let depart = self.now + spec.transmission_time(bytes);
-        self.links[slot].busy = true;
-        self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(bytes, msg.kind());
-        self.emit(from, transmit_record(from, to, &msg));
+        let rank = self.ranks[slot];
         let txn = self.tx_seq[slot];
         self.tx_seq[slot] += 1;
+        self.transmitters[t].free = Order::of(depart, EventKey::link_free(from, to, txn), rank);
+        self.metrics.record_send(bytes, msg.kind());
+        self.emit(from, transmit_record(from, to, &msg));
         let lost = spec.loss > 0.0 && loss_unit(self.seed, from, to, txn) < spec.loss;
         if !lost {
-            self.heap.push(Scheduled {
-                at: depart + spec.latency,
-                key: EventKey::deliver(from, to, txn),
-                event: Event::Deliver { to, from, msg },
-            });
+            let order = Order::of(
+                depart + spec.latency,
+                EventKey::deliver(from, to, txn),
+                rank,
+            );
+            self.queue.push(order, Event::Deliver { to, from, msg });
         } else {
             self.metrics.messages_lost += 1;
             self.emit(from, loss_record(from, to, &msg));
         }
-        self.heap.push(Scheduled {
-            at: depart,
-            key: EventKey::link_free(from, to, txn),
-            event: Event::LinkFree(hop),
-        });
     }
 
+    /// The free event of the transmitter serving `hop`: it starts the next
+    /// message waiting behind it, unless a purge took them all.
     fn link_freed(&mut self, hop: Hop) {
+        let t = self.transmitter(&hop);
+        self.transmitters[t].free_queued = false;
         let from = hop.from;
-        let link = &mut self.links[hop.slot];
-        link.busy = false;
-        self.node_tx_busy[from.index()] = self.node_tx_busy[from.index()].saturating_sub(1);
-        match self.medium {
+        let next = match self.medium {
             MediumMode::FullDuplex => {
+                let link = &mut self.links[hop.slot];
                 let next = link
                     .foreground
                     .pop_front()
                     .or_else(|| link.background.pop_front());
-                if let Some(msg) = next {
-                    self.start_transmission(hop, msg);
-                }
+                next.map(|msg| (hop, msg))
             }
+            // Foreground from any link first, then background. The walk
+            // only pops: the transmission starts once it has let go of the
+            // topology.
             MediumMode::HalfDuplexTx => {
-                if self.node_tx_busy[from.index()] > 0 {
-                    return; // radio already claimed again
-                }
-                // Foreground from any link first, then background. The walk
-                // only pops: the transmission starts once it has let go of
-                // the topology.
                 let mut next = None;
                 'walk: for foreground in [true, false] {
                     for (to, slot, spec) in self.topology.links_from(from) {
                         let link = &mut self.links[slot];
-                        if link.busy {
-                            continue;
-                        }
                         let queue = if foreground {
                             &mut link.foreground
                         } else {
@@ -721,27 +925,32 @@ impl<P: Protocol> ShardedSimulator<P> {
                         }
                     }
                 }
-                if let Some((hop, msg)) = next {
-                    self.start_transmission(hop, msg);
-                }
+                next
             }
+        };
+        if let Some((hop, msg)) = next {
+            self.transmitters[t].waiting -= 1;
+            self.start_transmission(t, hop, msg);
+            self.queue_free_event(t, hop);
         }
     }
 
     fn purge_link_queues(&mut self, from: NodeId, to: NodeId) {
-        if let Some((slot, _)) = self.topology.link_slot(from, to) {
-            let link = &mut self.links[slot];
-            let purged = (link.foreground.len() + link.background.len()) as u64;
+        if let Some(hop) = Hop::resolve(&self.topology, from, to) {
+            let link = &mut self.links[hop.slot];
+            let purged = link.foreground.len() + link.background.len();
             link.foreground.clear();
             link.background.clear();
-            self.metrics.messages_purged_by_fault += purged;
+            let t = self.transmitter(&hop);
+            self.transmitters[t].waiting -= purged;
+            self.metrics.messages_purged_by_fault += purged as u64;
             if purged > 0 {
                 self.emit(
                     from,
                     EventKind::Purge {
                         from: from.index() as u32,
                         to: to.index() as u32,
-                        count: purged,
+                        count: purged as u64,
                     },
                 );
             }
@@ -770,6 +979,7 @@ mod tests {
     use super::*;
     use crate::topology::LinkSpec;
     use dde_obs::{MemorySink, SharedSink};
+    use proptest::prelude::*;
 
     #[derive(Debug, Clone)]
     struct Ball {
@@ -834,18 +1044,25 @@ mod tests {
         }
     }
 
-    fn echo_line(n: usize, budget: u32) -> (ShardedSimulator<Echo>, SharedSink<MemorySink>) {
+    fn echo_on(
+        topology: Topology,
+        budget: u32,
+    ) -> (ShardedSimulator<Echo>, SharedSink<MemorySink>) {
         let sink = SharedSink::new(MemorySink::new());
-        let nodes = (0..n)
+        let nodes = (0..topology.len())
             .map(|_| Echo {
                 started: false,
                 budget,
                 sink: sink.clone(),
             })
             .collect();
-        let mut sim = ShardedSimulator::new(Topology::line(n, LinkSpec::mbps1()), nodes, 7, 1);
+        let mut sim = ShardedSimulator::new(topology, nodes, 7, 1);
         sim.set_sink(Box::new(sink.clone()));
         (sim, sink)
+    }
+
+    fn echo_line(n: usize, budget: u32) -> (ShardedSimulator<Echo>, SharedSink<MemorySink>) {
+        echo_on(Topology::line(n, LinkSpec::mbps1()), budget)
     }
 
     #[test]
@@ -901,48 +1118,31 @@ mod tests {
         // order they were pushed in — unlike a `(time, seq)` heap, whose
         // tie-break is the insertion sequence itself.
         let at = SimTime::from_millis(1);
+        let (one, two, four) = (NodeId(1), NodeId(2), NodeId(4));
         let keys = [
-            EventKey {
-                class: CLASS_DELIVER,
-                a: 1,
-                b: 2,
-                c: 0,
-            },
-            EventKey {
-                class: CLASS_TIMER,
-                a: 4,
-                b: 0,
-                c: 0,
-            },
-            EventKey {
-                class: CLASS_EXTERNAL,
-                a: 0,
-                b: 0,
-                c: 0,
-            },
-            EventKey {
-                class: CLASS_LINK_FREE,
-                a: 1,
-                b: 2,
-                c: 0,
-            },
+            EventKey::deliver(one, two, 0),
+            EventKey::timer(four, 0),
+            EventKey::external(0),
+            EventKey::link_free(one, two, 0),
         ];
         let pop_order = |insert: &[usize]| {
-            let mut heap: BinaryHeap<Scheduled<Echo>> = BinaryHeap::new();
+            let mut queue: EventQueue<Echo> = EventQueue::new();
             for &i in insert {
-                heap.push(Scheduled {
-                    at,
-                    key: keys[i],
-                    event: Event::Timer {
-                        node: NodeId(0),
-                        tag: i as u64,
-                    },
-                });
+                let event = Event::Timer {
+                    node: NodeId(0),
+                    tag: i as u64,
+                };
+                queue.push(Order::of(at, keys[i], 0), event);
             }
             let mut order = Vec::new();
-            while let Some(s) = heap.pop() {
-                order.push(s.key);
+            while let Some((_, event)) = queue.pop_before(Order(u128::MAX)) {
+                let Event::Timer { tag, .. } = event else {
+                    unreachable!("only timers were pushed")
+                };
+                order.push(keys[tag as usize]);
             }
+            // Every payload went back to the free list.
+            assert_eq!(queue.vacant.len(), queue.slab.len());
             order
         };
         let a = pop_order(&[0, 1, 2, 3]);
@@ -955,6 +1155,328 @@ mod tests {
         let mut sorted = keys.to_vec();
         sorted.sort();
         assert_eq!(a, sorted);
+    }
+
+    #[test]
+    fn the_slab_reuses_popped_slots() {
+        let mut queue: EventQueue<Echo> = EventQueue::new();
+        for round in 0..3u64 {
+            for node in 0..4 {
+                let at = SimTime::from_micros(round);
+                let order = Order::of(at, EventKey::start(NodeId(node)), 0);
+                queue.push(order, Event::Start { node: NodeId(node) });
+            }
+            let until = Order::instant(SimTime::from_micros(round + 1));
+            let popped: Vec<Order> =
+                std::iter::from_fn(|| queue.pop_before(until).map(|(o, _)| o)).collect();
+            assert_eq!(popped.len(), 4);
+            assert!(popped.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(queue.slab.len(), 4, "three rounds of four share four slots");
+    }
+
+    /// A value of a `bits`-wide field: zero, its maximum, a small value or
+    /// anything in range, so ties and extremes are as likely as the middle.
+    fn field_value(bits: u32) -> impl Strategy<Value = u64> {
+        let max = u64::MAX >> (64 - bits);
+        (0u8..4, 0..=max).prop_map(move |(pick, any)| match pick {
+            0 => 0,
+            1 => max,
+            2 => any % 3,
+            _ => any,
+        })
+    }
+
+    /// A random `(at, key, rank)`. A link's endpoints are the two 12-bit
+    /// halves of its 24-bit rank, so the rank is the `(from, to)` order a
+    /// simulator's rank table gives, up to the field's maximum.
+    fn timed_key() -> impl Strategy<Value = (SimTime, EventKey, u32)> {
+        let fields = (
+            0u64..5,
+            field_value(64),
+            field_value(IDENTITY_BITS),
+            field_value(OWNER_BITS),
+            field_value(SEQ_BITS),
+        );
+        fields.prop_map(|(class, at, wide, owner, seq)| {
+            let (from, to) = (
+                NodeId((owner >> 12) as usize),
+                NodeId((owner & 0xfff) as usize),
+            );
+            let rank = owner as u32;
+            let (key, rank) = match class {
+                CLASS_START => (EventKey::start(NodeId(wide as usize)), 0),
+                CLASS_EXTERNAL => (EventKey::external(wide), 0),
+                CLASS_TIMER => (EventKey::timer(NodeId(owner as usize), seq), 0),
+                CLASS_LINK_FREE => (EventKey::link_free(from, to, seq), rank),
+                _ => (EventKey::deliver(from, to, seq), rank),
+            };
+            (SimTime::from_micros(at), key, rank)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn packed_order_is_the_tuple_order(x in timed_key(), y in timed_key()) {
+            let (x_at, x_key, x_rank) = x;
+            let (y_at, y_key, y_rank) = y;
+            let packed = Order::of(x_at, x_key, x_rank).cmp(&Order::of(y_at, y_key, y_rank));
+            prop_assert_eq!(packed, (x_at, x_key).cmp(&(y_at, y_key)));
+            prop_assert_eq!(Order::of(x_at, x_key, x_rank).at(), x_at);
+            // A fault batch at an instant sorts before all of its events.
+            prop_assert!(Order::instant(x_at) <= Order::of(x_at, x_key, x_rank));
+        }
+    }
+
+    #[test]
+    fn a_field_one_past_its_limit_panics() {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let cases = [
+            ("node", EventKey::start(NodeId(1 << IDENTITY_BITS)), 0),
+            ("install index", EventKey::external(1 << IDENTITY_BITS), 0),
+            ("timer node", EventKey::timer(NodeId(1 << OWNER_BITS), 0), 0),
+            ("timer sequence", EventKey::timer(a, 1 << SEQ_BITS), 0),
+            ("link rank", EventKey::link_free(a, b, 0), 1 << OWNER_BITS),
+            ("link rank", EventKey::deliver(a, b, 0), 1 << OWNER_BITS),
+            ("txn", EventKey::link_free(a, b, 1 << SEQ_BITS), 0),
+            ("txn", EventKey::deliver(a, b, 1 << SEQ_BITS), 0),
+        ];
+        for (what, key, rank) in cases {
+            let err =
+                std::panic::catch_unwind(|| Order::of(SimTime::MAX, key, rank)).expect_err(what);
+            let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                message.contains(what) && message.contains("limit 2^"),
+                "{what}: {message:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn link_ranks_follow_from_to_order_not_slots() {
+        // Adjacency order is insertion order: node 1 lists 4 before 0, and
+        // node 0 lists 3 before 1.
+        let mut t = Topology::new(5);
+        t.add_link(NodeId(1), NodeId(4), LinkSpec::mbps1());
+        t.add_link(NodeId(0), NodeId(3), LinkSpec::mbps1());
+        t.add_link(NodeId(1), NodeId(0), LinkSpec::mbps1());
+        t.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
+        t.rebuild_routes();
+        let ranks = link_ranks(&t);
+        let mut by_rank = Vec::new();
+        let mut slot_differs = false;
+        for from in t.nodes() {
+            for (to, slot, _) in t.links_from(from) {
+                by_rank.push((ranks[slot], from, to));
+                slot_differs |= ranks[slot] as usize != slot;
+            }
+        }
+        by_rank.sort_unstable();
+        let ranked: Vec<u32> = by_rank.iter().map(|&(rank, ..)| rank).collect();
+        assert_eq!(ranked, (0..8).collect::<Vec<u32>>());
+        assert!(by_rank
+            .windows(2)
+            .all(|w| (w[0].1, w[0].2) < (w[1].1, w[1].2)));
+        assert!(slot_differs, "the topology must tell slots from ranks");
+    }
+
+    /// Under both media, every transmitter's free order is the packed
+    /// `link_free` key of the last transmission it started: the link's
+    /// `(from, to)` rank, its last `txn`, the instant the message clears.
+    #[test]
+    fn a_transmitters_free_order_is_its_last_link_free_key() {
+        for medium in [MediumMode::FullDuplex, MediumMode::HalfDuplexTx] {
+            let (mut sim, sink) = echo_on(Topology::star(5, LinkSpec::mbps1()), 6);
+            sim.set_medium(medium);
+            sim.run();
+            let topology = sim.topology().clone();
+            let mut pairs: Vec<(NodeId, NodeId)> = topology
+                .nodes()
+                .flat_map(|a| topology.neighbors(a).map(move |b| (a, b)))
+                .collect();
+            pairs.sort_unstable();
+            // (from, to) -> (transmissions, departure of the last one)
+            let mut last = std::collections::BTreeMap::new();
+            // transmitter -> its last transmission's (from, to)
+            let mut latest = std::collections::BTreeMap::new();
+            for r in sink.with(|m| m.take()) {
+                if let EventKind::Transmit {
+                    from, to, bytes, ..
+                } = r.kind
+                {
+                    let (from, to) = (NodeId(from as usize), NodeId(to as usize));
+                    let (slot, spec) = topology.link_slot(from, to).unwrap();
+                    let depart = r.at + spec.transmission_time(bytes);
+                    let entry = last.entry((from, to)).or_insert((0, depart));
+                    *entry = (entry.0 + 1, depart);
+                    let t = match medium {
+                        MediumMode::FullDuplex => slot,
+                        MediumMode::HalfDuplexTx => from.index(),
+                    };
+                    latest.insert(t, (from, to));
+                }
+            }
+            assert_eq!(
+                latest.len(),
+                sim.transmitters.len(),
+                "every transmitter sent"
+            );
+            for (t, (from, to)) in latest {
+                let (count, depart) = last[&(from, to)];
+                let rank = pairs.binary_search(&(from, to)).unwrap() as u32;
+                let key = EventKey::link_free(from, to, count - 1);
+                assert_eq!(
+                    sim.transmitters[t].free,
+                    Order::of(depart, key, rank),
+                    "{medium:?} {from}->{to}"
+                );
+            }
+        }
+    }
+
+    /// A packet of a given size, foreground or background.
+    #[derive(Debug, Clone)]
+    struct Blob {
+        bytes: u64,
+        background: bool,
+    }
+    impl WireMessage for Blob {
+        fn wire_size(&self) -> u64 {
+            self.bytes
+        }
+        fn background(&self) -> bool {
+            self.background
+        }
+    }
+
+    /// What makes node 0 send at exactly 1 s, the instant its first
+    /// transmission (1 s on the wire) leaves the link.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Trigger {
+        /// A timer node 0 set for 1 s: timers sort before link-free.
+        Timer,
+        /// A packet node 1 sent at 0 that arrives at 1 s: deliveries sort
+        /// after link-free.
+        Delivery,
+        /// Node 0 crashes at 0.5 s and recovers at 1 s: a fault batch sorts
+        /// before every event of its instant.
+        Recovery,
+    }
+
+    /// At the trigger, node 0 sends a background packet and then a
+    /// foreground one. If the link is still busy both queue and the
+    /// foreground one leaves first; if it is free the background one
+    /// leaves at once.
+    struct Boundary(Trigger);
+
+    impl Boundary {
+        fn burst(ctx: &mut Context<'_, Blob>) {
+            for background in [true, false] {
+                let bytes = 62_500; // 0.5 s at 1 Mbps
+                ctx.send(NodeId(1), Blob { bytes, background });
+            }
+        }
+    }
+
+    impl Protocol for Boundary {
+        type Msg = Blob;
+        type Ext = ();
+        fn on_start(&mut self, ctx: &mut Context<'_, Blob>) {
+            if ctx.node() == NodeId(0) {
+                let first = Blob {
+                    bytes: 125_000,
+                    background: false,
+                };
+                ctx.send(NodeId(1), first);
+                if self.0 == Trigger::Timer {
+                    ctx.set_timer_at(SimTime::from_secs(1), 0);
+                }
+            } else if self.0 == Trigger::Delivery {
+                // 0.999 s on the wire plus 1 ms of latency.
+                let bytes = 124_875;
+                ctx.send(
+                    NodeId(0),
+                    Blob {
+                        bytes,
+                        background: false,
+                    },
+                );
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Blob>, _: NodeId, _: Blob) {
+            if ctx.node() == NodeId(0) {
+                Boundary::burst(ctx);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Blob>, _: u64) {
+            Boundary::burst(ctx);
+        }
+        fn on_recover(&mut self, ctx: &mut Context<'_, Blob>) {
+            Boundary::burst(ctx);
+        }
+    }
+
+    /// Node 0's transmissions as `(instant in µs, background)`.
+    fn boundary_transmits(trigger: Trigger, medium: MediumMode) -> Vec<(u64, bool)> {
+        let sink = SharedSink::new(MemorySink::new());
+        let nodes = vec![Boundary(trigger), Boundary(trigger)];
+        let mut sim = ShardedSimulator::new(Topology::line(2, LinkSpec::mbps1()), nodes, 1, 1);
+        sim.set_medium(medium);
+        sim.set_sink(Box::new(sink.clone()));
+        if trigger == Trigger::Recovery {
+            let mut faults = FaultSchedule::new();
+            faults.crash_at(SimTime::from_millis(500), NodeId(0));
+            faults.recover_at(SimTime::from_secs(1), NodeId(0));
+            sim.install_faults(&faults);
+        }
+        sim.run();
+        sink.with(|m| {
+            m.events()
+                .iter()
+                .filter_map(|r| match r.kind {
+                    EventKind::Transmit {
+                        from: 0,
+                        background,
+                        ..
+                    } => Some((r.at.as_micros(), background)),
+                    _ => None,
+                })
+                .collect()
+        })
+    }
+
+    /// Queued at the free instant: the foreground packet leaves first.
+    const QUEUED: [(u64, bool); 3] = [(0, false), (1_000_000, false), (1_500_000, true)];
+    /// Sent on a free link: the background packet leaves at once.
+    const IMMEDIATE: [(u64, bool); 3] = [(0, false), (1_000_000, true), (1_500_000, false)];
+
+    #[test]
+    fn a_send_from_a_timer_at_the_free_instant_queues() {
+        for medium in [MediumMode::FullDuplex, MediumMode::HalfDuplexTx] {
+            assert_eq!(
+                boundary_transmits(Trigger::Timer, medium),
+                QUEUED,
+                "{medium:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_send_from_a_delivery_at_the_free_instant_transmits_at_once() {
+        for medium in [MediumMode::FullDuplex, MediumMode::HalfDuplexTx] {
+            let got = boundary_transmits(Trigger::Delivery, medium);
+            assert_eq!(got, IMMEDIATE, "{medium:?}");
+        }
+    }
+
+    #[test]
+    fn a_send_from_a_recovery_at_the_free_instant_queues() {
+        for medium in [MediumMode::FullDuplex, MediumMode::HalfDuplexTx] {
+            let got = boundary_transmits(Trigger::Recovery, medium);
+            assert_eq!(got, QUEUED, "{medium:?}");
+        }
     }
 
     #[test]

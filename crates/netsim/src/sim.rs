@@ -344,10 +344,10 @@ impl Hop {
     }
 }
 
-/// Transmitter state of one directed link: whether it is currently
-/// clocking a message out, plus foreground and background wait queues.
+/// The wait queues of one directed link, foreground and background. Whether
+/// the link's transmitter is clocking a message out is the engine's to say
+/// (see [`crate::shard`]).
 pub(crate) struct LinkState<M> {
-    pub(crate) busy: bool,
     pub(crate) foreground: std::collections::VecDeque<M>,
     pub(crate) background: std::collections::VecDeque<M>,
 }
@@ -355,7 +355,6 @@ pub(crate) struct LinkState<M> {
 impl<M> Default for LinkState<M> {
     fn default() -> Self {
         LinkState {
-            busy: false,
             foreground: std::collections::VecDeque::new(),
             background: std::collections::VecDeque::new(),
         }
@@ -363,7 +362,7 @@ impl<M> Default for LinkState<M> {
 }
 
 impl<M> LinkState<M> {
-    /// One idle transmitter per directed link of `topology`, indexed by
+    /// Empty queues for every directed link of `topology`, indexed by
     /// [`Topology::link_slot`].
     pub(crate) fn table(topology: &Topology) -> Vec<LinkState<M>> {
         std::iter::repeat_with(LinkState::default)
@@ -414,6 +413,9 @@ impl<M> LinkState<M> {
 /// sim.run();
 /// // The ball bounces until each side has seen it 3 times: 5 deliveries.
 /// assert_eq!(sim.metrics().messages_delivered, 5);
+/// // Two starts and five deliveries. The link is idle each time it frees,
+/// // and an idle link's free instant is not an event.
+/// assert_eq!(sim.events_processed(), 7);
 /// ```
 pub struct Simulator<P: Protocol>(ShardedSimulator<P>);
 
